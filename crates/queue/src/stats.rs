@@ -101,15 +101,16 @@ pub struct PercentileSummary {
 /// Computes the summary by sorting a copy of the samples (nearest-rank
 /// definition: the smallest observation with at least `q·n` at or below
 /// it). Returns `None` for an empty sample set.
+///
+/// Samples are ordered by [`f64::total_cmp`], so a NaN never panics: a
+/// NaN (such as [`f64::NAN`]) ranks above every number, a NaN with its
+/// sign bit set below every number, and `-0.0` just below `0.0`.
 pub fn percentiles(samples: &[f64]) -> Option<PercentileSummary> {
     if samples.is_empty() {
         return None;
     }
     let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| {
-        a.partial_cmp(b)
-            .expect("percentiles need orderable samples")
-    });
+    sorted.sort_by(f64::total_cmp);
     let rank = |q: f64| {
         let n = sorted.len();
         let k = ((q * n as f64).ceil() as usize).clamp(1, n);
@@ -241,6 +242,13 @@ mod tests {
         assert_eq!(s.p99, 3.0);
         assert_eq!(s.max, 3.0);
         assert!(percentiles(&[]).is_none());
+    }
+
+    #[test]
+    fn percentiles_rank_a_nan_sample_above_every_number() {
+        let s = percentiles(&[2.0, f64::NAN, 1.0]).unwrap();
+        assert_eq!(s.p50, 2.0);
+        assert!(s.p95.is_nan() && s.p99.is_nan() && s.max.is_nan());
     }
 
     #[test]
