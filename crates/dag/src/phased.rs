@@ -122,11 +122,7 @@ impl JobStructure for PhasedJob {
         PhasedJob::span(self)
     }
     fn profile(&self) -> ParallelismProfile {
-        let mut widths = Vec::with_capacity(self.span as usize);
-        for p in &self.phases {
-            widths.extend(std::iter::repeat_n(p.width, p.levels as usize));
-        }
-        ParallelismProfile::new(widths)
+        ParallelismProfile::from_runs(self.phases.iter().copied())
     }
 }
 
@@ -174,7 +170,10 @@ mod tests {
     #[test]
     fn profile_expands_phases() {
         let j = PhasedJob::new(vec![Phase::new(2, 2), Phase::new(5, 1)]);
-        assert_eq!(JobStructure::profile(&j).widths(), &[2, 2, 5]);
+        assert_eq!(
+            JobStructure::profile(&j),
+            ParallelismProfile::new(vec![2, 2, 5])
+        );
         assert!(j.transition_factor(1) >= 2.0);
     }
 

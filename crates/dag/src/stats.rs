@@ -77,13 +77,13 @@ impl JobStructure for ExplicitDag {
 /// is what the paper's workload generator controls ("varying the level of
 /// parallelism in the parallel phases").
 pub fn transition_factor(profile: &ParallelismProfile, quantum_levels: u64) -> f64 {
-    let mut averages = profile.quantum_averages(quantum_levels);
-    if !profile.span().is_multiple_of(quantum_levels) && averages.len() > 1 {
-        averages.pop(); // drop the trailing partial (non-full) quantum
-    }
+    let averages = profile.quantum_averages(quantum_levels);
+    // Full quanta only: the trailing partial one counts only when the
+    // job is shorter than a single quantum.
+    let full = (profile.span() / quantum_levels).max(1);
     let mut prev = 1.0f64; // A(0) = 1 by definition
     let mut c = 1.0f64;
-    for &a in &averages {
+    for a in averages.take(full as usize) {
         let ratio = if a > prev { a / prev } else { prev / a };
         c = c.max(ratio);
         prev = a;

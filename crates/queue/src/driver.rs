@@ -68,6 +68,8 @@ pub struct OpenConfig {
 pub enum ConfigError {
     /// `processors == 0`: the machine has nothing to allocate.
     NoProcessors,
+    /// `quantum_len == 0`: a quantum must last at least one step.
+    ZeroQuantum,
     /// `measured_jobs == 0`: the run could never end.
     NothingToMeasure,
     /// `batches < 2`: batch means needs at least two batches.
@@ -114,6 +116,7 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::NoProcessors => write!(f, "machine must have processors"),
+            ConfigError::ZeroQuantum => write!(f, "quantum length must be positive"),
             ConfigError::NothingToMeasure => write!(f, "nothing to measure"),
             ConfigError::TooFewBatches => write!(f, "batch means needs at least two batches"),
             ConfigError::TooFewObservations {
@@ -149,11 +152,14 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 impl OpenConfig {
-    /// Checks internal consistency (the engine checks `quantum_len`),
-    /// reporting the first violation as a typed [`ConfigError`].
+    /// Checks internal consistency, reporting the first violation as a
+    /// typed [`ConfigError`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.processors == 0 {
             return Err(ConfigError::NoProcessors);
+        }
+        if self.quantum_len == 0 {
+            return Err(ConfigError::ZeroQuantum);
         }
         if self.measured_jobs == 0 {
             return Err(ConfigError::NothingToMeasure);
@@ -659,11 +665,16 @@ mod tests {
         assert_eq!(base.validate(), Ok(()));
 
         type Mutate<'a> = &'a dyn Fn(&mut OpenConfig);
-        let cases: [(Mutate, ConfigError, &str); 5] = [
+        let cases: [(Mutate, ConfigError, &str); 6] = [
             (
                 &|c| c.processors = 0,
                 ConfigError::NoProcessors,
                 "machine must have processors",
+            ),
+            (
+                &|c| c.quantum_len = 0,
+                ConfigError::ZeroQuantum,
+                "quantum length must be positive",
             ),
             (
                 &|c| c.measured_jobs = 0,

@@ -687,6 +687,8 @@ mod tests {
         // Aggregate-config violations surface through the same path.
         cfg.open.batches = 1;
         assert_eq!(cfg.validate(), Err(ConfigError::TooFewBatches));
+        cfg.open.quantum_len = 0;
+        assert_eq!(cfg.validate(), Err(ConfigError::ZeroQuantum));
     }
 
     #[test]

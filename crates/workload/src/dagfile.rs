@@ -132,11 +132,18 @@ pub fn parse_dag(text: &str) -> Result<ExplicitDag, DagFileError> {
                         message: "duplicate 'tasks' directive".into(),
                     });
                 }
-                let n: usize = parse_field(tokens.next(), "task count", line)?;
-                let mut b = DagBuilder::with_capacity(n);
-                for _ in 0..n {
-                    b.add_task();
+                let n: u64 = parse_field(tokens.next(), "task count", line)?;
+                // Task ids are `u32`: a larger count is rejected before
+                // anything is allocated for it, and no capacity is
+                // reserved from the raw count.
+                if n > u64::from(u32::MAX) {
+                    return Err(DagFileError::Parse {
+                        line,
+                        message: format!("task count {n} exceeds the u32 task-id range"),
+                    });
                 }
+                let mut b = DagBuilder::new();
+                b.add_tasks(n as usize);
                 builder = Some(b);
             }
             "weight" => {
@@ -293,6 +300,27 @@ mod tests {
         let err = parse_dag("nodes 3\n").unwrap_err();
         assert!(
             err.to_string().contains("unknown directive 'nodes'"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn task_counts_beyond_u32_ids_are_parse_errors() {
+        let err = parse_dag("tasks 18446744073709551615\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "dag file parse error on line 1: \
+             task count 18446744073709551615 exceeds the u32 task-id range"
+        );
+        let err = parse_dag("# header\ntasks 5000000000\nedge 0 1\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "dag file parse error on line 2: task count 5000000000 exceeds the u32 task-id range"
+        );
+        let err = parse_dag("tasks 99999999999999999999\n").unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("invalid task count '99999999999999999999'"),
             "{err}"
         );
     }
