@@ -390,8 +390,8 @@ where
     // `parallel_map`; the outcome is thread-count invariant either way.
     // `groups > 1` routes through the hierarchical two-level driver
     // (with `shards` ignored: the groups ARE the partition); otherwise
-    // the sharded engine runs, and `shards = 1` delegates straight to
-    // `run_open_system`.
+    // the sharded engine runs. Both run the one open-system loop, and
+    // with one group it draws arrivals exactly as `run_open_system`.
     if cfg.groups > 1 {
         let hier = HierOpenConfig {
             open,

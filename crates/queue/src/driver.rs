@@ -2,7 +2,8 @@
 //! shared quantum engine.
 //!
 //! Jobs arrive indefinitely from a stationary [`ArrivalProcess`]; each
-//! arrival is admitted into the generic [`QuantumCore`] (the same
+//! arrival is admitted into the generic
+//! [`QuantumCore`](abg_sim::QuantumCore) (the same
 //! stepping core behind every closed driver in `abg-sim`, here with a
 //! caller-chosen [`Probe`]) and drained when it completes. The driver
 //! never materializes the job population: memory is proportional to the
@@ -19,20 +20,30 @@
 //! 3. mean response time gets a batch-means confidence interval and
 //!    slowdowns (response over the job's solo lower bound
 //!    `max(T∞, T1/P)`) get nearest-rank percentiles;
-//! 4. a [`SaturationDetector`] watches the in-system job count and
-//!    aborts runs that will never reach steady state (ρ ≥ 1), reporting
-//!    them as [`OpenOutcome::Unstable`] instead of hanging.
+//! 4. a [`SaturationDetector`](crate::SaturationDetector) watches the
+//!    in-system job count and aborts runs that will never reach steady
+//!    state (ρ ≥ 1), reporting them as [`OpenOutcome::Unstable`]
+//!    instead of hanging.
+//!
+//! This module defines the configuration and outcome types every
+//! open-system entry point shares. It owns no loop: [`run_open_system`]
+//! is the one-group case of the event loop in [`hier`](crate::hier),
+//! run to `until = u64::MAX` with the caller's probe, and its outcome
+//! comes from the same merge as the sharded and hierarchical drivers'.
+//! With one group, arrival gaps and job structures come from one RNG
+//! seeded with `cfg.seed`, interleaved as the pinned fingerprints
+//! require.
 
-use crate::events::{frozen_window_bound, ArrivalCalendar};
-use crate::saturation::{SaturationConfig, SaturationDetector, SaturationReason};
-use crate::stats::{batch_means, percentiles, ConfidenceInterval, PercentileSummary};
+use crate::hier::GroupSim;
+use crate::saturation::{SaturationConfig, SaturationReason};
+use crate::shard::{merge_reports, ShardRouting, ShardedOpenConfig};
+use crate::stats::{ConfidenceInterval, PercentileSummary};
 use abg_alloc::Allocator;
 use abg_control::RequestCalculator;
 use abg_sched::JobExecutor;
-use abg_sim::{CompletedJob, NullProbe, Probe, QuantumCore};
+use abg_sim::{NullProbe, Probe};
 use abg_workload::ArrivalProcess;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of one open-system run.
@@ -196,7 +207,10 @@ impl OpenConfig {
 
 /// Completed work over machine capacity `P · horizon`, guarded so a run
 /// aborted before executing a single quantum (`horizon == 0`) reports a
-/// utilization of zero instead of `0/0 = NaN`.
+/// utilization of zero instead of `0/0 = NaN`. The reference driver's
+/// utilization; the event-driven entry points divide by the capacity
+/// integral in the shared merge.
+#[cfg(any(test, feature = "test-support"))]
 pub(crate) fn measured_utilization(completed_work: u64, processors: u32, horizon: u64) -> f64 {
     if horizon == 0 {
         return 0.0;
@@ -321,7 +335,9 @@ where
 ///
 /// With [`NullProbe`] this *is* `run_open_system`: the probe
 /// monomorphizes to nothing and the loop is the uninstrumented one the
-/// pinned open-sweep fingerprint covers.
+/// pinned open-sweep fingerprint covers. The loop is the one every
+/// open-system entry point runs, here over a single group that owns
+/// all `P` processors.
 ///
 /// # Panics
 ///
@@ -340,172 +356,21 @@ where
     P: Probe,
 {
     cfg.assert_valid();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut calendar = ArrivalCalendar::new(&cfg.arrivals);
-    let mut engine = QuantumCore::new(allocator, cfg.quantum_len, probe);
-    let mut detector = SaturationDetector::new(cfg.saturation);
-
-    let warmup = cfg.warmup_jobs;
-    let measured = cfg.measured_jobs;
-    // Measured samples keyed by arrival id (NaN = not yet completed);
-    // batch means runs over arrival order, the natural time order of
-    // the process.
-    let mut responses = vec![f64::NAN; measured as usize];
-    let mut slowdowns = vec![f64::NAN; measured as usize];
-    let mut outstanding = measured;
-
-    let mut arrivals = 0u64;
-    let mut next_arrival = calendar.next_arrival(&mut rng);
-    let mut completed_work = 0u64;
-    let mut done: Vec<CompletedJob> = Vec::new();
-    // Executors handed back by the engine when their jobs drained,
-    // offered to the factory one per admission (LIFO — the hottest
-    // buffers first). Bounded by the peak in-system job count.
-    let mut pool: Vec<Box<dyn JobExecutor + Send>> = Vec::new();
-
-    let outcome = 'run: loop {
-        // Admit everything due at (or before) the current boundary; the
-        // admission id is the arrival index.
-        while next_arrival <= engine.now() {
-            let executor = make_executor(&mut rng, pool.pop());
-            engine.admit(executor, make_calculator(), next_arrival);
-            arrivals += 1;
-            next_arrival = calendar.next_arrival(&mut rng);
-        }
-        if !engine.any_live() {
-            // Empty system: fast-forward to the boundary of the next
-            // arrival instead of stepping idle quanta.
-            engine.skip_idle_until(next_arrival);
-            continue;
-        }
-
-        done.clear();
-        engine.step_quantum_reclaiming(&mut done, &mut pool);
-        detector.record(engine.jobs_in_system());
-
-        for job in &done {
-            completed_work += job.work;
-            if job.id < warmup || job.id >= warmup + measured {
-                continue;
-            }
-            let slot = (job.id - warmup) as usize;
-            let response = job.response_time() as f64;
-            // Solo lower bound on response: the job cannot beat its
-            // span nor perfect speedup on the whole machine.
-            let lower = (job.span as f64).max(job.work as f64 / cfg.processors as f64);
-            responses[slot] = response;
-            slowdowns[slot] = response / lower.max(1.0);
-            outstanding -= 1;
-        }
-
-        if outstanding == 0 {
-            break steady_stats(
-                cfg,
-                &responses,
-                &slowdowns,
-                arrivals,
-                completed_work,
-                &engine,
-                &detector,
-            );
-        }
-
-        if let Some(reason) = saturation_trip(cfg, &engine, &detector) {
-            break unstable_report(reason, arrivals, measured - outstanding, &engine);
-        }
-
-        // Event-driven macro-stepping: between the real quantum just
-        // executed and the next driver-level event (arrival admission,
-        // trend evaluation, budget edge), jump the core across frozen
-        // quanta in bulk. The core declines whenever a completion or a
-        // request change could occur, so nothing observable is skipped.
-        while let Some(len) = engine.frozen_quantum_len() {
-            let bound = frozen_window_bound(
-                engine.now(),
-                len,
-                next_arrival,
-                detector.quanta_until_trend_check(),
-                engine.quanta(),
-                cfg.max_quanta,
-            );
-            let advanced = engine.advance_frozen(bound);
-            if advanced == 0 {
-                break;
-            }
-            detector.record_n(engine.jobs_in_system(), advanced);
-            if let Some(reason) = saturation_trip(cfg, &engine, &detector) {
-                break 'run unstable_report(reason, arrivals, measured - outstanding, &engine);
-            }
-        }
+    let one = ShardedOpenConfig {
+        open: cfg.clone(),
+        shards: 1,
+        routing: ShardRouting::RoundRobin,
     };
-    (outcome, engine.into_probe())
-}
-
-/// The steady outcome, assembled from the measurement buffers once the
-/// last measured job completed.
-#[allow(clippy::too_many_arguments)]
-fn steady_stats<A: Allocator, P: Probe>(
-    cfg: &OpenConfig,
-    responses: &[f64],
-    slowdowns: &[f64],
-    arrivals: u64,
-    completed_work: u64,
-    engine: &QuantumCore<Box<dyn JobExecutor + Send>, Box<dyn RequestCalculator + Send>, A, P>,
-    detector: &SaturationDetector,
-) -> OpenOutcome {
-    let response = batch_means(responses, cfg.batches)
-        .expect("validate() guarantees one observation per batch");
-    let slowdown = percentiles(slowdowns).expect("measured_jobs > 0");
-    let horizon = engine.now();
-    OpenOutcome::Steady(SteadyStats {
-        response,
-        slowdown,
-        completed: cfg.measured_jobs,
-        arrivals,
-        quanta: engine.quanta(),
-        horizon,
-        mean_jobs_in_system: detector.mean_jobs_in_system(),
-        peak_jobs_in_system: detector.peak_jobs_in_system(),
-        measured_utilization: measured_utilization(completed_work, cfg.processors, horizon),
-    })
-}
-
-/// Evaluates the saturation detector and the quanta budget — the same
-/// check, in the same order, after every executed quantum (bulk windows
-/// end exactly on trend-evaluation and budget edges, so evaluating once
-/// per window sees what per-quantum evaluation would have seen).
-fn saturation_trip<A: Allocator, P: Probe>(
-    cfg: &OpenConfig,
-    engine: &QuantumCore<Box<dyn JobExecutor + Send>, Box<dyn RequestCalculator + Send>, A, P>,
-    detector: &SaturationDetector,
-) -> Option<SaturationReason> {
-    detector.check().or_else(|| {
-        (engine.quanta() >= cfg.max_quanta).then_some(SaturationReason::HorizonExhausted {
-            quanta: cfg.max_quanta,
-        })
-    })
-}
-
-/// The unstable outcome at the moment `reason` tripped.
-fn unstable_report<A: Allocator, P: Probe>(
-    reason: SaturationReason,
-    arrivals: u64,
-    completed: u64,
-    engine: &QuantumCore<Box<dyn JobExecutor + Send>, Box<dyn RequestCalculator + Send>, A, P>,
-) -> OpenOutcome {
-    OpenOutcome::Unstable(UnstableReport {
-        reason,
-        quanta: engine.quanta(),
-        horizon: engine.now(),
-        jobs_in_system: engine.jobs_in_system() as u64,
-        completed,
-        arrivals,
-    })
+    let mut sim = GroupSim::new(&one, 0, allocator, probe);
+    sim.advance_until(&one, u64::MAX, &mut make_executor, &mut make_calculator);
+    let (report, probe) = sim.into_report();
+    (merge_reports(cfg, &[report]), probe)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::saturation::SaturationDetector;
     use abg_alloc::DynamicEquiPartition;
     use abg_control::AControl;
     use abg_dag::PhasedJob;

@@ -1,5 +1,5 @@
-//! Hierarchical two-level scheduling: a feedback-driven top-level
-//! allocator over the sharded open-system engine.
+//! Hierarchical two-level scheduling, and the one open-system event
+//! loop every entry point runs.
 //!
 //! The sharded engine ([`run_open_sharded`](crate::run_open_sharded))
 //! fixes each processor group's capacity at `P/G` forever; under
@@ -7,59 +7,77 @@
 //! module adds the missing layer of the hierarchical schemes for
 //! malleable jobs (Cao–Sun–Qian–Wu's desire-feedback partitioning,
 //! with the policy made pluggable in the spirit of the
-//! control-theoretic framing): each group still runs its own
-//! [`QuantumCore`] + [`SaturationDetector`]
-//! over the deterministic router-replay arrival split, but now reports
-//! a per-epoch **group desire** — aggregated job requests, in-system
-//! population, and served utilization — to a top-level
-//! [`GroupAllocator`] that recomputes every group's capacity at fixed
-//! reallocation epochs.
+//! control-theoretic framing): each group runs its own
+//! [`QuantumCore`] + [`SaturationDetector`] and reports a per-epoch
+//! **group desire** — aggregated job requests, in-system population,
+//! and served utilization — to a top-level [`GroupAllocator`] that
+//! recomputes every group's capacity at fixed reallocation epochs.
+//!
+//! **One loop.** `GroupSim` is the only open-system event loop in the
+//! crate: admit due arrivals → fast-forward an idle machine → step one
+//! quantum → record completions → macro-step frozen quanta, with one
+//! saturation/budget trip check and one outcome assembly
+//! (`merge_reports`) behind it. The entry points differ only in how
+//! many groups they build and whether a top-level policy runs between
+//! epochs:
+//!
+//! * [`run_open_system`](crate::run_open_system) runs one group with
+//!   the caller's probe to `until = u64::MAX`;
+//! * [`run_open_sharded`](crate::run_open_sharded) is this driver under
+//!   [`StaticEqui`](abg_control::StaticEqui) with one unbounded epoch,
+//!   so the policy is never consulted;
+//! * [`run_open_hierarchical`] runs the epoch loop below.
+//!
+//! Nothing delegates: `shards = 1` and `groups = 1` are the one-group
+//! case of the same loop. What a group's arrivals come from follows
+//! from the group count alone. One group draws gaps and job structures
+//! from one RNG seeded with the run seed, through the
+//! [`ArrivalCalendar`]. `G ≥ 2` groups each replay the shared router
+//! path and draw each job from its own per-arrival seed. With one
+//! group the sum invariant pins the capacity at `P`, which makes the
+//! slowdown denominator `P`: bit-identical to the reference driver.
 //!
 //! **Execution model.** The driver advances all groups in lockstep
 //! over reallocation epochs of `realloc_epoch` quanta. Within an epoch
-//! each group runs its ordinary event-driven loop (admissions, real
-//! quanta, frozen-window macro-steps) and pauses at the first quantum
-//! boundary at or after the epoch edge — the *epoch invariant*:
-//! capacity changes take effect at quantum granularity, never inside a
-//! quantum. At the barrier the driver folds every group's desire (in
-//! group-index order, on one thread), asks the policy for the next
-//! partition, and swaps each resized group's allocator in place.
+//! each group runs the event-driven loop and pauses at the first
+//! quantum boundary at or after the epoch edge — the *epoch
+//! invariant*: capacity changes take effect at quantum granularity,
+//! never inside a quantum. At the barrier the driver folds every
+//! group's desire (in group-index order, on one thread), asks the
+//! policy for the next partition, and swaps each resized group's
+//! allocator in place.
 //!
-//! **Determinism.** Everything the sharded engine guarantees carries
-//! over: arrivals replay the shared router path, job structures are
-//! keyed by global arrival index, and the merge folds in group-index
-//! order — the outcome is a pure function of the configuration,
-//! bit-independent of the worker pool's size and schedule. Epoch
-//! segmentation itself is invisible to a group that is never resized:
-//! frozen windows may be split at any quantum boundary
+//! **Determinism.** Arrivals replay the shared router path, job
+//! structures are keyed by global arrival index, and the merge folds in
+//! group-index order — the outcome is a pure function of the
+//! configuration, bit-independent of the worker pool's size and
+//! schedule. Epoch segmentation itself is invisible to a group that is
+//! never resized: frozen windows may be split at any quantum boundary
 //! ([`advance_frozen`](QuantumCore::advance_frozen) is bit-equivalent
 //! to stepping, and the detector's `record_n` is linear in its
 //! sample count), and an idle group *pauses* at the epoch edge rather
 //! than capping its idle skip (a capped skip plus a later one could
 //! land a full quantum later than the single direct skip). That is why
 //! [`StaticEqui`](abg_control::StaticEqui) — which never resizes
-//! anyone — reproduces [`run_open_sharded`](crate::run_open_sharded)
-//! bit-for-bit, pinned fingerprints included, whatever the epoch
-//! length: the compatibility anchor the tests pin.
-//!
-//! `groups = 1` delegates to [`run_open_system`](crate::run_open_system)
-//! verbatim (with one group the sum invariant forbids any capacity
-//! change), mirroring the sharded engine's `shards = 1` rule.
+//! anyone — gives the same outcome whatever the epoch length, and why
+//! one group under any policy matches the unsharded reference
+//! bit-for-bit.
 
 use crate::driver::{ConfigError, OpenConfig, OpenOutcome};
-use crate::events::frozen_window_bound;
+use crate::events::{frozen_window_bound, ArrivalCalendar};
 use crate::saturation::{SaturationDetector, SaturationReason};
 use crate::shard::{
-    job_seed, measured_assigned, merge_reports, pool_threads, shard_processors, shard_trip,
-    ShardArrivals, ShardReport, ShardRouting, ShardedOpenConfig,
+    job_seed, measured_assigned, merge_reports, pool_threads, shard_processors, ShardArrivals,
+    ShardReport, ShardRouting, ShardedOpenConfig,
 };
 use abg_alloc::Allocator;
 use abg_control::{GroupAllocator, GroupDesire, RequestCalculator};
 use abg_sched::JobExecutor;
-use abg_sim::{CompletedJob, NullProbe, QuantumCore};
+use abg_sim::{CompletedJob, NullProbe, Probe, QuantumCore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::Mutex;
 
 /// Configuration of a hierarchical open-system run: the sharded
 /// decomposition plus the top level's reallocation cadence and
@@ -154,36 +172,124 @@ pub struct GroupSummary {
 }
 
 /// Where a group's simulation currently stands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum GroupStatus {
     /// Paused at an epoch edge with work (or arrivals) still pending.
     Running,
     /// Every measured arrival routed to this group has completed.
     Finished,
     /// The group's detector (or quanta budget) declared it unstable.
-    Tripped,
+    Tripped(SaturationReason),
 }
 
-/// One resumable per-group open-system simulation: the event-driven
-/// shard loop of the sharded engine, pausable at any quantum boundary
-/// so a top-level allocator can resize the group between epochs.
+/// Where a group's arrivals and job structures come from.
+/// [`GroupSim::new`] picks the variant from the group count.
+enum ArrivalSource {
+    /// One group owns the machine: one RNG seeded from the run seed
+    /// draws the arrival gaps and every job structure, interleaved
+    /// gap/job/gap… through the calendar's lookahead of one — the order
+    /// the pinned unsharded fingerprints depend on. Every arrival is
+    /// admitted here, so the admission id is the global index.
+    Calendar {
+        calendar: ArrivalCalendar,
+        rng: StdRng,
+        /// Arrivals drawn so far: the global index of the next one.
+        drawn: u64,
+    },
+    /// `G ≥ 2` groups: a replay of the shared aggregate path that keeps
+    /// the arrivals routed to this group. Each job structure is drawn
+    /// from its arrival's own [`job_seed`] RNG, so the population is
+    /// identical across group counts and routings.
+    Routed {
+        router: ShardArrivals,
+        /// Local admission id → global arrival index.
+        globals: Vec<u64>,
+    },
+}
+
+impl ArrivalSource {
+    fn new(cfg: &ShardedOpenConfig, shard: u32) -> Self {
+        if cfg.shards == 1 {
+            ArrivalSource::Calendar {
+                calendar: ArrivalCalendar::new(&cfg.open.arrivals),
+                rng: StdRng::seed_from_u64(cfg.open.seed),
+                drawn: 0,
+            }
+        } else {
+            ArrivalSource::Routed {
+                router: ShardArrivals::new(cfg, shard),
+                globals: Vec::new(),
+            }
+        }
+    }
+
+    /// The next arrival of this group as `(global index, time)`.
+    fn next(&mut self, cfg: &ShardedOpenConfig) -> (u64, u64) {
+        match self {
+            ArrivalSource::Calendar {
+                calendar,
+                rng,
+                drawn,
+            } => {
+                let global = *drawn;
+                *drawn += 1;
+                (global, calendar.next_arrival(rng))
+            }
+            ArrivalSource::Routed { router, .. } => router.next(cfg),
+        }
+    }
+
+    /// Builds the executor of global arrival `global`, which the caller
+    /// admits next.
+    fn build<E>(
+        &mut self,
+        seed: u64,
+        global: u64,
+        recycled: Option<Box<dyn JobExecutor + Send>>,
+        make_executor: &mut E,
+    ) -> Box<dyn JobExecutor + Send>
+    where
+        E: FnMut(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send>,
+    {
+        match self {
+            ArrivalSource::Calendar { rng, .. } => make_executor(rng, recycled),
+            ArrivalSource::Routed { globals, .. } => {
+                globals.push(global);
+                make_executor(&mut StdRng::seed_from_u64(job_seed(seed, global)), recycled)
+            }
+        }
+    }
+
+    /// The global arrival index of the job admitted with local id `id`.
+    fn global(&self, id: u64) -> u64 {
+        match self {
+            ArrivalSource::Calendar { .. } => id,
+            ArrivalSource::Routed { globals, .. } => globals[id as usize],
+        }
+    }
+}
+
+/// One resumable per-group open-system simulation — the one
+/// event-driven loop behind every open-system entry point, pausable at
+/// any quantum boundary so a top-level allocator can resize the group
+/// between epochs.
 ///
-/// `run_shard` runs one of these with an unbounded epoch (`until =
-/// u64::MAX`), which disables every pause point — the hierarchical
-/// driver and the static sharded engine share this loop, so their
-/// equivalence under a never-resizing policy is structural, not
-/// coincidental.
-pub(crate) struct GroupSim<A: Allocator> {
+/// [`run_open_system_probed`](crate::run_open_system_probed) runs a
+/// single group with the caller's probe to `until = u64::MAX`, which
+/// disables every pause point; the sharded engine is the hierarchical
+/// driver with one unbounded epoch, so their equivalence under a
+/// never-resizing policy is structural, not coincidental.
+pub(crate) struct GroupSim<A: Allocator, P: Probe> {
     /// Current capacity (processors owned by this group).
     processors: u32,
-    engine:
-        QuantumCore<Box<dyn JobExecutor + Send>, Box<dyn RequestCalculator + Send>, A, NullProbe>,
+    engine: QuantumCore<Box<dyn JobExecutor + Send>, Box<dyn RequestCalculator + Send>, A, P>,
     detector: SaturationDetector,
-    arrivals: ShardArrivals,
-    /// Local admission id → global arrival index (admission order).
-    globals: Vec<u64>,
+    source: ArrivalSource,
     /// Measured arrivals routed here that have not completed yet.
     outstanding: u64,
+    /// Executors handed back by the engine when their jobs drained,
+    /// offered to the factory one per admission (LIFO — the hottest
+    /// buffers first). Bounded by the peak in-system job count.
     pool: Vec<Box<dyn JobExecutor + Send>>,
     done: Vec<CompletedJob>,
     next_global: u64,
@@ -193,7 +299,6 @@ pub(crate) struct GroupSim<A: Allocator> {
     arrivals_seen: u64,
     completed_measured: u64,
     completed_work: u64,
-    tripped: Option<SaturationReason>,
     /// Integral of capacity over simulated time, folded at each epoch
     /// barrier — the group's contribution to the merged utilization
     /// denominator.
@@ -202,29 +307,28 @@ pub(crate) struct GroupSim<A: Allocator> {
     accounted_work: u64,
 }
 
-impl<A: Allocator> GroupSim<A> {
+impl<A: Allocator, P: Probe> GroupSim<A, P> {
     /// A fresh group simulation at its equi-partition capacity. A
     /// group with no measured arrivals routed to it starts (and stays)
     /// finished — it could not influence any merged statistic.
-    pub(crate) fn new(cfg: &ShardedOpenConfig, shard: u32, allocator: A) -> Self {
+    pub(crate) fn new(cfg: &ShardedOpenConfig, shard: u32, allocator: A, probe: P) -> Self {
         let open = &cfg.open;
         let processors = shard_processors(open.processors, cfg.shards, shard);
         let assigned = measured_assigned(cfg, shard);
-        let mut arrivals = ShardArrivals::new(cfg, shard);
-        let engine = QuantumCore::new(allocator, open.quantum_len, NullProbe);
+        let mut source = ArrivalSource::new(cfg, shard);
+        let engine = QuantumCore::new(allocator, open.quantum_len, probe);
         let detector = SaturationDetector::new(open.saturation);
         let (status, next_global, next_time) = if assigned == 0 {
             (GroupStatus::Finished, 0, 0)
         } else {
-            let (global, time) = arrivals.next(cfg);
+            let (global, time) = source.next(cfg);
             (GroupStatus::Running, global, time)
         };
         Self {
             processors,
             engine,
             detector,
-            arrivals,
-            globals: Vec::new(),
+            source,
             outstanding: assigned,
             pool: Vec::new(),
             done: Vec::new(),
@@ -235,7 +339,6 @@ impl<A: Allocator> GroupSim<A> {
             arrivals_seen: 0,
             completed_measured: 0,
             completed_work: 0,
-            tripped: None,
             capacity_steps: 0,
             accounted_now: 0,
             accounted_work: 0,
@@ -258,8 +361,12 @@ impl<A: Allocator> GroupSim<A> {
 
     /// Advances the simulation to the first quantum boundary at or
     /// after `until` (or to completion / saturation trip, whichever
-    /// comes first). `until = u64::MAX` never pauses: the loop then
-    /// *is* the sharded engine's single-pass shard loop.
+    /// comes first). `until = u64::MAX` never pauses.
+    ///
+    /// Each round admits every arrival due at the current boundary,
+    /// fast-forwards an empty system to the next arrival, steps one
+    /// real quantum, records its completions, and then macro-steps the
+    /// core across frozen quanta up to the next driver-level event.
     ///
     /// Pause points are chosen to keep segmentation invisible:
     ///
@@ -274,14 +381,13 @@ impl<A: Allocator> GroupSim<A> {
         &mut self,
         cfg: &ShardedOpenConfig,
         until: u64,
-        make_executor: &E,
-        make_calculator: &C,
+        make_executor: &mut E,
+        make_calculator: &mut C,
     ) where
-        E: Fn(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send>
-            + Sync,
-        C: Fn() -> Box<dyn RequestCalculator + Send> + Sync,
+        E: FnMut(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send>,
+        C: FnMut() -> Box<dyn RequestCalculator + Send>,
     {
-        if self.status != GroupStatus::Running {
+        if !self.is_running() {
             return;
         }
         let open = &cfg.open;
@@ -290,19 +396,15 @@ impl<A: Allocator> GroupSim<A> {
 
         loop {
             while self.next_time <= self.engine.now() {
-                // Job structures are sampled from the arrival's own
-                // derived RNG, so the population is a function of the
-                // run seed alone — identical across group counts,
-                // routings and reallocation policies.
-                let mut job_rng = StdRng::seed_from_u64(job_seed(open.seed, self.next_global));
-                let executor = make_executor(&mut job_rng, self.pool.pop());
+                let executor =
+                    self.source
+                        .build(open.seed, self.next_global, self.pool.pop(), make_executor);
                 let id = self
                     .engine
                     .admit(executor, make_calculator(), self.next_time);
-                debug_assert_eq!(id as usize, self.globals.len());
-                self.globals.push(self.next_global);
+                debug_assert_eq!(self.source.global(id), self.next_global);
                 self.arrivals_seen += 1;
-                (self.next_global, self.next_time) = self.arrivals.next(cfg);
+                (self.next_global, self.next_time) = self.source.next(cfg);
             }
             if !self.engine.any_live() {
                 if self.next_time > until {
@@ -322,7 +424,7 @@ impl<A: Allocator> GroupSim<A> {
 
             for job in &self.done {
                 self.completed_work += job.work;
-                let global = self.globals[job.id as usize];
+                let global = self.source.global(job.id);
                 if global < warmup || global >= warmup + measured {
                     continue;
                 }
@@ -330,7 +432,7 @@ impl<A: Allocator> GroupSim<A> {
                 // Solo lower bound on response against the group's
                 // *current* machine: the job cannot beat its span nor
                 // perfect speedup on the processors its group owns at
-                // completion time (constant under a static top level).
+                // completion time (P for a single group).
                 let lower = (job.span as f64).max(job.work as f64 / self.processors as f64);
                 self.samples
                     .push((global - warmup, response, response / lower.max(1.0)));
@@ -342,9 +444,7 @@ impl<A: Allocator> GroupSim<A> {
                 self.status = GroupStatus::Finished;
                 return;
             }
-            if let Some(reason) = shard_trip(open, &self.engine, &self.detector) {
-                self.tripped = Some(reason);
-                self.status = GroupStatus::Tripped;
+            if self.trip(open) {
                 return;
             }
 
@@ -376,13 +476,44 @@ impl<A: Allocator> GroupSim<A> {
                 }
                 self.detector
                     .record_n(self.engine.jobs_in_system(), advanced);
-                if let Some(reason) = shard_trip(open, &self.engine, &self.detector) {
-                    self.tripped = Some(reason);
-                    self.status = GroupStatus::Tripped;
+                if self.trip(open) {
                     return;
                 }
             }
         }
+    }
+
+    /// Evaluates the saturation detector, then the quanta budget, and
+    /// marks the group tripped on a verdict. Evaluated after every real
+    /// quantum and every frozen window: windows end exactly on
+    /// trend-evaluation and budget edges, so once per window sees what
+    /// per-quantum evaluation would have seen.
+    fn trip(&mut self, open: &OpenConfig) -> bool {
+        let reason = self.detector.check().or_else(|| {
+            (self.engine.quanta() >= open.max_quanta).then_some(
+                SaturationReason::HorizonExhausted {
+                    quanta: open.max_quanta,
+                },
+            )
+        });
+        if let Some(reason) = reason {
+            self.status = GroupStatus::Tripped(reason);
+        }
+        reason.is_some()
+    }
+
+    /// Folds the time since the last fold into the capacity integral
+    /// and returns the stretch's `(elapsed steps, completed work)`.
+    fn fold_capacity(&mut self) -> (u64, u64) {
+        let now = self.engine.now();
+        let elapsed = now - self.accounted_now;
+        self.capacity_steps = self
+            .capacity_steps
+            .saturating_add((self.processors as u64).saturating_mul(elapsed));
+        let work = self.completed_work - self.accounted_work;
+        self.accounted_now = now;
+        self.accounted_work = self.completed_work;
+        (elapsed, work)
     }
 
     /// Folds the epoch that just ended into the capacity integral and
@@ -391,19 +522,12 @@ impl<A: Allocator> GroupSim<A> {
     /// capacity spent on completed work. Finished and tripped groups
     /// report zero desire — granting them capacity would waste it.
     pub(crate) fn fold_epoch(&mut self) -> GroupDesire {
-        let now = self.engine.now();
-        let elapsed = now - self.accounted_now;
-        self.capacity_steps = self
-            .capacity_steps
-            .saturating_add((self.processors as u64).saturating_mul(elapsed));
-        let work = self.completed_work - self.accounted_work;
+        let (elapsed, work) = self.fold_capacity();
         let utilization = if elapsed == 0 {
             0.0
         } else {
             work as f64 / (self.processors as f64 * elapsed as f64)
         };
-        self.accounted_now = now;
-        self.accounted_work = self.completed_work;
         if self.is_running() {
             GroupDesire {
                 requests: self.engine.live_request_sum(),
@@ -417,11 +541,6 @@ impl<A: Allocator> GroupSim<A> {
                 utilization,
             }
         }
-    }
-
-    /// The group's capacity integral (processor-steps) folded so far.
-    pub(crate) fn capacity_steps(&self) -> u64 {
-        self.capacity_steps
     }
 
     /// The group's standing in the run's [`GroupSummary`] table.
@@ -440,48 +559,54 @@ impl<A: Allocator> GroupSim<A> {
         }
     }
 
-    /// Hands the group's accumulated statistics to the merge.
-    pub(crate) fn into_report(self) -> ShardReport {
-        ShardReport {
-            processors: self.processors,
+    /// Hands the group's accumulated statistics to the merge, together
+    /// with its probe.
+    pub(crate) fn into_report(mut self) -> (ShardReport, P) {
+        self.fold_capacity();
+        let report = ShardReport {
             samples: self.samples,
             arrivals: self.arrivals_seen,
             completed_measured: self.completed_measured,
             completed_work: self.completed_work,
+            capacity_steps: self.capacity_steps,
             quanta: self.engine.quanta(),
             horizon: self.engine.now(),
             jobs_in_system: self.engine.jobs_in_system() as u64,
             mean_jobs_in_system: self.detector.mean_jobs_in_system(),
             peak_jobs_in_system: self.detector.peak_jobs_in_system(),
-            tripped: self.tripped,
-        }
+            tripped: match self.status {
+                GroupStatus::Tripped(reason) => Some(reason),
+                GroupStatus::Running | GroupStatus::Finished => None,
+            },
+        };
+        (report, self.engine.into_probe())
     }
 }
 
-/// Advances every group on a scoped-thread pool (static chunk
-/// partition — groups are independent, so the schedule can never show
-/// through) and returns once all of them have paused at the barrier.
-fn advance_groups<A, F>(sims: &mut [GroupSim<A>], threads: usize, advance: F)
+/// Advances every group on a scoped-thread pool and returns once all
+/// of them have paused at the barrier. Workers claim groups one at a
+/// time off a shared iterator, so a run whose groups take unequal time
+/// (a single unbounded epoch under skewed routing) stays
+/// load-balanced; groups are independent, so the schedule can never
+/// show through.
+fn advance_groups<T, F>(groups: &mut [T], threads: usize, advance: F)
 where
-    A: Allocator + Send,
-    F: Fn(&mut GroupSim<A>) + Sync,
+    T: Send,
+    F: Fn(&mut T) + Sync,
 {
-    let n = sims.len();
-    let threads = threads.clamp(1, n.max(1));
-    if threads <= 1 {
-        for sim in sims.iter_mut() {
-            advance(sim);
-        }
+    let threads = threads.clamp(1, groups.len().max(1));
+    if threads == 1 {
+        groups.iter_mut().for_each(advance);
         return;
     }
-    let chunk = n.div_ceil(threads);
-    let advance = &advance;
+    let queue = Mutex::new(groups.iter_mut());
     std::thread::scope(|scope| {
-        for group_chunk in sims.chunks_mut(chunk) {
-            scope.spawn(move || {
-                for sim in group_chunk {
-                    advance(sim);
-                }
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let Some(group) = queue.lock().expect("group queue poisoned").next() else {
+                    return;
+                };
+                advance(group);
             });
         }
     });
@@ -496,9 +621,9 @@ where
 /// group); `make_executor` / `make_calculator` are the factories of
 /// [`run_open_system`](crate::run_open_system); `group_alloc` is the
 /// top-level policy consulted at every reallocation epoch. With
-/// `groups = 1` this *is* [`run_open_system`](crate::run_open_system)
-/// on `cfg.open` — the sum invariant forbids any capacity change, so
-/// the top level is inert by construction.
+/// `groups = 1` the sum invariant forbids any capacity change, so the
+/// top level is inert and the outcome equals
+/// [`run_open_system`](crate::run_open_system) on `cfg.open`.
 ///
 /// # Panics
 ///
@@ -590,46 +715,26 @@ where
     G: GroupAllocator,
 {
     cfg.assert_valid();
-    if cfg.groups == 1 {
-        // One group owns the whole machine forever: delegate verbatim
-        // to the unsharded driver, bit-identical (same RNG stream,
-        // same loop) — mirroring the sharded engine's `shards = 1`.
-        let outcome = crate::driver::run_open_system(
-            &cfg.open,
-            make_allocator(cfg.open.processors),
-            make_executor,
-            make_calculator,
-        );
-        let (arrivals, utilization) = match &outcome {
-            OpenOutcome::Steady(s) => (s.arrivals, s.measured_utilization),
-            OpenOutcome::Unstable(u) => (u.arrivals, f64::NAN),
-        };
-        let summary = GroupSummary {
-            group: 0,
-            final_processors: cfg.open.processors,
-            arrivals,
-            utilization,
-        };
-        return (outcome, vec![summary]);
-    }
-
     let sharded = cfg.as_sharded();
     let processors = cfg.open.processors;
     let mut caps: Vec<u32> = (0..cfg.groups)
         .map(|k| shard_processors(processors, cfg.groups, k))
         .collect();
-    let mut sims: Vec<GroupSim<A>> = caps
+    let mut sims: Vec<GroupSim<A, NullProbe>> = caps
         .iter()
         .enumerate()
-        .map(|(k, &cap)| GroupSim::new(&sharded, k as u32, make_allocator(cap)))
+        .map(|(k, &cap)| GroupSim::new(&sharded, k as u32, make_allocator(cap), NullProbe))
         .collect();
 
+    // Both products saturate: the sharded engine runs with
+    // `realloc_epoch = u64::MAX`, which must become one unbounded epoch
+    // (`until = u64::MAX`) in which every group runs to its end.
     let epoch_steps = cfg.realloc_epoch.saturating_mul(cfg.open.quantum_len);
     let mut epoch: u64 = 1;
     loop {
         let until = epoch.saturating_mul(epoch_steps);
         advance_groups(&mut sims, threads, |sim| {
-            sim.advance_until(&sharded, until, &make_executor, &make_calculator)
+            sim.advance_until(&sharded, until, &mut &make_executor, &mut &make_calculator)
         });
         // Desire collection and reallocation happen on this thread, in
         // group-index order: the one serial point of each epoch.
@@ -668,20 +773,20 @@ where
         epoch += 1;
     }
 
-    let capacity: f64 = sims.iter().map(|s| s.capacity_steps() as f64).sum();
     let summaries: Vec<GroupSummary> = sims
         .iter()
         .enumerate()
         .map(|(k, sim)| sim.summary(k as u32))
         .collect();
-    let reports: Vec<ShardReport> = sims.into_iter().map(GroupSim::into_report).collect();
-    (merge_reports(&cfg.open, &reports, capacity), summaries)
+    let reports: Vec<ShardReport> = sims.into_iter().map(|sim| sim.into_report().0).collect();
+    (merge_reports(&cfg.open, &reports), summaries)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::run_open_system;
+    use crate::lockstep::assert_outcome_bits_eq;
+    use crate::reference::ReferenceOpenDriver;
     use crate::saturation::SaturationConfig;
     use crate::shard::{route, run_open_sharded_with_threads};
     use abg_alloc::DynamicEquiPartition;
@@ -755,15 +860,45 @@ mod tests {
     }
 
     #[test]
-    fn one_group_delegates_to_the_unsharded_driver() {
-        let cfg = config(0.5, 1, ShardRouting::RoundRobin, 16);
-        let direct = run_open_system(
-            &cfg.open,
-            DynamicEquiPartition::new(cfg.open.processors),
+    fn one_group_is_bit_identical_to_the_reference_driver() {
+        // One group runs the unsharded arrival source through the epoch
+        // loop; the sum invariant pins its capacity at P, so neither the
+        // epoch length nor the policy may show in the outcome.
+        let open = config(0.5, 1, ShardRouting::RoundRobin, 16).open;
+        let reference = ReferenceOpenDriver::run(
+            &open,
+            DynamicEquiPartition::new(open.processors),
             |_rng, _recycled| Box::new(PipelinedExecutor::new(PhasedJob::constant(2, 40))),
             || Box::new(AControl::new(0.2)),
         );
-        assert_eq!(run(&cfg, DesireProportional::new(), 1), direct);
+        assert!(reference.is_steady());
+        for realloc_epoch in [1u64, 16, 1000] {
+            let cfg = config(0.5, 1, ShardRouting::RoundRobin, realloc_epoch);
+            assert_outcome_bits_eq(&reference, &run(&cfg, DesireProportional::new(), 1));
+            assert_outcome_bits_eq(&reference, &run(&cfg, StaticEqui, 2));
+        }
+    }
+
+    #[test]
+    fn overloaded_one_group_summary_reports_its_capacity_integral() {
+        let cfg = config(1.5, 1, ShardRouting::RoundRobin, 16);
+        let (outcome, groups) = run_open_hierarchical_detailed(
+            &cfg,
+            DynamicEquiPartition::new,
+            |_rng, _recycled| Box::new(PipelinedExecutor::new(PhasedJob::constant(2, 40))),
+            || Box::new(AControl::new(0.2)),
+            DesireProportional::new(),
+            1,
+        );
+        assert!(!outcome.is_steady(), "rho = 1.5 reported steady");
+        assert_eq!(groups.len(), 1);
+        let summary = groups[0];
+        assert_eq!(summary.final_processors, cfg.open.processors);
+        assert!(
+            (0.0..=1.0).contains(&summary.utilization),
+            "utilization {}",
+            summary.utilization
+        );
     }
 
     #[test]

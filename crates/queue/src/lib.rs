@@ -12,13 +12,9 @@
 //!
 //! * [`driver`] — [`run_open_system`]: sustained-arrival simulation
 //!   whose memory footprint tracks the in-system population, not the
-//!   total number of arrivals. The driver is *event-driven*: between
-//!   arrivals, completions, request changes, and saturation checks it
-//!   macro-steps the core across frozen quanta in bulk
-//!   ([`abg_sim::QuantumCore::advance_frozen`]) instead of burning an
-//!   allocate/step/observe round per quantum, with bit-identical
-//!   observables;
-//! * [`events`] — the pending-event layer behind the driver: the
+//!   total number of arrivals, plus the configuration and outcome types
+//!   every entry point shares;
+//! * [`events`] — the pending-event layer behind the loop: the
 //!   batched [`ArrivalCalendar`] and the frozen-window bound
 //!   arithmetic;
 //! * [`stats`] — [`batch_means`] confidence intervals and nearest-rank
@@ -26,17 +22,29 @@
 //! * [`saturation`] — the [`SaturationDetector`] queue-length trend
 //!   test that aborts never-steady runs (ρ ≥ 1) instead of hanging;
 //! * [`shard`] — [`run_open_sharded`]: the machine partitioned into
-//!   processor groups, one independent per-shard core per group on a
-//!   worker pool (honoring `ABG_THREADS`), with deterministic arrival
-//!   routing and a stable-order merge so the outcome never depends on
-//!   thread count or schedule; `shards = 1` is [`run_open_system`]
-//!   bit-for-bit;
-//! * [`hier`] — [`run_open_hierarchical`]: the two-level extension of
-//!   the sharded engine, where a feedback-driven
+//!   fixed processor groups with deterministic arrival routing, and the
+//!   stable-order merge of per-group reports, so the outcome never
+//!   depends on thread count or schedule;
+//! * [`hier`] — [`run_open_hierarchical`]: a feedback-driven
 //!   [`abg_control::GroupAllocator`] repartitions the machine among
 //!   the groups at fixed reallocation epochs from per-group desire
-//!   reports; the never-resizing [`abg_control::StaticEqui`] policy
-//!   reproduces [`run_open_sharded`] bit-for-bit;
+//!   reports. The module also holds the crate's one event loop and its
+//!   worker pool (honoring `ABG_THREADS`).
+//!
+//! **One loop.** Every entry point runs the same event-driven loop.
+//! Between arrivals, completions, request changes and saturation checks
+//! it macro-steps the core across frozen quanta in bulk
+//! ([`abg_sim::QuantumCore::advance_frozen`]) instead of burning an
+//! allocate/step/observe round per quantum, with bit-identical
+//! observables. The entry points differ only in how many processor
+//! groups they build and whether a top-level policy runs between
+//! epochs. [`run_open_system`] is one group. [`run_open_sharded`] is
+//! `G` groups under the never-resizing [`abg_control::StaticEqui`]
+//! with one unbounded epoch. [`run_open_hierarchical`] is `G` groups
+//! under a feedback policy. No configuration hands off to another
+//! driver: `shards = 1` and `groups = 1` are the one-group case, whose
+//! arrival source (one RNG seeded from the run seed) the loop picks
+//! from the group count.
 //! * `reference` (tests / `test-support` feature only) — the legacy
 //!   quantum-by-quantum loop, kept as the differential-testing ground
 //!   truth for the event-driven driver.
@@ -84,6 +92,8 @@
 pub mod driver;
 pub mod events;
 pub mod hier;
+#[cfg(test)]
+mod invariants;
 #[cfg(test)]
 mod lockstep;
 #[cfg(any(test, feature = "test-support"))]

@@ -10,12 +10,18 @@
 //! (Poisson and trace), allocators (DEQ and proportional), and
 //! controllers (ABG and A-Greedy), with a heterogeneous job population
 //! sampled from the shared driver RNG — the exact interleaving the
-//! pinned sweep fingerprints depend on.
+//! pinned sweep fingerprints depend on. The one-group configurations of
+//! the sharded and hierarchical entry points (`shards = 1`, and
+//! `groups = 1` under both a static and a feedback top level) draw
+//! from that same source and must match the reference too.
 
 use crate::reference::ReferenceOpenDriver;
-use crate::{run_open_system_probed, OpenConfig, OpenOutcome, SaturationConfig};
+use crate::{
+    run_open_hierarchical_with_threads, run_open_sharded_with_threads, run_open_system_probed,
+    HierOpenConfig, OpenConfig, OpenOutcome, SaturationConfig, ShardRouting, ShardedOpenConfig,
+};
 use abg_alloc::{Allocator, DynamicEquiPartition, Proportional};
-use abg_control::{AControl, AGreedy, RequestCalculator};
+use abg_control::{AControl, AGreedy, DesireProportional, RequestCalculator, StaticEqui};
 use abg_sched::{JobExecutor, PipelinedExecutor};
 use abg_sim::TraceProbe;
 use abg_workload::{mean_gap_for_utilization, mixed_factor_job, ArrivalProcess};
@@ -106,7 +112,7 @@ fn make_controller(abg: bool) -> Box<dyn RequestCalculator + Send> {
     }
 }
 
-fn assert_outcome_bits_eq(reference: &OpenOutcome, event: &OpenOutcome) {
+pub(crate) fn assert_outcome_bits_eq(reference: &OpenOutcome, event: &OpenOutcome) {
     match (reference, event) {
         (OpenOutcome::Steady(r), OpenOutcome::Steady(e)) => {
             assert_eq!(r.response.mean.to_bits(), e.response.mean.to_bits());
@@ -141,7 +147,11 @@ fn assert_outcome_bits_eq(reference: &OpenOutcome, event: &OpenOutcome) {
     }
 }
 
-fn run_case<A: Allocator, F: Fn() -> A>(alloc: F, cfg: &OpenConfig, exec: ExecFactory, abg: bool) {
+fn run_case<A, F>(alloc: F, cfg: &OpenConfig, exec: ExecFactory, abg: bool)
+where
+    A: Allocator + Send,
+    F: Fn() -> A + Sync,
+{
     let cfg = cfg.clone();
 
     // Uninstrumented fast path: NullProbe declines the replay, so
@@ -149,6 +159,42 @@ fn run_case<A: Allocator, F: Fn() -> A>(alloc: F, cfg: &OpenConfig, exec: ExecFa
     let reference = ReferenceOpenDriver::run(&cfg, alloc(), exec, || make_controller(abg));
     let event = crate::run_open_system(&cfg, alloc(), exec, || make_controller(abg));
     assert_outcome_bits_eq(&reference, &event);
+
+    // One group of the sharded and hierarchical entry points. The short
+    // epoch pauses the group often, which must stay invisible.
+    let sharded = ShardedOpenConfig {
+        open: cfg.clone(),
+        shards: 1,
+        routing: ShardRouting::RoundRobin,
+    };
+    let one_shard =
+        run_open_sharded_with_threads(&sharded, |_| alloc(), exec, || make_controller(abg), 2);
+    assert_outcome_bits_eq(&reference, &one_shard);
+    let hier = HierOpenConfig {
+        open: cfg.clone(),
+        groups: 1,
+        routing: ShardRouting::RoundRobin,
+        realloc_epoch: 5,
+        group_floor: 1,
+    };
+    let hier_static = run_open_hierarchical_with_threads(
+        &hier,
+        |_| alloc(),
+        exec,
+        || make_controller(abg),
+        StaticEqui,
+        2,
+    );
+    assert_outcome_bits_eq(&reference, &hier_static);
+    let hier_desire = run_open_hierarchical_with_threads(
+        &hier,
+        |_| alloc(),
+        exec,
+        || make_controller(abg),
+        DesireProportional::new(),
+        2,
+    );
+    assert_outcome_bits_eq(&reference, &hier_desire);
 
     // Probed path: the replay must reproduce the reference hook
     // sequence exactly — completion order and every per-quantum record.

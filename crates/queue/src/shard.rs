@@ -2,7 +2,7 @@
 //! pool with a deterministic merge.
 //!
 //! A single [`run_open_system`](crate::run_open_system) run pushes every in-flight job through
-//! one admission-ordered [`QuantumCore`] on one thread, which caps both
+//! one admission-ordered quantum core on one thread, which caps both
 //! the machine size and the in-system population a run can carry. This
 //! module partitions the machine into `G` processor groups — the
 //! two-level structure of hierarchical scheduling schemes for malleable
@@ -10,9 +10,9 @@
 //! runs one *independent* open-system simulation per group:
 //!
 //! * **partitioning** — shard `k` owns `P/G` processors (the first
-//!   `P mod G` shards own one more), its own [`QuantumCore`],
-//!   [`ArrivalCalendar`](crate::ArrivalCalendar)-equivalent arrival source, and
-//!   [`SaturationDetector`];
+//!   `P mod G` shards own one more), its own
+//!   [`QuantumCore`](abg_sim::QuantumCore), arrival source, and
+//!   [`SaturationDetector`](crate::SaturationDetector);
 //! * **routing** — every shard replays the *same* aggregate arrival
 //!   path (all shards seed the router RNG identically from the run
 //!   seed via SplitMix64) and keeps the arrivals a deterministic
@@ -21,7 +21,7 @@
 //! * **job identity** — the job structure of global arrival `g` is
 //!   sampled from its own SplitMix64-derived RNG, so the simulated job
 //!   population is a function of the run seed alone: identical across
-//!   shard counts and routing policies;
+//!   shard counts `G ≥ 2` and routing policies;
 //! * **merge** — per-shard measured samples carry their global
 //!   measurement slot, and the merge recombines them in slot order
 //!   (aggregate arrival order) through the pure helpers in
@@ -29,12 +29,21 @@
 //!   summed diagnostic. The result is one [`OpenOutcome`] whatever the
 //!   pool's schedule was.
 //!
-//! A `shards = 1` configuration delegates to [`run_open_system`](crate::run_open_system)
-//! verbatim — bit-identical to the unsharded driver, pinned
-//! fingerprints included. With `G ≥ 2` the engine is a *different*
-//! (but equally deterministic) simulation: arrival gap draws no longer
-//! interleave with job-structure draws, and each shard schedules its
-//! own population on its own sub-machine.
+//! The engine owns no loop of its own: it is the hierarchical driver
+//! ([`hier`](crate::hier)) under a top level that never resizes a group,
+//! run as one unbounded epoch. Its group simulations, worker pool and
+//! merge are the ones every open-system entry point shares. This
+//! module keeps what is particular to a fixed partition: routing, the
+//! router replay, and the merge of per-group reports.
+//!
+//! A `shards = 1` configuration is the one-group case of that loop. The
+//! group draws arrivals and job structures from the run seed exactly as
+//! [`run_open_system`](crate::run_open_system) does, so the outcome is
+//! bit-identical to the unsharded driver, pinned fingerprints included.
+//! With `G ≥ 2` the engine is a *different* (but equally
+//! deterministic) simulation: arrival gap draws no longer interleave
+//! with job-structure draws, and each shard schedules its own
+//! population on its own sub-machine.
 //!
 //! Why this scales: the per-event cost of the quantum core grows with
 //! the live population, so `G` shards each carrying `~N/G` jobs commit
@@ -43,12 +52,12 @@
 //! `ABG_THREADS`, like every harness pool in the workspace).
 
 use crate::driver::{ConfigError, OpenConfig, OpenOutcome, SteadyStats, UnstableReport};
-use crate::saturation::{SaturationDetector, SaturationReason};
+use crate::hier::{run_open_hierarchical_with_threads, HierOpenConfig};
+use crate::saturation::SaturationReason;
 use crate::stats::{merge_shard_samples, merged_batch_means, percentiles, weighted_mean};
 use abg_alloc::Allocator;
-use abg_control::RequestCalculator;
+use abg_control::{RequestCalculator, StaticEqui};
 use abg_sched::JobExecutor;
-use abg_sim::{NullProbe, QuantumCore};
 use abg_workload::{splitmix_seed, ArrivalStream};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -212,15 +221,16 @@ impl ShardArrivals {
     }
 }
 
-/// Everything a shard (or hierarchical processor group) hands back for
-/// the deterministic merge.
+/// Everything a processor group hands back for the deterministic merge.
 pub(crate) struct ShardReport {
-    pub(crate) processors: u32,
     /// Measured samples: `(global slot, response, slowdown)`.
     pub(crate) samples: Vec<(u64, f64, f64)>,
     pub(crate) arrivals: u64,
     pub(crate) completed_measured: u64,
     pub(crate) completed_work: u64,
+    /// The group's capacity integral ∫ capacity dt in processor-steps
+    /// (`P · horizon` for a group that was never resized).
+    pub(crate) capacity_steps: u64,
     pub(crate) quanta: u64,
     pub(crate) horizon: u64,
     pub(crate) jobs_in_system: u64,
@@ -229,54 +239,7 @@ pub(crate) struct ShardReport {
     pub(crate) tripped: Option<SaturationReason>,
 }
 
-/// Runs shard `shard`'s independent open-system simulation to its own
-/// completion (all measured arrivals routed here have completed) or
-/// saturation trip. The loop is the event-driven loop of
-/// [`run_open_system`](crate::run_open_system), with measurement keyed by *global* arrival
-/// index and the slowdown lower bound taken against the shard's own
-/// sub-machine (the processors the job could actually have used).
-///
-/// The loop itself lives in [`GroupSim`](crate::hier::GroupSim) — the
-/// resumable per-group simulation of the hierarchical driver — run
-/// here with an unbounded epoch, which disables every pause point and
-/// reduces it to the original single-pass shard loop.
-fn run_shard<A, E, C>(
-    cfg: &ShardedOpenConfig,
-    shard: u32,
-    allocator: A,
-    make_executor: &E,
-    make_calculator: &C,
-) -> ShardReport
-where
-    A: Allocator,
-    E: Fn(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send> + Sync,
-    C: Fn() -> Box<dyn RequestCalculator + Send> + Sync,
-{
-    let mut sim = crate::hier::GroupSim::new(cfg, shard, allocator);
-    sim.advance_until(cfg, u64::MAX, make_executor, make_calculator);
-    sim.into_report()
-}
-
-/// Saturation/budget evaluation per shard — the detector's verdict, or
-/// the per-shard quanta budget.
-pub(crate) fn shard_trip<A: Allocator>(
-    open: &OpenConfig,
-    engine: &QuantumCore<
-        Box<dyn JobExecutor + Send>,
-        Box<dyn RequestCalculator + Send>,
-        A,
-        NullProbe,
-    >,
-    detector: &SaturationDetector,
-) -> Option<SaturationReason> {
-    detector.check().or_else(|| {
-        (engine.quanta() >= open.max_quanta).then_some(SaturationReason::HorizonExhausted {
-            quanta: open.max_quanta,
-        })
-    })
-}
-
-/// Worker count for the shard pool: the `ABG_THREADS` environment
+/// Worker count for the group pool: the `ABG_THREADS` environment
 /// variable when set to a positive integer, the machine's available
 /// parallelism otherwise — the same contract as the sweep harness's
 /// `parallel_map`. Results never depend on this; only wall-clock does.
@@ -293,63 +256,19 @@ pub(crate) fn pool_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `run` for every shard index on a contention-free scoped-thread
-/// pool (workers claim shard indices off one atomic cursor) and
-/// returns the reports in shard-index order — the stable order the
-/// merge folds in, whatever schedule the pool produced.
-fn run_on_pool<F>(shards: u32, threads: usize, run: F) -> Vec<ShardReport>
-where
-    F: Fn(u32) -> ShardReport + Sync,
-{
-    let n = shards as usize;
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        return (0..shards).map(run).collect();
-    }
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let run = &run;
-    let mut reports: Vec<(usize, ShardReport)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let k = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if k >= n {
-                            return mine;
-                        }
-                        mine.push((k, run(k as u32)));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("shard worker panicked"))
-            .collect()
-    });
-    reports.sort_unstable_by_key(|(k, _)| *k);
-    reports.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Folds the per-shard (or per-group) reports into one
-/// [`OpenOutcome`], in stable shard-index order.
+/// Folds the per-group reports into one [`OpenOutcome`], in stable
+/// group-index order — the one outcome assembly of every open-system
+/// entry point (a single report for the unsharded driver).
 ///
-/// Any tripped shard makes the merged outcome [`OpenOutcome::Unstable`]
-/// (reason from the lowest-index tripped shard; diagnostics summed,
+/// Any tripped group makes the merged outcome [`OpenOutcome::Unstable`]
+/// (reason from the lowest-index tripped group; diagnostics summed,
 /// horizon the maximum). Otherwise the measured samples recombine in
 /// global slot order through [`merged_batch_means`] /
 /// [`merge_shard_samples`]; `quanta` and `arrivals` sum; `horizon` is
-/// the largest shard horizon; the mean in-system count is the
-/// quanta-weighted mean of the shard means; and the served utilization
-/// is total completed work over `capacity` — the caller's
-/// processor-steps integral (`Σ Pₖ · horizonₖ` for fixed shards, the
-/// epoch-by-epoch sum under a capacity-reallocating top level).
-pub(crate) fn merge_reports(
-    open: &OpenConfig,
-    reports: &[ShardReport],
-    capacity: f64,
-) -> OpenOutcome {
+/// the largest group horizon; the mean in-system count is the
+/// quanta-weighted mean of the group means; and the served utilization
+/// is total completed work over the summed capacity integrals.
+pub(crate) fn merge_reports(open: &OpenConfig, reports: &[ShardReport]) -> OpenOutcome {
     let quanta: u64 = reports.iter().map(|r| r.quanta).sum();
     let arrivals: u64 = reports.iter().map(|r| r.arrivals).sum();
     let horizon: u64 = reports.iter().map(|r| r.horizon).max().unwrap_or(0);
@@ -386,6 +305,9 @@ pub(crate) fn merge_reports(
         .map(|r| (r.mean_jobs_in_system, r.quanta as f64))
         .collect();
     let completed_work: u64 = reports.iter().map(|r| r.completed_work).sum();
+    // A run aborted before its first quantum has no capacity: report
+    // zero utilization rather than `0/0 = NaN`.
+    let capacity: f64 = reports.iter().map(|r| r.capacity_steps as f64).sum();
     let utilization = if capacity == 0.0 {
         0.0
     } else {
@@ -414,8 +336,9 @@ pub(crate) fn merge_reports(
 /// processor count; `make_executor` and `make_calculator` are the
 /// factories of [`run_open_system`](crate::run_open_system), shared by every shard (`Fn`, not
 /// `FnMut`, so the pool can call them concurrently). With `shards = 1`
-/// this *is* [`run_open_system`](crate::run_open_system) on `cfg.open` — bit-identical,
-/// pinned fingerprints included.
+/// the single group draws arrivals and job structures exactly as
+/// [`run_open_system`](crate::run_open_system) does on `cfg.open` —
+/// bit-identical, pinned fingerprints included.
 ///
 /// # Panics
 ///
@@ -428,7 +351,7 @@ pub fn run_open_sharded<A, FA, E, C>(
     make_calculator: C,
 ) -> OpenOutcome
 where
-    A: Allocator,
+    A: Allocator + Send,
     FA: Fn(u32) -> A + Sync,
     E: Fn(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send> + Sync,
     C: Fn() -> Box<dyn RequestCalculator + Send> + Sync,
@@ -448,6 +371,11 @@ where
 /// value by construction (shards are independent and the merge folds
 /// in shard-index order).
 ///
+/// The fixed partition is the hierarchical driver under
+/// [`StaticEqui`] with one unbounded reallocation epoch: every group
+/// runs to its end inside the first advance, so the top-level policy
+/// is never consulted.
+///
 /// # Panics
 ///
 /// Panics on an inconsistent configuration (see
@@ -460,45 +388,34 @@ pub fn run_open_sharded_with_threads<A, FA, E, C>(
     threads: usize,
 ) -> OpenOutcome
 where
-    A: Allocator,
+    A: Allocator + Send,
     FA: Fn(u32) -> A + Sync,
     E: Fn(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send> + Sync,
     C: Fn() -> Box<dyn RequestCalculator + Send> + Sync,
 {
     cfg.assert_valid();
-    if cfg.shards == 1 {
-        // The single-shard configuration is the unsharded driver,
-        // delegated verbatim so it stays bit-identical to
-        // `run_open_system` (same RNG stream, same loop).
-        return crate::driver::run_open_system(
-            &cfg.open,
-            make_allocator(cfg.open.processors),
-            make_executor,
-            make_calculator,
-        );
-    }
-    let reports = run_on_pool(cfg.shards, threads, |shard| {
-        run_shard(
-            cfg,
-            shard,
-            make_allocator(shard_processors(cfg.open.processors, cfg.shards, shard)),
-            &make_executor,
-            &make_calculator,
-        )
-    });
-    // Fixed groups: each shard's capacity integral is its processor
-    // count times its own horizon.
-    let capacity: f64 = reports
-        .iter()
-        .map(|r| r.processors as f64 * r.horizon as f64)
-        .sum();
-    merge_reports(&cfg.open, &reports, capacity)
+    let hier = HierOpenConfig {
+        open: cfg.open.clone(),
+        groups: cfg.shards,
+        routing: cfg.routing,
+        realloc_epoch: u64::MAX,
+        group_floor: 1,
+    };
+    run_open_hierarchical_with_threads(
+        &hier,
+        make_allocator,
+        make_executor,
+        make_calculator,
+        StaticEqui,
+        threads,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::run_open_system;
+    use crate::lockstep::assert_outcome_bits_eq;
+    use crate::reference::ReferenceOpenDriver;
     use crate::saturation::SaturationConfig;
     use abg_alloc::DynamicEquiPartition;
     use abg_control::AControl;
@@ -593,14 +510,16 @@ mod tests {
     #[test]
     fn single_shard_is_bit_identical_to_the_unsharded_driver() {
         let cfg = config(0.5, 1, ShardRouting::RoundRobin);
-        let sharded = run(&cfg, 1);
-        let direct = run_open_system(
+        let reference = ReferenceOpenDriver::run(
             &cfg.open,
             DynamicEquiPartition::new(cfg.open.processors),
             |_rng, _recycled| Box::new(PipelinedExecutor::new(PhasedJob::constant(2, 40))),
             || Box::new(AControl::new(0.2)),
         );
-        assert_eq!(sharded, direct);
+        assert!(reference.is_steady());
+        for threads in [1, 4] {
+            assert_outcome_bits_eq(&reference, &run(&cfg, threads));
+        }
     }
 
     #[test]

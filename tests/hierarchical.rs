@@ -44,8 +44,8 @@ fn smoke_with_groups(groups: u32, policy: GroupPolicy) -> OpenSystemConfig {
 
 #[test]
 fn one_group_hier_sweep_matches_the_unsharded_golden() {
-    // groups = 1 delegates verbatim to the unsharded event-driven
-    // driver, whatever the policy — the sum invariant forbids any
+    // groups = 1 runs the unsharded arrival source through the epoch
+    // loop, whatever the policy — the sum invariant forbids any
     // capacity change, so even the feedback policies are inert.
     for policy in [GroupPolicy::Static, GroupPolicy::Desire] {
         let rows = open_system_sweep(&smoke_with_groups(1, policy));

@@ -23,10 +23,10 @@ const OPEN_SMOKE: u64 = 0x32ed9525adb1b404;
 
 #[test]
 fn smoke_open_sweep_matches_golden() {
-    // The sweep now routes every point through the sharded engine with
-    // the presets' `shards = 1`, which delegates verbatim to the
-    // unsharded event-driven driver — this golden staying pinned IS the
-    // bit-identity check for that delegation.
+    // The sweep routes every point through the sharded engine with the
+    // presets' `shards = 1`: the one-group case of the open-system loop,
+    // which draws arrivals and jobs exactly as the unsharded driver —
+    // this golden staying pinned IS the bit-identity check for it.
     let rows = open_system_sweep(&OpenSystemConfig::smoke());
     assert_eq!(open_fingerprint(&rows), OPEN_SMOKE);
 }
