@@ -28,7 +28,9 @@ fn driver_config(rho: f64, measured_jobs: u64) -> OpenConfig {
         warmup_jobs: measured_jobs / 4,
         measured_jobs,
         batches: 8,
-        max_quanta: u64::MAX,
+        // Unbounded in practice: the largest budget whose step horizon
+        // fits in u64.
+        max_quanta: u64::MAX / 100,
         saturation: SaturationConfig::default(),
         seed: 0xB16C_2008,
     }

@@ -533,7 +533,9 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
         warmup_jobs: cfg.open_jobs / 4,
         measured_jobs: cfg.open_jobs,
         batches: 8,
-        max_quanta: u64::MAX,
+        // Unbounded in practice: the largest budget whose step horizon
+        // fits in u64.
+        max_quanta: u64::MAX / 100,
         saturation: abg_queue::SaturationConfig::default(),
         seed: cfg.seed,
     };

@@ -62,7 +62,8 @@ pub struct OpenConfig {
     pub measured_jobs: u64,
     /// Batches for the response-time confidence interval.
     pub batches: u32,
-    /// Hard quanta budget; exhausting it marks the run unstable.
+    /// Hard quanta budget; exhausting it marks the run unstable. The
+    /// step horizon `max_quanta × quantum_len` must fit in a `u64`.
     pub max_quanta: u64,
     /// Saturation-detector tuning.
     pub saturation: SaturationConfig,
@@ -94,6 +95,14 @@ pub enum ConfigError {
     },
     /// `max_quanta == 0`: no quanta budget to run under.
     NoQuantaBudget,
+    /// `max_quanta × quantum_len` overflows `u64`: the budget's last
+    /// step could not be represented on the simulated clock.
+    HorizonOverflow {
+        /// The configured quanta budget.
+        max_quanta: u64,
+        /// The configured quantum length.
+        quantum_len: u64,
+    },
     /// `shards == 0` in a sharded configuration: the engine needs at
     /// least one processor group.
     NoShards,
@@ -138,6 +147,13 @@ impl std::fmt::Display for ConfigError {
                 "need at least one observation per batch ({measured_jobs} jobs < {batches} batches)"
             ),
             ConfigError::NoQuantaBudget => write!(f, "need a positive quanta budget"),
+            ConfigError::HorizonOverflow {
+                max_quanta,
+                quantum_len,
+            } => write!(
+                f,
+                "step horizon overflows u64 ({max_quanta} quanta of {quantum_len} steps)"
+            ),
             ConfigError::NoShards => write!(f, "need at least one shard"),
             ConfigError::TooManyShards { shards, processors } => write!(
                 f,
@@ -186,6 +202,12 @@ impl OpenConfig {
         }
         if self.max_quanta == 0 {
             return Err(ConfigError::NoQuantaBudget);
+        }
+        if self.max_quanta.checked_mul(self.quantum_len).is_none() {
+            return Err(ConfigError::HorizonOverflow {
+                max_quanta: self.max_quanta,
+                quantum_len: self.quantum_len,
+            });
         }
         Ok(())
     }
@@ -530,7 +552,7 @@ mod tests {
         assert_eq!(base.validate(), Ok(()));
 
         type Mutate<'a> = &'a dyn Fn(&mut OpenConfig);
-        let cases: [(Mutate, ConfigError, &str); 6] = [
+        let cases: [(Mutate, ConfigError, &str); 7] = [
             (
                 &|c| c.processors = 0,
                 ConfigError::NoProcessors,
@@ -567,6 +589,14 @@ mod tests {
                 ConfigError::NoQuantaBudget,
                 "need a positive quanta budget",
             ),
+            (
+                &|c| c.max_quanta = u64::MAX / 10 + 1,
+                ConfigError::HorizonOverflow {
+                    max_quanta: u64::MAX / 10 + 1,
+                    quantum_len: 10,
+                },
+                "step horizon overflows u64 (1844674407370955162 quanta of 10 steps)",
+            ),
         ];
         for (mutate, expected, message) in cases {
             let mut cfg = base.clone();
@@ -577,6 +607,21 @@ mod tests {
             // with the exact messages the old asserts produced.
             assert_eq!(err.to_string(), message);
         }
+    }
+
+    #[test]
+    fn horizon_at_the_u64_edge_is_accepted() {
+        // The largest budget whose last step still fits on the clock.
+        let mut cfg = config(0.3);
+        cfg.max_quanta = u64::MAX / cfg.quantum_len;
+        assert_eq!(cfg.validate(), Ok(()));
+        let out = run(&cfg);
+        assert!(out.is_steady(), "an unreachable budget never trips");
+        cfg.max_quanta += 1;
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::HorizonOverflow { .. })
+        ));
     }
 
     #[test]

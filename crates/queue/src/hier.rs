@@ -1033,6 +1033,11 @@ mod tests {
         cfg.groups = 4;
         assert_eq!(cfg.validate(), Ok(()));
         // Aggregate-config violations surface through the same path.
+        cfg.open.max_quanta = u64::MAX;
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::HorizonOverflow { .. })
+        ));
         cfg.open.batches = 1;
         assert_eq!(cfg.validate(), Err(ConfigError::TooFewBatches));
         cfg.open.quantum_len = 0;

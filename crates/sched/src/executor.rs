@@ -6,13 +6,15 @@ use crate::JobExecutor;
 use abg_dag::{ExplicitDag, TaskId};
 use std::borrow::Borrow;
 
-/// Executes an [`ExplicitDag`] one time step at a time, popping up to
-/// `a(q)` ready tasks per step from a [`ReadyQueue`] `Q` that encodes the
+/// Executes an [`ExplicitDag`] under a greedy rule: each step runs up to
+/// `a(q)` tasks, chosen from a [`ReadyQueue`] `Q` that encodes the
 /// scheduling priority.
 ///
 /// On unit dags a task popped in step `t` completes at the end of step
 /// `t`, and its successors become ready no earlier than step `t+1`
 /// (newly enabled tasks are inserted after the step's batch is chosen).
+/// The kernel advances serial chains and saturated frontier levels many
+/// steps at a time (see [`JobExecutor::run_quantum`] below).
 ///
 /// On *weighted* dags ([`ExplicitDag::is_unit_weight`] false) a task
 /// occupies one processor for `task_cost` consecutive steps. Execution
@@ -20,7 +22,10 @@ use std::borrow::Borrow;
 /// until it completes — but partially executed tasks carry their
 /// residual work across quantum boundaries, and when the allotment
 /// shrinks the excess in-progress tasks pause in place (their residual
-/// is preserved, FIFO order kept) until a slot frees up.
+/// is preserved, FIFO order kept) until a slot frees up. The weighted
+/// kernel is event-driven: it jumps from one task completion to the
+/// next rather than stepping, so a quantum costs
+/// `O(completion events × slots + tasks + edges)` whatever its length.
 ///
 /// The dag handle `D` can be a borrow (`&ExplicitDag`) for zero-copy use,
 /// or an owning handle (`ExplicitDag`, `Arc<ExplicitDag>`) when the
@@ -43,7 +48,9 @@ pub struct DagExecutor<D: Borrow<ExplicitDag>, Q: ReadyQueue> {
     batch: Vec<TaskId>,
     /// Weighted dags only: started-but-unfinished tasks with their
     /// residual cost, in start order (the front `min(a, len)` entries
-    /// hold processors each step; the tail is paused).
+    /// hold processors each step; the tail is paused). While a weighted
+    /// quantum runs, the running entries hold quantum-local finish times
+    /// instead; they are residuals again at every quantum boundary.
     in_progress: Vec<(TaskId, u64)>,
 }
 
@@ -126,97 +133,130 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> DagExecutor<D, Q> {
         &self.in_progress
     }
 
-    /// The residual-work quantum kernel for weighted dags.
+    /// The event-driven quantum kernel for weighted dags.
     ///
-    /// Each step first keeps every processor already bound to an
-    /// in-progress task (the front `min(a, len)` entries of
-    /// `in_progress`), then fills free slots by popping the ready queue —
-    /// a started task gets `task_cost` residual units and completes when
-    /// they reach zero. Completions are swept in slot order; a completed
-    /// task at level `l` with cost `c` charges `c · (1/level_cost(l)) ·
-    /// level_max_cost(l)` fractional span (so a fully completed level
-    /// contributes its max cost, the level's weighted critical-path
-    /// share), and releases its successors after the sweep position —
-    /// never runnable in the same step. The arithmetic (operand order
-    /// included) is bit-identical to the weighted
+    /// A step keeps every processor already bound to an in-progress task
+    /// (the front `min(a, len)` entries of `in_progress`) and fills free
+    /// slots from the ready queue; a started task completes after
+    /// `task_cost` steps on its slot. Since nothing changes between two
+    /// completions, the quantum jumps from one completion time to the
+    /// next instead of stepping: while it runs, the running prefix holds
+    /// quantum-local *finish times* (the paused tail keeps residuals),
+    /// the earliest finish time is kept as a running minimum by the
+    /// completion sweep and the fill, and each jump of `δ` steps charges
+    /// `running × δ` work at once. At the quantum's end the running
+    /// slots are turned back into residuals, so quantum boundaries and
+    /// [`in_progress`](Self::in_progress) look exactly like a per-step
+    /// run. A quantum costs `O(completion events × slots + tasks + edges)`
+    /// rather than `O(steps × a + tasks + edges)`.
+    ///
+    /// Completions are swept in slot order; a completed task at level `l`
+    /// with cost `c` charges `c · (1/level_cost(l)) · level_max_cost(l)`
+    /// fractional span (so a fully completed level contributes its max
+    /// cost, the level's weighted critical-path share), and releases its
+    /// successors after the sweep position — never runnable in the same
+    /// step. Paused slots slide into the running prefix as earlier slots
+    /// complete, ahead of any fresh ready task. The arithmetic (operand
+    /// order included) is bit-identical to the per-step weighted
     /// [`ReferenceExecutor`](crate::reference::ReferenceExecutor) path,
     /// which the `executor_equivalence` proptest suite enforces.
     fn run_quantum_weighted(&mut self, allotment: u32, steps: u64) -> QuantumStats {
+        let Self {
+            dag,
+            remaining_preds,
+            ready,
+            completed_per_level,
+            completed,
+            worked,
+            elapsed,
+            batch: _,
+            in_progress,
+        } = self;
+        let dag: &ExplicitDag = (*dag).borrow();
+        let wp = dag
+            .weight_profile()
+            .expect("weighted quantum requires a weight table");
+        let total = dag.num_tasks() as u64;
+        let a = allotment as usize;
         let mut work = 0u64;
-        let mut steps_worked = 0u64;
         let mut span = 0.0f64;
-        let finished;
-        {
-            let Self {
-                dag,
-                remaining_preds,
-                ready,
-                completed_per_level,
-                completed,
-                worked,
-                elapsed,
-                batch: _,
-                in_progress,
-            } = self;
-            let dag: &ExplicitDag = (*dag).borrow();
-            let wp = dag
-                .weight_profile()
-                .expect("weighted quantum requires a weight table");
-            let total = dag.num_tasks() as u64;
-            let a = allotment as usize;
-            let mut remaining = steps;
-            while remaining > 0 && *completed < total {
-                // Fill free processor slots with newly started tasks.
-                while in_progress.len() < a {
-                    match ready.pop() {
-                        Some(t) => in_progress.push((t, wp.cost(t))),
-                        None => break,
-                    }
-                }
-                let run = in_progress.len().min(a);
-                debug_assert!(run > 0, "a live job always has a ready or running task");
-                for slot in in_progress[..run].iter_mut() {
-                    slot.1 -= 1;
-                }
-                work += run as u64;
-                *worked += run as u64;
-                // Sweep completions in slot order, compacting the
-                // survivors in place (their relative order is the
-                // pause/resume fairness order).
-                let mut kept = 0usize;
-                for i in 0..in_progress.len() {
-                    let (t, rem) = in_progress[i];
-                    if rem == 0 {
-                        let l = dag.level(t) as usize;
-                        completed_per_level[l] += 1;
-                        span += wp.span_contribution(wp.cost(t), l);
-                        *completed += 1;
-                        for &s in dag.successors(t) {
-                            let r = &mut remaining_preds[s.index()];
-                            *r -= 1;
-                            if *r == 0 {
-                                ready.push(s, dag.level(s));
-                            }
-                        }
-                    } else {
-                        in_progress[kept] = (t, rem);
-                        kept += 1;
-                    }
-                }
-                in_progress.truncate(kept);
-                steps_worked += 1;
-                *elapsed += 1;
-                remaining -= 1;
+        // Quantum-local time: at `now = 0` a running slot's residual is
+        // already its finish time.
+        let mut now = 0u64;
+        let mut next = in_progress[..in_progress.len().min(a)]
+            .iter()
+            .map(|&(_, f)| f)
+            .min()
+            .unwrap_or(u64::MAX);
+        while now < steps && *completed < total {
+            // Fill free slots with newly started tasks.
+            while in_progress.len() < a {
+                let Some(t) = ready.pop() else { break };
+                let f = now + wp.cost(t);
+                next = next.min(f);
+                in_progress.push((t, f));
             }
-            finished = *completed == total;
+            let run = in_progress.len().min(a);
+            debug_assert!(run > 0, "a live job always has a ready or running task");
+            // Jump to the next completion, or to the quantum's end.
+            let until = next.min(steps);
+            work += run as u64 * (until - now);
+            now = until;
+            if now < next {
+                break;
+            }
+            // Sweep the running prefix in slot order, compacting the
+            // survivors in place (their relative order is the
+            // pause/resume fairness order).
+            next = u64::MAX;
+            let mut kept = 0usize;
+            for i in 0..run {
+                let (t, f) = in_progress[i];
+                if f == now {
+                    let l = dag.level(t) as usize;
+                    completed_per_level[l] += 1;
+                    span += wp.span_contribution(wp.cost(t), l);
+                    *completed += 1;
+                    for &s in dag.successors(t) {
+                        let r = &mut remaining_preds[s.index()];
+                        *r -= 1;
+                        if *r == 0 {
+                            ready.push(s, dag.level(s));
+                        }
+                    }
+                } else {
+                    in_progress[kept] = (t, f);
+                    kept += 1;
+                    next = next.min(f);
+                }
+            }
+            let len = in_progress.len();
+            if run < len {
+                // Close the gap over the paused tail; the paused slots
+                // that slide into the running prefix resume now.
+                in_progress.copy_within(run..len, kept);
+                let resumed = (kept + len - run).min(a);
+                for slot in &mut in_progress[kept..resumed] {
+                    slot.1 += now;
+                    next = next.min(slot.1);
+                }
+            }
+            in_progress.truncate(len - (run - kept));
         }
+        // Back to residuals for the quantum boundary.
+        let run = in_progress.len().min(a);
+        for slot in &mut in_progress[..run] {
+            slot.1 -= now;
+        }
+        *worked += work;
+        *elapsed += now;
         QuantumStats {
             allotment,
             quantum_len: steps,
-            steps_worked,
+            steps_worked: now,
             work,
             span,
-            completed: finished,
+            completed: *completed == total,
         }
     }
 }
@@ -256,7 +296,7 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> JobExecutor for DagExecutor<D, Q> {
     /// suite.
     fn run_quantum(&mut self, allotment: u32, steps: u64) -> QuantumStats {
         if allotment > 0 && !self.dag.borrow().is_unit_weight() && !self.is_complete() {
-            // Weighted dags route to the residual-work kernel; the gate
+            // Weighted dags route to the event-driven kernel; the gate
             // keeps every unit-dag run on the bit-pinned fast paths
             // below (an all-1.0 weight table is flagged unit and stays
             // here too).

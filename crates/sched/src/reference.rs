@@ -107,6 +107,13 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> ReferenceExecutor<D, Q> {
         }
     }
 
+    /// Started-but-unfinished tasks with their residual cost, in start
+    /// order (weighted dags only; always empty on unit dags) — the
+    /// mirror of [`DagExecutor::in_progress`](crate::DagExecutor::in_progress).
+    pub fn in_progress(&self) -> &[(TaskId, u64)] {
+        &self.in_progress
+    }
+
     /// One time step; returns tasks completed and adds each task's
     /// fractional span contribution to `span` in pop order.
     fn step(&mut self, allotment: u32, span: &mut f64) -> u64 {

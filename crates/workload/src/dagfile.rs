@@ -16,7 +16,8 @@
 //! ```
 //!
 //! * `tasks <n>` — declares `n` tasks with ids `0..n`; must appear
-//!   before any `weight` or `edge` line, exactly once.
+//!   before any `weight` or `edge` line, exactly once. `n` is at most
+//!   [`MAX_DAG_TASKS`].
 //! * `weight <id> <w>` — sets one task's weight (`f64`, finite and
 //!   positive; validated by the same rule as `DagWire` decoding).
 //!   Omitted tasks keep weight 1. Files with no weight lines load as
@@ -31,6 +32,13 @@
 use abg_dag::{DagBuilder, DagError, ExplicitDag, TaskId};
 use std::fmt::{self, Write as _};
 use std::path::Path;
+
+/// The largest task count a dag file may declare (2²⁴). The builder
+/// creates declared tasks one by one, so a larger count in a hostile or
+/// corrupt header would cost seconds and gigabytes before the first edge
+/// line is even read; [`parse_dag`] rejects it with a
+/// [`DagFileError::Parse`] on the `tasks` line instead.
+pub const MAX_DAG_TASKS: u64 = 1 << 24;
 
 /// Errors from parsing or loading a dag file.
 #[derive(Debug)]
@@ -133,13 +141,13 @@ pub fn parse_dag(text: &str) -> Result<ExplicitDag, DagFileError> {
                     });
                 }
                 let n: u64 = parse_field(tokens.next(), "task count", line)?;
-                // Task ids are `u32`: a larger count is rejected before
-                // anything is allocated for it, and no capacity is
-                // reserved from the raw count.
-                if n > u64::from(u32::MAX) {
+                // Checked before anything is allocated for the count (the
+                // limit also keeps every task id inside `u32`), and no
+                // capacity is reserved from the raw count.
+                if n > MAX_DAG_TASKS {
                     return Err(DagFileError::Parse {
                         line,
-                        message: format!("task count {n} exceeds the u32 task-id range"),
+                        message: format!("task count {n} exceeds the limit of {MAX_DAG_TASKS}"),
                     });
                 }
                 let mut b = DagBuilder::new();
@@ -310,12 +318,12 @@ mod tests {
         assert_eq!(
             err.to_string(),
             "dag file parse error on line 1: \
-             task count 18446744073709551615 exceeds the u32 task-id range"
+             task count 18446744073709551615 exceeds the limit of 16777216"
         );
         let err = parse_dag("# header\ntasks 5000000000\nedge 0 1\n").unwrap_err();
         assert_eq!(
             err.to_string(),
-            "dag file parse error on line 2: task count 5000000000 exceeds the u32 task-id range"
+            "dag file parse error on line 2: task count 5000000000 exceeds the limit of 16777216"
         );
         let err = parse_dag("tasks 99999999999999999999\n").unwrap_err();
         assert!(
@@ -323,6 +331,20 @@ mod tests {
                 .contains("invalid task count '99999999999999999999'"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn in_range_task_counts_above_the_limit_are_parse_errors() {
+        // u32-sized counts would otherwise be built task by task; the
+        // limit answers at once, on the `tasks` line.
+        let err = parse_dag("tasks 4294967295\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "dag file parse error on line 1: task count 4294967295 exceeds the limit of 16777216"
+        );
+        let err = parse_dag("# header\n\ntasks 16777217\nedge 0 1\n").unwrap_err();
+        assert!(matches!(err, DagFileError::Parse { line: 3, .. }), "{err}");
+        assert!(parse_dag("tasks 3\nedge 0 1\n").is_ok());
     }
 
     #[test]

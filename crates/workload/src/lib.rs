@@ -46,7 +46,7 @@ pub mod profiles;
 pub mod release;
 pub mod workflow;
 
-pub use dagfile::{load_dag, parse_dag, save_dag, write_dag, DagFileError};
+pub use dagfile::{load_dag, parse_dag, save_dag, write_dag, DagFileError, MAX_DAG_TASKS};
 pub use jobset::{JobSet, JobSetSpec};
 pub use release::{
     expected_work, expected_work_of, mean_gap_for_utilization, splitmix_seed, ArrivalProcess,

@@ -48,7 +48,9 @@ fn main() {
         warmup_jobs: 200,
         measured_jobs: 2_000,
         batches: 8,
-        max_quanta: u64::MAX,
+        // Unbounded in practice: the largest budget whose step horizon
+        // fits in u64.
+        max_quanta: u64::MAX / 100,
         saturation: SaturationConfig {
             // ~ρ·P/width ≈ 54 jobs are in flight at this load, and the
             // ramp from an empty system to that plateau would read as

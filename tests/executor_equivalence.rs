@@ -2,7 +2,7 @@
 //! of per-task B-Greedy execution, and every greedy variant respects
 //! the classical greedy-scheduling bounds.
 
-use abg_dag::{generate, ExplicitDag, LeveledJob, Phase, PhasedJob};
+use abg_dag::{generate, ExplicitDag, LeveledJob, Phase, PhasedJob, TaskId};
 use abg_sched::queue::{BreadthFirstQueue, FifoQueue, LifoQueue};
 use abg_sched::{
     BGreedyExecutor, DagExecutor, DepthFirstExecutor, GreedyExecutor, JobExecutor, LeveledExecutor,
@@ -182,51 +182,62 @@ proptest! {
 
     /// Reset-then-rerun bit-identity: running a dag through a reset
     /// executor replays the exact per-quantum statistics (span compared
-    /// by bit pattern) of both the executor's own first run and a
-    /// freshly constructed one — reset is observationally equivalent to
-    /// construction.
+    /// by bit pattern) and slot lists of both the executor's own first
+    /// run and a freshly constructed one — reset is observationally
+    /// equivalent to construction. Each case runs a unit dag and a
+    /// weighted one, whose first run may end with tasks in progress.
     #[test]
     fn reset_rerun_is_bit_identical(
         seed in 0u64..300,
+        wseed in 0u64..300,
         sched in prop::collection::vec((0u32..=12, 1u64..=16), 1..30),
     ) {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let dag = generate::random_layered(&mut rng, 6, 1..=5, 0.3);
-        let mut ex = BGreedyExecutor::new(&dag);
-        let first = trace(&mut ex, &sched);
-        ex.reset();
-        let again = trace(&mut ex, &sched);
-        let fresh = trace(&mut BGreedyExecutor::new(&dag), &sched);
-        prop_assert_eq!(&first, &again, "reset diverged from first run");
-        prop_assert_eq!(&first, &fresh, "reset diverged from fresh construction");
+        let unit = generate::random_layered(&mut rng, 6, 1..=5, 0.3);
+        for dag in [unit, weighted_layered(seed, wseed, 48)] {
+            let mut ex = BGreedyExecutor::new(&dag);
+            let first = trace(&mut ex, &sched);
+            prop_assert!(ex.try_reset());
+            let again = trace(&mut ex, &sched);
+            let fresh = trace(&mut BGreedyExecutor::new(&dag), &sched);
+            prop_assert_eq!(&first, &again, "reset diverged from first run");
+            prop_assert_eq!(&first, &fresh, "reset diverged from fresh construction");
+        }
     }
 
-    /// The weighted residual-work kernel is bit-identical to the
-    /// weighted reference rescan on random layered dags under random
+    /// The event-driven weighted kernel is bit-identical to the
+    /// per-step weighted reference on random layered dags under random
     /// half-integer weight tables, allotment/quantum-length schedules
-    /// and every queue discipline. The weight tables always contain at
-    /// least one non-unit entry, so both executors take their weighted
-    /// paths (the unit shortcut is pinned separately below).
+    /// and every queue discipline, with the slot lists (finish times
+    /// converted back to residuals) equal after every quantum. Each case
+    /// runs two weight tables of the same dag, one with short costs
+    /// (1 to 4, Montage-like) and one with costs up to 24 against quanta
+    /// of at most 16 steps, so tasks routinely straddle quantum
+    /// boundaries; each under the drawn schedule as is and under one
+    /// where every quantum is followed by one at a quarter of its
+    /// allotment, so running tasks pause and later resume. The weight
+    /// tables always contain at least one non-unit entry, so both
+    /// executors take their weighted paths (the unit shortcut is pinned
+    /// separately below).
     #[test]
     fn weighted_kernel_bit_identical_to_reference(
         seed in 0u64..500,
         wseed in 0u64..500,
         sched in prop::collection::vec((0u32..=12, 1u64..=16), 1..40),
     ) {
-        use rand::{RngExt as _, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let base = generate::random_layered(&mut rng, 6, 1..=5, 0.3);
-        let mut wrng = rand::rngs::StdRng::seed_from_u64(wseed);
-        let mut weights: Vec<f64> = (0..base.num_tasks())
-            .map(|_| wrng.random_range(1..=8u64) as f64 * 0.5)
+        let paused: Vec<(u32, u64)> = sched
+            .iter()
+            .flat_map(|&(a, l)| [(a, l), (1 + a / 4, l)])
             .collect();
-        weights[0] = 2.5; // force a non-unit table
-        let dag = base.with_weights(weights).expect("finite positive weights");
-        prop_assert!(!dag.is_unit_weight());
-        lockstep::<BreadthFirstQueue>(&dag, &sched);
-        lockstep::<FifoQueue>(&dag, &sched);
-        lockstep::<LifoQueue>(&dag, &sched);
+        for max_half in [8, 48] {
+            let dag = weighted_layered(seed, wseed, max_half);
+            for sched in [&sched, &paused] {
+                lockstep::<BreadthFirstQueue>(&dag, sched);
+                lockstep::<FifoQueue>(&dag, sched);
+                lockstep::<LifoQueue>(&dag, sched);
+            }
+        }
     }
 
     /// An all-unit weight table is observationally identical to having
@@ -308,9 +319,27 @@ proptest! {
     }
 }
 
+/// A random layered dag with a half-integer weight table: weights 0.5
+/// to `max_half / 2`, so integer costs 1 to `max_half / 2` (task 0 is
+/// pinned to 2.5, so the table is never all-unit).
+fn weighted_layered(seed: u64, wseed: u64, max_half: u64) -> ExplicitDag {
+    use rand::{RngExt as _, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let base = generate::random_layered(&mut rng, 6, 1..=5, 0.3);
+    let mut wrng = rand::rngs::StdRng::seed_from_u64(wseed);
+    let mut weights: Vec<f64> = (0..base.num_tasks())
+        .map(|_| wrng.random_range(1..=max_half) as f64 * 0.5)
+        .collect();
+    weights[0] = 2.5;
+    let dag = base.with_weights(weights).expect("finite positive weights");
+    assert!(!dag.is_unit_weight());
+    dag
+}
+
 /// Runs the optimised and reference kernels in lockstep over the same
 /// quantum schedule and asserts bit-identical [`abg_sched::QuantumStats`]
-/// plus matching executor-level counters after every quantum.
+/// plus matching executor-level counters and in-progress slot lists
+/// after every quantum.
 fn lockstep<Q: ReadyQueue>(dag: &ExplicitDag, sched: &[(u32, u64)]) {
     let mut fast: DagExecutor<&ExplicitDag, Q> = DagExecutor::new(dag);
     let mut slow: ReferenceExecutor<&ExplicitDag, Q> = ReferenceExecutor::new(dag);
@@ -335,16 +364,22 @@ fn lockstep<Q: ReadyQueue>(dag: &ExplicitDag, sched: &[(u32, u64)]) {
         assert_eq!(fast.completed_work(), slow.completed_work());
         assert_eq!(fast.elapsed_steps(), slow.elapsed_steps());
         assert_eq!(fast.is_complete(), slow.is_complete());
+        assert_eq!(
+            fast.in_progress(),
+            slow.in_progress(),
+            "slots diverged at (a={a}, l={l})"
+        );
     }
 }
 
-/// Replays a quantum schedule and returns the per-quantum observable
-/// trace: (work, steps worked, span bit pattern, completed) per
-/// quantum, plus the executor counters after each one.
-fn trace<D, Q>(
-    ex: &mut DagExecutor<D, Q>,
-    sched: &[(u32, u64)],
-) -> Vec<(u64, u64, u64, bool, u64, u64)>
+/// One quantum's observable record: (work, steps worked, span bit
+/// pattern, completed), then the executor's completed work, elapsed
+/// steps and in-progress slots after it.
+type QuantumRecord = (u64, u64, u64, bool, u64, u64, Vec<(TaskId, u64)>);
+
+/// Replays a quantum schedule and returns its per-quantum
+/// [`QuantumRecord`]s.
+fn trace<D, Q>(ex: &mut DagExecutor<D, Q>, sched: &[(u32, u64)]) -> Vec<QuantumRecord>
 where
     D: std::borrow::Borrow<ExplicitDag>,
     Q: ReadyQueue,
@@ -360,6 +395,7 @@ where
                 s.completed,
                 ex.completed_work(),
                 ex.elapsed_steps(),
+                ex.in_progress().to_vec(),
             )
         })
         .collect()

@@ -12,7 +12,7 @@
 
 use abg::experiments::{
     hierarchical_skew_sweep, open_fingerprint, open_system_sweep, HierarchicalConfig,
-    OpenSystemConfig,
+    OpenSystemConfig, OpenWorkload,
 };
 use abg::queue::{
     run_open_hierarchical_with_threads, run_open_sharded_with_threads, HierOpenConfig, OpenConfig,
@@ -22,7 +22,9 @@ use abg_alloc::DynamicEquiPartition;
 use abg_control::{AControl, GroupPolicy, RequestCalculator, StaticEqui};
 use abg_dag::PhasedJob;
 use abg_sched::{JobExecutor, PipelinedExecutor};
-use abg_workload::{mean_gap_for_utilization, ArrivalProcess};
+use abg_workload::{mean_gap_for_utilization, parse_dag, write_dag, ArrivalProcess, WorkflowKind};
+use rand::SeedableRng;
+use std::sync::Arc;
 
 /// `open_system_sweep(OpenSystemConfig::smoke())` — the unsharded
 /// driver's golden from `tests/open_system.rs`, which a one-group
@@ -64,6 +66,25 @@ fn static_four_group_sweep_matches_golden_and_the_sharded_engine() {
         OPEN_SMOKE_HIER_STATIC_G4,
         "shards = 4 and static groups = 4 must share one fingerprint"
     );
+}
+
+/// A four-group desire sweep replaying one seeded Montage dag through
+/// a dag-file round trip (`OpenWorkload::Trace`): every arrival runs a
+/// recycled weighted executor.
+const HIER_TRACE_MONTAGE_G4: u64 = 0xf65ad691edf6662d;
+
+#[test]
+fn hierarchical_trace_replay_matches_golden() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x7ACE);
+    let text = write_dag(&WorkflowKind::Montage.generate(6, &mut rng));
+    let dag = parse_dag(&text).expect("written dags parse");
+    assert!(!dag.is_unit_weight());
+    let mut cfg = smoke_with_groups(4, GroupPolicy::Desire);
+    cfg.workload = OpenWorkload::Trace(Arc::new(dag));
+    cfg.rhos = vec![0.3, 0.7];
+    let rows = open_system_sweep(&cfg);
+    assert!(rows.iter().all(|r| r.abg.stable && r.agreedy.stable));
+    assert_eq!(open_fingerprint(&rows), HIER_TRACE_MONTAGE_G4);
 }
 
 fn open_config(rho: f64) -> OpenConfig {

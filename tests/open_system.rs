@@ -7,7 +7,7 @@
 //! to the driver, the arrival stream or the job generator moves it,
 //! re-record with that command and say so in the commit message.
 
-use abg::experiments::{open_fingerprint, open_system_sweep, OpenSystemConfig};
+use abg::experiments::{open_fingerprint, open_system_sweep, OpenSystemConfig, OpenWorkload};
 use abg::queue::{
     run_open_sharded_with_threads, run_open_system, OpenConfig, OpenOutcome, SaturationConfig,
     ShardRouting, ShardedOpenConfig,
@@ -16,7 +16,7 @@ use abg_alloc::DynamicEquiPartition;
 use abg_control::{AControl, AGreedy, RequestCalculator};
 use abg_dag::PhasedJob;
 use abg_sched::{JobExecutor, PipelinedExecutor};
-use abg_workload::{mean_gap_for_utilization, ArrivalProcess};
+use abg_workload::{mean_gap_for_utilization, ArrivalProcess, WorkflowKind};
 
 /// `open_system_sweep(OpenSystemConfig::smoke())`.
 const OPEN_SMOKE: u64 = 0x32ed9525adb1b404;
@@ -29,6 +29,22 @@ fn smoke_open_sweep_matches_golden() {
     // this golden staying pinned IS the bit-identity check for it.
     let rows = open_system_sweep(&OpenSystemConfig::smoke());
     assert_eq!(open_fingerprint(&rows), OPEN_SMOKE);
+}
+
+/// The smoke sweep over fresh Montage workflow arrivals at scale 8,
+/// recorded from `abg-cli open --smoke --workflow montage --json`:
+/// every job runs the weighted kernel.
+const OPEN_SMOKE_MONTAGE: u64 = 0x2524e920c7bdc50a;
+
+#[test]
+fn smoke_montage_sweep_matches_golden() {
+    let mut cfg = OpenSystemConfig::smoke();
+    cfg.workload = OpenWorkload::Workflow {
+        kind: WorkflowKind::Montage,
+        scale: 8,
+    };
+    let rows = open_system_sweep(&cfg);
+    assert_eq!(open_fingerprint(&rows), OPEN_SMOKE_MONTAGE);
 }
 
 #[test]
