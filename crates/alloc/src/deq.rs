@@ -3,7 +3,6 @@
 //! paper's multiprogrammed experiments (Section 7).
 
 use crate::{ceil_request, invariants, AllocationStability, Allocator};
-use serde::{Deserialize, Serialize};
 
 /// The DEQ allocator.
 ///
@@ -29,20 +28,17 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(allotments[0], 1);
 /// assert_eq!(allotments[1] + allotments[2], 11);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DynamicEquiPartition {
     processors: u32,
     /// Rotates which deprived jobs absorb the integer remainder.
     rotation: u64,
     /// Scratch (integerized requests), reused so repeated `allocate_into`
     /// calls allocate nothing at steady state.
-    #[serde(skip)]
     caps: Vec<u32>,
     /// Scratch (indices of jobs not yet satisfied by water-filling).
-    #[serde(skip)]
     active: Vec<usize>,
     /// Stability verdict of the last `allocate_into` call.
-    #[serde(skip)]
     stability: AllocationStability,
 }
 

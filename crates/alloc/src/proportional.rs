@@ -1,7 +1,6 @@
 //! Proportional-share allocation.
 
 use crate::{ceil_request, invariants, AllocationStability, Allocator};
-use serde::{Deserialize, Serialize};
 
 /// Allocates processors in proportion to the requests.
 ///
@@ -12,18 +11,15 @@ use serde::{Deserialize, Serialize};
 /// but **not** fair in the equi-partition sense: a job can starve
 /// smaller requesters by inflating its request, which is one reason the
 /// paper's framework prefers DEQ.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Proportional {
     processors: u32,
     /// Scratch (integerized requests), reused across `allocate_into`
     /// calls.
-    #[serde(skip)]
     caps: Vec<u32>,
     /// Scratch (fractional remainders for largest-remainder rounds).
-    #[serde(skip)]
     fractions: Vec<(f64, usize)>,
     /// Stability verdict of the last `allocate_into` call.
-    #[serde(skip)]
     stability: AllocationStability,
 }
 

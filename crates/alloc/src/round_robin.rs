@@ -1,7 +1,6 @@
 //! Static equal-share ("round-robin") allocation.
 
 use crate::{ceil_request, invariants, Allocator};
-use serde::{Deserialize, Serialize};
 
 /// Equal-share allocation without redistribution.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// which is precisely the inefficiency DEQ removes. Kept as an
 /// experimental contrast (He et al. also analysed round-robin
 /// allocators).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RoundRobin {
     processors: u32,
     rotation: u64,

@@ -1,7 +1,6 @@
 //! Scripted (adversarial) single-job availability.
 
 use crate::{ceil_request, invariants, Allocator};
-use serde::{Deserialize, Serialize};
 
 /// A single-job allocator whose per-quantum availability `p(q)` follows
 /// a caller-supplied script.
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// With a constant script equal to the machine size this is also the
 /// "unconstrained environment" of the paper's first simulation set, in
 /// which every request is granted (Section 7.2).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scripted {
     processors: u32,
     script: Vec<u32>,

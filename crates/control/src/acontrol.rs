@@ -2,7 +2,6 @@
 
 use crate::Controller;
 use abg_sched::QuantumStats;
-use serde::{Deserialize, Serialize};
 
 /// The A-Control processor-request calculator.
 ///
@@ -38,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// let d = ctl.observe(&stats);
 /// assert!((d - (0.2 * 1.0 + 0.8 * 10.0)).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AControl {
     rate: f64,
     request: f64,

@@ -17,11 +17,10 @@
 
 use crate::Controller;
 use abg_sched::QuantumStats;
-use serde::{Deserialize, Serialize};
 
 /// A-Control with the convergence rate governed by an online estimate
 /// of the transition factor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdaptiveRateControl {
     target_rate: f64,
     /// Safety margin: the working rate is capped at

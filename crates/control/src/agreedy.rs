@@ -3,7 +3,6 @@
 
 use crate::Controller;
 use abg_sched::QuantumStats;
-use serde::{Deserialize, Serialize};
 
 /// The A-Greedy desire (processor-request) calculator.
 ///
@@ -45,7 +44,7 @@ use serde::{Deserialize, Serialize};
 /// };
 /// assert_eq!(desire.observe(&bad), 1.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AGreedy {
     responsiveness: f64,
     utilization: f64,

@@ -23,11 +23,9 @@
 //! trajectory — analytical or simulated — so the same machinery also
 //! quantifies A-Greedy's instability.
 
-use serde::{Deserialize, Serialize};
-
 /// The first-order closed loop of the ABG feedback structure for a job
 /// of constant average parallelism.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClosedLoop {
     /// The job's (constant) average parallelism `A`.
     pub parallelism: f64,
@@ -111,7 +109,7 @@ impl ClosedLoop {
 /// `β < (1 + r)/2` — satisfied throughout the controller's admissible
 /// range `0 ≤ β ≤ r < 1`, which is the stability claim behind
 /// `PiControl`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PiClosedLoop {
     /// Integral rate parameter `r`.
     pub rate: f64,
@@ -180,7 +178,7 @@ impl PiClosedLoop {
 
 /// Transient and steady-state metrics of a request trajectory against a
 /// constant target parallelism — the four criteria of Theorem 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepMetrics {
     /// `|d(q) − A|` at the end of the trajectory.
     pub steady_state_error: f64,
@@ -353,7 +351,7 @@ mod tests {
 
     #[test]
     fn pi_trajectory_matches_controller() {
-        use crate::{PiControl, RequestCalculator};
+        use crate::{Controller, PiControl};
         use abg_sched::QuantumStats;
         let a = 24.0;
         let loop_ = PiClosedLoop::new(0.3, 0.2);

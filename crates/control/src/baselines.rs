@@ -2,12 +2,11 @@
 
 use crate::Controller;
 use abg_sched::QuantumStats;
-use serde::{Deserialize, Serialize};
 
 /// Requests a fixed number of processors every quantum — the
 /// conventional non-adaptive strategy the paper's introduction argues
 /// against.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ConstantRequest {
     request: f64,
 }
@@ -60,7 +59,7 @@ impl Controller for ConstantRequest {
 /// No online scheduler can use this (the parallelism is unknown before
 /// the job finishes); it serves as an idealised upper baseline when
 /// evaluating how close the adaptive schemes get.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OracleRequest {
     parallelism: f64,
 }

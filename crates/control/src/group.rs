@@ -19,8 +19,6 @@
 //! zero processors could never run a job and would deadlock the
 //! feedback loop).
 
-use serde::{Deserialize, Serialize};
-
 /// One group's per-epoch feedback to the top-level allocator.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GroupDesire {
@@ -328,7 +326,7 @@ impl GroupAllocator for ConservativeTwoLevel {
 /// The named top-level policies, as a plain enum so configurations and
 /// the CLI can carry a policy by name and build the trait object at
 /// run time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroupPolicy {
     /// [`StaticEqui`]: the fixed equi-partition.
     Static,

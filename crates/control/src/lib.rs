@@ -114,12 +114,6 @@ pub trait Controller {
     }
 }
 
-/// The pre-unification name of [`Controller`] (when the request side and
-/// the quantum-length side were separate traits). Kept as an alias so
-/// existing `impl RequestCalculator for ...` blocks and bounds keep
-/// working unchanged.
-pub use Controller as RequestCalculator;
-
 /// Boxed controllers are controllers too, so the simulator can hold a
 /// heterogeneous set of per-job controllers. All methods forward —
 /// including the quantum-length and frozen-stepping hooks, so a boxed

@@ -25,10 +25,9 @@
 
 use crate::Controller;
 use abg_sched::QuantumStats;
-use serde::{Deserialize, Serialize};
 
 /// The gain-scheduled PI request calculator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PiControl {
     /// Integral rate parameter `r` (as in A-Control).
     rate: f64,

@@ -6,12 +6,10 @@
 //! only hold when `r < 1/C_L` (the remark after Lemma 2); functions
 //! depending on that return `None` when the precondition fails.
 
-use serde::{Deserialize, Serialize};
-
 /// Coefficients of Lemma 2: for every full quantum `q`,
 /// `lower·A(q) ≤ d(q) ≤ upper·A(q)`, where the upper bound exists only
 /// when `r < 1/C_L`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Lemma2Coefficients {
     /// `(1 − r) / (C_L − r)`.
     pub lower: f64,
@@ -116,7 +114,7 @@ pub fn theorem5_response_bound(
 }
 
 /// Intrinsic size of one job as used by the lower bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobSize {
     /// Work `T1`.
     pub work: u64,

@@ -4,7 +4,7 @@
 
 use super::{parallel_map, task_seed};
 use abg_alloc::Scripted;
-use abg_control::{AControl, AGreedy, AdaptiveRateControl, RequestCalculator};
+use abg_control::{AControl, AGreedy, AdaptiveRateControl, Controller};
 use abg_dag::{ExplicitDag, ForkJoinSpec};
 use abg_sched::{
     BGreedyExecutor, DepthFirstExecutor, GreedyExecutor, LeveledExecutor, PipelinedExecutor,
@@ -13,10 +13,9 @@ use abg_sim::{run_single_job, SingleJobConfig, SingleJobRun};
 use abg_workload::paper_job;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Common setup of the single-job ablations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AblationConfig {
     /// Transition factors of the probe jobs.
     pub factors: Vec<u64>,
@@ -47,7 +46,7 @@ impl AblationConfig {
 }
 
 /// Mean time/waste of a run population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityPoint {
     /// Mean `T / T∞`.
     pub time_norm: f64,
@@ -105,7 +104,7 @@ fn agreedy_runs(
 }
 
 /// One row of the convergence-rate ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateAblationRow {
     /// The convergence rate `r`.
     pub rate: f64,
@@ -150,7 +149,7 @@ pub fn governed_rate_quality(cfg: &AblationConfig, target_rate: f64) -> QualityP
 }
 
 /// One row of the quantum-length ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantumAblationRow {
     /// The quantum length `L`.
     pub quantum_len: u64,
@@ -175,7 +174,7 @@ pub fn quantum_ablation(cfg: &AblationConfig, quanta: &[u64]) -> Vec<QuantumAbla
 }
 
 /// One row of the A-Greedy parameter ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AGreedyAblationRow {
     /// Responsiveness `ρ`.
     pub responsiveness: f64,
@@ -206,7 +205,7 @@ pub fn agreedy_ablation(
 }
 
 /// One row of the scheduler-priority ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerAblationRow {
     /// Priority rule name.
     pub scheduler: String,
@@ -275,7 +274,7 @@ pub fn scheduler_ablation(cfg: &AblationConfig) -> Vec<SchedulerAblationRow> {
 }
 
 /// One row of the phase-semantics ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SemanticsAblationRow {
     /// Job model name.
     pub model: String,
@@ -311,7 +310,7 @@ pub fn semantics_ablation(cfg: &AblationConfig) -> Vec<SemanticsAblationRow> {
         let runs = parallel_map(units, |&(factor, index)| {
             let mut rng = StdRng::seed_from_u64(task_seed(cfg.seed, factor, index));
             let spec = ForkJoinSpec::with_transition_factor(factor, cfg.quantum_len, cfg.pairs);
-            let mut calc: Box<dyn RequestCalculator + Send> = if sched == "abg" {
+            let mut calc: Box<dyn Controller + Send> = if sched == "abg" {
                 Box::new(AControl::new(0.2))
             } else {
                 Box::new(AGreedy::new(2.0, 0.8))

@@ -9,10 +9,9 @@ use abg_sim::{run_single_job_adaptive, AdaptiveQuantum, FixedQuantum, SingleJobC
 use abg_workload::paper_job;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the adaptive-quantum comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveQuantumConfig {
     /// Transition factors of the probe jobs.
     pub factors: Vec<u64>,
@@ -53,7 +52,7 @@ impl AdaptiveQuantumConfig {
 }
 
 /// One policy's mean results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveQuantumRow {
     /// Policy name.
     pub policy: String,

@@ -12,18 +12,17 @@
 use super::{parallel_map, task_seed};
 use crate::bounds::{makespan_lower_bound, response_lower_bound_batched, JobSize};
 use abg_alloc::{Allocator, DynamicEquiPartition, Proportional, RoundRobin};
-use abg_control::{AControl, RequestCalculator};
+use abg_control::{AControl, Controller};
 use abg_dag::PhasedJob;
 use abg_sched::PipelinedExecutor;
 use abg_sim::MultiJobSim;
 use abg_workload::{JobSetSpec, ReleaseSchedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Configuration of the allocator comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AllocatorPolicyConfig {
     /// Loads of the probe job sets.
     pub loads: Vec<f64>,
@@ -60,7 +59,7 @@ impl AllocatorPolicyConfig {
 }
 
 /// One (policy, load) cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AllocatorPolicyRow {
     /// Allocator name.
     pub policy: String,
@@ -84,7 +83,7 @@ fn run_with<A: Allocator>(
 ) -> (f64, f64, f64) {
     let mut sim = MultiJobSim::new(allocator, quantum_len);
     for (job, &release) in jobs.iter().zip(releases) {
-        let calc: Box<dyn RequestCalculator + Send> = Box::new(AControl::new(rate));
+        let calc: Box<dyn Controller + Send> = Box::new(AControl::new(rate));
         // All three policies execute the same Arc-shared job structures.
         sim.add_job(
             Box::new(PipelinedExecutor::new(Arc::clone(job))),

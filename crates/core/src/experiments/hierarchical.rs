@@ -11,13 +11,13 @@
 //! [`GroupPolicy`] and reports mean response time, median slowdown,
 //! the hot group's final capacity, and the spread of per-group served
 //! utilization. The static policy is the fixed-partition baseline
-//! (bit-identical to [`abg_queue::run_open_sharded`]); the feedback
+//! (bit-identical to [`abg_queue::run_open_sharded_with_threads`]); the feedback
 //! policies should hold their response time roughly flat as the skew
 //! grows, with the hot group's capacity following its load.
 
 use super::{parallel_map, task_seed};
 use abg_alloc::DynamicEquiPartition;
-use abg_control::{AControl, GroupPolicy, RequestCalculator};
+use abg_control::{AControl, Controller, GroupPolicy};
 use abg_dag::PhasedJob;
 use abg_queue::{
     run_open_hierarchical_detailed, HierOpenConfig, OpenConfig, OpenOutcome, SaturationConfig,
@@ -25,11 +25,10 @@ use abg_queue::{
 };
 use abg_sched::PipelinedExecutor;
 use abg_workload::{mean_gap_for_utilization, ArrivalProcess};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Configuration of the hierarchical skew sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HierarchicalConfig {
     /// Machine size `P`.
     pub processors: u32,
@@ -156,7 +155,7 @@ impl HierarchicalConfig {
 }
 
 /// One policy's measurements at one skew point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyPoint {
     /// The top-level policy measured.
     pub policy: GroupPolicy,
@@ -176,7 +175,7 @@ pub struct PolicyPoint {
 }
 
 /// One skew point: every configured policy against the same arrivals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HierarchicalRow {
     /// The skew factor `h` (group 0 receives `h` of every `h + G - 1`
     /// arrivals).
@@ -214,7 +213,7 @@ pub fn hierarchical_skew_sweep(cfg: &HierarchicalConfig) -> Vec<HierarchicalRow>
             &hier,
             DynamicEquiPartition::new,
             move |_rng, _recycled| Box::new(PipelinedExecutor::new(Arc::clone(&job))),
-            move || -> Box<dyn RequestCalculator + Send> { Box::new(AControl::new(rate)) },
+            move || -> Box<dyn Controller + Send> { Box::new(AControl::new(rate)) },
             policy.build(),
             1,
         );

@@ -1,6 +1,6 @@
 //! The kernel benchmark trajectory suite: wall-clock throughput of the
 //! hot simulation loops, measured the same way from the CLI (`abg-cli
-//! bench`), the Criterion benches, and CI smoke runs.
+//! bench`) and CI smoke runs.
 //!
 //! Each kernel drives one hot path end to end and reports *operations*
 //! (tasks executed, or jobs simulated for the composite kernels) and
@@ -22,7 +22,6 @@ use abg_sim::{live_job_footprint, CompletedJob, MultiJobSim, NullProbe, QuantumC
 use abg_workload::{JobSetSpec, ReleaseSchedule, WorkflowKind};
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
@@ -32,7 +31,7 @@ use std::time::Instant;
 /// [`KernelBenchConfig::full`] is the recorded-baseline size;
 /// [`KernelBenchConfig::smoke`] shrinks every kernel so the whole suite
 /// finishes in well under a second (CI and tests).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelBenchConfig {
     /// Minimum wall-clock per kernel in milliseconds: each kernel body
     /// repeats until at least this much time has elapsed.
@@ -207,7 +206,7 @@ impl KernelBenchConfig {
 }
 
 /// One kernel's measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelResult {
     /// Kernel name (stable identifier for trajectory tracking).
     pub kernel: String,
@@ -521,7 +520,7 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
     // fixed seed makes every repetition identical.
     let boxed_footprint = live_job_footprint::<
         Box<dyn JobExecutor + Send>,
-        Box<dyn abg_control::RequestCalculator + Send>,
+        Box<dyn abg_control::Controller + Send>,
     >() as u64;
     let peak = Cell::new(0u64);
     let open_cfg = abg_queue::OpenConfig {

@@ -1,10 +1,10 @@
 //! Experiment harness: one function per figure/analysis of the paper's
-//! evaluation, shared by the CLI, the benches and the integration tests.
+//! evaluation, shared by the CLI, the kernel suite and the integration tests.
 //!
 //! Every experiment takes an explicit config with a deterministic seed
 //! and returns plain data rows, so the same code regenerates the paper's
 //! figures at paper scale (`*Config::paper()`) or at a scaled-down size
-//! suitable for tests and Criterion benches (`*Config::scaled()`).
+//! suitable for tests and smoke runs (`*Config::scaled()`).
 
 pub mod ablation;
 pub mod adaptive_quantum;

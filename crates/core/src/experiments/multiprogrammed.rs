@@ -9,14 +9,13 @@
 use super::{parallel_map, task_seed};
 use crate::bounds::{makespan_lower_bound, response_lower_bound_batched, JobSize};
 use abg_alloc::DynamicEquiPartition;
-use abg_control::{AControl, AGreedy, RequestCalculator};
+use abg_control::{AControl, AGreedy, Controller};
 use abg_dag::PhasedJob;
 use abg_sched::PipelinedExecutor;
 use abg_sim::{MultiJobOutcome, MultiJobSim};
 use abg_workload::{JobSetSpec, ReleaseSchedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Which controller drives every job of a set.
@@ -27,7 +26,7 @@ enum Scheduler {
 }
 
 /// Configuration of the Figure-6 sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiprogrammedConfig {
     /// Load values to sweep (x-axis; load = Σ avg parallelism / P).
     pub loads: Vec<f64>,
@@ -91,7 +90,7 @@ impl MultiprogrammedConfig {
 }
 
 /// One x-axis point of Figure 6 (means over the load's sets).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadPoint {
     /// Target load of the generated sets.
     pub load: f64,
@@ -121,7 +120,7 @@ fn run_set(
 ) -> MultiJobOutcome {
     let mut sim = MultiJobSim::new(DynamicEquiPartition::new(cfg.processors), cfg.quantum_len);
     for (job, &release) in jobs.iter().zip(releases) {
-        let calculator: Box<dyn RequestCalculator + Send> = match which {
+        let calculator: Box<dyn Controller + Send> = match which {
             Scheduler::Abg => Box::new(AControl::new(cfg.rate)),
             Scheduler::AGreedy => Box::new(AGreedy::new(cfg.responsiveness, cfg.utilization)),
         };

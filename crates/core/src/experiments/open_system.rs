@@ -11,13 +11,13 @@
 //! [`abg_workload::mean_gap_for_utilization`]); both schedulers face
 //! the *same* arrival sequence and job population at every ρ.
 
-use super::{parallel_map, task_seed};
+use super::{configured_threads, parallel_map, task_seed};
 use abg_alloc::DynamicEquiPartition;
-use abg_control::{AControl, AGreedy, GroupPolicy, RequestCalculator};
+use abg_control::{AControl, AGreedy, Controller, GroupPolicy};
 use abg_dag::ExplicitDag;
 use abg_queue::{
-    run_open_hierarchical, run_open_sharded, HierOpenConfig, OpenConfig, OpenOutcome,
-    SaturationConfig, ShardRouting, ShardedOpenConfig,
+    run_open_hierarchical_with_threads, run_open_sharded_with_threads, HierOpenConfig, OpenConfig,
+    OpenOutcome, SaturationConfig, ShardRouting, ShardedOpenConfig,
 };
 use abg_sched::{DagExecutor, JobExecutor, OwnedBGreedyExecutor, PipelinedExecutor};
 use abg_workload::{
@@ -26,7 +26,6 @@ use abg_workload::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Which controller drives every arriving job.
@@ -37,7 +36,7 @@ enum Scheduler {
 }
 
 /// The job population an open-system sweep releases.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OpenWorkload {
     /// The paper's mixed-factor fork-join population (unit tasks):
     /// every arrival samples a fresh phase structure with parallel
@@ -64,7 +63,7 @@ pub enum OpenWorkload {
 }
 
 /// Configuration of the open-system ρ sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpenSystemConfig {
     /// Offered utilizations to sweep (values ≥ 1 are expected to be
     /// reported unstable, not simulated to completion).
@@ -104,7 +103,7 @@ pub struct OpenSystemConfig {
     /// (the presets' value) leaves the top level out entirely and the
     /// sweep runs the sharded/unsharded path selected by `shards`;
     /// larger counts route every point through
-    /// [`abg_queue::run_open_hierarchical`] with `groups` groups
+    /// [`abg_queue::run_open_hierarchical_with_threads`] with `groups` groups
     /// (ignoring `shards`), reallocated by `group_alloc` every
     /// `realloc_epoch` quanta.
     pub groups: u32,
@@ -234,7 +233,7 @@ impl OpenSystemConfig {
 /// points report `stable == false` with the statistics fields `NaN`
 /// (the diagnostics that exist either way — quanta, arrivals — are
 /// always filled in).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerOpenPoint {
     /// Whether the run reached its measurement target.
     pub stable: bool,
@@ -292,7 +291,7 @@ impl SchedulerOpenPoint {
 
 /// One ρ point of the sweep: both schedulers against the same arrival
 /// sequence and job population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpenSystemRow {
     /// Offered utilization.
     pub rho: f64,
@@ -386,8 +385,8 @@ where
     // Per-ρ seed shared by BOTH schedulers: identical rng, identical
     // arrival times, identical job structures — a paired comparison.
     let open = cfg.open_config(mean_gap, task_seed(cfg.seed, index, 1));
-    // The engine pools honor `ABG_THREADS` like the sweep's own
-    // `parallel_map`; the outcome is thread-count invariant either way.
+    // The engine pools take the sweep harness's `ABG_THREADS` worker
+    // count; the outcome is thread-count invariant either way.
     // `groups > 1` routes through the hierarchical two-level driver
     // (with `shards` ignored: the groups ARE the partition); otherwise
     // the sharded engine runs. Both run the one open-system loop, and
@@ -403,24 +402,24 @@ where
         return match which {
             Scheduler::Abg => {
                 let rate = cfg.rate;
-                run_open_hierarchical(
+                run_open_hierarchical_with_threads(
                     &hier,
                     DynamicEquiPartition::new,
                     make_executor,
-                    move || -> Box<dyn RequestCalculator + Send> { Box::new(AControl::new(rate)) },
+                    move || -> Box<dyn Controller + Send> { Box::new(AControl::new(rate)) },
                     cfg.group_alloc.build(),
+                    configured_threads(),
                 )
             }
             Scheduler::AGreedy => {
                 let (rho, delta) = (cfg.responsiveness, cfg.utilization);
-                run_open_hierarchical(
+                run_open_hierarchical_with_threads(
                     &hier,
                     DynamicEquiPartition::new,
                     make_executor,
-                    move || -> Box<dyn RequestCalculator + Send> {
-                        Box::new(AGreedy::new(rho, delta))
-                    },
+                    move || -> Box<dyn Controller + Send> { Box::new(AGreedy::new(rho, delta)) },
                     cfg.group_alloc.build(),
+                    configured_threads(),
                 )
             }
         };
@@ -433,20 +432,22 @@ where
     match which {
         Scheduler::Abg => {
             let rate = cfg.rate;
-            run_open_sharded(
+            run_open_sharded_with_threads(
                 &sharded,
                 DynamicEquiPartition::new,
                 make_executor,
-                move || -> Box<dyn RequestCalculator + Send> { Box::new(AControl::new(rate)) },
+                move || -> Box<dyn Controller + Send> { Box::new(AControl::new(rate)) },
+                configured_threads(),
             )
         }
         Scheduler::AGreedy => {
             let (rho, delta) = (cfg.responsiveness, cfg.utilization);
-            run_open_sharded(
+            run_open_sharded_with_threads(
                 &sharded,
                 DynamicEquiPartition::new,
                 make_executor,
-                move || -> Box<dyn RequestCalculator + Send> { Box::new(AGreedy::new(rho, delta)) },
+                move || -> Box<dyn Controller + Send> { Box::new(AGreedy::new(rho, delta)) },
+                configured_threads(),
             )
         }
     }

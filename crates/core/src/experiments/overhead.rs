@@ -19,10 +19,9 @@ use abg_sim::{run_single_job, SingleJobConfig, SingleJobRun};
 use abg_workload::paper_job;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the overhead sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverheadConfig {
     /// Overhead values as fractions of the quantum length (x-axis).
     pub overhead_fractions: Vec<f64>,
@@ -59,7 +58,7 @@ impl OverheadConfig {
 }
 
 /// One x-axis point of the overhead sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheadRow {
     /// Overhead as a fraction of `L`.
     pub overhead_fraction: f64,

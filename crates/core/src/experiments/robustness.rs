@@ -13,10 +13,9 @@ use abg_workload::paper_job;
 use abg_workload::profiles::{bursty_job, ramp_job, random_walk_job};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the robustness experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobustnessConfig {
     /// Jobs per profile class.
     pub jobs_per_class: u32,
@@ -47,7 +46,7 @@ impl RobustnessConfig {
 }
 
 /// One profile class's results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobustnessRow {
     /// Profile class name.
     pub class: String,

@@ -16,10 +16,9 @@ use abg_sim::{run_single_job, SingleJobConfig, SingleJobRun};
 use abg_workload::{paper_job, scaled_job};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Figure-5 sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SingleJobSweepConfig {
     /// The transition factors to sweep (x-axis).
     pub factors: Vec<u64>,
@@ -85,7 +84,7 @@ impl SingleJobSweepConfig {
 }
 
 /// One x-axis point of Figure 5 (means over the factor's jobs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// Target transition factor of the generated jobs.
     pub factor: u64,

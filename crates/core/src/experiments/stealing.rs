@@ -17,10 +17,9 @@ use abg_steal::{abp_request, ASteal, StealExecutor};
 use abg_workload::paper_job;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the stealing comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StealingConfig {
     /// Transition factors of the probe jobs.
     pub factors: Vec<u64>,
@@ -55,7 +54,7 @@ impl StealingConfig {
 }
 
 /// Mean quality of one scheduler across the probe jobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StealRow {
     /// Scheduler name.
     pub scheduler: String,

@@ -6,18 +6,17 @@
 use super::task_seed;
 use crate::bounds::{self, makespan_lower_bound, response_lower_bound_batched, JobSize};
 use abg_alloc::{DynamicEquiPartition, Scripted};
-use abg_control::{analyze_step_response, AControl, AGreedy, ClosedLoop, RequestCalculator};
+use abg_control::{analyze_step_response, AControl, AGreedy, ClosedLoop, Controller};
 use abg_dag::{JobStructure, PhasedJob};
 use abg_sched::PipelinedExecutor;
 use abg_sim::{run_single_job, MultiJobSim, SingleJobConfig, SingleJobRun};
 use abg_workload::{paper_job, JobSetSpec, ReleaseSchedule};
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One cell of the Theorem-1 validation grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Theorem1Row {
     /// Constant job parallelism `A`.
     pub parallelism: f64,
@@ -59,7 +58,7 @@ pub fn theorem1_grid(parallelisms: &[f64], rates: &[f64], quanta: usize) -> Vec<
 }
 
 /// A measured quantity against its theoretical bound.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundCheck {
     /// What was checked (e.g. `"lemma2-upper"`).
     pub quantity: &'static str,
@@ -262,7 +261,7 @@ pub fn theorem5_check(
     let mut max_c_l = 1.0f64;
     for (job, &release) in jobs.iter().zip(&releases) {
         max_c_l = max_c_l.max(job.transition_factor(quantum_len));
-        let calc: Box<dyn RequestCalculator + Send> = Box::new(AControl::new(rate));
+        let calc: Box<dyn Controller + Send> = Box::new(AControl::new(rate));
         sim.add_job(
             Box::new(PipelinedExecutor::new(Arc::clone(job))),
             calc,

@@ -6,14 +6,13 @@
 //! A-Greedy oscillates forever (Figures 1 and 4(b)).
 
 use abg_alloc::Scripted;
-use abg_control::{AControl, AGreedy, RequestCalculator};
+use abg_control::{AControl, AGreedy, Controller};
 use abg_dag::generate::chain_bundle;
 use abg_sched::executor::OwnedBGreedyExecutor;
 use abg_sim::{run_single_job, SingleJobConfig};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the transient-behaviour comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientConfig {
     /// The constant parallelism `A` of the synthetic job.
     pub parallelism: u64,
@@ -49,7 +48,7 @@ impl TransientConfig {
 }
 
 /// One quantum of a request trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajectoryPoint {
     /// Quantum index `q`, 1-based.
     pub quantum: u32,
@@ -60,7 +59,7 @@ pub struct TrajectoryPoint {
 }
 
 /// The two trajectories side by side.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransientResult {
     /// The constant parallelism of the job (the target line).
     pub parallelism: u64,
@@ -70,10 +69,7 @@ pub struct TransientResult {
     pub agreedy: Vec<TrajectoryPoint>,
 }
 
-fn trajectory<C: RequestCalculator>(
-    cfg: &TransientConfig,
-    mut calculator: C,
-) -> Vec<TrajectoryPoint> {
+fn trajectory<C: Controller>(cfg: &TransientConfig, mut calculator: C) -> Vec<TrajectoryPoint> {
     // Size the job so it cannot finish before `quanta` quanta even at
     // full allotment (one level per step once a ≥ A). The job is a
     // *chain bundle*, not a barrier job: constant parallelism means

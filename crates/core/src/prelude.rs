@@ -1,9 +1,7 @@
 //! Convenience re-exports of the types most programs need.
 
 pub use abg_alloc::{Allocator, DynamicEquiPartition, Proportional, RoundRobin, Scripted};
-pub use abg_control::{
-    AControl, AGreedy, ClosedLoop, ConstantRequest, Controller, OracleRequest, RequestCalculator,
-};
+pub use abg_control::{AControl, AGreedy, ClosedLoop, ConstantRequest, Controller, OracleRequest};
 pub use abg_dag::{
     DagBuilder, ExplicitDag, ForkJoinSpec, JobStructure, LeveledJob, ParallelismProfile, Phase,
     PhasedJob, TaskId,

@@ -6,7 +6,6 @@ use crate::explicit::{DagBuilder, ExplicitDag};
 use crate::leveled::{LeveledJob, Phase};
 use crate::TaskId;
 use rand::{Rng, RngExt as _};
-use serde::{Deserialize, Serialize};
 use std::ops::RangeInclusive;
 
 /// A serial chain of `n` unit tasks.
@@ -131,7 +130,7 @@ pub fn figure2_job() -> ExplicitDag {
 /// level of parallelism in the parallel phases"), while `serial_levels`
 /// and `parallel_levels` vary the work and critical-path length at a
 /// fixed factor.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ForkJoinSpec {
     /// Length (in levels) of each serial phase, sampled uniformly.
     pub serial_levels: RangeInclusive<u64>,

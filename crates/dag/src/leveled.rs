@@ -13,11 +13,10 @@
 //! `abg-sched`.
 
 use crate::explicit::{DagBuilder, ExplicitDag};
-use serde::{Deserialize, Serialize};
 
 /// One phase of a fork-join job: `levels` consecutive levels of `width`
 /// tasks each.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Phase {
     /// Tasks per level in this phase (the degree of parallelism).
     pub width: u64,
@@ -38,7 +37,7 @@ impl Phase {
 }
 
 /// A job given by its per-level width profile with barrier semantics.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeveledJob {
     widths: Vec<u64>,
     work: u64,

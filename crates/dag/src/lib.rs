@@ -57,20 +57,18 @@ pub mod phased;
 pub mod profile;
 pub mod stats;
 
-pub use explicit::{DagBuilder, DagError, DagWire, ExplicitDag, WeightProfile};
+pub use explicit::{DagBuilder, DagError, ExplicitDag, WeightProfile};
 pub use generate::ForkJoinSpec;
 pub use leveled::{LeveledJob, Phase};
 pub use phased::PhasedJob;
 pub use profile::ParallelismProfile;
 pub use stats::{transition_factor, JobStructure};
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a unit task inside a single job.
 ///
 /// Task ids are dense indices assigned by the builder in insertion order;
 /// they carry no scheduling meaning beyond identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u32);
 
 impl TaskId {

@@ -20,11 +20,10 @@ use crate::leveled::Phase;
 use crate::profile::ParallelismProfile;
 use crate::stats::JobStructure;
 use crate::TaskId;
-use serde::{Deserialize, Serialize};
 
 /// A fork-join job given by its phase list, with pipelined chains inside
 /// each phase and a join between consecutive phases.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhasedJob {
     phases: Vec<Phase>,
     work: u64,

@@ -9,7 +9,6 @@
 //! characterising generated workloads.
 
 use crate::leveled::Phase;
-use serde::{Deserialize, Serialize};
 
 /// The parallelism profile of a job, stored as maximal runs of equal
 /// width.
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// equal exactly when their per-level widths are, and every statistic
 /// costs `O(runs)` (plus `O(quanta)` for the quantum walk) instead of
 /// `O(span)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParallelismProfile {
     runs: Vec<Phase>,
 }

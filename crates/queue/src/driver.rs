@@ -39,15 +39,14 @@ use crate::saturation::{SaturationConfig, SaturationReason};
 use crate::shard::{merge_reports, ShardRouting, ShardedOpenConfig};
 use crate::stats::{ConfidenceInterval, PercentileSummary};
 use abg_alloc::Allocator;
-use abg_control::RequestCalculator;
+use abg_control::Controller;
 use abg_sched::JobExecutor;
 use abg_sim::{NullProbe, Probe};
 use abg_workload::ArrivalProcess;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one open-system run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpenConfig {
     /// Machine size `P`.
     pub processors: u32,
@@ -232,7 +231,7 @@ impl OpenConfig {
 /// utilization of zero instead of `0/0 = NaN`. The reference driver's
 /// utilization; the event-driven entry points divide by the capacity
 /// integral in the shared merge.
-#[cfg(any(test, feature = "test-support"))]
+#[cfg(test)]
 pub(crate) fn measured_utilization(completed_work: u64, processors: u32, horizon: u64) -> f64 {
     if horizon == 0 {
         return 0.0;
@@ -241,7 +240,7 @@ pub(crate) fn measured_utilization(completed_work: u64, processors: u32, horizon
 }
 
 /// Steady-state measurements of a completed run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SteadyStats {
     /// Mean response time (steps) with its batch-means interval.
     pub response: ConfidenceInterval,
@@ -270,7 +269,7 @@ pub struct SteadyStats {
 }
 
 /// Diagnostics of a run aborted as unstable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnstableReport {
     /// What tripped.
     pub reason: SaturationReason,
@@ -287,7 +286,7 @@ pub struct UnstableReport {
 }
 
 /// The outcome of an open-system run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OpenOutcome {
     /// The run reached its measurement target; steady-state statistics.
     Steady(SteadyStats),
@@ -341,7 +340,7 @@ pub fn run_open_system<A, E, C>(
 where
     A: Allocator,
     E: FnMut(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send>,
-    C: FnMut() -> Box<dyn RequestCalculator + Send>,
+    C: FnMut() -> Box<dyn Controller + Send>,
 {
     run_open_system_probed(cfg, allocator, make_executor, make_calculator, NullProbe).0
 }
@@ -374,7 +373,7 @@ pub fn run_open_system_probed<A, E, C, P>(
 where
     A: Allocator,
     E: FnMut(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send>,
-    C: FnMut() -> Box<dyn RequestCalculator + Send>,
+    C: FnMut() -> Box<dyn Controller + Send>,
     P: Probe,
 {
     cfg.assert_valid();
@@ -622,6 +621,28 @@ mod tests {
             cfg.validate(),
             Err(ConfigError::HorizonOverflow { .. })
         ));
+    }
+
+    #[test]
+    fn capacity_past_u64_keeps_utilization_exact() {
+        // Sparse arrivals on a wide machine: the horizon passes
+        // `u64::MAX / P`, so the capacity integral `P · horizon` no
+        // longer fits in u64 and a saturating fold would inflate the
+        // utilization.
+        let mut cfg = config(0.3);
+        cfg.processors = 1024;
+        cfg.arrivals = ArrivalProcess::Poisson { mean_gap: 1e16 };
+        cfg.warmup_jobs = 0;
+        cfg.measured_jobs = 8;
+        cfg.batches = 2;
+        cfg.max_quanta = u64::MAX / cfg.quantum_len;
+        let OpenOutcome::Steady(s) = run(&cfg) else {
+            panic!("an idle machine cannot saturate");
+        };
+        assert!(s.horizon > u64::MAX / 1024, "horizon {}", s.horizon);
+        assert_eq!(s.completed, 8);
+        let expected = (8 * 80) as f64 / (1024.0 * s.horizon as f64);
+        assert_eq!(s.measured_utilization.to_bits(), expected.to_bits());
     }
 
     #[test]

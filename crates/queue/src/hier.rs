@@ -1,7 +1,8 @@
 //! Hierarchical two-level scheduling, and the one open-system event
 //! loop every entry point runs.
 //!
-//! The sharded engine ([`run_open_sharded`](crate::run_open_sharded))
+//! The sharded engine
+//! ([`run_open_sharded_with_threads`](crate::run_open_sharded_with_threads))
 //! fixes each processor group's capacity at `P/G` forever; under
 //! skewed arrivals one group drowns while its neighbors idle. This
 //! module adds the missing layer of the hierarchical schemes for
@@ -23,10 +24,11 @@
 //!
 //! * [`run_open_system`](crate::run_open_system) runs one group with
 //!   the caller's probe to `until = u64::MAX`;
-//! * [`run_open_sharded`](crate::run_open_sharded) is this driver under
+//! * [`run_open_sharded_with_threads`](crate::run_open_sharded_with_threads)
+//!   is this driver under
 //!   [`StaticEqui`](abg_control::StaticEqui) with one unbounded epoch,
 //!   so the policy is never consulted;
-//! * [`run_open_hierarchical`] runs the epoch loop below.
+//! * [`run_open_hierarchical_with_threads`] runs the epoch loop below.
 //!
 //! Nothing delegates: `shards = 1` and `groups = 1` are the one-group
 //! case of the same loop. What a group's arrivals come from follows
@@ -67,22 +69,21 @@ use crate::driver::{ConfigError, OpenConfig, OpenOutcome};
 use crate::events::{frozen_window_bound, ArrivalCalendar};
 use crate::saturation::{SaturationDetector, SaturationReason};
 use crate::shard::{
-    job_seed, measured_assigned, merge_reports, pool_threads, shard_processors, ShardArrivals,
-    ShardReport, ShardRouting, ShardedOpenConfig,
+    job_seed, measured_assigned, merge_reports, shard_processors, ShardArrivals, ShardReport,
+    ShardRouting, ShardedOpenConfig,
 };
 use abg_alloc::Allocator;
-use abg_control::{GroupAllocator, GroupDesire, RequestCalculator};
+use abg_control::{Controller, GroupAllocator, GroupDesire};
 use abg_sched::JobExecutor;
 use abg_sim::{CompletedJob, NullProbe, Probe, QuantumCore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
 /// Configuration of a hierarchical open-system run: the sharded
 /// decomposition plus the top level's reallocation cadence and
 /// capacity floor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HierOpenConfig {
     /// The aggregate open-system configuration (total machine size,
     /// aggregate arrival process and measurement window; `max_quanta`
@@ -158,7 +159,7 @@ impl HierOpenConfig {
 /// shows the reallocation at work (a hot group under skewed routing
 /// should end with more processors and every group's served
 /// utilization should level out).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupSummary {
     /// Group index.
     pub group: u32,
@@ -282,7 +283,7 @@ impl ArrivalSource {
 pub(crate) struct GroupSim<A: Allocator, P: Probe> {
     /// Current capacity (processors owned by this group).
     processors: u32,
-    engine: QuantumCore<Box<dyn JobExecutor + Send>, Box<dyn RequestCalculator + Send>, A, P>,
+    engine: QuantumCore<Box<dyn JobExecutor + Send>, Box<dyn Controller + Send>, A, P>,
     detector: SaturationDetector,
     source: ArrivalSource,
     /// Measured arrivals routed here that have not completed yet.
@@ -301,8 +302,9 @@ pub(crate) struct GroupSim<A: Allocator, P: Probe> {
     completed_work: u64,
     /// Integral of capacity over simulated time, folded at each epoch
     /// barrier — the group's contribution to the merged utilization
-    /// denominator.
-    capacity_steps: u64,
+    /// denominator. `P · now` passes `u64::MAX` on long horizons the
+    /// config accepts; in `u128` it cannot overflow (`P < 2³²`).
+    capacity_steps: u128,
     accounted_now: u64,
     accounted_work: u64,
 }
@@ -385,7 +387,7 @@ impl<A: Allocator, P: Probe> GroupSim<A, P> {
         make_calculator: &mut C,
     ) where
         E: FnMut(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send>,
-        C: FnMut() -> Box<dyn RequestCalculator + Send>,
+        C: FnMut() -> Box<dyn Controller + Send>,
     {
         if !self.is_running() {
             return;
@@ -507,9 +509,7 @@ impl<A: Allocator, P: Probe> GroupSim<A, P> {
     fn fold_capacity(&mut self) -> (u64, u64) {
         let now = self.engine.now();
         let elapsed = now - self.accounted_now;
-        self.capacity_steps = self
-            .capacity_steps
-            .saturating_add((self.processors as u64).saturating_mul(elapsed));
+        self.capacity_steps += u128::from(self.processors) * u128::from(elapsed);
         let work = self.completed_work - self.accounted_work;
         self.accounted_now = now;
         self.accounted_work = self.completed_work;
@@ -612,9 +612,11 @@ where
     });
 }
 
-/// Runs one hierarchical open-system simulation on the worker pool
-/// sized by `ABG_THREADS` (see [`run_open_hierarchical_with_threads`]
-/// for an explicit count).
+/// Runs one hierarchical open-system simulation on a pool of
+/// `threads` workers. The outcome is identical for every `threads`
+/// value by construction: groups only interact at the epoch barrier,
+/// where desires are folded in group-index order on the calling
+/// thread.
 ///
 /// `make_allocator` builds a group's *within-group* allocator from its
 /// current capacity (called again whenever the top level resizes the
@@ -624,40 +626,6 @@ where
 /// `groups = 1` the sum invariant forbids any capacity change, so the
 /// top level is inert and the outcome equals
 /// [`run_open_system`](crate::run_open_system) on `cfg.open`.
-///
-/// # Panics
-///
-/// Panics on an inconsistent configuration (see
-/// [`HierOpenConfig::validate`]) or a policy that violates the
-/// partition invariants (wrong length, sum ≠ P, below the floor).
-pub fn run_open_hierarchical<A, FA, E, C, G>(
-    cfg: &HierOpenConfig,
-    make_allocator: FA,
-    make_executor: E,
-    make_calculator: C,
-    group_alloc: G,
-) -> OpenOutcome
-where
-    A: Allocator + Send,
-    FA: Fn(u32) -> A + Sync,
-    E: Fn(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send> + Sync,
-    C: Fn() -> Box<dyn RequestCalculator + Send> + Sync,
-    G: GroupAllocator,
-{
-    run_open_hierarchical_with_threads(
-        cfg,
-        make_allocator,
-        make_executor,
-        make_calculator,
-        group_alloc,
-        pool_threads(),
-    )
-}
-
-/// [`run_open_hierarchical`] with an explicit worker count. The
-/// outcome is identical for every `threads` value by construction:
-/// groups only interact at the epoch barrier, where desires are folded
-/// in group-index order on the calling thread.
 ///
 /// # Panics
 ///
@@ -676,7 +644,7 @@ where
     A: Allocator + Send,
     FA: Fn(u32) -> A + Sync,
     E: Fn(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send> + Sync,
-    C: Fn() -> Box<dyn RequestCalculator + Send> + Sync,
+    C: Fn() -> Box<dyn Controller + Send> + Sync,
     G: GroupAllocator,
 {
     run_open_hierarchical_detailed(
@@ -711,7 +679,7 @@ where
     A: Allocator + Send,
     FA: Fn(u32) -> A + Sync,
     E: Fn(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send> + Sync,
-    C: Fn() -> Box<dyn RequestCalculator + Send> + Sync,
+    C: Fn() -> Box<dyn Controller + Send> + Sync,
     G: GroupAllocator,
 {
     cfg.assert_valid();

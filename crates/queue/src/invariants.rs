@@ -13,7 +13,7 @@ use crate::{
     OpenConfig, OpenOutcome, SaturationConfig, ShardRouting, ShardedOpenConfig,
 };
 use abg_alloc::DynamicEquiPartition;
-use abg_control::{AControl, DesireProportional, GroupAllocator, RequestCalculator, StaticEqui};
+use abg_control::{AControl, Controller, DesireProportional, GroupAllocator, StaticEqui};
 use abg_sched::{JobExecutor, PipelinedExecutor};
 use abg_workload::{mean_gap_for_utilization, mixed_factor_job, ArrivalProcess};
 use proptest::prelude::*;
@@ -53,7 +53,7 @@ fn make_executor(
     )))
 }
 
-fn make_controller() -> Box<dyn RequestCalculator + Send> {
+fn make_controller() -> Box<dyn Controller + Send> {
     Box::new(AControl::new(0.2))
 }
 

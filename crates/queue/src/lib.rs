@@ -8,7 +8,7 @@
 //! mean response time and slowdown jobs see in steady state.
 //!
 //! This crate supplies that regime on top of the shared
-//! [`abg_sim::QuantumEngine`] stepping core:
+//! [`abg_sim::QuantumCore`] stepping core:
 //!
 //! * [`driver`] — [`run_open_system`]: sustained-arrival simulation
 //!   whose memory footprint tracks the in-system population, not the
@@ -21,15 +21,18 @@
 //!   [`percentiles`] for steady-state output analysis;
 //! * [`saturation`] — the [`SaturationDetector`] queue-length trend
 //!   test that aborts never-steady runs (ρ ≥ 1) instead of hanging;
-//! * [`shard`] — [`run_open_sharded`]: the machine partitioned into
-//!   fixed processor groups with deterministic arrival routing, and the
-//!   stable-order merge of per-group reports, so the outcome never
-//!   depends on thread count or schedule;
-//! * [`hier`] — [`run_open_hierarchical`]: a feedback-driven
-//!   [`abg_control::GroupAllocator`] repartitions the machine among
-//!   the groups at fixed reallocation epochs from per-group desire
-//!   reports. The module also holds the crate's one event loop and its
-//!   worker pool (honoring `ABG_THREADS`).
+//! * [`shard`] — [`run_open_sharded_with_threads`]: the machine
+//!   partitioned into fixed processor groups with deterministic arrival
+//!   routing, and the stable-order merge of per-group reports, so the
+//!   outcome never depends on thread count or schedule;
+//! * [`hier`] — [`run_open_hierarchical_with_threads`]: a
+//!   feedback-driven [`abg_control::GroupAllocator`] repartitions the
+//!   machine among the groups at fixed reallocation epochs from
+//!   per-group desire reports. The module also holds the crate's one
+//!   event loop and its worker pool (sized by the caller);
+//! * `reference` (tests only) — the legacy quantum-by-quantum loop,
+//!   kept as the differential-testing ground truth for the event-driven
+//!   driver.
 //!
 //! **One loop.** Every entry point runs the same event-driven loop.
 //! Between arrivals, completions, request changes and saturation checks
@@ -38,16 +41,14 @@
 //! allocate/step/observe round per quantum, with bit-identical
 //! observables. The entry points differ only in how many processor
 //! groups they build and whether a top-level policy runs between
-//! epochs. [`run_open_system`] is one group. [`run_open_sharded`] is
-//! `G` groups under the never-resizing [`abg_control::StaticEqui`]
-//! with one unbounded epoch. [`run_open_hierarchical`] is `G` groups
-//! under a feedback policy. No configuration hands off to another
+//! epochs. [`run_open_system`] is one group.
+//! [`run_open_sharded_with_threads`] is `G` groups under the
+//! never-resizing [`abg_control::StaticEqui`] with one unbounded epoch.
+//! [`run_open_hierarchical_with_threads`] is `G` groups under a
+//! feedback policy. No configuration hands off to another
 //! driver: `shards = 1` and `groups = 1` are the one-group case, whose
 //! arrival source (one RNG seeded from the run seed) the loop picks
 //! from the group count.
-//! * `reference` (tests / `test-support` feature only) — the legacy
-//!   quantum-by-quantum loop, kept as the differential-testing ground
-//!   truth for the event-driven driver.
 //!
 //! Offered load is set through
 //! [`abg_workload::mean_gap_for_utilization`]: ρ = E\[T₁\] / (gap · P),
@@ -96,8 +97,8 @@ pub mod hier;
 mod invariants;
 #[cfg(test)]
 mod lockstep;
-#[cfg(any(test, feature = "test-support"))]
-pub mod reference;
+#[cfg(test)]
+mod reference;
 pub mod saturation;
 pub mod shard;
 pub mod stats;
@@ -108,13 +109,11 @@ pub use driver::{
 };
 pub use events::ArrivalCalendar;
 pub use hier::{
-    run_open_hierarchical, run_open_hierarchical_detailed, run_open_hierarchical_with_threads,
-    GroupSummary, HierOpenConfig,
+    run_open_hierarchical_detailed, run_open_hierarchical_with_threads, GroupSummary,
+    HierOpenConfig,
 };
-#[cfg(any(test, feature = "test-support"))]
-pub use reference::ReferenceOpenDriver;
 pub use saturation::{SaturationConfig, SaturationDetector, SaturationReason};
-pub use shard::{run_open_sharded, run_open_sharded_with_threads, ShardRouting, ShardedOpenConfig};
+pub use shard::{run_open_sharded_with_threads, ShardRouting, ShardedOpenConfig};
 pub use stats::{
     batch_means, merge_shard_samples, merged_batch_means, percentiles, weighted_mean,
     ConfidenceInterval, PercentileSummary,

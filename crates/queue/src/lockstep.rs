@@ -21,7 +21,7 @@ use crate::{
     HierOpenConfig, OpenConfig, OpenOutcome, SaturationConfig, ShardRouting, ShardedOpenConfig,
 };
 use abg_alloc::{Allocator, DynamicEquiPartition, Proportional};
-use abg_control::{AControl, AGreedy, DesireProportional, RequestCalculator, StaticEqui};
+use abg_control::{AControl, AGreedy, Controller, DesireProportional, StaticEqui};
 use abg_sched::{JobExecutor, PipelinedExecutor};
 use abg_sim::TraceProbe;
 use abg_workload::{mean_gap_for_utilization, mixed_factor_job, ArrivalProcess};
@@ -104,7 +104,7 @@ fn make_short_executor(
 type ExecFactory =
     fn(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send>;
 
-fn make_controller(abg: bool) -> Box<dyn RequestCalculator + Send> {
+fn make_controller(abg: bool) -> Box<dyn Controller + Send> {
     if abg {
         Box::new(AControl::new(0.2))
     } else {

@@ -7,18 +7,16 @@
 //! it for speed, under the contract that every observable —
 //! fingerprints, completion order, steady-state statistics, saturation
 //! reports — stays **bit-identical**. This module preserves the old
-//! loop verbatim so that contract is checkable by differential tests
-//! and benchmarkable by the `open_event_kernel` Criterion group, rather
-//! than an article of faith.
+//! loop verbatim so that contract is checkable by differential tests,
+//! rather than an article of faith.
 //!
-//! Compiled only for tests and under the `test-support` feature; it is
-//! not part of the production API.
+//! Compiled only for tests; it is not part of the production API.
 
 use crate::driver::{measured_utilization, OpenConfig, OpenOutcome, SteadyStats, UnstableReport};
 use crate::saturation::{SaturationDetector, SaturationReason};
 use crate::stats::{batch_means, percentiles};
 use abg_alloc::Allocator;
-use abg_control::RequestCalculator;
+use abg_control::Controller;
 use abg_sched::JobExecutor;
 use abg_sim::{CompletedJob, NullProbe, Probe, QuantumCore};
 use rand::rngs::StdRng;
@@ -28,7 +26,7 @@ use rand::SeedableRng;
 /// at a time with no frozen windows and no arrival calendar.
 ///
 /// Exists solely as the ground truth the event-driven driver is
-/// differentially tested (and benchmarked) against.
+/// differentially tested against.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReferenceOpenDriver;
 
@@ -50,7 +48,7 @@ impl ReferenceOpenDriver {
     where
         A: Allocator,
         E: FnMut(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send>,
-        C: FnMut() -> Box<dyn RequestCalculator + Send>,
+        C: FnMut() -> Box<dyn Controller + Send>,
     {
         Self::run_probed(cfg, allocator, make_executor, make_calculator, NullProbe).0
     }
@@ -74,7 +72,7 @@ impl ReferenceOpenDriver {
     where
         A: Allocator,
         E: FnMut(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send>,
-        C: FnMut() -> Box<dyn RequestCalculator + Send>,
+        C: FnMut() -> Box<dyn Controller + Send>,
         P: Probe,
     {
         cfg.assert_valid();

@@ -9,10 +9,8 @@
 //! trend (or a hard cap), so unstable points are *reported*, not hung
 //! on.
 
-use serde::{Deserialize, Serialize};
-
 /// Tuning of the queue-length trend test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SaturationConfig {
     /// Samples (executed quanta) before the trend test activates —
     /// keeps the empty-system ramp-up from tripping it.
@@ -42,7 +40,7 @@ impl Default for SaturationConfig {
 }
 
 /// Why a run was declared unstable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SaturationReason {
     /// The in-system job count trends upward: the late-window mean
     /// exceeds the early-window mean beyond the configured factor and

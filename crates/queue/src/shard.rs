@@ -48,25 +48,24 @@
 //! Why this scales: the per-event cost of the quantum core grows with
 //! the live population, so `G` shards each carrying `~N/G` jobs commit
 //! simulated time cheaper than one core carrying `N` — on top of the
-//! wall-clock parallelism of the worker pool (which honors
-//! `ABG_THREADS`, like every harness pool in the workspace).
+//! wall-clock parallelism of the worker pool (the caller picks its
+//! size; the experiment harness passes its `ABG_THREADS` count).
 
 use crate::driver::{ConfigError, OpenConfig, OpenOutcome, SteadyStats, UnstableReport};
 use crate::hier::{run_open_hierarchical_with_threads, HierOpenConfig};
 use crate::saturation::SaturationReason;
 use crate::stats::{merge_shard_samples, merged_batch_means, percentiles, weighted_mean};
 use abg_alloc::Allocator;
-use abg_control::{RequestCalculator, StaticEqui};
+use abg_control::{Controller, StaticEqui};
 use abg_sched::JobExecutor;
 use abg_workload::{splitmix_seed, ArrivalStream};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// How arrivals are assigned to shards. Both policies are pure
 /// functions of the run seed and the global arrival index, so the
 /// split is reproducible whatever the pool does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardRouting {
     /// Global arrival `g` goes to shard `g mod G` — a perfectly even
     /// split of the arrival count.
@@ -89,7 +88,7 @@ pub enum ShardRouting {
 }
 
 /// Configuration of a sharded open-system run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardedOpenConfig {
     /// The aggregate open-system configuration: total machine size,
     /// aggregate arrival process, aggregate warmup/measured counts.
@@ -230,30 +229,13 @@ pub(crate) struct ShardReport {
     pub(crate) completed_work: u64,
     /// The group's capacity integral ∫ capacity dt in processor-steps
     /// (`P · horizon` for a group that was never resized).
-    pub(crate) capacity_steps: u64,
+    pub(crate) capacity_steps: u128,
     pub(crate) quanta: u64,
     pub(crate) horizon: u64,
     pub(crate) jobs_in_system: u64,
     pub(crate) mean_jobs_in_system: f64,
     pub(crate) peak_jobs_in_system: u64,
     pub(crate) tripped: Option<SaturationReason>,
-}
-
-/// Worker count for the group pool: the `ABG_THREADS` environment
-/// variable when set to a positive integer, the machine's available
-/// parallelism otherwise — the same contract as the sweep harness's
-/// `parallel_map`. Results never depend on this; only wall-clock does.
-pub(crate) fn pool_threads() -> usize {
-    if let Ok(s) = std::env::var("ABG_THREADS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
 }
 
 /// Folds the per-group reports into one [`OpenOutcome`], in stable
@@ -328,48 +310,18 @@ pub(crate) fn merge_reports(open: &OpenConfig, reports: &[ShardReport]) -> OpenO
     })
 }
 
-/// Runs one sharded open-system simulation on the worker pool sized by
-/// `ABG_THREADS` (see [`run_open_sharded_with_threads`] for an explicit
-/// count).
+/// Runs one sharded open-system simulation on a pool of `threads`
+/// workers. The outcome is identical for every `threads` value by
+/// construction (shards are independent and the merge folds in
+/// shard-index order).
 ///
 /// `make_allocator` builds each shard's allocator from the shard's
 /// processor count; `make_executor` and `make_calculator` are the
-/// factories of [`run_open_system`](crate::run_open_system), shared by every shard (`Fn`, not
-/// `FnMut`, so the pool can call them concurrently). With `shards = 1`
-/// the single group draws arrivals and job structures exactly as
-/// [`run_open_system`](crate::run_open_system) does on `cfg.open` —
-/// bit-identical, pinned fingerprints included.
-///
-/// # Panics
-///
-/// Panics on an inconsistent configuration (see
-/// [`ShardedOpenConfig::validate`]).
-pub fn run_open_sharded<A, FA, E, C>(
-    cfg: &ShardedOpenConfig,
-    make_allocator: FA,
-    make_executor: E,
-    make_calculator: C,
-) -> OpenOutcome
-where
-    A: Allocator + Send,
-    FA: Fn(u32) -> A + Sync,
-    E: Fn(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send> + Sync,
-    C: Fn() -> Box<dyn RequestCalculator + Send> + Sync,
-{
-    run_open_sharded_with_threads(
-        cfg,
-        make_allocator,
-        make_executor,
-        make_calculator,
-        pool_threads(),
-    )
-}
-
-/// [`run_open_sharded`] with an explicit worker count. Tests drive this
-/// directly to check thread-count invariance without racing on the
-/// process environment; the outcome is identical for every `threads`
-/// value by construction (shards are independent and the merge folds
-/// in shard-index order).
+/// factories of [`run_open_system`](crate::run_open_system), shared by
+/// every shard (`Fn`, not `FnMut`, so the pool can call them
+/// concurrently). With `shards = 1` the single group draws arrivals and
+/// job structures exactly as [`run_open_system`](crate::run_open_system)
+/// does on `cfg.open` — bit-identical, pinned fingerprints included.
 ///
 /// The fixed partition is the hierarchical driver under
 /// [`StaticEqui`] with one unbounded reallocation epoch: every group
@@ -391,7 +343,7 @@ where
     A: Allocator + Send,
     FA: Fn(u32) -> A + Sync,
     E: Fn(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send> + Sync,
-    C: Fn() -> Box<dyn RequestCalculator + Send> + Sync,
+    C: Fn() -> Box<dyn Controller + Send> + Sync,
 {
     cfg.assert_valid();
     let hier = HierOpenConfig {

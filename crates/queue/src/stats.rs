@@ -9,10 +9,8 @@
 //! approximately independent, and builds a Student-t interval from
 //! their spread.
 
-use serde::{Deserialize, Serialize};
-
 /// A mean with a symmetric confidence half-width.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Point estimate: the grand mean over every batched observation.
     pub mean: f64,
@@ -86,7 +84,7 @@ pub fn batch_means(samples: &[f64], batches: u32) -> Option<ConfidenceInterval> 
 }
 
 /// Nearest-rank percentile summary of a sample set (order-free input).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PercentileSummary {
     /// Median.
     pub p50: f64,

@@ -1,10 +1,8 @@
 //! Per-quantum statistics measured by the task scheduler.
 
-use serde::{Deserialize, Serialize};
-
 /// Statistics collected by a task scheduler over one scheduling quantum
 /// (Sections 2 and 5.1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantumStats {
     /// Processors allotted for the quantum, `a(q)`.
     pub allotment: u32,

@@ -21,10 +21,11 @@
 //!    rescan formula (`Δcompleted / size` summed per level) is still
 //!    computed every quantum and cross-checked against the per-task sum
 //!    to within `1e-9`, guarding against semantic drift in either.
-//! 2. **Benchmarking the before/after.** `cargo bench -p abg-bench` and
-//!    the CLI `bench` subcommand run the same microkernels through this
-//!    executor and the optimised one, so the speedup claimed by the
-//!    kernel overhaul stays measurable in every future checkout.
+//! 2. **Benchmarking the before/after.** The CLI `bench` subcommand
+//!    runs the same serial-chain microkernel through this executor
+//!    (`chain_reference`) and the optimised one (`chain_macro`), so the
+//!    speedup claimed by the kernel overhaul stays measurable in every
+//!    future checkout.
 
 use crate::quantum::QuantumStats;
 use crate::queue::{BreadthFirstQueue, ReadyQueue};

@@ -24,12 +24,11 @@ use crate::single::{SingleJobConfig, SingleJobRun};
 use abg_alloc::Allocator;
 use abg_control::Controller;
 use abg_sched::{JobExecutor, QuantumStats};
-use serde::{Deserialize, Serialize};
 
 /// The conventional fixed-length quantum, as a pacer: wrap a controller
 /// with [`FixedQuantum::pace`] to run it at this length regardless of
 /// the engine default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FixedQuantum(pub u64);
 
 impl FixedQuantum {
@@ -66,7 +65,7 @@ impl From<FixedQuantum> for AdaptiveQuantum {
 /// `min`). On a constant-parallelism job the steady-state quantum is
 /// `max`, cutting reallocation events by `max/min`; at every phase
 /// transition the quantum collapses to react quickly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveQuantum {
     /// Smallest quantum length.
     pub min: u64,
@@ -131,7 +130,7 @@ impl AdaptiveQuantum {
 /// and resizes the quantum, which the engine picks up through
 /// [`Controller::next_quantum_len`]. Works in every driver — single
 /// job, closed multi-job, open system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Paced<C> {
     inner: C,
     pacer: AdaptiveQuantum,

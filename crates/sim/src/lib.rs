@@ -18,11 +18,10 @@
 //! Every driver is a thin configuration of one generic loop:
 //! [`quantum_core::QuantumCore`], parameterized over the executor,
 //! controller, allocator and a monomorphized [`probe::Probe`] observer
-//! ([`NullProbe`] compiles the instrumentation away). The boxed
-//! heterogeneous face is [`engine::QuantumEngine`], which admits jobs at
-//! any time and drains them as they complete — the open-system
-//! (sustained-arrival) driver in `abg-queue` runs indefinitely on the
-//! same core, probes included.
+//! ([`NullProbe`] compiles the instrumentation away). The core admits
+//! jobs at any time and drains them as they complete, so the
+//! open-system (sustained-arrival) driver in `abg-queue` runs
+//! indefinitely on it, probes included.
 //!
 //! [`trim`] implements the paper's trim analysis (Section 6.1),
 //! [`metrics`] the derived per-run measurements, and [`adaptive`] the
@@ -33,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod engine;
 pub mod metrics;
 pub mod multi;
 pub mod probe;
@@ -43,7 +41,6 @@ pub mod trace;
 pub mod trim;
 
 pub use adaptive::{run_single_job_adaptive, AdaptiveQuantum, FixedQuantum, Paced};
-pub use engine::QuantumEngine;
 pub use metrics::{JobMetrics, QuantumClass};
 pub use multi::{JobOutcome, MultiJobOutcome, MultiJobSim};
 pub use probe::{NullProbe, Probe, TraceProbe};

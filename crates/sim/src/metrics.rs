@@ -1,10 +1,9 @@
 //! Quantum classification and derived per-run metrics.
 
 use crate::trace::QuantumRecord;
-use serde::{Deserialize, Serialize};
 
 /// The trim-analysis classification of a quantum (Section 6.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuantumClass {
     /// A full quantum that counts toward speedup: the request was
     /// deprived (`a(q) < d(q)`) **and** the allotment was below the
@@ -38,7 +37,7 @@ pub fn classify(record: &QuantumRecord) -> QuantumClass {
 
 /// Aggregate classification counts and availability data for one job's
 /// trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobMetrics {
     /// Number of accounted quanta, `|A|`.
     pub accounted: u64,

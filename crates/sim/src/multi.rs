@@ -1,21 +1,14 @@
 //! Multi-job simulation: a job set space-sharing the machine.
 
-use crate::engine::{CompletedJob, QuantumEngine};
+use crate::probe::TraceProbe;
+use crate::quantum_core::{CompletedJob, QuantumCore};
 use crate::trace::QuantumRecord;
 use abg_alloc::Allocator;
-use abg_control::RequestCalculator;
+use abg_control::Controller;
 use abg_sched::JobExecutor;
-use serde::{Deserialize, Serialize};
-
-/// One job waiting to be admitted into the engine when `run` starts.
-struct PendingJob {
-    executor: Box<dyn JobExecutor + Send>,
-    calculator: Box<dyn RequestCalculator + Send>,
-    release_step: u64,
-}
 
 /// Final per-job measurements of a multiprogrammed run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobOutcome {
     /// Release step of the job (as submitted; participation starts at
     /// the first quantum boundary at or after it).
@@ -40,7 +33,7 @@ impl JobOutcome {
 }
 
 /// Global measurements of a multiprogrammed run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiJobOutcome {
     /// Per-job outcomes in submission order.
     pub jobs: Vec<JobOutcome>,
@@ -87,10 +80,10 @@ impl MultiJobOutcome {
 /// mid-quantum holds its allotment until the boundary (counted as
 /// waste), which matches the paper's accounting.
 ///
-/// This is the *closed-system* shell over the reusable
-/// [`QuantumEngine`]: the whole job set is admitted up front and the
-/// machine runs until it drains. The open-system (sustained-arrival)
-/// driver in `abg-queue` shares the same engine.
+/// This is the *closed-system* configuration of [`QuantumCore`] over
+/// boxed executors and controllers: every job is admitted as it is
+/// added and the machine runs until it drains. The open-system
+/// (sustained-arrival) driver in `abg-queue` runs the same core.
 ///
 /// ```
 /// use abg_alloc::DynamicEquiPartition;
@@ -112,12 +105,9 @@ impl MultiJobOutcome {
 /// assert!(out.makespan >= 50);
 /// ```
 pub struct MultiJobSim<A: Allocator> {
-    allocator: A,
-    quantum_len: u64,
-    jobs: Vec<PendingJob>,
+    core: QuantumCore<Box<dyn JobExecutor + Send>, Box<dyn Controller + Send>, A, TraceProbe>,
     /// Abort threshold (quanta); guards misconfigured livelocks.
     max_quanta: u64,
-    record_traces: bool,
 }
 
 impl<A: Allocator> MultiJobSim<A> {
@@ -127,13 +117,9 @@ impl<A: Allocator> MultiJobSim<A> {
     ///
     /// Panics if `quantum_len == 0`.
     pub fn new(allocator: A, quantum_len: u64) -> Self {
-        assert!(quantum_len > 0, "quantum length must be positive");
         Self {
-            allocator,
-            quantum_len,
-            jobs: Vec::new(),
+            core: QuantumCore::new(allocator, quantum_len, TraceProbe::disabled()),
             max_quanta: u64::MAX,
-            record_traces: false,
         }
     }
 
@@ -141,7 +127,7 @@ impl<A: Allocator> MultiJobSim<A> {
     /// back in [`MultiJobOutcome::traces`]. Costs memory proportional
     /// to jobs × quanta.
     pub fn with_traces(mut self) -> Self {
-        self.record_traces = true;
+        *self.core.probe_mut() = TraceProbe::new();
         self
     }
 
@@ -156,19 +142,15 @@ impl<A: Allocator> MultiJobSim<A> {
     pub fn add_job(
         &mut self,
         executor: Box<dyn JobExecutor + Send>,
-        calculator: Box<dyn RequestCalculator + Send>,
+        calculator: Box<dyn Controller + Send>,
         release_step: u64,
     ) {
-        self.jobs.push(PendingJob {
-            executor,
-            calculator,
-            release_step,
-        });
+        self.core.admit(executor, calculator, release_step);
     }
 
     /// Number of jobs added.
     pub fn num_jobs(&self) -> usize {
-        self.jobs.len()
+        self.core.jobs_in_system()
     }
 
     /// Runs the set to completion and returns the outcome.
@@ -177,36 +159,29 @@ impl<A: Allocator> MultiJobSim<A> {
     ///
     /// Panics if no jobs were added, or the `max_quanta` guard trips.
     pub fn run(self) -> MultiJobOutcome {
-        assert!(!self.jobs.is_empty(), "no jobs to simulate");
-        let mut engine = QuantumEngine::new(self.allocator, self.quantum_len);
-        if self.record_traces {
-            engine = engine.with_traces();
-        }
-        for job in self.jobs {
-            engine.admit(job.executor, job.calculator, job.release_step);
-        }
-
+        let mut core = self.core;
+        assert!(core.jobs_in_system() > 0, "no jobs to simulate");
         let mut done: Vec<CompletedJob> = Vec::new();
-        while engine.jobs_in_system() > 0 {
+        while core.jobs_in_system() > 0 {
             assert!(
-                engine.quanta() < self.max_quanta,
+                core.quanta() < self.max_quanta,
                 "job set did not finish within {} quanta (livelock?)",
                 self.max_quanta
             );
-            if !engine.any_live() {
+            if !core.any_live() {
                 // Machine idle: jump to the first quantum boundary at or
                 // after the earliest pending release.
-                let next_release = engine
+                let next_release = core
                     .next_release()
                     .expect("loop guard ensures an in-system job exists");
-                engine.skip_idle_until(next_release);
+                core.skip_idle_until(next_release);
                 continue;
             }
-            engine.step_quantum(&mut done);
+            core.step_quantum(&mut done);
         }
-        let quanta = engine.quanta();
+        let quanta = core.quanta();
 
-        // The engine drains jobs in completion order; the outcome
+        // The core drains jobs in completion order; the outcome
         // promises submission order.
         done.sort_by_key(|c| c.id);
         let jobs: Vec<JobOutcome> = done

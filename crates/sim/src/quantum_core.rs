@@ -21,8 +21,7 @@
 //!
 //! The four public drivers — [`run_single_job`](crate::run_single_job),
 //! [`run_single_job_adaptive`](crate::run_single_job_adaptive),
-//! [`MultiJobSim`](crate::MultiJobSim) via
-//! [`QuantumEngine`](crate::QuantumEngine), and `abg_queue`'s
+//! [`MultiJobSim`](crate::MultiJobSim) and `abg_queue`'s
 //! `run_open_system` — are thin configurations of this core; the
 //! sweep/open fingerprint suites pin each of them bit-identical to the
 //! pre-unification loops.
@@ -1093,6 +1092,47 @@ mod tests {
         }
         assert_eq!(done[1].completion, 80);
         assert_eq!(done[1].response_time(), 25);
+    }
+
+    #[test]
+    fn completed_jobs_are_drained_not_retained() {
+        let mut core = QuantumCore::new(DynamicEquiPartition::new(4), 5, NullProbe);
+        for i in 0..3 {
+            core.admit(job(1, 5 * (i + 1)), ConstantRequest::new(1.0), 0);
+        }
+        let mut done = Vec::new();
+        core.step_quantum(&mut done);
+        assert_eq!(done.len(), 1, "shortest job drains after one quantum");
+        assert_eq!(core.jobs_in_system(), 2);
+        core.step_quantum(&mut done);
+        core.step_quantum(&mut done);
+        assert_eq!(core.jobs_in_system(), 0);
+        // Admission ids survive the drains, in admission order.
+        let ids: Vec<u64> = done.iter().map(|c| c.id).collect();
+        assert_eq!(ids, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn skip_idle_until_lands_on_boundary_after_now() {
+        let mut core = QuantumCore::<LeveledExecutor, ConstantRequest, _, _>::new(
+            DynamicEquiPartition::new(4),
+            10,
+            NullProbe,
+        );
+        core.skip_idle_until(34);
+        assert_eq!(core.now(), 40);
+        // Already past: still advances at least one quantum.
+        core.skip_idle_until(5);
+        assert_eq!(core.now(), 50);
+        assert_eq!(core.quanta(), 0, "idle skips execute no quanta");
+    }
+
+    #[test]
+    #[should_panic(expected = "no live jobs")]
+    fn stepping_an_idle_machine_panics() {
+        let mut core = QuantumCore::new(DynamicEquiPartition::new(4), 10, NullProbe);
+        core.admit(job(1, 5), ConstantRequest::new(1.0), 100);
+        core.step_quantum(&mut Vec::new());
     }
 
     #[test]

@@ -7,10 +7,9 @@ use crate::trace::QuantumRecord;
 use abg_alloc::Allocator;
 use abg_control::Controller;
 use abg_sched::JobExecutor;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a single-job run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SingleJobConfig {
     /// Quantum length `L` in steps.
     pub quantum_len: u64,
@@ -64,7 +63,7 @@ impl SingleJobConfig {
 }
 
 /// The outcome of a single-job run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SingleJobRun {
     /// Running time `T` in steps: completion happens `steps_worked` into
     /// the final quantum; earlier quanta each contribute `L` steps of

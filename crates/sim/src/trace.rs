@@ -1,7 +1,6 @@
 //! Per-quantum trace records.
 
 use abg_sched::QuantumStats;
-use serde::{Deserialize, Serialize};
 
 /// Everything the two-level scheduler saw and did in one quantum of one
 /// job: the standing request, the grant, the availability under the
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// Traces are the raw material for the paper's trajectory figures
 /// (Figures 1 and 4) and for the quantum classification of the trim
 /// analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantumRecord {
     /// Quantum index `q`, 1-based as in the paper.
     pub index: u32,

@@ -630,14 +630,14 @@ mod tests {
 
     #[test]
     fn abp_requests_whole_machine() {
-        use abg_control::RequestCalculator;
+        use abg_control::Controller;
         let r = abp_request(64);
         assert_eq!(r.initial_request(), 64.0);
     }
 
     #[test]
     fn asteal_is_the_agreedy_rule() {
-        use abg_control::RequestCalculator;
+        use abg_control::Controller;
         let mut a = ASteal::paper_default();
         let q = QuantumStats {
             allotment: 1,

@@ -4,7 +4,6 @@ use crate::mixed_factor_job;
 use crate::release::ReleaseSchedule;
 use abg_dag::PhasedJob;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Specification of a multiprogrammed job set.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// keeps adding mixed-factor jobs until the accumulated average
 /// parallelism `Σ_j T1_j/T∞_j` reaches `load · P` (always at least one
 /// job, and never more than `max_jobs` — Theorem 5 needs `|J| ≤ P`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSetSpec {
     /// Machine size `P`.
     pub processors: u32,
@@ -75,7 +74,7 @@ impl JobSetSpec {
 
 /// A generated job set: the member jobs, their release steps, and the
 /// machine they were sized for.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSet {
     /// Member jobs.
     pub jobs: Vec<PhasedJob>,

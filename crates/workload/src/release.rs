@@ -9,14 +9,13 @@
 //! that offers a target utilization ρ to the machine.
 
 use rand::{Rng, RngExt as _};
-use serde::{Deserialize, Serialize};
 
 /// How the jobs of a set arrive.
 ///
 /// The paper's Theorem 5 bounds the makespan for *arbitrary* release
 /// times and the mean response time for *batched* sets (all jobs
 /// released together); the simulations of Figure 6 use both regimes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReleaseSchedule {
     /// All jobs released at step 0.
     Batched,
@@ -72,7 +71,7 @@ impl ReleaseSchedule {
 /// Where a schedule samples `n` release times up front, a process is
 /// turned into an [`ArrivalStream`] that produces one arrival time after
 /// another for as long as the simulation runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalProcess {
     /// Poisson arrivals: exponential inter-arrival gaps with the given
     /// mean in steps.

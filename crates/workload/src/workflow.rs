@@ -11,8 +11,8 @@
 //!
 //! Weights are sampled as exact half-integers (`k · 0.5` for integer
 //! `k`), so they round-trip bit-exactly through the text dag format
-//! ([`dagfile`](crate::dagfile)) and through `DagWire`, and the derived
-//! integer costs (`ceil`) stay small and predictable.
+//! ([`dagfile`](crate::dagfile)), and the derived integer costs
+//! (`ceil`) stay small and predictable.
 
 use abg_dag::{DagBuilder, ExplicitDag, TaskId};
 use rand::{Rng, RngExt as _};

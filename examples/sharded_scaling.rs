@@ -17,14 +17,14 @@
 //!   horizons are also cheaper to commit.
 //!
 //! The pool here is pinned to one worker so the table isolates the
-//! algorithmic win; on a multi-core machine `run_open_sharded` spreads
-//! the shards over `ABG_THREADS` workers on top of it.
+//! algorithmic win; on a multi-core machine a larger `threads` argument
+//! spreads the shards over more workers on top of it.
 
 use abg::queue::{
     run_open_sharded_with_threads, OpenConfig, SaturationConfig, ShardRouting, ShardedOpenConfig,
 };
 use abg_alloc::DynamicEquiPartition;
-use abg_control::{AControl, RequestCalculator};
+use abg_control::{AControl, Controller};
 use abg_dag::PhasedJob;
 use abg_sched::{JobExecutor, PipelinedExecutor};
 use abg_workload::{mean_gap_for_utilization, ArrivalProcess};
@@ -88,7 +88,7 @@ fn main() {
                 }
                 Box::new(PipelinedExecutor::new(Arc::clone(&job)))
             },
-            || -> Box<dyn RequestCalculator + Send> { Box::new(AControl::new(0.2)) },
+            || -> Box<dyn Controller + Send> { Box::new(AControl::new(0.2)) },
             1,
         );
         let wall = start.elapsed().as_secs_f64();

@@ -6,7 +6,7 @@ use abg::bounds::{
     self, lemma2_coefficients, makespan_lower_bound, response_lower_bound_batched, JobSize,
 };
 use abg_alloc::DynamicEquiPartition;
-use abg_control::{AControl, AGreedy, ConstantRequest, RequestCalculator};
+use abg_control::{AControl, AGreedy, ConstantRequest, Controller};
 use abg_dag::{Phase, PhasedJob};
 use abg_sched::PipelinedExecutor;
 use abg_sim::MultiJobSim;
@@ -38,7 +38,7 @@ fn simulate(
             span: job.span(),
             release: *release,
         });
-        let calc: Box<dyn RequestCalculator + Send> = match which % 3 {
+        let calc: Box<dyn Controller + Send> = match which % 3 {
             0 => Box::new(AControl::new(0.2)),
             1 => Box::new(AGreedy::paper_default()),
             _ => Box::new(ConstantRequest::new(3.0)),

@@ -42,7 +42,7 @@ fn asteal_releases_processors_in_serial_phases() {
     let job = forkjoin(16);
     let dag = job.to_explicit();
 
-    let run = |mut calc: Box<dyn RequestCalculator + Send>| {
+    let run = |mut calc: Box<dyn Controller + Send>| {
         let mut ex = StealExecutor::new(&dag, 23);
         let mut alloc = Scripted::ample(32);
         run_single_job(
@@ -85,7 +85,7 @@ fn adaptive_quantum_frontier() {
         let mut ex = PipelinedExecutor::new(job.clone());
         // Boxed on purpose: the quantum-length hooks must survive
         // dynamic dispatch for heterogeneous engines.
-        let mut ctl: Box<dyn RequestCalculator + Send> = Box::new(pacer.pace(AControl::new(0.2)));
+        let mut ctl: Box<dyn Controller + Send> = Box::new(pacer.pace(AControl::new(0.2)));
         let mut alloc = Scripted::ample(64);
         run_single_job_adaptive(&mut ex, &mut ctl, &mut alloc, SingleJobConfig::new(25))
     };
@@ -132,7 +132,7 @@ fn governed_rate_end_to_end() {
 #[test]
 fn pi_controller_end_to_end() {
     let job = forkjoin(16);
-    let run = |mut calc: Box<dyn RequestCalculator + Send>| {
+    let run = |mut calc: Box<dyn Controller + Send>| {
         let mut ex = PipelinedExecutor::new(job.clone());
         let mut alloc = Scripted::ample(64);
         run_single_job(&mut ex, &mut calc, &mut alloc, SingleJobConfig::new(50))

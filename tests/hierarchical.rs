@@ -19,7 +19,7 @@ use abg::queue::{
     OpenOutcome, SaturationConfig, ShardRouting, ShardedOpenConfig,
 };
 use abg_alloc::DynamicEquiPartition;
-use abg_control::{AControl, GroupPolicy, RequestCalculator, StaticEqui};
+use abg_control::{AControl, Controller, GroupPolicy, StaticEqui};
 use abg_dag::PhasedJob;
 use abg_sched::{JobExecutor, PipelinedExecutor};
 use abg_workload::{mean_gap_for_utilization, parse_dag, write_dag, ArrivalProcess, WorkflowKind};
@@ -134,7 +134,7 @@ fn run_hier(
         },
         DynamicEquiPartition::new,
         make_executor,
-        || -> Box<dyn RequestCalculator + Send> { Box::new(AControl::new(0.2)) },
+        || -> Box<dyn Controller + Send> { Box::new(AControl::new(0.2)) },
         policy.build(),
         threads,
     )
@@ -149,7 +149,7 @@ fn run_sharded(cfg: &OpenConfig, shards: u32, threads: usize) -> OpenOutcome {
         },
         DynamicEquiPartition::new,
         make_executor,
-        || -> Box<dyn RequestCalculator + Send> { Box::new(AControl::new(0.2)) },
+        || -> Box<dyn Controller + Send> { Box::new(AControl::new(0.2)) },
         threads,
     )
 }
@@ -208,7 +208,7 @@ fn static_equi_struct_and_policy_agree() {
         },
         DynamicEquiPartition::new,
         make_executor,
-        || -> Box<dyn RequestCalculator + Send> { Box::new(AControl::new(0.2)) },
+        || -> Box<dyn Controller + Send> { Box::new(AControl::new(0.2)) },
         StaticEqui,
         2,
     );

@@ -13,7 +13,7 @@ use abg::queue::{
     ShardRouting, ShardedOpenConfig,
 };
 use abg_alloc::DynamicEquiPartition;
-use abg_control::{AControl, AGreedy, RequestCalculator};
+use abg_control::{AControl, AGreedy, Controller};
 use abg_dag::PhasedJob;
 use abg_sched::{JobExecutor, PipelinedExecutor};
 use abg_workload::{mean_gap_for_utilization, ArrivalProcess, WorkflowKind};
@@ -95,7 +95,7 @@ fn run_with(cfg: &OpenConfig, abg_controller: bool) -> OpenOutcome {
             }
             Box::new(PipelinedExecutor::new(PhasedJob::constant(4, 50)))
         },
-        move || -> Box<dyn RequestCalculator + Send> {
+        move || -> Box<dyn Controller + Send> {
             if abg_controller {
                 Box::new(AControl::new(0.2))
             } else {
@@ -121,7 +121,7 @@ fn run_sharded(cfg: &OpenConfig, shards: u32, threads: usize) -> OpenOutcome {
             }
             Box::new(PipelinedExecutor::new(PhasedJob::constant(4, 50)))
         },
-        || -> Box<dyn RequestCalculator + Send> { Box::new(AControl::new(0.2)) },
+        || -> Box<dyn Controller + Send> { Box::new(AControl::new(0.2)) },
         threads,
     )
 }

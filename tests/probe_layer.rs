@@ -14,7 +14,7 @@
 
 use abg::queue::{run_open_system_probed, OpenConfig, SaturationConfig};
 use abg_alloc::DynamicEquiPartition;
-use abg_control::{AControl, RequestCalculator};
+use abg_control::{AControl, Controller};
 use abg_dag::{generate, ExplicitDag, PhasedJob};
 use abg_sched::{
     BGreedyExecutor, DepthFirstExecutor, GreedyExecutor, JobExecutor, PipelinedExecutor,
@@ -142,7 +142,7 @@ fn open_system_trim_analysis_smoke() {
         |_rng, _recycled| -> Box<dyn JobExecutor + Send> {
             Box::new(PipelinedExecutor::new(PhasedJob::constant(4, 50)))
         },
-        || -> Box<dyn RequestCalculator + Send> { Box::new(AControl::new(0.2)) },
+        || -> Box<dyn Controller + Send> { Box::new(AControl::new(0.2)) },
         // Retaining: the driver consumes and drops its completed jobs,
         // so traces must survive inside the probe.
         TraceProbe::new().retaining().with_availability(),

@@ -2,7 +2,7 @@
 //! single-job engine, determinism, and multi-job accounting.
 
 use abg_alloc::{DynamicEquiPartition, Scripted};
-use abg_control::{AControl, AGreedy, ConstantRequest, RequestCalculator};
+use abg_control::{AControl, AGreedy, ConstantRequest, Controller};
 use abg_dag::{Phase, PhasedJob};
 use abg_sched::{JobExecutor, PipelinedExecutor};
 use abg_sim::{run_single_job, MultiJobSim, SingleJobConfig};
@@ -14,7 +14,7 @@ fn phases() -> impl Strategy<Value = Vec<Phase>> {
 }
 
 /// One of the three request calculators, chosen by the case generator.
-fn calculator(which: u8) -> Box<dyn RequestCalculator + Send> {
+fn calculator(which: u8) -> Box<dyn Controller + Send> {
     match which % 3 {
         0 => Box::new(AControl::new(0.2)),
         1 => Box::new(AGreedy::paper_default()),
