@@ -8,6 +8,7 @@ use abg::experiments::{
     SchedulerOpenPoint, SingleJobSweepConfig, StealingConfig, TransientConfig,
 };
 use abg::report::{f3, mark, Chart, Table};
+use abg_control::GroupPolicy;
 use abg_sched::JobExecutor as _;
 
 /// Dispatches a subcommand.
@@ -658,8 +659,8 @@ fn baseline_steps_per_sec(json: &str, kernel: &str) -> Option<f64> {
 /// macro-stepping chain, the wide-frontier bulk paths (tree and
 /// bundle), the event-driven open-system driver at moderate load
 /// (`open_system`) and in its high-load macro-stepping regime
-/// (`open_event`), the sharded open-system engine whose aggregate
-/// committed quanta price the per-shard population win
+/// (`open_event`), the fixed partition whose aggregate committed
+/// quanta price the per-group population win
 /// (`open_sharded`), the hierarchical two-level driver whose epoch
 /// barriers and desire feedback ride on the same decomposition
 /// (`open_hier`), the completion-heavy churn kernel that prices the
@@ -836,12 +837,12 @@ fn open_json(mode: &str, cfg: &OpenSystemConfig, rows: &[OpenSystemRow]) -> Stri
     };
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"abg-open-system/v1\",\n");
+    s.push_str("  \"schema\": \"abg-open-system/v2\",\n");
     s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     s.push_str(&format!("  \"seed\": {},\n", cfg.seed));
     s.push_str(&format!(
-        "  \"processors\": {}, \"quantum_len\": {}, \"shards\": {},\n",
-        cfg.processors, cfg.quantum_len, cfg.shards
+        "  \"processors\": {}, \"quantum_len\": {},\n",
+        cfg.processors, cfg.quantum_len
     ));
     s.push_str(&format!(
         "  \"groups\": {}, \"group_alloc\": \"{}\", \"realloc_epoch\": {},\n",
@@ -881,9 +882,6 @@ fn open(opts: &Options) -> Result<(), String> {
     }
     if let Some(rho) = opts.rho {
         cfg.rhos = vec![rho];
-    }
-    if let Some(shards) = opts.shards {
-        cfg.shards = shards;
     }
     if let Some(groups) = opts.groups {
         cfg.groups = groups;
@@ -943,17 +941,17 @@ fn open(opts: &Options) -> Result<(), String> {
         opts,
     );
     if !opts.csv {
-        let sharding = if cfg.groups > 1 {
+        let sharding = if cfg.groups == 1 {
+            String::new()
+        } else if cfg.group_alloc == GroupPolicy::Static {
+            format!(" across {} groups (fixed partition)", cfg.groups)
+        } else {
             format!(
                 " across {} groups ({} reallocation every {} quanta)",
                 cfg.groups,
                 cfg.group_alloc.name(),
                 cfg.realloc_epoch
             )
-        } else if cfg.shards > 1 {
-            format!(" across {} shards", cfg.shards)
-        } else {
-            String::new()
         };
         println!(
             "E[T1] = {:.1} steps/job on P = {}{sharding}; unstable points tripped saturation \
@@ -1063,40 +1061,6 @@ mod tests {
         missing.retain(|r| r.kernel != "open_system");
         let err = bench_check(path, &missing).unwrap_err();
         assert!(err.contains("did not run open_system"), "{err}");
-    }
-
-    /// `open` with an impossible shard count surfaces the typed
-    /// [`abg_queue::ConfigError`] message through the CLI's own error
-    /// path (the validation runs before any simulation, so these fail
-    /// fast).
-    #[test]
-    fn open_rejects_bad_shard_counts_with_the_typed_messages() {
-        let base = Options {
-            command: Some("open".into()),
-            smoke: true,
-            ..Options::default()
-        };
-        let err = open(&Options {
-            shards: Some(0),
-            ..base.clone()
-        })
-        .unwrap_err();
-        assert_eq!(
-            err,
-            "invalid open-system configuration: need at least one shard"
-        );
-        // The smoke machine has 16 processors; 17 shards cannot all own
-        // one.
-        let err = open(&Options {
-            shards: Some(17),
-            ..base
-        })
-        .unwrap_err();
-        assert_eq!(
-            err,
-            "invalid open-system configuration: need at least one processor per shard \
-             (17 shards > 16 processors)"
-        );
     }
 
     /// `open` with impossible hierarchical knobs surfaces the typed

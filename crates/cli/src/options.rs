@@ -18,15 +18,10 @@ pub struct Options {
     pub seed: Option<u64>,
     /// Restrict the `open` sweep to a single offered utilization.
     pub rho: Option<f64>,
-    /// Processor groups for the sharded open-system engine (the `open`
-    /// subcommand). Parsed as any integer; the experiment config's
-    /// typed validation rejects impossible counts (zero, or more shards
-    /// than processors) with its own error message.
-    pub shards: Option<u32>,
-    /// Processor groups for the hierarchical two-level open-system
-    /// driver (the `open` subcommand). Like `--shards`, any integer
-    /// parses; the typed config validation owns the rejection of
-    /// impossible counts.
+    /// Processor groups for the open-system sweep (the `open`
+    /// subcommand). Any integer parses; the typed config validation
+    /// owns the rejection of impossible counts (zero, or more groups
+    /// than processors).
     pub groups: Option<u32>,
     /// Top-level reallocation policy name (the `open` subcommand);
     /// resolved against [`abg_control::GroupPolicy`] when the command
@@ -93,10 +88,9 @@ flags:
                        more than 30% below the baseline JSON at PATH
   --seed N             override the experiment seed
   --rho R              open: sweep only the given offered utilization
-  --shards G           open: split the machine into G independent processor
-                       groups (sharded engine; 1 = the unsharded driver)
-  --groups G           open: run the hierarchical two-level driver over G
-                       processor groups (1 = no top level; overrides --shards)
+  --groups G           open: split the machine into G processor groups
+                       (1 = the unsharded driver; with --group-alloc static,
+                       a fixed partition)
   --group-alloc P      open: top-level reallocation policy — static, desire
                        or conservative (default static)
   --realloc-epoch Q    open: reallocate group capacities every Q quanta
@@ -137,13 +131,6 @@ flags:
                         return Err("--rho must be a positive utilization".into());
                     }
                     opts.rho = Some(rho);
-                }
-                "--shards" => {
-                    let v = it.next().ok_or("--shards needs a value")?;
-                    let n: u32 = v
-                        .parse()
-                        .map_err(|_| format!("invalid shard count '{v}'"))?;
-                    opts.shards = Some(n);
                 }
                 "--groups" => {
                     let v = it.next().ok_or("--groups needs a value")?;
@@ -275,18 +262,6 @@ mod tests {
         assert!(parse(&["open", "--rho", "high"]).is_err());
         assert!(parse(&["open", "--rho", "-0.5"]).is_err());
         assert!(parse(&["open", "--rho", "0"]).is_err());
-    }
-
-    #[test]
-    fn parses_shards_flag() {
-        let o = parse(&["open", "--smoke", "--shards", "4"]).unwrap();
-        assert_eq!(o.shards, Some(4));
-        assert!(parse(&["open"]).unwrap().shards.is_none());
-        assert!(parse(&["open", "--shards"]).is_err());
-        assert!(parse(&["open", "--shards", "many"]).is_err());
-        // Zero parses: the typed config validation owns that rejection,
-        // so the CLI surfaces its message rather than a parse error.
-        assert_eq!(parse(&["open", "--shards", "0"]).unwrap().shards, Some(0));
     }
 
     #[test]

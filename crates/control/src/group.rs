@@ -84,8 +84,8 @@ impl GroupAllocator for Box<dyn GroupAllocator + Send> {
 
 /// The equi-partition of `processors` over `groups`: `P/G` each, with
 /// the remainder spread over the lowest-index groups. This is the
-/// partition every hierarchical run starts from, and the same formula
-/// the sharded engine uses for its fixed processor groups.
+/// partition every hierarchical run starts from; under [`StaticEqui`]
+/// it is the fixed partition the run keeps.
 ///
 /// # Panics
 ///
@@ -159,10 +159,9 @@ pub fn apportion(processors: u32, floor: u32, weights: &[f64]) -> Vec<u32> {
     out
 }
 
-/// The compatibility anchor: holds the initial equi-partition forever,
-/// reproducing the sharded engine's fixed `P/G` groups bit-identically
-/// (the capacities never change, so the per-group cores never see a
-/// reallocation).
+/// The fixed partition: holds the initial equi-partition forever, so
+/// every group keeps its `P/G` processors (the capacities never change,
+/// so the per-group cores never see a reallocation).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StaticEqui;
 

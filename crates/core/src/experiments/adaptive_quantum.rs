@@ -5,7 +5,7 @@ use super::{parallel_map, task_seed};
 use abg_alloc::Scripted;
 use abg_control::AControl;
 use abg_sched::PipelinedExecutor;
-use abg_sim::{run_single_job_adaptive, AdaptiveQuantum, FixedQuantum, SingleJobConfig};
+use abg_sim::{run_single_job, AdaptiveQuantum, FixedQuantum, SingleJobConfig};
 use abg_workload::paper_job;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -87,21 +87,21 @@ pub fn adaptive_quantum_comparison(cfg: &AdaptiveQuantumConfig) -> Vec<AdaptiveQ
         let job = paper_job(factor, cfg.long_quantum, cfg.pairs, &mut rng);
         let mut ex = PipelinedExecutor::new(job);
         let sim = SingleJobConfig::new(cfg.short_quantum);
-        let short = run_single_job_adaptive(
+        let short = run_single_job(
             &mut ex,
             &mut FixedQuantum(cfg.short_quantum).pace(AControl::new(cfg.rate)),
             &mut Scripted::ample(cfg.processors),
             sim,
         );
         ex.reset();
-        let long = run_single_job_adaptive(
+        let long = run_single_job(
             &mut ex,
             &mut FixedQuantum(cfg.long_quantum).pace(AControl::new(cfg.rate)),
             &mut Scripted::ample(cfg.processors),
             sim,
         );
         ex.reset();
-        let adaptive = run_single_job_adaptive(
+        let adaptive = run_single_job(
             &mut ex,
             &mut AdaptiveQuantum::new(cfg.short_quantum, cfg.long_quantum, cfg.stability_band)
                 .pace(AControl::new(cfg.rate)),
@@ -122,10 +122,10 @@ pub fn adaptive_quantum_comparison(cfg: &AdaptiveQuantumConfig) -> Vec<AdaptiveQ
             let n = rows.len() as f64;
             AdaptiveQuantumRow {
                 policy: names[p].clone(),
-                time_norm: rows.iter().map(|(r, _)| r.time_over_span()).sum::<f64>() / n,
-                waste_norm: rows.iter().map(|(r, _)| r.waste_over_work()).sum::<f64>() / n,
-                mean_quanta: rows.iter().map(|(r, _)| r.quanta as f64).sum::<f64>() / n,
-                mean_reallocations: rows.iter().map(|(_, x)| *x as f64).sum::<f64>() / n,
+                time_norm: rows.iter().map(|r| r.time_over_span()).sum::<f64>() / n,
+                waste_norm: rows.iter().map(|r| r.waste_over_work()).sum::<f64>() / n,
+                mean_quanta: rows.iter().map(|r| r.quanta as f64).sum::<f64>() / n,
+                mean_reallocations: rows.iter().map(|r| r.reallocations as f64).sum::<f64>() / n,
             }
         })
         .collect()

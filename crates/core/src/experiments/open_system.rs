@@ -16,8 +16,8 @@ use abg_alloc::DynamicEquiPartition;
 use abg_control::{AControl, AGreedy, Controller, GroupPolicy};
 use abg_dag::ExplicitDag;
 use abg_queue::{
-    run_open_hierarchical_with_threads, run_open_sharded_with_threads, HierOpenConfig, OpenConfig,
-    OpenOutcome, SaturationConfig, ShardRouting, ShardedOpenConfig,
+    run_open_hierarchical_with_threads, HierOpenConfig, OpenConfig, OpenOutcome, SaturationConfig,
+    ShardRouting,
 };
 use abg_sched::{DagExecutor, JobExecutor, OwnedBGreedyExecutor, PipelinedExecutor};
 use abg_workload::{
@@ -93,28 +93,21 @@ pub struct OpenSystemConfig {
     pub work_samples: u32,
     /// Saturation-detector tuning.
     pub saturation: SaturationConfig,
-    /// Processor groups for the sharded engine. `1` (the presets'
-    /// value) runs the unsharded event-driven driver bit-for-bit;
-    /// larger counts split the machine into independent per-shard
-    /// cores with round-robin arrival routing (see
-    /// [`abg_queue::shard`]).
-    pub shards: u32,
-    /// Processor groups under the hierarchical two-level driver. `1`
-    /// (the presets' value) leaves the top level out entirely and the
-    /// sweep runs the sharded/unsharded path selected by `shards`;
-    /// larger counts route every point through
-    /// [`abg_queue::run_open_hierarchical_with_threads`] with `groups` groups
-    /// (ignoring `shards`), reallocated by `group_alloc` every
-    /// `realloc_epoch` quanta.
+    /// Processor groups `G`, each fed by round-robin arrival routing
+    /// (see [`abg_queue::shard`]). `1` (the presets' value) runs the
+    /// unsharded event-driven driver bit-for-bit; larger counts split
+    /// the machine through
+    /// [`abg_queue::run_open_hierarchical_with_threads`].
     pub groups: u32,
-    /// Top-level reallocation policy (only consulted when
-    /// `groups > 1`). [`GroupPolicy::Static`] never resizes anyone and
-    /// reproduces the fixed sharded partition bit-for-bit.
+    /// Top-level reallocation policy. [`GroupPolicy::Static`] never
+    /// resizes anyone: `groups = G` under it is the fixed partition.
     pub group_alloc: GroupPolicy,
-    /// Reallocation epoch in quanta (only consulted when `groups > 1`).
+    /// Reallocation epoch in quanta. Validated always, but a run whose
+    /// partition cannot change (`groups = 1`, or the static policy)
+    /// runs one unbounded epoch instead: the outcome is the same for
+    /// any epoch length, and the barriers would buy nothing.
     pub realloc_epoch: u64,
-    /// Per-group capacity floor the top level must honor (only
-    /// consulted when `groups > 1`).
+    /// Per-group capacity floor the top level must honor.
     pub group_floor: u32,
     /// ABG convergence rate `r`.
     pub rate: f64,
@@ -146,7 +139,6 @@ impl OpenSystemConfig {
             max_quanta: 20_000_000,
             work_samples: 4096,
             saturation: SaturationConfig::default(),
-            shards: 1,
             groups: 1,
             group_alloc: GroupPolicy::Static,
             realloc_epoch: 50,
@@ -174,7 +166,6 @@ impl OpenSystemConfig {
             max_quanta: 500_000,
             work_samples: 512,
             saturation: SaturationConfig::default(),
-            shards: 1,
             groups: 1,
             group_alloc: GroupPolicy::Static,
             realloc_epoch: 50,
@@ -186,46 +177,38 @@ impl OpenSystemConfig {
         }
     }
 
-    /// The per-point aggregate open-system configuration (the arrival
-    /// gap and seed vary per point but play no part in config
-    /// validity, so validation uses placeholders).
-    fn open_config(&self, mean_gap: f64, seed: u64) -> OpenConfig {
-        OpenConfig {
-            processors: self.processors,
-            quantum_len: self.quantum_len,
-            arrivals: ArrivalProcess::Poisson { mean_gap },
-            warmup_jobs: self.warmup_jobs,
-            measured_jobs: self.measured_jobs,
-            batches: self.batches,
-            max_quanta: self.max_quanta,
-            saturation: self.saturation,
-            seed,
+    /// The per-point engine configuration, with the knobs exactly as
+    /// given. The arrival gap and seed vary per point but play no part
+    /// in config validity, so [`validate`](Self::validate) passes
+    /// placeholders.
+    fn hier_config(&self, mean_gap: f64, seed: u64) -> HierOpenConfig {
+        HierOpenConfig {
+            open: OpenConfig {
+                processors: self.processors,
+                quantum_len: self.quantum_len,
+                arrivals: ArrivalProcess::Poisson { mean_gap },
+                warmup_jobs: self.warmup_jobs,
+                measured_jobs: self.measured_jobs,
+                batches: self.batches,
+                max_quanta: self.max_quanta,
+                saturation: self.saturation,
+                seed,
+            },
+            groups: self.groups,
+            routing: ShardRouting::RoundRobin,
+            realloc_epoch: self.realloc_epoch,
+            group_floor: self.group_floor,
         }
     }
 
     /// Validates the per-point engine configuration this sweep would
-    /// run — the hierarchical [`HierOpenConfig`] when `groups > 1`,
-    /// the [`ShardedOpenConfig`] otherwise — so front ends can reject
-    /// an inconsistent measurement setup (bad shard/group counts, a
-    /// zero reallocation epoch, an ungrantable floor) with a typed
-    /// error up front instead of panicking mid-sweep.
+    /// run, so front ends can reject an inconsistent measurement setup
+    /// (a bad group count, a zero reallocation epoch, an ungrantable
+    /// floor) with a typed error up front instead of panicking
+    /// mid-sweep. Every knob is checked, including those a fixed
+    /// partition does not consult.
     pub fn validate(&self) -> Result<(), abg_queue::ConfigError> {
-        if self.groups != 1 {
-            return HierOpenConfig {
-                open: self.open_config(1.0, self.seed),
-                groups: self.groups,
-                routing: ShardRouting::RoundRobin,
-                realloc_epoch: self.realloc_epoch,
-                group_floor: self.group_floor,
-            }
-            .validate();
-        }
-        ShardedOpenConfig {
-            open: self.open_config(1.0, self.seed),
-            shards: self.shards,
-            routing: ShardRouting::RoundRobin,
-        }
-        .validate()
+        self.hier_config(1.0, self.seed).validate()
     }
 }
 
@@ -384,73 +367,28 @@ where
 {
     // Per-ρ seed shared by BOTH schedulers: identical rng, identical
     // arrival times, identical job structures — a paired comparison.
-    let open = cfg.open_config(mean_gap, task_seed(cfg.seed, index, 1));
-    // The engine pools take the sweep harness's `ABG_THREADS` worker
-    // count; the outcome is thread-count invariant either way.
-    // `groups > 1` routes through the hierarchical two-level driver
-    // (with `shards` ignored: the groups ARE the partition); otherwise
-    // the sharded engine runs. Both run the one open-system loop, and
-    // with one group it draws arrivals exactly as `run_open_system`.
-    if cfg.groups > 1 {
-        let hier = HierOpenConfig {
-            open,
-            groups: cfg.groups,
-            routing: ShardRouting::RoundRobin,
-            realloc_epoch: cfg.realloc_epoch,
-            group_floor: cfg.group_floor,
-        };
-        return match which {
-            Scheduler::Abg => {
-                let rate = cfg.rate;
-                run_open_hierarchical_with_threads(
-                    &hier,
-                    DynamicEquiPartition::new,
-                    make_executor,
-                    move || -> Box<dyn Controller + Send> { Box::new(AControl::new(rate)) },
-                    cfg.group_alloc.build(),
-                    configured_threads(),
-                )
-            }
-            Scheduler::AGreedy => {
-                let (rho, delta) = (cfg.responsiveness, cfg.utilization);
-                run_open_hierarchical_with_threads(
-                    &hier,
-                    DynamicEquiPartition::new,
-                    make_executor,
-                    move || -> Box<dyn Controller + Send> { Box::new(AGreedy::new(rho, delta)) },
-                    cfg.group_alloc.build(),
-                    configured_threads(),
-                )
-            }
-        };
+    let mut hier = cfg.hier_config(mean_gap, task_seed(cfg.seed, index, 1));
+    if cfg.groups == 1 || cfg.group_alloc == GroupPolicy::Static {
+        // The partition cannot change, so the outcome is the same for
+        // any epoch length: run one unbounded epoch, no barriers.
+        hier.realloc_epoch = u64::MAX;
     }
-    let sharded = ShardedOpenConfig {
-        open,
-        shards: cfg.shards,
-        routing: ShardRouting::RoundRobin,
+    let make_controller = move || -> Box<dyn Controller + Send> {
+        match which {
+            Scheduler::Abg => Box::new(AControl::new(cfg.rate)),
+            Scheduler::AGreedy => Box::new(AGreedy::new(cfg.responsiveness, cfg.utilization)),
+        }
     };
-    match which {
-        Scheduler::Abg => {
-            let rate = cfg.rate;
-            run_open_sharded_with_threads(
-                &sharded,
-                DynamicEquiPartition::new,
-                make_executor,
-                move || -> Box<dyn Controller + Send> { Box::new(AControl::new(rate)) },
-                configured_threads(),
-            )
-        }
-        Scheduler::AGreedy => {
-            let (rho, delta) = (cfg.responsiveness, cfg.utilization);
-            run_open_sharded_with_threads(
-                &sharded,
-                DynamicEquiPartition::new,
-                make_executor,
-                move || -> Box<dyn Controller + Send> { Box::new(AGreedy::new(rho, delta)) },
-                configured_threads(),
-            )
-        }
-    }
+    // The engine pool takes the sweep harness's `ABG_THREADS` worker
+    // count; the outcome is thread-count invariant either way.
+    run_open_hierarchical_with_threads(
+        &hier,
+        DynamicEquiPartition::new,
+        make_executor,
+        make_controller,
+        cfg.group_alloc.build(),
+        configured_threads(),
+    )
 }
 
 /// Estimates `E[T₁]` of the configured job population — Monte-Carlo
@@ -553,15 +491,17 @@ mod tests {
 
     #[test]
     fn sharded_sweep_is_steady_and_deterministic() {
-        // The sharded engine behind the same sweep front end: stable
-        // below saturation, flagged unstable above it, and bit-level
-        // reproducible across repeat runs. (The overload point sits at
-        // ρ = 2 here: decimated smoke-scale shards see a quarter of the
-        // arrivals each, so the queue-growth trend needs a steeper ramp
-        // than the aggregate smoke sweep's 1.2 to trip before the tiny
-        // measurement target drains.)
+        // A fixed partition (four groups under the static policy) behind
+        // the same sweep front end: stable below saturation, flagged
+        // unstable above it, and bit-level reproducible across repeat
+        // runs. (The overload point sits at ρ = 2 here: decimated
+        // smoke-scale groups see a quarter of the arrivals each, so the
+        // queue-growth trend needs a steeper ramp than the aggregate
+        // smoke sweep's 1.2 to trip before the tiny measurement target
+        // drains.)
         let mut cfg = OpenSystemConfig::smoke();
-        cfg.shards = 4;
+        cfg.groups = 4;
+        cfg.group_alloc = GroupPolicy::Static;
         cfg.rhos = vec![0.4, 2.0];
         let rows = open_system_sweep(&cfg);
         assert!(rows[0].abg.stable && rows[0].agreedy.stable);
@@ -569,23 +509,6 @@ mod tests {
         assert!(!rows[1].abg.stable && !rows[1].agreedy.stable);
         let a = crate::experiments::open_fingerprint(&rows);
         let b = crate::experiments::open_fingerprint(&open_system_sweep(&cfg));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn hierarchical_static_sweep_matches_the_sharded_sweep() {
-        // The compatibility anchor at the sweep level: groups = 4 with
-        // the never-resizing static policy must reproduce shards = 4
-        // bit-for-bit — same routing, same per-group loops, no resize.
-        let mut sharded = OpenSystemConfig::smoke();
-        sharded.shards = 4;
-        sharded.rhos = vec![0.4, 2.0];
-        let mut hier = sharded.clone();
-        hier.shards = 1;
-        hier.groups = 4;
-        hier.group_alloc = GroupPolicy::Static;
-        let a = crate::experiments::open_fingerprint(&open_system_sweep(&sharded));
-        let b = crate::experiments::open_fingerprint(&open_system_sweep(&hier));
         assert_eq!(a, b);
     }
 
@@ -711,23 +634,22 @@ mod tests {
         ));
         cfg.group_floor = 1;
         assert_eq!(cfg.validate(), Ok(()));
-        // With the top level out (groups = 1) the group knobs are
-        // inert and the shard path is validated instead.
-        cfg.groups = 1;
-        cfg.group_floor = 0;
-        assert_eq!(cfg.validate(), Ok(()));
-    }
-
-    #[test]
-    fn validate_rejects_bad_shard_counts() {
-        let mut cfg = OpenSystemConfig::smoke();
-        cfg.shards = 0;
-        assert_eq!(cfg.validate(), Err(abg_queue::ConfigError::NoShards));
-        cfg.shards = cfg.processors + 1;
+        cfg.groups = cfg.processors + 1;
         assert!(matches!(
             cfg.validate(),
-            Err(abg_queue::ConfigError::TooManyShards { .. })
+            Err(abg_queue::ConfigError::BadGroupFloor { .. })
         ));
+        // One group consults neither the floor nor the epoch, but the
+        // knobs it was given are still checked.
+        cfg.groups = 1;
+        cfg.group_floor = 0;
+        assert!(matches!(
+            cfg.validate(),
+            Err(abg_queue::ConfigError::BadGroupFloor { floor: 0, .. })
+        ));
+        cfg.group_floor = 1;
+        cfg.realloc_epoch = 0;
+        assert_eq!(cfg.validate(), Err(abg_queue::ConfigError::BadReallocEpoch));
     }
 
     #[test]

@@ -29,14 +29,14 @@
 //! open-system entry point shares. It owns no loop: [`run_open_system`]
 //! is the one-group case of the event loop in [`hier`](crate::hier),
 //! run to `until = u64::MAX` with the caller's probe, and its outcome
-//! comes from the same merge as the sharded and hierarchical drivers'.
+//! comes from the same merge as the multi-group driver's.
 //! With one group, arrival gaps and job structures come from one RNG
 //! seeded with `cfg.seed`, interleaved as the pinned fingerprints
 //! require.
 
-use crate::hier::GroupSim;
+use crate::hier::{GroupSim, HierOpenConfig};
 use crate::saturation::{SaturationConfig, SaturationReason};
-use crate::shard::{merge_reports, ShardRouting, ShardedOpenConfig};
+use crate::shard::{merge_reports, ShardRouting};
 use crate::stats::{ConfidenceInterval, PercentileSummary};
 use abg_alloc::Allocator;
 use abg_control::Controller;
@@ -102,19 +102,8 @@ pub enum ConfigError {
         /// The configured quantum length.
         quantum_len: u64,
     },
-    /// `shards == 0` in a sharded configuration: the engine needs at
+    /// `groups == 0` in a multi-group configuration: the run needs at
     /// least one processor group.
-    NoShards,
-    /// More shards than processors — some shard would get an empty
-    /// machine.
-    TooManyShards {
-        /// The configured shard count.
-        shards: u32,
-        /// The configured machine size.
-        processors: u32,
-    },
-    /// `groups == 0` in a hierarchical configuration: the top-level
-    /// allocator needs at least one processor group.
     ZeroGroups,
     /// `realloc_epoch == 0`: the desire feedback loop would never run.
     BadReallocEpoch,
@@ -152,11 +141,6 @@ impl std::fmt::Display for ConfigError {
             } => write!(
                 f,
                 "step horizon overflows u64 ({max_quanta} quanta of {quantum_len} steps)"
-            ),
-            ConfigError::NoShards => write!(f, "need at least one shard"),
-            ConfigError::TooManyShards { shards, processors } => write!(
-                f,
-                "need at least one processor per shard ({shards} shards > {processors} processors)"
             ),
             ConfigError::ZeroGroups => write!(f, "need at least one processor group"),
             ConfigError::BadReallocEpoch => {
@@ -258,8 +242,8 @@ pub struct SteadyStats {
     pub mean_jobs_in_system: f64,
     /// Peak in-system job count over executed quanta — the memory
     /// high-water mark of the run (the live-set storage scales with this
-    /// figure, not with total arrivals). Sharded and hierarchical runs
-    /// report the sum of the per-group peaks: an upper bound on the
+    /// figure, not with total arrivals). Multi-group runs report the
+    /// sum of the per-group peaks: an upper bound on the
     /// aggregate footprint (the groups need not peak simultaneously).
     pub peak_jobs_in_system: u64,
     /// Completed work over machine capacity `P · horizon` — the
@@ -377,12 +361,14 @@ where
     P: Probe,
 {
     cfg.assert_valid();
-    let one = ShardedOpenConfig {
+    let one = HierOpenConfig {
         open: cfg.clone(),
-        shards: 1,
+        groups: 1,
         routing: ShardRouting::RoundRobin,
+        realloc_epoch: u64::MAX,
+        group_floor: 1,
     };
-    let mut sim = GroupSim::new(&one, 0, allocator, probe);
+    let mut sim = GroupSim::new(&one, 0, cfg.processors, allocator, probe);
     sim.advance_until(&one, u64::MAX, &mut make_executor, &mut make_calculator);
     let (report, probe) = sim.into_report();
     (merge_reports(cfg, &[report]), probe)

@@ -1,43 +1,39 @@
 //! Hierarchical two-level scheduling, and the one open-system event
 //! loop every entry point runs.
 //!
-//! The sharded engine
-//! ([`run_open_sharded_with_threads`](crate::run_open_sharded_with_threads))
-//! fixes each processor group's capacity at `P/G` forever; under
-//! skewed arrivals one group drowns while its neighbors idle. This
-//! module adds the missing layer of the hierarchical schemes for
-//! malleable jobs (Cao–Sun–Qian–Wu's desire-feedback partitioning,
-//! with the policy made pluggable in the spirit of the
+//! A fixed partition gives each processor group `P/G` processors
+//! forever; under skewed arrivals one group drowns while its neighbors
+//! idle. This module adds the missing layer of the hierarchical
+//! schemes for malleable jobs (Cao–Sun–Qian–Wu's desire-feedback
+//! partitioning, with the policy made pluggable in the spirit of the
 //! control-theoretic framing): each group runs its own
 //! [`QuantumCore`] + [`SaturationDetector`] and reports a per-epoch
 //! **group desire** — aggregated job requests, in-system population,
 //! and served utilization — to a top-level [`GroupAllocator`] that
-//! recomputes every group's capacity at fixed reallocation epochs.
+//! recomputes every group's capacity at fixed reallocation epochs. The
+//! fixed partition is the top level that never resizes:
+//! [`StaticEqui`](abg_control::StaticEqui) over `G` groups.
 //!
 //! **One loop.** `GroupSim` is the only open-system event loop in the
 //! crate: admit due arrivals → fast-forward an idle machine → step one
 //! quantum → record completions → macro-step frozen quanta, with one
 //! saturation/budget trip check and one outcome assembly
-//! (`merge_reports`) behind it. The entry points differ only in how
-//! many groups they build and whether a top-level policy runs between
-//! epochs:
+//! (`merge_reports`) behind it. There are two entry points:
 //!
 //! * [`run_open_system`](crate::run_open_system) runs one group with
 //!   the caller's probe to `until = u64::MAX`;
-//! * [`run_open_sharded_with_threads`](crate::run_open_sharded_with_threads)
-//!   is this driver under
-//!   [`StaticEqui`](abg_control::StaticEqui) with one unbounded epoch,
-//!   so the policy is never consulted;
-//! * [`run_open_hierarchical_with_threads`] runs the epoch loop below.
+//! * [`run_open_hierarchical_with_threads`] runs `G` groups through the
+//!   epoch loop below, consulting its top-level policy at every
+//!   barrier.
 //!
-//! Nothing delegates: `shards = 1` and `groups = 1` are the one-group
-//! case of the same loop. What a group's arrivals come from follows
-//! from the group count alone. One group draws gaps and job structures
-//! from one RNG seeded with the run seed, through the
-//! [`ArrivalCalendar`]. `G ≥ 2` groups each replay the shared router
-//! path and draw each job from its own per-arrival seed. With one
-//! group the sum invariant pins the capacity at `P`, which makes the
-//! slowdown denominator `P`: bit-identical to the reference driver.
+//! Nothing delegates: `groups = 1` is the one-group case of the same
+//! loop. What a group's arrivals come from follows from the group count
+//! alone. One group draws gaps and job structures from one RNG seeded
+//! with the run seed, through the [`ArrivalCalendar`]. `G ≥ 2` groups
+//! each replay the shared router path and draw each job from its own
+//! per-arrival seed (see [`shard`](crate::shard)). With one group the
+//! sum invariant pins the capacity at `P`, which makes the slowdown
+//! denominator `P`: bit-identical to the reference driver.
 //!
 //! **Execution model.** The driver advances all groups in lockstep
 //! over reallocation epochs of `realloc_epoch` quanta. Within an epoch
@@ -61,28 +57,29 @@
 //! than capping its idle skip (a capped skip plus a later one could
 //! land a full quantum later than the single direct skip). That is why
 //! [`StaticEqui`](abg_control::StaticEqui) — which never resizes
-//! anyone — gives the same outcome whatever the epoch length, and why
-//! one group under any policy matches the unsharded reference
-//! bit-for-bit.
+//! anyone — gives the same outcome whatever the epoch length (a caller
+//! that knows its partition cannot change may as well pass
+//! `realloc_epoch = u64::MAX` and skip the barriers), and why one group
+//! under any policy matches the unsharded reference bit-for-bit.
 
 use crate::driver::{ConfigError, OpenConfig, OpenOutcome};
 use crate::events::{frozen_window_bound, ArrivalCalendar};
 use crate::saturation::{SaturationDetector, SaturationReason};
 use crate::shard::{
-    job_seed, measured_assigned, merge_reports, shard_processors, ShardArrivals, ShardReport,
-    ShardRouting, ShardedOpenConfig,
+    job_seed, measured_assigned, merge_reports, ShardArrivals, ShardReport, ShardRouting,
 };
 use abg_alloc::Allocator;
-use abg_control::{Controller, GroupAllocator, GroupDesire};
+use abg_control::{equi_partition, Controller, GroupAllocator, GroupDesire};
 use abg_sched::JobExecutor;
 use abg_sim::{CompletedJob, NullProbe, Probe, QuantumCore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
 
-/// Configuration of a hierarchical open-system run: the sharded
-/// decomposition plus the top level's reallocation cadence and
-/// capacity floor.
+/// Configuration of an open-system run over `G` processor groups: the
+/// aggregate run, the group count and arrival routing, and the top
+/// level's reallocation cadence and capacity floor. A fixed partition
+/// is this configuration under [`StaticEqui`](abg_control::StaticEqui).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HierOpenConfig {
     /// The aggregate open-system configuration (total machine size,
@@ -91,10 +88,11 @@ pub struct HierOpenConfig {
     pub open: OpenConfig,
     /// Processor groups `G` under the top-level allocator.
     pub groups: u32,
-    /// The arrival-routing policy (shared with the sharded engine).
+    /// The arrival-routing policy.
     pub routing: ShardRouting,
     /// Reallocation epoch in quanta: the top-level allocator runs at
-    /// every multiple of `realloc_epoch * quantum_len` steps.
+    /// every multiple of `realloc_epoch * quantum_len` steps
+    /// (`u64::MAX`: one unbounded epoch, so the policy never runs).
     pub realloc_epoch: u64,
     /// Per-group capacity floor the allocator must always honor (at
     /// least 1, at most `P/G`).
@@ -137,18 +135,6 @@ impl HierOpenConfig {
     pub fn assert_valid(&self) {
         if let Err(err) = self.validate() {
             panic!("{err}");
-        }
-    }
-
-    /// The per-group decomposition this run starts from: the sharded
-    /// configuration with one shard per group. The routing helpers,
-    /// arrival replay and initial equi-partition are all defined
-    /// against this view.
-    pub fn as_sharded(&self) -> ShardedOpenConfig {
-        ShardedOpenConfig {
-            open: self.open.clone(),
-            shards: self.groups,
-            routing: self.routing,
         }
     }
 }
@@ -209,8 +195,8 @@ enum ArrivalSource {
 }
 
 impl ArrivalSource {
-    fn new(cfg: &ShardedOpenConfig, shard: u32) -> Self {
-        if cfg.shards == 1 {
+    fn new(cfg: &HierOpenConfig, group: u32) -> Self {
+        if cfg.groups == 1 {
             ArrivalSource::Calendar {
                 calendar: ArrivalCalendar::new(&cfg.open.arrivals),
                 rng: StdRng::seed_from_u64(cfg.open.seed),
@@ -218,14 +204,14 @@ impl ArrivalSource {
             }
         } else {
             ArrivalSource::Routed {
-                router: ShardArrivals::new(cfg, shard),
+                router: ShardArrivals::new(cfg, group),
                 globals: Vec::new(),
             }
         }
     }
 
     /// The next arrival of this group as `(global index, time)`.
-    fn next(&mut self, cfg: &ShardedOpenConfig) -> (u64, u64) {
+    fn next(&mut self, cfg: &HierOpenConfig) -> (u64, u64) {
         match self {
             ArrivalSource::Calendar {
                 calendar,
@@ -277,9 +263,10 @@ impl ArrivalSource {
 ///
 /// [`run_open_system_probed`](crate::run_open_system_probed) runs a
 /// single group with the caller's probe to `until = u64::MAX`, which
-/// disables every pause point; the sharded engine is the hierarchical
-/// driver with one unbounded epoch, so their equivalence under a
-/// never-resizing policy is structural, not coincidental.
+/// disables every pause point; a fixed partition is the hierarchical
+/// driver with one unbounded epoch, so its equivalence to any epoch
+/// length under a never-resizing policy is structural, not
+/// coincidental.
 pub(crate) struct GroupSim<A: Allocator, P: Probe> {
     /// Current capacity (processors owned by this group).
     processors: u32,
@@ -310,14 +297,19 @@ pub(crate) struct GroupSim<A: Allocator, P: Probe> {
 }
 
 impl<A: Allocator, P: Probe> GroupSim<A, P> {
-    /// A fresh group simulation at its equi-partition capacity. A
-    /// group with no measured arrivals routed to it starts (and stays)
-    /// finished — it could not influence any merged statistic.
-    pub(crate) fn new(cfg: &ShardedOpenConfig, shard: u32, allocator: A, probe: P) -> Self {
+    /// A fresh simulation of group `group` at capacity `processors`.
+    /// A group with no measured arrivals routed to it starts (and
+    /// stays) finished — it could not influence any merged statistic.
+    pub(crate) fn new(
+        cfg: &HierOpenConfig,
+        group: u32,
+        processors: u32,
+        allocator: A,
+        probe: P,
+    ) -> Self {
         let open = &cfg.open;
-        let processors = shard_processors(open.processors, cfg.shards, shard);
-        let assigned = measured_assigned(cfg, shard);
-        let mut source = ArrivalSource::new(cfg, shard);
+        let assigned = measured_assigned(cfg, group);
+        let mut source = ArrivalSource::new(cfg, group);
         let engine = QuantumCore::new(allocator, open.quantum_len, probe);
         let detector = SaturationDetector::new(open.saturation);
         let (status, next_global, next_time) = if assigned == 0 {
@@ -381,7 +373,7 @@ impl<A: Allocator, P: Probe> GroupSim<A, P> {
     ///   overshoot the single direct skip).
     pub(crate) fn advance_until<E, C>(
         &mut self,
-        cfg: &ShardedOpenConfig,
+        cfg: &HierOpenConfig,
         until: u64,
         make_executor: &mut E,
         make_calculator: &mut C,
@@ -683,18 +675,15 @@ where
     G: GroupAllocator,
 {
     cfg.assert_valid();
-    let sharded = cfg.as_sharded();
     let processors = cfg.open.processors;
-    let mut caps: Vec<u32> = (0..cfg.groups)
-        .map(|k| shard_processors(processors, cfg.groups, k))
-        .collect();
+    let mut caps = equi_partition(processors, cfg.groups);
     let mut sims: Vec<GroupSim<A, NullProbe>> = caps
         .iter()
         .enumerate()
-        .map(|(k, &cap)| GroupSim::new(&sharded, k as u32, make_allocator(cap), NullProbe))
+        .map(|(k, &cap)| GroupSim::new(cfg, k as u32, cap, make_allocator(cap), NullProbe))
         .collect();
 
-    // Both products saturate: the sharded engine runs with
+    // Both products saturate: a fixed partition runs with
     // `realloc_epoch = u64::MAX`, which must become one unbounded epoch
     // (`until = u64::MAX`) in which every group runs to its end.
     let epoch_steps = cfg.realloc_epoch.saturating_mul(cfg.open.quantum_len);
@@ -702,7 +691,7 @@ where
     loop {
         let until = epoch.saturating_mul(epoch_steps);
         advance_groups(&mut sims, threads, |sim| {
-            sim.advance_until(&sharded, until, &mut &make_executor, &mut &make_calculator)
+            sim.advance_until(cfg, until, &mut &make_executor, &mut &make_calculator)
         });
         // Desire collection and reallocation happen on this thread, in
         // group-index order: the one serial point of each epoch.
@@ -756,7 +745,7 @@ mod tests {
     use crate::lockstep::assert_outcome_bits_eq;
     use crate::reference::ReferenceOpenDriver;
     use crate::saturation::SaturationConfig;
-    use crate::shard::{route, run_open_sharded_with_threads};
+    use crate::shard::route;
     use abg_alloc::DynamicEquiPartition;
     use abg_control::{AControl, ConservativeTwoLevel, DesireProportional, StaticEqui};
     use abg_dag::PhasedJob;
@@ -797,25 +786,16 @@ mod tests {
         )
     }
 
-    fn run_sharded(cfg: &HierOpenConfig, threads: usize) -> OpenOutcome {
-        run_open_sharded_with_threads(
-            &cfg.as_sharded(),
-            DynamicEquiPartition::new,
-            |_rng, _recycled| Box::new(PipelinedExecutor::new(PhasedJob::constant(2, 40))),
-            || Box::new(AControl::new(0.2)),
-            threads,
-        )
-    }
-
     #[test]
-    fn static_equi_is_bit_identical_to_the_sharded_engine() {
-        // The compatibility anchor, at the module level: a top level
-        // that never resizes anyone must leave every group's
-        // simulation — and thus the merged outcome — bit-identical to
-        // the fixed-partition sharded engine, whatever the epoch
-        // length slices the groups' loops into.
+    fn static_equi_is_invisible_at_every_epoch_length() {
+        // A top level that never resizes anyone must leave every
+        // group's simulation — and thus the merged outcome —
+        // bit-identical to the fixed partition's one unbounded epoch,
+        // whatever the epoch length slices the groups' loops into.
         for groups in [2u32, 4, 8] {
-            let baseline = run_sharded(&config(0.5, groups, ShardRouting::RoundRobin, 1), 1);
+            let unbounded = config(0.5, groups, ShardRouting::RoundRobin, u64::MAX);
+            let baseline = run(&unbounded, StaticEqui, 1);
+            assert!(baseline.is_steady(), "groups={groups}");
             for realloc_epoch in [1u64, 8, 64, 1000] {
                 let cfg = config(0.5, groups, ShardRouting::RoundRobin, realloc_epoch);
                 assert_eq!(
@@ -886,8 +866,8 @@ mod tests {
 
     #[test]
     fn skewed_routing_concentrates_arrivals_on_group_zero() {
-        let cfg = config(0.5, 4, ShardRouting::Skewed { hot: 4 }, 16).as_sharded();
-        // Cycle of hot + shards - 1 = 7: four arrivals to group 0,
+        let cfg = config(0.5, 4, ShardRouting::Skewed { hot: 4 }, 16);
+        // Cycle of hot + groups - 1 = 7: four arrivals to group 0,
         // then one each to groups 1..3 — an exact 4:1:1:1 split.
         let groups: Vec<u32> = (0..14).map(|g| route(&cfg, g)).collect();
         assert_eq!(groups, vec![0, 0, 0, 0, 1, 2, 3, 0, 0, 0, 0, 1, 2, 3]);

@@ -9,8 +9,8 @@
 //! every partition of the machine respects.
 
 use crate::{
-    run_open_hierarchical_detailed, run_open_sharded_with_threads, run_open_system, HierOpenConfig,
-    OpenConfig, OpenOutcome, SaturationConfig, ShardRouting, ShardedOpenConfig,
+    run_open_hierarchical_detailed, run_open_hierarchical_with_threads, run_open_system,
+    HierOpenConfig, OpenConfig, OpenOutcome, SaturationConfig, ShardRouting,
 };
 use abg_alloc::DynamicEquiPartition;
 use abg_control::{AControl, Controller, DesireProportional, GroupAllocator, StaticEqui};
@@ -139,20 +139,24 @@ proptest! {
         );
         assert_outcome_invariants(&cfg, &unsharded, "unsharded");
 
-        for shards in [2u32, 4] {
-            let sharded = ShardedOpenConfig {
+        // Fixed partitions, routed by job-seed hash.
+        for groups in [2u32, 4] {
+            let fixed = HierOpenConfig {
                 open: cfg.clone(),
-                shards,
+                groups,
                 routing: ShardRouting::HashJobSeed,
+                realloc_epoch: u64::MAX,
+                group_floor: 1,
             };
-            let outcome = run_open_sharded_with_threads(
-                &sharded,
+            let outcome = run_open_hierarchical_with_threads(
+                &fixed,
                 DynamicEquiPartition::new,
                 make_executor,
                 make_controller,
+                StaticEqui,
                 2,
             );
-            assert_outcome_invariants(&cfg, &outcome, &format!("shards={shards}"));
+            assert_outcome_invariants(&cfg, &outcome, &format!("fixed groups={groups}"));
         }
 
         for groups in [1u32, 4] {

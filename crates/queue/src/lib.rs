@@ -21,15 +21,16 @@
 //!   [`percentiles`] for steady-state output analysis;
 //! * [`saturation`] — the [`SaturationDetector`] queue-length trend
 //!   test that aborts never-steady runs (ρ ≥ 1) instead of hanging;
-//! * [`shard`] — [`run_open_sharded_with_threads`]: the machine
-//!   partitioned into fixed processor groups with deterministic arrival
-//!   routing, and the stable-order merge of per-group reports, so the
-//!   outcome never depends on thread count or schedule;
-//! * [`hier`] — [`run_open_hierarchical_with_threads`]: a
-//!   feedback-driven [`abg_control::GroupAllocator`] repartitions the
-//!   machine among the groups at fixed reallocation epochs from
-//!   per-group desire reports. The module also holds the crate's one
-//!   event loop and its worker pool (sized by the caller);
+//! * [`shard`] — deterministic arrival routing over processor groups
+//!   ([`ShardRouting`]) and the stable-order merge of per-group
+//!   reports, so the outcome never depends on thread count or schedule;
+//! * [`hier`] — [`run_open_hierarchical_with_threads`]: the machine
+//!   split into `G` processor groups under a top-level
+//!   [`abg_control::GroupAllocator`] that repartitions it at fixed
+//!   reallocation epochs from per-group desire reports. A fixed
+//!   partition is the [`abg_control::StaticEqui`] policy. The module
+//!   also holds the crate's one event loop and its worker pool (sized
+//!   by the caller);
 //! * `reference` (tests only) — the legacy quantum-by-quantum loop,
 //!   kept as the differential-testing ground truth for the event-driven
 //!   driver.
@@ -39,16 +40,17 @@
 //! it macro-steps the core across frozen quanta in bulk
 //! ([`abg_sim::QuantumCore::advance_frozen`]) instead of burning an
 //! allocate/step/observe round per quantum, with bit-identical
-//! observables. The entry points differ only in how many processor
+//! observables. The two entry points differ only in how many processor
 //! groups they build and whether a top-level policy runs between
 //! epochs. [`run_open_system`] is one group.
-//! [`run_open_sharded_with_threads`] is `G` groups under the
-//! never-resizing [`abg_control::StaticEqui`] with one unbounded epoch.
-//! [`run_open_hierarchical_with_threads`] is `G` groups under a
-//! feedback policy. No configuration hands off to another
-//! driver: `shards = 1` and `groups = 1` are the one-group case, whose
-//! arrival source (one RNG seeded from the run seed) the loop picks
-//! from the group count.
+//! [`run_open_hierarchical_with_threads`] is `G` groups described by
+//! one [`HierOpenConfig`]: under the never-resizing
+//! [`abg_control::StaticEqui`] (best with `realloc_epoch = u64::MAX`,
+//! one unbounded epoch) that is a fixed partition, under a feedback
+//! policy a hierarchical scheduler. No configuration hands off to
+//! another driver: `groups = 1` is the one-group case, whose arrival
+//! source (one RNG seeded from the run seed) the loop picks from the
+//! group count.
 //!
 //! Offered load is set through
 //! [`abg_workload::mean_gap_for_utilization`]: ρ = E\[T₁\] / (gap · P),
@@ -113,7 +115,7 @@ pub use hier::{
     HierOpenConfig,
 };
 pub use saturation::{SaturationConfig, SaturationDetector, SaturationReason};
-pub use shard::{run_open_sharded_with_threads, ShardRouting, ShardedOpenConfig};
+pub use shard::ShardRouting;
 pub use stats::{
     batch_means, merge_shard_samples, merged_batch_means, percentiles, weighted_mean,
     ConfidenceInterval, PercentileSummary,

@@ -11,14 +11,15 @@
 //! controllers (ABG and A-Greedy), with a heterogeneous job population
 //! sampled from the shared driver RNG — the exact interleaving the
 //! pinned sweep fingerprints depend on. The one-group configurations of
-//! the sharded and hierarchical entry points (`shards = 1`, and
-//! `groups = 1` under both a static and a feedback top level) draw
-//! from that same source and must match the reference too.
+//! the multi-group entry point (`groups = 1` as a fixed partition with
+//! one unbounded epoch, and under both a static and a feedback top
+//! level with short epochs) draw from that same source and must match
+//! the reference too.
 
 use crate::reference::ReferenceOpenDriver;
 use crate::{
-    run_open_hierarchical_with_threads, run_open_sharded_with_threads, run_open_system_probed,
-    HierOpenConfig, OpenConfig, OpenOutcome, SaturationConfig, ShardRouting, ShardedOpenConfig,
+    run_open_hierarchical_with_threads, run_open_system_probed, HierOpenConfig, OpenConfig,
+    OpenOutcome, SaturationConfig, ShardRouting,
 };
 use abg_alloc::{Allocator, DynamicEquiPartition, Proportional};
 use abg_control::{AControl, AGreedy, Controller, DesireProportional, StaticEqui};
@@ -160,23 +161,26 @@ where
     let event = crate::run_open_system(&cfg, alloc(), exec, || make_controller(abg));
     assert_outcome_bits_eq(&reference, &event);
 
-    // One group of the sharded and hierarchical entry points. The short
-    // epoch pauses the group often, which must stay invisible.
-    let sharded = ShardedOpenConfig {
-        open: cfg.clone(),
-        shards: 1,
-        routing: ShardRouting::RoundRobin,
-    };
-    let one_shard =
-        run_open_sharded_with_threads(&sharded, |_| alloc(), exec, || make_controller(abg), 2);
-    assert_outcome_bits_eq(&reference, &one_shard);
-    let hier = HierOpenConfig {
+    // One group of the multi-group entry point: first as a fixed
+    // partition (one unbounded epoch), then with a short epoch that
+    // pauses the group often, which must stay invisible.
+    let mut hier = HierOpenConfig {
         open: cfg.clone(),
         groups: 1,
         routing: ShardRouting::RoundRobin,
-        realloc_epoch: 5,
+        realloc_epoch: u64::MAX,
         group_floor: 1,
     };
+    let fixed = run_open_hierarchical_with_threads(
+        &hier,
+        |_| alloc(),
+        exec,
+        || make_controller(abg),
+        StaticEqui,
+        2,
+    );
+    assert_outcome_bits_eq(&reference, &fixed);
+    hier.realloc_epoch = 5;
     let hier_static = run_open_hierarchical_with_threads(
         &hier,
         |_| alloc(),

@@ -1,76 +1,54 @@
-//! The sharded open-system engine: per-shard quantum cores on a worker
-//! pool with a deterministic merge.
+//! Arrival routing and the merge of per-group reports: what a run over
+//! `G` processor groups adds to the one event loop in
+//! [`hier`](crate::hier).
 //!
-//! A single [`run_open_system`](crate::run_open_system) run pushes every in-flight job through
-//! one admission-ordered quantum core on one thread, which caps both
-//! the machine size and the in-system population a run can carry. This
-//! module partitions the machine into `G` processor groups — the
-//! two-level structure of hierarchical scheduling schemes for malleable
-//! jobs, with an adaptive scheduler under a top-level splitter — and
-//! runs one *independent* open-system simulation per group:
-//!
-//! * **partitioning** — shard `k` owns `P/G` processors (the first
-//!   `P mod G` shards own one more), its own
-//!   [`QuantumCore`](abg_sim::QuantumCore), arrival source, and
-//!   [`SaturationDetector`](crate::SaturationDetector);
-//! * **routing** — every shard replays the *same* aggregate arrival
-//!   path (all shards seed the router RNG identically from the run
+//! * **routing** — every group replays the *same* aggregate arrival
+//!   path (all groups seed the router RNG identically from the run
 //!   seed via SplitMix64) and keeps the arrivals a deterministic
 //!   [`ShardRouting`] policy assigns to it, so the split never depends
 //!   on thread count or schedule;
 //! * **job identity** — the job structure of global arrival `g` is
 //!   sampled from its own SplitMix64-derived RNG, so the simulated job
 //!   population is a function of the run seed alone: identical across
-//!   shard counts `G ≥ 2` and routing policies;
-//! * **merge** — per-shard measured samples carry their global
+//!   group counts `G ≥ 2` and routing policies;
+//! * **merge** — per-group measured samples carry their global
 //!   measurement slot, and the merge recombines them in slot order
 //!   (aggregate arrival order) through the pure helpers in
-//!   [`stats`](crate::stats), in stable shard-index order for every
+//!   [`stats`](crate::stats), in stable group-index order for every
 //!   summed diagnostic. The result is one [`OpenOutcome`] whatever the
 //!   pool's schedule was.
 //!
-//! The engine owns no loop of its own: it is the hierarchical driver
-//! ([`hier`](crate::hier)) under a top level that never resizes a group,
-//! run as one unbounded epoch. Its group simulations, worker pool and
-//! merge are the ones every open-system entry point shares. This
-//! module keeps what is particular to a fixed partition: routing, the
-//! router replay, and the merge of per-group reports.
-//!
-//! A `shards = 1` configuration is the one-group case of that loop. The
-//! group draws arrivals and job structures from the run seed exactly as
-//! [`run_open_system`](crate::run_open_system) does, so the outcome is
-//! bit-identical to the unsharded driver, pinned fingerprints included.
-//! With `G ≥ 2` the engine is a *different* (but equally
-//! deterministic) simulation: arrival gap draws no longer interleave
-//! with job-structure draws, and each shard schedules its own
-//! population on its own sub-machine.
+//! A fixed partition of the machine is a [`HierOpenConfig`] run under
+//! [`StaticEqui`](abg_control::StaticEqui): group `k` keeps its
+//! equi-partition share ([`abg_control::equi_partition`]) for the whole
+//! run. Routing only applies for `G ≥ 2`, which is a *different* (but
+//! equally deterministic) simulation from the one-group driver: arrival
+//! gap draws no longer interleave with job-structure draws, and each
+//! group schedules its own population on its own sub-machine.
 //!
 //! Why this scales: the per-event cost of the quantum core grows with
-//! the live population, so `G` shards each carrying `~N/G` jobs commit
+//! the live population, so `G` groups each carrying `~N/G` jobs commit
 //! simulated time cheaper than one core carrying `N` — on top of the
 //! wall-clock parallelism of the worker pool (the caller picks its
 //! size; the experiment harness passes its `ABG_THREADS` count).
 
-use crate::driver::{ConfigError, OpenConfig, OpenOutcome, SteadyStats, UnstableReport};
-use crate::hier::{run_open_hierarchical_with_threads, HierOpenConfig};
+use crate::driver::{OpenConfig, OpenOutcome, SteadyStats, UnstableReport};
+use crate::hier::HierOpenConfig;
 use crate::saturation::SaturationReason;
 use crate::stats::{merge_shard_samples, merged_batch_means, percentiles, weighted_mean};
-use abg_alloc::Allocator;
-use abg_control::{Controller, StaticEqui};
-use abg_sched::JobExecutor;
 use abg_workload::{splitmix_seed, ArrivalStream};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// How arrivals are assigned to shards. Both policies are pure
-/// functions of the run seed and the global arrival index, so the
+/// How arrivals are assigned to processor groups. Every policy is a
+/// pure function of the run seed and the global arrival index, so the
 /// split is reproducible whatever the pool does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardRouting {
-    /// Global arrival `g` goes to shard `g mod G` — a perfectly even
+    /// Global arrival `g` goes to group `g mod G` — a perfectly even
     /// split of the arrival count.
     RoundRobin,
-    /// Global arrival `g` goes to the shard selected by a SplitMix64
+    /// Global arrival `g` goes to the group selected by a SplitMix64
     /// hash of its job seed — an i.i.d. uniform split, the statistical
     /// model of load-oblivious dispatching.
     HashJobSeed,
@@ -78,7 +56,7 @@ pub enum ShardRouting {
     /// `hot + (G - 1)`-arrival cycle go to group 0, the rest
     /// round-robin over groups `1..G` — a `hot : 1` load concentration
     /// on group 0. The hierarchical experiments use it to stress
-    /// feedback repartitioning; under the *static* engine it simply
+    /// feedback repartitioning; under a fixed partition it simply
     /// overloads group 0. With `G = 1` everything lands on group 0.
     Skewed {
         /// Arrivals routed to group 0 per cycle (`hot = 1` is uniform;
@@ -87,61 +65,8 @@ pub enum ShardRouting {
     },
 }
 
-/// Configuration of a sharded open-system run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedOpenConfig {
-    /// The aggregate open-system configuration: total machine size,
-    /// aggregate arrival process, aggregate warmup/measured counts.
-    /// `max_quanta` and the saturation tuning apply *per shard*.
-    pub open: OpenConfig,
-    /// Processor groups `G`.
-    pub shards: u32,
-    /// The arrival-routing policy.
-    pub routing: ShardRouting,
-}
-
-impl ShardedOpenConfig {
-    /// Checks internal consistency, reporting the first violation as a
-    /// typed [`ConfigError`]: the aggregate config must be valid, and
-    /// the shard count must be at least one and at most one shard per
-    /// processor.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        self.open.validate()?;
-        if self.shards == 0 {
-            return Err(ConfigError::NoShards);
-        }
-        if self.shards > self.open.processors {
-            return Err(ConfigError::TooManyShards {
-                shards: self.shards,
-                processors: self.open.processors,
-            });
-        }
-        Ok(())
-    }
-
-    /// Panicking form of [`validate`](ShardedOpenConfig::validate),
-    /// used by the driver to fail fast with the [`ConfigError`] display
-    /// message.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`] display message on the first
-    /// violation.
-    pub fn assert_valid(&self) {
-        if let Err(err) = self.validate() {
-            panic!("{err}");
-        }
-    }
-}
-
-/// Processors owned by shard `k` of `g`: an equi-partition with the
-/// remainder spread over the lowest-index shards.
-pub(crate) fn shard_processors(processors: u32, shards: u32, shard: u32) -> u32 {
-    processors / shards + u32::from(shard < processors % shards)
-}
-
-/// The RNG seed every shard's arrival replay starts from — shared, so
-/// all shards decimate one common aggregate path.
+/// The RNG seed every group's arrival replay starts from — shared, so
+/// all groups decimate one common aggregate path.
 fn router_seed(seed: u64) -> u64 {
     splitmix_seed(seed, 0, 1)
 }
@@ -151,15 +76,15 @@ pub(crate) fn job_seed(seed: u64, global: u64) -> u64 {
     splitmix_seed(seed, global, 2)
 }
 
-/// The shard the routing policy assigns global arrival `g` to.
-pub(crate) fn route(cfg: &ShardedOpenConfig, global: u64) -> u32 {
+/// The group the routing policy assigns global arrival `g` to.
+pub(crate) fn route(cfg: &HierOpenConfig, global: u64) -> u32 {
     match cfg.routing {
-        ShardRouting::RoundRobin => (global % cfg.shards as u64) as u32,
+        ShardRouting::RoundRobin => (global % cfg.groups as u64) as u32,
         ShardRouting::HashJobSeed => {
-            (splitmix_seed(job_seed(cfg.open.seed, global), 0, 3) % cfg.shards as u64) as u32
+            (splitmix_seed(job_seed(cfg.open.seed, global), 0, 3) % cfg.groups as u64) as u32
         }
         ShardRouting::Skewed { hot } => {
-            let cycle = hot as u64 + cfg.shards as u64 - 1;
+            let cycle = hot as u64 + cfg.groups as u64 - 1;
             if cycle == 0 {
                 return 0; // hot = 0 with one group: everything is group 0.
             }
@@ -174,46 +99,46 @@ pub(crate) fn route(cfg: &ShardedOpenConfig, global: u64) -> u32 {
 }
 
 /// Measured global arrival indices the routing policy assigns to
-/// `shard` — computable up front (routing is a pure function of seed
-/// and index), so each shard knows its measurement target before
+/// `group` — computable up front (routing is a pure function of seed
+/// and index), so each group knows its measurement target before
 /// simulating anything.
-pub(crate) fn measured_assigned(cfg: &ShardedOpenConfig, shard: u32) -> u64 {
+pub(crate) fn measured_assigned(cfg: &HierOpenConfig, group: u32) -> u64 {
     let warmup = cfg.open.warmup_jobs;
     (warmup..warmup + cfg.open.measured_jobs)
-        .filter(|&g| route(cfg, g) == shard)
+        .filter(|&g| route(cfg, g) == group)
         .count() as u64
 }
 
-/// One shard's pending-arrival source: replays the aggregate arrival
+/// One group's pending-arrival source: replays the aggregate arrival
 /// path from the shared router seed and yields `(global index, time)`
-/// for the arrivals routed to this shard. Skipped arrivals still
-/// consume their draws, so every shard sees the identical aggregate
+/// for the arrivals routed to this group. Skipped arrivals still
+/// consume their draws, so every group sees the identical aggregate
 /// path.
 pub(crate) struct ShardArrivals {
     stream: ArrivalStream,
     rng: StdRng,
     /// Global index of the next aggregate arrival to draw.
     next_global: u64,
-    shard: u32,
+    group: u32,
 }
 
 impl ShardArrivals {
-    pub(crate) fn new(cfg: &ShardedOpenConfig, shard: u32) -> Self {
+    pub(crate) fn new(cfg: &HierOpenConfig, group: u32) -> Self {
         Self {
             stream: cfg.open.arrivals.stream(),
             rng: StdRng::seed_from_u64(router_seed(cfg.open.seed)),
             next_global: 0,
-            shard,
+            group,
         }
     }
 
-    /// The next arrival routed to this shard.
-    pub(crate) fn next(&mut self, cfg: &ShardedOpenConfig) -> (u64, u64) {
+    /// The next arrival routed to this group.
+    pub(crate) fn next(&mut self, cfg: &HierOpenConfig) -> (u64, u64) {
         loop {
             let time = self.stream.next_arrival(&mut self.rng);
             let global = self.next_global;
             self.next_global += 1;
-            if route(cfg, global) == self.shard {
+            if route(cfg, global) == self.group {
                 return (global, time);
             }
         }
@@ -258,7 +183,7 @@ pub(crate) fn merge_reports(open: &OpenConfig, reports: &[ShardReport]) -> OpenO
 
     if let Some(tripped) = reports.iter().find(|r| r.tripped.is_some()) {
         return OpenOutcome::Unstable(UnstableReport {
-            reason: tripped.tripped.expect("found a tripped shard"),
+            reason: tripped.tripped.expect("found a tripped group"),
             quanta,
             horizon,
             jobs_in_system: reports.iter().map(|r| r.jobs_in_system).sum(),
@@ -277,9 +202,9 @@ pub(crate) fn merge_reports(open: &OpenConfig, reports: &[ShardReport]) -> OpenO
         .map(|r| r.samples.iter().map(|&(s, _, sd)| (s, sd)).collect())
         .collect();
     let response = merged_batch_means(&responses, slots, open.batches)
-        .expect("steady shards tile the measurement slots");
+        .expect("steady groups tile the measurement slots");
     let slowdown_samples =
-        merge_shard_samples(&slowdowns, slots).expect("steady shards tile the measurement slots");
+        merge_shard_samples(&slowdowns, slots).expect("steady groups tile the measurement slots");
     let slowdown = percentiles(&slowdown_samples).expect("measured_jobs > 0");
 
     let weights: Vec<(f64, f64)> = reports
@@ -310,73 +235,23 @@ pub(crate) fn merge_reports(open: &OpenConfig, reports: &[ShardReport]) -> OpenO
     })
 }
 
-/// Runs one sharded open-system simulation on a pool of `threads`
-/// workers. The outcome is identical for every `threads` value by
-/// construction (shards are independent and the merge folds in
-/// shard-index order).
-///
-/// `make_allocator` builds each shard's allocator from the shard's
-/// processor count; `make_executor` and `make_calculator` are the
-/// factories of [`run_open_system`](crate::run_open_system), shared by
-/// every shard (`Fn`, not `FnMut`, so the pool can call them
-/// concurrently). With `shards = 1` the single group draws arrivals and
-/// job structures exactly as [`run_open_system`](crate::run_open_system)
-/// does on `cfg.open` — bit-identical, pinned fingerprints included.
-///
-/// The fixed partition is the hierarchical driver under
-/// [`StaticEqui`] with one unbounded reallocation epoch: every group
-/// runs to its end inside the first advance, so the top-level policy
-/// is never consulted.
-///
-/// # Panics
-///
-/// Panics on an inconsistent configuration (see
-/// [`ShardedOpenConfig::validate`]).
-pub fn run_open_sharded_with_threads<A, FA, E, C>(
-    cfg: &ShardedOpenConfig,
-    make_allocator: FA,
-    make_executor: E,
-    make_calculator: C,
-    threads: usize,
-) -> OpenOutcome
-where
-    A: Allocator + Send,
-    FA: Fn(u32) -> A + Sync,
-    E: Fn(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send> + Sync,
-    C: Fn() -> Box<dyn Controller + Send> + Sync,
-{
-    cfg.assert_valid();
-    let hier = HierOpenConfig {
-        open: cfg.open.clone(),
-        groups: cfg.shards,
-        routing: cfg.routing,
-        realloc_epoch: u64::MAX,
-        group_floor: 1,
-    };
-    run_open_hierarchical_with_threads(
-        &hier,
-        make_allocator,
-        make_executor,
-        make_calculator,
-        StaticEqui,
-        threads,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hier::run_open_hierarchical_with_threads;
     use crate::lockstep::assert_outcome_bits_eq;
     use crate::reference::ReferenceOpenDriver;
     use crate::saturation::SaturationConfig;
     use abg_alloc::DynamicEquiPartition;
-    use abg_control::AControl;
+    use abg_control::{AControl, StaticEqui};
     use abg_dag::PhasedJob;
     use abg_sched::PipelinedExecutor;
     use abg_workload::{mean_gap_for_utilization, ArrivalProcess};
 
-    fn config(rho: f64, shards: u32, routing: ShardRouting) -> ShardedOpenConfig {
-        ShardedOpenConfig {
+    /// A fixed partition of 16 processors into `groups` groups: the
+    /// static top level with one unbounded epoch.
+    fn config(rho: f64, groups: u32, routing: ShardRouting) -> HierOpenConfig {
+        HierOpenConfig {
             open: OpenConfig {
                 processors: 16,
                 quantum_len: 10,
@@ -391,28 +266,22 @@ mod tests {
                 saturation: SaturationConfig::default(),
                 seed: 0x5AAD,
             },
-            shards,
+            groups,
             routing,
+            realloc_epoch: u64::MAX,
+            group_floor: 1,
         }
     }
 
-    fn run(cfg: &ShardedOpenConfig, threads: usize) -> OpenOutcome {
-        run_open_sharded_with_threads(
+    fn run(cfg: &HierOpenConfig, threads: usize) -> OpenOutcome {
+        run_open_hierarchical_with_threads(
             cfg,
             DynamicEquiPartition::new,
             |_rng, _recycled| Box::new(PipelinedExecutor::new(PhasedJob::constant(2, 40))),
             || Box::new(AControl::new(0.2)),
+            StaticEqui,
             threads,
         )
-    }
-
-    #[test]
-    fn shard_processor_partition_spreads_the_remainder() {
-        let split: Vec<u32> = (0..3).map(|k| shard_processors(16, 3, k)).collect();
-        assert_eq!(split, vec![6, 5, 5]);
-        assert_eq!(split.iter().sum::<u32>(), 16);
-        assert_eq!(shard_processors(16, 16, 15), 1);
-        assert_eq!(shard_processors(16, 1, 0), 16);
     }
 
     #[test]
@@ -424,7 +293,7 @@ mod tests {
             for k in 0..4 {
                 assert!(
                     measured_assigned(&cfg, k) > 0,
-                    "{routing:?}: shard {k} starved"
+                    "{routing:?}: group {k} starved"
                 );
             }
         }
@@ -438,7 +307,7 @@ mod tests {
     #[test]
     fn every_shard_replays_the_same_aggregate_path() {
         let cfg = config(0.5, 4, ShardRouting::RoundRobin);
-        // Collect (global, time) from every shard's source; the union
+        // Collect (global, time) from every group's source; the union
         // must be one consistent aggregate path.
         let mut seen: Vec<(u64, u64)> = Vec::new();
         for k in 0..4 {
@@ -452,7 +321,7 @@ mod tests {
             assert_ne!(pair[0].0, pair[1].0, "global index claimed twice");
             assert!(pair[0].1 <= pair[1].1, "aggregate path not monotone");
         }
-        // Round-robin: shard k owns exactly the indices ≡ k (mod 4).
+        // Round-robin: group k owns exactly the indices ≡ k (mod 4).
         let mut src = ShardArrivals::new(&cfg, 2);
         for j in 0..10 {
             assert_eq!(src.next(&cfg).0, 2 + 4 * j);
@@ -531,46 +400,5 @@ mod tests {
         // Constant jobs here, so responses differ only through queueing;
         // both must be steady with the full measured count.
         assert_eq!(rr.completed, hash.completed);
-    }
-
-    #[test]
-    fn validate_reports_typed_shard_errors() {
-        let mut cfg = config(0.5, 0, ShardRouting::RoundRobin);
-        assert_eq!(cfg.validate(), Err(ConfigError::NoShards));
-        assert_eq!(
-            cfg.validate().unwrap_err().to_string(),
-            "need at least one shard"
-        );
-        cfg.shards = 17;
-        assert_eq!(
-            cfg.validate(),
-            Err(ConfigError::TooManyShards {
-                shards: 17,
-                processors: 16
-            })
-        );
-        assert_eq!(
-            cfg.validate().unwrap_err().to_string(),
-            "need at least one processor per shard (17 shards > 16 processors)"
-        );
-        cfg.shards = 16;
-        assert_eq!(cfg.validate(), Ok(()));
-        // Aggregate-config violations surface through the same path.
-        cfg.open.max_quanta = u64::MAX;
-        assert!(matches!(
-            cfg.validate(),
-            Err(ConfigError::HorizonOverflow { .. })
-        ));
-        cfg.open.batches = 1;
-        assert_eq!(cfg.validate(), Err(ConfigError::TooFewBatches));
-        cfg.open.quantum_len = 0;
-        assert_eq!(cfg.validate(), Err(ConfigError::ZeroQuantum));
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least one shard")]
-    fn zero_shards_fail_fast_in_the_driver() {
-        let cfg = config(0.5, 0, ShardRouting::RoundRobin);
-        let _ = run(&cfg, 1);
     }
 }

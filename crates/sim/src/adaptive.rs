@@ -15,15 +15,16 @@
 //! with an [`AdaptiveQuantum`] pacer implementing the natural rule —
 //! lengthen while the request is stable, shrink as soon as it moves —
 //! and [`FixedQuantum`] is the degenerate pacer that never moves.
+//! Run a paced controller through any driver, e.g.
+//! [`run_single_job`](crate::run_single_job); the run's
+//! `reallocations` counts the quanta whose allotment changed.
 //!
 //! (The pre-unification `QuantumPolicy` trait, which duplicated the
 //! request bookkeeping outside the controller, is gone; `Paced`
 //! subsumes it.)
 
-use crate::single::{SingleJobConfig, SingleJobRun};
-use abg_alloc::Allocator;
 use abg_control::Controller;
-use abg_sched::{JobExecutor, QuantumStats};
+use abg_sched::QuantumStats;
 
 /// The conventional fixed-length quantum, as a pacer: wrap a controller
 /// with [`FixedQuantum::pace`] to run it at this length regardless of
@@ -179,39 +180,10 @@ impl<C: Controller> Controller for Paced<C> {
     }
 }
 
-/// Like [`crate::run_single_job`] (and now a trivial delegation to it —
-/// the controller itself carries the pacing), returning the run plus the
-/// number of quanta whose allotment differed from the previous one (a
-/// proxy for reallocation overhead, which the paper's simulations ignore
-/// but its motivation cares about).
-///
-/// Pass a [`Paced`] controller (e.g.
-/// `AdaptiveQuantum::new(25, 400, 0.05).pace(AControl::new(0.2))`) for
-/// adaptive quanta, or any plain calculator for the fixed-length
-/// behaviour of the configured `L`.
-///
-/// # Panics
-///
-/// Panics if the `max_quanta` safety valve (from `config`) trips.
-pub fn run_single_job_adaptive<E, C, A>(
-    executor: &mut E,
-    controller: &mut C,
-    allocator: &mut A,
-    config: SingleJobConfig,
-) -> (SingleJobRun, u64)
-where
-    E: JobExecutor,
-    C: Controller,
-    A: Allocator + Clone,
-{
-    let run = crate::run_single_job(executor, controller, allocator, config);
-    let reallocations = run.reallocations;
-    (run, reallocations)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SingleJobConfig;
     use abg_alloc::Scripted;
     use abg_control::AControl;
     use abg_dag::{Phase, PhasedJob};
@@ -238,8 +210,7 @@ mod tests {
         let mut b = PipelinedExecutor::new(&job);
         let mut c2 = FixedQuantum(50).pace(AControl::new(0.2));
         let mut al2 = Scripted::ample(64);
-        let (adaptive, _) =
-            run_single_job_adaptive(&mut b, &mut c2, &mut al2, SingleJobConfig::new(50));
+        let adaptive = crate::run_single_job(&mut b, &mut c2, &mut al2, SingleJobConfig::new(50));
         assert_eq!(fixed.running_time, adaptive.running_time);
         assert_eq!(fixed.waste, adaptive.waste);
         assert_eq!(fixed.quanta, adaptive.quanta);
@@ -257,10 +228,10 @@ mod tests {
                 AdaptiveQuantum::from(FixedQuantum(25))
             };
             let mut c = pacer.pace(AControl::new(0.2));
-            run_single_job_adaptive(&mut ex, &mut c, &mut al, SingleJobConfig::new(25))
+            crate::run_single_job(&mut ex, &mut c, &mut al, SingleJobConfig::new(25))
         };
-        let (fixed_run, _) = run_with(false);
-        let (adaptive_run, _) = run_with(true);
+        let fixed_run = run_with(false);
+        let adaptive_run = run_with(true);
         assert!(
             adaptive_run.quanta * 2 < fixed_run.quanta,
             "adaptive {} quanta vs fixed {}",
@@ -290,9 +261,11 @@ mod tests {
         // Rate 0: one-step convergence, requests 1 then 4.
         let mut c = FixedQuantum(20).pace(AControl::new(0.0));
         let mut al = Scripted::ample(16);
-        let (_, reallocs) =
-            run_single_job_adaptive(&mut ex, &mut c, &mut al, SingleJobConfig::new(20));
-        assert_eq!(reallocs, 1, "only the 1 -> 4 jump changes the allotment");
+        let run = crate::run_single_job(&mut ex, &mut c, &mut al, SingleJobConfig::new(20));
+        assert_eq!(
+            run.reallocations, 1,
+            "only the 1 -> 4 jump changes the allotment"
+        );
     }
 
     #[test]

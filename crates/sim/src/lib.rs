@@ -40,7 +40,7 @@ pub mod single;
 pub mod trace;
 pub mod trim;
 
-pub use adaptive::{run_single_job_adaptive, AdaptiveQuantum, FixedQuantum, Paced};
+pub use adaptive::{AdaptiveQuantum, FixedQuantum, Paced};
 pub use metrics::{JobMetrics, QuantumClass};
 pub use multi::{JobOutcome, MultiJobOutcome, MultiJobSim};
 pub use probe::{NullProbe, Probe, TraceProbe};

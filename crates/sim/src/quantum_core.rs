@@ -19,8 +19,7 @@
 //!   [`NullProbe`](crate::NullProbe) compiles the instrumentation away
 //!   entirely.
 //!
-//! The four public drivers — [`run_single_job`](crate::run_single_job),
-//! [`run_single_job_adaptive`](crate::run_single_job_adaptive),
+//! The three public drivers — [`run_single_job`](crate::run_single_job),
 //! [`MultiJobSim`](crate::MultiJobSim) and `abg_queue`'s
 //! `run_open_system` — are thin configurations of this core; the
 //! sweep/open fingerprint suites pin each of them bit-identical to the

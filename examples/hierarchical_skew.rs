@@ -14,7 +14,7 @@
 //! reports the steady-state mean response time, the hot group's final
 //! capacity, and the spread of per-group served utilization (completed
 //! work over each group's own capacity integral). The static policy is
-//! bit-identical to the fixed-partition sharded engine; the feedback
+//! the fixed partition (it never resizes a group); the feedback
 //! policies reallocate every 50 quanta and should flatten the
 //! utilization spread as the skew grows.
 

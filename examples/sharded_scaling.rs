@@ -1,30 +1,30 @@
-//! Aggregate throughput of the sharded open-system engine: the same
-//! offered load simulated as one machine versus as independent
-//! processor-group shards.
+//! Aggregate throughput of a fixed machine partition: the same offered
+//! load simulated as one machine versus as `G` processor groups under
+//! the static top level (`StaticEqui`, one unbounded epoch).
 //!
 //! ```text
 //! cargo run --release --example sharded_scaling
 //! ```
 //!
-//! Each row splits a 128-processor machine at ρ = 0.85 into `G` shards
-//! and reports how much simulated time the engine commits per
+//! Each row splits a 128-processor machine at ρ = 0.85 into `G` groups
+//! and reports how much simulated time the driver commits per
 //! wall-clock second (aggregate committed quanta × quantum length,
-//! summed over shards). Two effects stack:
+//! summed over groups). Two effects stack:
 //!
-//! * every decimated shard runs its own full horizon, so the aggregate
+//! * every decimated group runs its own full horizon, so the aggregate
 //!   simulated time grows with `G` at the same total arrival count; and
-//! * each shard's event loop prices a population `G`× smaller, so those
+//! * each group's event loop prices a population `G`× smaller, so those
 //!   horizons are also cheaper to commit.
 //!
 //! The pool here is pinned to one worker so the table isolates the
 //! algorithmic win; on a multi-core machine a larger `threads` argument
-//! spreads the shards over more workers on top of it.
+//! spreads the groups over more workers on top of it.
 
 use abg::queue::{
-    run_open_sharded_with_threads, OpenConfig, SaturationConfig, ShardRouting, ShardedOpenConfig,
+    run_open_hierarchical_with_threads, HierOpenConfig, OpenConfig, SaturationConfig, ShardRouting,
 };
 use abg_alloc::DynamicEquiPartition;
-use abg_control::{AControl, Controller};
+use abg_control::{AControl, Controller, StaticEqui};
 use abg_dag::PhasedJob;
 use abg_sched::{JobExecutor, PipelinedExecutor};
 use abg_workload::{mean_gap_for_utilization, ArrivalProcess};
@@ -35,7 +35,7 @@ fn main() {
     let processors = 128u32;
     let rho = 0.85;
     // Width-2 jobs keep even a 1/8 slice of the machine at 8 effective
-    // servers — every shard stays in the satisfied regime where frozen
+    // servers — every group stays in the satisfied regime where frozen
     // windows form. T1 = 2 × 40_000 = 80_000 steps per job.
     let job = Arc::new(PhasedJob::constant(2, 40_000));
     let t1 = 2.0 * 40_000.0;
@@ -64,20 +64,22 @@ fn main() {
         seed: 0xB16C_2008,
     };
 
-    println!("sharded open-system engine, P = {processors}, rho = {rho}");
+    println!("fixed partition, P = {processors}, rho = {rho}");
     println!(
         "{:>6}  {:>14}  {:>9}  {:>13}  {:>8}",
-        "shards", "agg steps", "wall ms", "steps/s", "vs G=1"
+        "groups", "agg steps", "wall ms", "steps/s", "vs G=1"
     );
     let mut base = None;
-    for shards in [1u32, 2, 4, 8] {
-        let cfg = ShardedOpenConfig {
+    for groups in [1u32, 2, 4, 8] {
+        let cfg = HierOpenConfig {
             open: open.clone(),
-            shards,
+            groups,
             routing: ShardRouting::RoundRobin,
+            realloc_epoch: u64::MAX,
+            group_floor: 1,
         };
         let start = Instant::now();
-        let out = run_open_sharded_with_threads(
+        let out = run_open_hierarchical_with_threads(
             &cfg,
             DynamicEquiPartition::new,
             |_rng, recycled: Option<Box<dyn JobExecutor + Send>>| {
@@ -89,6 +91,7 @@ fn main() {
                 Box::new(PipelinedExecutor::new(Arc::clone(&job)))
             },
             || -> Box<dyn Controller + Send> { Box::new(AControl::new(0.2)) },
+            StaticEqui,
             1,
         );
         let wall = start.elapsed().as_secs_f64();
@@ -98,7 +101,7 @@ fn main() {
         let speedup = rate / *base.get_or_insert(rate);
         println!(
             "{:>6}  {:>14}  {:>9.1}  {:>13.3e}  {:>7.2}x",
-            shards,
+            groups,
             steps,
             wall * 1e3,
             rate,

@@ -5,7 +5,7 @@
 
 use abg::prelude::*;
 use abg_control::{AdaptiveRateControl, PiControl};
-use abg_sim::{run_single_job_adaptive, AdaptiveQuantum, FixedQuantum};
+use abg_sim::{AdaptiveQuantum, FixedQuantum};
 use abg_steal::{abp_request, ASteal, StealExecutor};
 use proptest::prelude::*;
 
@@ -87,11 +87,11 @@ fn adaptive_quantum_frontier() {
         // dynamic dispatch for heterogeneous engines.
         let mut ctl: Box<dyn Controller + Send> = Box::new(pacer.pace(AControl::new(0.2)));
         let mut alloc = Scripted::ample(64);
-        run_single_job_adaptive(&mut ex, &mut ctl, &mut alloc, SingleJobConfig::new(25))
+        run_single_job(&mut ex, &mut ctl, &mut alloc, SingleJobConfig::new(25))
     };
-    let (short, _) = run(FixedQuantum(25).into());
-    let (long, _) = run(FixedQuantum(400).into());
-    let (adaptive, _) = run(AdaptiveQuantum::new(25, 400, 0.05));
+    let short = run(FixedQuantum(25).into());
+    let long = run(FixedQuantum(400).into());
+    let adaptive = run(AdaptiveQuantum::new(25, 400, 0.05));
 
     assert!(
         adaptive.quanta < short.quanta,
@@ -176,7 +176,7 @@ proptest! {
         let mut ex = PipelinedExecutor::new(job);
         let mut ctl = AdaptiveQuantum::new(min, max, 0.05).pace(AControl::new(0.2));
         let mut alloc = Scripted::ample(32);
-        let (run, _) = run_single_job_adaptive(
+        let run = run_single_job(
             &mut ex, &mut ctl, &mut alloc,
             SingleJobConfig::new(min).with_trace(),
         );

@@ -1,6 +1,7 @@
 //! Hierarchical two-level scheduling acceptance: the static top level
-//! is bit-identical to the sharded engine (and, at one group, to the
-//! unsharded driver pinned by `tests/open_system.rs`), outcomes are
+//! is invisible — bit-identical at every epoch length to the fixed
+//! partition's one unbounded epoch (and, at one group, to the
+//! unsharded driver pinned by `tests/open_system.rs`) — outcomes are
 //! thread-count invariant, and the desire feedback beats the fixed
 //! partition under skewed arrivals.
 //!
@@ -15,8 +16,8 @@ use abg::experiments::{
     OpenSystemConfig, OpenWorkload,
 };
 use abg::queue::{
-    run_open_hierarchical_with_threads, run_open_sharded_with_threads, HierOpenConfig, OpenConfig,
-    OpenOutcome, SaturationConfig, ShardRouting, ShardedOpenConfig,
+    run_open_hierarchical_with_threads, HierOpenConfig, OpenConfig, OpenOutcome, SaturationConfig,
+    ShardRouting,
 };
 use abg_alloc::DynamicEquiPartition;
 use abg_control::{AControl, Controller, GroupPolicy, StaticEqui};
@@ -32,9 +33,7 @@ use std::sync::Arc;
 const OPEN_SMOKE: u64 = 0x32ed9525adb1b404;
 
 /// `open_system_sweep` of the smoke config at `groups = 4` with the
-/// static top level — bit-identical to `shards = 4` by construction
-/// (the test below checks that equality too; this constant pins both
-/// paths against silent drift).
+/// static top level: the fixed partition, pinned against silent drift.
 const OPEN_SMOKE_HIER_STATIC_G4: u64 = 0x53e9b7f79ac798f2;
 
 fn smoke_with_groups(groups: u32, policy: GroupPolicy) -> OpenSystemConfig {
@@ -56,16 +55,9 @@ fn one_group_hier_sweep_matches_the_unsharded_golden() {
 }
 
 #[test]
-fn static_four_group_sweep_matches_golden_and_the_sharded_engine() {
+fn static_four_group_sweep_matches_golden() {
     let rows = open_system_sweep(&smoke_with_groups(4, GroupPolicy::Static));
     assert_eq!(open_fingerprint(&rows), OPEN_SMOKE_HIER_STATIC_G4);
-    let mut sharded = OpenSystemConfig::smoke();
-    sharded.shards = 4;
-    assert_eq!(
-        open_fingerprint(&open_system_sweep(&sharded)),
-        OPEN_SMOKE_HIER_STATIC_G4,
-        "shards = 4 and static groups = 4 must share one fingerprint"
-    );
 }
 
 /// A four-group desire sweep replaying one seeded Montage dag through
@@ -140,44 +132,38 @@ fn run_hier(
     )
 }
 
-fn run_sharded(cfg: &OpenConfig, shards: u32, threads: usize) -> OpenOutcome {
-    run_open_sharded_with_threads(
-        &ShardedOpenConfig {
-            open: cfg.clone(),
-            shards,
-            routing: ShardRouting::RoundRobin,
-        },
-        DynamicEquiPartition::new,
-        make_executor,
-        || -> Box<dyn Controller + Send> { Box::new(AControl::new(0.2)) },
-        threads,
-    )
-}
-
 #[test]
-fn static_top_level_is_bit_identical_to_the_sharded_engine() {
+fn static_top_level_is_invisible() {
     // The acceptance anchor at the driver level: a top level that
     // never resizes anyone must be invisible — every group's loop is
     // sliced at epoch boundaries but replays the identical schedule,
-    // so the merged outcome equals the fixed-partition sharded engine
-    // for every shard count, thread count and epoch length.
+    // so the merged outcome equals the one-unbounded-epoch run the
+    // sweep picks for a fixed partition, for every group count,
+    // thread count and epoch length.
     let cfg = open_config(0.5);
-    for shards in [1u32, 2, 4, 8] {
-        let baseline = run_sharded(&cfg, shards, 1);
-        assert!(baseline.is_steady(), "rho = 0.5 with {shards} shards");
+    for groups in [1u32, 2, 4, 8] {
+        let baseline = run_hier(
+            &cfg,
+            groups,
+            ShardRouting::RoundRobin,
+            u64::MAX,
+            GroupPolicy::Static,
+            1,
+        );
+        assert!(baseline.is_steady(), "rho = 0.5 with {groups} groups");
         for threads in 1..=8 {
             for epoch in [1u64, 32, 500] {
                 assert_eq!(
                     run_hier(
                         &cfg,
-                        shards,
+                        groups,
                         ShardRouting::RoundRobin,
                         epoch,
                         GroupPolicy::Static,
                         threads,
                     ),
                     baseline,
-                    "groups = {shards} drifted at {threads} threads, epoch {epoch}"
+                    "groups = {groups} drifted at {threads} threads, epoch {epoch}"
                 );
             }
         }

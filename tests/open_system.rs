@@ -9,11 +9,11 @@
 
 use abg::experiments::{open_fingerprint, open_system_sweep, OpenSystemConfig, OpenWorkload};
 use abg::queue::{
-    run_open_sharded_with_threads, run_open_system, OpenConfig, OpenOutcome, SaturationConfig,
-    ShardRouting, ShardedOpenConfig,
+    run_open_hierarchical_with_threads, run_open_system, HierOpenConfig, OpenConfig, OpenOutcome,
+    SaturationConfig, ShardRouting,
 };
 use abg_alloc::DynamicEquiPartition;
-use abg_control::{AControl, AGreedy, Controller};
+use abg_control::{AControl, AGreedy, Controller, StaticEqui};
 use abg_dag::PhasedJob;
 use abg_sched::{JobExecutor, PipelinedExecutor};
 use abg_workload::{mean_gap_for_utilization, ArrivalProcess, WorkflowKind};
@@ -23,10 +23,11 @@ const OPEN_SMOKE: u64 = 0x32ed9525adb1b404;
 
 #[test]
 fn smoke_open_sweep_matches_golden() {
-    // The sweep routes every point through the sharded engine with the
-    // presets' `shards = 1`: the one-group case of the open-system loop,
-    // which draws arrivals and jobs exactly as the unsharded driver —
-    // this golden staying pinned IS the bit-identity check for it.
+    // The sweep routes every point through the multi-group driver with
+    // the presets' `groups = 1`: the one-group case of the open-system
+    // loop, which draws arrivals and jobs exactly as the unsharded
+    // driver — this golden staying pinned IS the bit-identity check for
+    // it.
     let rows = open_system_sweep(&OpenSystemConfig::smoke());
     assert_eq!(open_fingerprint(&rows), OPEN_SMOKE);
 }
@@ -105,12 +106,16 @@ fn run_with(cfg: &OpenConfig, abg_controller: bool) -> OpenOutcome {
     )
 }
 
-fn run_sharded(cfg: &OpenConfig, shards: u32, threads: usize) -> OpenOutcome {
-    run_open_sharded_with_threads(
-        &ShardedOpenConfig {
+/// A fixed partition into `groups` groups: the static top level with
+/// one unbounded epoch.
+fn run_fixed(cfg: &OpenConfig, groups: u32, threads: usize) -> OpenOutcome {
+    run_open_hierarchical_with_threads(
+        &HierOpenConfig {
             open: cfg.clone(),
-            shards,
+            groups,
             routing: ShardRouting::RoundRobin,
+            realloc_epoch: u64::MAX,
+            group_floor: 1,
         },
         DynamicEquiPartition::new,
         |_rng, recycled: Option<Box<dyn JobExecutor + Send>>| {
@@ -122,24 +127,25 @@ fn run_sharded(cfg: &OpenConfig, shards: u32, threads: usize) -> OpenOutcome {
             Box::new(PipelinedExecutor::new(PhasedJob::constant(4, 50)))
         },
         || -> Box<dyn Controller + Send> { Box::new(AControl::new(0.2)) },
+        StaticEqui,
         threads,
     )
 }
 
 #[test]
 fn sharded_outcome_is_identical_for_every_thread_count() {
-    // The acceptance property of the sharded engine: at a fixed shard
+    // The acceptance property of a fixed partition: at a fixed group
     // count the merged outcome is a pure function of the configuration
     // — the worker pool's size and schedule must never show through.
     let cfg = driver_config(0.5);
-    for shards in [2u32, 4, 8] {
-        let baseline = run_sharded(&cfg, shards, 1);
-        assert!(baseline.is_steady(), "rho = 0.5 with {shards} shards");
+    for groups in [2u32, 4, 8] {
+        let baseline = run_fixed(&cfg, groups, 1);
+        assert!(baseline.is_steady(), "rho = 0.5 with {groups} groups");
         for threads in 2..=8 {
             assert_eq!(
-                run_sharded(&cfg, shards, threads),
+                run_fixed(&cfg, groups, threads),
                 baseline,
-                "shards = {shards} drifted at {threads} threads"
+                "groups = {groups} drifted at {threads} threads"
             );
         }
     }
@@ -147,9 +153,10 @@ fn sharded_outcome_is_identical_for_every_thread_count() {
 
 #[test]
 fn single_shard_engine_matches_the_event_driver_bit_for_bit() {
+    // One group of the multi-group driver is the unsharded driver.
     let cfg = driver_config(0.5);
     for threads in [1usize, 4] {
-        assert_eq!(run_sharded(&cfg, 1, threads), run_with(&cfg, true));
+        assert_eq!(run_fixed(&cfg, 1, threads), run_with(&cfg, true));
     }
 }
 
