@@ -5,10 +5,8 @@
 use super::{parallel_map, task_seed};
 use abg_alloc::Scripted;
 use abg_control::{AControl, AGreedy, AdaptiveRateControl, Controller};
-use abg_dag::{ExplicitDag, ForkJoinSpec};
-use abg_sched::{
-    BGreedyExecutor, DepthFirstExecutor, GreedyExecutor, LeveledExecutor, PipelinedExecutor,
-};
+use abg_dag::{ExplicitDag, ForkJoinSpec, PhasedJob};
+use abg_sched::{BGreedyExecutor, DepthFirstExecutor, GreedyExecutor, PipelinedExecutor};
 use abg_sim::{run_single_job, SingleJobConfig, SingleJobRun};
 use abg_workload::paper_job;
 use rand::rngs::StdRng;
@@ -232,7 +230,7 @@ pub fn scheduler_ablation(cfg: &AblationConfig) -> Vec<SchedulerAblationRow> {
                 .map(|(f, j)| {
                     let mut rng = StdRng::seed_from_u64(task_seed(cfg.seed, f, j));
                     ForkJoinSpec::with_transition_factor(f.min(16), quantum_len, 2)
-                        .generate_phased(&mut rng)
+                        .generate(&mut rng)
                         .to_explicit()
                 })
         })
@@ -286,7 +284,8 @@ pub struct SemanticsAblationRow {
 
 /// Compares the pipelined-phase job model against the barrier-per-level
 /// model under both controllers, on jobs generated from the *same*
-/// phase lists.
+/// phase lists: the barrier job is [`PhasedJob::barrier`] of the sampled
+/// phases, and both run through [`PipelinedExecutor`].
 ///
 /// Under barriers, allotments that do not divide the phase width lose
 /// cycles at every level boundary; A-Greedy's power-of-two desires are
@@ -317,23 +316,17 @@ pub fn semantics_ablation(cfg: &AblationConfig) -> Vec<SemanticsAblationRow> {
             };
             let mut alloc = Scripted::ample(cfg.processors);
             let sim_cfg = SingleJobConfig::new(cfg.quantum_len);
-            if barrier {
-                let job = spec.generate(&mut rng);
-                run_single_job(
-                    &mut LeveledExecutor::new(job),
-                    &mut calc,
-                    &mut alloc,
-                    sim_cfg,
-                )
+            let job = if barrier {
+                PhasedJob::barrier(&spec.sample_phases(&mut rng))
             } else {
-                let job = spec.generate_phased(&mut rng);
-                run_single_job(
-                    &mut PipelinedExecutor::new(job),
-                    &mut calc,
-                    &mut alloc,
-                    sim_cfg,
-                )
-            }
+                spec.generate(&mut rng)
+            };
+            run_single_job(
+                &mut PipelinedExecutor::new(job),
+                &mut calc,
+                &mut alloc,
+                sim_cfg,
+            )
         });
         rows.push(SemanticsAblationRow {
             model: if barrier { "barrier" } else { "pipelined" }.to_string(),
@@ -439,5 +432,17 @@ mod tests {
             "barrier model should hurt A-Greedy at least as much as ABG \
              (A-Greedy penalty {ag_pen:.3}, ABG penalty {abg_pen:.3})"
         );
+    }
+
+    /// Golden of the default-probe semantics ablation: every row's
+    /// quality, bit for bit, so a change to either job model or its
+    /// executor shows up here.
+    #[test]
+    fn semantics_ablation_matches_golden() {
+        let mut f = crate::experiments::Fingerprint::new();
+        for row in semantics_ablation(&AblationConfig::default_probe()) {
+            f.f64(row.quality.time_norm).f64(row.quality.waste_norm);
+        }
+        assert_eq!(f.finish(), 0x5ff9_911b_0c65_5b7c);
     }
 }

@@ -13,10 +13,9 @@
 use super::single_job::{single_job_sweep_with_steps, SingleJobSweepConfig};
 use abg_alloc::DynamicEquiPartition;
 use abg_control::{AControl, ConstantRequest};
-use abg_dag::{generate, LeveledJob, Phase, PhasedJob};
+use abg_dag::{generate, Phase, PhasedJob};
 use abg_sched::{
-    BGreedyExecutor, JobExecutor, LeveledExecutor, OwnedBGreedyExecutor, PipelinedExecutor,
-    ReferenceBGreedyExecutor,
+    BGreedyExecutor, JobExecutor, OwnedBGreedyExecutor, PipelinedExecutor, ReferenceBGreedyExecutor,
 };
 use abg_sim::{live_job_footprint, CompletedJob, MultiJobSim, NullProbe, QuantumCore};
 use abg_workload::{JobSetSpec, ReleaseSchedule, WorkflowKind};
@@ -268,11 +267,11 @@ where
     }
 }
 
-/// One repetition of a churn kernel: `n_jobs` short barrier-leveled
-/// jobs (width 4, 200 levels, `T1 = 800`) on a deterministic arrival
-/// grid at effective-server utilization 0.85 — each job asks for 2
-/// processors, so level boundaries align with quantum boundaries and
-/// nearly every quantum both admits releases and reclaims completions.
+/// One repetition of a churn kernel: `n_jobs` short constant jobs
+/// (width 4, 200 levels, `T1 = 800`) on a deterministic arrival grid at
+/// effective-server utilization 0.85 — each job asks for 2 processors,
+/// so level boundaries align with quantum boundaries and nearly every
+/// quantum both admits releases and reclaims completions.
 /// The *entire* calendar is admitted up front with future release
 /// steps: the storage layer holds every not-yet-completed job while
 /// only the O(live) set is scheduled, which is exactly the regime where
@@ -282,8 +281,8 @@ where
 fn churn_body<'j>(
     processors: u32,
     n_jobs: u64,
-    job: &'j LeveledJob,
-    pool: &mut Vec<LeveledExecutor<&'j LeveledJob>>,
+    job: &'j PhasedJob,
+    pool: &mut Vec<PipelinedExecutor<&'j PhasedJob>>,
     done: &mut Vec<CompletedJob>,
 ) -> (u64, u64) {
     // Mean gap T1 / (0.85 · P) as an exact integer grid: arrival `i`
@@ -297,7 +296,7 @@ fn churn_body<'j>(
                 e.reset();
                 e
             }
-            None => LeveledExecutor::new(job),
+            None => PipelinedExecutor::new(job),
         };
         core.admit(ex, ConstantRequest::new(2.0), i * gap_num / gap_den);
     }
@@ -389,10 +388,11 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
         (phased_ex.completed_work(), phased_ex.elapsed_steps())
     }));
 
-    // Barrier-leveled constant job under the leveled fast-forward.
-    let leveled = LeveledJob::constant(cfg.leveled_width, cfg.leveled_levels);
+    // Barrier-leveled constant job (one-level phases) under the
+    // pipelined fast-forward: one phase crossing per level.
+    let leveled = PhasedJob::barrier(&[Phase::new(cfg.leveled_width, cfg.leveled_levels)]);
     let lw = cfg.leveled_width as u32;
-    let mut leveled_ex = LeveledExecutor::new(&leveled);
+    let mut leveled_ex = PipelinedExecutor::new(&leveled);
     results.push(measure("leveled_barrier", ms, || {
         leveled_ex.reset();
         while !leveled_ex.is_complete() {
@@ -738,9 +738,9 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
     // the small live set does work each quantum, so these two price the
     // live-set bookkeeping itself (the `open_churn` kernel is gated; the
     // large variant demonstrates the population-independent scaling).
-    let churn_job = LeveledJob::constant(4, 200); // T1 = 800: four exact quanta at allotment 2
-    let churn_footprint = live_job_footprint::<LeveledExecutor<&LeveledJob>, ConstantRequest>();
-    let mut churn_pool: Vec<LeveledExecutor<&LeveledJob>> = Vec::new();
+    let churn_job = PhasedJob::constant(4, 200); // T1 = 800: four exact quanta at allotment 2
+    let churn_footprint = live_job_footprint::<PipelinedExecutor<&PhasedJob>, ConstantRequest>();
+    let mut churn_pool: Vec<PipelinedExecutor<&PhasedJob>> = Vec::new();
     let mut churn_done: Vec<CompletedJob> = Vec::new();
     let mut churn_res = measure("open_churn", ms, || {
         churn_body(
@@ -878,7 +878,7 @@ mod tests {
     #[ignore = "measurement probe, not a correctness test"]
     fn churn_probe() {
         let cfg = KernelBenchConfig::full();
-        let job = LeveledJob::constant(4, 200);
+        let job = PhasedJob::constant(4, 200);
         let mut pool = Vec::new();
         let mut done = Vec::new();
         for (name, jobs) in [

@@ -131,15 +131,6 @@ pub fn stealing_comparison(cfg: &StealingConfig) -> Vec<StealRow> {
     ]
 }
 
-/// Convenience used by the boxed multi-job simulator: a `'static`
-/// work-stealing executor over an owned dag.
-pub fn owned_steal_executor(
-    dag: abg_dag::ExplicitDag,
-    seed: u64,
-) -> StealExecutor<abg_dag::ExplicitDag> {
-    StealExecutor::new(dag, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

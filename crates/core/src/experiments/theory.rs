@@ -6,7 +6,7 @@
 use super::task_seed;
 use crate::bounds::{self, makespan_lower_bound, response_lower_bound_batched, JobSize};
 use abg_alloc::{DynamicEquiPartition, Scripted};
-use abg_control::{analyze_step_response, AControl, AGreedy, ClosedLoop, Controller};
+use abg_control::{analyze_step_response, AControl, ClosedLoop, Controller};
 use abg_dag::{JobStructure, PhasedJob};
 use abg_sched::PipelinedExecutor;
 use abg_sim::{run_single_job, MultiJobSim, SingleJobConfig, SingleJobRun};
@@ -288,27 +288,6 @@ pub fn theorem5_check(
         BoundCheck::le("theorem5-makespan", out.makespan as f64, m_bound),
         BoundCheck::le("theorem5-response", out.mean_response_time(), r_bound),
     ])
-}
-
-/// Convenience: run an A-Greedy traced run in the same harness (used by
-/// ablation benches comparing envelope violations).
-pub fn agreedy_traced_run(
-    factor: u64,
-    responsiveness: f64,
-    utilization: f64,
-    quantum_len: u64,
-    pairs: u64,
-    processors: u32,
-    seed: u64,
-) -> SingleJobRun {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let job = paper_job(factor, quantum_len, pairs, &mut rng);
-    run_single_job(
-        &mut PipelinedExecutor::new(job),
-        &mut AGreedy::new(responsiveness, utilization),
-        &mut Scripted::ample(processors),
-        SingleJobConfig::new(quantum_len).with_trace(),
-    )
 }
 
 #[cfg(test)]

@@ -25,14 +25,14 @@
 //! use abg::prelude::*;
 //!
 //! // A data-parallel job: 1-wide serial phases around a 16-wide phase.
-//! let job = LeveledJob::from_phases(&[
+//! let job = PhasedJob::new(vec![
 //!     Phase::new(1, 20),
 //!     Phase::new(16, 40),
 //!     Phase::new(1, 20),
 //! ]);
 //!
 //! // Schedule it with ABG (convergence rate 0.2) alone on 64 processors.
-//! let mut executor = LeveledExecutor::new(job);
+//! let mut executor = PipelinedExecutor::new(job);
 //! let mut controller = AControl::new(0.2);
 //! let mut allocator = Scripted::ample(64);
 //! let run = run_single_job(

@@ -618,8 +618,8 @@ impl ExplicitDag {
     }
 
     /// Returns this dag with every task weighted `w` — the uniform-cost
-    /// generalisation used when lowering profile-based jobs
-    /// (`PhasedJob`, `LeveledJob`) to a weighted explicit dag.
+    /// generalisation used when lowering a `PhasedJob` to a weighted
+    /// explicit dag.
     pub fn with_uniform_weight(self, w: f64) -> Result<Self, DagError> {
         let n = self.num_tasks();
         self.with_weights(vec![w; n])

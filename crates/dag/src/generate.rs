@@ -3,7 +3,7 @@
 //! crate.
 
 use crate::explicit::{DagBuilder, ExplicitDag};
-use crate::leveled::{LeveledJob, Phase};
+use crate::phased::{Phase, PhasedJob};
 use crate::TaskId;
 use rand::{Rng, RngExt as _};
 use std::ops::RangeInclusive;
@@ -171,21 +171,16 @@ impl ForkJoinSpec {
         }
     }
 
-    /// Samples a job from the spec with barrier-per-level semantics.
-    pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> LeveledJob {
-        let phases = self.sample_phases(rng);
-        LeveledJob::from_phases(&phases)
-    }
-
     /// Samples a job from the spec with pipelined-phase semantics — the
     /// default model for the paper's data-parallel workloads (see
-    /// [`crate::PhasedJob`]).
-    pub fn generate_phased<R: Rng + ?Sized>(&self, rng: &mut R) -> crate::PhasedJob {
-        crate::PhasedJob::new(self.sample_phases(rng))
+    /// [`PhasedJob`]).
+    pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> PhasedJob {
+        PhasedJob::new(self.sample_phases(rng))
     }
 
     /// Samples the phase list (exposed so callers can inspect or perturb
-    /// the phase structure before building the job).
+    /// the phase structure before building the job, or read it with
+    /// barrier semantics through [`PhasedJob::barrier`]).
     pub fn sample_phases<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<Phase> {
         assert!(self.pairs > 0, "a job needs at least one phase pair");
         let mut phases = Vec::with_capacity(2 * self.pairs as usize + 1);

@@ -12,7 +12,7 @@
 //! maximal ratio between the average parallelism of any two adjacent full
 //! scheduling quanta of length `L` (Section 5.2).
 //!
-//! This crate provides three concrete job representations:
+//! This crate provides two concrete job representations:
 //!
 //! * [`ExplicitDag`] — an arbitrary precedence graph over unit tasks, built
 //!   with [`DagBuilder`] and validated (acyclic, in-bounds). This is the
@@ -21,16 +21,15 @@
 //! * [`PhasedJob`] — a fork-join job given by its phase list, with
 //!   *pipelined* chains inside each phase and a join between phases. This
 //!   is the default model for the paper's data-parallel workloads; it
-//!   admits an `O(phases)` fast-forward executor.
-//! * [`LeveledJob`] — a job described only by its per-level width profile
-//!   with a barrier between *every* pair of consecutive levels — the
-//!   stricter bulk-synchronous reading, kept for the phase-semantics
-//!   ablation; it admits an `O(levels)` fast-forward executor.
+//!   admits an `O(phases)` fast-forward executor. The stricter
+//!   bulk-synchronous reading, a barrier between *every* pair of
+//!   consecutive levels, is a `PhasedJob` of one-level phases
+//!   ([`PhasedJob::barrier`]), kept for the phase-semantics ablation.
 //!
-//! All representations expose the same intrinsic statistics through
-//! [`JobStructure`], and the compact ones lower to an `ExplicitDag`
-//! ([`PhasedJob::to_explicit`], [`LeveledJob::to_explicit`]) so property
-//! tests can cross-check the execution paths against per-task simulation.
+//! Both representations expose the same intrinsic statistics through
+//! [`JobStructure`], and `PhasedJob` lowers to an `ExplicitDag`
+//! ([`PhasedJob::to_explicit`]) so property tests can cross-check the
+//! execution paths against per-task simulation.
 //!
 //! ```
 //! use abg_dag::{JobStructure, Phase, PhasedJob};
@@ -52,15 +51,13 @@
 
 pub mod explicit;
 pub mod generate;
-pub mod leveled;
 pub mod phased;
 pub mod profile;
 pub mod stats;
 
 pub use explicit::{DagBuilder, DagError, ExplicitDag, WeightProfile};
 pub use generate::ForkJoinSpec;
-pub use leveled::{LeveledJob, Phase};
-pub use phased::PhasedJob;
+pub use phased::{Phase, PhasedJob};
 pub use profile::ParallelismProfile;
 pub use stats::{transition_factor, JobStructure};
 

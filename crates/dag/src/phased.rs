@@ -1,25 +1,48 @@
-//! Phase-structured fork-join jobs with *pipelined* parallel phases.
+//! Phase-structured fork-join jobs.
 //!
 //! A [`PhasedJob`] is a sequence of [`Phase`]s. Phase `i` of width `w`
 //! and length `k` consists of `w` independent chains of `k` unit tasks;
 //! consecutive phases are separated by a join: every chain of phase
 //! `i + 1` depends on all chains of phase `i` finishing.
 //!
-//! The difference from the barrier-per-level [`LeveledJob`](crate::LeveledJob) model is
-//! *inside* a phase: chains pipeline freely, so a job in a width-`w`
+//! Inside a phase, chains pipeline freely, so a job in a width-`w`
 //! phase always has exactly `w` ready tasks (one per live chain) and any
-//! allotment `a ≤ w` achieves full utilization. Under a barrier-per-level
-//! model, an allotment that does not divide the width loses up to
+//! allotment `a ≤ w` achieves full utilization. This is the default
+//! workload shape. The stricter bulk-synchronous reading puts a barrier
+//! between *every* pair of consecutive levels; it is the same type with
+//! one-level phases ([`PhasedJob::barrier`]). Under barriers an
+//! allotment that does not divide the width loses up to
 //! `1 − w/(a·⌈w/a⌉)` of its cycles at every level boundary, which
 //! distorts utilization-feedback schedulers like A-Greedy in a way the
-//! paper's workloads do not show. The pipelined model is therefore the
-//! default workload shape; the barrier model is kept for ablation.
+//! paper's workloads do not show; the barrier reading is kept for the
+//! phase-semantics ablation.
 
 use crate::explicit::{DagBuilder, ExplicitDag};
-use crate::leveled::Phase;
 use crate::profile::ParallelismProfile;
 use crate::stats::JobStructure;
 use crate::TaskId;
+
+/// One phase of a fork-join job: `levels` consecutive levels of `width`
+/// tasks each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Phase {
+    /// Tasks per level in this phase (the degree of parallelism).
+    pub width: u64,
+    /// Number of consecutive levels of this width.
+    pub levels: u64,
+}
+
+impl Phase {
+    /// A phase of `levels` levels, `width` tasks each.
+    pub fn new(width: u64, levels: u64) -> Self {
+        Self { width, levels }
+    }
+
+    /// Total tasks in the phase.
+    pub fn work(&self) -> u64 {
+        self.width * self.levels
+    }
+}
 
 /// A fork-join job given by its phase list, with pipelined chains inside
 /// each phase and a join between consecutive phases.
@@ -52,6 +75,28 @@ impl PhasedJob {
     /// long (the synthetic job of the paper's Figures 1 and 4).
     pub fn constant(width: u64, levels: u64) -> Self {
         Self::new(vec![Phase::new(width, levels)])
+    }
+
+    /// The barrier-per-level reading of a phase list: each phase
+    /// `(w, k)` becomes `k` one-level phases `(w, 1)`, so a join sits
+    /// between every pair of consecutive levels and only one level is
+    /// ever ready.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `phases` is empty or any phase has zero width or
+    /// length.
+    pub fn barrier(phases: &[Phase]) -> Self {
+        assert!(
+            phases.iter().all(|p| p.levels > 0),
+            "every phase must have positive width and length"
+        );
+        Self::new(
+            phases
+                .iter()
+                .flat_map(|p| std::iter::repeat_n(Phase::new(p.width, 1), p.levels as usize))
+                .collect(),
+        )
     }
 
     /// The phase list.
@@ -147,6 +192,21 @@ mod tests {
     }
 
     #[test]
+    fn phase_work() {
+        assert_eq!(Phase::new(7, 3).work(), 21);
+    }
+
+    #[test]
+    fn barrier_splits_phases_into_levels() {
+        let j = PhasedJob::barrier(&[Phase::new(1, 2), Phase::new(5, 3), Phase::new(1, 1)]);
+        let widths: Vec<u64> = j.phases().iter().map(|p| p.width).collect();
+        assert_eq!(widths, [1, 1, 5, 5, 5, 1]);
+        assert!(j.phases().iter().all(|p| p.levels == 1));
+        assert_eq!(j.work(), 2 + 15 + 1);
+        assert_eq!(j.span(), 6);
+    }
+
+    #[test]
     fn lowering_preserves_structure() {
         let j = PhasedJob::new(vec![Phase::new(1, 2), Phase::new(3, 2), Phase::new(2, 1)]);
         let d = j.to_explicit();
@@ -186,5 +246,11 @@ mod tests {
     #[should_panic(expected = "positive width")]
     fn zero_width_phase_rejected() {
         let _ = PhasedJob::new(vec![Phase::new(0, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive width")]
+    fn zero_length_barrier_phase_rejected() {
+        let _ = PhasedJob::barrier(&[Phase::new(2, 1), Phase::new(3, 0)]);
     }
 }

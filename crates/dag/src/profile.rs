@@ -8,7 +8,7 @@
 //! `C_L` is derived (Section 5.2) and is also useful for plotting and for
 //! characterising generated workloads.
 
-use crate::leveled::Phase;
+use crate::phased::Phase;
 
 /// The parallelism profile of a job, stored as maximal runs of equal
 /// width.
@@ -142,12 +142,6 @@ impl ParallelismProfile {
     }
 }
 
-impl From<&crate::LeveledJob> for ParallelismProfile {
-    fn from(job: &crate::LeveledJob) -> Self {
-        Self::from_widths(job.widths())
-    }
-}
-
 impl From<&crate::ExplicitDag> for ParallelismProfile {
     fn from(dag: &crate::ExplicitDag) -> Self {
         Self::from_widths(dag.level_sizes())
@@ -157,7 +151,7 @@ impl From<&crate::ExplicitDag> for ParallelismProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LeveledJob;
+    use crate::{JobStructure, PhasedJob};
 
     #[test]
     fn basic_stats() {
@@ -214,10 +208,10 @@ mod tests {
 
     #[test]
     fn from_leveled_and_explicit_agree() {
-        let j = LeveledJob::from_widths(vec![1, 3, 2]);
-        let from_leveled = ParallelismProfile::from(&j);
+        let j = PhasedJob::barrier(&[Phase::new(1, 1), Phase::new(3, 1), Phase::new(2, 1)]);
+        let from_barrier = JobStructure::profile(&j);
         let from_explicit = ParallelismProfile::from(&j.to_explicit());
-        assert_eq!(from_leveled, from_explicit);
+        assert_eq!(from_barrier, from_explicit);
     }
 
     #[test]

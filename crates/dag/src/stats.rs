@@ -6,7 +6,7 @@
 //! [`transition_factor`] measures `C_L` from a parallelism profile.
 
 use crate::profile::ParallelismProfile;
-use crate::{ExplicitDag, LeveledJob};
+use crate::ExplicitDag;
 
 /// Common intrinsic structure of a job, independent of how it is stored.
 pub trait JobStructure {
@@ -28,18 +28,6 @@ pub trait JobStructure {
     /// (in levels); see [`transition_factor`].
     fn transition_factor(&self, quantum_levels: u64) -> f64 {
         transition_factor(&self.profile(), quantum_levels)
-    }
-}
-
-impl JobStructure for LeveledJob {
-    fn work(&self) -> u64 {
-        LeveledJob::work(self)
-    }
-    fn span(&self) -> u64 {
-        LeveledJob::span(self)
-    }
-    fn profile(&self) -> ParallelismProfile {
-        ParallelismProfile::from(self)
     }
 }
 
@@ -134,7 +122,7 @@ mod tests {
 
     #[test]
     fn trait_wiring_leveled_vs_explicit() {
-        let j = crate::LeveledJob::from_widths(vec![1, 1, 4, 4]);
+        let j = crate::PhasedJob::barrier(&[crate::Phase::new(1, 2), crate::Phase::new(4, 2)]);
         let e = j.to_explicit();
         assert_eq!(JobStructure::work(&j), JobStructure::work(&e));
         assert_eq!(JobStructure::span(&j), JobStructure::span(&e));

@@ -1,8 +1,9 @@
 //! Property tests for the dag substrate: builder validation, level
-//! assignment, and the consistency of the three job representations.
+//! assignment, and the consistency of the compact and explicit job
+//! representations.
 
 use abg_dag::generate::random_layered;
-use abg_dag::{DagBuilder, JobStructure, LeveledJob, Phase, PhasedJob, TaskId};
+use abg_dag::{DagBuilder, JobStructure, Phase, PhasedJob, TaskId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -84,23 +85,27 @@ proptest! {
         prop_assert!(b.build().is_err());
     }
 
-    /// The three job representations agree on work, span and profile
-    /// for barrier-compatible shapes.
+    /// A barrier job and its explicit lowering agree on work, span and
+    /// profile, and the lowering is a full barrier: every task of level
+    /// `l + 1` depends on every task of level `l`.
     #[test]
-    fn representations_agree(widths in prop::collection::vec(1u64..8, 1..8)) {
-        let leveled = LeveledJob::from_widths(widths.clone());
-        let phased = PhasedJob::new(
-            widths.iter().map(|&w| Phase::new(w, 1)).collect(),
-        );
-        prop_assert_eq!(leveled.work(), JobStructure::work(&phased));
-        prop_assert_eq!(leveled.span(), JobStructure::span(&phased));
-        prop_assert_eq!(JobStructure::profile(&leveled), JobStructure::profile(&phased));
-        let exp_l = leveled.to_explicit();
-        let exp_p = phased.to_explicit();
-        prop_assert_eq!(exp_l.work(), exp_p.work());
-        prop_assert_eq!(exp_l.span(), exp_p.span());
-        // One-level phases have the same barrier structure either way.
-        prop_assert_eq!(exp_l.num_edges(), exp_p.num_edges());
+    fn representations_agree(runs in prop::collection::vec((1u64..8, 1u64..4), 1..6)) {
+        let phases: Vec<Phase> = runs.iter().map(|&(w, k)| Phase::new(w, k)).collect();
+        let widths: Vec<u64> = runs
+            .iter()
+            .flat_map(|&(w, k)| std::iter::repeat_n(w, k as usize))
+            .collect();
+        let job = PhasedJob::barrier(&phases);
+        let dag = job.to_explicit();
+        prop_assert_eq!(dag.work(), job.work());
+        prop_assert_eq!(dag.span(), job.span());
+        prop_assert_eq!(JobStructure::profile(&dag), JobStructure::profile(&job));
+        prop_assert_eq!(dag.level_sizes(), &widths[..]);
+        for t in dag.tasks() {
+            let level = dag.level(t) as usize;
+            let want = if level == 0 { 0 } else { widths[level - 1] };
+            prop_assert_eq!(u64::from(dag.in_degree(t)), want, "task {} at level {}", t, level);
+        }
     }
 
     /// The transition factor is scale-consistent: measured with the
@@ -108,7 +113,8 @@ proptest! {
     /// (vs A(0) = 1) or 1/average, whichever exceeds 1.
     #[test]
     fn transition_factor_whole_job(widths in prop::collection::vec(1u64..9, 1..10)) {
-        let job = LeveledJob::from_widths(widths);
+        let phases: Vec<Phase> = widths.iter().map(|&w| Phase::new(w, 1)).collect();
+        let job = PhasedJob::barrier(&phases);
         let c = job.transition_factor(job.span());
         let avg = job.average_parallelism();
         let expected = if avg >= 1.0 { avg } else { 1.0 / avg };

@@ -17,12 +17,13 @@
 //! priority) and [`DepthFirstExecutor`] (LIFO) are the baselines used to
 //! show why the breadth-first rule matters for measuring `A(q)`.
 //!
-//! [`LeveledExecutor`] is a fast-forward executor for barrier-synchronous
-//! [`abg_dag::LeveledJob`]s: one `O(1)` update per level touched instead
-//! of one per task. On such jobs every greedy scheduler behaves
-//! identically (only one level is ever ready), and the executor is
-//! bit-for-bit equivalent to running [`BGreedyExecutor`] on the lowered
-//! explicit dag — a property the test-suite checks.
+//! [`PipelinedExecutor`] is the fast-forward executor for compact
+//! [`abg_dag::PhasedJob`]s: one `O(1)` update per phase touched instead
+//! of one per task, bit-for-bit equivalent to running
+//! [`BGreedyExecutor`] on the lowered explicit dag — a property the
+//! test-suite checks. A barrier job ([`abg_dag::PhasedJob::barrier`])
+//! is a `PhasedJob` of one-level phases and runs through the same
+//! executor.
 //!
 //! All executors share the [`JobExecutor`] interface consumed by the
 //! simulation engine in `abg-sim`.
@@ -31,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod executor;
-pub mod leveled_exec;
 pub mod pipelined_exec;
 pub mod quantum;
 pub mod queue;
@@ -40,7 +40,6 @@ pub mod reference;
 pub use executor::{
     BGreedyExecutor, DagExecutor, DepthFirstExecutor, GreedyExecutor, OwnedBGreedyExecutor,
 };
-pub use leveled_exec::LeveledExecutor;
 pub use pipelined_exec::PipelinedExecutor;
 pub use quantum::QuantumStats;
 pub use queue::{BreadthFirstQueue, FifoQueue, LifoQueue, ReadyQueue};

@@ -313,6 +313,60 @@ mod tests {
         assert_equivalent(PhasedJob::constant(8, 11), &[13; 10], 5);
     }
 
+    fn barrier(widths: &[u64]) -> PhasedJob {
+        let phases: Vec<Phase> = widths.iter().map(|&w| Phase::new(w, 1)).collect();
+        PhasedJob::barrier(&phases)
+    }
+
+    #[test]
+    fn barrier_jobs_match_per_task_executor() {
+        assert_equivalent(PhasedJob::barrier(&[Phase::new(7, 12)]), &[3; 20], 5);
+        let forkjoin = barrier(&[1, 1, 6, 6, 6, 1, 4, 4, 1, 1]);
+        for a in [1u32, 2, 3, 5, 8, 100] {
+            assert_equivalent(forkjoin.clone(), &[a; 40], 4);
+        }
+        assert_equivalent(
+            barrier(&[2, 5, 3, 8, 1, 9]),
+            &[1, 4, 2, 7, 3, 1, 6, 2, 9, 5],
+            3,
+        );
+        // Ample processors, a level finishing mid-quantum, a partial
+        // level, zero allotments and a long constant job.
+        assert_equivalent(barrier(&[4, 9, 2]), &[100], 10);
+        assert_equivalent(barrier(&[3, 5]), &[2; 8], 2);
+        assert_equivalent(barrier(&[10]), &[2; 5], 3);
+        assert_equivalent(PhasedJob::barrier(&[Phase::new(3, 3)]), &[0, 2, 0, 3], 100);
+        assert_equivalent(PhasedJob::barrier(&[Phase::new(4, 6)]), &[2; 12], 3);
+        assert_equivalent(PhasedJob::barrier(&[Phase::new(10, 100)]), &[2; 60], 20);
+    }
+
+    #[test]
+    fn barrier_levels_do_not_pipeline() {
+        // Ample processors: one level per step.
+        let s = PipelinedExecutor::new(barrier(&[4, 9, 2])).run_quantum(100, 10);
+        assert_eq!((s.steps_worked, s.work, s.span), (3, 15, 3.0));
+        assert!(s.completed);
+        // Width 3 then 5 at allotment 2: the second step runs the last
+        // task of level 0 alone, not one from level 1.
+        let mut ex = PipelinedExecutor::new(barrier(&[3, 5]));
+        assert_eq!(ex.run_quantum(2, 2).work, 3);
+        assert_eq!(ex.current_phase(), 1);
+        // A partial level counts fractionally.
+        let s = PipelinedExecutor::new(barrier(&[10])).run_quantum(2, 3);
+        assert_eq!(s.work, 6);
+        assert!((s.span - 0.6).abs() < 1e-12);
+        // Below the width, A(q) still reads the job's parallelism.
+        let s =
+            PipelinedExecutor::new(PhasedJob::barrier(&[Phase::new(10, 100)])).run_quantum(2, 20);
+        assert_eq!(s.average_parallelism(), Some(10.0));
+        // Two steps per level, six levels.
+        let mut ex = PipelinedExecutor::new(PhasedJob::barrier(&[Phase::new(4, 6)]));
+        while !ex.is_complete() {
+            ex.run_quantum(2, 3);
+        }
+        assert_eq!((ex.completed_work(), ex.elapsed_steps()), (24, 12));
+    }
+
     #[test]
     fn full_utilization_below_width() {
         // Width 10, allotment 7: pipelining keeps all 7 busy — 70 tasks

@@ -213,11 +213,14 @@ mod tests {
     use super::*;
     use abg_alloc::DynamicEquiPartition;
     use abg_control::{AControl, AGreedy, ConstantRequest};
-    use abg_dag::LeveledJob;
-    use abg_sched::LeveledExecutor;
+    use abg_dag::{Phase, PhasedJob};
+    use abg_sched::PipelinedExecutor;
 
+    /// A barrier job: `levels` levels of `width` tasks, a join between
+    /// each pair.
     fn boxed_job(width: u64, levels: u64) -> Box<dyn JobExecutor + Send> {
-        Box::new(LeveledExecutor::new(LeveledJob::constant(width, levels)))
+        let job = PhasedJob::barrier(&[Phase::new(width, levels)]);
+        Box::new(PipelinedExecutor::new(job))
     }
 
     #[test]

@@ -209,11 +209,13 @@ mod tests {
     use super::*;
     use abg_alloc::Scripted;
     use abg_control::{AControl, AGreedy, ConstantRequest};
-    use abg_dag::LeveledJob;
-    use abg_sched::LeveledExecutor;
+    use abg_dag::{Phase, PhasedJob};
+    use abg_sched::PipelinedExecutor;
 
-    fn constant_job(width: u64, levels: u64) -> LeveledExecutor {
-        LeveledExecutor::new(LeveledJob::constant(width, levels))
+    /// A barrier job: `levels` levels of `width` tasks, a join between
+    /// each pair.
+    fn constant_job(width: u64, levels: u64) -> PipelinedExecutor {
+        PipelinedExecutor::new(PhasedJob::barrier(&[Phase::new(width, levels)]))
     }
 
     #[test]

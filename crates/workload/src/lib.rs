@@ -50,7 +50,7 @@ pub use dagfile::{load_dag, parse_dag, save_dag, write_dag, DagFileError, MAX_DA
 pub use jobset::{JobSet, JobSetSpec};
 pub use release::{
     expected_work, expected_work_of, mean_gap_for_utilization, splitmix_seed, ArrivalProcess,
-    ArrivalStream, ArrivalSubstream, ReleaseSchedule,
+    ArrivalStream, ReleaseSchedule,
 };
 pub use workflow::WorkflowKind;
 
@@ -75,7 +75,7 @@ pub fn paper_job<R: Rng + ?Sized>(
     pairs: u64,
     rng: &mut R,
 ) -> PhasedJob {
-    ForkJoinSpec::with_transition_factor(factor, quantum_len, pairs).generate_phased(rng)
+    ForkJoinSpec::with_transition_factor(factor, quantum_len, pairs).generate(rng)
 }
 
 /// A smaller variant of [`paper_job`] whose phase lengths are uniform in
@@ -102,7 +102,7 @@ pub fn scaled_job<R: Rng + ?Sized>(
         width: factor..=factor,
         pairs,
     };
-    spec.generate_phased(rng)
+    spec.generate(rng)
 }
 
 /// Samples a job whose parallel width is drawn uniformly from

@@ -138,39 +138,6 @@ pub struct ArrivalStream {
 }
 
 impl ArrivalStream {
-    /// Splits the stream into `n` round-robin substreams for sharded
-    /// simulation: substream `k` yields arrivals `k`, `k + n`,
-    /// `k + 2n`, … of the path this stream would produce.
-    ///
-    /// Each [`ArrivalSubstream`] carries a SplitMix64-derived
-    /// [`seed`](ArrivalSubstream::seed) of its own, mixed from `seed`
-    /// and the substream index. The two intended drive modes:
-    ///
-    /// * **partition** — every substream replays with an RNG seeded
-    ///   *identically* (e.g. the parent seed): the substreams then
-    ///   decimate one common path, and the union of their arrivals is
-    ///   exactly the aggregate stream (sharded drivers use this so the
-    ///   offered load is split without changing the total);
-    /// * **independent** — each substream replays with an RNG seeded
-    ///   from its *own* derived seed: the substreams are independent
-    ///   renewal processes at `1/n` of the aggregate rate, so their
-    ///   union still offers the aggregate utilization in expectation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn split(&self, n: usize, seed: u64) -> Vec<ArrivalSubstream> {
-        assert!(n > 0, "need at least one substream");
-        (0..n)
-            .map(|k| ArrivalSubstream {
-                seed: splitmix_seed(seed, k as u64, n as u64),
-                stream: self.clone(),
-                skip: k,
-                stride: n,
-            })
-            .collect()
-    }
-
     /// Produces the next arrival time (absolute step).
     pub fn next_arrival<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
         match &self.process {
@@ -224,11 +191,11 @@ impl ArrivalStream {
     }
 }
 
-/// Derives a substream (or shard) seed from a base seed and two
-/// indices — SplitMix64-style mixing, so nearby indices map to
-/// statistically independent seeds. Deterministic in its inputs;
-/// sharded drivers use it to pin per-shard RNG streams to the run seed
-/// independently of thread count and schedule.
+/// Derives a seed from a base seed and two indices — SplitMix64-style
+/// mixing, so nearby indices map to statistically independent seeds.
+/// Deterministic in its inputs; multi-group drivers use it to pin
+/// per-job seeds and routing to the run seed independently of thread
+/// count and schedule.
 pub fn splitmix_seed(seed: u64, a: u64, b: u64) -> u64 {
     let mut z = seed
         .wrapping_add(a.wrapping_mul(0x9E37_79B9_7F4A_7C15))
@@ -236,42 +203,6 @@ pub fn splitmix_seed(seed: u64, a: u64, b: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// One of `n` round-robin substreams of an [`ArrivalStream`] (see
-/// [`ArrivalStream::split`]): replays the parent process with the RNG
-/// the caller drives it with, yielding every `n`-th arrival of that
-/// replayed path starting at the substream's index.
-///
-/// The skipped arrivals still consume their RNG draws, so `n`
-/// substreams driven with identically seeded RNGs decimate *one*
-/// common path and partition it exactly.
-#[derive(Debug, Clone)]
-pub struct ArrivalSubstream {
-    /// SplitMix64-derived seed for this substream (mixed from the split
-    /// seed and the substream index) — seed an `StdRng` from it to
-    /// drive the substream as an independent process.
-    pub seed: u64,
-    stream: ArrivalStream,
-    skip: usize,
-    stride: usize,
-}
-
-impl ArrivalSubstream {
-    /// Produces the substream's next arrival time (absolute step),
-    /// skipping the arrivals owned by sibling substreams.
-    pub fn next_arrival<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
-        for _ in 0..self.skip {
-            let _ = self.stream.next_arrival(rng);
-        }
-        self.skip = self.stride - 1;
-        self.stream.next_arrival(rng)
-    }
-
-    /// The number of substreams the parent stream was split into.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
 }
 
 /// Monte-Carlo estimate of the expected work `E[T1]` of a job
@@ -471,79 +402,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn poisson_stream_rejects_zero_gap() {
         let _ = ArrivalProcess::Poisson { mean_gap: 0.0 }.stream();
-    }
-
-    #[test]
-    fn split_substreams_partition_the_parent_path() {
-        // Driven with identically seeded RNGs, the substreams decimate
-        // one common path: merging their yields in round-robin order
-        // reproduces the parent stream arrival for arrival.
-        for process in [
-            ArrivalProcess::Poisson { mean_gap: 30.0 },
-            ArrivalProcess::Trace {
-                gaps: vec![4, 0, 9, 2],
-            },
-        ] {
-            let mut parent_rng = StdRng::seed_from_u64(0x51);
-            let mut parent = process.stream();
-            let expect: Vec<u64> = (0..120)
-                .map(|_| parent.next_arrival(&mut parent_rng))
-                .collect();
-
-            let n = 3;
-            let mut subs = process.stream().split(n, 0xF00D);
-            let mut rngs: Vec<StdRng> = (0..n).map(|_| StdRng::seed_from_u64(0x51)).collect();
-            let mut merged = Vec::new();
-            for _round in 0..(120 / n) {
-                for (sub, rng) in subs.iter_mut().zip(&mut rngs) {
-                    merged.push(sub.next_arrival(rng));
-                }
-            }
-            assert_eq!(merged, expect, "{process:?}");
-        }
-    }
-
-    #[test]
-    fn split_seeds_are_distinct_and_deterministic() {
-        let stream = ArrivalProcess::Poisson { mean_gap: 10.0 }.stream();
-        let a = stream.split(4, 99);
-        let b = stream.split(4, 99);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.seed, y.seed);
-            assert_eq!(x.stride(), 4);
-        }
-        let mut seeds: Vec<u64> = a.iter().map(|s| s.seed).collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-        assert_eq!(seeds.len(), 4, "derived seeds must be distinct");
-        assert_ne!(
-            a[0].seed,
-            stream.split(4, 100)[0].seed,
-            "split seed matters"
-        );
-    }
-
-    #[test]
-    fn split_of_one_is_the_parent_stream() {
-        let process = ArrivalProcess::Poisson { mean_gap: 25.0 };
-        let mut parent_rng = StdRng::seed_from_u64(3);
-        let mut sub_rng = StdRng::seed_from_u64(3);
-        let mut parent = process.stream();
-        let mut sub = process.stream().split(1, 7).remove(0);
-        for _ in 0..64 {
-            assert_eq!(
-                sub.next_arrival(&mut sub_rng),
-                parent.next_arrival(&mut parent_rng)
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one substream")]
-    fn split_rejects_zero_substreams() {
-        let _ = ArrivalProcess::Poisson { mean_gap: 10.0 }
-            .stream()
-            .split(0, 1);
     }
 
     #[test]

@@ -72,48 +72,6 @@ proptest! {
         prop_assert!(prev > 0);
     }
 
-    /// Independently seeded substreams preserve the aggregate arrival
-    /// rate: each of the `n` substreams of a Poisson stream is a renewal
-    /// process with mean gap `n · g`, so the union of their arrivals
-    /// over a common horizon offers the same utilization as the parent
-    /// stream — within confidence bounds of the Poisson count.
-    #[test]
-    fn substream_union_preserves_the_aggregate_rate(
-        mean_gap_half in 4u32..40,
-        n in 2usize..6,
-        seed in 0u64..1_000_000,
-    ) {
-        let mean_gap = mean_gap_half as f64 / 2.0;
-        let process = ArrivalProcess::Poisson { mean_gap };
-        let per_sub = 400usize;
-        // Drive every substream from its own SplitMix64-derived seed —
-        // the independent-streams mode a sharded driver uses when it
-        // wants per-shard RNG substreams rather than one shared path.
-        let mut last_times = Vec::new();
-        let mut all_times: Vec<u64> = Vec::new();
-        for mut sub in process.stream().split(n, seed) {
-            let mut rng = StdRng::seed_from_u64(sub.seed);
-            let times: Vec<u64> = (0..per_sub).map(|_| sub.next_arrival(&mut rng)).collect();
-            last_times.push(*times.last().unwrap());
-            all_times.extend(times);
-        }
-        // Count the union's arrivals over the horizon every substream
-        // covered, so no substream's tail is truncated unevenly.
-        let horizon = *last_times.iter().min().unwrap();
-        prop_assume!(horizon > 0);
-        let count = all_times.iter().filter(|&&t| t <= horizon).count() as f64;
-        let expected = horizon as f64 / mean_gap;
-        // The union of n independent decimated streams has Poisson-like
-        // counts at the aggregate rate; 5 standard deviations (plus a
-        // small-count floor) keeps the flake probability negligible
-        // across the 256 proptest cases.
-        let tolerance = 5.0 * expected.sqrt() + 10.0;
-        prop_assert!(
-            (count - expected).abs() <= tolerance,
-            "union rate off: {count} arrivals vs {expected} expected (gap {mean_gap}, n {n})"
-        );
-    }
-
     /// Trace streams replay their gaps cyclically as a running prefix
     /// sum.
     #[test]

@@ -2,10 +2,10 @@
 //! of per-task B-Greedy execution, and every greedy variant respects
 //! the classical greedy-scheduling bounds.
 
-use abg_dag::{generate, ExplicitDag, LeveledJob, Phase, PhasedJob, TaskId};
+use abg_dag::{generate, ExplicitDag, Phase, PhasedJob, TaskId};
 use abg_sched::queue::{BreadthFirstQueue, FifoQueue, LifoQueue};
 use abg_sched::{
-    BGreedyExecutor, DagExecutor, DepthFirstExecutor, GreedyExecutor, JobExecutor, LeveledExecutor,
+    BGreedyExecutor, DagExecutor, DepthFirstExecutor, GreedyExecutor, JobExecutor,
     PipelinedExecutor, ReadyQueue, ReferenceExecutor,
 };
 use proptest::prelude::*;
@@ -43,14 +43,13 @@ proptest! {
         }
     }
 
-    /// The leveled (barrier) fast path reproduces per-task B-Greedy on
-    /// its own lowering.
+    /// The same fast path on barrier jobs (one-level phases) reproduces
+    /// per-task B-Greedy on their lowering.
     #[test]
-    fn leveled_matches_per_task(widths in prop::collection::vec(1u64..=8, 1..10),
-                                allots in allotments(), l in 1u64..8) {
-        let job = LeveledJob::from_widths(widths);
+    fn leveled_matches_per_task(phases in phases(), allots in allotments(), l in 1u64..8) {
+        let job = PhasedJob::barrier(&phases);
         let dag = job.to_explicit();
-        let mut fast = LeveledExecutor::new(job);
+        let mut fast = PipelinedExecutor::new(job);
         let mut slow = BGreedyExecutor::new(&dag);
         for &a in &allots {
             let f = fast.run_quantum(a, l);
@@ -114,12 +113,11 @@ proptest! {
         }
     }
 
-    /// The same corrected inequality for the barrier-leveled executor.
+    /// The same corrected inequality on barrier jobs.
     #[test]
-    fn efficiency_inequality_holds_barrier(widths in prop::collection::vec(1u64..=9, 1..8),
-                                           a in 1u32..10, l in 1u64..12) {
-        let job = LeveledJob::from_widths(widths);
-        let mut ex = LeveledExecutor::new(job);
+    fn efficiency_inequality_holds_barrier(phases in phases(), a in 1u32..10, l in 1u64..12) {
+        let job = PhasedJob::barrier(&phases);
+        let mut ex = PipelinedExecutor::new(job);
         while !ex.is_complete() {
             let s = ex.run_quantum(a, l);
             if s.is_full() && !s.completed {
