@@ -61,7 +61,7 @@ impl Scripted {
     }
 
     /// The availability that will apply to the next `allocate` call.
-    pub fn peek_availability(&self) -> u32 {
+    fn peek_availability(&self) -> u32 {
         let idx = if self.cycle {
             self.cursor % self.script.len()
         } else {

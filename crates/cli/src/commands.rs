@@ -667,9 +667,11 @@ fn baseline_steps_per_sec(json: &str, kernel: &str) -> Option<f64> {
 /// slab live-set storage (`open_churn`), the monomorphized unified
 /// quantum core in mixed closed+open use, the weighted-residual frontier
 /// path (`weighted_frontier`), and the open system fed by generated
-/// weighted workflows (`workflow_open`). All are stable well within
-/// the 30% band on an otherwise idle machine, so a trip means a real
-/// regression, not noise.
+/// weighted workflows (`workflow_open`). Not every one is stable
+/// within the 30% band: `forkjoin_bundle` is bimodal on a 2-core host
+/// (about 8 M or 13 M steps/s, both below its 13.6 M floor), and the
+/// smoke run is checked against a full-size baseline, so a trip can be
+/// noise as well as a real regression.
 const GATED_KERNELS: [&str; 11] = [
     "chain_macro",
     "forkjoin_tree",

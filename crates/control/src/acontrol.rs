@@ -57,11 +57,6 @@ impl AControl {
         Self { rate, request: 1.0 }
     }
 
-    /// One-step convergence (`r = 0`): `d(q) = A(q − 1)`.
-    pub fn one_step() -> Self {
-        Self::new(0.0)
-    }
-
     /// The paper's simulation setting, `r = 0.2` (Section 7.1).
     pub fn paper_default() -> Self {
         Self::new(0.2)
@@ -70,12 +65,6 @@ impl AControl {
     /// The configured convergence rate.
     pub fn rate(&self) -> f64 {
         self.rate
-    }
-
-    /// The adaptive gain `K(q+1) = (1 − r)·A(q)` that Theorem 1
-    /// prescribes for the measured parallelism `a`.
-    pub fn gain_for(&self, parallelism: f64) -> f64 {
-        (1.0 - self.rate) * parallelism
     }
 }
 
@@ -148,7 +137,7 @@ mod tests {
 
     #[test]
     fn one_step_convergence_copies_parallelism() {
-        let mut c = AControl::one_step();
+        let mut c = AControl::new(0.0);
         assert_eq!(c.observe(&quantum(50, 5.0)), 10.0);
         assert_eq!(c.observe(&quantum(21, 3.0)), 7.0);
     }
@@ -196,7 +185,7 @@ mod tests {
 
     #[test]
     fn steadiness_tracks_the_fixed_point() {
-        let mut c = AControl::one_step();
+        let mut c = AControl::new(0.0);
         let q = quantum(50, 5.0); // A = 10
         assert!(c.supports_frozen_stepping());
         assert!(!c.is_steady(&q), "request 1.0 is far from A = 10");
@@ -218,8 +207,14 @@ mod tests {
 
     #[test]
     fn gain_matches_theorem_1() {
-        let c = AControl::new(0.25);
-        assert!((c.gain_for(12.0) - 0.75 * 12.0).abs() < 1e-12);
+        // The closed form is the integral law d(q+1) = d(q) + K·e(q)
+        // with e(q) = 1 − d(q)/A(q) and the Theorem-1 gain K = (1 − r)·A(q).
+        let mut c = AControl::new(0.25);
+        let d = c.current_request();
+        let a = 12.0; // quantum(48, 4.0)
+        let gain = 0.75 * a;
+        let next = c.observe(&quantum(48, 4.0));
+        assert!((next - (d + gain * (1.0 - d / a))).abs() < 1e-12);
     }
 
     #[test]

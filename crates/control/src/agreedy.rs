@@ -84,11 +84,6 @@ impl AGreedy {
         self.responsiveness
     }
 
-    /// The utilization threshold `δ`.
-    pub fn utilization_threshold(&self) -> f64 {
-        self.utilization
-    }
-
     /// Whether a quantum with these statistics counts as efficient.
     pub fn is_efficient(&self, stats: &QuantumStats) -> bool {
         stats.work as f64 >= self.utilization * stats.allotment as f64 * stats.quantum_len as f64

@@ -63,19 +63,6 @@ impl ClosedLoop {
         self.pole().abs() < 1.0
     }
 
-    /// The DC gain `T(1)`; a value of 1 means zero steady-state error
-    /// for a step reference.
-    ///
-    /// For this integral loop the result is identically 1 whatever the
-    /// gain — `T(1) = (K/A) / (1 − (1 − K/A)) = 1` — which *is* the
-    /// zero-steady-state-error property of Theorem 1. The method is
-    /// retained as an explicit identity check, not a measurement that
-    /// varies across configurations.
-    pub fn dc_gain(&self) -> f64 {
-        let k_over_a = self.gain / self.parallelism;
-        k_over_a / (1.0 - (1.0 - k_over_a))
-    }
-
     /// Simulates the closed loop for `quanta` quanta and returns the
     /// request trajectory `d(1), d(2), …` starting from `d(1) = d1`.
     ///
@@ -87,90 +74,6 @@ impl ClosedLoop {
         for _ in 0..quanta {
             out.push(d);
             d += self.gain * (1.0 - d / self.parallelism);
-        }
-        out
-    }
-}
-
-/// The second-order closed loop of the gain-scheduled PI controller
-/// ([`crate::PiControl`]) for constant parallelism.
-///
-/// Writing `x(q) = d(q) − A`, the PI recurrence
-/// `d(q+1) = d(q) + Kp·(e(q) − e(q−1)) + Ki·e(q)` with `Kp = β·A`,
-/// `Ki = (1 − r)·A` and `e(q) = −x(q)/A` reduces to
-///
-/// ```text
-/// x(q+1) = (r − β)·x(q) + β·x(q−1)
-/// ```
-///
-/// with characteristic polynomial `z² − (r − β)·z − β`. Its
-/// discriminant `(r − β)² + 4β` is non-negative, so the poles are
-/// always real, and the Jury conditions reduce to `r < 1` and
-/// `β < (1 + r)/2` — satisfied throughout the controller's admissible
-/// range `0 ≤ β ≤ r < 1`, which is the stability claim behind
-/// `PiControl`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PiClosedLoop {
-    /// Integral rate parameter `r`.
-    pub rate: f64,
-    /// Proportional coefficient `β`.
-    pub beta: f64,
-}
-
-impl PiClosedLoop {
-    /// Builds the loop; the parameters mirror
-    /// [`PiControl::new`](crate::PiControl::new).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `rate ∈ [0, 1)` and `beta ∈ [0, rate]`.
-    pub fn new(rate: f64, beta: f64) -> Self {
-        assert!((0.0..1.0).contains(&rate), "rate must lie in [0, 1)");
-        assert!(
-            (0.0..=rate).contains(&beta),
-            "beta must lie in [0, rate], got {beta}"
-        );
-        Self { rate, beta }
-    }
-
-    /// The two (always real) closed-loop poles, larger magnitude first.
-    pub fn poles(&self) -> (f64, f64) {
-        let b = self.rate - self.beta;
-        let disc = (b * b + 4.0 * self.beta).sqrt();
-        let p1 = (b + disc) / 2.0;
-        let p2 = (b - disc) / 2.0;
-        if p1.abs() >= p2.abs() {
-            (p1, p2)
-        } else {
-            (p2, p1)
-        }
-    }
-
-    /// Jury stability: both poles strictly inside the unit circle.
-    pub fn is_stable(&self) -> bool {
-        let (p1, p2) = self.poles();
-        p1.abs() < 1.0 && p2.abs() < 1.0
-    }
-
-    /// The asymptotic per-quantum error contraction (the dominant
-    /// pole's magnitude); equals `r` when `β = 0`.
-    pub fn dominant_rate(&self) -> f64 {
-        self.poles().0.abs()
-    }
-
-    /// Simulates the error recurrence from `d(1) = d1` (with the
-    /// controller's implicit `e(0) = 0` start) and returns the request
-    /// trajectory.
-    pub fn request_trajectory(&self, parallelism: f64, d1: f64, quanta: usize) -> Vec<f64> {
-        assert!(parallelism > 0.0, "parallelism must be positive");
-        let mut out = Vec::with_capacity(quanta);
-        let mut x_prev = 0.0; // e(0) = 0 ⇔ x(0) treated as 0 by PiControl
-        let mut x = d1 - parallelism;
-        for _ in 0..quanta {
-            out.push(parallelism + x);
-            let next = (self.rate - self.beta) * x + self.beta * x_prev;
-            x_prev = x;
-            x = next;
         }
         out
     }
@@ -248,7 +151,6 @@ mod tests {
                 let loop_ = ClosedLoop::with_convergence_rate(a, r);
                 assert!((loop_.pole() - r).abs() < 1e-12);
                 assert!(loop_.is_bibo_stable());
-                assert!((loop_.dc_gain() - 1.0).abs() < 1e-12);
             }
         }
     }
@@ -324,80 +226,5 @@ mod tests {
     #[should_panic(expected = "empty trajectory")]
     fn empty_trajectory_rejected() {
         let _ = analyze_step_response(&[], 1.0, 0.01);
-    }
-
-    #[test]
-    fn pi_loop_stable_across_admissible_range() {
-        for r in [0.0, 0.2, 0.5, 0.9] {
-            for frac in [0.0, 0.5, 1.0] {
-                let beta = r * frac;
-                let loop_ = PiClosedLoop::new(r, beta);
-                assert!(loop_.is_stable(), "r={r} β={beta}: {:?}", loop_.poles());
-                // Poles are real: the discriminant is non-negative.
-                let (p1, p2) = loop_.poles();
-                assert!(p1.is_finite() && p2.is_finite());
-            }
-        }
-    }
-
-    #[test]
-    fn pi_loop_beta_zero_reduces_to_first_order() {
-        let loop_ = PiClosedLoop::new(0.3, 0.0);
-        let (p1, p2) = loop_.poles();
-        assert!((p1 - 0.3).abs() < 1e-12);
-        assert!(p2.abs() < 1e-12);
-        assert!((loop_.dominant_rate() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pi_trajectory_matches_controller() {
-        use crate::{Controller, PiControl};
-        use abg_sched::QuantumStats;
-        let a = 24.0;
-        let loop_ = PiClosedLoop::new(0.3, 0.2);
-        let analytic = loop_.request_trajectory(a, 1.0, 20);
-        let mut ctl = PiControl::new(0.3, 0.2);
-        let mut simulated = vec![ctl.current_request()];
-        for _ in 1..20 {
-            let s = QuantumStats {
-                allotment: 32,
-                quantum_len: 10,
-                steps_worked: 10,
-                work: (a * 10.0) as u64,
-                span: 10.0,
-                completed: false,
-            };
-            simulated.push(ctl.observe(&s));
-        }
-        for (q, (x, y)) in analytic.iter().zip(&simulated).enumerate() {
-            assert!((x - y).abs() < 1e-9, "q={q}: analytic {x} vs simulated {y}");
-        }
-    }
-
-    #[test]
-    fn pi_dominant_rate_is_the_asymptotic_contraction() {
-        // A second-order trajectory can contract non-monotonically near
-        // zero crossings (the worst per-quantum ratio is not the story);
-        // the *asymptotic* ratio must equal the dominant pole.
-        let loop_ = PiClosedLoop::new(0.4, 0.3);
-        let a = 50.0;
-        let traj = loop_.request_trajectory(a, 1.0, 60);
-        let e = |d: f64| (d - a).abs();
-        // Average tail contraction over quanta 40..50.
-        let tail: Vec<f64> = (40..50).map(|q| e(traj[q + 1]) / e(traj[q])).collect();
-        let mean = tail.iter().sum::<f64>() / tail.len() as f64;
-        assert!(
-            (mean - loop_.dominant_rate()).abs() < 0.05,
-            "tail contraction {mean} vs dominant pole {}",
-            loop_.dominant_rate()
-        );
-        let m = analyze_step_response(&traj, a, 0.0001);
-        assert!(m.steady_state_error < 1e-3);
-    }
-
-    #[test]
-    #[should_panic(expected = "beta must lie")]
-    fn pi_loop_rejects_beta_above_rate() {
-        let _ = PiClosedLoop::new(0.2, 0.5);
     }
 }

@@ -113,7 +113,7 @@ pub fn equi_partition(processors: u32, groups: u32) -> Vec<u32> {
 ///
 /// Panics if `weights` is empty or `floor * weights.len() > processors`
 /// (validation upstream rejects such configurations).
-pub fn apportion(processors: u32, floor: u32, weights: &[f64]) -> Vec<u32> {
+fn apportion(processors: u32, floor: u32, weights: &[f64]) -> Vec<u32> {
     let n = weights.len();
     assert!(n > 0, "need at least one processor group");
     let floored = (floor as u64).checked_mul(n as u64).expect("tiny sizes");

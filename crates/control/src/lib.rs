@@ -20,18 +20,16 @@ pub mod agreedy;
 pub mod analysis;
 pub mod baselines;
 pub mod group;
-pub mod pi;
 
 pub use acontrol::AControl;
 pub use adaptive_rate::AdaptiveRateControl;
 pub use agreedy::AGreedy;
-pub use analysis::{analyze_step_response, ClosedLoop, PiClosedLoop, StepMetrics};
+pub use analysis::{analyze_step_response, ClosedLoop, StepMetrics};
 pub use baselines::{ConstantRequest, OracleRequest};
 pub use group::{
     equi_partition, ConservativeTwoLevel, DesireProportional, GroupAllocator, GroupDesire,
     GroupPolicy, StaticEqui,
 };
-pub use pi::PiControl;
 
 use abg_sched::QuantumStats;
 

@@ -37,8 +37,6 @@ pub struct HierarchicalConfig {
     pub quantum_len: u64,
     /// Reallocation epoch in quanta.
     pub realloc_epoch: u64,
-    /// Per-group capacity floor.
-    pub group_floor: u32,
     /// Aggregate offered load ρ (kept fixed across skews: skew moves
     /// load between groups without changing the machine-wide total).
     pub rho: f64,
@@ -76,7 +74,6 @@ impl HierarchicalConfig {
             groups: 8,
             quantum_len: 20,
             realloc_epoch: 50,
-            group_floor: 1,
             rho: 0.45,
             hots: vec![1, 2, 4, 8],
             policies: vec![
@@ -104,7 +101,6 @@ impl HierarchicalConfig {
             groups: 4,
             quantum_len: 10,
             realloc_epoch: 16,
-            group_floor: 1,
             rho: 0.35,
             hots: vec![1, 4],
             policies: vec![
@@ -143,7 +139,7 @@ impl HierarchicalConfig {
             groups: self.groups,
             routing: ShardRouting::Skewed { hot },
             realloc_epoch: self.realloc_epoch,
-            group_floor: self.group_floor,
+            group_floor: 1,
         }
     }
 

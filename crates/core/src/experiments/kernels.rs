@@ -13,7 +13,7 @@
 use super::single_job::{single_job_sweep_with_steps, SingleJobSweepConfig};
 use abg_alloc::DynamicEquiPartition;
 use abg_control::{AControl, ConstantRequest};
-use abg_dag::{generate, Phase, PhasedJob};
+use abg_dag::{generate, PhasedJob};
 use abg_sched::{
     BGreedyExecutor, JobExecutor, OwnedBGreedyExecutor, PipelinedExecutor, ReferenceBGreedyExecutor,
 };
@@ -46,16 +46,6 @@ pub struct KernelBenchConfig {
     pub bundle_levels: u32,
     /// Depth of the binary fork-tree kernel (`2^depth − 1` tasks).
     pub tree_depth: u32,
-    /// Serial/parallel phase pairs in the phased (pipelined) kernel.
-    pub phased_pairs: u64,
-    /// Parallel-phase width in the phased kernel.
-    pub phased_width: u64,
-    /// Levels per phase in the phased kernel.
-    pub phased_len: u64,
-    /// Width of the barrier-leveled kernel.
-    pub leveled_width: u64,
-    /// Levels of the barrier-leveled kernel.
-    pub leveled_levels: u64,
     /// Levels per chain of the `weighted_frontier` kernel's bundle
     /// (width `bundle_width`, heterogeneous half-integer task weights):
     /// the residual-work executor kernel priced on a sustained wide
@@ -66,15 +56,6 @@ pub struct KernelBenchConfig {
     /// Measured completions per repetition of the `workflow_open`
     /// kernel.
     pub workflow_jobs: u64,
-    /// Layers of the random dag in the `dag_build` kernel.
-    pub dag_levels: u32,
-    /// Maximum layer width of the `dag_build` kernel's dag.
-    pub dag_width: u32,
-    /// Extra cross-layer edge probability in the `dag_build` kernel.
-    pub dag_edge_prob: f64,
-    /// Work units dispatched through the sharded `parallel_map` in the
-    /// `sweep_parallel` kernel.
-    pub parallel_units: u64,
     /// Transition factors of the single-job sweep kernel.
     pub sweep_factors: Vec<u64>,
     /// Jobs per factor in the single-job sweep kernel.
@@ -128,18 +109,9 @@ impl KernelBenchConfig {
             bundle_width: 8,
             bundle_levels: 25_000,
             tree_depth: 16,
-            phased_pairs: 64,
-            phased_width: 16,
-            phased_len: 64,
-            leveled_width: 16,
-            leveled_levels: 50_000,
             weighted_levels: 25_000,
             workflow_scale: 32,
             workflow_jobs: 1_000,
-            dag_levels: 2_000,
-            dag_width: 32,
-            dag_edge_prob: 0.05,
-            parallel_units: 1_024,
             sweep_factors: vec![2, 10, 40],
             sweep_jobs: 8,
             processors: 128,
@@ -170,18 +142,9 @@ impl KernelBenchConfig {
             // committed full-size baseline the --check gate compares
             // against.
             tree_depth: 13,
-            phased_pairs: 8,
-            phased_width: 8,
-            phased_len: 16,
-            leveled_width: 8,
-            leveled_levels: 1_000,
             weighted_levels: 500,
             workflow_scale: 8,
             workflow_jobs: 80,
-            dag_levels: 100,
-            dag_width: 8,
-            dag_edge_prob: 0.05,
-            parallel_units: 32,
             sweep_factors: vec![2, 10],
             sweep_jobs: 2,
             processors: 32,
@@ -304,7 +267,7 @@ fn churn_body<'j>(
     while core.jobs_in_system() > 0 {
         if !core.any_live() {
             let next = core.next_release().expect("jobs pending");
-            core.skip_idle_until(next);
+            assert!(core.skip_idle_until(next), "release within the clock");
             continue;
         }
         done.clear();
@@ -368,39 +331,6 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
         (tree_ex.completed_work(), tree_ex.elapsed_steps())
     }));
 
-    // Phased (serial/parallel alternation) under the pipelined
-    // fast-forward executor.
-    let phased = PhasedJob::new(
-        (0..cfg.phased_pairs * 2)
-            .map(|i| {
-                let w = if i % 2 == 0 { 1 } else { cfg.phased_width };
-                Phase::new(w, cfg.phased_len)
-            })
-            .collect(),
-    );
-    let pw = cfg.phased_width as u32;
-    let mut phased_ex = PipelinedExecutor::new(&phased);
-    results.push(measure("phased_pipelined", ms, || {
-        phased_ex.reset();
-        while !phased_ex.is_complete() {
-            phased_ex.run_quantum(pw, 100);
-        }
-        (phased_ex.completed_work(), phased_ex.elapsed_steps())
-    }));
-
-    // Barrier-leveled constant job (one-level phases) under the
-    // pipelined fast-forward: one phase crossing per level.
-    let leveled = PhasedJob::barrier(&[Phase::new(cfg.leveled_width, cfg.leveled_levels)]);
-    let lw = cfg.leveled_width as u32;
-    let mut leveled_ex = PipelinedExecutor::new(&leveled);
-    results.push(measure("leveled_barrier", ms, || {
-        leveled_ex.reset();
-        while !leveled_ex.is_complete() {
-            leveled_ex.run_quantum(lw, 100);
-        }
-        (leveled_ex.completed_work(), leveled_ex.elapsed_steps())
-    }));
-
     // Weighted wide frontier: the same bundle shape as
     // `forkjoin_bundle`, every task carrying a heterogeneous
     // half-integer weight, so each step advances residual costs and the
@@ -424,40 +354,6 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
             weighted_ex.run_quantum(wwidth, 100);
         }
         (weighted_ex.completed_work(), weighted_ex.elapsed_steps())
-    }));
-
-    // Dag construction: builder ingest + CSR finalization + Kahn
-    // validation of a random layered graph. Ops are tasks built, steps
-    // are edges placed; the same seed every iteration keeps the counters
-    // iter-constant.
-    results.push(measure("dag_build", ms, || {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let dag = generate::random_layered(
-            &mut rng,
-            cfg.dag_levels,
-            1..=cfg.dag_width,
-            cfg.dag_edge_prob,
-        );
-        (dag.work(), dag.num_edges() as u64)
-    }));
-
-    // Harness dispatch: many small independent simulations through the
-    // sharded `parallel_map` — measures the sweep harness's fan-out
-    // throughput (cursor claiming + chunk assembly), not the simulation
-    // kernels themselves.
-    let par_job = PhasedJob::constant(cfg.phased_width, cfg.phased_len);
-    let par_w = cfg.phased_width as u32;
-    results.push(measure("sweep_parallel", ms, || {
-        let units: Vec<u64> = (0..cfg.parallel_units).collect();
-        let runs = super::parallel_map(units, |_unit| {
-            let mut ex = PipelinedExecutor::new(&par_job);
-            while !ex.is_complete() {
-                ex.run_quantum(par_w, 100);
-            }
-            (ex.completed_work(), ex.elapsed_steps())
-        });
-        runs.iter()
-            .fold((0, 0), |(w, s), &(rw, rs)| (w + rw, s + rs))
     }));
 
     // Composite: the Figure-5 single-job sweep at a reduced size. Ops
@@ -799,7 +695,7 @@ pub fn run_kernel_suite(cfg: &KernelBenchConfig) -> Vec<KernelResult> {
         while core.jobs_in_system() > 0 {
             if !core.any_live() {
                 let next = core.next_release().expect("jobs pending");
-                core.skip_idle_until(next);
+                assert!(core.skip_idle_until(next), "release within the clock");
                 continue;
             }
             core.step_quantum(&mut done);
@@ -838,11 +734,7 @@ mod tests {
                 "chain_reference",
                 "forkjoin_bundle",
                 "forkjoin_tree",
-                "phased_pipelined",
-                "leveled_barrier",
                 "weighted_frontier",
-                "dag_build",
-                "sweep_parallel",
                 "single_job_sweep",
                 "multiprogrammed_deq",
                 "open_system",

@@ -7,7 +7,7 @@
 //! dynamics directly visible, e.g. A-Greedy's columns flicker while
 //! ABG's stay solid.
 
-use abg_sim::{MultiJobOutcome, QuantumRecord};
+use abg_sim::MultiJobOutcome;
 
 /// Glyph ramp from idle to a full machine share.
 const RAMP: [char; 6] = ['.', '1', '2', '4', '8', '#'];
@@ -79,19 +79,6 @@ pub fn render_gantt(
     out
 }
 
-/// Summarizes a single job's trace as a request/allotment strip — the
-/// one-dimensional version of the Gantt used by the single-job
-/// examples.
-pub fn render_request_strip(trace: &[QuantumRecord], processors: u32) -> String {
-    let mut requests = String::new();
-    let mut allotments = String::new();
-    for r in trace {
-        requests.push(glyph(r.request.ceil() as u32, processors));
-        allotments.push(glyph(r.allotment, processors));
-    }
-    format!("requests   |{requests}|\nallotments |{allotments}|\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,19 +120,6 @@ mod tests {
         let out = traced_outcome();
         let g = render_gantt(&out, 10, 8, 3);
         assert!(g.contains('…'));
-    }
-
-    #[test]
-    fn strip_lengths_match_trace() {
-        let out = traced_outcome();
-        let strip = render_request_strip(&out.traces[0], 8);
-        let lines: Vec<&str> = strip.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let n = out.traces[0].len();
-        assert_eq!(
-            lines[0].matches(|c| c != '|').count() - "requests   ".len(),
-            n
-        );
     }
 
     #[test]

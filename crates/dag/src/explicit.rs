@@ -83,7 +83,7 @@ impl std::error::Error for DagError {}
 /// default SipHash would spend most of the duplicate check hashing; this
 /// keeps [`DagBuilder::add_edge`] O(1) with a small constant.
 #[derive(Debug, Default, Clone)]
-pub struct EdgeKeyHasher(u64);
+struct EdgeKeyHasher(u64);
 
 impl Hasher for EdgeKeyHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -133,9 +133,9 @@ fn validate_weight(t: TaskId, w: f64) -> Result<(), DagError> {
 /// the weighted executors touch on their hot path:
 ///
 /// * `cost(t)` — integer processor-steps of task `t`;
-/// * `level_cost(l)` / `level_cost_recip(l)` — total cost of level `l`
-///   and its reciprocal, so a completed task charges its fractional
-///   share of the level without a division;
+/// * `level_cost(l)` — total cost of level `l`, stored with its
+///   reciprocal so a completed task charges its fractional share of the
+///   level without a division;
 /// * `level_max_cost(l)` — the heaviest task of level `l`, which is the
 ///   level's contribution to the *weighted* critical path: a completed
 ///   task at level `l` contributes `cost · recip · max` span, so a fully
@@ -143,10 +143,11 @@ fn validate_weight(t: TaskId, w: f64) -> Result<(), DagError> {
 ///   quantum average parallelism `A(q) = T1(q)/T∞(q)` still measures
 ///   processor demand (a level of `n` tasks of uniform cost `c` reads as
 ///   `A = n·c / c = n`);
-/// * `total_cost()` — the weighted work `T1 = Σ cost(t)`;
-/// * `span_cost()` — the weighted span `T∞ = Σ_l level_max_cost(l)`
-///   (the critical-path length of a level-by-level execution, and the
-///   value every executor's accumulated quantum spans sum to).
+/// * the weighted work `T1 = Σ cost(t)` and span
+///   `T∞ = Σ_l level_max_cost(l)` (the critical-path length of a
+///   level-by-level execution, and the value every executor's
+///   accumulated quantum spans sum to), read through
+///   [`ExplicitDag::work`] and [`ExplicitDag::weighted_span`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightProfile {
     weights: Vec<f64>,
@@ -214,29 +215,11 @@ impl WeightProfile {
         self.level_cost[l]
     }
 
-    /// `1.0 / level_cost(l)`, precomputed for the span hot path.
-    #[inline]
-    pub fn level_cost_recip(&self, l: usize) -> f64 {
-        self.level_cost_recip[l]
-    }
-
     /// Cost of the heaviest task at level `l` — the level's contribution
     /// to the weighted span.
     #[inline]
     pub fn level_max_cost(&self, l: usize) -> u64 {
         self.level_max_cost[l]
-    }
-
-    /// The weighted work `T1 = Σ cost(t)`.
-    #[inline]
-    pub fn total_cost(&self) -> u64 {
-        self.total_cost
-    }
-
-    /// The weighted span `T∞ = Σ_l level_max_cost(l)`.
-    #[inline]
-    pub fn span_cost(&self) -> u64 {
-        self.span_cost
     }
 
     /// Fractional span a completed task at level `l` with cost `c`
@@ -536,7 +519,7 @@ impl ExplicitDag {
     #[inline]
     pub fn work(&self) -> u64 {
         match &self.weights {
-            Some(wp) => wp.total_cost(),
+            Some(wp) => wp.total_cost,
             None => self.in_degree.len() as u64,
         }
     }
@@ -556,7 +539,7 @@ impl ExplicitDag {
     #[inline]
     pub fn weighted_span(&self) -> u64 {
         match &self.weights {
-            Some(wp) => wp.span_cost(),
+            Some(wp) => wp.span_cost,
             None => self.span(),
         }
     }
@@ -1057,8 +1040,8 @@ mod tests {
         let wp = d.weight_profile().unwrap();
         assert_eq!(wp.level_cost(1), 6);
         assert_eq!(wp.level_max_cost(1), 4);
-        assert_eq!(wp.level_cost_recip(1), 1.0 / 6.0);
-        assert_eq!(wp.total_cost(), 8);
+        assert_eq!(wp.level_cost_recip[1], 1.0 / 6.0);
+        assert_eq!(d.work(), 8);
         assert_eq!(d.weighted_span(), 1 + 4 + 1);
         // A completed level contributes its max cost to the span:
         // cost/level_cost · max summed over the level.

@@ -238,7 +238,8 @@ pub struct SteadyStats {
     pub quanta: u64,
     /// Final simulation step (the horizon the run covered).
     pub horizon: u64,
-    /// Time-average in-system job count over executed quanta.
+    /// Mean in-system job count per executed quantum. Skipped idle
+    /// stretches are not sampled, so this is not a time average.
     pub mean_jobs_in_system: f64,
     /// Peak in-system job count over executed quanta — the memory
     /// high-water mark of the run (the live-set storage scales with this
@@ -519,6 +520,42 @@ mod tests {
                 ));
             }
             OpenOutcome::Steady(_) => panic!("16 quanta cannot finish 250 jobs"),
+        }
+    }
+
+    #[test]
+    fn arrivals_past_the_clock_horizon_end_the_run_unstable() {
+        // A 1e30-step mean gap saturates every arrival clock at u64::MAX,
+        // past the last quantum boundary the clock can hold. The idle
+        // skip must end the run instead of wrapping the clock backwards.
+        let mut cfg = config(0.3);
+        cfg.arrivals = ArrivalProcess::Poisson { mean_gap: 1e30 };
+        // The same after a job has run: one arrival at step 10, then
+        // the clock saturates.
+        let mut after_one = config(0.3);
+        after_one.arrivals = ArrivalProcess::Trace {
+            gaps: vec![10, u64::MAX],
+        };
+        for (cfg, arrivals) in [(cfg, 0), (after_one, 1)] {
+            let out = run(&cfg);
+            match &out {
+                OpenOutcome::Unstable(report) => {
+                    assert!(matches!(
+                        report.reason,
+                        SaturationReason::HorizonExhausted { .. }
+                    ));
+                    assert_eq!(report.arrivals, arrivals);
+                    assert_eq!(report.jobs_in_system, 0);
+                }
+                OpenOutcome::Steady(s) => panic!("no measured job can arrive: {s:?}"),
+            }
+            let reference = crate::reference::ReferenceOpenDriver::run(
+                &cfg,
+                DynamicEquiPartition::new(cfg.processors),
+                |_rng, _recycled| constant_job(),
+                || Box::new(AControl::new(0.2)),
+            );
+            assert_eq!(reference, out);
         }
     }
 

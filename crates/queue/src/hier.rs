@@ -404,7 +404,13 @@ impl<A: Allocator, P: Probe> GroupSim<A, P> {
                 if self.next_time > until {
                     return; // Paused idle at the epoch edge.
                 }
-                self.engine.skip_idle_until(self.next_time);
+                if !self.engine.skip_idle_until(self.next_time) {
+                    // The next arrival lies past the clock horizon.
+                    self.status = GroupStatus::Tripped(SaturationReason::HorizonExhausted {
+                        quanta: self.engine.quanta(),
+                    });
+                    return;
+                }
                 continue;
             }
             if self.engine.now() >= until {

@@ -101,8 +101,20 @@ impl ReferenceOpenDriver {
                 next_arrival = stream.next_arrival(&mut rng);
             }
             if !engine.any_live() {
-                engine.skip_idle_until(next_arrival);
-                continue;
+                if engine.skip_idle_until(next_arrival) {
+                    continue;
+                }
+                // Idle, and the next arrival lies past the clock horizon.
+                break OpenOutcome::Unstable(UnstableReport {
+                    reason: SaturationReason::HorizonExhausted {
+                        quanta: engine.quanta(),
+                    },
+                    quanta: engine.quanta(),
+                    horizon: engine.now(),
+                    jobs_in_system: engine.jobs_in_system() as u64,
+                    completed: measured - outstanding,
+                    arrivals,
+                });
             }
 
             done.clear();

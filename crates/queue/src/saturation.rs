@@ -56,10 +56,12 @@ pub enum SaturationReason {
         /// The count at the moment the cap tripped.
         jobs_in_system: u64,
     },
-    /// The run hit its quanta budget before collecting every measured
-    /// completion (conservatively treated as unstable).
+    /// The run hit its quanta budget, or its next arrival lies past the
+    /// last quantum boundary a `u64` clock can hold, before collecting
+    /// every measured completion (conservatively treated as unstable).
     HorizonExhausted {
-        /// The exhausted budget.
+        /// The exhausted budget, or the quanta run when the clock ran
+        /// out first.
         quanta: u64,
     },
 }

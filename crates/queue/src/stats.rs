@@ -22,18 +22,6 @@ pub struct ConfidenceInterval {
     pub batch_size: u64,
 }
 
-impl ConfidenceInterval {
-    /// Relative half-width `half_width / mean` (`f64::INFINITY` for a
-    /// zero mean) — the usual run-length quality criterion.
-    pub fn relative_half_width(&self) -> f64 {
-        if self.mean == 0.0 {
-            f64::INFINITY
-        } else {
-            self.half_width / self.mean.abs()
-        }
-    }
-}
-
 /// Two-sided 97.5% Student-t quantile (95% interval) for `df` degrees
 /// of freedom; the asymptotic normal quantile beyond the table.
 fn t_quantile_975(df: u32) -> f64 {
@@ -191,7 +179,6 @@ mod tests {
         assert_eq!(ci.half_width, 0.0);
         assert_eq!(ci.batches, 10);
         assert_eq!(ci.batch_size, 10);
-        assert_eq!(ci.relative_half_width(), 0.0);
     }
 
     #[test]

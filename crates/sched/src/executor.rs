@@ -116,12 +116,6 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> DagExecutor<D, Q> {
         self.dag.borrow()
     }
 
-    /// Number of currently ready tasks (the job's instantaneous
-    /// parallelism floor for the next step).
-    pub fn ready_tasks(&self) -> usize {
-        self.ready.len()
-    }
-
     /// Tasks completed at each level since the job started.
     pub fn completed_per_level(&self) -> &[u64] {
         &self.completed_per_level
@@ -676,7 +670,7 @@ mod tests {
         ex.reset();
         assert_eq!(ex.completed_work(), 0);
         assert_eq!(ex.elapsed_steps(), 0);
-        assert_eq!(ex.ready_tasks(), 1);
+        assert_eq!(ex.ready.len(), 1);
         assert!(!ex.is_complete());
         assert_eq!(first, run(&mut ex), "reset run diverged");
         assert!(ex.try_reset());
@@ -747,7 +741,7 @@ mod tests {
         let s = ex.run_quantum(1, 1);
         assert_eq!(s.work, 1);
         assert_eq!(ex.in_progress(), &[], "t0 completed");
-        assert_eq!(ex.ready_tasks(), 1, "t1 released");
+        assert_eq!(ex.ready.len(), 1, "t1 released");
         while !ex.is_complete() {
             ex.run_quantum(1, 1);
         }

@@ -12,7 +12,6 @@
 //!
 //! [`BGreedyExecutor`]: crate::executor::BGreedyExecutor
 
-use crate::executor::OwnedBGreedyExecutor;
 use crate::quantum::QuantumStats;
 use crate::JobExecutor;
 use abg_dag::PhasedJob;
@@ -52,13 +51,6 @@ pub struct PipelinedExecutor<J: Borrow<PhasedJob> = PhasedJob> {
     pos: u64,
     completed: u64,
     elapsed: u64,
-    /// Uniform per-task cost in processor-steps (1 = the classic unit
-    /// model and the closed-form fast path below).
-    task_cost: u64,
-    /// Costs above 1 route through the weighted per-task kernel over the
-    /// lowered explicit dag — exact by construction, at per-task rather
-    /// than per-phase cost.
-    weighted: Option<Box<OwnedBGreedyExecutor>>,
 }
 
 impl<J: Borrow<PhasedJob>> PipelinedExecutor<J> {
@@ -70,42 +62,7 @@ impl<J: Borrow<PhasedJob>> PipelinedExecutor<J> {
             pos: 0,
             completed: 0,
             elapsed: 0,
-            task_cost: 1,
-            weighted: None,
         }
-    }
-
-    /// Creates an executor whose every task costs `cost` processor-steps
-    /// (`cost ≤ 1` is the unit model). `PhasedJob` has no per-task
-    /// identity, so the weighted generalisation is uniform: costs above
-    /// 1 lower the job to its explicit dag with a uniform weight table
-    /// and execute it through the weighted B-Greedy kernel, trading the
-    /// `O(phases touched)` closed form for exactness on the residual
-    /// semantics.
-    pub fn with_task_cost(job: J, cost: u64) -> Self {
-        let cost = cost.max(1);
-        let weighted = (cost > 1).then(|| {
-            let dag = job
-                .borrow()
-                .to_explicit()
-                .with_uniform_weight(cost as f64)
-                .expect("a positive integer cost is a valid weight");
-            Box::new(OwnedBGreedyExecutor::new(dag))
-        });
-        Self {
-            job,
-            phase: 0,
-            pos: 0,
-            completed: 0,
-            elapsed: 0,
-            task_cost: cost,
-            weighted,
-        }
-    }
-
-    /// Uniform processor-steps per task (1 for the unit model).
-    pub fn task_cost(&self) -> u64 {
-        self.task_cost
     }
 
     /// The job being executed.
@@ -113,31 +70,18 @@ impl<J: Borrow<PhasedJob>> PipelinedExecutor<J> {
         self.job.borrow()
     }
 
-    /// Index of the phase currently in progress (== number of phases
-    /// once complete).
-    pub fn current_phase(&self) -> usize {
-        self.phase
-    }
-
-    /// Rewinds to the start of the job (the unit-cost state is four
-    /// counters, so this is trivially allocation-free; a weighted inner
-    /// executor resets in place keeping its buffers).
+    /// Rewinds to the start of the job (the state is four counters, so
+    /// this is trivially allocation-free).
     pub fn reset(&mut self) {
         self.phase = 0;
         self.pos = 0;
         self.completed = 0;
         self.elapsed = 0;
-        if let Some(inner) = &mut self.weighted {
-            inner.reset();
-        }
     }
 }
 
 impl<J: Borrow<PhasedJob>> JobExecutor for PipelinedExecutor<J> {
     fn run_quantum(&mut self, allotment: u32, steps: u64) -> QuantumStats {
-        if let Some(inner) = &mut self.weighted {
-            return inner.run_quantum(allotment, steps);
-        }
         let mut work = 0u64;
         let mut span = 0.0f64;
         let mut steps_left = if allotment == 0 { 0 } else { steps };
@@ -179,38 +123,23 @@ impl<J: Borrow<PhasedJob>> JobExecutor for PipelinedExecutor<J> {
     }
 
     fn is_complete(&self) -> bool {
-        match &self.weighted {
-            Some(inner) => inner.is_complete(),
-            None => self.phase >= self.job.borrow().phases().len(),
-        }
+        self.phase >= self.job.borrow().phases().len()
     }
 
     fn total_work(&self) -> u64 {
-        match &self.weighted {
-            Some(inner) => inner.total_work(),
-            None => self.job.borrow().work(),
-        }
+        self.job.borrow().work()
     }
 
     fn total_span(&self) -> u64 {
-        match &self.weighted {
-            Some(inner) => inner.total_span(),
-            None => self.job.borrow().span(),
-        }
+        self.job.borrow().span()
     }
 
     fn completed_work(&self) -> u64 {
-        match &self.weighted {
-            Some(inner) => inner.completed_work(),
-            None => self.completed,
-        }
+        self.completed
     }
 
     fn elapsed_steps(&self) -> u64 {
-        match &self.weighted {
-            Some(inner) => inner.elapsed_steps(),
-            None => self.elapsed,
-        }
+        self.elapsed
     }
 
     fn try_reset(&mut self) -> bool {
@@ -219,12 +148,6 @@ impl<J: Borrow<PhasedJob>> JobExecutor for PipelinedExecutor<J> {
     }
 
     fn steady_quanta(&self, allotment: u32, steps: u64, stats: &QuantumStats) -> u64 {
-        if self.weighted.is_some() {
-            // The weighted kernel has no closed-form freeze analysis;
-            // the always-correct "no lookahead" answer keeps the engine
-            // on the quantum-by-quantum path.
-            return 0;
-        }
         if self.is_complete() || stats.completed || steps == 0 {
             return 0;
         }
@@ -350,7 +273,7 @@ mod tests {
         // task of level 0 alone, not one from level 1.
         let mut ex = PipelinedExecutor::new(barrier(&[3, 5]));
         assert_eq!(ex.run_quantum(2, 2).work, 3);
-        assert_eq!(ex.current_phase(), 1);
+        assert_eq!(ex.phase, 1);
         // A partial level counts fractionally.
         let s = PipelinedExecutor::new(barrier(&[10])).run_quantum(2, 3);
         assert_eq!(s.work, 6);
@@ -442,7 +365,7 @@ mod tests {
                     want.run_quantum(a, steps);
                 }
                 assert_eq!(want.elapsed_steps(), bulk.elapsed_steps());
-                assert_eq!(want.current_phase(), bulk.current_phase());
+                assert_eq!(want.phase, bulk.phase);
                 want.completed_work()
             });
         }

@@ -98,7 +98,7 @@ impl BreadthFirstQueue {
 
     /// Pre-sizes the bucket table to hold levels `0..levels`, so pushes
     /// through a [`LevelPusher`] never need to grow it mid-drain.
-    pub fn ensure_levels(&mut self, levels: usize) {
+    pub(crate) fn ensure_levels(&mut self, levels: usize) {
         if levels > self.buckets.len() {
             self.buckets.resize_with(levels, Vec::new);
             self.heads.resize(levels, 0);
@@ -122,7 +122,7 @@ impl BreadthFirstQueue {
     /// The pusher panics (index out of bounds) if a task is pushed at a
     /// level `≤ l` or beyond the ensured table — both would break the
     /// frozen-frontier invariant the bulk step relies on.
-    pub fn bulk_level(&mut self, l: usize, n: usize) -> (&[TaskId], LevelPusher<'_>) {
+    pub(crate) fn bulk_level(&mut self, l: usize, n: usize) -> (&[TaskId], LevelPusher<'_>) {
         let (low, high) = self.buckets.split_at_mut(l + 1);
         let head = self.heads[l];
         debug_assert!(head + n <= low[l].len());
@@ -145,7 +145,7 @@ impl BreadthFirstQueue {
     /// [`finish_bulk`](Self::finish_bulk) passing the bucket's length
     /// growth as `pushed`. Requires
     /// [`ensure_levels`](Self::ensure_levels) to cover level `l + 1`.
-    pub fn bulk_level_unit(&mut self, l: usize, n: usize) -> (&[TaskId], &mut Vec<TaskId>) {
+    pub(crate) fn bulk_level_unit(&mut self, l: usize, n: usize) -> (&[TaskId], &mut Vec<TaskId>) {
         let (low, high) = self.buckets.split_at_mut(l + 1);
         let head = self.heads[l];
         debug_assert!(head + n <= low[l].len());
@@ -155,7 +155,7 @@ impl BreadthFirstQueue {
     /// Commits a bulk drain opened by [`bulk_level`](Self::bulk_level):
     /// accounts the `pushed` insertions, then consumes the `n` drained
     /// tasks of level `l`.
-    pub fn finish_bulk(&mut self, l: usize, n: usize, pushed: usize) {
+    pub(crate) fn finish_bulk(&mut self, l: usize, n: usize, pushed: usize) {
         self.len += pushed;
         self.consume(l, n);
     }
@@ -168,7 +168,7 @@ impl BreadthFirstQueue {
 /// [`BreadthFirstQueue::finish_bulk`]), leaving one bounds-checked
 /// bucket append per enabled task.
 #[derive(Debug)]
-pub struct LevelPusher<'a> {
+pub(crate) struct LevelPusher<'a> {
     buckets: &'a mut [Vec<TaskId>],
     base: usize,
     pushed: usize,
@@ -177,14 +177,14 @@ pub struct LevelPusher<'a> {
 impl LevelPusher<'_> {
     /// Appends a task to its level bucket (FIFO position preserved).
     #[inline]
-    pub fn push(&mut self, task: TaskId, level: Level) {
+    pub(crate) fn push(&mut self, task: TaskId, level: Level) {
         self.buckets[level as usize - self.base].push(task);
         self.pushed += 1;
     }
 
     /// Tasks pushed through this handle so far — pass the final value to
     /// [`BreadthFirstQueue::finish_bulk`].
-    pub fn pushed(&self) -> usize {
+    pub(crate) fn pushed(&self) -> usize {
         self.pushed
     }
 }

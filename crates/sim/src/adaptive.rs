@@ -97,11 +97,6 @@ impl AdaptiveQuantum {
         }
     }
 
-    /// The current quantum length.
-    pub fn current_len(&self) -> u64 {
-        self.len
-    }
-
     /// Feeds one feedback update — the request that drove the quantum
     /// and the request the controller produced from it — and returns the
     /// next quantum's length: doubled if the relative change stayed

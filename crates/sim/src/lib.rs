@@ -23,16 +23,15 @@
 //! open-system (sustained-arrival) driver in `abg-queue` runs
 //! indefinitely on it, probes included.
 //!
-//! [`trim`] implements the paper's trim analysis (Section 6.1),
-//! [`metrics`] the derived per-run measurements, and [`adaptive`] the
-//! paced controllers of the paper's future-work section (plus the
-//! reallocation-overhead accounting its motivation calls for).
+//! [`trim`] implements the paper's trim analysis (Section 6.1), and
+//! [`adaptive`] the paced controllers of the paper's future-work
+//! section (plus the reallocation-overhead accounting its motivation
+//! calls for).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod metrics;
 pub mod multi;
 pub mod probe;
 pub mod quantum_core;
@@ -41,7 +40,6 @@ pub mod trace;
 pub mod trim;
 
 pub use adaptive::{AdaptiveQuantum, FixedQuantum, Paced};
-pub use metrics::{JobMetrics, QuantumClass};
 pub use multi::{JobOutcome, MultiJobOutcome, MultiJobSim};
 pub use probe::{NullProbe, Probe, TraceProbe};
 pub use quantum_core::{live_job_footprint, CompletedJob, QuantumCore};

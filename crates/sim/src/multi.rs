@@ -157,7 +157,9 @@ impl<A: Allocator> MultiJobSim<A> {
     ///
     /// # Panics
     ///
-    /// Panics if no jobs were added, or the `max_quanta` guard trips.
+    /// Panics if no jobs were added, if the `max_quanta` guard trips, or
+    /// if a release lies past the last quantum boundary of the `u64`
+    /// clock.
     pub fn run(self) -> MultiJobOutcome {
         let mut core = self.core;
         assert!(core.jobs_in_system() > 0, "no jobs to simulate");
@@ -174,7 +176,10 @@ impl<A: Allocator> MultiJobSim<A> {
                 let next_release = core
                     .next_release()
                     .expect("loop guard ensures an in-system job exists");
-                core.skip_idle_until(next_release);
+                assert!(
+                    core.skip_idle_until(next_release),
+                    "release {next_release} lies past the last quantum boundary of the u64 clock"
+                );
                 continue;
             }
             core.step_quantum(&mut done);

@@ -146,11 +146,6 @@ impl TraceProbe {
         self
     }
 
-    /// Whether the probe is recording.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Traces of completed jobs, in completion order, keyed by the
     /// core's admission id. Empty unless the probe is in
     /// [`retaining`](TraceProbe::retaining) mode.

@@ -369,14 +369,6 @@ where
         self.in_system
     }
 
-    /// Capacity of the slab — slots ever allocated, whether currently
-    /// occupied or on the free list. Storage introspection for tests
-    /// and diagnostics: the slab never shrinks, and never grows while a
-    /// freed slot is available for reuse.
-    pub fn slab_slots(&self) -> usize {
-        self.slots.len()
-    }
-
     /// The length the next quantum would run at if it can be frozen —
     /// i.e. the length of the last executed quantum while the
     /// frozen-window cache is valid. `None` when the cache was
@@ -452,18 +444,33 @@ where
 
     /// Advances the clock over an idle machine: jumps to the first
     /// default-length quantum boundary at or after `release` that is
-    /// strictly after the current boundary.
+    /// strictly after the current boundary, and returns `true`.
+    ///
+    /// Returns `false` and leaves the clock where it is when no quantum
+    /// starting at that boundary could end on a `u64` clock: the release
+    /// lies past the simulated horizon, and the caller must end the run
+    /// instead of stepping.
     ///
     /// # Panics
     ///
     /// Panics (debug) if a job is already live — skipping over runnable
     /// work would corrupt the schedule.
-    pub fn skip_idle_until(&mut self, release: u64) {
+    #[must_use]
+    pub fn skip_idle_until(&mut self, release: u64) -> bool {
         debug_assert!(!self.any_live(), "skip_idle_until with live jobs");
-        self.frozen_valid = false;
         let l = self.default_len;
-        self.now = release.div_ceil(l).max(self.now / l + 1) * l;
+        let Some(boundary) = release
+            .div_ceil(l)
+            .max(self.now / l + 1)
+            .checked_mul(l)
+            .filter(|b| b.checked_add(l).is_some())
+        else {
+            return false;
+        };
+        self.frozen_valid = false;
+        self.now = boundary;
         self.process_releases();
+        true
     }
 
     /// Runs one quantum at the current boundary over every live job:
@@ -1054,12 +1061,12 @@ mod tests {
         }
         assert_eq!(done[0].id, 0);
         assert_eq!(core.jobs_in_system(), 1);
-        assert_eq!(core.slab_slots(), 2, "slot freed in place, not compacted");
+        assert_eq!(core.slots.len(), 2, "slot freed in place, not compacted");
         // The freed slot is reused by the next admission instead of
         // growing the slab, and the newcomer schedules after the older
         // live job regardless of which physical slot it landed in.
         core.admit(job(2, 20), ConstantRequest::new(2.0), core.now()); // id 2
-        assert_eq!(core.slab_slots(), 2, "admission reuses the freed slot");
+        assert_eq!(core.slots.len(), 2, "admission reuses the freed slot");
         while core.jobs_in_system() > 0 {
             core.step_quantum(&mut done);
         }
@@ -1084,7 +1091,7 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert!(!core.any_live(), "second job still pending at step 20");
         assert_eq!(core.next_release(), Some(55));
-        core.skip_idle_until(55);
+        assert!(core.skip_idle_until(55));
         assert_eq!(core.now(), 60);
         assert!(core.any_live(), "idle skip crossed the release");
         while core.jobs_in_system() > 0 {
@@ -1119,12 +1126,31 @@ mod tests {
             10,
             NullProbe,
         );
-        core.skip_idle_until(34);
+        assert!(core.skip_idle_until(34));
         assert_eq!(core.now(), 40);
         // Already past: still advances at least one quantum.
-        core.skip_idle_until(5);
+        assert!(core.skip_idle_until(5));
         assert_eq!(core.now(), 50);
         assert_eq!(core.quanta(), 0, "idle skips execute no quanta");
+    }
+
+    #[test]
+    fn skip_idle_until_refuses_a_release_past_the_clock_horizon() {
+        let mut core = QuantumCore::<PipelinedExecutor, ConstantRequest, _, _>::new(
+            DynamicEquiPartition::new(4),
+            20,
+            NullProbe,
+        );
+        // u64::MAX rounds up past the last boundary a u64 can hold; the
+        // skip is refused instead of wrapping the clock backwards.
+        assert!(!core.skip_idle_until(u64::MAX));
+        assert_eq!(core.now(), 0, "a refused skip leaves the clock alone");
+        // The last boundary that still fits a whole quantum is reachable.
+        let last = (u64::MAX - 20) / 20 * 20;
+        assert!(core.skip_idle_until(last));
+        assert_eq!(core.now(), last);
+        assert!(!core.skip_idle_until(last + 1));
+        assert_eq!(core.now(), last);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! the static top level (`StaticEqui`, one unbounded epoch).
 //!
 //! ```text
-//! cargo run --release --example sharded_scaling
+//! cargo run --release --example fixed_partition
 //! ```
 //!
 //! Each row splits a 128-processor machine at ρ = 0.85 into `G` groups
@@ -18,7 +18,9 @@
 //!
 //! The pool here is pinned to one worker so the table isolates the
 //! algorithmic win; on a multi-core machine a larger `threads` argument
-//! spreads the groups over more workers on top of it.
+//! spreads the groups over more workers on top of it. This example
+//! regenerates EXPERIMENTS.md's fixed-partition scaling table; the
+//! aggregate steps column is deterministic, the timings are not.
 
 use abg::queue::{
     run_open_hierarchical_with_threads, HierOpenConfig, OpenConfig, SaturationConfig, ShardRouting,

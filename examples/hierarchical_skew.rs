@@ -28,7 +28,6 @@ fn main() {
         groups: 4,
         quantum_len: 20,
         realloc_epoch: 50,
-        group_floor: 1,
         rho: 0.4,
         hots: vec![1, 2, 4, 8],
         policies: vec![

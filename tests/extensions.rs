@@ -1,10 +1,10 @@
 //! Integration tests for the beyond-the-paper extensions: the
 //! work-stealing substrate, the adaptive quantum policy, the governed
-//! convergence rate and the PI controller — all exercised through the
-//! same two-level simulation as the core reproduction.
+//! convergence rate — all exercised through the same two-level
+//! simulation as the core reproduction.
 
 use abg::prelude::*;
-use abg_control::{AdaptiveRateControl, PiControl};
+use abg_control::AdaptiveRateControl;
 use abg_sim::{AdaptiveQuantum, FixedQuantum};
 use abg_steal::{abp_request, ASteal, StealExecutor};
 use proptest::prelude::*;
@@ -125,22 +125,6 @@ fn governed_rate_end_to_end() {
     );
     assert!(ctl.effective_rate() * ctl.estimated_factor() < 1.0);
     assert!(run.time_over_span() < 1.6);
-}
-
-/// The PI controller drives the full simulation and lands within a few
-/// percent of A-Control on fork-join jobs.
-#[test]
-fn pi_controller_end_to_end() {
-    let job = forkjoin(16);
-    let run = |mut calc: Box<dyn Controller + Send>| {
-        let mut ex = PipelinedExecutor::new(job.clone());
-        let mut alloc = Scripted::ample(64);
-        run_single_job(&mut ex, &mut calc, &mut alloc, SingleJobConfig::new(50))
-    };
-    let integral = run(Box::new(AControl::new(0.2)));
-    let pi = run(Box::new(PiControl::new(0.2, 0.1)));
-    let ratio = pi.running_time as f64 / integral.running_time as f64;
-    assert!((0.9..=1.1).contains(&ratio), "PI/I time ratio {ratio}");
 }
 
 proptest! {

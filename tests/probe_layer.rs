@@ -45,7 +45,7 @@ where
     while core.jobs_in_system() > 0 {
         if !core.any_live() {
             let next = core.next_release().expect("jobs pending");
-            core.skip_idle_until(next);
+            assert!(core.skip_idle_until(next));
             continue;
         }
         core.step_quantum(&mut done);
