@@ -11,8 +11,13 @@ use abg::report::{f3, mark, Chart, Table};
 use abg_control::GroupPolicy;
 use abg_sched::JobExecutor as _;
 
-/// Dispatches a subcommand.
+/// Dispatches a subcommand. Only `ablate` and `bench` take an argument
+/// (one each); any other positional is an error, not silently ignored.
 pub fn run(command: &str, opts: &Options) -> Result<(), String> {
+    let arity = usize::from(matches!(command, "ablate" | "bench"));
+    if let Some(stray) = opts.positional.get(arity) {
+        return Err(format!("unexpected argument '{stray}' (try --help)"));
+    }
     match command {
         "fig1" => fig1(opts),
         "fig2" => fig2(opts),
@@ -32,7 +37,7 @@ pub fn run(command: &str, opts: &Options) -> Result<(), String> {
         "overhead" => overhead(opts),
         "bench" => bench(opts)?,
         "open" => open(opts)?,
-        "all" => all(opts),
+        "all" => all(opts)?,
         other => return Err(format!("unknown command '{other}' (try --help)")),
     }
     Ok(())
@@ -966,7 +971,7 @@ fn open(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn all(opts: &Options) {
+fn all(opts: &Options) -> Result<(), String> {
     fig1(opts);
     fig2(opts);
     fig4(opts);
@@ -977,12 +982,13 @@ fn all(opts: &Options) {
     thm3(opts);
     thm4(opts);
     thm5(opts);
-    let _ = ablate(opts);
+    ablate(opts)?;
     steal(opts);
     adaptive(opts);
     robustness(opts);
     allocators(opts);
     overhead(opts);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1063,6 +1069,28 @@ mod tests {
         missing.retain(|r| r.kernel != "open_system");
         let err = bench_check(path, &missing).unwrap_err();
         assert!(err.contains("did not run open_system"), "{err}");
+    }
+
+    /// A positional argument that no command reads is an error before
+    /// anything runs, for `all` as for every single command; only
+    /// `ablate` and `bench` take one, and a second one is rejected.
+    #[test]
+    fn stray_positional_arguments_are_rejected() {
+        let with = |command: &str, positional: &[&str]| Options {
+            command: Some(command.into()),
+            positional: positional.iter().map(|s| s.to_string()).collect(),
+            ..Options::default()
+        };
+        for command in ["all", "fig2", "fig5", "thm3", "open"] {
+            let err = run(command, &with(command, &["bogus"])).unwrap_err();
+            assert_eq!(err, "unexpected argument 'bogus' (try --help)", "{command}");
+        }
+        let err = run("ablate", &with("ablate", &["rate", "extra"])).unwrap_err();
+        assert_eq!(err, "unexpected argument 'extra' (try --help)");
+        let err = run("bench", &with("bench", &["smoke", "extra"])).unwrap_err();
+        assert_eq!(err, "unexpected argument 'extra' (try --help)");
+        let err = run("ablate", &with("ablate", &["bogus"])).unwrap_err();
+        assert!(err.starts_with("unknown ablation 'bogus'"), "{err}");
     }
 
     /// `open` with impossible hierarchical knobs surfaces the typed

@@ -2,13 +2,13 @@
 //! convergence rate, quantum length, A-Greedy parameters, scheduler
 //! priority rule, and the phase-semantics model.
 
-use super::{parallel_map, task_seed};
+use super::{per_cell, probe_job, QualityPoint};
 use abg_alloc::Scripted;
 use abg_control::{AControl, AGreedy, AdaptiveRateControl, Controller};
 use abg_dag::{ExplicitDag, ForkJoinSpec, PhasedJob};
 use abg_sched::{BGreedyExecutor, DepthFirstExecutor, GreedyExecutor, PipelinedExecutor};
 use abg_sim::{run_single_job, SingleJobConfig, SingleJobRun};
-use abg_workload::paper_job;
+use abg_workload::splitmix_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -43,62 +43,23 @@ impl AblationConfig {
     }
 }
 
-/// Mean time/waste of a run population.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QualityPoint {
-    /// Mean `T / T∞`.
-    pub time_norm: f64,
-    /// Mean `W / T1`.
-    pub waste_norm: f64,
-}
-
-fn summarize(runs: &[SingleJobRun]) -> QualityPoint {
-    let n = runs.len() as f64;
-    QualityPoint {
-        time_norm: runs.iter().map(SingleJobRun::time_over_span).sum::<f64>() / n,
-        waste_norm: runs.iter().map(SingleJobRun::waste_over_work).sum::<f64>() / n,
-    }
-}
-
-fn abg_runs(cfg: &AblationConfig, rate: f64, quantum_len: u64) -> Vec<SingleJobRun> {
-    let units: Vec<(u64, u64)> = cfg
-        .factors
-        .iter()
-        .flat_map(|&f| (0..cfg.jobs_per_factor as u64).map(move |j| (f, j)))
-        .collect();
-    parallel_map(units, |&(factor, index)| {
-        let mut rng = StdRng::seed_from_u64(task_seed(cfg.seed, factor, index));
-        let job = paper_job(factor, quantum_len, cfg.pairs, &mut rng);
+/// Quality of the controllers `make` builds, one per probe job, each
+/// driving its job alone at quantum length `quantum_len`. Jobs are drawn
+/// at that quantum length, so their phase geometry follows it.
+fn probe_quality<C, M>(cfg: &AblationConfig, quantum_len: u64, make: M) -> QualityPoint
+where
+    C: Controller,
+    M: Fn() -> C + Sync,
+{
+    let runs = per_cell(&cfg.factors, cfg.jobs_per_factor, |factor, index| {
         run_single_job(
-            &mut PipelinedExecutor::new(job),
-            &mut AControl::new(rate),
+            &mut PipelinedExecutor::new(probe_job(cfg.seed, factor, index, quantum_len, cfg.pairs)),
+            &mut make(),
             &mut Scripted::ample(cfg.processors),
             SingleJobConfig::new(quantum_len),
         )
-    })
-}
-
-fn agreedy_runs(
-    cfg: &AblationConfig,
-    responsiveness: f64,
-    utilization: f64,
-    quantum_len: u64,
-) -> Vec<SingleJobRun> {
-    let units: Vec<(u64, u64)> = cfg
-        .factors
-        .iter()
-        .flat_map(|&f| (0..cfg.jobs_per_factor as u64).map(move |j| (f, j)))
-        .collect();
-    parallel_map(units, |&(factor, index)| {
-        let mut rng = StdRng::seed_from_u64(task_seed(cfg.seed, factor, index));
-        let job = paper_job(factor, quantum_len, cfg.pairs, &mut rng);
-        run_single_job(
-            &mut PipelinedExecutor::new(job),
-            &mut AGreedy::new(responsiveness, utilization),
-            &mut Scripted::ample(cfg.processors),
-            SingleJobConfig::new(quantum_len),
-        )
-    })
+    });
+    QualityPoint::of(runs.flat())
 }
 
 /// One row of the convergence-rate ablation.
@@ -118,7 +79,7 @@ pub fn rate_ablation(cfg: &AblationConfig, rates: &[f64]) -> Vec<RateAblationRow
         .iter()
         .map(|&rate| RateAblationRow {
             rate,
-            quality: summarize(&abg_runs(cfg, rate, cfg.quantum_len)),
+            quality: probe_quality(cfg, cfg.quantum_len, || AControl::new(rate)),
         })
         .collect()
 }
@@ -128,22 +89,9 @@ pub fn rate_ablation(cfg: &AblationConfig, rates: &[f64]) -> Vec<RateAblationRow
 /// answer to the paper's assumption that `r < 1/C_L` is arranged from
 /// historical workload knowledge.
 pub fn governed_rate_quality(cfg: &AblationConfig, target_rate: f64) -> QualityPoint {
-    let units: Vec<(u64, u64)> = cfg
-        .factors
-        .iter()
-        .flat_map(|&f| (0..cfg.jobs_per_factor as u64).map(move |j| (f, j)))
-        .collect();
-    let runs = parallel_map(units, |&(factor, index)| {
-        let mut rng = StdRng::seed_from_u64(task_seed(cfg.seed, factor, index));
-        let job = paper_job(factor, cfg.quantum_len, cfg.pairs, &mut rng);
-        run_single_job(
-            &mut PipelinedExecutor::new(job),
-            &mut AdaptiveRateControl::new(target_rate, 0.9),
-            &mut Scripted::ample(cfg.processors),
-            SingleJobConfig::new(cfg.quantum_len),
-        )
-    });
-    summarize(&runs)
+    probe_quality(cfg, cfg.quantum_len, || {
+        AdaptiveRateControl::new(target_rate, 0.9)
+    })
 }
 
 /// One row of the quantum-length ablation.
@@ -165,8 +113,8 @@ pub fn quantum_ablation(cfg: &AblationConfig, quanta: &[u64]) -> Vec<QuantumAbla
         .iter()
         .map(|&l| QuantumAblationRow {
             quantum_len: l,
-            abg: summarize(&abg_runs(cfg, 0.2, l)),
-            agreedy: summarize(&agreedy_runs(cfg, 2.0, 0.8, l)),
+            abg: probe_quality(cfg, l, AControl::paper_default),
+            agreedy: probe_quality(cfg, l, AGreedy::paper_default),
         })
         .collect()
 }
@@ -195,7 +143,7 @@ pub fn agreedy_ablation(
             rows.push(AGreedyAblationRow {
                 responsiveness: rho,
                 utilization: delta,
-                quality: summarize(&agreedy_runs(cfg, rho, delta, cfg.quantum_len)),
+                quality: probe_quality(cfg, cfg.quantum_len, || AGreedy::new(rho, delta)),
             });
         }
     }
@@ -221,24 +169,16 @@ pub struct SchedulerAblationRow {
 pub fn scheduler_ablation(cfg: &AblationConfig) -> Vec<SchedulerAblationRow> {
     // Smaller jobs: the per-task executor materialises every task.
     let quantum_len = cfg.quantum_len.min(100);
-    let dags: Vec<ExplicitDag> = cfg
-        .factors
-        .iter()
-        .flat_map(|&f| {
-            (0..cfg.jobs_per_factor as u64)
-                .map(move |j| (f, j))
-                .map(|(f, j)| {
-                    let mut rng = StdRng::seed_from_u64(task_seed(cfg.seed, f, j));
-                    ForkJoinSpec::with_transition_factor(f.min(16), quantum_len, 2)
-                        .generate(&mut rng)
-                        .to_explicit()
-                })
-        })
-        .collect();
+    let dags = per_cell(&cfg.factors, cfg.jobs_per_factor, |f, j| {
+        let mut rng = StdRng::seed_from_u64(splitmix_seed(cfg.seed, f, j));
+        ForkJoinSpec::with_transition_factor(f.min(16), quantum_len, 2)
+            .generate(&mut rng)
+            .to_explicit()
+    });
 
     let run_all = |name: &str, f: &dyn Fn(&ExplicitDag) -> SingleJobRun| SchedulerAblationRow {
         scheduler: name.to_string(),
-        quality: summarize(&dags.iter().map(f).collect::<Vec<_>>()),
+        quality: QualityPoint::of(&dags.flat().iter().map(f).collect::<Vec<_>>()),
     };
 
     let sim_cfg = SingleJobConfig::new(quantum_len);
@@ -247,7 +187,7 @@ pub fn scheduler_ablation(cfg: &AblationConfig) -> Vec<SchedulerAblationRow> {
         run_all("breadth-first (B-Greedy)", &|d| {
             run_single_job(
                 &mut BGreedyExecutor::new(d),
-                &mut AControl::new(0.2),
+                &mut AControl::paper_default(),
                 &mut Scripted::ample(p),
                 sim_cfg,
             )
@@ -255,7 +195,7 @@ pub fn scheduler_ablation(cfg: &AblationConfig) -> Vec<SchedulerAblationRow> {
         run_all("fifo (plain greedy)", &|d| {
             run_single_job(
                 &mut GreedyExecutor::new(d),
-                &mut AControl::new(0.2),
+                &mut AControl::paper_default(),
                 &mut Scripted::ample(p),
                 sim_cfg,
             )
@@ -263,7 +203,7 @@ pub fn scheduler_ablation(cfg: &AblationConfig) -> Vec<SchedulerAblationRow> {
         run_all("lifo (depth-first)", &|d| {
             run_single_job(
                 &mut DepthFirstExecutor::new(d),
-                &mut AControl::new(0.2),
+                &mut AControl::paper_default(),
                 &mut Scripted::ample(p),
                 sim_cfg,
             )
@@ -301,18 +241,13 @@ pub fn semantics_ablation(cfg: &AblationConfig) -> Vec<SemanticsAblationRow> {
         ("a-greedy", true),
     ];
     for (sched, barrier) in combos {
-        let units: Vec<(u64, u64)> = cfg
-            .factors
-            .iter()
-            .flat_map(|&f| (0..cfg.jobs_per_factor as u64).map(move |j| (f, j)))
-            .collect();
-        let runs = parallel_map(units, |&(factor, index)| {
-            let mut rng = StdRng::seed_from_u64(task_seed(cfg.seed, factor, index));
+        let runs = per_cell(&cfg.factors, cfg.jobs_per_factor, |factor, index| {
+            let mut rng = StdRng::seed_from_u64(splitmix_seed(cfg.seed, factor, index));
             let spec = ForkJoinSpec::with_transition_factor(factor, cfg.quantum_len, cfg.pairs);
             let mut calc: Box<dyn Controller + Send> = if sched == "abg" {
-                Box::new(AControl::new(0.2))
+                Box::new(AControl::paper_default())
             } else {
-                Box::new(AGreedy::new(2.0, 0.8))
+                Box::new(AGreedy::paper_default())
             };
             let mut alloc = Scripted::ample(cfg.processors);
             let sim_cfg = SingleJobConfig::new(cfg.quantum_len);
@@ -331,7 +266,7 @@ pub fn semantics_ablation(cfg: &AblationConfig) -> Vec<SemanticsAblationRow> {
         rows.push(SemanticsAblationRow {
             model: if barrier { "barrier" } else { "pipelined" }.to_string(),
             scheduler: sched.to_string(),
-            quality: summarize(&runs),
+            quality: QualityPoint::of(runs.flat()),
         });
     }
     rows

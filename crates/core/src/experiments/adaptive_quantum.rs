@@ -1,16 +1,14 @@
 //! Adaptive quantum length (future work, Section 9): fixed-short vs
 //! fixed-long vs adaptive quantum sizing under the ABG controller.
 
-use super::{parallel_map, task_seed};
+use super::{mean, per_cell, probe_job};
 use abg_alloc::Scripted;
 use abg_control::AControl;
 use abg_sched::PipelinedExecutor;
 use abg_sim::{run_single_job, AdaptiveQuantum, FixedQuantum, SingleJobConfig};
-use abg_workload::paper_job;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-/// Configuration of the adaptive-quantum comparison.
+/// Configuration of the adaptive-quantum comparison. Every policy paces
+/// the paper's controller ([`AControl::paper_default`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveQuantumConfig {
     /// Transition factors of the probe jobs.
@@ -25,8 +23,6 @@ pub struct AdaptiveQuantumConfig {
     pub long_quantum: u64,
     /// Relative request-stability band of the adaptive policy.
     pub stability_band: f64,
-    /// ABG convergence rate.
-    pub rate: f64,
     /// Phase pairs per job.
     pub pairs: u64,
     /// Experiment seed.
@@ -34,7 +30,7 @@ pub struct AdaptiveQuantumConfig {
 }
 
 impl AdaptiveQuantumConfig {
-    /// Moderate default probe. Jobs are generated against the *short*
+    /// Moderate default probe. Jobs are generated against the *long*
     /// quantum's geometry so every policy faces identical jobs.
     pub fn default_probe() -> Self {
         Self {
@@ -44,7 +40,6 @@ impl AdaptiveQuantumConfig {
             short_quantum: 50,
             long_quantum: 800,
             stability_band: 0.05,
-            rate: 0.2,
             pairs: 3,
             seed: 0xADA7,
         }
@@ -70,33 +65,27 @@ pub struct AdaptiveQuantumRow {
 /// Compares `fixed(short)`, `fixed(long)` and `adaptive(short..long)`
 /// quantum policies under ABG on the same jobs.
 pub fn adaptive_quantum_comparison(cfg: &AdaptiveQuantumConfig) -> Vec<AdaptiveQuantumRow> {
-    let units: Vec<(u64, u64)> = cfg
-        .factors
-        .iter()
-        .flat_map(|&f| (0..cfg.jobs_per_factor as u64).map(move |j| (f, j)))
-        .collect();
     // One unit per generated job: all three policies run over the same
     // job through one executor, rewound between policies, so the job is
     // generated once instead of once per policy and nothing is
     // re-allocated. The run set (and every aggregate) is identical to
     // running each policy in its own unit.
-    let results = parallel_map(units, |&(factor, index)| {
-        let mut rng = StdRng::seed_from_u64(task_seed(cfg.seed, factor, index));
+    let runs = per_cell(&cfg.factors, cfg.jobs_per_factor, |factor, index| {
         // Phase geometry follows the *long* quantum so even the longest
         // policy sees phases spanning full quanta.
-        let job = paper_job(factor, cfg.long_quantum, cfg.pairs, &mut rng);
+        let job = probe_job(cfg.seed, factor, index, cfg.long_quantum, cfg.pairs);
         let mut ex = PipelinedExecutor::new(job);
         let sim = SingleJobConfig::new(cfg.short_quantum);
         let short = run_single_job(
             &mut ex,
-            &mut FixedQuantum(cfg.short_quantum).pace(AControl::new(cfg.rate)),
+            &mut FixedQuantum(cfg.short_quantum).pace(AControl::paper_default()),
             &mut Scripted::ample(cfg.processors),
             sim,
         );
         ex.reset();
         let long = run_single_job(
             &mut ex,
-            &mut FixedQuantum(cfg.long_quantum).pace(AControl::new(cfg.rate)),
+            &mut FixedQuantum(cfg.long_quantum).pace(AControl::paper_default()),
             &mut Scripted::ample(cfg.processors),
             sim,
         );
@@ -104,7 +93,7 @@ pub fn adaptive_quantum_comparison(cfg: &AdaptiveQuantumConfig) -> Vec<AdaptiveQ
         let adaptive = run_single_job(
             &mut ex,
             &mut AdaptiveQuantum::new(cfg.short_quantum, cfg.long_quantum, cfg.stability_band)
-                .pace(AControl::new(cfg.rate)),
+                .pace(AControl::paper_default()),
             &mut Scripted::ample(cfg.processors),
             sim,
         );
@@ -116,17 +105,15 @@ pub fn adaptive_quantum_comparison(cfg: &AdaptiveQuantumConfig) -> Vec<AdaptiveQ
         format!("fixed L = {}", cfg.long_quantum),
         format!("adaptive L ∈ [{}, {}]", cfg.short_quantum, cfg.long_quantum),
     ];
-    (0..3usize)
-        .map(|p| {
-            let rows: Vec<_> = results.iter().map(|per_job| &per_job[p]).collect();
-            let n = rows.len() as f64;
-            AdaptiveQuantumRow {
-                policy: names[p].clone(),
-                time_norm: rows.iter().map(|r| r.time_over_span()).sum::<f64>() / n,
-                waste_norm: rows.iter().map(|r| r.waste_over_work()).sum::<f64>() / n,
-                mean_quanta: rows.iter().map(|r| r.quanta as f64).sum::<f64>() / n,
-                mean_reallocations: rows.iter().map(|r| r.reallocations as f64).sum::<f64>() / n,
-            }
+    names
+        .into_iter()
+        .enumerate()
+        .map(|(p, policy)| AdaptiveQuantumRow {
+            policy,
+            time_norm: mean(runs.flat(), |r| r[p].time_over_span()),
+            waste_norm: mean(runs.flat(), |r| r[p].waste_over_work()),
+            mean_quanta: mean(runs.flat(), |r| r[p].quanta as f64),
+            mean_reallocations: mean(runs.flat(), |r| r[p].reallocations as f64),
         })
         .collect()
 }
@@ -143,7 +130,6 @@ mod tests {
             short_quantum: 20,
             long_quantum: 160,
             stability_band: 0.05,
-            rate: 0.2,
             pairs: 2,
             seed: 4,
         }

@@ -9,19 +9,20 @@
 //! This experiment quantifies what each missing property costs at the
 //! system level.
 
-use super::{parallel_map, task_seed};
+use super::{mean, per_cell};
 use crate::bounds::{makespan_lower_bound, response_lower_bound_batched, JobSize};
 use abg_alloc::{Allocator, DynamicEquiPartition, Proportional, RoundRobin};
 use abg_control::{AControl, Controller};
 use abg_dag::PhasedJob;
 use abg_sched::PipelinedExecutor;
 use abg_sim::MultiJobSim;
-use abg_workload::{JobSetSpec, ReleaseSchedule};
+use abg_workload::{splitmix_seed, JobSetSpec, ReleaseSchedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Configuration of the allocator comparison.
+/// Configuration of the allocator comparison. Every job runs the
+/// paper's controller ([`AControl::paper_default`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AllocatorPolicyConfig {
     /// Loads of the probe job sets.
@@ -36,8 +37,6 @@ pub struct AllocatorPolicyConfig {
     pub max_factor: u64,
     /// Phase pairs per member job.
     pub pairs: u64,
-    /// ABG convergence rate.
-    pub rate: f64,
     /// Experiment seed.
     pub seed: u64,
 }
@@ -52,7 +51,6 @@ impl AllocatorPolicyConfig {
             quantum_len: 100,
             max_factor: 32,
             pairs: 2,
-            rate: 0.2,
             seed: 0xA110C,
         }
     }
@@ -79,11 +77,10 @@ fn run_with<A: Allocator>(
     processors: u32,
     allocator: A,
     quantum_len: u64,
-    rate: f64,
 ) -> (f64, f64, f64) {
     let mut sim = MultiJobSim::new(allocator, quantum_len);
     for (job, &release) in jobs.iter().zip(releases) {
-        let calc: Box<dyn Controller + Send> = Box::new(AControl::new(rate));
+        let calc: Box<dyn Controller + Send> = Box::new(AControl::paper_default());
         // All three policies execute the same Arc-shared job structures.
         sim.add_job(
             Box::new(PipelinedExecutor::new(Arc::clone(job))),
@@ -112,14 +109,9 @@ fn run_with<A: Allocator>(
 
 /// Runs the comparison; rows are ordered policy-major, load-minor.
 pub fn allocator_policy_comparison(cfg: &AllocatorPolicyConfig) -> Vec<AllocatorPolicyRow> {
-    let units: Vec<(f64, u64)> = cfg
-        .loads
-        .iter()
-        .flat_map(|&l| (0..cfg.sets_per_load as u64).map(move |i| (l, i)))
-        .collect();
-    // (load, [deq, rr, prop] triples)
-    let results = parallel_map(units, |&(load, index)| {
-        let mut rng = StdRng::seed_from_u64(task_seed(cfg.seed, index, load.to_bits()));
+    // Per set: one (M/M*, R/R*, W/T1) triple per policy.
+    let cells = per_cell(&cfg.loads, cfg.sets_per_load, |load, index| {
+        let mut rng = StdRng::seed_from_u64(splitmix_seed(cfg.seed, index, load.to_bits()));
         let spec = JobSetSpec {
             processors: cfg.processors,
             quantum_len: cfg.quantum_len,
@@ -138,7 +130,6 @@ pub fn allocator_policy_comparison(cfg: &AllocatorPolicyConfig) -> Vec<Allocator
             cfg.processors,
             DynamicEquiPartition::new(cfg.processors),
             cfg.quantum_len,
-            cfg.rate,
         );
         let rr = run_with(
             &jobs,
@@ -146,7 +137,6 @@ pub fn allocator_policy_comparison(cfg: &AllocatorPolicyConfig) -> Vec<Allocator
             cfg.processors,
             RoundRobin::new(cfg.processors),
             cfg.quantum_len,
-            cfg.rate,
         );
         let prop = run_with(
             &jobs,
@@ -154,27 +144,20 @@ pub fn allocator_policy_comparison(cfg: &AllocatorPolicyConfig) -> Vec<Allocator
             cfg.processors,
             Proportional::new(cfg.processors),
             cfg.quantum_len,
-            cfg.rate,
         );
-        (load, [deq, rr, prop])
+        [deq, rr, prop]
     });
 
     let names = ["deq", "round-robin", "proportional"];
     let mut rows = Vec::new();
     for (pi, name) in names.iter().enumerate() {
-        for &load in &cfg.loads {
-            let cells: Vec<&(f64, f64, f64)> = results
-                .iter()
-                .filter(|(l, _)| *l == load)
-                .map(|(_, triple)| &triple[pi])
-                .collect();
-            let n = cells.len() as f64;
+        for (&load, sets) in cfg.loads.iter().zip(cells.iter()) {
             rows.push(AllocatorPolicyRow {
                 policy: name.to_string(),
                 load,
-                makespan_norm: cells.iter().map(|c| c.0).sum::<f64>() / n,
-                response_norm: cells.iter().map(|c| c.1).sum::<f64>() / n,
-                waste_norm: cells.iter().map(|c| c.2).sum::<f64>() / n,
+                makespan_norm: mean(sets, |s| s[pi].0),
+                response_norm: mean(sets, |s| s[pi].1),
+                waste_norm: mean(sets, |s| s[pi].2),
             });
         }
     }
@@ -193,7 +176,6 @@ mod tests {
             quantum_len: 50,
             max_factor: 16,
             pairs: 2,
-            rate: 0.2,
             seed: 77,
         }
     }

@@ -14,7 +14,7 @@
 //! feedback policies should hold their response time roughly flat as the skew
 //! grows, with the hot group's capacity following its load.
 
-use super::{parallel_map, task_seed};
+use super::per_cell;
 use abg_alloc::DynamicEquiPartition;
 use abg_control::{AControl, Controller, GroupPolicy};
 use abg_dag::PhasedJob;
@@ -23,10 +23,11 @@ use abg_queue::{
     ShardRouting,
 };
 use abg_sched::PipelinedExecutor;
-use abg_workload::{mean_gap_for_utilization, ArrivalProcess};
+use abg_workload::{mean_gap_for_utilization, splitmix_seed, ArrivalProcess};
 use std::sync::Arc;
 
-/// Configuration of the hierarchical skew sweep.
+/// Configuration of the hierarchical skew sweep. Every job runs the
+/// paper's controller ([`AControl::paper_default`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HierarchicalConfig {
     /// Machine size `P`.
@@ -60,8 +61,6 @@ pub struct HierarchicalConfig {
     pub max_quanta: u64,
     /// Saturation-detector tuning (applies per group).
     pub saturation: SaturationConfig,
-    /// ABG convergence rate `r` for the within-group controllers.
-    pub rate: f64,
     /// Experiment seed.
     pub seed: u64,
 }
@@ -88,7 +87,6 @@ impl HierarchicalConfig {
             batches: 16,
             max_quanta: 20_000_000,
             saturation: SaturationConfig::default(),
-            rate: 0.2,
             seed: 0x5E3A,
         }
     }
@@ -115,7 +113,6 @@ impl HierarchicalConfig {
             batches: 8,
             max_quanta: 2_000_000,
             saturation: SaturationConfig::default(),
-            rate: 0.2,
             seed: 0x5E3A,
         }
     }
@@ -134,7 +131,7 @@ impl HierarchicalConfig {
                 saturation: self.saturation,
                 // One seed per skew, shared by every policy: identical
                 // arrivals and job structures — a paired comparison.
-                seed: task_seed(self.seed, hot as u64, 3),
+                seed: splitmix_seed(self.seed, hot as u64, 3),
             },
             groups: self.groups,
             routing: ShardRouting::Skewed { hot },
@@ -195,20 +192,15 @@ pub fn hierarchical_skew_sweep(cfg: &HierarchicalConfig) -> Vec<HierarchicalRow>
     assert!(!cfg.policies.is_empty(), "sweep needs at least one policy");
     let work = (cfg.width * cfg.levels) as f64;
     let mean_gap = mean_gap_for_utilization(cfg.rho, cfg.processors, work);
-    let units: Vec<(u32, GroupPolicy)> = cfg
-        .hots
-        .iter()
-        .flat_map(|&hot| cfg.policies.iter().map(move |&policy| (hot, policy)))
-        .collect();
-    let cells = parallel_map(units, |&(hot, policy)| {
+    let cells = per_cell(&cfg.hots, cfg.policies.len() as u32, |hot, index| {
+        let policy = cfg.policies[index as usize];
         let hier = cfg.hier_config(hot, mean_gap);
         let job = Arc::new(PhasedJob::constant(cfg.width, cfg.levels));
-        let rate = cfg.rate;
         let (outcome, groups) = run_open_hierarchical_detailed(
             &hier,
             DynamicEquiPartition::new,
             move |_rng, _recycled| Box::new(PipelinedExecutor::new(Arc::clone(&job))),
-            move || -> Box<dyn Controller + Send> { Box::new(AControl::new(rate)) },
+            || -> Box<dyn Controller + Send> { Box::new(AControl::paper_default()) },
             policy.build(),
             1,
         );
@@ -228,15 +220,14 @@ pub fn hierarchical_skew_sweep(cfg: &HierarchicalConfig) -> Vec<HierarchicalRow>
             group_utilization: groups.iter().map(|g| g.utilization).collect(),
         }
     });
-    let per_row = cfg.policies.len();
     cfg.hots
         .iter()
-        .enumerate()
-        .map(|(i, &hot)| HierarchicalRow {
+        .zip(cells.iter())
+        .map(|(&hot, cells)| HierarchicalRow {
             hot,
             hot_local_rho: cfg.rho * (hot as f64 * cfg.groups as f64)
                 / (hot as f64 + cfg.groups as f64 - 1.0),
-            cells: cells[i * per_row..(i + 1) * per_row].to_vec(),
+            cells: cells.to_vec(),
         })
         .collect()
 }

@@ -21,9 +21,15 @@ pub mod stealing;
 pub mod theory;
 pub mod transient;
 
+use abg_dag::PhasedJob;
+use abg_sim::SingleJobRun;
+use abg_workload::{paper_job, splitmix_seed};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
 pub use ablation::{
     agreedy_ablation, governed_rate_quality, quantum_ablation, rate_ablation, scheduler_ablation,
-    semantics_ablation, AblationConfig, QualityPoint,
+    semantics_ablation, AblationConfig,
 };
 pub use adaptive_quantum::{
     adaptive_quantum_comparison, AdaptiveQuantumConfig, AdaptiveQuantumRow,
@@ -51,16 +57,86 @@ pub use theory::{
 };
 pub use transient::{transient_comparison, TrajectoryPoint, TransientConfig, TransientResult};
 
-/// Derives a per-task RNG seed from an experiment seed and task indices,
-/// so runs are reproducible and independent of the parallel schedule.
-pub(crate) fn task_seed(seed: u64, a: u64, b: u64) -> u64 {
-    // SplitMix64-style mixing of (seed, a, b).
-    let mut z = seed
-        .wrapping_add(a.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(b.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// Runs `f(key, index)` for every `index < per_key` of every key, spread
+/// over [`parallel_map`], and returns one cell per key: that key's
+/// results in index order. This is the whole sweep plumbing of the
+/// closed experiments; each folds its cells with [`mean`] (or
+/// [`QualityPoint::of`]) in index order, so every sum is taken in the
+/// same order on every run and for every thread count.
+pub(crate) fn per_cell<K, U, F>(keys: &[K], per_key: u32, f: F) -> Cells<U>
+where
+    K: Copy + Sync,
+    U: Send,
+    F: Fn(K, u64) -> U + Sync,
+{
+    let units: Vec<(K, u64)> = keys
+        .iter()
+        .flat_map(|&key| (0..per_key as u64).map(move |index| (key, index)))
+        .collect();
+    Cells {
+        results: parallel_map(units, |&(key, index)| f(key, index)),
+        keys: keys.len(),
+    }
+}
+
+/// The results of [`per_cell`], key-major and in index order within a
+/// key, kept in the one buffer the worker pool filled.
+pub(crate) struct Cells<U> {
+    results: Vec<U>,
+    keys: usize,
+}
+
+impl<U> Cells<U> {
+    /// One cell per key, in key order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[U]> {
+        let per_key = self.results.len() / self.keys.max(1);
+        (0..self.keys).map(move |k| &self.results[k * per_key..(k + 1) * per_key])
+    }
+
+    /// Every result, key-major: the cells laid end to end.
+    pub(crate) fn flat(&self) -> &[U] {
+        &self.results
+    }
+}
+
+/// The probe job of sweep unit `(factor, index)`: a
+/// [`paper_job`](abg_workload::paper_job) drawn from
+/// `splitmix_seed(seed, factor, index)`. Every single-job experiment
+/// draws its jobs here, so two experiments with the same seed and
+/// geometry face the same jobs.
+pub(crate) fn probe_job(
+    seed: u64,
+    factor: u64,
+    index: u64,
+    quantum_len: u64,
+    pairs: u64,
+) -> PhasedJob {
+    let mut rng = StdRng::seed_from_u64(splitmix_seed(seed, factor, index));
+    paper_job(factor, quantum_len, pairs, &mut rng)
+}
+
+/// Mean of `f` over a cell, summed in cell order.
+pub(crate) fn mean<T>(cell: &[T], f: impl Fn(&T) -> f64) -> f64 {
+    cell.iter().map(f).sum::<f64>() / cell.len() as f64
+}
+
+/// Mean time/waste of a run population.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QualityPoint {
+    /// Mean `T / T∞`.
+    pub time_norm: f64,
+    /// Mean `W / T1`.
+    pub waste_norm: f64,
+}
+
+impl QualityPoint {
+    /// The means of a run population.
+    pub fn of(runs: &[SingleJobRun]) -> Self {
+        Self {
+            time_norm: mean(runs, SingleJobRun::time_over_span),
+            waste_norm: mean(runs, SingleJobRun::waste_over_work),
+        }
+    }
 }
 
 /// Worker count used by the sweep harness's `parallel_map`: the `ABG_THREADS` environment
@@ -94,7 +170,7 @@ pub fn configured_threads() -> usize {
 /// old design serialized every item on a shared work-queue lock and
 /// every result on a shared output lock, which flattened scaling once
 /// per-item work got small.
-pub(crate) fn parallel_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
+fn parallel_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
@@ -106,7 +182,7 @@ where
 /// [`parallel_map`] with an explicit worker count (tests drive this
 /// directly to check determinism across thread counts without racing on
 /// the process environment).
-pub(crate) fn parallel_map_with_threads<T, U, F>(items: Vec<T>, f: F, threads: usize) -> Vec<U>
+fn parallel_map_with_threads<T, U, F>(items: Vec<T>, f: F, threads: usize) -> Vec<U>
 where
     T: Sync,
     U: Send,
@@ -178,12 +254,26 @@ mod tests {
     #[test]
     fn parallel_map_deterministic_across_thread_counts() {
         let items: Vec<u64> = (0..317).collect();
-        let expect: Vec<u64> = items.iter().map(|x| task_seed(7, *x, x * 3)).collect();
+        let expect: Vec<u64> = items.iter().map(|x| splitmix_seed(7, *x, x * 3)).collect();
         for threads in 1..=8 {
             let got =
-                parallel_map_with_threads(items.clone(), |&x| task_seed(7, x, x * 3), threads);
+                parallel_map_with_threads(items.clone(), |&x| splitmix_seed(7, x, x * 3), threads);
             assert_eq!(got, expect, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn per_cell_returns_each_keys_results_in_index_order() {
+        let cells = per_cell(&[10u64, 20, 30], 4, |key, index| key + index);
+        let got: Vec<&[u64]> = cells.iter().collect();
+        assert_eq!(
+            got,
+            [&[10, 11, 12, 13][..], &[20, 21, 22, 23], &[30, 31, 32, 33]]
+        );
+        assert_eq!(cells.flat().len(), 12);
+        let empty = per_cell(&[1u64, 2], 0, |k, i| k + i);
+        assert_eq!(empty.iter().count(), 2);
+        assert!(empty.iter().all(<[u64]>::is_empty));
     }
 
     #[test]
@@ -203,12 +293,5 @@ mod tests {
         std::env::set_var("ABG_THREADS", "not-a-number");
         assert!(configured_threads() >= 1);
         std::env::remove_var("ABG_THREADS");
-    }
-
-    #[test]
-    fn task_seed_is_deterministic_and_spread() {
-        assert_eq!(task_seed(1, 2, 3), task_seed(1, 2, 3));
-        assert_ne!(task_seed(1, 2, 3), task_seed(1, 3, 2));
-        assert_ne!(task_seed(1, 2, 3), task_seed(2, 2, 3));
     }
 }

@@ -6,14 +6,14 @@
 //! theoretical lower bounds (Figures 6(a)/6(c)) plus per-set
 //! A-Greedy/ABG ratios (Figures 6(b)/6(d)).
 
-use super::{parallel_map, task_seed};
+use super::{mean, per_cell};
 use crate::bounds::{makespan_lower_bound, response_lower_bound_batched, JobSize};
 use abg_alloc::DynamicEquiPartition;
 use abg_control::{AControl, AGreedy, Controller};
 use abg_dag::PhasedJob;
 use abg_sched::PipelinedExecutor;
 use abg_sim::{MultiJobOutcome, MultiJobSim};
-use abg_workload::{JobSetSpec, ReleaseSchedule};
+use abg_workload::{splitmix_seed, JobSetSpec, ReleaseSchedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -25,7 +25,9 @@ enum Scheduler {
     AGreedy,
 }
 
-/// Configuration of the Figure-6 sweep.
+/// Configuration of the Figure-6 sweep. Both schedulers run with the
+/// paper's parameters ([`AControl::paper_default`],
+/// [`AGreedy::paper_default`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiprogrammedConfig {
     /// Load values to sweep (x-axis; load = Σ avg parallelism / P).
@@ -42,12 +44,6 @@ pub struct MultiprogrammedConfig {
     pub max_factor: u64,
     /// Release schedule (batched enables the response-time bound).
     pub release: ReleaseSchedule,
-    /// ABG convergence rate `r`.
-    pub rate: f64,
-    /// A-Greedy responsiveness `ρ`.
-    pub responsiveness: f64,
-    /// A-Greedy utilization threshold `δ`.
-    pub utilization: f64,
     /// Experiment seed.
     pub seed: u64,
 }
@@ -64,9 +60,6 @@ impl MultiprogrammedConfig {
             pairs: 3,
             max_factor: 100,
             release: ReleaseSchedule::Batched,
-            rate: 0.2,
-            responsiveness: 2.0,
-            utilization: 0.8,
             seed: 0xF166,
         }
     }
@@ -81,9 +74,6 @@ impl MultiprogrammedConfig {
             pairs: 2,
             max_factor: 16,
             release: ReleaseSchedule::Batched,
-            rate: 0.2,
-            responsiveness: 2.0,
-            utilization: 0.8,
             seed: 0xF166,
         }
     }
@@ -121,8 +111,8 @@ fn run_set(
     let mut sim = MultiJobSim::new(DynamicEquiPartition::new(cfg.processors), cfg.quantum_len);
     for (job, &release) in jobs.iter().zip(releases) {
         let calculator: Box<dyn Controller + Send> = match which {
-            Scheduler::Abg => Box::new(AControl::new(cfg.rate)),
-            Scheduler::AGreedy => Box::new(AGreedy::new(cfg.responsiveness, cfg.utilization)),
+            Scheduler::Abg => Box::new(AControl::paper_default()),
+            Scheduler::AGreedy => Box::new(AGreedy::paper_default()),
         };
         // The executor needs `'static` ownership (it is boxed into the
         // sim), but the job structure itself is shared: both schedulers
@@ -150,7 +140,7 @@ struct SetResult {
 }
 
 fn evaluate_set(cfg: &MultiprogrammedConfig, load: f64, index: u64) -> SetResult {
-    let mut rng = StdRng::seed_from_u64(task_seed(cfg.seed, index, load.to_bits()));
+    let mut rng = StdRng::seed_from_u64(splitmix_seed(cfg.seed, index, load.to_bits()));
     let spec = JobSetSpec {
         processors: cfg.processors,
         quantum_len: cfg.quantum_len,
@@ -207,40 +197,26 @@ pub fn multiprogrammed_sweep(cfg: &MultiprogrammedConfig) -> Vec<LoadPoint> {
         cfg.sets_per_load > 0,
         "sweep needs at least one set per load"
     );
-    let units: Vec<(f64, u64)> = cfg
-        .loads
-        .iter()
-        .flat_map(|&l| (0..cfg.sets_per_load as u64).map(move |i| (l, i)))
-        .collect();
-    let results = parallel_map(units, |&(load, index)| {
-        (load, evaluate_set(cfg, load, index))
+    let cells = per_cell(&cfg.loads, cfg.sets_per_load, |load, index| {
+        evaluate_set(cfg, load, index)
     });
-
     cfg.loads
         .iter()
-        .map(|&load| {
-            let rows: Vec<&SetResult> = results
-                .iter()
-                .filter(|(l, _)| *l == load)
-                .map(|(_, r)| r)
-                .collect();
-            let n = rows.len() as f64;
-            let mean = |f: &dyn Fn(&SetResult) -> f64| rows.iter().map(|r| f(r)).sum::<f64>() / n;
-            LoadPoint {
-                load,
-                measured_load: mean(&|r| r.load),
-                mean_jobs: mean(&|r| r.jobs),
-                abg_makespan_norm: mean(&|r| r.abg_makespan / r.makespan_star),
-                agreedy_makespan_norm: mean(&|r| r.agreedy_makespan / r.makespan_star),
-                abg_response_norm: mean(&|r| {
-                    r.response_star.map_or(f64::NAN, |s| r.abg_response / s)
-                }),
-                agreedy_response_norm: mean(&|r| {
-                    r.response_star.map_or(f64::NAN, |s| r.agreedy_response / s)
-                }),
-                makespan_ratio: mean(&|r| r.agreedy_makespan / r.abg_makespan),
-                response_ratio: mean(&|r| r.agreedy_response / r.abg_response),
-            }
+        .zip(cells.iter())
+        .map(|(&load, rows)| LoadPoint {
+            load,
+            measured_load: mean(rows, |r| r.load),
+            mean_jobs: mean(rows, |r| r.jobs),
+            abg_makespan_norm: mean(rows, |r| r.abg_makespan / r.makespan_star),
+            agreedy_makespan_norm: mean(rows, |r| r.agreedy_makespan / r.makespan_star),
+            abg_response_norm: mean(rows, |r| {
+                r.response_star.map_or(f64::NAN, |s| r.abg_response / s)
+            }),
+            agreedy_response_norm: mean(rows, |r| {
+                r.response_star.map_or(f64::NAN, |s| r.agreedy_response / s)
+            }),
+            makespan_ratio: mean(rows, |r| r.agreedy_makespan / r.abg_makespan),
+            response_ratio: mean(rows, |r| r.agreedy_response / r.abg_response),
         })
         .collect()
 }

@@ -11,7 +11,7 @@
 //! [`abg_workload::mean_gap_for_utilization`]); both schedulers face
 //! the *same* arrival sequence and job population at every ρ.
 
-use super::{configured_threads, parallel_map, task_seed};
+use super::{configured_threads, per_cell};
 use abg_alloc::DynamicEquiPartition;
 use abg_control::{AControl, AGreedy, Controller, GroupPolicy};
 use abg_dag::ExplicitDag;
@@ -21,8 +21,8 @@ use abg_queue::{
 };
 use abg_sched::{DagExecutor, JobExecutor, OwnedBGreedyExecutor, PipelinedExecutor};
 use abg_workload::{
-    expected_work, expected_work_of, mean_gap_for_utilization, mixed_factor_job, ArrivalProcess,
-    WorkflowKind,
+    expected_work, expected_work_of, mean_gap_for_utilization, mixed_factor_job, splitmix_seed,
+    ArrivalProcess, WorkflowKind,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,7 +62,9 @@ pub enum OpenWorkload {
     ),
 }
 
-/// Configuration of the open-system ρ sweep.
+/// Configuration of the open-system ρ sweep. Both schedulers run with
+/// the paper's parameters ([`AControl::paper_default`],
+/// [`AGreedy::paper_default`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpenSystemConfig {
     /// Offered utilizations to sweep (values ≥ 1 are expected to be
@@ -107,12 +109,6 @@ pub struct OpenSystemConfig {
     /// runs one unbounded epoch instead: the outcome is the same for
     /// any epoch length, and the barriers would buy nothing.
     pub realloc_epoch: u64,
-    /// ABG convergence rate `r`.
-    pub rate: f64,
-    /// A-Greedy responsiveness `ρ`.
-    pub responsiveness: f64,
-    /// A-Greedy utilization threshold `δ`.
-    pub utilization: f64,
     /// Experiment seed.
     pub seed: u64,
 }
@@ -140,9 +136,6 @@ impl OpenSystemConfig {
             groups: 1,
             group_alloc: GroupPolicy::Static,
             realloc_epoch: 50,
-            rate: 0.2,
-            responsiveness: 2.0,
-            utilization: 0.8,
             seed: 0x09E2,
         }
     }
@@ -166,9 +159,6 @@ impl OpenSystemConfig {
             groups: 1,
             group_alloc: GroupPolicy::Static,
             realloc_epoch: 50,
-            rate: 0.2,
-            responsiveness: 2.0,
-            utilization: 0.8,
             seed: 0x09E2,
         }
     }
@@ -367,7 +357,7 @@ where
 {
     // Per-ρ seed shared by BOTH schedulers: identical rng, identical
     // arrival times, identical job structures — a paired comparison.
-    let mut hier = cfg.hier_config(mean_gap, task_seed(cfg.seed, index, 1));
+    let mut hier = cfg.hier_config(mean_gap, splitmix_seed(cfg.seed, index, 1));
     if cfg.groups == 1 || cfg.group_alloc == GroupPolicy::Static {
         // The partition cannot change, so the outcome is the same for
         // any epoch length: run one unbounded epoch, no barriers.
@@ -375,8 +365,8 @@ where
     }
     let make_controller = move || -> Box<dyn Controller + Send> {
         match which {
-            Scheduler::Abg => Box::new(AControl::new(cfg.rate)),
-            Scheduler::AGreedy => Box::new(AGreedy::new(cfg.responsiveness, cfg.utilization)),
+            Scheduler::Abg => Box::new(AControl::paper_default()),
+            Scheduler::AGreedy => Box::new(AGreedy::paper_default()),
         }
     };
     // The engine pool takes the sweep harness's `ABG_THREADS` worker
@@ -395,7 +385,7 @@ where
 /// sampling for the generative workloads (deterministic in the config
 /// seed), exact for trace replay (every arrival is the same dag).
 pub fn population_expected_work(cfg: &OpenSystemConfig) -> f64 {
-    let mut rng = StdRng::seed_from_u64(task_seed(cfg.seed, u64::MAX, 0));
+    let mut rng = StdRng::seed_from_u64(splitmix_seed(cfg.seed, u64::MAX, 0));
     match &cfg.workload {
         OpenWorkload::MixedFactor => expected_work(cfg.work_samples, &mut rng, |rng| {
             mixed_factor_job(cfg.max_factor, cfg.quantum_len, cfg.pairs, rng)
@@ -418,23 +408,23 @@ pub fn population_expected_work(cfg: &OpenSystemConfig) -> f64 {
 pub fn open_system_sweep(cfg: &OpenSystemConfig) -> Vec<OpenSystemRow> {
     assert!(!cfg.rhos.is_empty(), "sweep needs at least one rho");
     let work = population_expected_work(cfg);
-    let units: Vec<(u64, Scheduler)> = (0..cfg.rhos.len() as u64)
-        .flat_map(|i| [(i, Scheduler::Abg), (i, Scheduler::AGreedy)])
-        .collect();
-    let outcomes = parallel_map(units, |&(index, which)| {
+    let schedulers = [Scheduler::Abg, Scheduler::AGreedy];
+    let points: Vec<u64> = (0..cfg.rhos.len() as u64).collect();
+    let cells = per_cell(&points, schedulers.len() as u32, |index, which| {
         let rho = cfg.rhos[index as usize];
         let gap = mean_gap_for_utilization(rho, cfg.processors, work);
+        let which = schedulers[which as usize];
         SchedulerOpenPoint::from_outcome(&run_point(cfg, gap, index, which))
     });
     cfg.rhos
         .iter()
-        .enumerate()
-        .map(|(i, &rho)| OpenSystemRow {
+        .zip(cells.iter())
+        .map(|(&rho, cell)| OpenSystemRow {
             rho,
             mean_gap: mean_gap_for_utilization(rho, cfg.processors, work),
             expected_work: work,
-            abg: outcomes[2 * i],
-            agreedy: outcomes[2 * i + 1],
+            abg: cell[0],
+            agreedy: cell[1],
         })
         .collect()
 }

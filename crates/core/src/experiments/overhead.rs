@@ -11,16 +11,15 @@
 //! overhead; ABG's requests freeze after convergence, so it pays almost
 //! nothing.
 
-use super::{parallel_map, task_seed};
+use super::{mean, per_cell, probe_job};
 use abg_alloc::Scripted;
-use abg_control::{AControl, AGreedy};
+use abg_control::{AControl, AGreedy, Controller};
 use abg_sched::PipelinedExecutor;
 use abg_sim::{run_single_job, SingleJobConfig, SingleJobRun};
-use abg_workload::paper_job;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-/// Configuration of the overhead sweep.
+/// Configuration of the overhead sweep. Both schedulers run with the
+/// paper's parameters ([`AControl::paper_default`],
+/// [`AGreedy::paper_default`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverheadConfig {
     /// Overhead values as fractions of the quantum length (x-axis).
@@ -35,8 +34,6 @@ pub struct OverheadConfig {
     pub quantum_len: u64,
     /// Phase pairs per job.
     pub pairs: u64,
-    /// ABG convergence rate.
-    pub rate: f64,
     /// Experiment seed.
     pub seed: u64,
 }
@@ -51,7 +48,6 @@ impl OverheadConfig {
             processors: 128,
             quantum_len: 200,
             pairs: 3,
-            rate: 0.2,
             seed: 0x08EA,
         }
     }
@@ -78,64 +74,43 @@ pub struct OverheadRow {
 
 /// Runs the sweep; one row per overhead fraction.
 pub fn overhead_sweep(cfg: &OverheadConfig) -> Vec<OverheadRow> {
-    let units: Vec<(usize, u64, u64, bool)> = cfg
-        .overhead_fractions
-        .iter()
-        .enumerate()
-        .flat_map(|(oi, _)| {
-            cfg.factors.iter().flat_map(move |&f| {
-                (0..cfg.jobs_per_factor as u64)
-                    .flat_map(move |j| [(oi, f, j, true), (oi, f, j, false)])
-            })
-        })
-        .collect();
-    let results = parallel_map(units, |&(oi, factor, index, abg)| {
-        let overhead = (cfg.overhead_fractions[oi] * cfg.quantum_len as f64).round() as u64;
-        let mut rng = StdRng::seed_from_u64(task_seed(cfg.seed, factor, index));
-        let job = paper_job(factor, cfg.quantum_len, cfg.pairs, &mut rng);
-        let sim = SingleJobConfig::new(cfg.quantum_len).with_reallocation_overhead(overhead);
-        let run = if abg {
+    // Per probe job: one (ABG, A-Greedy) pair of runs per fraction.
+    let runs = per_cell(&cfg.factors, cfg.jobs_per_factor, |factor, index| {
+        let job = probe_job(cfg.seed, factor, index, cfg.quantum_len, cfg.pairs);
+        let run = |mut calculator: &mut dyn Controller, fraction: f64| {
+            let overhead = (fraction * cfg.quantum_len as f64).round() as u64;
             run_single_job(
-                &mut PipelinedExecutor::new(job),
-                &mut AControl::new(cfg.rate),
+                &mut PipelinedExecutor::new(&job),
+                &mut calculator,
                 &mut Scripted::ample(cfg.processors),
-                sim,
-            )
-        } else {
-            run_single_job(
-                &mut PipelinedExecutor::new(job),
-                &mut AGreedy::paper_default(),
-                &mut Scripted::ample(cfg.processors),
-                sim,
+                SingleJobConfig::new(cfg.quantum_len).with_reallocation_overhead(overhead),
             )
         };
-        (oi, abg, run)
+        cfg.overhead_fractions
+            .iter()
+            .map(|&fraction| {
+                [
+                    run(&mut AControl::paper_default(), fraction),
+                    run(&mut AGreedy::paper_default(), fraction),
+                ]
+            })
+            .collect::<Vec<[SingleJobRun; 2]>>()
     });
 
     cfg.overhead_fractions
         .iter()
         .enumerate()
         .map(|(oi, &fraction)| {
-            let select = |abg: bool| -> Vec<&SingleJobRun> {
-                results
-                    .iter()
-                    .filter(|(i, a, _)| *i == oi && *a == abg)
-                    .map(|(_, _, r)| r)
-                    .collect()
-            };
-            let mean = |runs: &[&SingleJobRun], f: &dyn Fn(&SingleJobRun) -> f64| {
-                runs.iter().map(|r| f(r)).sum::<f64>() / runs.len() as f64
-            };
-            let abg = select(true);
-            let agreedy = select(false);
+            let mean_of =
+                |s: usize, f: fn(&SingleJobRun) -> f64| mean(runs.flat(), |r| f(&r[oi][s]));
             OverheadRow {
                 overhead_fraction: fraction,
-                abg_time_norm: mean(&abg, &SingleJobRun::time_over_span),
-                agreedy_time_norm: mean(&agreedy, &SingleJobRun::time_over_span),
-                abg_waste_norm: mean(&abg, &SingleJobRun::waste_over_work),
-                agreedy_waste_norm: mean(&agreedy, &SingleJobRun::waste_over_work),
-                abg_reallocations: mean(&abg, &|r| r.reallocations as f64),
-                agreedy_reallocations: mean(&agreedy, &|r| r.reallocations as f64),
+                abg_time_norm: mean_of(0, SingleJobRun::time_over_span),
+                agreedy_time_norm: mean_of(1, SingleJobRun::time_over_span),
+                abg_waste_norm: mean_of(0, SingleJobRun::waste_over_work),
+                agreedy_waste_norm: mean_of(1, SingleJobRun::waste_over_work),
+                abg_reallocations: mean_of(0, |r| r.reallocations as f64),
+                agreedy_reallocations: mean_of(1, |r| r.reallocations as f64),
             }
         })
         .collect()
@@ -153,7 +128,6 @@ mod tests {
             processors: 64,
             quantum_len: 100,
             pairs: 3,
-            rate: 0.2,
             seed: 31,
         }
     }

@@ -3,18 +3,20 @@
 //! characteristics of the paper's future-work section (transition
 //! factor, coefficient of variation, change frequency).
 
-use super::{parallel_map, task_seed};
+use super::{mean, per_cell};
 use abg_alloc::Scripted;
 use abg_control::{AControl, AGreedy};
 use abg_dag::{JobStructure, PhasedJob};
 use abg_sched::PipelinedExecutor;
 use abg_sim::{run_single_job, SingleJobConfig, SingleJobRun};
-use abg_workload::paper_job;
 use abg_workload::profiles::{bursty_job, ramp_job, random_walk_job};
+use abg_workload::{paper_job, splitmix_seed};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Configuration of the robustness experiment.
+/// Configuration of the robustness experiment. Both schedulers run with
+/// the paper's parameters ([`AControl::paper_default`],
+/// [`AGreedy::paper_default`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RobustnessConfig {
     /// Jobs per profile class.
@@ -25,8 +27,6 @@ pub struct RobustnessConfig {
     pub quantum_len: u64,
     /// Peak parallelism of the irregular profiles.
     pub peak: u64,
-    /// ABG convergence rate.
-    pub rate: f64,
     /// Experiment seed.
     pub seed: u64,
 }
@@ -39,7 +39,6 @@ impl RobustnessConfig {
             processors: 128,
             quantum_len: 100,
             peak: 32,
-            rate: 0.2,
             seed: 0x0B57,
         }
     }
@@ -69,9 +68,6 @@ pub struct RobustnessRow {
 
 const CLASSES: [&str; 4] = ["fork-join", "random-walk", "bursty", "ramp"];
 
-/// Per-job measurement tuple: (C_L, CV, changes/klvl, ABG run, A-Greedy run).
-type JobMeasurement = (f64, f64, f64, SingleJobRun, SingleJobRun);
-
 fn make_job(class: &str, cfg: &RobustnessConfig, rng: &mut StdRng) -> PhasedJob {
     let l = cfg.quantum_len;
     match class {
@@ -87,7 +83,7 @@ fn pair(job: &PhasedJob, cfg: &RobustnessConfig) -> (SingleJobRun, SingleJobRun)
     let sim = SingleJobConfig::new(cfg.quantum_len);
     let abg = run_single_job(
         &mut PipelinedExecutor::new(job),
-        &mut AControl::new(cfg.rate),
+        &mut AControl::paper_default(),
         &mut Scripted::ample(cfg.processors),
         sim,
     );
@@ -102,48 +98,34 @@ fn pair(job: &PhasedJob, cfg: &RobustnessConfig) -> (SingleJobRun, SingleJobRun)
 
 /// Runs every profile class and returns one row per class.
 pub fn robustness_comparison(cfg: &RobustnessConfig) -> Vec<RobustnessRow> {
-    let units: Vec<(usize, u64)> = (0..CLASSES.len())
-        .flat_map(|c| (0..cfg.jobs_per_class as u64).map(move |j| (c, j)))
-        .collect();
-    let results = parallel_map(units, |&(class_idx, index)| {
-        let mut rng = StdRng::seed_from_u64(task_seed(cfg.seed, class_idx as u64, index));
-        let job = make_job(CLASSES[class_idx], cfg, &mut rng);
+    let classes: Vec<u64> = (0..CLASSES.len() as u64).collect();
+    let cells = per_cell(&classes, cfg.jobs_per_class, |class, index| {
+        let mut rng = StdRng::seed_from_u64(splitmix_seed(cfg.seed, class, index));
+        let job = make_job(CLASSES[class as usize], cfg, &mut rng);
         let profile = job.profile();
         let (abg, agreedy) = pair(&job, cfg);
+        // (C_L, CV, changes per kilolevel, ABG run, A-Greedy run)
         (
-            class_idx,
-            (
-                job.transition_factor(cfg.quantum_len),
-                profile.coefficient_of_variation(),
-                profile.change_count() as f64 / profile.span() as f64 * 1000.0,
-                abg,
-                agreedy,
-            ),
+            job.transition_factor(cfg.quantum_len),
+            profile.coefficient_of_variation(),
+            profile.change_count() as f64 / profile.span() as f64 * 1000.0,
+            abg,
+            agreedy,
         )
     });
 
     CLASSES
         .iter()
-        .enumerate()
-        .map(|(ci, name)| {
-            let rows: Vec<_> = results
-                .iter()
-                .filter(|(c, _)| *c == ci)
-                .map(|(_, r)| r)
-                .collect();
-            let n = rows.len() as f64;
-            let mean =
-                |f: &dyn Fn(&JobMeasurement) -> f64| rows.iter().map(|r| f(r)).sum::<f64>() / n;
-            RobustnessRow {
-                class: name.to_string(),
-                transition_factor: mean(&|r| r.0),
-                coefficient_of_variation: mean(&|r| r.1),
-                changes_per_kilolevel: mean(&|r| r.2),
-                abg_time_norm: mean(&|r| r.3.time_over_span()),
-                agreedy_time_norm: mean(&|r| r.4.time_over_span()),
-                abg_waste_norm: mean(&|r| r.3.waste_over_work()),
-                agreedy_waste_norm: mean(&|r| r.4.waste_over_work()),
-            }
+        .zip(cells.iter())
+        .map(|(name, rows)| RobustnessRow {
+            class: name.to_string(),
+            transition_factor: mean(rows, |r| r.0),
+            coefficient_of_variation: mean(rows, |r| r.1),
+            changes_per_kilolevel: mean(rows, |r| r.2),
+            abg_time_norm: mean(rows, |r| r.3.time_over_span()),
+            agreedy_time_norm: mean(rows, |r| r.4.time_over_span()),
+            abg_waste_norm: mean(rows, |r| r.3.waste_over_work()),
+            agreedy_waste_norm: mean(rows, |r| r.4.waste_over_work()),
         })
         .collect()
 }
@@ -158,7 +140,6 @@ mod tests {
             processors: 64,
             quantum_len: 40,
             peak: 16,
-            rate: 0.2,
             seed: 9,
         }
     }

@@ -7,17 +7,16 @@
 //! work (Figure 5(c)), and the per-run A-Greedy/ABG ratios (Figures
 //! 5(b) and 5(d)).
 
-use super::{parallel_map, task_seed};
+use super::{mean, per_cell, probe_job};
 use abg_alloc::Scripted;
 use abg_control::{AControl, AGreedy};
 use abg_dag::{JobStructure, PhasedJob};
 use abg_sched::PipelinedExecutor;
 use abg_sim::{run_single_job, SingleJobConfig, SingleJobRun};
-use abg_workload::{paper_job, scaled_job};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-/// Configuration of the Figure-5 sweep.
+/// Configuration of the Figure-5 sweep. Both schedulers run with the
+/// paper's parameters ([`AControl::paper_default`],
+/// [`AGreedy::paper_default`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SingleJobSweepConfig {
     /// The transition factors to sweep (x-axis).
@@ -30,16 +29,6 @@ pub struct SingleJobSweepConfig {
     pub quantum_len: u64,
     /// Serial/parallel phase pairs per job.
     pub pairs: u64,
-    /// Shrinks phase lengths below the paper's quantum-multiple sizing
-    /// (1 = paper scale; larger values make jobs proportionally
-    /// smaller, for tests and benches).
-    pub scale_down: u64,
-    /// ABG convergence rate `r` (paper: 0.2).
-    pub rate: f64,
-    /// A-Greedy responsiveness `ρ` (paper: 2).
-    pub responsiveness: f64,
-    /// A-Greedy utilization threshold `δ`.
-    pub utilization: f64,
     /// Experiment seed.
     pub seed: u64,
 }
@@ -54,10 +43,6 @@ impl SingleJobSweepConfig {
             processors: 128,
             quantum_len: 1000,
             pairs: 4,
-            scale_down: 1,
-            rate: 0.2,
-            responsiveness: 2.0,
-            utilization: 0.8,
             seed: 0xA6B6_2008,
         }
     }
@@ -74,10 +59,6 @@ impl SingleJobSweepConfig {
             processors: 128,
             quantum_len: 100,
             pairs: 3,
-            scale_down: 1,
-            rate: 0.2,
-            responsiveness: 2.0,
-            utilization: 0.8,
             seed: 0xA6B6_2008,
         }
     }
@@ -115,26 +96,21 @@ struct JobPair {
 }
 
 fn run_pair(cfg: &SingleJobSweepConfig, factor: u64, index: u64) -> JobPair {
-    let mut rng = StdRng::seed_from_u64(task_seed(cfg.seed, factor, index));
-    let job = if cfg.scale_down <= 1 {
-        paper_job(factor, cfg.quantum_len, cfg.pairs, &mut rng)
-    } else {
-        scaled_job(factor, cfg.quantum_len, cfg.pairs, cfg.scale_down, &mut rng)
-    };
+    let job = probe_job(cfg.seed, factor, index, cfg.quantum_len, cfg.pairs);
     let sim_cfg = SingleJobConfig::new(cfg.quantum_len);
     // Both runs borrow the same job structure and share one executor,
     // rewound between them — nothing is cloned or re-allocated per run.
     let mut ex = PipelinedExecutor::new(&job);
     let abg = run_single_job(
         &mut ex,
-        &mut AControl::new(cfg.rate),
+        &mut AControl::paper_default(),
         &mut Scripted::ample(cfg.processors),
         sim_cfg,
     );
     ex.reset();
     let agreedy = run_single_job(
         &mut ex,
-        &mut AGreedy::new(cfg.responsiveness, cfg.utilization),
+        &mut AGreedy::paper_default(),
         &mut Scripted::ample(cfg.processors),
         sim_cfg,
     );
@@ -167,44 +143,34 @@ pub fn single_job_sweep_with_steps(cfg: &SingleJobSweepConfig) -> (Vec<SweepPoin
         cfg.jobs_per_factor > 0,
         "sweep needs at least one job per factor"
     );
-    let units: Vec<(u64, u64)> = cfg
-        .factors
-        .iter()
-        .flat_map(|&f| (0..cfg.jobs_per_factor as u64).map(move |j| (f, j)))
-        .collect();
-    let pairs = parallel_map(units, |&(factor, index)| {
-        (factor, run_pair(cfg, factor, index))
+    let cells = per_cell(&cfg.factors, cfg.jobs_per_factor, |factor, index| {
+        run_pair(cfg, factor, index)
     });
-    let steps: u64 = pairs
+    let steps: u64 = cells
+        .flat()
         .iter()
-        .map(|(_, p)| p.abg.running_time + p.agreedy.running_time)
+        .map(|p| p.abg.running_time + p.agreedy.running_time)
         .sum();
 
     let points = cfg
         .factors
         .iter()
-        .map(|&factor| {
-            let runs: Vec<&JobPair> = pairs
-                .iter()
-                .filter(|(f, _)| *f == factor)
-                .map(|(_, p)| p)
-                .collect();
-            let n = runs.len() as f64;
-            let mean = |f: &dyn Fn(&JobPair) -> f64| runs.iter().map(|p| f(p)).sum::<f64>() / n;
-            SweepPoint {
-                factor,
-                measured_factor: mean(&|p| p.job.transition_factor(cfg.quantum_len)),
-                abg_time_norm: mean(&|p| p.abg.time_over_span()),
-                agreedy_time_norm: mean(&|p| p.agreedy.time_over_span()),
-                abg_waste_norm: mean(&|p| p.abg.waste_over_work()),
-                agreedy_waste_norm: mean(&|p| p.agreedy.waste_over_work()),
-                time_ratio: mean(&|p| p.agreedy.running_time as f64 / p.abg.running_time as f64),
-                waste_ratio: {
-                    let agreedy: u64 = runs.iter().map(|p| p.agreedy.waste).sum();
-                    let abg: u64 = runs.iter().map(|p| p.abg.waste).sum();
-                    agreedy as f64 / abg.max(1) as f64
-                },
-            }
+        .zip(cells.iter())
+        .map(|(&factor, runs)| SweepPoint {
+            factor,
+            measured_factor: mean(runs, |p| p.job.transition_factor(cfg.quantum_len)),
+            abg_time_norm: mean(runs, |p| p.abg.time_over_span()),
+            agreedy_time_norm: mean(runs, |p| p.agreedy.time_over_span()),
+            abg_waste_norm: mean(runs, |p| p.abg.waste_over_work()),
+            agreedy_waste_norm: mean(runs, |p| p.agreedy.waste_over_work()),
+            time_ratio: mean(runs, |p| {
+                p.agreedy.running_time as f64 / p.abg.running_time as f64
+            }),
+            waste_ratio: {
+                let agreedy: u64 = runs.iter().map(|p| p.agreedy.waste).sum();
+                let abg: u64 = runs.iter().map(|p| p.abg.waste).sum();
+                agreedy as f64 / abg.max(1) as f64
+            },
         })
         .collect();
     (points, steps)

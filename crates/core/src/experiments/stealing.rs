@@ -8,17 +8,16 @@
 //! combination the paper suggests but never built: the A-Control
 //! controller driving a work-stealing execution.
 
-use super::{parallel_map, task_seed};
+use super::{mean, per_cell, probe_job};
 use abg_alloc::Scripted;
-use abg_control::AControl;
+use abg_control::{AControl, Controller};
 use abg_sched::PipelinedExecutor;
-use abg_sim::{run_single_job, SingleJobConfig, SingleJobRun};
+use abg_sim::{run_single_job, SingleJobConfig};
 use abg_steal::{abp_request, ASteal, StealExecutor};
-use abg_workload::paper_job;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use abg_workload::splitmix_seed;
 
-/// Configuration of the stealing comparison.
+/// Configuration of the stealing comparison. Both A-Control rows run
+/// with the paper's rate ([`AControl::paper_default`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StealingConfig {
     /// Transition factors of the probe jobs.
@@ -32,8 +31,6 @@ pub struct StealingConfig {
     /// Phase pairs per job (jobs are lowered to explicit dags, so keep
     /// them modest).
     pub pairs: u64,
-    /// ABG convergence rate.
-    pub rate: f64,
     /// Experiment seed.
     pub seed: u64,
 }
@@ -47,7 +44,6 @@ impl StealingConfig {
             processors: 32,
             quantum_len: 50,
             pairs: 2,
-            rate: 0.2,
             seed: 0x0005_7EA1,
         }
     }
@@ -66,69 +62,52 @@ pub struct StealRow {
     pub waste_norm: f64,
 }
 
-fn summarize(name: &str, runs: &[SingleJobRun]) -> StealRow {
-    let n = runs.len() as f64;
-    StealRow {
-        scheduler: name.to_string(),
-        time_norm: runs.iter().map(SingleJobRun::time_over_span).sum::<f64>() / n,
-        waste_norm: runs.iter().map(SingleJobRun::waste_over_work).sum::<f64>() / n,
-    }
-}
+/// The four schedulers, in row order.
+const SCHEDULERS: [&str; 4] = [
+    "abg (centralized b-greedy)",
+    "a-steal (stealing + mult-inc/dec)",
+    "abp (stealing, no feedback)",
+    "a-control + stealing",
+];
 
 /// Runs the four schedulers over the probe jobs and returns one row per
 /// scheduler: centralized ABG, A-Steal, ABP, and A-Control over
 /// stealing.
 pub fn stealing_comparison(cfg: &StealingConfig) -> Vec<StealRow> {
-    let units: Vec<(u64, u64, u8)> = cfg
-        .factors
-        .iter()
-        .flat_map(|&f| {
-            (0..cfg.jobs_per_factor as u64).flat_map(move |j| (0..4u8).map(move |s| (f, j, s)))
-        })
-        .collect();
-    let runs = parallel_map(units, |&(factor, index, scheduler)| {
-        let mut rng = StdRng::seed_from_u64(task_seed(cfg.seed, factor, index));
-        let job = paper_job(factor, cfg.quantum_len, cfg.pairs, &mut rng);
-        let sim_cfg = SingleJobConfig::new(cfg.quantum_len);
-        let mut alloc = Scripted::ample(cfg.processors);
-        let steal_seed = task_seed(cfg.seed ^ 0x5EED, factor, index);
-        let run = match scheduler {
-            0 => run_single_job(
+    let sim_cfg = SingleJobConfig::new(cfg.quantum_len);
+    let runs = per_cell(&cfg.factors, cfg.jobs_per_factor, |factor, index| {
+        let job = probe_job(cfg.seed, factor, index, cfg.quantum_len, cfg.pairs);
+        let dag = job.to_explicit();
+        let steal_seed = splitmix_seed(cfg.seed ^ 0x5EED, factor, index);
+        let steal = |mut request: &mut dyn Controller| {
+            run_single_job(
+                &mut StealExecutor::new(&dag, steal_seed),
+                &mut request,
+                &mut Scripted::ample(cfg.processors),
+                sim_cfg,
+            )
+        };
+        [
+            run_single_job(
                 &mut PipelinedExecutor::new(job),
-                &mut AControl::new(cfg.rate),
-                &mut alloc,
+                &mut AControl::paper_default(),
+                &mut Scripted::ample(cfg.processors),
                 sim_cfg,
             ),
-            s => {
-                let dag = job.to_explicit();
-                let mut ex = StealExecutor::new(&dag, steal_seed);
-                match s {
-                    1 => run_single_job(&mut ex, &mut ASteal::paper_default(), &mut alloc, sim_cfg),
-                    2 => run_single_job(
-                        &mut ex,
-                        &mut abp_request(cfg.processors),
-                        &mut alloc,
-                        sim_cfg,
-                    ),
-                    _ => run_single_job(&mut ex, &mut AControl::new(cfg.rate), &mut alloc, sim_cfg),
-                }
-            }
-        };
-        (scheduler, run)
+            steal(&mut ASteal::paper_default()),
+            steal(&mut abp_request(cfg.processors)),
+            steal(&mut AControl::paper_default()),
+        ]
     });
-
-    let by = |s: u8| -> Vec<SingleJobRun> {
-        runs.iter()
-            .filter(|(sch, _)| *sch == s)
-            .map(|(_, r)| r.clone())
-            .collect()
-    };
-    vec![
-        summarize("abg (centralized b-greedy)", &by(0)),
-        summarize("a-steal (stealing + mult-inc/dec)", &by(1)),
-        summarize("abp (stealing, no feedback)", &by(2)),
-        summarize("a-control + stealing", &by(3)),
-    ]
+    SCHEDULERS
+        .iter()
+        .enumerate()
+        .map(|(s, name)| StealRow {
+            scheduler: name.to_string(),
+            time_norm: mean(runs.flat(), |r| r[s].time_over_span()),
+            waste_norm: mean(runs.flat(), |r| r[s].waste_over_work()),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -142,7 +121,6 @@ mod tests {
             processors: 16,
             quantum_len: 25,
             pairs: 2,
-            rate: 0.2,
             seed: 5,
         }
     }

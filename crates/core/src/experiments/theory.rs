@@ -3,14 +3,13 @@
 //! time under trim analysis), Theorem 4 (waste) and Theorem 5 (global
 //! bounds).
 
-use super::task_seed;
 use crate::bounds::{self, makespan_lower_bound, response_lower_bound_batched, JobSize};
 use abg_alloc::{DynamicEquiPartition, Scripted};
 use abg_control::{analyze_step_response, AControl, ClosedLoop, Controller};
 use abg_dag::{JobStructure, PhasedJob};
 use abg_sched::PipelinedExecutor;
 use abg_sim::{run_single_job, MultiJobSim, SingleJobConfig, SingleJobRun};
-use abg_workload::{paper_job, JobSetSpec, ReleaseSchedule};
+use abg_workload::{paper_job, splitmix_seed, JobSetSpec, ReleaseSchedule};
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 use std::sync::Arc;
@@ -185,7 +184,7 @@ pub fn theorem3_check(
 ) -> BoundCheck {
     // Adversarial availability: alternating austere and generous quanta
     // plus random spikes, cycling forever.
-    let mut rng = StdRng::seed_from_u64(task_seed(seed, factor, 3));
+    let mut rng = StdRng::seed_from_u64(splitmix_seed(seed, factor, 3));
     let script: Vec<u32> = (0..64)
         .map(|i| {
             if i % 7 == 0 {

@@ -11,7 +11,9 @@ use abg_dag::generate::chain_bundle;
 use abg_sched::executor::OwnedBGreedyExecutor;
 use abg_sim::{run_single_job, SingleJobConfig};
 
-/// Configuration of the transient-behaviour comparison.
+/// Configuration of the transient-behaviour comparison. Both
+/// controllers run with the paper's parameters
+/// ([`AControl::paper_default`], [`AGreedy::paper_default`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientConfig {
     /// The constant parallelism `A` of the synthetic job.
@@ -21,12 +23,6 @@ pub struct TransientConfig {
     /// Number of quanta to report (the job is sized to last at least
     /// this long).
     pub quanta: u32,
-    /// ABG convergence rate `r`.
-    pub rate: f64,
-    /// A-Greedy responsiveness `ρ`.
-    pub responsiveness: f64,
-    /// A-Greedy utilization threshold `δ`.
-    pub utilization: f64,
     /// Machine size (every request up to this is granted).
     pub processors: u32,
 }
@@ -39,9 +35,6 @@ impl TransientConfig {
             parallelism: 10,
             quantum_len: 1000,
             quanta: 8,
-            rate: 0.2,
-            responsiveness: 2.0,
-            utilization: 0.8,
             processors: 128,
         }
     }
@@ -102,14 +95,13 @@ fn trajectory<C: Controller>(cfg: &TransientConfig, mut calculator: C) -> Vec<Tr
 ///
 /// # Panics
 ///
-/// Panics on nonsensical configs (zero parallelism/quanta, invalid
-/// controller parameters).
+/// Panics on nonsensical configs (zero parallelism/quanta).
 pub fn transient_comparison(cfg: &TransientConfig) -> TransientResult {
     assert!(cfg.parallelism > 0 && cfg.quanta > 0);
     TransientResult {
         parallelism: cfg.parallelism,
-        abg: trajectory(cfg, AControl::new(cfg.rate)),
-        agreedy: trajectory(cfg, AGreedy::new(cfg.responsiveness, cfg.utilization)),
+        abg: trajectory(cfg, AControl::paper_default()),
+        agreedy: trajectory(cfg, AGreedy::paper_default()),
     }
 }
 
@@ -122,9 +114,6 @@ mod tests {
             parallelism: 10,
             quantum_len: 50,
             quanta: 8,
-            rate: 0.2,
-            responsiveness: 2.0,
-            utilization: 0.8,
             processors: 128,
         }
     }

@@ -78,33 +78,6 @@ pub fn paper_job<R: Rng + ?Sized>(
     ForkJoinSpec::with_transition_factor(factor, quantum_len, pairs).generate(rng)
 }
 
-/// A smaller variant of [`paper_job`] whose phase lengths are uniform in
-/// `[quantum_len / scale_down, quantum_len]` levels — used by tests and
-/// benches that cannot afford paper-scale jobs. The measured transition
-/// factor is less tightly pinned (phases shorter than a quantum blend in
-/// the quantum averages).
-///
-/// # Panics
-///
-/// Panics if any argument is zero.
-pub fn scaled_job<R: Rng + ?Sized>(
-    factor: u64,
-    quantum_len: u64,
-    pairs: u64,
-    scale_down: u64,
-    rng: &mut R,
-) -> PhasedJob {
-    assert!(factor > 0 && quantum_len > 0 && pairs > 0 && scale_down > 0);
-    let lo = (quantum_len / scale_down).max(1);
-    let spec = ForkJoinSpec {
-        serial_levels: lo..=quantum_len.max(lo),
-        parallel_levels: lo..=quantum_len.max(lo),
-        width: factor..=factor,
-        pairs,
-    };
-    spec.generate(rng)
-}
-
 /// Samples a job whose parallel width is drawn uniformly from
 /// `[2, max_factor]` — the mixed-factor population used to build job
 /// sets.
@@ -152,14 +125,6 @@ mod tests {
             .collect();
         let all_same = works.windows(2).all(|w| w[0] == w[1]);
         assert!(!all_same, "work should vary across samples: {works:?}");
-    }
-
-    #[test]
-    fn scaled_job_is_smaller() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let big = paper_job(10, 64, 3, &mut rng).work();
-        let small = scaled_job(10, 64, 3, 8, &mut rng).work();
-        assert!(small < big, "scaled {small} !< paper {big}");
     }
 
     #[test]

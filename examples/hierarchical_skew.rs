@@ -42,7 +42,6 @@ fn main() {
         batches: 8,
         max_quanta: 50_000_000,
         saturation: SaturationConfig::default(),
-        rate: 0.2,
         seed: 0x5E3A,
     };
     let rows = hierarchical_skew_sweep(&cfg);

@@ -7,6 +7,7 @@
 //! cargo run --release --example transient_requests
 //! ```
 
+use abg::control::{AControl, AGreedy};
 use abg::experiments::{transient_comparison, TransientConfig};
 
 fn bar(value: f64, scale: f64, width: usize, ch: char) -> String {
@@ -19,9 +20,6 @@ fn main() {
         parallelism: 10,
         quantum_len: 100,
         quanta: 12,
-        rate: 0.2,
-        responsiveness: 2.0,
-        utilization: 0.8,
         processors: 128,
     };
     let res = transient_comparison(&cfg);
@@ -30,7 +28,10 @@ fn main() {
 
     println!(
         "constant parallelism A = {}  (quantum L = {}, r = {}, ρ = {})\n",
-        cfg.parallelism, cfg.quantum_len, cfg.rate, cfg.responsiveness
+        cfg.parallelism,
+        cfg.quantum_len,
+        AControl::paper_default().rate(),
+        AGreedy::paper_default().responsiveness()
     );
     println!("ABG (A-Control): converges geometrically, no overshoot");
     for p in &res.abg {

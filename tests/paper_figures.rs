@@ -14,9 +14,6 @@ fn transient_cfg() -> TransientConfig {
         parallelism: 10,
         quantum_len: 100,
         quanta: 10,
-        rate: 0.2,
-        responsiveness: 2.0,
-        utilization: 0.8,
         processors: 128,
     }
 }
@@ -72,7 +69,9 @@ fn figure4_transient_comparison() {
     let final_err = a - res.abg.last().unwrap().request;
     assert!(final_err < 0.01 * a, "steady-state error {final_err}");
 
-    // The exact trajectory of Equation (3): d(q+1) = r·d(q) + (1-r)·A.
+    // The exact trajectory of Equation (3): d(q+1) = r·d(q) + (1-r)·A,
+    // at the paper's r = 0.2.
+    let r = 0.2;
     let mut d = 1.0;
     for p in &res.abg {
         assert!(
@@ -82,7 +81,7 @@ fn figure4_transient_comparison() {
             p.request,
             d
         );
-        d = cfg.rate * d + (1.0 - cfg.rate) * a;
+        d = r * d + (1.0 - r) * a;
     }
 
     // A-Greedy: overshoots by up to ρ and keeps oscillating.
