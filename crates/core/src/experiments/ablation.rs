@@ -2,11 +2,13 @@
 //! convergence rate, quantum length, A-Greedy parameters, scheduler
 //! priority rule, and the phase-semantics model.
 
-use super::{per_cell, probe_job, QualityPoint};
+use super::{mean, per_cell, probe_job, QualityPoint};
 use abg_alloc::Scripted;
 use abg_control::{AControl, AGreedy, AdaptiveRateControl, Controller};
-use abg_dag::{ExplicitDag, ForkJoinSpec, PhasedJob};
-use abg_sched::{BGreedyExecutor, DepthFirstExecutor, GreedyExecutor, PipelinedExecutor};
+use abg_dag::{ForkJoinSpec, PhasedJob};
+use abg_sched::{
+    BGreedyExecutor, DepthFirstExecutor, GreedyExecutor, JobExecutor, PipelinedExecutor,
+};
 use abg_sim::{run_single_job, SingleJobConfig, SingleJobRun};
 use abg_workload::splitmix_seed;
 use rand::rngs::StdRng;
@@ -167,48 +169,46 @@ pub struct SchedulerAblationRow {
 /// `A(q)` measurement faithful; the other rules feed the controller a
 /// distorted signal.
 pub fn scheduler_ablation(cfg: &AblationConfig) -> Vec<SchedulerAblationRow> {
+    fn run<E: JobExecutor>(executor: &mut E, p: u32, sim_cfg: SingleJobConfig) -> SingleJobRun {
+        run_single_job(
+            executor,
+            &mut AControl::paper_default(),
+            &mut Scripted::ample(p),
+            sim_cfg,
+        )
+    }
     // Smaller jobs: the per-task executor materialises every task.
     let quantum_len = cfg.quantum_len.min(100);
-    let dags = per_cell(&cfg.factors, cfg.jobs_per_factor, |f, j| {
-        let mut rng = StdRng::seed_from_u64(splitmix_seed(cfg.seed, f, j));
-        ForkJoinSpec::with_transition_factor(f.min(16), quantum_len, 2)
-            .generate(&mut rng)
-            .to_explicit()
-    });
-
-    let run_all = |name: &str, f: &dyn Fn(&ExplicitDag) -> SingleJobRun| SchedulerAblationRow {
-        scheduler: name.to_string(),
-        quality: QualityPoint::of(&dags.flat().iter().map(f).collect::<Vec<_>>()),
-    };
-
     let sim_cfg = SingleJobConfig::new(quantum_len);
     let p = cfg.processors;
-    vec![
-        run_all("breadth-first (B-Greedy)", &|d| {
-            run_single_job(
-                &mut BGreedyExecutor::new(d),
-                &mut AControl::paper_default(),
-                &mut Scripted::ample(p),
-                sim_cfg,
-            )
-        }),
-        run_all("fifo (plain greedy)", &|d| {
-            run_single_job(
-                &mut GreedyExecutor::new(d),
-                &mut AControl::paper_default(),
-                &mut Scripted::ample(p),
-                sim_cfg,
-            )
-        }),
-        run_all("lifo (depth-first)", &|d| {
-            run_single_job(
-                &mut DepthFirstExecutor::new(d),
-                &mut AControl::paper_default(),
-                &mut Scripted::ample(p),
-                sim_cfg,
-            )
-        }),
+    // Each unit draws its dag and runs all three rules on it, so the
+    // three passes share the worker pool.
+    let runs = per_cell(&cfg.factors, cfg.jobs_per_factor, |f, j| {
+        let mut rng = StdRng::seed_from_u64(splitmix_seed(cfg.seed, f, j));
+        let dag = ForkJoinSpec::with_transition_factor(f.min(16), quantum_len, 2)
+            .generate(&mut rng)
+            .to_explicit();
+        [
+            run(&mut BGreedyExecutor::new(&dag), p, sim_cfg),
+            run(&mut GreedyExecutor::new(&dag), p, sim_cfg),
+            run(&mut DepthFirstExecutor::new(&dag), p, sim_cfg),
+        ]
+    });
+    [
+        "breadth-first (B-Greedy)",
+        "fifo (plain greedy)",
+        "lifo (depth-first)",
     ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, rule)| SchedulerAblationRow {
+        scheduler: rule.to_string(),
+        quality: QualityPoint {
+            time_norm: mean(runs.flat(), |r| r[i].time_over_span()),
+            waste_norm: mean(runs.flat(), |r| r[i].waste_over_work()),
+        },
+    })
+    .collect()
 }
 
 /// One row of the phase-semantics ablation.

@@ -787,6 +787,30 @@ mod tests {
         }
     }
 
+    /// Long-horizon saturation history: a stable population that
+    /// changes every 4 quanta, recorded and checked at every quantum
+    /// for 10⁴, 10⁵ and 10⁶ quanta — the before/after probe of the
+    /// run-length detector history:
+    /// `cargo test --release -p abg saturation_probe -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "measurement probe, not a correctness test"]
+    fn saturation_probe() {
+        use abg_queue::{SaturationConfig, SaturationDetector};
+        for quanta in [10_000u64, 100_000, 1_000_000] {
+            let start = Instant::now();
+            let mut d = SaturationDetector::new(SaturationConfig::default());
+            for q in 0..quanta {
+                d.record(10 + (q / 4 % 2) as usize);
+                assert!(d.check().is_none(), "stable population tripped at {q}");
+            }
+            println!(
+                "saturation {quanta} quanta: {:.3} ms (mean {:.2})",
+                start.elapsed().as_secs_f64() * 1e3,
+                d.mean_jobs_in_system()
+            );
+        }
+    }
+
     #[test]
     fn chain_kernels_do_identical_simulated_work() {
         let cfg = KernelBenchConfig::smoke();

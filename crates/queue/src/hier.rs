@@ -52,8 +52,9 @@
 //! schedule. Epoch segmentation itself is invisible to a group that is
 //! never resized: frozen windows may be split at any quantum boundary
 //! ([`advance_frozen`](QuantumCore::advance_frozen) is bit-equivalent
-//! to stepping, and the detector's `record_n` is linear in its
-//! sample count), and an idle group *pauses* at the epoch edge rather
+//! to stepping, and two detector `record_n` calls of one count over
+//! `a` and `b` quanta store the same single run as one call over
+//! `a + b`), and an idle group *pauses* at the epoch edge rather
 //! than capping its idle skip (a capped skip plus a later one could
 //! land a full quantum later than the single direct skip). That is why
 //! [`StaticEqui`](abg_control::StaticEqui) — which never resizes

@@ -102,6 +102,8 @@ mod lockstep;
 #[cfg(test)]
 mod reference;
 pub mod saturation;
+#[cfg(test)]
+mod saturation_oracle;
 pub mod shard;
 pub mod stats;
 

@@ -67,10 +67,28 @@ pub enum SaturationReason {
 }
 
 /// Incremental queue-length trend test over in-system job counts.
+///
+/// The history is stored as runs of equal counts, so memory grows with
+/// the number of population changes, not with the quanta recorded, and
+/// every operation is O(1) except the trend test's two binary searches.
 #[derive(Debug, Clone)]
 pub struct SaturationDetector {
     cfg: SaturationConfig,
-    samples: Vec<u64>,
+    /// Maximal runs of equal counts in recording order: adjacent runs
+    /// always differ in count.
+    runs: Vec<Run>,
+    peak: u64,
+}
+
+/// One run of equal samples, with the history's cumulative length and
+/// sum through its end. The sum is a `u128`: population × quanta can
+/// pass 2⁶⁴ on a long horizon, and every sum below that converts to
+/// the same `f64` as a `u64` would.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    count: u64,
+    end: u64,
+    sum: u128,
 }
 
 impl SaturationDetector {
@@ -78,23 +96,67 @@ impl SaturationDetector {
     pub fn new(cfg: SaturationConfig) -> Self {
         Self {
             cfg,
-            samples: Vec::new(),
+            runs: Vec::new(),
+            peak: 0,
         }
     }
 
     /// Records the in-system job count at a quantum boundary.
     pub fn record(&mut self, jobs_in_system: usize) {
-        self.samples.push(jobs_in_system as u64);
+        self.record_n(jobs_in_system, 1);
     }
 
     /// Records the same in-system count at `n` consecutive quantum
     /// boundaries — the population is constant across a frozen-quantum
-    /// window, and replicating the sample keeps the history (and with it
-    /// every future trend evaluation and the reported mean) identical
-    /// to quantum-by-quantum recording.
+    /// window. The window extends (or appends) one run in O(1), and the
+    /// history is the same as `n` calls to [`record`](Self::record), so
+    /// every future trend evaluation and the reported mean are too.
     pub fn record_n(&mut self, jobs_in_system: usize, n: u64) {
-        let target = self.samples.len() + n as usize;
-        self.samples.resize(target, jobs_in_system as u64);
+        if n == 0 {
+            return;
+        }
+        let count = jobs_in_system as u64;
+        let added = u128::from(count) * u128::from(n);
+        self.peak = self.peak.max(count);
+        match self.runs.last_mut() {
+            Some(last) if last.count == count => {
+                last.end += n;
+                last.sum += added;
+            }
+            last => {
+                let (end, sum) = last.map_or((0, 0), |r| (r.end, r.sum));
+                self.runs.push(Run {
+                    count,
+                    end: end + n,
+                    sum: sum + added,
+                });
+            }
+        }
+    }
+
+    /// Runs stored: the number of maximal runs of equal samples.
+    #[cfg(test)]
+    pub(crate) fn run_count(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// Samples recorded so far, as a `u64`.
+    fn samples(&self) -> u64 {
+        self.runs.last().map_or(0, |r| r.end)
+    }
+
+    /// Sum of the first `k` samples (`k` ≤ [`len`](Self::len)): the
+    /// runs that end by `k` plus the part of the run straddling it.
+    fn prefix_sum(&self, k: u64) -> u128 {
+        let i = self.runs.partition_point(|r| r.end <= k);
+        let (end, sum) = match i.checked_sub(1) {
+            Some(j) => (self.runs[j].end, self.runs[j].sum),
+            None => (0, 0),
+        };
+        match self.runs.get(i) {
+            Some(r) => sum + u128::from(k - end) * u128::from(r.count),
+            None => sum,
+        }
     }
 
     /// Additional samples until the next trend evaluation would fire
@@ -108,7 +170,7 @@ impl SaturationDetector {
         if every == 0 {
             return u64::MAX;
         }
-        let n = self.samples.len() as u64;
+        let n = self.samples();
         let min = self.cfg.min_samples.max(8) as u64;
         let mut next = (n / every + 1) * every;
         if next < min {
@@ -119,27 +181,27 @@ impl SaturationDetector {
 
     /// Samples recorded so far.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.samples() as usize
     }
 
     /// Whether nothing has been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.runs.is_empty()
     }
 
     /// Peak in-system jobs over every recorded sample (0 before any
     /// sample) — the memory-scale figure the bench harness reports per
     /// open kernel.
     pub fn peak_jobs_in_system(&self) -> u64 {
-        self.samples.iter().copied().max().unwrap_or(0)
+        self.peak
     }
 
     /// Mean in-system jobs over every recorded sample.
     pub fn mean_jobs_in_system(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
+        match self.runs.last() {
+            Some(r) => r.sum as f64 / r.end as f64,
+            None => 0.0,
         }
-        self.samples.iter().sum::<u64>() as f64 / self.samples.len() as f64
     }
 
     /// Evaluates the detector. The hard cap is checked on every call;
@@ -153,22 +215,21 @@ impl SaturationDetector {
     /// grows linearly and crosses that line quickly, while a stable
     /// queue fluctuates around its steady-state mean and never does.
     pub fn check(&self) -> Option<SaturationReason> {
-        if let Some(&last) = self.samples.last() {
-            if last as usize >= self.cfg.max_in_system {
-                return Some(SaturationReason::InSystemCap {
-                    jobs_in_system: last,
-                });
-            }
+        let last = self.runs.last()?;
+        if last.count as usize >= self.cfg.max_in_system {
+            return Some(SaturationReason::InSystemCap {
+                jobs_in_system: last.count,
+            });
         }
-        let n = self.samples.len();
-        if n < self.cfg.min_samples.max(8) || !(n as u64).is_multiple_of(self.cfg.check_every) {
+        let n = last.end;
+        if n < self.cfg.min_samples.max(8) as u64 || !n.is_multiple_of(self.cfg.check_every) {
             return None;
         }
-        let window = &self.samples[n / 4..];
-        let half = window.len() / 2;
-        let mean = |s: &[u64]| s.iter().sum::<u64>() as f64 / s.len() as f64;
-        let early = mean(&window[..half]);
-        let late = mean(&window[half..]);
+        let start = n / 4;
+        let mid = start + (n - start) / 2;
+        let (at_start, at_mid) = (self.prefix_sum(start), self.prefix_sum(mid));
+        let early = (at_mid - at_start) as f64 / (mid - start) as f64;
+        let late = (last.sum - at_mid) as f64 / (n - mid) as f64;
         if late > self.cfg.growth_factor * early + self.cfg.margin {
             Some(SaturationReason::QueueGrowth {
                 early_mean: early,
@@ -285,6 +346,62 @@ mod tests {
             let h = d.quanta_until_trend_check();
             d.record_n(3, h);
             assert!((d.len() as u64).is_multiple_of(16) && d.len() >= 64);
+        }
+    }
+
+    #[test]
+    fn constant_population_is_stored_as_one_run() {
+        let mut d = detector(64, 16);
+        for _ in 0..1_000 {
+            d.record(5);
+        }
+        d.record_n(5, 999_000);
+        d.record_n(9, 0); // no sample: neither a run nor the peak moves
+        assert_eq!(d.run_count(), 1);
+        assert_eq!(d.len(), 1_000_000);
+        assert_eq!(d.peak_jobs_in_system(), 5);
+        assert_eq!(d.mean_jobs_in_system(), 5.0);
+        d.record(6);
+        d.record(5);
+        assert_eq!(d.run_count(), 3, "a change of count starts a new run");
+    }
+
+    #[test]
+    fn sums_past_u64_stay_exact() {
+        let mut d = SaturationDetector::new(SaturationConfig {
+            min_samples: 8,
+            check_every: 1 << 32,
+            max_in_system: usize::MAX,
+            ..SaturationConfig::default()
+        });
+        // Just below the edge: (2³² − 1) · 2³² = 2⁶⁴ − 2³², which a u64
+        // holds, so the mean is the u64 computation's, bit for bit.
+        let below = u64::from(u32::MAX) << 32;
+        d.record_n(u32::MAX as usize, 1 << 32);
+        assert_eq!(
+            d.mean_jobs_in_system().to_bits(),
+            (below as f64 / (1u64 << 32) as f64).to_bits()
+        );
+        // One more sample of 2³² puts the sum at exactly 2⁶⁴, which a
+        // wrapping u64 would read as 0.
+        d.record(1 << 32);
+        let exact = 2f64.powi(64) / ((1u64 << 32) + 1) as f64;
+        assert_eq!(d.mean_jobs_in_system().to_bits(), exact.to_bits());
+        // 2³² − 1 samples more at 2³⁴ reach 2³³ samples, a trend
+        // evaluation point. The late half, samples [5·2³⁰, 2³³), is all
+        // 2³⁴, so its sum is 3·2⁶⁴: exact, the late mean is 2³⁴; wrapped,
+        // it would read 0.
+        d.record_n(1 << 34, (1 << 32) - 1);
+        assert_eq!(d.len(), 1 << 33);
+        match d.check() {
+            Some(SaturationReason::QueueGrowth {
+                early_mean,
+                late_mean,
+            }) => {
+                assert_eq!(late_mean, 2f64.powi(34));
+                assert!(early_mean < late_mean);
+            }
+            other => panic!("expected a growth trip, got {other:?}"),
         }
     }
 

@@ -48,6 +48,18 @@ fn smoke_montage_sweep_matches_golden() {
     assert_eq!(open_fingerprint(&rows), OPEN_SMOKE_MONTAGE);
 }
 
+/// `open_system_sweep(OpenSystemConfig::paper())`, recorded from
+/// `abg-cli open --json`. Each row runs 10–47 k quanta, so this pins
+/// hundreds of saturation trend checks at paper-scale horizons, plus
+/// the two `QueueGrowth` trips (ρ 0.95 at 384 quanta, ρ 1.2 at 576).
+const OPEN_PAPER: u64 = 0xfe3c9570e2665a64;
+
+#[test]
+fn paper_open_sweep_matches_golden() {
+    let rows = open_system_sweep(&OpenSystemConfig::paper());
+    assert_eq!(open_fingerprint(&rows), OPEN_PAPER);
+}
+
 #[test]
 fn smoke_open_sweep_is_thread_count_invariant() {
     // Safe to mutate concurrently with sibling tests for the same
