@@ -3,9 +3,8 @@
 
 use crate::options::Options;
 use abg::experiments::{
-    self, AblationConfig, AdaptiveQuantumConfig, AllocatorPolicyConfig, MultiprogrammedConfig,
-    OpenSystemConfig, OpenSystemRow, OpenWorkload, OverheadConfig, RobustnessConfig,
-    SchedulerOpenPoint, SingleJobSweepConfig, StealingConfig, TransientConfig,
+    self, MultiprogrammedConfig, OpenSystemConfig, OpenSystemRow, OpenWorkload, SchedulerOpenPoint,
+    SingleJobSweepConfig,
 };
 use abg::report::{f3, mark, Chart, Table};
 use abg_control::GroupPolicy;
@@ -54,9 +53,8 @@ fn emit(title: &str, table: &Table, opts: &Options) {
 }
 
 fn fig1(opts: &Options) {
-    let mut cfg = TransientConfig::paper();
-    cfg.quanta = 16; // the figure shows the sustained oscillation
-    let res = experiments::transient_comparison(&cfg);
+    // 16 quanta: the figure shows the sustained oscillation.
+    let res = experiments::transient_comparison(16);
     let mut t = Table::new(&["quantum", "agreedy_request", "parallelism"]);
     for p in &res.agreedy {
         t.row_owned(vec![
@@ -95,8 +93,7 @@ fn fig2(_opts: &Options) {
 }
 
 fn fig4(opts: &Options) {
-    let cfg = TransientConfig::paper();
-    let res = experiments::transient_comparison(&cfg);
+    let res = experiments::transient_comparison(8);
     let mut t = Table::new(&["quantum", "abg_request", "agreedy_request", "parallelism"]);
     for (a, g) in res.abg.iter().zip(&res.agreedy) {
         t.row_owned(vec![
@@ -373,12 +370,8 @@ fn thm5(opts: &Options) {
 
 fn ablate(opts: &Options) -> Result<(), String> {
     let which = opts.positional.first().map(String::as_str).unwrap_or("all");
-    let mut cfg = AblationConfig::default_probe();
-    if let Some(seed) = opts.seed {
-        cfg.seed = seed;
-    }
     let run_rate = |opts: &Options| {
-        let rows = experiments::rate_ablation(&cfg, &[0.0, 0.2, 0.4, 0.6, 0.8]);
+        let rows = experiments::rate_ablation(opts.seed);
         let mut t = Table::new(&["rate", "time/tinf", "waste/t1"]);
         for r in &rows {
             t.row_owned(vec![
@@ -387,7 +380,7 @@ fn ablate(opts: &Options) -> Result<(), String> {
                 f3(r.quality.waste_norm),
             ]);
         }
-        let governed = experiments::governed_rate_quality(&cfg, 0.2);
+        let governed = experiments::governed_rate_quality(opts.seed);
         t.row_owned(vec![
             "governed (r ≤ 0.9/Ĉ_L)".into(),
             f3(governed.time_norm),
@@ -396,7 +389,7 @@ fn ablate(opts: &Options) -> Result<(), String> {
         emit("Ablation: ABG convergence rate r", &t, opts);
     };
     let run_quantum = |opts: &Options| {
-        let rows = experiments::quantum_ablation(&cfg, &[50, 100, 200, 400, 800]);
+        let rows = experiments::quantum_ablation(opts.seed);
         let mut t = Table::new(&["L", "abg_t", "abg_w", "agreedy_t", "agreedy_w"]);
         for r in &rows {
             t.row_owned(vec![
@@ -410,7 +403,7 @@ fn ablate(opts: &Options) -> Result<(), String> {
         emit("Ablation: quantum length L", &t, opts);
     };
     let run_agreedy = |opts: &Options| {
-        let rows = experiments::agreedy_ablation(&cfg, &[1.5, 2.0, 4.0], &[0.5, 0.8, 0.95]);
+        let rows = experiments::agreedy_ablation(opts.seed);
         let mut t = Table::new(&["rho", "delta", "time/tinf", "waste/t1"]);
         for r in &rows {
             t.row_owned(vec![
@@ -423,7 +416,7 @@ fn ablate(opts: &Options) -> Result<(), String> {
         emit("Ablation: A-Greedy ρ × δ", &t, opts);
     };
     let run_scheduler = |opts: &Options| {
-        let rows = experiments::scheduler_ablation(&cfg);
+        let rows = experiments::scheduler_ablation(opts.seed);
         let mut t = Table::new(&["scheduler", "time/tinf", "waste/t1"]);
         for r in &rows {
             t.row_owned(vec![
@@ -435,7 +428,7 @@ fn ablate(opts: &Options) -> Result<(), String> {
         emit("Ablation: task-scheduler priority rule", &t, opts);
     };
     let run_semantics = |opts: &Options| {
-        let rows = experiments::semantics_ablation(&cfg);
+        let rows = experiments::semantics_ablation(opts.seed);
         let mut t = Table::new(&["model", "scheduler", "time/tinf", "waste/t1"]);
         for r in &rows {
             t.row_owned(vec![
@@ -470,11 +463,7 @@ fn ablate(opts: &Options) -> Result<(), String> {
 }
 
 fn steal(opts: &Options) {
-    let mut cfg = StealingConfig::default_probe();
-    if let Some(seed) = opts.seed {
-        cfg.seed = seed;
-    }
-    let rows = experiments::stealing_comparison(&cfg);
+    let rows = experiments::stealing_comparison(opts.seed);
     let mut t = Table::new(&["scheduler", "time/tinf", "waste/t1"]);
     for r in &rows {
         t.row_owned(vec![r.scheduler.clone(), f3(r.time_norm), f3(r.waste_norm)]);
@@ -487,11 +476,7 @@ fn steal(opts: &Options) {
 }
 
 fn adaptive(opts: &Options) {
-    let mut cfg = AdaptiveQuantumConfig::default_probe();
-    if let Some(seed) = opts.seed {
-        cfg.seed = seed;
-    }
-    let rows = experiments::adaptive_quantum_comparison(&cfg);
+    let rows = experiments::adaptive_quantum_comparison(opts.seed);
     let mut t = Table::new(&["policy", "time/tinf", "waste/t1", "quanta", "reallocations"]);
     for r in &rows {
         t.row_owned(vec![
@@ -506,11 +491,7 @@ fn adaptive(opts: &Options) {
 }
 
 fn robustness(opts: &Options) {
-    let mut cfg = RobustnessConfig::default_probe();
-    if let Some(seed) = opts.seed {
-        cfg.seed = seed;
-    }
-    let rows = experiments::robustness_comparison(&cfg);
+    let rows = experiments::robustness_comparison(opts.seed);
     let mut t = Table::new(&[
         "profile",
         "c_l",
@@ -541,11 +522,7 @@ fn robustness(opts: &Options) {
 }
 
 fn allocators(opts: &Options) {
-    let mut cfg = AllocatorPolicyConfig::default_probe();
-    if let Some(seed) = opts.seed {
-        cfg.seed = seed;
-    }
-    let rows = experiments::allocator_policy_comparison(&cfg);
+    let rows = experiments::allocator_policy_comparison(opts.seed);
     let mut t = Table::new(&["policy", "load", "m/m*", "r/r*", "waste/work"]);
     for r in &rows {
         t.row_owned(vec![
@@ -564,11 +541,7 @@ fn allocators(opts: &Options) {
 }
 
 fn overhead(opts: &Options) {
-    let mut cfg = OverheadConfig::default_probe();
-    if let Some(seed) = opts.seed {
-        cfg.seed = seed;
-    }
-    let rows = experiments::overhead_sweep(&cfg);
+    let rows = experiments::overhead_sweep(opts.seed);
     let mut t = Table::new(&[
         "overhead/L",
         "abg_t",

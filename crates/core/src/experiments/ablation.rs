@@ -14,50 +14,40 @@ use abg_workload::splitmix_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Common setup of the single-job ablations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AblationConfig {
-    /// Transition factors of the probe jobs.
-    pub factors: Vec<u64>,
-    /// Jobs per factor.
-    pub jobs_per_factor: u32,
-    /// Machine size.
-    pub processors: u32,
-    /// Quantum length `L`.
-    pub quantum_len: u64,
-    /// Phase pairs per job.
-    pub pairs: u64,
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl AblationConfig {
-    /// A moderate default: factors {5, 20, 60}, a handful of jobs each.
-    pub fn default_probe() -> Self {
-        Self {
-            factors: vec![5, 20, 60],
-            jobs_per_factor: 6,
-            processors: 128,
-            quantum_len: 200,
-            pairs: 3,
-            seed: 0x00AB_1A7E,
-        }
-    }
-}
+/// The probe jobs: transition factors, jobs per factor, phase pairs per
+/// job.
+const FACTORS: [u64; 3] = [5, 20, 60];
+const JOBS_PER_FACTOR: u32 = 6;
+const PAIRS: u64 = 3;
+/// Machine size.
+const PROCESSORS: u32 = 128;
+/// Quantum length `L` (the quantum ablation sweeps it instead).
+const QUANTUM_LEN: u64 = 200;
+/// Recorded seed of every ablation.
+const SEED: u64 = 0x00AB_1A7E;
+/// Convergence rates `r` of the rate ablation.
+const RATES: [f64; 5] = [0.0, 0.2, 0.4, 0.6, 0.8];
+/// Target rate of the rate-governed controller.
+const GOVERNED_TARGET: f64 = 0.2;
+/// Quantum lengths `L` of the quantum ablation.
+const QUANTA: [u64; 5] = [50, 100, 200, 400, 800];
+/// A-Greedy's responsiveness `ρ` × utilization threshold `δ` grid.
+const RESPONSIVENESS: [f64; 3] = [1.5, 2.0, 4.0];
+const UTILIZATION: [f64; 3] = [0.5, 0.8, 0.95];
 
 /// Quality of the controllers `make` builds, one per probe job, each
 /// driving its job alone at quantum length `quantum_len`. Jobs are drawn
 /// at that quantum length, so their phase geometry follows it.
-fn probe_quality<C, M>(cfg: &AblationConfig, quantum_len: u64, make: M) -> QualityPoint
+fn probe_quality<C, M>(seed: u64, quantum_len: u64, make: M) -> QualityPoint
 where
     C: Controller,
     M: Fn() -> C + Sync,
 {
-    let runs = per_cell(&cfg.factors, cfg.jobs_per_factor, |factor, index| {
+    let runs = per_cell(&FACTORS, JOBS_PER_FACTOR, |factor, index| {
         run_single_job(
-            &mut PipelinedExecutor::new(probe_job(cfg.seed, factor, index, quantum_len, cfg.pairs)),
+            &mut PipelinedExecutor::new(probe_job(seed, factor, index, quantum_len, PAIRS)),
             &mut make(),
-            &mut Scripted::ample(cfg.processors),
+            &mut Scripted::ample(PROCESSORS),
             SingleJobConfig::new(quantum_len),
         )
     });
@@ -73,15 +63,17 @@ pub struct RateAblationRow {
     pub quality: QualityPoint,
 }
 
-/// Sweeps the convergence rate `r` of ABG (the paper notes results "do
-/// not deviate too much for all values of convergence rate less than
-/// 0.6" — this reproduces that claim).
-pub fn rate_ablation(cfg: &AblationConfig, rates: &[f64]) -> Vec<RateAblationRow> {
-    rates
+/// Sweeps the convergence rate `r` of ABG over {0, 0.2, …, 0.8} (the
+/// paper notes results "do not deviate too much for all values of
+/// convergence rate less than 0.6" — this reproduces that claim).
+/// `seed` overrides the recorded one.
+pub fn rate_ablation(seed: Option<u64>) -> Vec<RateAblationRow> {
+    let seed = seed.unwrap_or(SEED);
+    RATES
         .iter()
         .map(|&rate| RateAblationRow {
             rate,
-            quality: probe_quality(cfg, cfg.quantum_len, || AControl::new(rate)),
+            quality: probe_quality(seed, QUANTUM_LEN, || AControl::new(rate)),
         })
         .collect()
 }
@@ -89,10 +81,10 @@ pub fn rate_ablation(cfg: &AblationConfig, rates: &[f64]) -> Vec<RateAblationRow
 /// Quality of the rate-governed controller
 /// ([`AdaptiveRateControl`]) on the same probe jobs — the online
 /// answer to the paper's assumption that `r < 1/C_L` is arranged from
-/// historical workload knowledge.
-pub fn governed_rate_quality(cfg: &AblationConfig, target_rate: f64) -> QualityPoint {
-    probe_quality(cfg, cfg.quantum_len, || {
-        AdaptiveRateControl::new(target_rate, 0.9)
+/// historical workload knowledge. Its target rate is 0.2.
+pub fn governed_rate_quality(seed: Option<u64>) -> QualityPoint {
+    probe_quality(seed.unwrap_or(SEED), QUANTUM_LEN, || {
+        AdaptiveRateControl::new(GOVERNED_TARGET, 0.9)
     })
 }
 
@@ -107,16 +99,18 @@ pub struct QuantumAblationRow {
     pub agreedy: QualityPoint,
 }
 
-/// Sweeps the quantum length `L`. Jobs are regenerated per `L` so the
-/// phase geometry keeps its quantum-multiple shape (the factor is a
-/// per-`L` characteristic, per footnote 2 of the paper).
-pub fn quantum_ablation(cfg: &AblationConfig, quanta: &[u64]) -> Vec<QuantumAblationRow> {
-    quanta
+/// Sweeps the quantum length `L` over {50, 100, 200, 400, 800}. Jobs
+/// are regenerated per `L` so the phase geometry keeps its
+/// quantum-multiple shape (the factor is a per-`L` characteristic, per
+/// footnote 2 of the paper).
+pub fn quantum_ablation(seed: Option<u64>) -> Vec<QuantumAblationRow> {
+    let seed = seed.unwrap_or(SEED);
+    QUANTA
         .iter()
         .map(|&l| QuantumAblationRow {
             quantum_len: l,
-            abg: probe_quality(cfg, l, AControl::paper_default),
-            agreedy: probe_quality(cfg, l, AGreedy::paper_default),
+            abg: probe_quality(seed, l, AControl::paper_default),
+            agreedy: probe_quality(seed, l, AGreedy::paper_default),
         })
         .collect()
 }
@@ -132,20 +126,17 @@ pub struct AGreedyAblationRow {
     pub quality: QualityPoint,
 }
 
-/// Sweeps A-Greedy's `ρ × δ` grid — how sensitive is the baseline to
-/// its tuning?
-pub fn agreedy_ablation(
-    cfg: &AblationConfig,
-    responsiveness: &[f64],
-    utilization: &[f64],
-) -> Vec<AGreedyAblationRow> {
+/// Sweeps A-Greedy's `ρ × δ` grid, ρ ∈ {1.5, 2, 4} × δ ∈ {0.5, 0.8,
+/// 0.95} — how sensitive is the baseline to its tuning?
+pub fn agreedy_ablation(seed: Option<u64>) -> Vec<AGreedyAblationRow> {
+    let seed = seed.unwrap_or(SEED);
     let mut rows = Vec::new();
-    for &rho in responsiveness {
-        for &delta in utilization {
+    for &rho in &RESPONSIVENESS {
+        for &delta in &UTILIZATION {
             rows.push(AGreedyAblationRow {
                 responsiveness: rho,
                 utilization: delta,
-                quality: probe_quality(cfg, cfg.quantum_len, || AGreedy::new(rho, delta)),
+                quality: probe_quality(seed, QUANTUM_LEN, || AGreedy::new(rho, delta)),
             });
         }
     }
@@ -168,30 +159,30 @@ pub struct SchedulerAblationRow {
 /// B-Greedy's lowest-level-first rule is what makes the fractional
 /// `A(q)` measurement faithful; the other rules feed the controller a
 /// distorted signal.
-pub fn scheduler_ablation(cfg: &AblationConfig) -> Vec<SchedulerAblationRow> {
-    fn run<E: JobExecutor>(executor: &mut E, p: u32, sim_cfg: SingleJobConfig) -> SingleJobRun {
+pub fn scheduler_ablation(seed: Option<u64>) -> Vec<SchedulerAblationRow> {
+    fn run<E: JobExecutor>(executor: &mut E, sim_cfg: SingleJobConfig) -> SingleJobRun {
         run_single_job(
             executor,
             &mut AControl::paper_default(),
-            &mut Scripted::ample(p),
+            &mut Scripted::ample(PROCESSORS),
             sim_cfg,
         )
     }
     // Smaller jobs: the per-task executor materialises every task.
-    let quantum_len = cfg.quantum_len.min(100);
+    let quantum_len = 100;
     let sim_cfg = SingleJobConfig::new(quantum_len);
-    let p = cfg.processors;
+    let seed = seed.unwrap_or(SEED);
     // Each unit draws its dag and runs all three rules on it, so the
     // three passes share the worker pool.
-    let runs = per_cell(&cfg.factors, cfg.jobs_per_factor, |f, j| {
-        let mut rng = StdRng::seed_from_u64(splitmix_seed(cfg.seed, f, j));
+    let runs = per_cell(&FACTORS, JOBS_PER_FACTOR, |f, j| {
+        let mut rng = StdRng::seed_from_u64(splitmix_seed(seed, f, j));
         let dag = ForkJoinSpec::with_transition_factor(f.min(16), quantum_len, 2)
             .generate(&mut rng)
             .to_explicit();
         [
-            run(&mut BGreedyExecutor::new(&dag), p, sim_cfg),
-            run(&mut GreedyExecutor::new(&dag), p, sim_cfg),
-            run(&mut DepthFirstExecutor::new(&dag), p, sim_cfg),
+            run(&mut BGreedyExecutor::new(&dag), sim_cfg),
+            run(&mut GreedyExecutor::new(&dag), sim_cfg),
+            run(&mut DepthFirstExecutor::new(&dag), sim_cfg),
         ]
     });
     [
@@ -232,7 +223,8 @@ pub struct SemanticsAblationRow {
 /// especially hurt (its utilization check keeps it a factor below the
 /// width). The ablation quantifies why the pipelined model is the
 /// faithful reading of the paper's workloads.
-pub fn semantics_ablation(cfg: &AblationConfig) -> Vec<SemanticsAblationRow> {
+pub fn semantics_ablation(seed: Option<u64>) -> Vec<SemanticsAblationRow> {
+    let seed = seed.unwrap_or(SEED);
     let mut rows = Vec::new();
     let combos: [(&str, bool); 4] = [
         ("abg", false),
@@ -241,16 +233,16 @@ pub fn semantics_ablation(cfg: &AblationConfig) -> Vec<SemanticsAblationRow> {
         ("a-greedy", true),
     ];
     for (sched, barrier) in combos {
-        let runs = per_cell(&cfg.factors, cfg.jobs_per_factor, |factor, index| {
-            let mut rng = StdRng::seed_from_u64(splitmix_seed(cfg.seed, factor, index));
-            let spec = ForkJoinSpec::with_transition_factor(factor, cfg.quantum_len, cfg.pairs);
+        let runs = per_cell(&FACTORS, JOBS_PER_FACTOR, |factor, index| {
+            let mut rng = StdRng::seed_from_u64(splitmix_seed(seed, factor, index));
+            let spec = ForkJoinSpec::with_transition_factor(factor, QUANTUM_LEN, PAIRS);
             let mut calc: Box<dyn Controller + Send> = if sched == "abg" {
                 Box::new(AControl::paper_default())
             } else {
                 Box::new(AGreedy::paper_default())
             };
-            let mut alloc = Scripted::ample(cfg.processors);
-            let sim_cfg = SingleJobConfig::new(cfg.quantum_len);
+            let mut alloc = Scripted::ample(PROCESSORS);
+            let sim_cfg = SingleJobConfig::new(QUANTUM_LEN);
             let job = if barrier {
                 PhasedJob::barrier(&spec.sample_phases(&mut rng))
             } else {
@@ -276,27 +268,16 @@ pub fn semantics_ablation(cfg: &AblationConfig) -> Vec<SemanticsAblationRow> {
 mod tests {
     use super::*;
 
-    fn tiny() -> AblationConfig {
-        AblationConfig {
-            factors: vec![4, 12],
-            jobs_per_factor: 2,
-            processors: 64,
-            quantum_len: 40,
-            pairs: 2,
-            seed: 3,
-        }
-    }
-
     #[test]
     fn rate_ablation_small_rates_are_fine() {
-        let rows = rate_ablation(&tiny(), &[0.0, 0.2, 0.6, 0.9]);
-        assert_eq!(rows.len(), 4);
+        let rows = rate_ablation(None);
+        assert_eq!(rows.len(), 5);
         // High convergence rates react too slowly: quality degrades.
         let t0 = rows[0].quality.time_norm;
-        let t9 = rows[3].quality.time_norm;
+        let t8 = rows[4].quality.time_norm;
         assert!(
-            t9 >= t0 - 1e-9,
-            "r=0.9 ({t9}) should be no faster than r=0 ({t0})"
+            t8 >= t0 - 1e-9,
+            "r=0.8 ({t8}) should be no faster than r=0 ({t0})"
         );
         for r in &rows {
             assert!(r.quality.time_norm >= 1.0 - 1e-9);
@@ -305,9 +286,10 @@ mod tests {
 
     #[test]
     fn governed_rate_is_competitive_with_fixed_target() {
-        let cfg = tiny();
-        let fixed = rate_ablation(&cfg, &[0.2])[0].quality;
-        let governed = governed_rate_quality(&cfg, 0.2);
+        let row = rate_ablation(None)[1];
+        assert_eq!(row.rate, GOVERNED_TARGET);
+        let fixed = row.quality;
+        let governed = governed_rate_quality(None);
         // The governor may clamp the rate toward 0 on violent jobs; it
         // must not cost more than a small factor on either metric.
         assert!(
@@ -322,8 +304,8 @@ mod tests {
 
     #[test]
     fn quantum_ablation_produces_rows() {
-        let rows = quantum_ablation(&tiny(), &[20, 80]);
-        assert_eq!(rows.len(), 2);
+        let rows = quantum_ablation(None);
+        assert_eq!(rows.len(), 5);
         for r in &rows {
             assert!(r.abg.time_norm >= 1.0 - 1e-9);
             assert!(r.agreedy.time_norm >= r.abg.time_norm - 0.5);
@@ -332,13 +314,13 @@ mod tests {
 
     #[test]
     fn agreedy_grid_shapes() {
-        let rows = agreedy_ablation(&tiny(), &[1.5, 2.0], &[0.5, 0.8]);
-        assert_eq!(rows.len(), 4);
+        let rows = agreedy_ablation(None);
+        assert_eq!(rows.len(), 9);
     }
 
     #[test]
     fn scheduler_ablation_breadth_first_no_worse() {
-        let rows = scheduler_ablation(&tiny());
+        let rows = scheduler_ablation(None);
         assert_eq!(rows.len(), 3);
         let bg = &rows[0];
         assert!(bg.scheduler.contains("breadth"));
@@ -352,7 +334,7 @@ mod tests {
 
     #[test]
     fn semantics_ablation_barrier_hurts_agreedy_more() {
-        let rows = semantics_ablation(&tiny());
+        let rows = semantics_ablation(None);
         assert_eq!(rows.len(), 4);
         let get = |m: &str, s: &str| {
             rows.iter()
@@ -375,7 +357,7 @@ mod tests {
     #[test]
     fn semantics_ablation_matches_golden() {
         let mut f = crate::experiments::Fingerprint::new();
-        for row in semantics_ablation(&AblationConfig::default_probe()) {
+        for row in semantics_ablation(None) {
             f.f64(row.quality.time_norm).f64(row.quality.waste_norm);
         }
         assert_eq!(f.finish(), 0x5ff9_911b_0c65_5b7c);

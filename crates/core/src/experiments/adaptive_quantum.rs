@@ -7,44 +7,21 @@ use abg_control::AControl;
 use abg_sched::PipelinedExecutor;
 use abg_sim::{run_single_job, AdaptiveQuantum, FixedQuantum, SingleJobConfig};
 
-/// Configuration of the adaptive-quantum comparison. Every policy paces
-/// the paper's controller ([`AControl::paper_default`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveQuantumConfig {
-    /// Transition factors of the probe jobs.
-    pub factors: Vec<u64>,
-    /// Jobs per factor.
-    pub jobs_per_factor: u32,
-    /// Machine size.
-    pub processors: u32,
-    /// Short (and minimum) quantum length.
-    pub short_quantum: u64,
-    /// Long (and maximum) quantum length.
-    pub long_quantum: u64,
-    /// Relative request-stability band of the adaptive policy.
-    pub stability_band: f64,
-    /// Phase pairs per job.
-    pub pairs: u64,
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl AdaptiveQuantumConfig {
-    /// Moderate default probe. Jobs are generated against the *long*
-    /// quantum's geometry so every policy faces identical jobs.
-    pub fn default_probe() -> Self {
-        Self {
-            factors: vec![5, 20, 60],
-            jobs_per_factor: 6,
-            processors: 128,
-            short_quantum: 50,
-            long_quantum: 800,
-            stability_band: 0.05,
-            pairs: 3,
-            seed: 0xADA7,
-        }
-    }
-}
+/// The probe jobs: transition factors, jobs per factor, phase pairs
+/// per job.
+const FACTORS: [u64; 3] = [5, 20, 60];
+const JOBS_PER_FACTOR: u32 = 6;
+const PAIRS: u64 = 3;
+/// Machine size.
+const PROCESSORS: u32 = 128;
+/// Short (and minimum) quantum length.
+const SHORT_QUANTUM: u64 = 50;
+/// Long (and maximum) quantum length.
+const LONG_QUANTUM: u64 = 800;
+/// Relative request-stability band of the adaptive policy.
+const STABILITY_BAND: f64 = 0.05;
+/// Recorded seed.
+const SEED: u64 = 0xADA7;
 
 /// One policy's mean results.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,48 +39,50 @@ pub struct AdaptiveQuantumRow {
     pub mean_reallocations: f64,
 }
 
-/// Compares `fixed(short)`, `fixed(long)` and `adaptive(short..long)`
-/// quantum policies under ABG on the same jobs.
-pub fn adaptive_quantum_comparison(cfg: &AdaptiveQuantumConfig) -> Vec<AdaptiveQuantumRow> {
+/// Compares `fixed(50)`, `fixed(800)` and `adaptive(50..800)` quantum
+/// policies on the same jobs, each pacing the paper's controller
+/// ([`AControl::paper_default`]); `seed` overrides the recorded one.
+pub fn adaptive_quantum_comparison(seed: Option<u64>) -> Vec<AdaptiveQuantumRow> {
+    let seed = seed.unwrap_or(SEED);
     // One unit per generated job: all three policies run over the same
     // job through one executor, rewound between policies, so the job is
     // generated once instead of once per policy and nothing is
     // re-allocated. The run set (and every aggregate) is identical to
     // running each policy in its own unit.
-    let runs = per_cell(&cfg.factors, cfg.jobs_per_factor, |factor, index| {
+    let runs = per_cell(&FACTORS, JOBS_PER_FACTOR, |factor, index| {
         // Phase geometry follows the *long* quantum so even the longest
         // policy sees phases spanning full quanta.
-        let job = probe_job(cfg.seed, factor, index, cfg.long_quantum, cfg.pairs);
+        let job = probe_job(seed, factor, index, LONG_QUANTUM, PAIRS);
         let mut ex = PipelinedExecutor::new(job);
-        let sim = SingleJobConfig::new(cfg.short_quantum);
+        let sim = SingleJobConfig::new(SHORT_QUANTUM);
         let short = run_single_job(
             &mut ex,
-            &mut FixedQuantum(cfg.short_quantum).pace(AControl::paper_default()),
-            &mut Scripted::ample(cfg.processors),
+            &mut FixedQuantum(SHORT_QUANTUM).pace(AControl::paper_default()),
+            &mut Scripted::ample(PROCESSORS),
             sim,
         );
         ex.reset();
         let long = run_single_job(
             &mut ex,
-            &mut FixedQuantum(cfg.long_quantum).pace(AControl::paper_default()),
-            &mut Scripted::ample(cfg.processors),
+            &mut FixedQuantum(LONG_QUANTUM).pace(AControl::paper_default()),
+            &mut Scripted::ample(PROCESSORS),
             sim,
         );
         ex.reset();
         let adaptive = run_single_job(
             &mut ex,
-            &mut AdaptiveQuantum::new(cfg.short_quantum, cfg.long_quantum, cfg.stability_band)
+            &mut AdaptiveQuantum::new(SHORT_QUANTUM, LONG_QUANTUM, STABILITY_BAND)
                 .pace(AControl::paper_default()),
-            &mut Scripted::ample(cfg.processors),
+            &mut Scripted::ample(PROCESSORS),
             sim,
         );
         [short, long, adaptive]
     });
 
     let names = [
-        format!("fixed L = {}", cfg.short_quantum),
-        format!("fixed L = {}", cfg.long_quantum),
-        format!("adaptive L ∈ [{}, {}]", cfg.short_quantum, cfg.long_quantum),
+        format!("fixed L = {SHORT_QUANTUM}"),
+        format!("fixed L = {LONG_QUANTUM}"),
+        format!("adaptive L ∈ [{SHORT_QUANTUM}, {LONG_QUANTUM}]"),
     ];
     names
         .into_iter()
@@ -122,22 +101,9 @@ pub fn adaptive_quantum_comparison(cfg: &AdaptiveQuantumConfig) -> Vec<AdaptiveQ
 mod tests {
     use super::*;
 
-    fn tiny() -> AdaptiveQuantumConfig {
-        AdaptiveQuantumConfig {
-            factors: vec![8],
-            jobs_per_factor: 3,
-            processors: 64,
-            short_quantum: 20,
-            long_quantum: 160,
-            stability_band: 0.05,
-            pairs: 2,
-            seed: 4,
-        }
-    }
-
     #[test]
     fn three_policies_reported() {
-        let rows = adaptive_quantum_comparison(&tiny());
+        let rows = adaptive_quantum_comparison(None);
         assert_eq!(rows.len(), 3);
         for r in &rows {
             assert!(r.time_norm >= 1.0 - 1e-9, "{r:?}");
@@ -147,7 +113,7 @@ mod tests {
 
     #[test]
     fn adaptive_uses_fewer_quanta_than_fixed_short() {
-        let rows = adaptive_quantum_comparison(&tiny());
+        let rows = adaptive_quantum_comparison(None);
         let short = &rows[0];
         let adaptive = &rows[2];
         assert!(
@@ -160,7 +126,7 @@ mod tests {
 
     #[test]
     fn adaptive_wastes_less_than_fixed_long() {
-        let rows = adaptive_quantum_comparison(&tiny());
+        let rows = adaptive_quantum_comparison(None);
         let long = &rows[1];
         let adaptive = &rows[2];
         assert!(

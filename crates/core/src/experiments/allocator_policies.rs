@@ -21,40 +21,20 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Configuration of the allocator comparison. Every job runs the
-/// paper's controller ([`AControl::paper_default`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AllocatorPolicyConfig {
-    /// Loads of the probe job sets.
-    pub loads: Vec<f64>,
-    /// Sets per load.
-    pub sets_per_load: u32,
-    /// Machine size.
-    pub processors: u32,
-    /// Quantum length.
-    pub quantum_len: u64,
-    /// Largest parallel width of member jobs.
-    pub max_factor: u64,
-    /// Phase pairs per member job.
-    pub pairs: u64,
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl AllocatorPolicyConfig {
-    /// Moderate default probe.
-    pub fn default_probe() -> Self {
-        Self {
-            loads: vec![0.5, 1.0, 2.0],
-            sets_per_load: 6,
-            processors: 64,
-            quantum_len: 100,
-            max_factor: 32,
-            pairs: 2,
-            seed: 0xA110C,
-        }
-    }
-}
+/// Loads of the probe job sets.
+const LOADS: [f64; 3] = [0.5, 1.0, 2.0];
+/// Sets per load.
+const SETS_PER_LOAD: u32 = 6;
+/// Machine size.
+const PROCESSORS: u32 = 64;
+/// Quantum length.
+const QUANTUM_LEN: u64 = 100;
+/// Largest parallel width of member jobs.
+const MAX_FACTOR: u64 = 32;
+/// Phase pairs per member job.
+const PAIRS: u64 = 2;
+/// Recorded seed.
+const SEED: u64 = 0xA110C;
 
 /// One (policy, load) cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,11 +54,9 @@ pub struct AllocatorPolicyRow {
 fn run_with<A: Allocator>(
     jobs: &[Arc<PhasedJob>],
     releases: &[u64],
-    processors: u32,
     allocator: A,
-    quantum_len: u64,
 ) -> (f64, f64, f64) {
-    let mut sim = MultiJobSim::new(allocator, quantum_len);
+    let mut sim = MultiJobSim::new(allocator, QUANTUM_LEN);
     for (job, &release) in jobs.iter().zip(releases) {
         let calc: Box<dyn Controller + Send> = Box::new(AControl::paper_default());
         // All three policies execute the same Arc-shared job structures.
@@ -98,8 +76,8 @@ fn run_with<A: Allocator>(
             release: r,
         })
         .collect();
-    let m_star = makespan_lower_bound(&sizes, processors);
-    let r_star = response_lower_bound_batched(&sizes, processors);
+    let m_star = makespan_lower_bound(&sizes, PROCESSORS);
+    let r_star = response_lower_bound_batched(&sizes, PROCESSORS);
     (
         out.makespan as f64 / m_star,
         out.mean_response_time() / r_star,
@@ -108,50 +86,36 @@ fn run_with<A: Allocator>(
 }
 
 /// Runs the comparison; rows are ordered policy-major, load-minor.
-pub fn allocator_policy_comparison(cfg: &AllocatorPolicyConfig) -> Vec<AllocatorPolicyRow> {
+/// Every job runs the paper's controller ([`AControl::paper_default`]);
+/// `seed` overrides the recorded one.
+pub fn allocator_policy_comparison(seed: Option<u64>) -> Vec<AllocatorPolicyRow> {
+    let seed = seed.unwrap_or(SEED);
     // Per set: one (M/M*, R/R*, W/T1) triple per policy.
-    let cells = per_cell(&cfg.loads, cfg.sets_per_load, |load, index| {
-        let mut rng = StdRng::seed_from_u64(splitmix_seed(cfg.seed, index, load.to_bits()));
+    let cells = per_cell(&LOADS, SETS_PER_LOAD, |load, index| {
+        let mut rng = StdRng::seed_from_u64(splitmix_seed(seed, index, load.to_bits()));
         let spec = JobSetSpec {
-            processors: cfg.processors,
-            quantum_len: cfg.quantum_len,
+            processors: PROCESSORS,
+            quantum_len: QUANTUM_LEN,
             load,
-            max_factor: cfg.max_factor,
-            pairs: cfg.pairs,
-            max_jobs: cfg.processors as usize,
+            max_factor: MAX_FACTOR,
+            pairs: PAIRS,
+            max_jobs: PROCESSORS as usize,
             release: ReleaseSchedule::Batched,
         };
         let set = spec.generate(&mut rng);
         let releases = set.releases;
         let jobs: Vec<Arc<PhasedJob>> = set.jobs.into_iter().map(Arc::new).collect();
-        let deq = run_with(
-            &jobs,
-            &releases,
-            cfg.processors,
-            DynamicEquiPartition::new(cfg.processors),
-            cfg.quantum_len,
-        );
-        let rr = run_with(
-            &jobs,
-            &releases,
-            cfg.processors,
-            RoundRobin::new(cfg.processors),
-            cfg.quantum_len,
-        );
-        let prop = run_with(
-            &jobs,
-            &releases,
-            cfg.processors,
-            Proportional::new(cfg.processors),
-            cfg.quantum_len,
-        );
-        [deq, rr, prop]
+        [
+            run_with(&jobs, &releases, DynamicEquiPartition::new(PROCESSORS)),
+            run_with(&jobs, &releases, RoundRobin::new(PROCESSORS)),
+            run_with(&jobs, &releases, Proportional::new(PROCESSORS)),
+        ]
     });
 
     let names = ["deq", "round-robin", "proportional"];
     let mut rows = Vec::new();
     for (pi, name) in names.iter().enumerate() {
-        for (&load, sets) in cfg.loads.iter().zip(cells.iter()) {
+        for (&load, sets) in LOADS.iter().zip(cells.iter()) {
             rows.push(AllocatorPolicyRow {
                 policy: name.to_string(),
                 load,
@@ -168,22 +132,10 @@ pub fn allocator_policy_comparison(cfg: &AllocatorPolicyConfig) -> Vec<Allocator
 mod tests {
     use super::*;
 
-    fn tiny() -> AllocatorPolicyConfig {
-        AllocatorPolicyConfig {
-            loads: vec![0.5, 2.0],
-            sets_per_load: 3,
-            processors: 32,
-            quantum_len: 50,
-            max_factor: 16,
-            pairs: 2,
-            seed: 77,
-        }
-    }
-
     #[test]
     fn three_policies_times_loads() {
-        let rows = allocator_policy_comparison(&tiny());
-        assert_eq!(rows.len(), 6);
+        let rows = allocator_policy_comparison(None);
+        assert_eq!(rows.len(), 9);
         for r in &rows {
             assert!(r.makespan_norm >= 1.0 - 1e-9, "{r:?}");
             assert!(r.response_norm >= 1.0 - 1e-9, "{r:?}");
@@ -192,7 +144,7 @@ mod tests {
 
     #[test]
     fn deq_no_worse_than_round_robin_under_load() {
-        let rows = allocator_policy_comparison(&tiny());
+        let rows = allocator_policy_comparison(None);
         let get = |policy: &str, load: f64| {
             rows.iter()
                 .find(|r| r.policy == policy && r.load == load)
@@ -211,8 +163,8 @@ mod tests {
     #[test]
     fn deterministic() {
         assert_eq!(
-            allocator_policy_comparison(&tiny()),
-            allocator_policy_comparison(&tiny())
+            allocator_policy_comparison(None),
+            allocator_policy_comparison(None)
         );
     }
 }

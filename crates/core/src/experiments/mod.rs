@@ -1,10 +1,18 @@
 //! Experiment harness: one function per figure/analysis of the paper's
 //! evaluation, shared by the CLI, the kernel suite and the integration tests.
 //!
-//! Every experiment takes an explicit config with a deterministic seed
-//! and returns plain data rows, so the same code regenerates the paper's
-//! figures at paper scale (`*Config::paper()`) or at a scaled-down size
-//! suitable for tests and smoke runs (`*Config::scaled()`).
+//! Every experiment is deterministic in its seed and returns plain data
+//! rows. The sweeps run at more than one size (Figs. 5 and 6, the open
+//! system, the hierarchical skew sweep, the kernel suite) take a
+//! `*Config` with a paper-scale preset (`paper()`, or `full()` for the
+//! kernels) and a scaled-down one (`scaled()` or `smoke()`). Each closed
+//! extension experiment — the ablations, work stealing, the adaptive
+//! quantum, robustness, allocator policies and reallocation overhead —
+//! is one preset: its sizes and axes are private constants of its
+//! module, and it takes only `seed: Option<u64>` (`None` is the
+//! recorded seed), so the CLI and the goldens run the same function.
+//! Figs. 1 and 4 ([`transient_comparison`]) take only the number of
+//! quanta to report.
 
 pub mod ablation;
 pub mod adaptive_quantum;
@@ -29,14 +37,10 @@ use rand::SeedableRng;
 
 pub use ablation::{
     agreedy_ablation, governed_rate_quality, quantum_ablation, rate_ablation, scheduler_ablation,
-    semantics_ablation, AblationConfig,
+    semantics_ablation,
 };
-pub use adaptive_quantum::{
-    adaptive_quantum_comparison, AdaptiveQuantumConfig, AdaptiveQuantumRow,
-};
-pub use allocator_policies::{
-    allocator_policy_comparison, AllocatorPolicyConfig, AllocatorPolicyRow,
-};
+pub use adaptive_quantum::{adaptive_quantum_comparison, AdaptiveQuantumRow};
+pub use allocator_policies::{allocator_policy_comparison, AllocatorPolicyRow};
 pub use fingerprint::{load_fingerprint, open_fingerprint, sweep_fingerprint, Fingerprint};
 pub use hierarchical::{hierarchical_skew_sweep, HierarchicalConfig, HierarchicalRow, PolicyPoint};
 pub use kernels::{kernel_speedup, run_kernel_suite, KernelBenchConfig, KernelResult};
@@ -45,17 +49,17 @@ pub use open_system::{
     open_system_sweep, population_expected_work, OpenSystemConfig, OpenSystemRow, OpenWorkload,
     SchedulerOpenPoint,
 };
-pub use overhead::{overhead_sweep, OverheadConfig, OverheadRow};
-pub use robustness::{robustness_comparison, RobustnessConfig, RobustnessRow};
+pub use overhead::{overhead_sweep, OverheadRow};
+pub use robustness::{robustness_comparison, RobustnessRow};
 pub use single_job::{
     single_job_sweep, single_job_sweep_with_steps, SingleJobSweepConfig, SweepPoint,
 };
-pub use stealing::{stealing_comparison, StealRow, StealingConfig};
+pub use stealing::{stealing_comparison, StealRow};
 pub use theory::{
     lemma2_check, theorem1_grid, theorem3_check, theorem4_check, theorem5_check, BoundCheck,
     Theorem1Row,
 };
-pub use transient::{transient_comparison, TrajectoryPoint, TransientConfig, TransientResult};
+pub use transient::{transient_comparison, TrajectoryPoint, TransientResult};
 
 /// Runs `f(key, index)` for every `index < per_key` of every key, spread
 /// over [`parallel_map`], and returns one cell per key: that key's

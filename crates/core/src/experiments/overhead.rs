@@ -17,41 +17,20 @@ use abg_control::{AControl, AGreedy, Controller};
 use abg_sched::PipelinedExecutor;
 use abg_sim::{run_single_job, SingleJobConfig, SingleJobRun};
 
-/// Configuration of the overhead sweep. Both schedulers run with the
-/// paper's parameters ([`AControl::paper_default`],
-/// [`AGreedy::paper_default`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct OverheadConfig {
-    /// Overhead values as fractions of the quantum length (x-axis).
-    pub overhead_fractions: Vec<f64>,
-    /// Transition factors of the probe jobs.
-    pub factors: Vec<u64>,
-    /// Jobs per (fraction, factor) cell.
-    pub jobs_per_factor: u32,
-    /// Machine size.
-    pub processors: u32,
-    /// Quantum length `L`.
-    pub quantum_len: u64,
-    /// Phase pairs per job.
-    pub pairs: u64,
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl OverheadConfig {
-    /// Moderate default probe: overheads up to 20% of the quantum.
-    pub fn default_probe() -> Self {
-        Self {
-            overhead_fractions: vec![0.0, 0.01, 0.05, 0.1, 0.2],
-            factors: vec![8, 24],
-            jobs_per_factor: 5,
-            processors: 128,
-            quantum_len: 200,
-            pairs: 3,
-            seed: 0x08EA,
-        }
-    }
-}
+/// Overhead values as fractions of the quantum length (x-axis): up to
+/// 20% of the quantum.
+const OVERHEAD_FRACTIONS: [f64; 5] = [0.0, 0.01, 0.05, 0.1, 0.2];
+/// The probe jobs: transition factors, jobs per (fraction, factor)
+/// cell, phase pairs per job.
+const FACTORS: [u64; 2] = [8, 24];
+const JOBS_PER_FACTOR: u32 = 5;
+const PAIRS: u64 = 3;
+/// Machine size.
+const PROCESSORS: u32 = 128;
+/// Quantum length `L`.
+const QUANTUM_LEN: u64 = 200;
+/// Recorded seed.
+const SEED: u64 = 0x08EA;
 
 /// One x-axis point of the overhead sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,21 +51,24 @@ pub struct OverheadRow {
     pub agreedy_reallocations: f64,
 }
 
-/// Runs the sweep; one row per overhead fraction.
-pub fn overhead_sweep(cfg: &OverheadConfig) -> Vec<OverheadRow> {
+/// Runs the sweep; one row per overhead fraction. Both schedulers run
+/// with the paper's parameters ([`AControl::paper_default`],
+/// [`AGreedy::paper_default`]); `seed` overrides the recorded one.
+pub fn overhead_sweep(seed: Option<u64>) -> Vec<OverheadRow> {
+    let seed = seed.unwrap_or(SEED);
     // Per probe job: one (ABG, A-Greedy) pair of runs per fraction.
-    let runs = per_cell(&cfg.factors, cfg.jobs_per_factor, |factor, index| {
-        let job = probe_job(cfg.seed, factor, index, cfg.quantum_len, cfg.pairs);
+    let runs = per_cell(&FACTORS, JOBS_PER_FACTOR, |factor, index| {
+        let job = probe_job(seed, factor, index, QUANTUM_LEN, PAIRS);
         let run = |mut calculator: &mut dyn Controller, fraction: f64| {
-            let overhead = (fraction * cfg.quantum_len as f64).round() as u64;
+            let overhead = (fraction * QUANTUM_LEN as f64).round() as u64;
             run_single_job(
                 &mut PipelinedExecutor::new(&job),
                 &mut calculator,
-                &mut Scripted::ample(cfg.processors),
-                SingleJobConfig::new(cfg.quantum_len).with_reallocation_overhead(overhead),
+                &mut Scripted::ample(PROCESSORS),
+                SingleJobConfig::new(QUANTUM_LEN).with_reallocation_overhead(overhead),
             )
         };
-        cfg.overhead_fractions
+        OVERHEAD_FRACTIONS
             .iter()
             .map(|&fraction| {
                 [
@@ -97,7 +79,7 @@ pub fn overhead_sweep(cfg: &OverheadConfig) -> Vec<OverheadRow> {
             .collect::<Vec<[SingleJobRun; 2]>>()
     });
 
-    cfg.overhead_fractions
+    OVERHEAD_FRACTIONS
         .iter()
         .enumerate()
         .map(|(oi, &fraction)| {
@@ -120,21 +102,9 @@ pub fn overhead_sweep(cfg: &OverheadConfig) -> Vec<OverheadRow> {
 mod tests {
     use super::*;
 
-    fn tiny() -> OverheadConfig {
-        OverheadConfig {
-            overhead_fractions: vec![0.0, 0.2],
-            factors: vec![12],
-            jobs_per_factor: 4,
-            processors: 64,
-            quantum_len: 100,
-            pairs: 3,
-            seed: 31,
-        }
-    }
-
     #[test]
     fn agreedy_reallocates_far_more() {
-        let rows = overhead_sweep(&tiny());
+        let rows = overhead_sweep(None);
         for r in &rows {
             assert!(
                 r.agreedy_reallocations > 1.4 * r.abg_reallocations,
@@ -145,17 +115,17 @@ mod tests {
 
     #[test]
     fn overhead_widens_the_gap() {
-        let rows = overhead_sweep(&tiny());
+        let rows = overhead_sweep(None);
         let gap = |r: &OverheadRow| r.agreedy_time_norm - r.abg_time_norm;
         assert!(
-            gap(&rows[1]) > gap(&rows[0]),
+            gap(&rows[4]) > gap(&rows[0]),
             "pricing reallocations must widen A-Greedy's deficit: {rows:?}"
         );
     }
 
     #[test]
     fn zero_overhead_matches_baseline_engine() {
-        let rows = overhead_sweep(&tiny());
+        let rows = overhead_sweep(None);
         // With fraction 0 the engine must behave exactly like the plain
         // run; spot-check that normalized time is in the usual band.
         assert!(rows[0].abg_time_norm < 1.5, "{rows:?}");

@@ -14,35 +14,16 @@ use abg_workload::{paper_job, splitmix_seed};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Configuration of the robustness experiment. Both schedulers run with
-/// the paper's parameters ([`AControl::paper_default`],
-/// [`AGreedy::paper_default`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RobustnessConfig {
-    /// Jobs per profile class.
-    pub jobs_per_class: u32,
-    /// Machine size.
-    pub processors: u32,
-    /// Quantum length `L`.
-    pub quantum_len: u64,
-    /// Peak parallelism of the irregular profiles.
-    pub peak: u64,
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl RobustnessConfig {
-    /// Moderate default probe.
-    pub fn default_probe() -> Self {
-        Self {
-            jobs_per_class: 8,
-            processors: 128,
-            quantum_len: 100,
-            peak: 32,
-            seed: 0x0B57,
-        }
-    }
-}
+/// Jobs per profile class.
+const JOBS_PER_CLASS: u32 = 8;
+/// Machine size.
+const PROCESSORS: u32 = 128;
+/// Quantum length `L`.
+const QUANTUM_LEN: u64 = 100;
+/// Peak parallelism of the irregular profiles.
+const PEAK: u64 = 32;
+/// Recorded seed.
+const SEED: u64 = 0x0B57;
 
 /// One profile class's results.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,45 +49,49 @@ pub struct RobustnessRow {
 
 const CLASSES: [&str; 4] = ["fork-join", "random-walk", "bursty", "ramp"];
 
-fn make_job(class: &str, cfg: &RobustnessConfig, rng: &mut StdRng) -> PhasedJob {
-    let l = cfg.quantum_len;
+fn make_job(class: &str, rng: &mut StdRng) -> PhasedJob {
+    let l = QUANTUM_LEN;
     match class {
-        "fork-join" => paper_job(cfg.peak, l, 3, rng),
-        "random-walk" => random_walk_job(24, l / 2, cfg.peak, 2.0, rng),
-        "bursty" => bursty_job(30, l / 2, cfg.peak, 0.15, rng),
-        "ramp" => ramp_job(10, l / 2, cfg.peak),
+        "fork-join" => paper_job(PEAK, l, 3, rng),
+        "random-walk" => random_walk_job(24, l / 2, PEAK, 2.0, rng),
+        "bursty" => bursty_job(30, l / 2, PEAK, 0.15, rng),
+        "ramp" => ramp_job(10, l / 2, PEAK),
         other => unreachable!("unknown class {other}"),
     }
 }
 
-fn pair(job: &PhasedJob, cfg: &RobustnessConfig) -> (SingleJobRun, SingleJobRun) {
-    let sim = SingleJobConfig::new(cfg.quantum_len);
+fn pair(job: &PhasedJob) -> (SingleJobRun, SingleJobRun) {
+    let sim = SingleJobConfig::new(QUANTUM_LEN);
     let abg = run_single_job(
         &mut PipelinedExecutor::new(job),
         &mut AControl::paper_default(),
-        &mut Scripted::ample(cfg.processors),
+        &mut Scripted::ample(PROCESSORS),
         sim,
     );
     let agreedy = run_single_job(
         &mut PipelinedExecutor::new(job),
         &mut AGreedy::paper_default(),
-        &mut Scripted::ample(cfg.processors),
+        &mut Scripted::ample(PROCESSORS),
         sim,
     );
     (abg, agreedy)
 }
 
-/// Runs every profile class and returns one row per class.
-pub fn robustness_comparison(cfg: &RobustnessConfig) -> Vec<RobustnessRow> {
+/// Runs every profile class and returns one row per class. Both
+/// schedulers run with the paper's parameters
+/// ([`AControl::paper_default`], [`AGreedy::paper_default`]); `seed`
+/// overrides the recorded one.
+pub fn robustness_comparison(seed: Option<u64>) -> Vec<RobustnessRow> {
+    let seed = seed.unwrap_or(SEED);
     let classes: Vec<u64> = (0..CLASSES.len() as u64).collect();
-    let cells = per_cell(&classes, cfg.jobs_per_class, |class, index| {
-        let mut rng = StdRng::seed_from_u64(splitmix_seed(cfg.seed, class, index));
-        let job = make_job(CLASSES[class as usize], cfg, &mut rng);
+    let cells = per_cell(&classes, JOBS_PER_CLASS, |class, index| {
+        let mut rng = StdRng::seed_from_u64(splitmix_seed(seed, class, index));
+        let job = make_job(CLASSES[class as usize], &mut rng);
         let profile = job.profile();
-        let (abg, agreedy) = pair(&job, cfg);
+        let (abg, agreedy) = pair(&job);
         // (C_L, CV, changes per kilolevel, ABG run, A-Greedy run)
         (
-            job.transition_factor(cfg.quantum_len),
+            job.transition_factor(QUANTUM_LEN),
             profile.coefficient_of_variation(),
             profile.change_count() as f64 / profile.span() as f64 * 1000.0,
             abg,
@@ -134,19 +119,9 @@ pub fn robustness_comparison(cfg: &RobustnessConfig) -> Vec<RobustnessRow> {
 mod tests {
     use super::*;
 
-    fn tiny() -> RobustnessConfig {
-        RobustnessConfig {
-            jobs_per_class: 3,
-            processors: 64,
-            quantum_len: 40,
-            peak: 16,
-            seed: 9,
-        }
-    }
-
     #[test]
     fn all_classes_reported() {
-        let rows = robustness_comparison(&tiny());
+        let rows = robustness_comparison(None);
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(r.transition_factor >= 1.0, "{r:?}");
@@ -159,7 +134,7 @@ mod tests {
     fn abg_stays_competitive_on_irregular_profiles() {
         // ABG's advantage was proven for fork-join; the robustness claim
         // is that it does not fall behind A-Greedy on irregular shapes.
-        let rows = robustness_comparison(&tiny());
+        let rows = robustness_comparison(None);
         for r in &rows {
             assert!(
                 r.abg_time_norm <= r.agreedy_time_norm * 1.15,
@@ -171,7 +146,7 @@ mod tests {
 
     #[test]
     fn characteristics_separate_the_classes() {
-        let rows = robustness_comparison(&tiny());
+        let rows = robustness_comparison(None);
         let get = |name: &str| rows.iter().find(|r| r.class == name).unwrap();
         // The ramp changes gently but often; the bursty profile has the
         // extreme variance.
@@ -181,9 +156,6 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        assert_eq!(
-            robustness_comparison(&tiny()),
-            robustness_comparison(&tiny())
-        );
+        assert_eq!(robustness_comparison(None), robustness_comparison(None));
     }
 }

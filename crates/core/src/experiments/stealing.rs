@@ -16,38 +16,17 @@ use abg_sim::{run_single_job, SingleJobConfig};
 use abg_steal::{abp_request, ASteal, StealExecutor};
 use abg_workload::splitmix_seed;
 
-/// Configuration of the stealing comparison. Both A-Control rows run
-/// with the paper's rate ([`AControl::paper_default`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StealingConfig {
-    /// Transition factors of the probe jobs.
-    pub factors: Vec<u64>,
-    /// Jobs per factor.
-    pub jobs_per_factor: u32,
-    /// Machine size.
-    pub processors: u32,
-    /// Quantum length `L`.
-    pub quantum_len: u64,
-    /// Phase pairs per job (jobs are lowered to explicit dags, so keep
-    /// them modest).
-    pub pairs: u64,
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl StealingConfig {
-    /// A moderate default probe.
-    pub fn default_probe() -> Self {
-        Self {
-            factors: vec![4, 8, 16],
-            jobs_per_factor: 4,
-            processors: 32,
-            quantum_len: 50,
-            pairs: 2,
-            seed: 0x0005_7EA1,
-        }
-    }
-}
+/// The probe jobs: transition factors, jobs per factor, phase pairs
+/// per job (they are lowered to explicit dags, so they stay modest).
+const FACTORS: [u64; 3] = [4, 8, 16];
+const JOBS_PER_FACTOR: u32 = 4;
+const PAIRS: u64 = 2;
+/// Machine size.
+const PROCESSORS: u32 = 32;
+/// Quantum length `L`.
+const QUANTUM_LEN: u64 = 50;
+/// Recorded seed.
+const SEED: u64 = 0x0005_7EA1;
 
 /// Mean quality of one scheduler across the probe jobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,18 +51,20 @@ const SCHEDULERS: [&str; 4] = [
 
 /// Runs the four schedulers over the probe jobs and returns one row per
 /// scheduler: centralized ABG, A-Steal, ABP, and A-Control over
-/// stealing.
-pub fn stealing_comparison(cfg: &StealingConfig) -> Vec<StealRow> {
-    let sim_cfg = SingleJobConfig::new(cfg.quantum_len);
-    let runs = per_cell(&cfg.factors, cfg.jobs_per_factor, |factor, index| {
-        let job = probe_job(cfg.seed, factor, index, cfg.quantum_len, cfg.pairs);
+/// stealing. Both A-Control rows run with the paper's rate
+/// ([`AControl::paper_default`]); `seed` overrides the recorded one.
+pub fn stealing_comparison(seed: Option<u64>) -> Vec<StealRow> {
+    let seed = seed.unwrap_or(SEED);
+    let sim_cfg = SingleJobConfig::new(QUANTUM_LEN);
+    let runs = per_cell(&FACTORS, JOBS_PER_FACTOR, |factor, index| {
+        let job = probe_job(seed, factor, index, QUANTUM_LEN, PAIRS);
         let dag = job.to_explicit();
-        let steal_seed = splitmix_seed(cfg.seed ^ 0x5EED, factor, index);
+        let steal_seed = splitmix_seed(seed ^ 0x5EED, factor, index);
         let steal = |mut request: &mut dyn Controller| {
             run_single_job(
                 &mut StealExecutor::new(&dag, steal_seed),
                 &mut request,
-                &mut Scripted::ample(cfg.processors),
+                &mut Scripted::ample(PROCESSORS),
                 sim_cfg,
             )
         };
@@ -91,11 +72,11 @@ pub fn stealing_comparison(cfg: &StealingConfig) -> Vec<StealRow> {
             run_single_job(
                 &mut PipelinedExecutor::new(job),
                 &mut AControl::paper_default(),
-                &mut Scripted::ample(cfg.processors),
+                &mut Scripted::ample(PROCESSORS),
                 sim_cfg,
             ),
             steal(&mut ASteal::paper_default()),
-            steal(&mut abp_request(cfg.processors)),
+            steal(&mut abp_request(PROCESSORS)),
             steal(&mut AControl::paper_default()),
         ]
     });
@@ -114,20 +95,9 @@ pub fn stealing_comparison(cfg: &StealingConfig) -> Vec<StealRow> {
 mod tests {
     use super::*;
 
-    fn tiny() -> StealingConfig {
-        StealingConfig {
-            factors: vec![4, 8],
-            jobs_per_factor: 2,
-            processors: 16,
-            quantum_len: 25,
-            pairs: 2,
-            seed: 5,
-        }
-    }
-
     #[test]
     fn four_schedulers_reported() {
-        let rows = stealing_comparison(&tiny());
+        let rows = stealing_comparison(None);
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(r.time_norm >= 1.0 - 1e-9, "{r:?}");
@@ -139,7 +109,7 @@ mod tests {
     fn feedback_beats_abp_on_waste() {
         // The headline of [2]: parallelism feedback slashes waste
         // relative to always-ask-for-everything ABP.
-        let rows = stealing_comparison(&tiny());
+        let rows = stealing_comparison(None);
         let waste = |name: &str| {
             rows.iter()
                 .find(|r| r.scheduler.starts_with(name))
@@ -158,6 +128,6 @@ mod tests {
 
     #[test]
     fn comparison_is_deterministic() {
-        assert_eq!(stealing_comparison(&tiny()), stealing_comparison(&tiny()));
+        assert_eq!(stealing_comparison(None), stealing_comparison(None));
     }
 }

@@ -7,38 +7,16 @@
 
 use abg_alloc::Scripted;
 use abg_control::{AControl, AGreedy, Controller};
-use abg_dag::generate::chain_bundle;
-use abg_sched::executor::OwnedBGreedyExecutor;
+use abg_dag::PhasedJob;
+use abg_sched::PipelinedExecutor;
 use abg_sim::{run_single_job, SingleJobConfig};
 
-/// Configuration of the transient-behaviour comparison. Both
-/// controllers run with the paper's parameters
-/// ([`AControl::paper_default`], [`AGreedy::paper_default`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransientConfig {
-    /// The constant parallelism `A` of the synthetic job.
-    pub parallelism: u64,
-    /// Quantum length `L` in steps.
-    pub quantum_len: u64,
-    /// Number of quanta to report (the job is sized to last at least
-    /// this long).
-    pub quanta: u32,
-    /// Machine size (every request up to this is granted).
-    pub processors: u32,
-}
-
-impl TransientConfig {
-    /// The paper's Figure-4 setting: constant parallelism 10 over 8
-    /// quanta, `r = 0.2`, `ρ = 2`.
-    pub fn paper() -> Self {
-        Self {
-            parallelism: 10,
-            quantum_len: 1000,
-            quanta: 8,
-            processors: 128,
-        }
-    }
-}
+/// The constant parallelism `A` of the synthetic job.
+const PARALLELISM: u64 = 10;
+/// Quantum length `L` in steps.
+const QUANTUM_LEN: u64 = 1000;
+/// Machine size: every request up to it is granted.
+const PROCESSORS: u32 = 128;
 
 /// One quantum of a request trajectory.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,27 +40,22 @@ pub struct TransientResult {
     pub agreedy: Vec<TrajectoryPoint>,
 }
 
-fn trajectory<C: Controller>(cfg: &TransientConfig, mut calculator: C) -> Vec<TrajectoryPoint> {
+fn trajectory<C: Controller>(quanta: u32, mut calculator: C) -> Vec<TrajectoryPoint> {
     // Size the job so it cannot finish before `quanta` quanta even at
-    // full allotment (one level per step once a ≥ A). The job is a
-    // *chain bundle*, not a barrier job: constant parallelism means
-    // `parallelism` ready tasks on every step, so any allotment at or
-    // below it achieves full utilization (the regime of Figures 1/4).
-    let levels = cfg.quantum_len * (cfg.quanta as u64 + 2);
-    let mut executor = OwnedBGreedyExecutor::new(chain_bundle(
-        u32::try_from(cfg.parallelism).expect("parallelism fits u32"),
-        u32::try_from(levels).expect("trajectory job fits u32 levels"),
-    ));
-    let mut allocator = Scripted::ample(cfg.processors);
+    // full allotment (one level per step once a ≥ A). Constant
+    // parallelism means `A` ready tasks on every step, so any allotment
+    // at or below it achieves full utilization (the regime of Figures
+    // 1/4).
+    let levels = QUANTUM_LEN * (u64::from(quanta) + 2);
     let run = run_single_job(
-        &mut executor,
+        &mut PipelinedExecutor::new(PhasedJob::constant(PARALLELISM, levels)),
         &mut calculator,
-        &mut allocator,
-        SingleJobConfig::new(cfg.quantum_len).with_trace(),
+        &mut Scripted::ample(PROCESSORS),
+        SingleJobConfig::new(QUANTUM_LEN).with_trace(),
     );
     run.trace
         .iter()
-        .take(cfg.quanta as usize)
+        .take(quanta as usize)
         .map(|r| TrajectoryPoint {
             quantum: r.index,
             request: r.request,
@@ -91,17 +64,20 @@ fn trajectory<C: Controller>(cfg: &TransientConfig, mut calculator: C) -> Vec<Tr
         .collect()
 }
 
-/// Runs the Figure-1/Figure-4 comparison.
+/// Runs the Figure-1/Figure-4 comparison over the first `quanta` quanta
+/// of the paper's setting: constant parallelism `A = 10`, `L = 1000`,
+/// 128 processors, both controllers at the paper's parameters
+/// ([`AControl::paper_default`], [`AGreedy::paper_default`]).
 ///
 /// # Panics
 ///
-/// Panics on nonsensical configs (zero parallelism/quanta).
-pub fn transient_comparison(cfg: &TransientConfig) -> TransientResult {
-    assert!(cfg.parallelism > 0 && cfg.quanta > 0);
+/// Panics if `quanta` is zero.
+pub fn transient_comparison(quanta: u32) -> TransientResult {
+    assert!(quanta > 0, "a trajectory needs at least one quantum");
     TransientResult {
-        parallelism: cfg.parallelism,
-        abg: trajectory(cfg, AControl::paper_default()),
-        agreedy: trajectory(cfg, AGreedy::paper_default()),
+        parallelism: PARALLELISM,
+        abg: trajectory(quanta, AControl::paper_default()),
+        agreedy: trajectory(quanta, AGreedy::paper_default()),
     }
 }
 
@@ -109,18 +85,9 @@ pub fn transient_comparison(cfg: &TransientConfig) -> TransientResult {
 mod tests {
     use super::*;
 
-    fn cfg() -> TransientConfig {
-        TransientConfig {
-            parallelism: 10,
-            quantum_len: 50,
-            quanta: 8,
-            processors: 128,
-        }
-    }
-
     #[test]
     fn abg_trajectory_matches_theorem1_shape() {
-        let res = transient_comparison(&cfg());
+        let res = transient_comparison(8);
         assert_eq!(res.abg.len(), 8);
         let a = res.parallelism as f64;
         // Monotone approach, no overshoot, geometric with ratio r.
@@ -135,7 +102,7 @@ mod tests {
 
     #[test]
     fn agreedy_trajectory_oscillates() {
-        let res = transient_comparison(&cfg());
+        let res = transient_comparison(8);
         let reqs: Vec<f64> = res.agreedy.iter().map(|p| p.request).collect();
         // The desire must exceed A at least once (overshoot) and the
         // trajectory must not settle.
@@ -152,14 +119,14 @@ mod tests {
 
     #[test]
     fn first_request_is_one_for_both() {
-        let res = transient_comparison(&cfg());
+        let res = transient_comparison(8);
         assert_eq!(res.abg[0].request, 1.0);
         assert_eq!(res.agreedy[0].request, 1.0);
     }
 
     #[test]
     fn allotments_track_requests_under_ample_availability() {
-        let res = transient_comparison(&cfg());
+        let res = transient_comparison(8);
         for p in res.abg.iter().chain(&res.agreedy) {
             assert_eq!(p.allotment, p.request.ceil() as u32);
         }

@@ -8,85 +8,12 @@
 //! completion or request change — and jumps between them with
 //! [`QuantumCore::advance_frozen`](abg_sim::QuantumCore::advance_frozen).
 //!
-//! This module supplies the two driver-level pieces:
-//!
-//! * [`ArrivalCalendar`] — the pending-arrival queue fed by
-//!   [`ArrivalStream::next_batch`], so trace-driven streams refill in
-//!   blocks instead of one stream call per arrival;
-//! * [`frozen_window_bound`] — the arithmetic folding the driver-level
-//!   event horizons into the largest quantum count the next frozen
-//!   window may cover without skipping an observable event.
-//!
-//! The split keeps the driver loop free of event bookkeeping and makes
-//! the bounds unit-testable against the legacy loop's admission and
-//! check points.
-
-use abg_workload::{ArrivalProcess, ArrivalStream};
-use rand::Rng;
-use std::collections::VecDeque;
-
-/// How many arrivals a trace-driven calendar pre-draws per refill.
-const TRACE_BATCH: usize = 64;
-
-/// A pending-event queue of upcoming arrival times.
-///
-/// Wraps an [`ArrivalStream`] and hands out arrival times one at a
-/// time, refilling an internal buffer in batches via
-/// [`ArrivalStream::next_batch`]. The batch size is chosen per process
-/// so the RNG consumption order is *identical* to calling
-/// [`ArrivalStream::next_arrival`] once per arrival:
-///
-/// * **Trace** streams consume no randomness, so the calendar pre-draws
-///   `TRACE_BATCH` (64) gaps per refill;
-/// * **Poisson** streams draw one `f64` per gap from the same RNG the
-///   driver's job generator samples from, interleaved
-///   gap/job/gap/job… — batching those draws would reorder the stream
-///   and move every pinned `open_fingerprint`, so the calendar keeps a
-///   lookahead of exactly one.
-#[derive(Debug, Clone)]
-pub struct ArrivalCalendar {
-    stream: ArrivalStream,
-    pending: VecDeque<u64>,
-    batch: usize,
-    /// Refill scratch reused across batches, so the steady-state loop
-    /// allocates nothing per refill.
-    refill: Vec<u64>,
-}
-
-impl ArrivalCalendar {
-    /// Starts a calendar over a fresh stream of `process` from time 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid process (see [`ArrivalProcess::stream`]).
-    pub fn new(process: &ArrivalProcess) -> Self {
-        let batch = match process {
-            ArrivalProcess::Poisson { .. } => 1,
-            ArrivalProcess::Trace { .. } => TRACE_BATCH,
-        };
-        Self {
-            stream: process.stream(),
-            pending: VecDeque::new(),
-            batch,
-            refill: Vec::new(),
-        }
-    }
-
-    /// Consumes and returns the next arrival time (absolute step).
-    ///
-    /// Bit-identical to [`ArrivalStream::next_arrival`] on the same
-    /// stream and RNG, draw for draw.
-    pub fn next_arrival<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
-        if self.pending.is_empty() {
-            // `next_batch` appends, so the scratch is cleared first; the
-            // buffer itself persists across refills.
-            self.refill.clear();
-            self.stream.next_batch(self.batch, rng, &mut self.refill);
-            self.pending.extend(self.refill.iter().copied());
-        }
-        self.pending.pop_front().expect("batch refill is non-empty")
-    }
-}
+//! This module supplies the driver-level piece: [`frozen_window_bound`],
+//! the arithmetic folding the driver-level event horizons into the
+//! largest quantum count the next frozen window may cover without
+//! skipping an observable event. Keeping it here keeps the driver loop
+//! free of event bookkeeping and makes the bound unit-testable against
+//! the legacy loop's admission and check points.
 
 /// The largest number of quanta the next frozen window may cover
 /// without stepping over a driver-level event, given the current
@@ -127,51 +54,6 @@ pub fn frozen_window_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
-
-    #[test]
-    fn calendar_matches_the_raw_stream_for_both_processes() {
-        for process in [
-            ArrivalProcess::Poisson { mean_gap: 25.0 },
-            ArrivalProcess::Trace {
-                gaps: vec![7, 0, 3, 12],
-            },
-        ] {
-            let mut raw_rng = StdRng::seed_from_u64(0xCA1);
-            let mut cal_rng = StdRng::seed_from_u64(0xCA1);
-            let mut raw = process.stream();
-            let mut cal = ArrivalCalendar::new(&process);
-            for i in 0..200 {
-                assert_eq!(
-                    cal.next_arrival(&mut cal_rng),
-                    raw.next_arrival(&mut raw_rng),
-                    "arrival {i} diverged for {process:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn poisson_calendar_keeps_lookahead_one() {
-        // Interleave arrival draws with unrelated draws from the same
-        // RNG — the pattern of the fingerprint-pinned sweeps. The
-        // calendar must consume exactly one draw per arrival, in order.
-        let process = ArrivalProcess::Poisson { mean_gap: 25.0 };
-        let mut raw_rng = StdRng::seed_from_u64(0xCA2);
-        let mut cal_rng = StdRng::seed_from_u64(0xCA2);
-        let mut raw = process.stream();
-        let mut cal = ArrivalCalendar::new(&process);
-        for _ in 0..100 {
-            assert_eq!(
-                cal.next_arrival(&mut cal_rng),
-                raw.next_arrival(&mut raw_rng)
-            );
-            let a: u64 = cal_rng.random();
-            let b: u64 = raw_rng.random();
-            assert_eq!(a, b, "RNG interleave broken");
-        }
-    }
 
     #[test]
     fn window_bound_respects_each_horizon() {

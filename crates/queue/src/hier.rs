@@ -29,7 +29,7 @@
 //! Nothing delegates: `groups = 1` is the one-group case of the same
 //! loop. What a group's arrivals come from follows from the group count
 //! alone. One group draws gaps and job structures from one RNG seeded
-//! with the run seed, through the [`ArrivalCalendar`]. `G ≥ 2` groups
+//! with the run seed, straight from its [`ArrivalStream`]. `G ≥ 2` groups
 //! each replay the shared router path and draw each job from its own
 //! per-arrival seed (see [`shard`](crate::shard)). With one group the
 //! sum invariant pins the capacity at `P`, which makes the slowdown
@@ -64,7 +64,7 @@
 //! under any policy matches the unsharded reference bit-for-bit.
 
 use crate::driver::{ConfigError, OpenConfig, OpenOutcome};
-use crate::events::{frozen_window_bound, ArrivalCalendar};
+use crate::events::frozen_window_bound;
 use crate::saturation::{SaturationDetector, SaturationReason};
 use crate::shard::{
     job_seed, measured_assigned, merge_reports, ShardArrivals, ShardReport, ShardRouting,
@@ -73,6 +73,7 @@ use abg_alloc::Allocator;
 use abg_control::{equi_partition, Controller, GroupAllocator, GroupDesire};
 use abg_sched::JobExecutor;
 use abg_sim::{CompletedJob, NullProbe, Probe, QuantumCore};
+use abg_workload::ArrivalStream;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
@@ -175,11 +176,11 @@ enum GroupStatus {
 enum ArrivalSource {
     /// One group owns the machine: one RNG seeded from the run seed
     /// draws the arrival gaps and every job structure, interleaved
-    /// gap/job/gap… through the calendar's lookahead of one — the order
-    /// the pinned unsharded fingerprints depend on. Every arrival is
-    /// admitted here, so the admission id is the global index.
-    Calendar {
-        calendar: ArrivalCalendar,
+    /// gap/job/gap… one arrival at a time — the order the pinned
+    /// unsharded fingerprints depend on. Every arrival is admitted
+    /// here, so the admission id is the global index.
+    Stream {
+        stream: ArrivalStream,
         rng: StdRng,
         /// Arrivals drawn so far: the global index of the next one.
         drawn: u64,
@@ -198,8 +199,8 @@ enum ArrivalSource {
 impl ArrivalSource {
     fn new(cfg: &HierOpenConfig, group: u32) -> Self {
         if cfg.groups == 1 {
-            ArrivalSource::Calendar {
-                calendar: ArrivalCalendar::new(&cfg.open.arrivals),
+            ArrivalSource::Stream {
+                stream: cfg.open.arrivals.stream(),
                 rng: StdRng::seed_from_u64(cfg.open.seed),
                 drawn: 0,
             }
@@ -214,14 +215,10 @@ impl ArrivalSource {
     /// The next arrival of this group as `(global index, time)`.
     fn next(&mut self, cfg: &HierOpenConfig) -> (u64, u64) {
         match self {
-            ArrivalSource::Calendar {
-                calendar,
-                rng,
-                drawn,
-            } => {
+            ArrivalSource::Stream { stream, rng, drawn } => {
                 let global = *drawn;
                 *drawn += 1;
-                (global, calendar.next_arrival(rng))
+                (global, stream.next_arrival(rng))
             }
             ArrivalSource::Routed { router, .. } => router.next(cfg),
         }
@@ -240,7 +237,7 @@ impl ArrivalSource {
         E: FnMut(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send>,
     {
         match self {
-            ArrivalSource::Calendar { rng, .. } => make_executor(rng, recycled),
+            ArrivalSource::Stream { rng, .. } => make_executor(rng, recycled),
             ArrivalSource::Routed { globals, .. } => {
                 globals.push(global);
                 make_executor(&mut StdRng::seed_from_u64(job_seed(seed, global)), recycled)
@@ -251,7 +248,7 @@ impl ArrivalSource {
     /// The global arrival index of the job admitted with local id `id`.
     fn global(&self, id: u64) -> u64 {
         match self {
-            ArrivalSource::Calendar { .. } => id,
+            ArrivalSource::Stream { .. } => id,
             ArrivalSource::Routed { globals, .. } => globals[id as usize],
         }
     }

@@ -139,12 +139,12 @@ proptest! {
         );
         assert_outcome_invariants(&cfg, &unsharded, "unsharded");
 
-        // Fixed partitions, routed by job-seed hash.
+        // Fixed partitions, routed round-robin.
         for groups in [2u32, 4] {
             let fixed = HierOpenConfig {
                 open: cfg.clone(),
                 groups,
-                routing: ShardRouting::HashJobSeed,
+                routing: ShardRouting::RoundRobin,
                 realloc_epoch: u64::MAX,
                 group_floor: 1,
             };

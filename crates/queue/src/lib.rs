@@ -15,8 +15,7 @@
 //!   total number of arrivals, plus the configuration and outcome types
 //!   every entry point shares;
 //! * [`events`] — the pending-event layer behind the loop: the
-//!   batched [`ArrivalCalendar`] and the frozen-window bound
-//!   arithmetic;
+//!   frozen-window bound arithmetic;
 //! * [`stats`] — [`batch_means`] confidence intervals and nearest-rank
 //!   [`percentiles`] for steady-state output analysis;
 //! * [`saturation`] — the [`SaturationDetector`] queue-length trend
@@ -111,7 +110,6 @@ pub use driver::{
     run_open_system, run_open_system_probed, ConfigError, OpenConfig, OpenOutcome, SteadyStats,
     UnstableReport,
 };
-pub use events::ArrivalCalendar;
 pub use hier::{
     run_open_hierarchical_detailed, run_open_hierarchical_with_threads, GroupSummary,
     HierOpenConfig,

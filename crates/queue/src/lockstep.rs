@@ -73,7 +73,7 @@ fn config(rho: f64, poisson: bool, seed: u64) -> OpenConfig {
 
 /// Heterogeneous population sampled from the driver's RNG — every
 /// arrival consumes structure draws interleaved with the Poisson gap
-/// draws, pinning the calendar's lookahead-of-one RNG discipline.
+/// draws, pinning the one-arrival-at-a-time RNG discipline.
 fn make_executor(
     rng: &mut StdRng,
     _recycled: Option<Box<dyn JobExecutor + Send>>,

@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// The pre-event-driven open-system driver: steps the core one quantum
-/// at a time with no frozen windows and no arrival calendar.
+/// at a time with no frozen windows.
 ///
 /// Exists solely as the ground truth the event-driven driver is
 /// differentially tested against.

@@ -48,10 +48,6 @@ pub enum ShardRouting {
     /// Global arrival `g` goes to group `g mod G` — a perfectly even
     /// split of the arrival count.
     RoundRobin,
-    /// Global arrival `g` goes to the group selected by a SplitMix64
-    /// hash of its job seed — an i.i.d. uniform split, the statistical
-    /// model of load-oblivious dispatching.
-    HashJobSeed,
     /// Deterministic skew: the first `hot` arrivals of every
     /// `hot + (G - 1)`-arrival cycle go to group 0, the rest
     /// round-robin over groups `1..G` — a `hot : 1` load concentration
@@ -80,9 +76,6 @@ pub(crate) fn job_seed(seed: u64, global: u64) -> u64 {
 pub(crate) fn route(cfg: &HierOpenConfig, global: u64) -> u32 {
     match cfg.routing {
         ShardRouting::RoundRobin => (global % cfg.groups as u64) as u32,
-        ShardRouting::HashJobSeed => {
-            (splitmix_seed(job_seed(cfg.open.seed, global), 0, 3) % cfg.groups as u64) as u32
-        }
         ShardRouting::Skewed { hot } => {
             let cycle = hot as u64 + cfg.groups as u64 - 1;
             if cycle == 0 {
@@ -286,7 +279,7 @@ mod tests {
 
     #[test]
     fn routing_policies_cover_every_shard_and_are_deterministic() {
-        for routing in [ShardRouting::RoundRobin, ShardRouting::HashJobSeed] {
+        for routing in [ShardRouting::RoundRobin, ShardRouting::Skewed { hot: 2 }] {
             let cfg = config(0.5, 4, routing);
             let total: u64 = (0..4).map(|k| measured_assigned(&cfg, k)).sum();
             assert_eq!(total, cfg.open.measured_jobs, "{routing:?}");
@@ -345,7 +338,7 @@ mod tests {
 
     #[test]
     fn outcome_is_independent_of_thread_count_and_schedule() {
-        for routing in [ShardRouting::RoundRobin, ShardRouting::HashJobSeed] {
+        for routing in [ShardRouting::RoundRobin, ShardRouting::Skewed { hot: 2 }] {
             let cfg = config(0.5, 4, routing);
             let baseline = run(&cfg, 1);
             assert!(baseline.is_steady(), "{routing:?}");
@@ -395,10 +388,10 @@ mod tests {
         // both runs measure the same population — the split, not the
         // jobs, is what changes.
         let rr = run(&config(0.4, 4, ShardRouting::RoundRobin), 2);
-        let hash = run(&config(0.4, 4, ShardRouting::HashJobSeed), 2);
-        let (rr, hash) = (rr.steady().unwrap(), hash.steady().unwrap());
+        let skewed = run(&config(0.4, 4, ShardRouting::Skewed { hot: 2 }), 2);
+        let (rr, skewed) = (rr.steady().unwrap(), skewed.steady().unwrap());
         // Constant jobs here, so responses differ only through queueing;
         // both must be steady with the full measured count.
-        assert_eq!(rr.completed, hash.completed);
+        assert_eq!(rr.completed, skewed.completed);
     }
 }

@@ -19,9 +19,11 @@
 //!
 //! [`PipelinedExecutor`] is the fast-forward executor for compact
 //! [`abg_dag::PhasedJob`]s: one `O(1)` update per phase touched instead
-//! of one per task, bit-for-bit equivalent to running
-//! [`BGreedyExecutor`] on the lowered explicit dag — a property the
-//! test-suite checks. A barrier job ([`abg_dag::PhasedJob::barrier`])
+//! of one per task, equivalent to running [`BGreedyExecutor`] on the
+//! lowered explicit dag — the test-suite checks work, worked steps and
+//! completion exactly and the fractional span within `1e-9` (it is
+//! summed per phase here, per task there, so the last bits can
+//! differ). A barrier job ([`abg_dag::PhasedJob::barrier`])
 //! is a `PhasedJob` of one-level phases and runs through the same
 //! executor.
 //!

@@ -13,13 +13,11 @@ use abg_sched::JobExecutor;
 pub struct SingleJobConfig {
     /// Quantum length `L` in steps.
     pub quantum_len: u64,
-    /// Record a [`QuantumRecord`] per quantum (needed for trajectory
-    /// figures and trim analysis; costs memory on long runs).
+    /// Record a [`QuantumRecord`] per quantum, availability `p(q)`
+    /// included (needed for trajectory figures and trim analysis; costs
+    /// memory on long runs, and some allocators compute the
+    /// availability by re-running their policy).
     pub record_trace: bool,
-    /// Also query the allocator for the availability `p(q)` each quantum
-    /// (requires trace recording; some allocators compute this by
-    /// re-running their policy).
-    pub record_availability: bool,
     /// Steps lost at the start of every quantum whose allotment differs
     /// from the previous quantum's (processor migration, cache warm-up
     /// — the overhead the paper's simulations ignore but its motivation
@@ -42,7 +40,6 @@ impl SingleJobConfig {
         Self {
             quantum_len,
             record_trace: false,
-            record_availability: false,
             reallocation_overhead: 0,
             max_quanta: 100_000_000,
         }
@@ -51,7 +48,6 @@ impl SingleJobConfig {
     /// Enables per-quantum tracing (with availability recording).
     pub fn with_trace(mut self) -> Self {
         self.record_trace = true;
-        self.record_availability = true;
         self
     }
 
@@ -170,12 +166,7 @@ where
         };
     }
     let probe = if config.record_trace {
-        let p = TraceProbe::new();
-        if config.record_availability {
-            p.with_availability()
-        } else {
-            p
-        }
+        TraceProbe::new().with_availability()
     } else {
         TraceProbe::disabled()
     };

@@ -91,7 +91,7 @@ pub struct StealExecutor<D: Borrow<ExplicitDag>> {
     pending: Vec<Option<TaskId>>,
     completed: u64,
     /// Processor-step units executed (weighted dags count partial
-    /// progress; equals `completed` on unit dags, where it is unused).
+    /// progress; equals `completed` on unit dags).
     worked: u64,
     elapsed: u64,
     steal_cycles: u64,
@@ -101,9 +101,10 @@ pub struct StealExecutor<D: Borrow<ExplicitDag>> {
     seed: u64,
     /// Scratch: tasks executed this step (children enabled after).
     batch: Vec<(usize, TaskId)>,
-    /// Weighted dags only: the task each processor is currently
-    /// executing, with residual cost. A running task is pinned to its
-    /// processor (non-preemptive) and not stealable.
+    /// Weighted dags only (a unit task completes in the step that takes
+    /// it): the task each processor is currently executing, with
+    /// residual cost. A running task is pinned to its processor
+    /// (non-preemptive) and not stealable.
     running: Vec<Option<(TaskId, u64)>>,
     /// Weighted dags only: partially-executed tasks orphaned by an
     /// allotment shrink; their residual work resumes on whichever
@@ -200,64 +201,18 @@ impl<D: Borrow<ExplicitDag>> StealExecutor<D> {
         }
     }
 
-    /// One synchronous step over `a` processors; returns tasks executed
-    /// and adds each one's fractional span contribution to `span`.
+    /// One synchronous step over `a` processors: each one advances its
+    /// running task by one unit, acquiring a new task when idle (paused
+    /// residual first, then loot from last step's steal, then its own
+    /// deque bottom, then one steal attempt). Completions are processed
+    /// after the whole round and add their fractional span to `span`.
+    /// Returns processor-step units executed. On a unit dag every task
+    /// completes in the step that acquires it, so nothing runs on or is
+    /// paused and a unit is a task.
     fn step(&mut self, a: usize, span: &mut f64) -> u64 {
-        self.batch.clear();
-        for p in 0..a {
-            // Loot from last step's steal runs first; then the owner's
-            // own deque; an empty-handed processor tries one steal.
-            if let Some(t) = self.pending[p].take() {
-                self.batch.push((p, t));
-            } else if let Some(t) = self.deques[p].pop_back() {
-                self.batch.push((p, t));
-            } else if a > 1 {
-                let victim = self.rng.random_range(0..a - 1);
-                let victim = if victim >= p { victim + 1 } else { victim };
-                self.steal_cycles += 1;
-                // Stolen work is held in hand and executed next step
-                // (the steal consumed this one); in-hand tasks cannot
-                // be re-stolen, which rules out steal ping-pong.
-                self.pending[p] = self.deques[victim].pop_front();
-            } else {
-                self.steal_cycles += 1; // alone with an empty deque
-            }
-        }
-        // Execute the batch; enabled children go to the executor's own
-        // deque bottom (depth-first, the classic work-stealing order).
-        // The dag is borrowed once per step and the quantum span is
-        // accumulated per task from the precomputed reciprocal level
-        // sizes, replacing the old per-quantum clone-and-rescan of a
-        // per-level counter vector.
         let dag = self.dag.borrow();
-        let recips = dag.level_recips();
-        for i in 0..self.batch.len() {
-            let (p, t) = self.batch[i];
-            *span += recips[dag.level(t) as usize];
-            for &s in dag.successors(t) {
-                let r = &mut self.remaining_preds[s.index()];
-                *r -= 1;
-                if *r == 0 {
-                    self.deques[p].push_back(s);
-                }
-            }
-        }
-        let done = self.batch.len() as u64;
-        self.completed += done;
-        done
-    }
-
-    /// One synchronous weighted step: each processor advances its running
-    /// task by one unit, acquiring a new task (paused residual first, then
-    /// loot, then its own deque bottom, then a steal attempt) when idle.
-    /// Completions are processed after the whole round, exactly like the
-    /// unit step. Returns processor-step units executed.
-    fn step_weighted(&mut self, a: usize, span: &mut f64) -> u64 {
-        let wp = self
-            .dag
-            .borrow()
-            .weight_profile()
-            .expect("weighted step requires a weight table");
+        let wp = dag.weight_profile().filter(|_| !dag.is_unit_weight());
+        let cost = |t| wp.map_or(1, |wp| wp.cost(t));
         self.batch.clear();
         let mut units = 0u64;
         for p in 0..a {
@@ -266,10 +221,13 @@ impl<D: Borrow<ExplicitDag>> StealExecutor<D> {
             } else if let Some(slot) = self.paused.pop() {
                 Some(slot)
             } else if let Some(t) = self.pending[p].take() {
-                Some((t, wp.cost(t)))
+                Some((t, cost(t)))
             } else if let Some(t) = self.deques[p].pop_back() {
-                Some((t, wp.cost(t)))
+                Some((t, cost(t)))
             } else {
+                // Stolen work is held in hand and executed next step
+                // (the steal consumed this one); in-hand tasks cannot
+                // be re-stolen, which rules out steal ping-pong.
                 if a > 1 {
                     let victim = self.rng.random_range(0..a - 1);
                     let victim = if victim >= p { victim + 1 } else { victim };
@@ -288,11 +246,17 @@ impl<D: Borrow<ExplicitDag>> StealExecutor<D> {
             }
         }
         self.worked += units;
-        let dag = self.dag.borrow();
+        // Enabled children go to the executor's own deque bottom
+        // (depth-first, the classic work-stealing order). A unit task's
+        // span is its level's precomputed reciprocal size.
+        let recips = dag.level_recips();
         for i in 0..self.batch.len() {
             let (p, t) = self.batch[i];
             let l = dag.level(t) as usize;
-            *span += wp.span_contribution(wp.cost(t), l);
+            *span += match wp {
+                Some(wp) => wp.span_contribution(wp.cost(t), l),
+                None => recips[l],
+            };
             for &s in dag.successors(t) {
                 let r = &mut self.remaining_preds[s.index()];
                 *r -= 1;
@@ -304,41 +268,10 @@ impl<D: Borrow<ExplicitDag>> StealExecutor<D> {
         self.completed += self.batch.len() as u64;
         units
     }
-
-    /// The weighted quantum loop (same shape as the unit one; a step is
-    /// "worked" when at least one processor executed a work unit).
-    fn run_quantum_weighted(&mut self, allotment: u32, steps: u64) -> QuantumStats {
-        let mut work = 0u64;
-        let mut steps_worked = 0u64;
-        let mut span = 0.0f64;
-        self.resize(allotment as usize);
-        for _ in 0..steps {
-            if self.is_complete() {
-                break;
-            }
-            let units = self.step_weighted(allotment as usize, &mut span);
-            work += units;
-            if units > 0 {
-                steps_worked += 1;
-            }
-            self.elapsed += 1;
-        }
-        QuantumStats {
-            allotment,
-            quantum_len: steps,
-            steps_worked,
-            work,
-            span,
-            completed: self.is_complete(),
-        }
-    }
 }
 
 impl<D: Borrow<ExplicitDag>> JobExecutor for StealExecutor<D> {
     fn run_quantum(&mut self, allotment: u32, steps: u64) -> QuantumStats {
-        if allotment > 0 && !self.dag.borrow().is_unit_weight() {
-            return self.run_quantum_weighted(allotment, steps);
-        }
         let mut work = 0u64;
         let mut steps_worked = 0u64;
         let mut span = 0.0f64;
@@ -348,13 +281,13 @@ impl<D: Borrow<ExplicitDag>> JobExecutor for StealExecutor<D> {
                 if self.is_complete() {
                     break;
                 }
-                let done = self.step(allotment as usize, &mut span);
-                work += done;
+                let units = self.step(allotment as usize, &mut span);
+                work += units;
                 // `steps_worked` honours the JobExecutor contract (steps
-                // in which at least one task ran); a step lost entirely
+                // in which at least one unit ran); a step lost entirely
                 // to failed steals consumes wall-clock but no work, so
                 // quanta containing one are correctly not "full".
-                if done > 0 {
+                if units > 0 {
                     steps_worked += 1;
                 }
                 self.elapsed += 1;
@@ -383,11 +316,7 @@ impl<D: Borrow<ExplicitDag>> JobExecutor for StealExecutor<D> {
     }
 
     fn completed_work(&self) -> u64 {
-        if self.dag.borrow().is_unit_weight() {
-            self.completed
-        } else {
-            self.worked
-        }
+        self.worked
     }
 
     fn elapsed_steps(&self) -> u64 {

@@ -8,7 +8,7 @@
 //! ```
 
 use abg::control::{AControl, AGreedy};
-use abg::experiments::{transient_comparison, TransientConfig};
+use abg::experiments::transient_comparison;
 
 fn bar(value: f64, scale: f64, width: usize, ch: char) -> String {
     let n = ((value / scale) * width as f64).round() as usize;
@@ -16,20 +16,13 @@ fn bar(value: f64, scale: f64, width: usize, ch: char) -> String {
 }
 
 fn main() {
-    let cfg = TransientConfig {
-        parallelism: 10,
-        quantum_len: 100,
-        quanta: 12,
-        processors: 128,
-    };
-    let res = transient_comparison(&cfg);
+    let res = transient_comparison(12);
     let max = 20.0; // chart scale: twice the parallelism
     let width = 48;
 
     println!(
-        "constant parallelism A = {}  (quantum L = {}, r = {}, ρ = {})\n",
-        cfg.parallelism,
-        cfg.quantum_len,
+        "constant parallelism A = {}  (quantum L = 1000, r = {}, ρ = {})\n",
+        res.parallelism,
         AControl::paper_default().rate(),
         AGreedy::paper_default().responsiveness()
     );

@@ -4,25 +4,16 @@
 
 use abg::experiments::{
     multiprogrammed_sweep, single_job_sweep, transient_comparison, MultiprogrammedConfig,
-    SingleJobSweepConfig, TransientConfig,
+    SingleJobSweepConfig,
 };
 use abg_dag::generate::figure2_job;
 use abg_sched::{BGreedyExecutor, JobExecutor};
-
-fn transient_cfg() -> TransientConfig {
-    TransientConfig {
-        parallelism: 10,
-        quantum_len: 100,
-        quanta: 10,
-        processors: 128,
-    }
-}
 
 /// Figure 1: A-Greedy's requests on a constant-parallelism job keep
 /// oscillating by a factor of ρ forever.
 #[test]
 fn figure1_agreedy_request_instability() {
-    let res = transient_comparison(&transient_cfg());
+    let res = transient_comparison(10);
     let tail: Vec<f64> = res.agreedy[4..].iter().map(|p| p.request).collect();
     let min = tail.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = tail.iter().cloned().fold(0.0f64, f64::max);
@@ -54,9 +45,8 @@ fn figure2_fractional_statistics() {
 /// settles.
 #[test]
 fn figure4_transient_comparison() {
-    let cfg = transient_cfg();
-    let res = transient_comparison(&cfg);
-    let a = cfg.parallelism as f64;
+    let res = transient_comparison(10);
+    let a = res.parallelism as f64;
 
     // ABG: monotone, bounded by A, geometric error decay at rate r.
     let mut prev_err = a - 1.0;

@@ -13,9 +13,8 @@ use abg::experiments::{
     governed_rate_quality, hierarchical_skew_sweep, load_fingerprint, multiprogrammed_sweep,
     overhead_sweep, quantum_ablation, rate_ablation, robustness_comparison, scheduler_ablation,
     single_job_sweep, stealing_comparison, sweep_fingerprint, theorem3_check, transient_comparison,
-    AblationConfig, AdaptiveQuantumConfig, AllocatorPolicyConfig, BoundCheck, Fingerprint,
-    HierarchicalConfig, MultiprogrammedConfig, OverheadConfig, QualityPoint, RobustnessConfig,
-    SingleJobSweepConfig, StealingConfig, TransientConfig,
+    BoundCheck, Fingerprint, HierarchicalConfig, MultiprogrammedConfig, QualityPoint,
+    SingleJobSweepConfig,
 };
 
 /// `single_job_sweep(SingleJobSweepConfig::scaled())`.
@@ -26,28 +25,28 @@ const FIG6_SCALED: u64 = 0x7a637df27bf7c5ab;
 const FIG5_PAPER: u64 = 0xbd4b009a3e6290c5;
 /// `multiprogrammed_sweep(MultiprogrammedConfig::paper())`.
 const FIG6_PAPER: u64 = 0xa904d28e2f0eaa19;
-/// `rate_ablation` of the default probe over r ∈ {0, 0.2, 0.4, 0.6, 0.8}.
+/// `rate_ablation(None)`: r ∈ {0, 0.2, 0.4, 0.6, 0.8}.
 const RATE_ABLATION: u64 = 0xc7337a29e82745e2;
-/// `governed_rate_quality` of the default probe at target r = 0.2.
+/// `governed_rate_quality(None)`: target r = 0.2.
 const GOVERNED_RATE: u64 = 0xa23117890f675b02;
-/// `quantum_ablation` of the default probe over L ∈ {50, 100, 200, 400, 800}.
+/// `quantum_ablation(None)`: L ∈ {50, 100, 200, 400, 800}.
 const QUANTUM_ABLATION: u64 = 0xd9892114bb3eba60;
-/// `agreedy_ablation` of the default probe over ρ ∈ {1.5, 2, 4} × δ ∈ {0.5, 0.8, 0.95}.
+/// `agreedy_ablation(None)`: ρ ∈ {1.5, 2, 4} × δ ∈ {0.5, 0.8, 0.95}.
 const AGREEDY_ABLATION: u64 = 0x3058afaf418e6a8b;
-/// `scheduler_ablation` of the default probe.
+/// `scheduler_ablation(None)`.
 const SCHEDULER_ABLATION: u64 = 0x1b0c8e17ee6eec49;
-/// `stealing_comparison(StealingConfig::default_probe())`.
+/// `stealing_comparison(None)`.
 const STEALING: u64 = 0x84669800547ee001;
-/// `adaptive_quantum_comparison(AdaptiveQuantumConfig::default_probe())`.
+/// `adaptive_quantum_comparison(None)`.
 const ADAPTIVE_QUANTUM: u64 = 0x5efdffb983d42395;
-/// `robustness_comparison(RobustnessConfig::default_probe())`.
+/// `robustness_comparison(None)`.
 const ROBUSTNESS: u64 = 0x33d1d6829b36ea29;
-/// `overhead_sweep(OverheadConfig::default_probe())`.
+/// `overhead_sweep(None)`.
 const OVERHEAD: u64 = 0xf62c7baa47376c6a;
-/// `allocator_policy_comparison(AllocatorPolicyConfig::default_probe())`.
+/// `allocator_policy_comparison(None)`.
 const ALLOCATOR_POLICIES: u64 = 0x8ff46f0ade31fef6;
-/// `transient_comparison(TransientConfig::paper())`.
-const TRANSIENT: u64 = 0xb798c4485c5a5cc0;
+/// `transient_comparison(8)`, Fig. 4's run.
+const TRANSIENT: u64 = 0x31e6a03700a65c54;
 /// `theorem3_check` over the `thm3` grid (factors 2..50, r ∈ {0, 0.2, 0.5}, seed 2008).
 const THEOREM3: u64 = 0xdc90230b7f871eef;
 /// `hierarchical_skew_sweep(HierarchicalConfig::smoke())`.
@@ -101,10 +100,10 @@ fn sweeps_are_thread_count_invariant() {
     std::env::remove_var("ABG_THREADS");
 }
 
-// Goldens of the remaining closed outputs, each at the configuration
-// and axes `abg-cli all` prints. Every number of every row is folded
-// through `f64::to_bits` (labels through their length), so a refactor
-// of the sweep harness that reorders a sum or redraws a job shows up.
+// Goldens of the remaining closed outputs, each the preset `abg-cli all`
+// prints. Every number of every row is folded through `f64::to_bits`
+// (labels through their length), so a refactor of the sweep harness
+// that reorders a sum or redraws a job shows up.
 
 fn quality(f: &mut Fingerprint, q: QualityPoint) {
     f.f64(q.time_norm).f64(q.waste_norm);
@@ -120,7 +119,7 @@ fn check(f: &mut Fingerprint, c: &BoundCheck) {
 #[test]
 fn rate_ablation_matches_golden() {
     let mut f = Fingerprint::new();
-    for r in rate_ablation(&AblationConfig::default_probe(), &[0.0, 0.2, 0.4, 0.6, 0.8]) {
+    for r in rate_ablation(None) {
         f.f64(r.rate);
         quality(&mut f, r.quality);
     }
@@ -130,17 +129,14 @@ fn rate_ablation_matches_golden() {
 #[test]
 fn governed_rate_quality_matches_golden() {
     let mut f = Fingerprint::new();
-    quality(
-        &mut f,
-        governed_rate_quality(&AblationConfig::default_probe(), 0.2),
-    );
+    quality(&mut f, governed_rate_quality(None));
     assert_eq!(f.finish(), GOVERNED_RATE);
 }
 
 #[test]
 fn quantum_ablation_matches_golden() {
     let mut f = Fingerprint::new();
-    for r in quantum_ablation(&AblationConfig::default_probe(), &[50, 100, 200, 400, 800]) {
+    for r in quantum_ablation(None) {
         f.word(r.quantum_len);
         quality(&mut f, r.abg);
         quality(&mut f, r.agreedy);
@@ -151,12 +147,7 @@ fn quantum_ablation_matches_golden() {
 #[test]
 fn agreedy_ablation_matches_golden() {
     let mut f = Fingerprint::new();
-    let rows = agreedy_ablation(
-        &AblationConfig::default_probe(),
-        &[1.5, 2.0, 4.0],
-        &[0.5, 0.8, 0.95],
-    );
-    for r in rows {
+    for r in agreedy_ablation(None) {
         f.f64(r.responsiveness).f64(r.utilization);
         quality(&mut f, r.quality);
     }
@@ -166,7 +157,7 @@ fn agreedy_ablation_matches_golden() {
 #[test]
 fn scheduler_ablation_matches_golden() {
     let mut f = Fingerprint::new();
-    for r in scheduler_ablation(&AblationConfig::default_probe()) {
+    for r in scheduler_ablation(None) {
         f.word(r.scheduler.len() as u64);
         quality(&mut f, r.quality);
     }
@@ -176,7 +167,7 @@ fn scheduler_ablation_matches_golden() {
 #[test]
 fn stealing_comparison_matches_golden() {
     let mut f = Fingerprint::new();
-    for r in stealing_comparison(&StealingConfig::default_probe()) {
+    for r in stealing_comparison(None) {
         f.word(r.scheduler.len() as u64)
             .f64(r.time_norm)
             .f64(r.waste_norm);
@@ -187,7 +178,7 @@ fn stealing_comparison_matches_golden() {
 #[test]
 fn adaptive_quantum_comparison_matches_golden() {
     let mut f = Fingerprint::new();
-    for r in adaptive_quantum_comparison(&AdaptiveQuantumConfig::default_probe()) {
+    for r in adaptive_quantum_comparison(None) {
         f.word(r.policy.len() as u64)
             .f64(r.time_norm)
             .f64(r.waste_norm)
@@ -200,7 +191,7 @@ fn adaptive_quantum_comparison_matches_golden() {
 #[test]
 fn robustness_comparison_matches_golden() {
     let mut f = Fingerprint::new();
-    for r in robustness_comparison(&RobustnessConfig::default_probe()) {
+    for r in robustness_comparison(None) {
         f.word(r.class.len() as u64)
             .f64(r.transition_factor)
             .f64(r.coefficient_of_variation)
@@ -216,7 +207,7 @@ fn robustness_comparison_matches_golden() {
 #[test]
 fn overhead_sweep_matches_golden() {
     let mut f = Fingerprint::new();
-    for r in overhead_sweep(&OverheadConfig::default_probe()) {
+    for r in overhead_sweep(None) {
         f.f64(r.overhead_fraction)
             .f64(r.abg_time_norm)
             .f64(r.agreedy_time_norm)
@@ -231,7 +222,7 @@ fn overhead_sweep_matches_golden() {
 #[test]
 fn allocator_policy_comparison_matches_golden() {
     let mut f = Fingerprint::new();
-    for r in allocator_policy_comparison(&AllocatorPolicyConfig::default_probe()) {
+    for r in allocator_policy_comparison(None) {
         f.word(r.policy.len() as u64)
             .f64(r.load)
             .f64(r.makespan_norm)
@@ -243,7 +234,7 @@ fn allocator_policy_comparison_matches_golden() {
 
 #[test]
 fn transient_comparison_matches_golden() {
-    let res = transient_comparison(&TransientConfig::paper());
+    let res = transient_comparison(8);
     let mut f = Fingerprint::new();
     f.word(res.parallelism);
     for p in res.abg.iter().chain(&res.agreedy) {
