@@ -10,49 +10,95 @@ use abg::report::{f3, mark, Chart, Table};
 use abg_control::GroupPolicy;
 use abg_sched::JobExecutor as _;
 
-/// Dispatches a subcommand. Only `ablate` and `bench` take an argument
+/// One command: its usage (the name, then the one optional positional
+/// it takes, if any), its help text and its body.
+type Command = (
+    &'static str,
+    &'static str,
+    fn(&Options) -> Result<(), String>,
+);
+
+/// The closed experiments, in the order `all` runs them.
+#[rustfmt::skip]
+const CLOSED: [Command; 16] = [
+    ("fig1", "A-Greedy request instability (Figure 1)", fig1),
+    ("fig2", "B-Greedy fractional quantum statistics (Figure 2)", fig2),
+    ("fig4", "ABG vs A-Greedy transient trajectories (Figure 4)", fig4),
+    ("fig5", "single-job sweep over transition factors (Figure 5)", fig5),
+    ("fig6", "multiprogrammed load sweep (Figure 6)", fig6),
+    ("thm1", "control-theoretic metrics grid (Theorem 1)", thm1),
+    ("lemma2", "request/parallelism envelope check (Lemma 2)", lemma2),
+    ("thm3", "time bound under adversarial availability (Theorem 3)", thm3),
+    ("thm4", "waste bound check (Theorem 4)", thm4),
+    ("thm5", "makespan / response-time bound check (Theorem 5)", thm5),
+    ("ablate <which>", "rate | quantum | agreedy | scheduler | semantics | all", ablate),
+    ("steal", "ABG vs A-Steal vs ABP (work-stealing substrate)", steal),
+    ("adaptive", "adaptive quantum length (paper future work)", adaptive),
+    ("robustness", "irregular parallelism profiles", robustness),
+    ("allocators", "DEQ vs round-robin vs proportional share", allocators),
+    ("overhead", "reallocation-overhead sensitivity sweep", overhead),
+];
+
+/// The commands `all` does not run.
+#[rustfmt::skip]
+const OTHERS: [Command; 3] = [
+    ("bench [smoke]", "kernel benchmark suite (smoke = CI-sized run)", bench),
+    ("open", "open-system rho sweep: steady-state response time\n\
+              and slowdown under sustained Poisson arrivals", open),
+    ("all", "every experiment at scaled size", all),
+];
+
+fn commands() -> impl Iterator<Item = &'static Command> {
+    CLOSED.iter().chain(&OTHERS)
+}
+
+/// The text of `--help` and of usage errors: the command table, then
+/// the flags.
+pub fn usage() -> String {
+    let mut s = String::from("usage: abg-cli <command> [args] [--full] [--csv] [--seed N]\n\n");
+    s.push_str("commands:\n");
+    for &(usage, help, _) in commands() {
+        for (i, line) in help.lines().enumerate() {
+            let head = if i == 0 { usage } else { "" };
+            s.push_str(&format!("  {head:<21}{line}\n"));
+        }
+    }
+    s.push('\n');
+    s.push_str(Options::FLAGS);
+    s
+}
+
+/// Dispatches a command. Only `ablate` and `bench` take an argument
 /// (one each); any other positional is an error, not silently ignored.
 pub fn run(command: &str, opts: &Options) -> Result<(), String> {
-    let arity = usize::from(matches!(command, "ablate" | "bench"));
+    let &(usage, _, body) = commands()
+        .find(|c| c.0.split(' ').next() == Some(command))
+        .ok_or_else(|| format!("unknown command '{command}' (try --help)"))?;
+    let arity = usage.split(' ').count() - 1;
     if let Some(stray) = opts.positional.get(arity) {
         return Err(format!("unexpected argument '{stray}' (try --help)"));
     }
-    match command {
-        "fig1" => fig1(opts),
-        "fig2" => fig2(opts),
-        "fig4" => fig4(opts),
-        "fig5" => fig5(opts),
-        "fig6" => fig6(opts),
-        "thm1" => thm1(opts),
-        "lemma2" => lemma2(opts),
-        "thm3" => thm3(opts),
-        "thm4" => thm4(opts),
-        "thm5" => thm5(opts),
-        "ablate" => ablate(opts)?,
-        "steal" => steal(opts),
-        "adaptive" => adaptive(opts),
-        "robustness" => robustness(opts),
-        "allocators" => allocators(opts),
-        "overhead" => overhead(opts),
-        "bench" => bench(opts)?,
-        "open" => open(opts)?,
-        "all" => all(opts)?,
-        other => return Err(format!("unknown command '{other}' (try --help)")),
-    }
-    Ok(())
+    body(opts)
 }
 
-fn emit(title: &str, table: &Table, opts: &Options) {
+/// Prints one table: CSV under `--csv`, headed by a `# <title>` line
+/// when `all` prints it among the others, or titled and aligned. It
+/// cannot fail; it returns `Ok` so that a command body can end with it.
+fn emit(title: &str, table: &Table, opts: &Options) -> Result<(), String> {
     if opts.csv {
+        if opts.command.as_deref() == Some("all") {
+            println!("# {title}");
+        }
         print!("{}", table.render_csv());
     } else {
         println!("== {title} ==");
         print!("{}", table.render());
         println!();
     }
+    Ok(())
 }
 
-fn fig1(opts: &Options) {
+fn fig1(opts: &Options) -> Result<(), String> {
     // 16 quanta: the figure shows the sustained oscillation.
     let res = experiments::transient_comparison(16);
     let mut t = Table::new(&["quantum", "agreedy_request", "parallelism"]);
@@ -67,32 +113,31 @@ fn fig1(opts: &Options) {
         "Figure 1: request instability of A-Greedy (constant parallelism)",
         &t,
         opts,
-    );
+    )
 }
 
-fn fig2(_opts: &Options) {
-    // The worked example of Section 2: exact numbers, not a sweep.
+fn fig2(opts: &Options) -> Result<(), String> {
+    // The worked example of Section 2: exact numbers, not a sweep. One
+    // source forks into 5 chains of 3 tasks (levels [1, 5, 5, 5]).
     let dag = abg_dag::generate::figure2_job();
     let mut ex = abg_sched::BGreedyExecutor::new(&dag);
-    let warmup = ex.run_quantum(1, 2);
-    let q = ex.run_quantum(4, 3);
-    println!("== Figure 2: B-Greedy fractional quantum statistics ==");
-    println!("job: 1 source forking into 5 chains of 3 tasks (levels [1, 5, 5, 5])");
-    println!(
-        "warm-up quantum (a=1, 2 steps): T1 = {}, T∞ = {:.1}",
-        warmup.work, warmup.span
-    );
-    println!(
-        "measured quantum (a=4, 3 steps): T1(q) = {}, T∞(q) = {:.1}, A(q) = {:.0}",
-        q.work,
-        q.span,
-        q.average_parallelism().expect("work was done")
-    );
-    println!("paper's Figure 2 values:         T1(q) = 12, T∞(q) = 2.4, A(q) = 5");
-    println!();
+    let mut t = Table::new(&["quantum", "allotment", "steps", "T1(q)", "T∞(q)", "A(q)"]);
+    for (name, a, steps) in [("warm-up", 1, 2), ("measured", 4, 3)] {
+        let q = ex.run_quantum(a, steps);
+        t.row_owned(vec![
+            name.into(),
+            a.to_string(),
+            steps.to_string(),
+            q.work.to_string(),
+            f3(q.span),
+            f3(q.average_parallelism().expect("work was done")),
+        ]);
+    }
+    t.row(&["paper", "4", "3", "12", "2.400", "5.000"]);
+    emit("Figure 2: B-Greedy fractional quantum statistics", &t, opts)
 }
 
-fn fig4(opts: &Options) {
+fn fig4(opts: &Options) -> Result<(), String> {
     let res = experiments::transient_comparison(8);
     let mut t = Table::new(&["quantum", "abg_request", "agreedy_request", "parallelism"]);
     for (a, g) in res.abg.iter().zip(&res.agreedy) {
@@ -107,7 +152,7 @@ fn fig4(opts: &Options) {
         "Figure 4: transient and steady-state behaviour (r = 0.2, ρ = 2)",
         &t,
         opts,
-    );
+    )?;
     if opts.plot && !opts.csv {
         let abg: Vec<f64> = res.abg.iter().map(|p| p.request).collect();
         let agreedy: Vec<f64> = res.agreedy.iter().map(|p| p.request).collect();
@@ -119,17 +164,14 @@ fn fig4(opts: &Options) {
         print!("{}", c.render());
         println!();
     }
+    Ok(())
 }
 
-fn fig5(opts: &Options) {
+fn fig5(opts: &Options) -> Result<(), String> {
     let mut cfg = if opts.full {
         SingleJobSweepConfig::paper()
     } else {
-        let mut c = SingleJobSweepConfig::scaled();
-        c.factors = vec![2, 5, 10, 20, 30, 40, 60, 80, 100];
-        c.jobs_per_factor = 16;
-        c.quantum_len = 200;
-        c
+        SingleJobSweepConfig::scaled()
     };
     if let Some(seed) = opts.seed {
         cfg.seed = seed;
@@ -161,7 +203,7 @@ fn fig5(opts: &Options) {
         "Figure 5: single-job running time and waste vs transition factor",
         &t,
         opts,
-    );
+    )?;
     let n = points.len() as f64;
     let tr: f64 = points.iter().map(|p| p.time_ratio).sum::<f64>() / n;
     let wr: f64 = points.iter().map(|p| p.waste_ratio).sum::<f64>() / n;
@@ -184,20 +226,14 @@ fn fig5(opts: &Options) {
         print!("{}", c.render());
         println!();
     }
+    Ok(())
 }
 
-fn fig6(opts: &Options) {
+fn fig6(opts: &Options) -> Result<(), String> {
     let mut cfg = if opts.full {
         MultiprogrammedConfig::paper()
     } else {
-        let mut c = MultiprogrammedConfig::scaled();
-        c.loads = vec![0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0];
-        c.sets_per_load = 12;
-        c.processors = 128;
-        c.quantum_len = 200;
-        c.max_factor = 100;
-        c.pairs = 3;
-        c
+        MultiprogrammedConfig::scaled()
     };
     if let Some(seed) = opts.seed {
         cfg.seed = seed;
@@ -229,10 +265,10 @@ fn fig6(opts: &Options) {
         "Figure 6: multiprogrammed makespan and mean response time vs load",
         &t,
         opts,
-    );
+    )
 }
 
-fn thm1(opts: &Options) {
+fn thm1(opts: &Options) -> Result<(), String> {
     let rows =
         experiments::theorem1_grid(&[2.0, 10.0, 32.0, 128.0], &[0.0, 0.2, 0.4, 0.6, 0.8], 64);
     let mut t = Table::new(&[
@@ -259,14 +295,14 @@ fn thm1(opts: &Options) {
         "Theorem 1: BIBO stability, zero SSE, zero overshoot, convergence rate r",
         &t,
         opts,
-    );
+    )
 }
 
 fn seed_of(opts: &Options) -> u64 {
     opts.seed.unwrap_or(2008)
 }
 
-fn lemma2(opts: &Options) {
+fn lemma2(opts: &Options) -> Result<(), String> {
     let mut t = Table::new(&["factor", "rate", "check", "measured", "bound", "holds"]);
     for &factor in &[2u64, 4, 8, 16] {
         for &rate in &[0.05, 0.2] {
@@ -282,10 +318,10 @@ fn lemma2(opts: &Options) {
             }
         }
     }
-    emit("Lemma 2: request / parallelism envelope", &t, opts);
+    emit("Lemma 2: request / parallelism envelope", &t, opts)
 }
 
-fn thm3(opts: &Options) {
+fn thm3(opts: &Options) -> Result<(), String> {
     let mut t = Table::new(&["factor", "rate", "measured_T", "bound", "holds"]);
     for &factor in &[2u64, 5, 10, 20, 50] {
         for &rate in &[0.0, 0.2, 0.5] {
@@ -303,10 +339,10 @@ fn thm3(opts: &Options) {
         "Theorem 3: running time under adversarial availability (trim analysis)",
         &t,
         opts,
-    );
+    )
 }
 
-fn thm4(opts: &Options) {
+fn thm4(opts: &Options) -> Result<(), String> {
     let mut t = Table::new(&["factor", "rate", "measured_W", "bound", "holds"]);
     for &factor in &[2u64, 3, 4, 8, 16] {
         for &rate in &[0.05, 0.2] {
@@ -332,10 +368,10 @@ fn thm4(opts: &Options) {
             }
         }
     }
-    emit("Theorem 4: processor waste bound", &t, opts);
+    emit("Theorem 4: processor waste bound", &t, opts)
 }
 
-fn thm5(opts: &Options) {
+fn thm5(opts: &Options) -> Result<(), String> {
     let mut t = Table::new(&["load", "check", "measured", "bound", "holds"]);
     for &load in &[0.5, 1.0, 2.0] {
         match experiments::theorem5_check(load, 4, 0.2, 100, 2, 64, seed_of(opts)) {
@@ -365,7 +401,7 @@ fn thm5(opts: &Options) {
         "Theorem 5: makespan and mean response time bounds (ABG + DEQ)",
         &t,
         opts,
-    );
+    )
 }
 
 fn ablate(opts: &Options) -> Result<(), String> {
@@ -386,7 +422,7 @@ fn ablate(opts: &Options) -> Result<(), String> {
             f3(governed.time_norm),
             f3(governed.waste_norm),
         ]);
-        emit("Ablation: ABG convergence rate r", &t, opts);
+        emit("Ablation: ABG convergence rate r", &t, opts)
     };
     let run_quantum = |opts: &Options| {
         let rows = experiments::quantum_ablation(opts.seed);
@@ -400,7 +436,7 @@ fn ablate(opts: &Options) -> Result<(), String> {
                 f3(r.agreedy.waste_norm),
             ]);
         }
-        emit("Ablation: quantum length L", &t, opts);
+        emit("Ablation: quantum length L", &t, opts)
     };
     let run_agreedy = |opts: &Options| {
         let rows = experiments::agreedy_ablation(opts.seed);
@@ -413,7 +449,7 @@ fn ablate(opts: &Options) -> Result<(), String> {
                 f3(r.quality.waste_norm),
             ]);
         }
-        emit("Ablation: A-Greedy ρ × δ", &t, opts);
+        emit("Ablation: A-Greedy ρ × δ", &t, opts)
     };
     let run_scheduler = |opts: &Options| {
         let rows = experiments::scheduler_ablation(opts.seed);
@@ -425,7 +461,7 @@ fn ablate(opts: &Options) -> Result<(), String> {
                 f3(r.quality.waste_norm),
             ]);
         }
-        emit("Ablation: task-scheduler priority rule", &t, opts);
+        emit("Ablation: task-scheduler priority rule", &t, opts)
     };
     let run_semantics = |opts: &Options| {
         let rows = experiments::semantics_ablation(opts.seed);
@@ -438,7 +474,7 @@ fn ablate(opts: &Options) -> Result<(), String> {
                 f3(r.quality.waste_norm),
             ]);
         }
-        emit("Ablation: pipelined vs barrier phase semantics", &t, opts);
+        emit("Ablation: pipelined vs barrier phase semantics", &t, opts)
     };
     match which {
         "rate" => run_rate(opts),
@@ -447,22 +483,19 @@ fn ablate(opts: &Options) -> Result<(), String> {
         "scheduler" => run_scheduler(opts),
         "semantics" => run_semantics(opts),
         "all" => {
-            run_rate(opts);
-            run_quantum(opts);
-            run_agreedy(opts);
-            run_scheduler(opts);
-            run_semantics(opts);
+            run_rate(opts)?;
+            run_quantum(opts)?;
+            run_agreedy(opts)?;
+            run_scheduler(opts)?;
+            run_semantics(opts)
         }
-        other => {
-            return Err(format!(
-                "unknown ablation '{other}' (rate|quantum|agreedy|scheduler|semantics|all)"
-            ));
-        }
+        other => Err(format!(
+            "unknown ablation '{other}' (rate|quantum|agreedy|scheduler|semantics|all)"
+        )),
     }
-    Ok(())
 }
 
-fn steal(opts: &Options) {
+fn steal(opts: &Options) -> Result<(), String> {
     let rows = experiments::stealing_comparison(opts.seed);
     let mut t = Table::new(&["scheduler", "time/tinf", "waste/t1"]);
     for r in &rows {
@@ -472,10 +505,10 @@ fn steal(opts: &Options) {
         "Work stealing: ABG vs A-Steal vs ABP vs A-Control-over-stealing",
         &t,
         opts,
-    );
+    )
 }
 
-fn adaptive(opts: &Options) {
+fn adaptive(opts: &Options) -> Result<(), String> {
     let rows = experiments::adaptive_quantum_comparison(opts.seed);
     let mut t = Table::new(&["policy", "time/tinf", "waste/t1", "quanta", "reallocations"]);
     for r in &rows {
@@ -487,10 +520,10 @@ fn adaptive(opts: &Options) {
             f3(r.mean_reallocations),
         ]);
     }
-    emit("Future work: adaptive quantum length under ABG", &t, opts);
+    emit("Future work: adaptive quantum length under ABG", &t, opts)
 }
 
-fn robustness(opts: &Options) {
+fn robustness(opts: &Options) -> Result<(), String> {
     let rows = experiments::robustness_comparison(opts.seed);
     let mut t = Table::new(&[
         "profile",
@@ -518,10 +551,10 @@ fn robustness(opts: &Options) {
         "Robustness: irregular parallelism profiles and alternative job characteristics",
         &t,
         opts,
-    );
+    )
 }
 
-fn allocators(opts: &Options) {
+fn allocators(opts: &Options) -> Result<(), String> {
     let rows = experiments::allocator_policy_comparison(opts.seed);
     let mut t = Table::new(&["policy", "load", "m/m*", "r/r*", "waste/work"]);
     for r in &rows {
@@ -537,10 +570,10 @@ fn allocators(opts: &Options) {
         "OS allocator policies: DEQ vs round-robin vs proportional (ABG jobs)",
         &t,
         opts,
-    );
+    )
 }
 
-fn overhead(opts: &Options) {
+fn overhead(opts: &Options) -> Result<(), String> {
     let rows = experiments::overhead_sweep(opts.seed);
     let mut t = Table::new(&[
         "overhead/L",
@@ -566,16 +599,15 @@ fn overhead(opts: &Options) {
         "Reallocation overhead: pricing request instability",
         &t,
         opts,
-    );
+    )
 }
 
 /// Renders the kernel suite as a JSON document (hand-rolled: the
 /// workspace deliberately has no JSON dependency).
 fn bench_json(
     mode: &str,
-    cfg: &abg::experiments::KernelBenchConfig,
-    results: &[abg::experiments::KernelResult],
-    speedup: Option<f64>,
+    cfg: &experiments::KernelBenchConfig,
+    results: &[experiments::KernelResult],
 ) -> String {
     let num = |x: f64| {
         if x.is_finite() {
@@ -586,7 +618,7 @@ fn bench_json(
     };
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"abg-bench-kernels/v2\",\n");
+    s.push_str("  \"schema\": \"abg-bench-kernels/v3\",\n");
     s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     s.push_str(&format!("  \"seed\": {},\n", cfg.seed));
     s.push_str(&format!("  \"min_wall_ms\": {},\n", cfg.min_wall_ms));
@@ -608,75 +640,39 @@ fn bench_json(
             if i + 1 < results.len() { "," } else { "" },
         ));
     }
-    s.push_str("  ],\n");
-    s.push_str("  \"derived\": {\"chain_macro_over_reference_steps_per_sec\": ");
-    match speedup {
-        Some(x) => s.push_str(&num(x)),
-        None => s.push_str("null"),
-    }
-    s.push_str("}\n}\n");
+    s.push_str("  ]\n}\n");
     s
 }
 
 /// Extracts the named kernel's `steps_per_sec` from a baseline JSON
-/// document produced by [`bench_json`] (hand-rolled scan; the workspace
-/// deliberately has no JSON dependency).
+/// document produced by [`bench_json`], schema v2 or v3 (hand-rolled
+/// scan; the workspace deliberately has no JSON dependency).
 fn baseline_steps_per_sec(json: &str, kernel: &str) -> Option<f64> {
     let marker = format!("\"kernel\": \"{kernel}\"");
     let rest = &json[json.find(&marker)?..];
     let row = &rest[..rest.find('}')?];
     let key = "\"steps_per_sec\": ";
     let val = &row[row.find(key)? + key.len()..];
-    // Tolerate trailing fields after the value (v2 rows carry the
+    // Tolerate trailing fields after the value (rows carry the
     // memory-scale figures behind it) as well as end-of-row.
     val.split(',').next()?.trim().parse().ok()
 }
 
-/// Kernels the `--check` regression gate covers: the hot-loop kernels
-/// whose throughput exercises each simulation regime — the serial
-/// macro-stepping chain, the wide-frontier bulk paths (tree and
-/// bundle), the event-driven open-system driver at moderate load
-/// (`open_system`) and in its high-load macro-stepping regime
-/// (`open_event`), the fixed partition whose aggregate committed
-/// quanta price the per-group population win
-/// (`open_sharded`), the hierarchical two-level driver whose epoch
-/// barriers and desire feedback ride on the same decomposition
-/// (`open_hier`), the completion-heavy churn kernel that prices the
-/// slab live-set storage (`open_churn`), the monomorphized unified
-/// quantum core in mixed closed+open use, the weighted-residual frontier
-/// path (`weighted_frontier`), and the open system fed by generated
-/// weighted workflows (`workflow_open`). Not every one is stable
-/// within the 30% band: `forkjoin_bundle` is bimodal on a 2-core host
-/// (about 8 M or 13 M steps/s, both below its 13.6 M floor), and the
-/// smoke run is checked against a full-size baseline, so a trip can be
-/// noise as well as a real regression.
-const GATED_KERNELS: [&str; 11] = [
-    "chain_macro",
-    "forkjoin_tree",
-    "forkjoin_bundle",
-    "weighted_frontier",
-    "open_system",
-    "open_event",
-    "open_sharded",
-    "open_hier",
-    "open_churn",
-    "workflow_open",
-    "unified_engine",
-];
-
-/// The `--check` regression gate: every gated kernel's fresh throughput
-/// must stay above 70% of the committed baseline.
-fn bench_check(path: &str, results: &[abg::experiments::KernelResult]) -> Result<(), String> {
+/// The `--check` regression gate: every kernel of the suite must have
+/// run and must stay above 70% of its committed baseline steps/s. The
+/// per-kernel verdicts go to stderr, so `--json` stdout stays one
+/// document.
+fn bench_check(path: &str, results: &[experiments::KernelResult]) -> Result<(), String> {
     let baseline =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
-    for kernel in GATED_KERNELS {
-        let base = baseline_steps_per_sec(&baseline, kernel)
-            .ok_or_else(|| format!("no {kernel} steps_per_sec in {path}"))?;
+    for kernel in experiments::kernel_names() {
         let cur = results
             .iter()
             .find(|r| r.kernel == kernel)
             .map(|r| r.steps_per_sec)
             .ok_or_else(|| format!("suite did not run {kernel}"))?;
+        let base = baseline_steps_per_sec(&baseline, kernel)
+            .ok_or_else(|| format!("no {kernel} steps_per_sec in {path}"))?;
         let floor = base * 0.7;
         if cur < floor {
             return Err(format!(
@@ -684,7 +680,7 @@ fn bench_check(path: &str, results: &[abg::experiments::KernelResult]) -> Result
                  (floor {floor:.0}, from {path})"
             ));
         }
-        println!(
+        eprintln!(
             "bench check ok: {kernel} {cur:.0} steps/s vs baseline {base:.0} (floor {floor:.0})"
         );
     }
@@ -713,19 +709,20 @@ fn bench(opts: &Options) -> Result<(), String> {
         cfg.min_wall_ms = cfg.min_wall_ms.max(100);
     }
     let results = experiments::run_kernel_suite(&cfg);
-    let speedup = experiments::kernel_speedup(&results, "chain_macro", "chain_reference");
-    let mut t = Table::new(&[
-        "kernel",
-        "iters",
-        "ops",
-        "steps",
-        "wall_ms",
-        "ops/s",
-        "steps/s",
-        "peak_jobs",
-        "B/job",
-    ]);
-    for r in &results {
+    if opts.json {
+        print!("{}", bench_json(mode, &cfg, &results));
+    } else {
+        let mut t = Table::new(&[
+            "kernel",
+            "iters",
+            "ops",
+            "steps",
+            "wall_ms",
+            "ops/s",
+            "steps/s",
+            "peak_jobs",
+            "B/job",
+        ]);
         let dash_zero = |v: u64| {
             if v == 0 {
                 "-".to_string()
@@ -733,42 +730,29 @@ fn bench(opts: &Options) -> Result<(), String> {
                 v.to_string()
             }
         };
-        t.row_owned(vec![
-            r.kernel.clone(),
-            r.iters.to_string(),
-            r.ops.to_string(),
-            r.steps.to_string(),
-            format!("{:.2}", r.wall_ms),
-            format!("{:.0}", r.ops_per_sec),
-            format!("{:.0}", r.steps_per_sec),
-            dash_zero(r.peak_jobs_in_system),
-            dash_zero(r.bytes_per_live_job),
-        ]);
-    }
-    emit(
-        "Kernel benchmark suite (wall-clock; machine-dependent)",
-        &t,
-        opts,
-    );
-    if !opts.csv {
-        match speedup {
-            Some(s) => println!(
-                "macro-stepping kernel vs clone-and-rescan reference on the serial chain: {s:.2}x steps/s"
-            ),
-            None => println!("chain speedup unavailable (reference kernel did no steps)"),
+        for r in &results {
+            t.row_owned(vec![
+                r.kernel.clone(),
+                r.iters.to_string(),
+                r.ops.to_string(),
+                r.steps.to_string(),
+                format!("{:.2}", r.wall_ms),
+                format!("{:.0}", r.ops_per_sec),
+                format!("{:.0}", r.steps_per_sec),
+                dash_zero(r.peak_jobs_in_system),
+                dash_zero(r.bytes_per_live_job),
+            ]);
         }
-        println!();
+        emit(
+            "Kernel benchmark suite (wall-clock; machine-dependent)",
+            &t,
+            opts,
+        )?;
     }
-    if opts.json {
-        let path = "BENCH_kernels.json";
-        std::fs::write(path, bench_json(mode, &cfg, &results, speedup))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
+    match &opts.check {
+        Some(path) => bench_check(path, &results),
+        None => Ok(()),
     }
-    if let Some(path) = &opts.check {
-        bench_check(path, &results)?;
-    }
-    Ok(())
 }
 
 /// Renders one scheduler's fields of an open-system row for the table:
@@ -919,7 +903,7 @@ fn open(opts: &Options) -> Result<(), String> {
         "Open system: steady-state response time and slowdown vs offered load (DEQ)",
         &t,
         opts,
-    );
+    )?;
     if !opts.csv {
         let sharding = if cfg.groups == 1 {
             String::new()
@@ -945,23 +929,7 @@ fn open(opts: &Options) -> Result<(), String> {
 }
 
 fn all(opts: &Options) -> Result<(), String> {
-    fig1(opts);
-    fig2(opts);
-    fig4(opts);
-    fig5(opts);
-    fig6(opts);
-    thm1(opts);
-    lemma2(opts);
-    thm3(opts);
-    thm4(opts);
-    thm5(opts);
-    ablate(opts)?;
-    steal(opts);
-    adaptive(opts);
-    robustness(opts);
-    allocators(opts);
-    overhead(opts);
-    Ok(())
+    CLOSED.iter().try_for_each(|&(_, _, body)| body(opts))
 }
 
 #[cfg(test)]
@@ -988,21 +956,38 @@ mod tests {
         let cfg = abg::experiments::KernelBenchConfig::smoke();
         let results = vec![
             fake_result("chain_macro", 123456.789),
-            fake_result("chain_reference", 500.0),
+            fake_result("open_churn", 500.0),
         ];
-        let json = bench_json("smoke", &cfg, &results, Some(2.0));
+        let json = bench_json("smoke", &cfg, &results);
+        assert!(
+            json.contains("\"schema\": \"abg-bench-kernels/v3\""),
+            "{json}"
+        );
         let got = baseline_steps_per_sec(&json, "chain_macro").unwrap();
         assert!((got - 123456.789).abs() < 1e-2);
         assert!(baseline_steps_per_sec(&json, "no_such_kernel").is_none());
     }
 
-    /// A full result set for every gated kernel at the given fraction of
+    /// The committed baseline is schema v2 (it still carries rows of
+    /// kernels the suite no longer runs, and a `derived` member); the
+    /// reader finds every suite kernel's row in it.
+    #[test]
+    fn committed_v2_baseline_covers_every_kernel() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
+        let json = std::fs::read_to_string(path).unwrap();
+        assert!(json.contains("\"schema\": \"abg-bench-kernels/v2\""));
+        for kernel in abg::experiments::kernel_names() {
+            let base = baseline_steps_per_sec(&json, kernel);
+            assert!(base.is_some_and(|b| b > 0.0), "{kernel}: {base:?}");
+        }
+    }
+
+    /// A full result set for every suite kernel at the given fraction of
     /// a 1000 steps/s baseline, except `slow_kernel` (if any), which
     /// runs at `slow_frac`.
-    fn gated_results(frac: f64, slow_kernel: Option<(&str, f64)>) -> Vec<KernelResult> {
-        GATED_KERNELS
-            .iter()
-            .map(|&k| {
+    fn suite_results(frac: f64, slow_kernel: Option<(&str, f64)>) -> Vec<KernelResult> {
+        abg::experiments::kernel_names()
+            .map(|k| {
                 let f = match slow_kernel {
                     Some((s, sf)) if s == k => sf,
                     _ => frac,
@@ -1015,30 +1000,37 @@ mod tests {
     #[test]
     fn bench_check_trips_only_below_the_floor() {
         let cfg = abg::experiments::KernelBenchConfig::smoke();
-        let baseline = gated_results(1.0, None);
+        let baseline = suite_results(1.0, None);
         let dir = std::env::temp_dir().join("abg_bench_check_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("baseline.json");
-        std::fs::write(&path, bench_json("smoke", &cfg, &baseline, None)).unwrap();
+        std::fs::write(&path, bench_json("smoke", &cfg, &baseline)).unwrap();
         let path = path.to_str().unwrap();
 
         // At 71% of baseline: passes. At 69%: trips.
-        assert!(bench_check(path, &gated_results(0.71, None)).is_ok());
-        let err = bench_check(path, &gated_results(0.69, None)).unwrap_err();
+        assert!(bench_check(path, &suite_results(0.71, None)).is_ok());
+        let err = bench_check(path, &suite_results(0.69, None)).unwrap_err();
         assert!(err.contains("regression"), "{err}");
-        // Every gated kernel trips the gate individually, even with the
+        // Every kernel trips the gate individually, even with the
         // others comfortably above the floor.
-        for kernel in GATED_KERNELS {
-            let err = bench_check(path, &gated_results(1.0, Some((kernel, 0.69)))).unwrap_err();
+        for kernel in abg::experiments::kernel_names() {
+            let err = bench_check(path, &suite_results(1.0, Some((kernel, 0.69)))).unwrap_err();
             assert!(
                 err.contains(kernel) && err.contains("regression"),
                 "{kernel}: {err}"
             );
         }
-        // Missing baseline file or kernel is an error, not a silent pass.
+        // Missing baseline file, baseline row or kernel is an error, not
+        // a silent pass.
         assert!(bench_check("/no/such/file.json", &baseline).is_err());
         assert!(bench_check(path, &[fake_result("other", 1.0)]).is_err());
-        let mut missing = gated_results(1.0, None);
+        let mut partial = baseline.clone();
+        partial.retain(|r| r.kernel != "unified_engine");
+        let partial_path = dir.join("partial.json");
+        std::fs::write(&partial_path, bench_json("smoke", &cfg, &partial)).unwrap();
+        let err = bench_check(partial_path.to_str().unwrap(), &baseline).unwrap_err();
+        assert!(err.contains("no unified_engine steps_per_sec"), "{err}");
+        let mut missing = suite_results(1.0, None);
         missing.retain(|r| r.kernel != "open_system");
         let err = bench_check(path, &missing).unwrap_err();
         assert!(err.contains("did not run open_system"), "{err}");

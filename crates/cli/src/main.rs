@@ -1,27 +1,8 @@
 //! `abg-cli` — regenerates every figure and theorem check of the ABG
 //! paper as plain-text tables (or CSV).
 //!
-//! ```text
-//! abg-cli <command> [--full] [--csv] [--seed N]
-//!
-//! commands:
-//!   fig1      A-Greedy request instability (Figure 1)
-//!   fig2      B-Greedy fractional quantum statistics (Figure 2)
-//!   fig4      ABG vs A-Greedy transient trajectories (Figure 4)
-//!   fig5      single-job sweep over transition factors (Figure 5)
-//!   fig6      multiprogrammed load sweep (Figure 6)
-//!   thm1      control-theoretic metrics grid (Theorem 1)
-//!   lemma2    request/parallelism envelope check (Lemma 2)
-//!   thm3      running-time bound under adversarial availability (Theorem 3)
-//!   thm4      waste bound check (Theorem 4)
-//!   thm5      makespan / response-time bound check (Theorem 5)
-//!   ablate    design-choice ablations (rate|quantum|agreedy|scheduler|semantics|all)
-//!   steal     ABG vs A-Steal vs ABP on the work-stealing substrate
-//!   adaptive  adaptive quantum length (the paper's future work)
-//!   robustness irregular parallelism profiles
-//!   open      open-system ρ sweep (sustained Poisson arrivals)
-//!   all       every experiment at scaled size
-//! ```
+//! `abg-cli --help` lists the commands and flags; one command table
+//! in `commands.rs` drives dispatch, `all` and that help text.
 //!
 //! `--full` switches `fig5`/`fig6` to the paper's full scale (still
 //! sub-second thanks to the fast-forward executors); the default is a
@@ -39,12 +20,12 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(msg) => {
             eprintln!("error: {msg}\n");
-            eprintln!("{}", Options::USAGE);
+            eprintln!("{}", commands::usage());
             return ExitCode::FAILURE;
         }
     };
     let Some(command) = opts.command.clone() else {
-        println!("{}", Options::USAGE);
+        println!("{}", commands::usage());
         return ExitCode::SUCCESS;
     };
     if let Some(n) = opts.threads {

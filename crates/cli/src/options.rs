@@ -40,7 +40,8 @@ pub struct Options {
     pub dag_file: Option<String>,
     /// Append ASCII charts after the tables.
     pub plot: bool,
-    /// Write machine-readable JSON output (the `bench` subcommand).
+    /// Print machine-readable JSON instead of a table (the `bench` and
+    /// `open` subcommands).
     pub json: bool,
     /// Compare bench results against a committed baseline JSON and fail
     /// on regression (the `bench` subcommand).
@@ -51,40 +52,17 @@ pub struct Options {
 }
 
 impl Options {
-    /// Usage text shown for `--help` and errors.
-    pub const USAGE: &'static str = "\
-usage: abg-cli <command> [args] [--full] [--csv] [--seed N]
-
-commands:
-  fig1                 A-Greedy request instability (Figure 1)
-  fig2                 B-Greedy fractional quantum statistics (Figure 2)
-  fig4                 ABG vs A-Greedy transient trajectories (Figure 4)
-  fig5                 single-job sweep over transition factors (Figure 5)
-  fig6                 multiprogrammed load sweep (Figure 6)
-  thm1                 control-theoretic metrics grid (Theorem 1)
-  lemma2               request/parallelism envelope check (Lemma 2)
-  thm3                 time bound under adversarial availability (Theorem 3)
-  thm4                 waste bound check (Theorem 4)
-  thm5                 makespan / response-time bound check (Theorem 5)
-  ablate <which>       rate | quantum | agreedy | scheduler | semantics | all
-  steal                ABG vs A-Steal vs ABP (work-stealing substrate)
-  adaptive             adaptive quantum length (paper future work)
-  robustness           irregular parallelism profiles
-  allocators           DEQ vs round-robin vs proportional share
-  overhead             reallocation-overhead sensitivity sweep
-  bench [smoke]        kernel benchmark suite (smoke = CI-sized run)
-  open                 open-system rho sweep: steady-state response time
-                       and slowdown under sustained Poisson arrivals
-  all                  every experiment at scaled size
-
+    /// The flag half of the usage text (the command half is the
+    /// command table's, see `commands::usage`).
+    pub const FLAGS: &'static str = "\
 flags:
   --full               paper-scale fig5/fig6 (sub-second; the fast paths are cheap)
   --smoke              open: CI-sized sweep instead of the full-scale one
   --csv                CSV output instead of aligned tables
   --plot               append ASCII charts after the tables
-  --json               bench: also write BENCH_kernels.json
+  --json               bench: print the suite as JSON instead of the table
                        open: print the sweep as JSON (with its fingerprint)
-  --check PATH         bench: fail if any gated kernel's throughput regresses
+  --check PATH         bench: fail if any kernel's throughput regresses
                        more than 30% below the baseline JSON at PATH
   --seed N             override the experiment seed
   --rho R              open: sweep only the given offered utilization

@@ -43,7 +43,7 @@ pub use adaptive_quantum::{adaptive_quantum_comparison, AdaptiveQuantumRow};
 pub use allocator_policies::{allocator_policy_comparison, AllocatorPolicyRow};
 pub use fingerprint::{load_fingerprint, open_fingerprint, sweep_fingerprint, Fingerprint};
 pub use hierarchical::{hierarchical_skew_sweep, HierarchicalConfig, HierarchicalRow, PolicyPoint};
-pub use kernels::{kernel_speedup, run_kernel_suite, KernelBenchConfig, KernelResult};
+pub use kernels::{kernel_names, run_kernel_suite, KernelBenchConfig, KernelResult};
 pub use multiprogrammed::{multiprogrammed_sweep, LoadPoint, MultiprogrammedConfig};
 pub use open_system::{
     open_system_sweep, population_expected_work, OpenSystemConfig, OpenSystemRow, OpenWorkload,
@@ -51,9 +51,7 @@ pub use open_system::{
 };
 pub use overhead::{overhead_sweep, OverheadRow};
 pub use robustness::{robustness_comparison, RobustnessRow};
-pub use single_job::{
-    single_job_sweep, single_job_sweep_with_steps, SingleJobSweepConfig, SweepPoint,
-};
+pub use single_job::{single_job_sweep, SingleJobSweepConfig, SweepPoint};
 pub use stealing::{stealing_comparison, StealRow};
 pub use theory::{
     lemma2_check, theorem1_grid, theorem3_check, theorem4_check, theorem5_check, BoundCheck,

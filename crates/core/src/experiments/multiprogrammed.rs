@@ -64,15 +64,17 @@ impl MultiprogrammedConfig {
         }
     }
 
-    /// A scaled-down sweep for tests and benches.
+    /// The scaled-down sweep `abg-cli fig6` runs by default: the
+    /// paper's machine and factor range on a sampled load axis, with
+    /// fewer sets and a shorter quantum.
     pub fn scaled() -> Self {
         Self {
-            loads: vec![0.5, 1.0, 2.0, 4.0],
-            sets_per_load: 4,
-            processors: 32,
-            quantum_len: 50,
-            pairs: 2,
-            max_factor: 16,
+            loads: vec![0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0],
+            sets_per_load: 12,
+            processors: 128,
+            quantum_len: 200,
+            pairs: 3,
+            max_factor: 100,
             release: ReleaseSchedule::Batched,
             seed: 0xF166,
         }

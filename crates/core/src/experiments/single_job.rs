@@ -47,17 +47,18 @@ impl SingleJobSweepConfig {
         }
     }
 
-    /// A scaled-down sweep for tests and benches: sampled factor axis,
-    /// fewer jobs, and a shorter quantum. The paper's phase geometry
-    /// (phase length at least one quantum's worth of levels) is kept —
-    /// that geometry is what makes the feedback dynamics meaningful —
-    /// so jobs shrink with the quantum instead of degenerating.
+    /// The scaled-down sweep `abg-cli fig5` runs by default: sampled
+    /// factor axis, fewer jobs, and a shorter quantum. The paper's phase
+    /// geometry (phase length at least one quantum's worth of levels) is
+    /// kept — that geometry is what makes the feedback dynamics
+    /// meaningful — so jobs shrink with the quantum instead of
+    /// degenerating.
     pub fn scaled() -> Self {
         Self {
-            factors: vec![2, 5, 10, 20, 40, 80],
-            jobs_per_factor: 8,
+            factors: vec![2, 5, 10, 20, 30, 40, 60, 80, 100],
+            jobs_per_factor: 16,
             processors: 128,
-            quantum_len: 100,
+            quantum_len: 200,
             pairs: 3,
             seed: 0xA6B6_2008,
         }
@@ -126,18 +127,6 @@ fn run_pair(cfg: &SingleJobSweepConfig, factor: u64, index: u64) -> JobPair {
 ///
 /// Panics if the config has no factors or zero jobs per factor.
 pub fn single_job_sweep(cfg: &SingleJobSweepConfig) -> Vec<SweepPoint> {
-    single_job_sweep_with_steps(cfg).0
-}
-
-/// [`single_job_sweep`], additionally returning the total simulated
-/// steps across every run of the sweep (both schedulers, every job) —
-/// the quantity the kernel-benchmark trajectory reports as steps/sec.
-/// Deterministic for a given config, like the points themselves.
-///
-/// # Panics
-///
-/// Panics if the config has no factors or zero jobs per factor.
-pub fn single_job_sweep_with_steps(cfg: &SingleJobSweepConfig) -> (Vec<SweepPoint>, u64) {
     assert!(!cfg.factors.is_empty(), "sweep needs at least one factor");
     assert!(
         cfg.jobs_per_factor > 0,
@@ -146,14 +135,7 @@ pub fn single_job_sweep_with_steps(cfg: &SingleJobSweepConfig) -> (Vec<SweepPoin
     let cells = per_cell(&cfg.factors, cfg.jobs_per_factor, |factor, index| {
         run_pair(cfg, factor, index)
     });
-    let steps: u64 = cells
-        .flat()
-        .iter()
-        .map(|p| p.abg.running_time + p.agreedy.running_time)
-        .sum();
-
-    let points = cfg
-        .factors
+    cfg.factors
         .iter()
         .zip(cells.iter())
         .map(|(&factor, runs)| SweepPoint {
@@ -172,8 +154,7 @@ pub fn single_job_sweep_with_steps(cfg: &SingleJobSweepConfig) -> (Vec<SweepPoin
                 agreedy as f64 / abg.max(1) as f64
             },
         })
-        .collect();
-    (points, steps)
+        .collect()
 }
 
 #[cfg(test)]
@@ -207,11 +188,7 @@ mod tests {
             jobs_per_factor: 3,
             ..SingleJobSweepConfig::scaled()
         };
-        let a = single_job_sweep_with_steps(&cfg);
-        let b = single_job_sweep_with_steps(&cfg);
-        assert_eq!(a, b);
-        assert!(a.1 > 0, "the sweep simulates a positive number of steps");
-        assert_eq!(a.0, single_job_sweep(&cfg), "wrapper returns same points");
+        assert_eq!(single_job_sweep(&cfg), single_job_sweep(&cfg));
     }
 
     #[test]

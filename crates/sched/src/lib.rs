@@ -45,7 +45,7 @@ pub use executor::{
 pub use pipelined_exec::PipelinedExecutor;
 pub use quantum::QuantumStats;
 pub use queue::{BreadthFirstQueue, FifoQueue, LifoQueue, ReadyQueue};
-pub use reference::{ReferenceBGreedyExecutor, ReferenceExecutor};
+pub use reference::ReferenceExecutor;
 
 /// A task scheduler bound to one job, executing it quantum by quantum.
 ///

@@ -7,28 +7,21 @@
 //! rescanning all `T∞` levels — `O(T∞)` per quantum regardless of how
 //! little work the quantum did.
 //!
-//! It exists for two reasons:
-//!
-//! 1. **Equivalence testing.** The optimised
-//!    [`DagExecutor`](crate::DagExecutor) must produce bit-identical
-//!    [`QuantumStats`] on every quantum; the `executor_equivalence`
-//!    proptest suite drives both kernels in lockstep over random dags.
-//!    To make the span comparison exact rather than approximate, the
-//!    reference accumulates span per completed task in pop order as
-//!    `1.0 / level_size` — IEEE division yields exactly the value the
-//!    optimised kernel reads from the precomputed reciprocal table, and
-//!    the addition order matches, so the sums are bit-equal. The legacy
-//!    rescan formula (`Δcompleted / size` summed per level) is still
-//!    computed every quantum and cross-checked against the per-task sum
-//!    to within `1e-9`, guarding against semantic drift in either.
-//! 2. **Benchmarking the before/after.** The CLI `bench` subcommand
-//!    runs the same serial-chain microkernel through this executor
-//!    (`chain_reference`) and the optimised one (`chain_macro`), so the
-//!    speedup claimed by the kernel overhaul stays measurable in every
-//!    future checkout.
+//! It exists as the lockstep oracle: the optimised
+//! [`DagExecutor`](crate::DagExecutor) must produce bit-identical
+//! [`QuantumStats`] on every quantum; the `executor_equivalence`
+//! proptest suite drives both kernels in lockstep over random dags.
+//! To make the span comparison exact rather than approximate, the
+//! reference accumulates span per completed task in pop order as
+//! `1.0 / level_size` — IEEE division yields exactly the value the
+//! optimised kernel reads from the precomputed reciprocal table, and
+//! the addition order matches, so the sums are bit-equal. The legacy
+//! rescan formula (`Δcompleted / size` summed per level) is still
+//! computed every quantum and cross-checked against the per-task sum
+//! to within `1e-9`, guarding against semantic drift in either.
 
 use crate::quantum::QuantumStats;
-use crate::queue::{BreadthFirstQueue, ReadyQueue};
+use crate::queue::ReadyQueue;
 use crate::JobExecutor;
 use abg_dag::{ExplicitDag, TaskId};
 use std::borrow::Borrow;
@@ -58,9 +51,6 @@ pub struct ReferenceExecutor<D: Borrow<ExplicitDag>, Q: ReadyQueue> {
     /// cost, in start order (mirrors the optimised kernel's slot list).
     in_progress: Vec<(TaskId, u64)>,
 }
-
-/// Reference B-Greedy (breadth-first) executor over a borrowed dag.
-pub type ReferenceBGreedyExecutor<'a> = ReferenceExecutor<&'a ExplicitDag, BreadthFirstQueue>;
 
 impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> ReferenceExecutor<D, Q> {
     /// Creates an executor at the start of the job: all sources ready.
@@ -326,12 +316,13 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> JobExecutor for ReferenceExecutor<D,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::BreadthFirstQueue;
     use abg_dag::generate::figure2_job;
 
     #[test]
     fn reference_reproduces_figure2() {
         let d = figure2_job();
-        let mut ex = ReferenceBGreedyExecutor::new(&d);
+        let mut ex: ReferenceExecutor<_, BreadthFirstQueue> = ReferenceExecutor::new(&d);
         let warmup = ex.run_quantum(1, 2);
         assert_eq!(warmup.work, 2);
         let q = ex.run_quantum(4, 3);

@@ -155,13 +155,14 @@ proptest! {
     /// kernel regime: the binary fork tree drives the structural fast
     /// path (forest, unit edges, contiguous id runs), the chain bundle
     /// the steady saturated path with live join in-degrees, the diamond
-    /// wide straddling steps, and nested series-parallel graphs mix
-    /// every regime with skip-level edges. Allotments range up to 48 so
+    /// wide straddling steps, nested series-parallel graphs mix every
+    /// regime with skip-level edges, and the pure serial chain drives
+    /// the macro-stepped serial segment. Allotments range up to 48 so
     /// quanta cross the saturated/straddling boundary both ways, and all
     /// three queue disciplines run the same schedule.
     #[test]
     fn macro_kernel_bit_identical_on_forkjoin_shapes(
-        shape in 0usize..4,
+        shape in 0usize..5,
         seed in 0u64..200,
         sched in prop::collection::vec((0u32..=48, 1u64..=16), 1..30),
     ) {
@@ -171,7 +172,8 @@ proptest! {
             0 => generate::binary_fork_tree(7),
             1 => generate::chain_bundle(6, 9),
             2 => generate::fork_join_diamond(37),
-            _ => generate::series_parallel(&mut rng, 60, 4, 0.4),
+            3 => generate::series_parallel(&mut rng, 60, 4, 0.4),
+            _ => generate::chain(120),
         };
         lockstep::<BreadthFirstQueue>(&dag, &sched);
         lockstep::<FifoQueue>(&dag, &sched);

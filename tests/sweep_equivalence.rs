@@ -18,9 +18,9 @@ use abg::experiments::{
 };
 
 /// `single_job_sweep(SingleJobSweepConfig::scaled())`.
-const FIG5_SCALED: u64 = 0xaa0db22451a30c4f;
+const FIG5_SCALED: u64 = 0x718efcc76737a544;
 /// `multiprogrammed_sweep(MultiprogrammedConfig::scaled())`.
-const FIG6_SCALED: u64 = 0x7a637df27bf7c5ab;
+const FIG6_SCALED: u64 = 0x23f06c4ccac7ab62;
 /// `single_job_sweep(SingleJobSweepConfig::paper())`.
 const FIG5_PAPER: u64 = 0xbd4b009a3e6290c5;
 /// `multiprogrammed_sweep(MultiprogrammedConfig::paper())`.
