@@ -9,14 +9,17 @@ use abg::experiments::{
 use abg::report::{f3, mark, Chart, Table};
 use abg_control::GroupPolicy;
 use abg_sched::JobExecutor as _;
+use std::error::Error;
+use std::io::{self, Write};
+
+/// What a command returns: a message for the user, or the error of a
+/// write to stdout (a closed pipe among them, which `main` ends
+/// quietly).
+pub type Outcome = Result<(), Box<dyn Error>>;
 
 /// One command: its usage (the name, then the one optional positional
 /// it takes, if any), its help text and its body.
-type Command = (
-    &'static str,
-    &'static str,
-    fn(&Options) -> Result<(), String>,
-);
+type Command = (&'static str, &'static str, fn(&Options) -> Outcome);
 
 /// The closed experiments, in the order `all` runs them.
 #[rustfmt::skip]
@@ -45,7 +48,7 @@ const OTHERS: [Command; 3] = [
     ("bench [smoke]", "kernel benchmark suite (smoke = CI-sized run)", bench),
     ("open", "open-system rho sweep: steady-state response time\n\
               and slowdown under sustained Poisson arrivals", open),
-    ("all", "every experiment at scaled size", all),
+    ("all", "every closed experiment, fig1 through overhead", all),
 ];
 
 fn commands() -> impl Iterator<Item = &'static Command> {
@@ -55,7 +58,7 @@ fn commands() -> impl Iterator<Item = &'static Command> {
 /// The text of `--help` and of usage errors: the command table, then
 /// the flags.
 pub fn usage() -> String {
-    let mut s = String::from("usage: abg-cli <command> [args] [--full] [--csv] [--seed N]\n\n");
+    let mut s = String::from("usage: abg-cli <command> [args] [--csv] [--seed N]\n\n");
     s.push_str("commands:\n");
     for &(usage, help, _) in commands() {
         for (i, line) in help.lines().enumerate() {
@@ -70,35 +73,34 @@ pub fn usage() -> String {
 
 /// Dispatches a command. Only `ablate` and `bench` take an argument
 /// (one each); any other positional is an error, not silently ignored.
-pub fn run(command: &str, opts: &Options) -> Result<(), String> {
+pub fn run(command: &str, opts: &Options) -> Outcome {
     let &(usage, _, body) = commands()
         .find(|c| c.0.split(' ').next() == Some(command))
         .ok_or_else(|| format!("unknown command '{command}' (try --help)"))?;
     let arity = usage.split(' ').count() - 1;
     if let Some(stray) = opts.positional.get(arity) {
-        return Err(format!("unexpected argument '{stray}' (try --help)"));
+        return Err(format!("unexpected argument '{stray}' (try --help)").into());
     }
     body(opts)
 }
 
-/// Prints one table: CSV under `--csv`, headed by a `# <title>` line
-/// when `all` prints it among the others, or titled and aligned. It
-/// cannot fail; it returns `Ok` so that a command body can end with it.
-fn emit(title: &str, table: &Table, opts: &Options) -> Result<(), String> {
+/// Writes one table to stdout: CSV under `--csv`, headed by a
+/// `# <title>` line when `all` prints it among the others, or titled
+/// and aligned.
+fn emit(title: &str, table: &Table, opts: &Options) -> Outcome {
+    let mut out = io::stdout().lock();
     if opts.csv {
         if opts.command.as_deref() == Some("all") {
-            println!("# {title}");
+            writeln!(out, "# {title}")?;
         }
-        print!("{}", table.render_csv());
+        write!(out, "{}", table.render_csv())?;
     } else {
-        println!("== {title} ==");
-        print!("{}", table.render());
-        println!();
+        write!(out, "== {title} ==\n{}\n", table.render())?;
     }
     Ok(())
 }
 
-fn fig1(opts: &Options) -> Result<(), String> {
+fn fig1(opts: &Options) -> Outcome {
     // 16 quanta: the figure shows the sustained oscillation.
     let res = experiments::transient_comparison(16);
     let mut t = Table::new(&["quantum", "agreedy_request", "parallelism"]);
@@ -116,7 +118,7 @@ fn fig1(opts: &Options) -> Result<(), String> {
     )
 }
 
-fn fig2(opts: &Options) -> Result<(), String> {
+fn fig2(opts: &Options) -> Outcome {
     // The worked example of Section 2: exact numbers, not a sweep. One
     // source forks into 5 chains of 3 tasks (levels [1, 5, 5, 5]).
     let dag = abg_dag::generate::figure2_job();
@@ -137,7 +139,7 @@ fn fig2(opts: &Options) -> Result<(), String> {
     emit("Figure 2: B-Greedy fractional quantum statistics", &t, opts)
 }
 
-fn fig4(opts: &Options) -> Result<(), String> {
+fn fig4(opts: &Options) -> Outcome {
     let res = experiments::transient_comparison(8);
     let mut t = Table::new(&["quantum", "abg_request", "agreedy_request", "parallelism"]);
     for (a, g) in res.abg.iter().zip(&res.agreedy) {
@@ -161,18 +163,13 @@ fn fig4(opts: &Options) -> Result<(), String> {
         c.series("parallelism A", '-', &target)
             .series("A-Greedy d(q)", '*', &agreedy)
             .series("ABG d(q)", '#', &abg);
-        print!("{}", c.render());
-        println!();
+        writeln!(io::stdout().lock(), "{}", c.render())?;
     }
     Ok(())
 }
 
-fn fig5(opts: &Options) -> Result<(), String> {
-    let mut cfg = if opts.full {
-        SingleJobSweepConfig::paper()
-    } else {
-        SingleJobSweepConfig::scaled()
-    };
+fn fig5(opts: &Options) -> Outcome {
+    let mut cfg = SingleJobSweepConfig::paper();
     if let Some(seed) = opts.seed {
         cfg.seed = seed;
     }
@@ -208,11 +205,12 @@ fn fig5(opts: &Options) -> Result<(), String> {
     let tr: f64 = points.iter().map(|p| p.time_ratio).sum::<f64>() / n;
     let wr: f64 = points.iter().map(|p| p.waste_ratio).sum::<f64>() / n;
     if !opts.csv {
-        println!(
-            "mean A-Greedy/ABG ratios: time {:.3} (paper ≈ 1.2), waste {:.3} (paper ≈ 2)",
-            tr, wr
-        );
-        println!();
+        writeln!(
+            io::stdout().lock(),
+            "mean A-Greedy/ABG ratios: time {:.3} (paper ≈ 1.2), waste {:.3} (paper ≈ 2)\n",
+            tr,
+            wr
+        )?;
     }
     if opts.plot && !opts.csv {
         let abg: Vec<f64> = points.iter().map(|p| p.abg_time_norm).collect();
@@ -223,18 +221,13 @@ fn fig5(opts: &Options) -> Result<(), String> {
             '#',
             &abg,
         );
-        print!("{}", c.render());
-        println!();
+        writeln!(io::stdout().lock(), "{}", c.render())?;
     }
     Ok(())
 }
 
-fn fig6(opts: &Options) -> Result<(), String> {
-    let mut cfg = if opts.full {
-        MultiprogrammedConfig::paper()
-    } else {
-        MultiprogrammedConfig::scaled()
-    };
+fn fig6(opts: &Options) -> Outcome {
+    let mut cfg = MultiprogrammedConfig::paper();
     if let Some(seed) = opts.seed {
         cfg.seed = seed;
     }
@@ -268,7 +261,7 @@ fn fig6(opts: &Options) -> Result<(), String> {
     )
 }
 
-fn thm1(opts: &Options) -> Result<(), String> {
+fn thm1(opts: &Options) -> Outcome {
     let rows =
         experiments::theorem1_grid(&[2.0, 10.0, 32.0, 128.0], &[0.0, 0.2, 0.4, 0.6, 0.8], 64);
     let mut t = Table::new(&[
@@ -302,7 +295,7 @@ fn seed_of(opts: &Options) -> u64 {
     opts.seed.unwrap_or(2008)
 }
 
-fn lemma2(opts: &Options) -> Result<(), String> {
+fn lemma2(opts: &Options) -> Outcome {
     let mut t = Table::new(&["factor", "rate", "check", "measured", "bound", "holds"]);
     for &factor in &[2u64, 4, 8, 16] {
         for &rate in &[0.05, 0.2] {
@@ -321,7 +314,7 @@ fn lemma2(opts: &Options) -> Result<(), String> {
     emit("Lemma 2: request / parallelism envelope", &t, opts)
 }
 
-fn thm3(opts: &Options) -> Result<(), String> {
+fn thm3(opts: &Options) -> Outcome {
     let mut t = Table::new(&["factor", "rate", "measured_T", "bound", "holds"]);
     for &factor in &[2u64, 5, 10, 20, 50] {
         for &rate in &[0.0, 0.2, 0.5] {
@@ -342,7 +335,7 @@ fn thm3(opts: &Options) -> Result<(), String> {
     )
 }
 
-fn thm4(opts: &Options) -> Result<(), String> {
+fn thm4(opts: &Options) -> Outcome {
     let mut t = Table::new(&["factor", "rate", "measured_W", "bound", "holds"]);
     for &factor in &[2u64, 3, 4, 8, 16] {
         for &rate in &[0.05, 0.2] {
@@ -371,7 +364,7 @@ fn thm4(opts: &Options) -> Result<(), String> {
     emit("Theorem 4: processor waste bound", &t, opts)
 }
 
-fn thm5(opts: &Options) -> Result<(), String> {
+fn thm5(opts: &Options) -> Outcome {
     let mut t = Table::new(&["load", "check", "measured", "bound", "holds"]);
     for &load in &[0.5, 1.0, 2.0] {
         match experiments::theorem5_check(load, 4, 0.2, 100, 2, 64, seed_of(opts)) {
@@ -404,7 +397,7 @@ fn thm5(opts: &Options) -> Result<(), String> {
     )
 }
 
-fn ablate(opts: &Options) -> Result<(), String> {
+fn ablate(opts: &Options) -> Outcome {
     let which = opts.positional.first().map(String::as_str).unwrap_or("all");
     let run_rate = |opts: &Options| {
         let rows = experiments::rate_ablation(opts.seed);
@@ -491,11 +484,12 @@ fn ablate(opts: &Options) -> Result<(), String> {
         }
         other => Err(format!(
             "unknown ablation '{other}' (rate|quantum|agreedy|scheduler|semantics|all)"
-        )),
+        )
+        .into()),
     }
 }
 
-fn steal(opts: &Options) -> Result<(), String> {
+fn steal(opts: &Options) -> Outcome {
     let rows = experiments::stealing_comparison(opts.seed);
     let mut t = Table::new(&["scheduler", "time/tinf", "waste/t1"]);
     for r in &rows {
@@ -508,7 +502,7 @@ fn steal(opts: &Options) -> Result<(), String> {
     )
 }
 
-fn adaptive(opts: &Options) -> Result<(), String> {
+fn adaptive(opts: &Options) -> Outcome {
     let rows = experiments::adaptive_quantum_comparison(opts.seed);
     let mut t = Table::new(&["policy", "time/tinf", "waste/t1", "quanta", "reallocations"]);
     for r in &rows {
@@ -523,7 +517,7 @@ fn adaptive(opts: &Options) -> Result<(), String> {
     emit("Future work: adaptive quantum length under ABG", &t, opts)
 }
 
-fn robustness(opts: &Options) -> Result<(), String> {
+fn robustness(opts: &Options) -> Outcome {
     let rows = experiments::robustness_comparison(opts.seed);
     let mut t = Table::new(&[
         "profile",
@@ -554,7 +548,7 @@ fn robustness(opts: &Options) -> Result<(), String> {
     )
 }
 
-fn allocators(opts: &Options) -> Result<(), String> {
+fn allocators(opts: &Options) -> Outcome {
     let rows = experiments::allocator_policy_comparison(opts.seed);
     let mut t = Table::new(&["policy", "load", "m/m*", "r/r*", "waste/work"]);
     for r in &rows {
@@ -573,7 +567,7 @@ fn allocators(opts: &Options) -> Result<(), String> {
     )
 }
 
-fn overhead(opts: &Options) -> Result<(), String> {
+fn overhead(opts: &Options) -> Outcome {
     let rows = experiments::overhead_sweep(opts.seed);
     let mut t = Table::new(&[
         "overhead/L",
@@ -659,12 +653,13 @@ fn baseline_steps_per_sec(json: &str, kernel: &str) -> Option<f64> {
 }
 
 /// The `--check` regression gate: every kernel of the suite must have
-/// run and must stay above 70% of its committed baseline steps/s. The
-/// per-kernel verdicts go to stderr, so `--json` stdout stays one
-/// document.
+/// run and must stay above 70% of its committed baseline steps/s. Every
+/// kernel's verdict goes to stderr, so `--json` stdout stays one
+/// document, and the error names every kernel below its floor.
 fn bench_check(path: &str, results: &[experiments::KernelResult]) -> Result<(), String> {
     let baseline =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
+    let mut below = Vec::new();
     for kernel in experiments::kernel_names() {
         let cur = results
             .iter()
@@ -674,24 +669,33 @@ fn bench_check(path: &str, results: &[experiments::KernelResult]) -> Result<(), 
         let base = baseline_steps_per_sec(&baseline, kernel)
             .ok_or_else(|| format!("no {kernel} steps_per_sec in {path}"))?;
         let floor = base * 0.7;
-        if cur < floor {
-            return Err(format!(
-                "{kernel} regression: {cur:.0} steps/s is below 70% of baseline {base:.0} \
-                 (floor {floor:.0}, from {path})"
-            ));
-        }
+        let verdict = if cur < floor {
+            below.push(format!("{kernel} {cur:.0} steps/s (floor {floor:.0})"));
+            "BELOW FLOOR"
+        } else {
+            "ok"
+        };
         eprintln!(
-            "bench check ok: {kernel} {cur:.0} steps/s vs baseline {base:.0} (floor {floor:.0})"
+            "bench check {verdict}: {kernel} {cur:.0} steps/s vs baseline {base:.0} (floor {floor:.0})"
         );
     }
-    Ok(())
+    if below.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "regression below 70% of baseline (from {path}): {}",
+            below.join(", ")
+        ))
+    }
 }
 
-fn bench(opts: &Options) -> Result<(), String> {
+fn bench(opts: &Options) -> Outcome {
     let mode = match opts.positional.first().map(String::as_str) {
         None => "full",
         Some("smoke") => "smoke",
-        Some(other) => return Err(format!("unknown bench size '{other}' (expected 'smoke')")),
+        Some(other) => {
+            return Err(format!("unknown bench size '{other}' (expected 'smoke')").into())
+        }
     };
     let mut cfg = if mode == "smoke" {
         experiments::KernelBenchConfig::smoke()
@@ -710,7 +714,7 @@ fn bench(opts: &Options) -> Result<(), String> {
     }
     let results = experiments::run_kernel_suite(&cfg);
     if opts.json {
-        print!("{}", bench_json(mode, &cfg, &results));
+        write!(io::stdout().lock(), "{}", bench_json(mode, &cfg, &results))?;
     } else {
         let mut t = Table::new(&[
             "kernel",
@@ -750,7 +754,7 @@ fn bench(opts: &Options) -> Result<(), String> {
         )?;
     }
     match &opts.check {
-        Some(path) => bench_check(path, &results),
+        Some(path) => Ok(bench_check(path, &results)?),
         None => Ok(()),
     }
 }
@@ -835,7 +839,7 @@ fn open_json(mode: &str, cfg: &OpenSystemConfig, rows: &[OpenSystemRow]) -> Stri
     s
 }
 
-fn open(opts: &Options) -> Result<(), String> {
+fn open(opts: &Options) -> Outcome {
     let mut cfg = if opts.smoke {
         OpenSystemConfig::smoke()
     } else {
@@ -876,10 +880,8 @@ fn open(opts: &Options) -> Result<(), String> {
         .map_err(|e| format!("invalid open-system configuration: {e}"))?;
     let rows = experiments::open_system_sweep(&cfg);
     if opts.json {
-        print!(
-            "{}",
-            open_json(if opts.smoke { "smoke" } else { "paper" }, &cfg, &rows)
-        );
+        let mode = if opts.smoke { "smoke" } else { "paper" };
+        write!(io::stdout().lock(), "{}", open_json(mode, &cfg, &rows))?;
         return Ok(());
     }
     let mut t = Table::new(&[
@@ -917,18 +919,18 @@ fn open(opts: &Options) -> Result<(), String> {
                 cfg.realloc_epoch
             )
         };
-        println!(
+        writeln!(
+            io::stdout().lock(),
             "E[T1] = {:.1} steps/job on P = {}{sharding}; unstable points tripped saturation \
-             detection",
+             detection\n",
             rows.first().map(|r| r.expected_work).unwrap_or(f64::NAN),
             cfg.processors,
-        );
-        println!();
+        )?;
     }
     Ok(())
 }
 
-fn all(opts: &Options) -> Result<(), String> {
+fn all(opts: &Options) -> Outcome {
     CLOSED.iter().try_for_each(|&(_, _, body)| body(opts))
 }
 
@@ -1020,6 +1022,19 @@ mod tests {
                 "{kernel}: {err}"
             );
         }
+        // Every kernel is judged before the gate fails: with two kernels
+        // under the floor, the error names both and no other.
+        let mut two = suite_results(1.0, None);
+        let last = two.len() - 1;
+        two[0].steps_per_sec = 690.0;
+        two[last].steps_per_sec = 350.0;
+        let err = bench_check(path, &two).unwrap_err();
+        let expected = format!(
+            "regression below 70% of baseline (from {path}): {} 690 steps/s (floor 700), \
+             {} 350 steps/s (floor 700)",
+            two[0].kernel, two[last].kernel
+        );
+        assert_eq!(err, expected);
         // Missing baseline file, baseline row or kernel is an error, not
         // a silent pass.
         assert!(bench_check("/no/such/file.json", &baseline).is_err());
@@ -1036,6 +1051,12 @@ mod tests {
         assert!(err.contains("did not run open_system"), "{err}");
     }
 
+    /// Runs `opts.command`, which must fail, and returns its message.
+    fn fail(opts: &Options) -> String {
+        let command = opts.command.as_deref().expect("a command");
+        run(command, opts).unwrap_err().to_string()
+    }
+
     /// A positional argument that no command reads is an error before
     /// anything runs, for `all` as for every single command; only
     /// `ablate` and `bench` take one, and a second one is rejected.
@@ -1047,14 +1068,14 @@ mod tests {
             ..Options::default()
         };
         for command in ["all", "fig2", "fig5", "thm3", "open"] {
-            let err = run(command, &with(command, &["bogus"])).unwrap_err();
+            let err = fail(&with(command, &["bogus"]));
             assert_eq!(err, "unexpected argument 'bogus' (try --help)", "{command}");
         }
-        let err = run("ablate", &with("ablate", &["rate", "extra"])).unwrap_err();
+        let err = fail(&with("ablate", &["rate", "extra"]));
         assert_eq!(err, "unexpected argument 'extra' (try --help)");
-        let err = run("bench", &with("bench", &["smoke", "extra"])).unwrap_err();
+        let err = fail(&with("bench", &["smoke", "extra"]));
         assert_eq!(err, "unexpected argument 'extra' (try --help)");
-        let err = run("ablate", &with("ablate", &["bogus"])).unwrap_err();
+        let err = fail(&with("ablate", &["bogus"]));
         assert!(err.starts_with("unknown ablation 'bogus'"), "{err}");
     }
 
@@ -1068,43 +1089,39 @@ mod tests {
             smoke: true,
             ..Options::default()
         };
-        let err = open(&Options {
+        let err = fail(&Options {
             groups: Some(0),
             ..base.clone()
-        })
-        .unwrap_err();
+        });
         assert_eq!(
             err,
             "invalid open-system configuration: need at least one processor group"
         );
-        let err = open(&Options {
+        let err = fail(&Options {
             groups: Some(4),
             realloc_epoch: Some(0),
             ..base.clone()
-        })
-        .unwrap_err();
+        });
         assert_eq!(
             err,
             "invalid open-system configuration: need a positive reallocation epoch"
         );
         // The smoke machine has 16 processors; 17 groups cannot all
         // hold the floor of one processor.
-        let err = open(&Options {
+        let err = fail(&Options {
             groups: Some(17),
             ..base.clone()
-        })
-        .unwrap_err();
+        });
         assert_eq!(
             err,
             "invalid open-system configuration: per-group floor must be between 1 and P/G \
              (1 with 16 processors over 17 groups)"
         );
-        let err = open(&Options {
+        let err = fail(&Options {
             groups: Some(4),
             group_alloc: Some("greedy".into()),
             ..base
-        })
-        .unwrap_err();
+        });
         assert_eq!(
             err,
             "unknown group allocator 'greedy' (expected static, desire or conservative)"
@@ -1121,28 +1138,25 @@ mod tests {
             smoke: true,
             ..Options::default()
         };
-        let err = open(&Options {
+        let err = fail(&Options {
             workflow: Some("mapreduce".into()),
             dag_file: Some("x.dag".into()),
             ..base.clone()
-        })
-        .unwrap_err();
+        });
         assert_eq!(err, "--workflow and --dag-file are mutually exclusive");
-        let err = open(&Options {
+        let err = fail(&Options {
             workflow: Some("cyclone".into()),
             ..base.clone()
-        })
-        .unwrap_err();
+        });
         assert_eq!(
             err,
             "unknown workflow 'cyclone' (expected one of: diamond, mapreduce, montage, \
              epigenomics)"
         );
-        let err = open(&Options {
+        let err = fail(&Options {
             dag_file: Some("/no/such/file.dag".into()),
             ..base
-        })
-        .unwrap_err();
+        });
         assert!(err.starts_with("dag file i/o error:"), "{err}");
     }
 }

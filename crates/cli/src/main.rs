@@ -4,14 +4,16 @@
 //! `abg-cli --help` lists the commands and flags; one command table
 //! in `commands.rs` drives dispatch, `all` and that help text.
 //!
-//! `--full` switches `fig5`/`fig6` to the paper's full scale (still
-//! sub-second thanks to the fast-forward executors); the default is a
-//! smaller sweep that preserves the shape.
+//! `fig5` and `fig6` run the paper's Section 7 set-up (well under a
+//! second each, thanks to the fast-forward executors). Every command
+//! writes to stdout through `io::Write`, so a reader that closes the
+//! pipe early (`| head`) ends the run quietly with exit status 0.
 
 mod commands;
 mod options;
 
 use options::Options;
+use std::io::{self, ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -24,21 +26,28 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let Some(command) = opts.command.clone() else {
-        println!("{}", commands::usage());
+    let outcome = match opts.command.as_deref() {
+        None => writeln!(io::stdout().lock(), "{}", commands::usage()).map_err(Into::into),
+        Some(command) => {
+            if let Some(n) = opts.threads {
+                // The harness reads ABG_THREADS through
+                // `abg::experiments::configured_threads`; the flag is a
+                // per-run override of that variable. Results are
+                // thread-count independent — this pins wall-clock
+                // behaviour only.
+                std::env::set_var("ABG_THREADS", n.to_string());
+            }
+            commands::run(command, &opts)
+        }
+    };
+    let Err(err) = outcome else {
         return ExitCode::SUCCESS;
     };
-    if let Some(n) = opts.threads {
-        // The harness reads ABG_THREADS through
-        // `abg::experiments::configured_threads`; the flag is a per-run
-        // override of that variable. Results are thread-count
-        // independent — this pins wall-clock behaviour only.
-        std::env::set_var("ABG_THREADS", n.to_string());
-    }
-    match commands::run(&command, &opts) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
+    match err.downcast_ref::<io::Error>() {
+        // The reader closed the pipe (`| head`): it wants no more output.
+        Some(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        _ => {
+            eprintln!("error: {err}");
             ExitCode::FAILURE
         }
     }

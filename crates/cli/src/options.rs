@@ -8,8 +8,6 @@ pub struct Options {
     /// Extra positional arguments after the command (e.g. the ablation
     /// name).
     pub positional: Vec<String>,
-    /// Run at the paper's full scale.
-    pub full: bool,
     /// Run at CI smoke scale (the `open` subcommand).
     pub smoke: bool,
     /// Emit CSV instead of an aligned table.
@@ -56,7 +54,6 @@ impl Options {
     /// command table's, see `commands::usage`).
     pub const FLAGS: &'static str = "\
 flags:
-  --full               paper-scale fig5/fig6 (sub-second; the fast paths are cheap)
   --smoke              open: CI-sized sweep instead of the full-scale one
   --csv                CSV output instead of aligned tables
   --plot               append ASCII charts after the tables
@@ -87,7 +84,6 @@ flags:
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--full" => opts.full = true,
                 "--smoke" => opts.smoke = true,
                 "--csv" => opts.csv = true,
                 "--plot" => opts.plot = true,
@@ -176,9 +172,8 @@ mod tests {
 
     #[test]
     fn parses_command_and_flags() {
-        let o = parse(&["fig5", "--full", "--seed", "42"]).unwrap();
+        let o = parse(&["fig5", "--seed", "42"]).unwrap();
         assert_eq!(o.command.as_deref(), Some("fig5"));
-        assert!(o.full);
         assert!(!o.csv);
         assert_eq!(o.seed, Some(42));
     }
@@ -300,6 +295,11 @@ mod tests {
     #[test]
     fn rejects_unknown_flag() {
         assert!(parse(&["fig1", "--what"]).is_err());
+        // Figs. 5 and 6 have one scale, the paper's, and no flag for it.
+        assert_eq!(
+            parse(&["fig5", "--full"]).unwrap_err(),
+            "unknown flag '--full'"
+        );
     }
 
     #[test]

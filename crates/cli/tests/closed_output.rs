@@ -1,15 +1,17 @@
 //! `abg-cli all --csv` end to end: every closed command's output, pinned.
 //!
-//! Several tables `all` prints have no library golden of their own: the
-//! default `fig5`/`fig6` presets, Fig. 1's 16-quantum trajectory and the
-//! Lemma 2 / Theorem 1, 4, 5 grids. One fingerprint over the whole stdout
-//! pins them together with every other closed command. Each table is
-//! headed by a `# <title>` line, so the stream splits back into tables.
+//! Several tables `all` prints have no library golden of their own:
+//! Fig. 1's 16-quantum trajectory and the Lemma 2 / Theorem 1, 4, 5
+//! grids. (Figs. 5 and 6 run the paper presets, which `FIG5_PAPER` and
+//! `FIG6_PAPER` pin in the library.) One fingerprint over the whole
+//! stdout pins them together with every other closed command. Each
+//! table is headed by a `# <title>` line, so the stream splits back
+//! into tables.
 
 use abg::experiments::Fingerprint;
 use std::process::Command;
 
-const ALL_CSV: u64 = 0x3a9e_dedf_0ab7_54ef;
+const ALL_CSV: u64 = 0x73ae_789c_9a23_20a2;
 
 #[test]
 fn all_csv_matches_golden() {

@@ -66,33 +66,8 @@ pub struct HierarchicalConfig {
 }
 
 impl HierarchicalConfig {
-    /// Full-scale sweep: 64 processors in 8 groups, skews up to 8:1.
-    pub fn paper() -> Self {
-        Self {
-            processors: 64,
-            groups: 8,
-            quantum_len: 20,
-            realloc_epoch: 50,
-            rho: 0.45,
-            hots: vec![1, 2, 4, 8],
-            policies: vec![
-                GroupPolicy::Static,
-                GroupPolicy::Desire,
-                GroupPolicy::Conservative,
-            ],
-            width: 4,
-            levels: 50,
-            warmup_jobs: 400,
-            measured_jobs: 1600,
-            batches: 16,
-            max_quanta: 20_000_000,
-            saturation: SaturationConfig::default(),
-            seed: 0x5E3A,
-        }
-    }
-
-    /// A scaled-down smoke sweep for tests and CI: 16 processors in 4
-    /// groups, uniform and 4:1 skew, finishing in well under a second.
+    /// The smoke sweep the tests pin: 16 processors in 4 groups,
+    /// uniform and 4:1 skew, finishing in well under a second.
     pub fn smoke() -> Self {
         Self {
             processors: 16,

@@ -2,15 +2,16 @@
 //! evaluation, shared by the CLI, the kernel suite and the integration tests.
 //!
 //! Every experiment is deterministic in its seed and returns plain data
-//! rows. The sweeps run at more than one size (Figs. 5 and 6, the open
-//! system, the hierarchical skew sweep, the kernel suite) take a
-//! `*Config` with a paper-scale preset (`paper()`, or `full()` for the
-//! kernels) and a scaled-down one (`scaled()` or `smoke()`). Each closed
-//! extension experiment — the ablations, work stealing, the adaptive
-//! quantum, robustness, allocator policies and reallocation overhead —
-//! is one preset: its sizes and axes are private constants of its
-//! module, and it takes only `seed: Option<u64>` (`None` is the
-//! recorded seed), so the CLI and the goldens run the same function.
+//! rows. The sweeps take a `*Config` whose presets are the sizes
+//! something runs: Figs. 5 and 6 have only the paper's (`paper()`), the
+//! open system has `paper()` and `smoke()`, the kernel suite `full()`
+//! and `smoke()`, and the hierarchical skew sweep only the `smoke()`
+//! its tests pin. Each closed extension experiment — the ablations,
+//! work stealing, the adaptive quantum, robustness, allocator policies
+//! and reallocation overhead — is one preset: its sizes and axes are
+//! private constants of its module, and it takes only
+//! `seed: Option<u64>` (`None` is the recorded seed), so the CLI and
+//! the goldens run the same function.
 //! Figs. 1 and 4 ([`transient_comparison`]) take only the number of
 //! quanta to report.
 

@@ -50,29 +50,13 @@ pub struct MultiprogrammedConfig {
 
 impl MultiprogrammedConfig {
     /// The paper's setting: `P = 128`, `L = 1000`, batched sets,
-    /// loads spanning (0, 6], ~5000 sets total.
+    /// loads spanning (0, 6], ~5000 sets total. `abg-cli fig6` runs it.
     pub fn paper() -> Self {
         Self {
             loads: (1..=24).map(|i| i as f64 * 0.25).collect(),
             sets_per_load: 208, // ≈ 5000 sets in total
             processors: 128,
             quantum_len: 1000,
-            pairs: 3,
-            max_factor: 100,
-            release: ReleaseSchedule::Batched,
-            seed: 0xF166,
-        }
-    }
-
-    /// The scaled-down sweep `abg-cli fig6` runs by default: the
-    /// paper's machine and factor range on a sampled load axis, with
-    /// fewer sets and a shorter quantum.
-    pub fn scaled() -> Self {
-        Self {
-            loads: vec![0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0],
-            sets_per_load: 12,
-            processors: 128,
-            quantum_len: 200,
             pairs: 3,
             max_factor: 100,
             release: ReleaseSchedule::Batched,
@@ -227,9 +211,19 @@ pub fn multiprogrammed_sweep(cfg: &MultiprogrammedConfig) -> Vec<LoadPoint> {
 mod tests {
     use super::*;
 
+    /// A sampled load axis with fewer sets and a shorter quantum.
+    fn small() -> MultiprogrammedConfig {
+        MultiprogrammedConfig {
+            loads: vec![0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0],
+            sets_per_load: 12,
+            quantum_len: 200,
+            ..MultiprogrammedConfig::paper()
+        }
+    }
+
     #[test]
     fn scaled_sweep_produces_sane_normalized_metrics() {
-        let cfg = MultiprogrammedConfig::scaled();
+        let cfg = small();
         let points = multiprogrammed_sweep(&cfg);
         assert_eq!(points.len(), cfg.loads.len());
         for p in &points {
@@ -244,7 +238,7 @@ mod tests {
 
     #[test]
     fn light_load_favors_abg() {
-        let mut cfg = MultiprogrammedConfig::scaled();
+        let mut cfg = small();
         cfg.loads = vec![0.5];
         cfg.sets_per_load = 6;
         let p = &multiprogrammed_sweep(&cfg)[0];
@@ -259,7 +253,7 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic() {
-        let mut cfg = MultiprogrammedConfig::scaled();
+        let mut cfg = small();
         cfg.loads = vec![1.0];
         cfg.sets_per_load = 2;
         assert_eq!(multiprogrammed_sweep(&cfg), multiprogrammed_sweep(&cfg));

@@ -35,7 +35,7 @@ pub struct SingleJobSweepConfig {
 
 impl SingleJobSweepConfig {
     /// The paper's setting: factors 2..=100, 50 jobs per factor,
-    /// `P = 128`, `L = 1000`, `r = 0.2`, `ρ = 2`.
+    /// `P = 128`, `L = 1000`, `r = 0.2`, `ρ = 2`. `abg-cli fig5` runs it.
     pub fn paper() -> Self {
         Self {
             factors: (2..=100).collect(),
@@ -43,23 +43,6 @@ impl SingleJobSweepConfig {
             processors: 128,
             quantum_len: 1000,
             pairs: 4,
-            seed: 0xA6B6_2008,
-        }
-    }
-
-    /// The scaled-down sweep `abg-cli fig5` runs by default: sampled
-    /// factor axis, fewer jobs, and a shorter quantum. The paper's phase
-    /// geometry (phase length at least one quantum's worth of levels) is
-    /// kept — that geometry is what makes the feedback dynamics
-    /// meaningful — so jobs shrink with the quantum instead of
-    /// degenerating.
-    pub fn scaled() -> Self {
-        Self {
-            factors: vec![2, 5, 10, 20, 30, 40, 60, 80, 100],
-            jobs_per_factor: 16,
-            processors: 128,
-            quantum_len: 200,
-            pairs: 3,
             seed: 0xA6B6_2008,
         }
     }
@@ -161,9 +144,20 @@ pub fn single_job_sweep(cfg: &SingleJobSweepConfig) -> Vec<SweepPoint> {
 mod tests {
     use super::*;
 
+    /// A sampled factor axis with fewer jobs and a shorter quantum.
+    fn small() -> SingleJobSweepConfig {
+        SingleJobSweepConfig {
+            factors: vec![2, 5, 10, 20, 30, 40, 60, 80, 100],
+            jobs_per_factor: 16,
+            quantum_len: 200,
+            pairs: 3,
+            ..SingleJobSweepConfig::paper()
+        }
+    }
+
     #[test]
     fn scaled_sweep_shows_abg_advantage() {
-        let cfg = SingleJobSweepConfig::scaled();
+        let cfg = small();
         let points = single_job_sweep(&cfg);
         assert_eq!(points.len(), cfg.factors.len());
         // The headline result: averaged across the sweep, A-Greedy wastes
@@ -186,7 +180,7 @@ mod tests {
         let cfg = SingleJobSweepConfig {
             factors: vec![5, 10],
             jobs_per_factor: 3,
-            ..SingleJobSweepConfig::scaled()
+            ..small()
         };
         assert_eq!(single_job_sweep(&cfg), single_job_sweep(&cfg));
     }
@@ -196,7 +190,7 @@ mod tests {
     fn empty_factor_axis_rejected() {
         let cfg = SingleJobSweepConfig {
             factors: vec![],
-            ..SingleJobSweepConfig::scaled()
+            ..small()
         };
         let _ = single_job_sweep(&cfg);
     }

@@ -1,7 +1,7 @@
 //! Prints bit-exact fingerprints of the paper-scale sweeps.
 //!
 //! ```text
-//! cargo run --release --example sweep_fingerprint [--paper]
+//! cargo run --release --example sweep_fingerprint
 //! ```
 //!
 //! The values only depend on the config (including the seed), never on
@@ -9,9 +9,8 @@
 //! refactor and compare after: equal fingerprints mean the refactor is
 //! behavior-identical down to the last ulp on every sweep output field
 //! (the unified-quantum-core rewrite of all four drivers was gated on
-//! exactly this check).
-//! `tests/sweep_equivalence.rs` pins the scaled-config values; the
-//! `--paper` run covers the full Figure-5/Figure-6 scale (slower).
+//! exactly this check). `tests/sweep_equivalence.rs` pins both values
+//! as `FIG5_PAPER` and `FIG6_PAPER`.
 
 use abg::experiments::{
     load_fingerprint, multiprogrammed_sweep, single_job_sweep, sweep_fingerprint,
@@ -27,39 +26,19 @@ fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
 }
 
 fn main() {
-    let paper = std::env::args().any(|a| a == "--paper");
-
-    let scaled = timed("fig5 scaled", || {
-        single_job_sweep(&SingleJobSweepConfig::scaled())
+    let fig5 = timed("fig5 paper", || {
+        single_job_sweep(&SingleJobSweepConfig::paper())
     });
     println!(
-        "single_job_sweep(scaled)        = {:#018x}",
-        sweep_fingerprint(&scaled)
+        "single_job_sweep(paper)         = {:#018x}",
+        sweep_fingerprint(&fig5)
     );
 
-    let multi_scaled = timed("fig6 scaled", || {
-        multiprogrammed_sweep(&MultiprogrammedConfig::scaled())
+    let fig6 = timed("fig6 paper", || {
+        multiprogrammed_sweep(&MultiprogrammedConfig::paper())
     });
     println!(
-        "multiprogrammed_sweep(scaled)   = {:#018x}",
-        load_fingerprint(&multi_scaled)
+        "multiprogrammed_sweep(paper)    = {:#018x}",
+        load_fingerprint(&fig6)
     );
-
-    if paper {
-        let fig5 = timed("fig5 paper", || {
-            single_job_sweep(&SingleJobSweepConfig::paper())
-        });
-        println!(
-            "single_job_sweep(paper)         = {:#018x}",
-            sweep_fingerprint(&fig5)
-        );
-
-        let fig6 = timed("fig6 paper", || {
-            multiprogrammed_sweep(&MultiprogrammedConfig::paper())
-        });
-        println!(
-            "multiprogrammed_sweep(paper)    = {:#018x}",
-            load_fingerprint(&fig6)
-        );
-    }
 }

@@ -1,5 +1,5 @@
 //! Integration tests asserting the *shape* of every paper figure at
-//! scaled size: who wins, by roughly what factor, and where behaviour
+//! reduced size: who wins, by roughly what factor, and where behaviour
 //! crosses over. These are the executable form of EXPERIMENTS.md.
 
 use abg::experiments::{
@@ -88,7 +88,8 @@ fn figure5_single_job_sweep_shape() {
         factors: vec![2, 5, 10, 20, 40, 80],
         jobs_per_factor: 8,
         quantum_len: 100,
-        ..SingleJobSweepConfig::scaled()
+        pairs: 3,
+        ..SingleJobSweepConfig::paper()
     };
     let pts = single_job_sweep(&cfg);
 
@@ -131,7 +132,7 @@ fn figure6_multiprogrammed_shape() {
         quantum_len: 100,
         pairs: 3,
         max_factor: 100,
-        ..MultiprogrammedConfig::scaled()
+        ..MultiprogrammedConfig::paper()
     };
     let pts = multiprogrammed_sweep(&cfg);
 
