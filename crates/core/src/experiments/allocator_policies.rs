@@ -9,17 +9,13 @@
 //! This experiment quantifies what each missing property costs at the
 //! system level.
 
-use super::{mean, per_cell};
-use crate::bounds::{makespan_lower_bound, response_lower_bound_batched, JobSize};
+use super::{mean, per_cell, pipelined, SharedSet};
+use crate::bounds::{makespan_lower_bound, response_lower_bound_batched};
 use abg_alloc::{Allocator, DynamicEquiPartition, Proportional, RoundRobin};
-use abg_control::{AControl, Controller};
-use abg_dag::PhasedJob;
-use abg_sched::PipelinedExecutor;
-use abg_sim::MultiJobSim;
+use abg_control::AControl;
 use abg_workload::{splitmix_seed, JobSetSpec, ReleaseSchedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 /// Loads of the probe job sets.
 const LOADS: [f64; 3] = [0.5, 1.0, 2.0];
@@ -51,31 +47,10 @@ pub struct AllocatorPolicyRow {
     pub waste_norm: f64,
 }
 
-fn run_with<A: Allocator>(
-    jobs: &[Arc<PhasedJob>],
-    releases: &[u64],
-    allocator: A,
-) -> (f64, f64, f64) {
-    let mut sim = MultiJobSim::new(allocator, QUANTUM_LEN);
-    for (job, &release) in jobs.iter().zip(releases) {
-        let calc: Box<dyn Controller + Send> = Box::new(AControl::paper_default());
-        // All three policies execute the same Arc-shared job structures.
-        sim.add_job(
-            Box::new(PipelinedExecutor::new(Arc::clone(job))),
-            calc,
-            release,
-        );
-    }
-    let out = sim.run();
-    let sizes: Vec<JobSize> = jobs
-        .iter()
-        .zip(releases)
-        .map(|(j, &r)| JobSize {
-            work: j.work(),
-            span: j.span(),
-            release: r,
-        })
-        .collect();
+fn run_with<A: Allocator>(set: &SharedSet, allocator: A) -> (f64, f64, f64) {
+    // All three policies execute the same Arc-shared job structures.
+    let out = set.run(allocator, QUANTUM_LEN, pipelined, AControl::paper_default);
+    let sizes = set.sizes();
     let m_star = makespan_lower_bound(&sizes, PROCESSORS);
     let r_star = response_lower_bound_batched(&sizes, PROCESSORS);
     (
@@ -102,13 +77,11 @@ pub fn allocator_policy_comparison(seed: Option<u64>) -> Vec<AllocatorPolicyRow>
             max_jobs: PROCESSORS as usize,
             release: ReleaseSchedule::Batched,
         };
-        let set = spec.generate(&mut rng);
-        let releases = set.releases;
-        let jobs: Vec<Arc<PhasedJob>> = set.jobs.into_iter().map(Arc::new).collect();
+        let set = SharedSet::new(spec.generate(&mut rng));
         [
-            run_with(&jobs, &releases, DynamicEquiPartition::new(PROCESSORS)),
-            run_with(&jobs, &releases, RoundRobin::new(PROCESSORS)),
-            run_with(&jobs, &releases, Proportional::new(PROCESSORS)),
+            run_with(&set, DynamicEquiPartition::new(PROCESSORS)),
+            run_with(&set, RoundRobin::new(PROCESSORS)),
+            run_with(&set, Proportional::new(PROCESSORS)),
         ]
     });
 

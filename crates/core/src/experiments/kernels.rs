@@ -592,6 +592,9 @@ fn unified_engine(cfg: &KernelBenchConfig) -> KernelResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{MultiprogrammedConfig, SharedSet};
+    use abg_alloc::{AllocationStability, Allocator};
+    use abg_sched::QuantumStats;
 
     #[test]
     fn smoke_suite_runs_every_kernel() {
@@ -675,5 +678,212 @@ mod tests {
                 d.mean_jobs_in_system()
             );
         }
+    }
+
+    thread_local! {
+        /// `(busy ns, calls)` of executor `run_quantum`, controller
+        /// `observe` and allocator `allocate_into`, in that order, summed
+        /// by [`Timed`] on the calling thread.
+        static LAYERS: std::cell::Cell<[(u64, u64); 3]> =
+            const { std::cell::Cell::new([(0, 0); 3]) };
+    }
+
+    /// [`Timed`] clocks one call in this many and scales it up: two clock
+    /// reads per call would cost more than the calls they time.
+    const SAMPLE_EVERY: u64 = 31;
+
+    /// A clocked call at least this long (ns) was preempted.
+    const PREEMPTED_NS: u64 = 20_000;
+
+    fn timed<T>(layer: usize, f: impl FnOnce() -> T) -> T {
+        let add = |nanos: u64, calls: u64| {
+            LAYERS.with(|l| {
+                let mut v = l.get();
+                v[layer].0 += nanos;
+                v[layer].1 += calls;
+                l.set(v);
+                v[layer].1
+            })
+        };
+        if add(0, 1) % SAMPLE_EVERY != 0 {
+            return f();
+        }
+        let t0 = Instant::now();
+        let out = f();
+        let nanos = t0.elapsed().as_nanos() as u64;
+        // A sample that long was preempted; scaled up it would swamp the
+        // layer, so it counts as nothing (the wall time still holds it).
+        if nanos < PREEMPTED_NS {
+            add(nanos.saturating_sub(clock_floor()) * SAMPLE_EVERY, 0);
+        }
+        out
+    }
+
+    /// Mean reading of an empty clocked interval, preempted readings left
+    /// out: the clock's own cost, taken off every sample.
+    fn clock_floor() -> u64 {
+        static FLOOR: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+        *FLOOR.get_or_init(|| {
+            let readings: Vec<u64> = (0..1_000_000)
+                .map(|_| Instant::now().elapsed().as_nanos() as u64)
+                .filter(|&ns| ns < PREEMPTED_NS)
+                .collect();
+            readings.iter().sum::<u64>() / readings.len() as u64
+        })
+    }
+
+    /// Times the hot method of the executor, controller or allocator it
+    /// wraps and forwards every other method, defaulted ones included,
+    /// so the wrapped run is the same program.
+    struct Timed<T>(T);
+
+    impl<T: JobExecutor> JobExecutor for Timed<T> {
+        fn run_quantum(&mut self, allotment: u32, steps: u64) -> QuantumStats {
+            timed(0, || self.0.run_quantum(allotment, steps))
+        }
+        fn is_complete(&self) -> bool {
+            self.0.is_complete()
+        }
+        fn total_work(&self) -> u64 {
+            self.0.total_work()
+        }
+        fn total_span(&self) -> u64 {
+            self.0.total_span()
+        }
+        fn completed_work(&self) -> u64 {
+            self.0.completed_work()
+        }
+        fn elapsed_steps(&self) -> u64 {
+            self.0.elapsed_steps()
+        }
+        fn try_reset(&mut self) -> bool {
+            self.0.try_reset()
+        }
+        fn steady_quanta(&self, allotment: u32, steps: u64, stats: &QuantumStats) -> u64 {
+            self.0.steady_quanta(allotment, steps, stats)
+        }
+    }
+
+    impl<T: Controller> Controller for Timed<T> {
+        fn initial_request(&self) -> f64 {
+            self.0.initial_request()
+        }
+        fn observe(&mut self, stats: &QuantumStats) -> f64 {
+            timed(1, || self.0.observe(stats))
+        }
+        fn current_request(&self) -> f64 {
+            self.0.current_request()
+        }
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn initial_quantum_len(&self, default_len: u64) -> u64 {
+            self.0.initial_quantum_len(default_len)
+        }
+        fn next_quantum_len(&mut self, default_len: u64) -> u64 {
+            self.0.next_quantum_len(default_len)
+        }
+        fn supports_frozen_stepping(&self) -> bool {
+            self.0.supports_frozen_stepping()
+        }
+        fn is_steady(&self, stats: &QuantumStats) -> bool {
+            self.0.is_steady(stats)
+        }
+    }
+
+    impl<T: Allocator> Allocator for Timed<T> {
+        fn allocate_into(&mut self, requests: &[f64], out: &mut Vec<u32>) {
+            timed(2, || self.0.allocate_into(requests, out))
+        }
+        fn try_availabilities(&mut self, requests: &[f64], out: &mut Vec<u32>) -> bool {
+            self.0.try_availabilities(requests, out)
+        }
+        fn total_processors(&self) -> u32 {
+            self.0.total_processors()
+        }
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn allocation_stability(&self) -> AllocationStability {
+            self.0.allocation_stability()
+        }
+    }
+
+    /// Runs every set once on DEQ under the given executor and
+    /// controller factories and prints the pass's wall time, each
+    /// layer's busy time and calls, and the core's self time (wall time
+    /// minus the three layers).
+    fn closed_pass<E: JobExecutor, C: Controller>(
+        label: &str,
+        sets: &[SharedSet],
+        cfg: &MultiprogrammedConfig,
+        executor: impl Fn(&Arc<PhasedJob>) -> E,
+        controller: impl Fn() -> C,
+    ) {
+        LAYERS.with(|l| l.set([(0, 0); 3]));
+        let start = Instant::now();
+        let quanta: u64 = sets
+            .iter()
+            .map(|set| {
+                let deq = Timed(DynamicEquiPartition::new(cfg.processors));
+                set.run(deq, cfg.quantum_len, &executor, &controller).quanta
+            })
+            .sum();
+        let wall = start.elapsed().as_secs_f64();
+        let layers = LAYERS.with(|l| l.get());
+        let busy: Vec<f64> = layers.iter().map(|&(ns, _)| ns as f64 * 1e-9).collect();
+        println!(
+            "{label}: {quanta} quanta, wall {wall:.3} s | run_quantum {:.3} s / {} calls | \
+             observe {:.3} s / {} calls | allocate {:.3} s / {} calls | core self {:.3} s",
+            busy[0],
+            layers[0].1,
+            busy[1],
+            layers[1].1,
+            busy[2],
+            layers[2].1,
+            wall - busy.iter().sum::<f64>(),
+        );
+    }
+
+    /// Per-layer split of the Fig. 6 preset's closed loop: every paper
+    /// set under ABG and A-Greedy, once through the monomorphized
+    /// executor and controller and once boxed, each component behind a
+    /// sampling timing wrapper:
+    /// `cargo test --release -p abg closed_layer_probe -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "measurement probe, not a correctness test"]
+    fn closed_layer_probe() {
+        use crate::experiments::multiprogrammed::generate_set;
+        use crate::experiments::pipelined;
+        use abg_control::AGreedy;
+        type BoxedExecutor = Box<dyn JobExecutor + Send>;
+        type BoxedController = Box<dyn Controller + Send>;
+
+        println!("clock floor {} ns", clock_floor());
+        let cfg = MultiprogrammedConfig::paper();
+        let sets: Vec<SharedSet> = cfg
+            .loads
+            .iter()
+            .flat_map(|&load| (0..cfg.sets_per_load as u64).map(move |i| (load, i)))
+            .map(|(load, i)| SharedSet::new(generate_set(&cfg, load, i)))
+            .collect();
+        let mono = |job: &Arc<PhasedJob>| Timed(pipelined(job));
+        let boxed = |job: &Arc<PhasedJob>| -> BoxedExecutor { Box::new(Timed(pipelined(job))) };
+        closed_pass("monomorphic abg", &sets, &cfg, mono, || {
+            Timed(AControl::paper_default())
+        });
+        closed_pass("monomorphic a-greedy", &sets, &cfg, mono, || {
+            Timed(AGreedy::paper_default())
+        });
+        closed_pass("boxed abg", &sets, &cfg, boxed, || -> BoxedController {
+            Box::new(Timed(AControl::paper_default()))
+        });
+        closed_pass(
+            "boxed a-greedy",
+            &sets,
+            &cfg,
+            boxed,
+            || -> BoxedController { Box::new(Timed(AGreedy::paper_default())) },
+        );
     }
 }

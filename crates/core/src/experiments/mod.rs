@@ -30,11 +30,16 @@ pub mod stealing;
 pub mod theory;
 pub mod transient;
 
+use crate::bounds::JobSize;
+use abg_alloc::Allocator;
+use abg_control::Controller;
 use abg_dag::PhasedJob;
-use abg_sim::SingleJobRun;
-use abg_workload::{paper_job, splitmix_seed};
+use abg_sched::{JobExecutor, PipelinedExecutor};
+use abg_sim::{MultiJobOutcome, MultiJobSim, SingleJobRun};
+use abg_workload::{paper_job, splitmix_seed, JobSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 pub use ablation::{
     agreedy_ablation, governed_rate_quality, quantum_ablation, rate_ablation, scheduler_ablation,
@@ -116,6 +121,65 @@ pub(crate) fn probe_job(
 ) -> PhasedJob {
     let mut rng = StdRng::seed_from_u64(splitmix_seed(seed, factor, index));
     paper_job(factor, quantum_len, pairs, &mut rng)
+}
+
+/// A generated job set whose job structures are shared: every run over
+/// it (one per scheduler or allocator) and the lower bounds borrow the
+/// same phase lists, no deep clones.
+pub(crate) struct SharedSet {
+    pub(crate) jobs: Vec<Arc<PhasedJob>>,
+    pub(crate) releases: Vec<u64>,
+}
+
+impl SharedSet {
+    pub(crate) fn new(set: JobSet) -> Self {
+        Self {
+            jobs: set.jobs.into_iter().map(Arc::new).collect(),
+            releases: set.releases,
+        }
+    }
+
+    /// Work, span and release of every job: the lower bounds' input.
+    pub(crate) fn sizes(&self) -> Vec<JobSize> {
+        self.jobs
+            .iter()
+            .zip(&self.releases)
+            .map(|(j, &release)| JobSize {
+                work: j.work(),
+                span: j.span(),
+                release,
+            })
+            .collect()
+    }
+
+    /// Runs the set to completion on `allocator`: each job on the
+    /// executor `executor` builds over it, under a fresh `controller()`,
+    /// released as generated. Every closed job-set experiment runs here,
+    /// monomorphized over the three components; [`pipelined`] is the
+    /// executor they pass.
+    pub(crate) fn run<A, E, C>(
+        &self,
+        allocator: A,
+        quantum_len: u64,
+        executor: impl Fn(&Arc<PhasedJob>) -> E,
+        controller: impl Fn() -> C,
+    ) -> MultiJobOutcome
+    where
+        A: Allocator,
+        E: JobExecutor,
+        C: Controller,
+    {
+        let mut sim = MultiJobSim::homogeneous(allocator, quantum_len);
+        for (job, &release) in self.jobs.iter().zip(&self.releases) {
+            sim.add_job(executor(job), controller(), release);
+        }
+        sim.run()
+    }
+}
+
+/// A pipelined executor over a shared job structure.
+pub(crate) fn pipelined(job: &Arc<PhasedJob>) -> PipelinedExecutor<Arc<PhasedJob>> {
+    PipelinedExecutor::new(Arc::clone(job))
 }
 
 /// Mean of `f` over a cell, summed in cell order.

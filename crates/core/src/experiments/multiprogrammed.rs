@@ -6,24 +6,13 @@
 //! theoretical lower bounds (Figures 6(a)/6(c)) plus per-set
 //! A-Greedy/ABG ratios (Figures 6(b)/6(d)).
 
-use super::{mean, per_cell};
-use crate::bounds::{makespan_lower_bound, response_lower_bound_batched, JobSize};
+use super::{mean, per_cell, pipelined, SharedSet};
+use crate::bounds::{makespan_lower_bound, response_lower_bound_batched};
 use abg_alloc::DynamicEquiPartition;
-use abg_control::{AControl, AGreedy, Controller};
-use abg_dag::PhasedJob;
-use abg_sched::PipelinedExecutor;
-use abg_sim::{MultiJobOutcome, MultiJobSim};
-use abg_workload::{splitmix_seed, JobSetSpec, ReleaseSchedule};
+use abg_control::{AControl, AGreedy};
+use abg_workload::{splitmix_seed, JobSet, JobSetSpec, ReleaseSchedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
-
-/// Which controller drives every job of a set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Scheduler {
-    Abg,
-    AGreedy,
-}
 
 /// Configuration of the Figure-6 sweep. Both schedulers run with the
 /// paper's parameters ([`AControl::paper_default`],
@@ -88,30 +77,6 @@ pub struct LoadPoint {
     pub response_ratio: f64,
 }
 
-fn run_set(
-    cfg: &MultiprogrammedConfig,
-    jobs: &[Arc<PhasedJob>],
-    releases: &[u64],
-    which: Scheduler,
-) -> MultiJobOutcome {
-    let mut sim = MultiJobSim::new(DynamicEquiPartition::new(cfg.processors), cfg.quantum_len);
-    for (job, &release) in jobs.iter().zip(releases) {
-        let calculator: Box<dyn Controller + Send> = match which {
-            Scheduler::Abg => Box::new(AControl::paper_default()),
-            Scheduler::AGreedy => Box::new(AGreedy::paper_default()),
-        };
-        // The executor needs `'static` ownership (it is boxed into the
-        // sim), but the job structure itself is shared: both schedulers
-        // run against the same `Arc`ed phase lists, no deep clones.
-        sim.add_job(
-            Box::new(PipelinedExecutor::new(Arc::clone(job))),
-            calculator,
-            release,
-        );
-    }
-    sim.run()
-}
-
 /// The measurements of one set under one scheduler.
 #[derive(Debug, Clone, Copy)]
 struct SetResult {
@@ -125,9 +90,10 @@ struct SetResult {
     response_star: Option<f64>,
 }
 
-fn evaluate_set(cfg: &MultiprogrammedConfig, load: f64, index: u64) -> SetResult {
+/// The seeded job set of sweep unit `(load, index)`.
+pub(crate) fn generate_set(cfg: &MultiprogrammedConfig, load: f64, index: u64) -> JobSet {
     let mut rng = StdRng::seed_from_u64(splitmix_seed(cfg.seed, index, load.to_bits()));
-    let spec = JobSetSpec {
+    JobSetSpec {
         processors: cfg.processors,
         quantum_len: cfg.quantum_len,
         load,
@@ -135,34 +101,26 @@ fn evaluate_set(cfg: &MultiprogrammedConfig, load: f64, index: u64) -> SetResult
         pairs: cfg.pairs,
         max_jobs: cfg.processors as usize,
         release: cfg.release,
-    };
-    let set = spec.generate(&mut rng);
-    let set_load = set.load();
-    let set_len = set.len();
-    // Move the generated jobs into shared ownership once; the two
-    // scheduler runs (and the lower-bound computation) all borrow the
-    // same job structures.
-    let releases = set.releases;
-    let jobs: Vec<Arc<PhasedJob>> = set.jobs.into_iter().map(Arc::new).collect();
-    let abg = run_set(cfg, &jobs, &releases, Scheduler::Abg);
-    let agreedy = run_set(cfg, &jobs, &releases, Scheduler::AGreedy);
+    }
+    .generate(&mut rng)
+}
 
-    let sizes: Vec<JobSize> = jobs
-        .iter()
-        .zip(&releases)
-        .map(|(j, &r)| JobSize {
-            work: j.work(),
-            span: j.span(),
-            release: r,
-        })
-        .collect();
+fn evaluate_set(cfg: &MultiprogrammedConfig, load: f64, index: u64) -> SetResult {
+    let set = generate_set(cfg, load, index);
+    let set_load = set.load();
+    let set = SharedSet::new(set);
+    let deq = || DynamicEquiPartition::new(cfg.processors);
+    let abg = set.run(deq(), cfg.quantum_len, pipelined, AControl::paper_default);
+    let agreedy = set.run(deq(), cfg.quantum_len, pipelined, AGreedy::paper_default);
+
+    let sizes = set.sizes();
     let makespan_star = makespan_lower_bound(&sizes, cfg.processors);
-    let batched = releases.iter().all(|&r| r == 0);
+    let batched = set.releases.iter().all(|&r| r == 0);
     let response_star = batched.then(|| response_lower_bound_batched(&sizes, cfg.processors));
 
     SetResult {
         load: set_load,
-        jobs: set_len as f64,
+        jobs: set.jobs.len() as f64,
         abg_makespan: abg.makespan as f64,
         agreedy_makespan: agreedy.makespan as f64,
         abg_response: abg.mean_response_time(),

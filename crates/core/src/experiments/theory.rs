@@ -3,16 +3,16 @@
 //! time under trim analysis), Theorem 4 (waste) and Theorem 5 (global
 //! bounds).
 
-use crate::bounds::{self, makespan_lower_bound, response_lower_bound_batched, JobSize};
+use super::{pipelined, SharedSet};
+use crate::bounds::{self, makespan_lower_bound, response_lower_bound_batched};
 use abg_alloc::{DynamicEquiPartition, Scripted};
-use abg_control::{analyze_step_response, AControl, ClosedLoop, Controller};
-use abg_dag::{JobStructure, PhasedJob};
+use abg_control::{analyze_step_response, AControl, ClosedLoop};
+use abg_dag::JobStructure;
 use abg_sched::PipelinedExecutor;
-use abg_sim::{run_single_job, MultiJobSim, SingleJobConfig, SingleJobRun};
+use abg_sim::{run_single_job, SingleJobConfig, SingleJobRun};
 use abg_workload::{paper_job, splitmix_seed, JobSetSpec, ReleaseSchedule};
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
-use std::sync::Arc;
 
 /// One cell of the Theorem-1 validation grid.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -251,33 +251,21 @@ pub fn theorem5_check(
         max_jobs: processors as usize,
         release: ReleaseSchedule::Batched,
     };
-    let set = spec.generate(&mut rng);
-    let set_len = set.len();
-    let releases = set.releases;
-    let jobs: Vec<Arc<PhasedJob>> = set.jobs.into_iter().map(Arc::new).collect();
-
-    let mut sim = MultiJobSim::new(DynamicEquiPartition::new(processors), quantum_len);
-    let mut max_c_l = 1.0f64;
-    for (job, &release) in jobs.iter().zip(&releases) {
-        max_c_l = max_c_l.max(job.transition_factor(quantum_len));
-        let calc: Box<dyn Controller + Send> = Box::new(AControl::new(rate));
-        sim.add_job(
-            Box::new(PipelinedExecutor::new(Arc::clone(job))),
-            calc,
-            release,
-        );
-    }
-    let out = sim.run();
-
-    let sizes: Vec<JobSize> = jobs
+    let set = SharedSet::new(spec.generate(&mut rng));
+    let set_len = set.jobs.len();
+    let max_c_l = set
+        .jobs
         .iter()
-        .zip(&releases)
-        .map(|(j, &r)| JobSize {
-            work: j.work(),
-            span: j.span(),
-            release: r,
-        })
-        .collect();
+        .map(|job| job.transition_factor(quantum_len))
+        .fold(1.0f64, f64::max);
+    let out = set.run(
+        DynamicEquiPartition::new(processors),
+        quantum_len,
+        pipelined,
+        || AControl::new(rate),
+    );
+
+    let sizes = set.sizes();
     let m_star = makespan_lower_bound(&sizes, processors);
     let r_star = response_lower_bound_batched(&sizes, processors);
 

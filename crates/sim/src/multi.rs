@@ -1,6 +1,6 @@
 //! Multi-job simulation: a job set space-sharing the machine.
 
-use crate::probe::TraceProbe;
+use crate::probe::{NullProbe, Probe, TraceProbe};
 use crate::quantum_core::{CompletedJob, QuantumCore};
 use crate::trace::QuantumRecord;
 use abg_alloc::Allocator;
@@ -43,8 +43,9 @@ pub struct MultiJobOutcome {
     pub total_waste: u64,
     /// Total quanta simulated.
     pub quanta: u64,
-    /// Per-job quantum traces (same indexing as `jobs`); empty unless
-    /// the simulator was built with [`MultiJobSim::with_traces`].
+    /// Per-job quantum traces, one per job (same indexing as `jobs`).
+    /// Every trace is empty unless the simulator was built with
+    /// [`MultiJobSim::with_traces`].
     pub traces: Vec<Vec<QuantumRecord>>,
 }
 
@@ -80,10 +81,16 @@ impl MultiJobOutcome {
 /// mid-quantum holds its allotment until the boundary (counted as
 /// waste), which matches the paper's accounting.
 ///
-/// This is the *closed-system* configuration of [`QuantumCore`] over
-/// boxed executors and controllers: every job is admitted as it is
-/// added and the machine runs until it drains. The open-system
-/// (sustained-arrival) driver in `abg-queue` runs the same core.
+/// This is the *closed-system* configuration of [`QuantumCore`]: every
+/// job is admitted before the first quantum and the machine runs until
+/// it drains. The open-system (sustained-arrival) driver in `abg-queue`
+/// runs the same core. The executor type `E`, controller type `C` and
+/// probe `P` are type parameters, so a set whose jobs share one
+/// executor and one controller type runs monomorphized
+/// ([`homogeneous`](MultiJobSim::homogeneous)); [`new`](MultiJobSim::new)
+/// takes boxed trait objects for heterogeneous sets. Untraced runs use
+/// [`NullProbe`]; [`with_traces`](MultiJobSim::with_traces) switches the
+/// type to a [`TraceProbe`].
 ///
 /// ```
 /// use abg_alloc::DynamicEquiPartition;
@@ -92,11 +99,11 @@ impl MultiJobOutcome {
 /// use abg_sched::PipelinedExecutor;
 /// use abg_sim::MultiJobSim;
 ///
-/// let mut sim = MultiJobSim::new(DynamicEquiPartition::new(16), 10);
+/// let mut sim = MultiJobSim::homogeneous(DynamicEquiPartition::new(16), 10);
 /// for _ in 0..4 {
 ///     sim.add_job(
-///         Box::new(PipelinedExecutor::new(PhasedJob::constant(4, 50))),
-///         Box::new(AControl::new(0.2)),
+///         PipelinedExecutor::new(PhasedJob::constant(4, 50)),
+///         AControl::new(0.2),
 ///         0,
 ///     );
 /// }
@@ -104,21 +111,47 @@ impl MultiJobOutcome {
 /// assert_eq!(out.jobs.len(), 4);
 /// assert!(out.makespan >= 50);
 /// ```
-pub struct MultiJobSim<A: Allocator> {
-    core: QuantumCore<Box<dyn JobExecutor + Send>, Box<dyn Controller + Send>, A, TraceProbe>,
+pub struct MultiJobSim<
+    A,
+    E = Box<dyn JobExecutor + Send>,
+    C = Box<dyn Controller + Send>,
+    P = NullProbe,
+> {
+    allocator: A,
+    quantum_len: u64,
+    probe: P,
+    /// Jobs in submission order: `(executor, controller, release)`.
+    jobs: Vec<(E, C, u64)>,
     /// Abort threshold (quanta); guards misconfigured livelocks.
     max_quanta: u64,
 }
 
 impl<A: Allocator> MultiJobSim<A> {
-    /// Creates a simulator over the given allocator and quantum length.
+    /// Creates a simulator over boxed executors and controllers, so
+    /// every job may bring its own types.
     ///
     /// # Panics
     ///
     /// Panics if `quantum_len == 0`.
     pub fn new(allocator: A, quantum_len: u64) -> Self {
+        Self::homogeneous(allocator, quantum_len)
+    }
+}
+
+impl<A: Allocator, E: JobExecutor, C: Controller> MultiJobSim<A, E, C> {
+    /// Creates a simulator whose jobs all run executor type `E` under
+    /// controller type `C`, so the quantum loop monomorphizes over them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `quantum_len == 0`.
+    pub fn homogeneous(allocator: A, quantum_len: u64) -> Self {
+        assert!(quantum_len > 0, "quantum length must be positive");
         Self {
-            core: QuantumCore::new(allocator, quantum_len, TraceProbe::disabled()),
+            allocator,
+            quantum_len,
+            probe: NullProbe,
+            jobs: Vec::new(),
             max_quanta: u64::MAX,
         }
     }
@@ -126,11 +159,18 @@ impl<A: Allocator> MultiJobSim<A> {
     /// Records a [`QuantumRecord`] per job per quantum; the traces come
     /// back in [`MultiJobOutcome::traces`]. Costs memory proportional
     /// to jobs × quanta.
-    pub fn with_traces(mut self) -> Self {
-        *self.core.probe_mut() = TraceProbe::new();
-        self
+    pub fn with_traces(self) -> MultiJobSim<A, E, C, TraceProbe> {
+        MultiJobSim {
+            allocator: self.allocator,
+            quantum_len: self.quantum_len,
+            probe: TraceProbe::new(),
+            jobs: self.jobs,
+            max_quanta: self.max_quanta,
+        }
     }
+}
 
+impl<A: Allocator, E: JobExecutor, C: Controller, P: Probe> MultiJobSim<A, E, C, P> {
     /// Sets the livelock guard: `run` panics if the set is unfinished
     /// after this many quanta.
     pub fn with_max_quanta(mut self, max_quanta: u64) -> Self {
@@ -139,18 +179,13 @@ impl<A: Allocator> MultiJobSim<A> {
     }
 
     /// Adds a job released at `release_step`.
-    pub fn add_job(
-        &mut self,
-        executor: Box<dyn JobExecutor + Send>,
-        calculator: Box<dyn Controller + Send>,
-        release_step: u64,
-    ) {
-        self.core.admit(executor, calculator, release_step);
+    pub fn add_job(&mut self, executor: E, calculator: C, release_step: u64) {
+        self.jobs.push((executor, calculator, release_step));
     }
 
     /// Number of jobs added.
     pub fn num_jobs(&self) -> usize {
-        self.core.jobs_in_system()
+        self.jobs.len()
     }
 
     /// Runs the set to completion and returns the outcome.
@@ -161,8 +196,11 @@ impl<A: Allocator> MultiJobSim<A> {
     /// if a release lies past the last quantum boundary of the `u64`
     /// clock.
     pub fn run(self) -> MultiJobOutcome {
-        let mut core = self.core;
-        assert!(core.jobs_in_system() > 0, "no jobs to simulate");
+        assert!(!self.jobs.is_empty(), "no jobs to simulate");
+        let mut core = QuantumCore::new(self.allocator, self.quantum_len, self.probe);
+        for (executor, calculator, release) in self.jobs {
+            core.admit(executor, calculator, release);
+        }
         let mut done: Vec<CompletedJob> = Vec::new();
         while core.jobs_in_system() > 0 {
             assert!(

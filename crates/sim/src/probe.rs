@@ -73,8 +73,8 @@ pub trait Probe {
     /// quantum covered by a frozen-quantum bulk advance, so this probe
     /// sees records indistinguishable from quantum-by-quantum stepping.
     /// Defaults to `true` — an unknown probe gets the faithful replay;
-    /// probes that keep nothing ([`NullProbe`], a disabled
-    /// [`TraceProbe`]) decline and let the core skip the loop entirely.
+    /// probes that keep nothing ([`NullProbe`]) decline and let the core
+    /// skip the loop entirely.
     ///
     /// [`on_quantum_start`]: Probe::on_quantum_start
     /// [`on_grant`]: Probe::on_grant
@@ -105,12 +105,10 @@ impl Probe for NullProbe {
 /// drivers that consume and drop their `CompletedJob`s — the open-system
 /// driver — can still hand the traces back afterwards.
 ///
-/// The probe carries a runtime `enabled` switch so engines can expose
-/// tracing as a run-time flag over a single monomorphization; a disabled
-/// `TraceProbe` costs one branch per hook.
+/// There is no disabled `TraceProbe`: a driver that may run untraced
+/// takes the probe as a type parameter and runs [`NullProbe`] instead.
 #[derive(Debug, Clone, Default)]
 pub struct TraceProbe {
-    enabled: bool,
     want_availability: bool,
     retain: bool,
     open: Vec<(u64, Vec<QuantumRecord>)>,
@@ -118,17 +116,9 @@ pub struct TraceProbe {
 }
 
 impl TraceProbe {
-    /// An enabled probe (availability off, traces delivered through
-    /// [`CompletedJob::trace`]).
+    /// A probe with availability off, delivering traces through
+    /// [`CompletedJob::trace`].
     pub fn new() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-
-    /// A disabled probe: hooks return immediately and no trace is kept.
-    pub fn disabled() -> Self {
         Self::default()
     }
 
@@ -161,9 +151,6 @@ impl TraceProbe {
 
 impl Probe for TraceProbe {
     fn on_quantum_end(&mut self, job_id: u64, record: &QuantumRecord) {
-        if !self.enabled {
-            return;
-        }
         match self.open.iter_mut().find(|(id, _)| *id == job_id) {
             Some((_, trace)) => trace.push(*record),
             None => self.open.push((job_id, vec![*record])),
@@ -171,9 +158,6 @@ impl Probe for TraceProbe {
     }
 
     fn on_job_complete(&mut self, job: &mut CompletedJob) {
-        if !self.enabled {
-            return;
-        }
         let Some(pos) = self.open.iter().position(|(id, _)| *id == job.id) else {
             return;
         };
@@ -186,10 +170,6 @@ impl Probe for TraceProbe {
     }
 
     fn wants_availability(&self) -> bool {
-        self.enabled && self.want_availability
-    }
-
-    fn wants_frozen_replay(&self) -> bool {
-        self.enabled
+        self.want_availability
     }
 }

@@ -1,8 +1,8 @@
 //! Single-job simulation: one job alone under a (possibly adversarial)
 //! allocator.
 
-use crate::probe::TraceProbe;
-use crate::quantum_core::QuantumCore;
+use crate::probe::{NullProbe, Probe, TraceProbe};
+use crate::quantum_core::{CompletedJob, QuantumCore};
 use crate::trace::QuantumRecord;
 use abg_alloc::Allocator;
 use abg_control::Controller;
@@ -136,7 +136,8 @@ impl<A: Allocator + Clone> Allocator for CloneProbing<'_, A> {
 ///
 /// This is a monomorphized single-slot configuration of
 /// [`QuantumCore`]: no boxing, with a [`TraceProbe`] collecting the
-/// per-quantum records when the config asks for them.
+/// per-quantum records when the config asks for them and a
+/// [`NullProbe`] otherwise.
 ///
 /// # Panics
 ///
@@ -165,12 +166,46 @@ where
             trace: Vec::new(),
         };
     }
-    let probe = if config.record_trace {
-        TraceProbe::new().with_availability()
+    let allocator = CloneProbing(allocator);
+    let job = if config.record_trace {
+        drain(
+            allocator,
+            executor,
+            calculator,
+            config,
+            TraceProbe::new().with_availability(),
+        )
     } else {
-        TraceProbe::disabled()
+        drain(allocator, executor, calculator, config, NullProbe)
     };
-    let mut core = QuantumCore::new(CloneProbing(allocator), config.quantum_len, probe)
+    SingleJobRun {
+        // Release step 0: completion and running time coincide.
+        running_time: job.completion,
+        waste: job.waste,
+        quanta: job.quanta,
+        reallocations: job.reallocations,
+        work: job.work,
+        span: job.span,
+        trace: job.trace,
+    }
+}
+
+/// Admits the job and steps it to completion under probe `P`: the one
+/// body of [`run_single_job`], instantiated once per probe type.
+fn drain<E, C, A, P>(
+    allocator: A,
+    executor: E,
+    calculator: C,
+    config: SingleJobConfig,
+    probe: P,
+) -> CompletedJob
+where
+    E: JobExecutor,
+    C: Controller,
+    A: Allocator,
+    P: Probe,
+{
+    let mut core = QuantumCore::new(allocator, config.quantum_len, probe)
         .with_reallocation_overhead(config.reallocation_overhead);
     core.admit(executor, calculator, 0);
     let mut done = Vec::with_capacity(1);
@@ -182,17 +217,7 @@ where
         );
         core.step_quantum(&mut done);
     }
-    let job = done.pop().expect("the admitted job drains on completion");
-    SingleJobRun {
-        // Release step 0: completion and running time coincide.
-        running_time: job.completion,
-        waste: job.waste,
-        quanta: job.quanta,
-        reallocations: job.reallocations,
-        work: job.work,
-        span: job.span,
-        trace: job.trace,
-    }
+    done.pop().expect("the admitted job drains on completion")
 }
 
 #[cfg(test)]

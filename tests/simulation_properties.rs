@@ -1,11 +1,12 @@
 //! Property tests over whole simulated runs: conservation laws of the
-//! single-job engine, determinism, and multi-job accounting.
+//! single-job engine, determinism, multi-job accounting, and the
+//! monomorphized multi-job simulator in lockstep with the boxed one.
 
 use abg_alloc::{DynamicEquiPartition, Scripted};
 use abg_control::{AControl, AGreedy, ConstantRequest, Controller};
 use abg_dag::{Phase, PhasedJob};
 use abg_sched::{JobExecutor, PipelinedExecutor};
-use abg_sim::{run_single_job, MultiJobSim, SingleJobConfig};
+use abg_sim::{run_single_job, MultiJobOutcome, MultiJobSim, SingleJobConfig};
 use proptest::prelude::*;
 
 fn phases() -> impl Strategy<Value = Vec<Phase>> {
@@ -22,8 +23,89 @@ fn calculator(which: u8) -> Box<dyn Controller + Send> {
     }
 }
 
+/// A job set: phase lists with their release steps.
+type Set = [(Vec<Phase>, u64)];
+
+/// Runs `set` with every job on its own concrete `PipelinedExecutor`
+/// under a clone of `ctl`: the monomorphized simulator, untraced or
+/// traced.
+fn run_mono<C: Controller + Clone>(
+    set: &Set,
+    p: u32,
+    l: u64,
+    ctl: &C,
+    traced: bool,
+) -> MultiJobOutcome {
+    let mut sim = MultiJobSim::homogeneous(DynamicEquiPartition::new(p), l);
+    for (ph, release) in set {
+        sim.add_job(
+            PipelinedExecutor::new(PhasedJob::new(ph.clone())),
+            ctl.clone(),
+            *release,
+        );
+    }
+    if traced {
+        sim.with_traces().run()
+    } else {
+        sim.run()
+    }
+}
+
+/// The same set through boxed executors and controllers with a
+/// `TraceProbe`.
+fn run_boxed<C: Controller + Clone + Send + 'static>(
+    set: &Set,
+    p: u32,
+    l: u64,
+    ctl: &C,
+) -> MultiJobOutcome {
+    let mut sim = MultiJobSim::new(DynamicEquiPartition::new(p), l).with_traces();
+    for (ph, release) in set {
+        sim.add_job(
+            Box::new(PipelinedExecutor::new(PhasedJob::new(ph.clone()))),
+            Box::new(ctl.clone()),
+            *release,
+        );
+    }
+    sim.run()
+}
+
+/// Holds the monomorphized runs of one set to the boxed traced run, bit
+/// for bit: every `JobOutcome` field, makespan, waste and quanta untraced;
+/// the whole outcome, traces included, traced.
+fn assert_lockstep<C: Controller + Clone + Send + 'static>(set: &Set, p: u32, l: u64, ctl: C) {
+    let boxed = run_boxed(set, p, l, &ctl);
+    let mono = run_mono(set, p, l, &ctl, false);
+    assert_eq!(mono.jobs, boxed.jobs);
+    assert_eq!(
+        (mono.makespan, mono.total_waste, mono.quanta),
+        (boxed.makespan, boxed.total_waste, boxed.quanta)
+    );
+    assert_eq!(
+        mono.traces,
+        vec![Vec::new(); set.len()],
+        "untraced: one empty trace per job"
+    );
+    assert_eq!(run_mono(set, p, l, &ctl, true), boxed);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Lockstep: the monomorphized `MultiJobSim` (concrete executor and
+    /// controller, `NullProbe`) reproduces the boxed `TraceProbe` one on
+    /// random sets under ABG and A-Greedy, batched or staggered.
+    #[test]
+    fn monomorphic_multi_job_matches_boxed(
+        set in prop::collection::vec((phases(), 0u64..100), 1..7),
+        batched in 0u8..2, p in 1u32..40, l in 1u64..25,
+    ) {
+        let set: Vec<(Vec<Phase>, u64)> = set.into_iter()
+            .map(|(ph, r)| (ph, if batched == 1 { 0 } else { r }))
+            .collect();
+        assert_lockstep(&set, p, l, AControl::paper_default());
+        assert_lockstep(&set, p, l, AGreedy::paper_default());
+    }
 
     /// Conservation: the traced quantum statistics add up to the job's
     /// intrinsic work and span; waste equals held cycles minus work;
