@@ -30,11 +30,10 @@ fn main() -> ExitCode {
         None => writeln!(io::stdout().lock(), "{}", commands::usage()).map_err(Into::into),
         Some(command) => {
             if let Some(n) = opts.threads {
-                // The harness reads ABG_THREADS through
-                // `abg::experiments::configured_threads`; the flag is a
-                // per-run override of that variable. Results are
-                // thread-count independent — this pins wall-clock
-                // behaviour only.
+                // The sweep harness sizes its worker pool from
+                // ABG_THREADS; the flag is a per-run override of that
+                // variable. Results are thread-count independent — this
+                // pins wall-clock behaviour only.
                 std::env::set_var("ABG_THREADS", n.to_string());
             }
             commands::run(command, &opts)

@@ -177,7 +177,6 @@ pub fn hierarchical_skew_sweep(cfg: &HierarchicalConfig) -> Vec<HierarchicalRow>
             move |_rng, _recycled| Box::new(PipelinedExecutor::new(Arc::clone(&job))),
             || -> Box<dyn Controller + Send> { Box::new(AControl::paper_default()) },
             policy.build(),
-            1,
         );
         let (stable, mean_response, response_half_width, slowdown_p50) = match &outcome {
             OpenOutcome::Steady(s) => {

@@ -392,9 +392,9 @@ fn open_event(cfg: &KernelBenchConfig) -> KernelResult {
 }
 
 /// The `open_event` load split into [`OPEN_GROUPS`] processor groups,
-/// reallocated every `realloc_epoch` quanta by a fresh `top()`, on a
-/// one-worker pool so the counters stay independent of the runner's
-/// core count. Steps are aggregate committed quanta × quantum length.
+/// reallocated every `realloc_epoch` quanta by a fresh `top()`; the
+/// groups run one after another on the calling thread. Steps are
+/// aggregate committed quanta × quantum length.
 /// The jobs are width-2 (the `open_event` `T1` through 4× the levels):
 /// a 1/[`OPEN_GROUPS`] slice of the machine still offers many effective
 /// servers, keeping every group in the satisfied regime where windows
@@ -416,16 +416,7 @@ fn group_kernel<G: abg_control::GroupAllocator>(
     open_kernel(
         cfg,
         |s| s.quanta * 100,
-        || {
-            abg_queue::run_open_hierarchical_with_threads(
-                &hier,
-                DynamicEquiPartition::new,
-                &make,
-                abg,
-                top(),
-                1,
-            )
-        },
+        || abg_queue::run_open_hierarchical(&hier, DynamicEquiPartition::new, &make, abg, top()),
     )
 }
 

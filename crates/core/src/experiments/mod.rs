@@ -206,12 +206,13 @@ impl QualityPoint {
     }
 }
 
-/// Worker count used by the sweep harness's `parallel_map`: the `ABG_THREADS` environment
-/// variable when set to a positive integer, the machine's available
-/// parallelism otherwise. Results never depend on this — only wall-clock
-/// does — so pinning it (CI does, and `abg-cli --threads N` does per
-/// invocation) is purely about reproducible timing.
-pub fn configured_threads() -> usize {
+/// Worker count of the sweep harness's [`parallel_map`], the crate's
+/// one worker pool: the `ABG_THREADS` environment variable when set to
+/// a positive integer, the machine's available parallelism otherwise.
+/// Results never depend on this — only wall-clock does — so pinning it
+/// (CI does, and `abg-cli --threads N` does per invocation) is purely
+/// about reproducible timing.
+fn configured_threads() -> usize {
     if let Ok(s) = std::env::var("ABG_THREADS") {
         if let Ok(n) = s.trim().parse::<usize>() {
             if n >= 1 {

@@ -11,13 +11,12 @@
 //! [`abg_workload::mean_gap_for_utilization`]); both schedulers face
 //! the *same* arrival sequence and job population at every ρ.
 
-use super::{configured_threads, per_cell};
+use super::per_cell;
 use abg_alloc::DynamicEquiPartition;
 use abg_control::{AControl, AGreedy, Controller, GroupPolicy};
 use abg_dag::ExplicitDag;
 use abg_queue::{
-    run_open_hierarchical_with_threads, HierOpenConfig, OpenConfig, OpenOutcome, SaturationConfig,
-    ShardRouting,
+    run_open_hierarchical, HierOpenConfig, OpenConfig, OpenOutcome, SaturationConfig, ShardRouting,
 };
 use abg_sched::{DagExecutor, JobExecutor, OwnedBGreedyExecutor, PipelinedExecutor};
 use abg_workload::{
@@ -99,7 +98,7 @@ pub struct OpenSystemConfig {
     /// (see [`abg_queue::shard`]). `1` (the presets' value) runs the
     /// unsharded event-driven driver bit-for-bit; larger counts split
     /// the machine through
-    /// [`abg_queue::run_open_hierarchical_with_threads`].
+    /// [`abg_queue::run_open_hierarchical`].
     pub groups: u32,
     /// Top-level reallocation policy. [`GroupPolicy::Static`] never
     /// resizes anyone: `groups = G` under it is the fixed partition.
@@ -353,7 +352,7 @@ fn run_point_with<E>(
     make_executor: E,
 ) -> OpenOutcome
 where
-    E: Fn(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send> + Sync,
+    E: FnMut(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send>,
 {
     // Per-ρ seed shared by BOTH schedulers: identical rng, identical
     // arrival times, identical job structures — a paired comparison.
@@ -369,15 +368,12 @@ where
             Scheduler::AGreedy => Box::new(AGreedy::paper_default()),
         }
     };
-    // The engine pool takes the sweep harness's `ABG_THREADS` worker
-    // count; the outcome is thread-count invariant either way.
-    run_open_hierarchical_with_threads(
+    run_open_hierarchical(
         &hier,
         DynamicEquiPartition::new,
         make_executor,
         make_controller,
         cfg.group_alloc.build(),
-        configured_threads(),
     )
 }
 

@@ -22,9 +22,8 @@
 //!
 //! * [`run_open_system`](crate::run_open_system) runs one group with
 //!   the caller's probe to `until = u64::MAX`;
-//! * [`run_open_hierarchical_with_threads`] runs `G` groups through the
-//!   epoch loop below, consulting its top-level policy at every
-//!   barrier.
+//! * [`run_open_hierarchical`] runs `G` groups through the epoch loop
+//!   below, consulting its top-level policy at every barrier.
 //!
 //! Nothing delegates: `groups = 1` is the one-group case of the same
 //! loop. What a group's arrivals come from follows from the group count
@@ -36,21 +35,22 @@
 //! denominator `P`: bit-identical to the reference driver.
 //!
 //! **Execution model.** The driver advances all groups in lockstep
-//! over reallocation epochs of `realloc_epoch` quanta. Within an epoch
-//! each group runs the event-driven loop and pauses at the first
-//! quantum boundary at or after the epoch edge — the *epoch
-//! invariant*: capacity changes take effect at quantum granularity,
-//! never inside a quantum. At the barrier the driver folds every
-//! group's desire (in group-index order, on one thread), asks the
-//! policy for the next partition, and swaps each resized group's
-//! allocator in place.
+//! over reallocation epochs of `realloc_epoch` quanta, on the calling
+//! thread. Within an epoch each group in turn, in group-index order,
+//! runs the event-driven loop and pauses at the first quantum boundary
+//! at or after the epoch edge — the *epoch invariant*: capacity changes
+//! take effect at quantum granularity, never inside a quantum. At the
+//! barrier the driver folds every group's desire in group-index order,
+//! asks the policy for the next partition, and swaps each resized
+//! group's allocator in place. Parallelism lives one level up: the
+//! sweep harness runs whole (ρ, scheduler) cells on its worker pool.
 //!
 //! **Determinism.** Arrivals replay the shared router path, job
-//! structures are keyed by global arrival index, and the merge folds in
-//! group-index order — the outcome is a pure function of the
-//! configuration, bit-independent of the worker pool's size and
-//! schedule. Epoch segmentation itself is invisible to a group that is
-//! never resized: frozen windows may be split at any quantum boundary
+//! structures are keyed by global arrival index, and groups interact
+//! only at the barrier — the outcome is a pure function of the
+//! configuration, whichever thread runs it. Epoch segmentation itself
+//! is invisible to a group that is never resized: frozen windows may
+//! be split at any quantum boundary
 //! ([`advance_frozen`](QuantumCore::advance_frozen) is bit-equivalent
 //! to stepping, and two detector `record_n` calls of one count over
 //! `a` and `b` quanta store the same single run as one call over
@@ -76,7 +76,6 @@ use abg_sim::{CompletedJob, NullProbe, Probe, QuantumCore};
 use abg_workload::ArrivalStream;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Mutex;
 
 /// Configuration of an open-system run over `G` processor groups: the
 /// aggregate run, the group count and arrival routing, and the top
@@ -579,40 +578,9 @@ impl<A: Allocator, P: Probe> GroupSim<A, P> {
     }
 }
 
-/// Advances every group on a scoped-thread pool and returns once all
-/// of them have paused at the barrier. Workers claim groups one at a
-/// time off a shared iterator, so a run whose groups take unequal time
-/// (a single unbounded epoch under skewed routing) stays
-/// load-balanced; groups are independent, so the schedule can never
-/// show through.
-fn advance_groups<T, F>(groups: &mut [T], threads: usize, advance: F)
-where
-    T: Send,
-    F: Fn(&mut T) + Sync,
-{
-    let threads = threads.clamp(1, groups.len().max(1));
-    if threads == 1 {
-        groups.iter_mut().for_each(advance);
-        return;
-    }
-    let queue = Mutex::new(groups.iter_mut());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let Some(group) = queue.lock().expect("group queue poisoned").next() else {
-                    return;
-                };
-                advance(group);
-            });
-        }
-    });
-}
-
-/// Runs one hierarchical open-system simulation on a pool of
-/// `threads` workers. The outcome is identical for every `threads`
-/// value by construction: groups only interact at the epoch barrier,
-/// where desires are folded in group-index order on the calling
-/// thread.
+/// Runs one hierarchical open-system simulation on the calling
+/// thread: each epoch advances the groups in group-index order, and
+/// groups only interact at the epoch barrier.
 ///
 /// `make_allocator` builds a group's *within-group* allocator from its
 /// current capacity (called again whenever the top level resizes the
@@ -628,19 +596,18 @@ where
 /// Panics on an inconsistent configuration (see
 /// [`HierOpenConfig::validate`]) or a policy that violates the
 /// partition invariants (wrong length, sum ≠ P, below the floor).
-pub fn run_open_hierarchical_with_threads<A, FA, E, C, G>(
+pub fn run_open_hierarchical<A, FA, E, C, G>(
     cfg: &HierOpenConfig,
     make_allocator: FA,
     make_executor: E,
     make_calculator: C,
     group_alloc: G,
-    threads: usize,
 ) -> OpenOutcome
 where
-    A: Allocator + Send,
-    FA: Fn(u32) -> A + Sync,
-    E: Fn(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send> + Sync,
-    C: Fn() -> Box<dyn Controller + Send> + Sync,
+    A: Allocator,
+    FA: FnMut(u32) -> A,
+    E: FnMut(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send>,
+    C: FnMut() -> Box<dyn Controller + Send>,
     G: GroupAllocator,
 {
     run_open_hierarchical_detailed(
@@ -649,14 +616,42 @@ where
         make_executor,
         make_calculator,
         group_alloc,
-        threads,
     )
     .0
 }
 
-/// [`run_open_hierarchical_with_threads`] returning the per-group
-/// [`GroupSummary`] table alongside the merged outcome — the view the
-/// skew experiments and examples use to show capacity following load.
+/// [`run_open_hierarchical`] under its former name. The `threads`
+/// argument is ignored: the driver always runs on the calling thread.
+/// Kept only for the `perfbench` package's workloads; it goes with the
+/// next change to the benchmark.
+#[doc(hidden)]
+pub fn run_open_hierarchical_with_threads<A, FA, E, C, G>(
+    cfg: &HierOpenConfig,
+    make_allocator: FA,
+    make_executor: E,
+    make_calculator: C,
+    group_alloc: G,
+    _threads: usize,
+) -> OpenOutcome
+where
+    A: Allocator,
+    FA: FnMut(u32) -> A,
+    E: FnMut(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send>,
+    C: FnMut() -> Box<dyn Controller + Send>,
+    G: GroupAllocator,
+{
+    run_open_hierarchical(
+        cfg,
+        make_allocator,
+        make_executor,
+        make_calculator,
+        group_alloc,
+    )
+}
+
+/// [`run_open_hierarchical`] returning the per-group [`GroupSummary`]
+/// table alongside the merged outcome — the view the skew experiments
+/// and examples use to show capacity following load.
 ///
 /// # Panics
 ///
@@ -665,17 +660,16 @@ where
 /// partition invariants (wrong length, sum ≠ P, below the floor).
 pub fn run_open_hierarchical_detailed<A, FA, E, C, G>(
     cfg: &HierOpenConfig,
-    make_allocator: FA,
-    make_executor: E,
-    make_calculator: C,
+    mut make_allocator: FA,
+    mut make_executor: E,
+    mut make_calculator: C,
     mut group_alloc: G,
-    threads: usize,
 ) -> (OpenOutcome, Vec<GroupSummary>)
 where
-    A: Allocator + Send,
-    FA: Fn(u32) -> A + Sync,
-    E: Fn(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send> + Sync,
-    C: Fn() -> Box<dyn Controller + Send> + Sync,
+    A: Allocator,
+    FA: FnMut(u32) -> A,
+    E: FnMut(&mut StdRng, Option<Box<dyn JobExecutor + Send>>) -> Box<dyn JobExecutor + Send>,
+    C: FnMut() -> Box<dyn Controller + Send>,
     G: GroupAllocator,
 {
     cfg.assert_valid();
@@ -694,11 +688,9 @@ where
     let mut epoch: u64 = 1;
     loop {
         let until = epoch.saturating_mul(epoch_steps);
-        advance_groups(&mut sims, threads, |sim| {
-            sim.advance_until(cfg, until, &mut &make_executor, &mut &make_calculator)
-        });
-        // Desire collection and reallocation happen on this thread, in
-        // group-index order: the one serial point of each epoch.
+        for sim in &mut sims {
+            sim.advance_until(cfg, until, &mut make_executor, &mut make_calculator);
+        }
         let desires: Vec<GroupDesire> = sims.iter_mut().map(GroupSim::fold_epoch).collect();
         if !sims.iter().any(GroupSim::is_running) {
             break;
@@ -779,14 +771,13 @@ mod tests {
         }
     }
 
-    fn run<G: GroupAllocator>(cfg: &HierOpenConfig, policy: G, threads: usize) -> OpenOutcome {
-        run_open_hierarchical_with_threads(
+    fn run<G: GroupAllocator>(cfg: &HierOpenConfig, policy: G) -> OpenOutcome {
+        run_open_hierarchical(
             cfg,
             DynamicEquiPartition::new,
             |_rng, _recycled| Box::new(PipelinedExecutor::new(PhasedJob::constant(2, 40))),
             || Box::new(AControl::new(0.2)),
             policy,
-            threads,
         )
     }
 
@@ -798,12 +789,12 @@ mod tests {
         // whatever the epoch length slices the groups' loops into.
         for groups in [2u32, 4, 8] {
             let unbounded = config(0.5, groups, ShardRouting::RoundRobin, u64::MAX);
-            let baseline = run(&unbounded, StaticEqui, 1);
+            let baseline = run(&unbounded, StaticEqui);
             assert!(baseline.is_steady(), "groups={groups}");
             for realloc_epoch in [1u64, 8, 64, 1000] {
                 let cfg = config(0.5, groups, ShardRouting::RoundRobin, realloc_epoch);
                 assert_eq!(
-                    run(&cfg, StaticEqui, 1),
+                    run(&cfg, StaticEqui),
                     baseline,
                     "groups={groups} epoch={realloc_epoch}"
                 );
@@ -826,8 +817,8 @@ mod tests {
         assert!(reference.is_steady());
         for realloc_epoch in [1u64, 16, 1000] {
             let cfg = config(0.5, 1, ShardRouting::RoundRobin, realloc_epoch);
-            assert_outcome_bits_eq(&reference, &run(&cfg, DesireProportional::new(), 1));
-            assert_outcome_bits_eq(&reference, &run(&cfg, StaticEqui, 2));
+            assert_outcome_bits_eq(&reference, &run(&cfg, DesireProportional::new()));
+            assert_outcome_bits_eq(&reference, &run(&cfg, StaticEqui));
         }
     }
 
@@ -840,7 +831,6 @@ mod tests {
             |_rng, _recycled| Box::new(PipelinedExecutor::new(PhasedJob::constant(2, 40))),
             || Box::new(AControl::new(0.2)),
             DesireProportional::new(),
-            1,
         );
         assert!(!outcome.is_steady(), "rho = 1.5 reported steady");
         assert_eq!(groups.len(), 1);
@@ -851,21 +841,6 @@ mod tests {
             "utilization {}",
             summary.utilization
         );
-    }
-
-    #[test]
-    fn outcome_is_independent_of_thread_count_and_schedule() {
-        for routing in [ShardRouting::RoundRobin, ShardRouting::Skewed { hot: 4 }] {
-            let cfg = config(0.35, 4, routing, 16);
-            let baseline = run(&cfg, DesireProportional::new(), 1);
-            for threads in 2..=8 {
-                assert_eq!(
-                    run(&cfg, DesireProportional::new(), threads),
-                    baseline,
-                    "{routing:?} threads={threads}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -893,8 +868,8 @@ mod tests {
         // every group's local load is back near 0.35. Mean response
         // must improve; both runs must stay steady.
         let cfg = config(0.35, 4, ShardRouting::Skewed { hot: 4 }, 16);
-        let stat = run(&cfg, StaticEqui, 2);
-        let desire = run(&cfg, DesireProportional::new(), 2);
+        let stat = run(&cfg, StaticEqui);
+        let desire = run(&cfg, DesireProportional::new());
         let stat = stat.steady().expect("static stays stable at 0.8 local");
         let desire = desire.steady().expect("desire must remain stable");
         assert!(
@@ -914,7 +889,6 @@ mod tests {
             |_rng, _recycled| Box::new(PipelinedExecutor::new(PhasedJob::constant(2, 40))),
             || Box::new(AControl::new(0.2)),
             DesireProportional::new(),
-            1,
         );
         assert!(outcome.is_steady());
         assert_eq!(groups.len(), 4);
@@ -935,8 +909,8 @@ mod tests {
     #[test]
     fn conservative_policy_stays_steady_and_deterministic() {
         let cfg = config(0.35, 4, ShardRouting::Skewed { hot: 4 }, 16);
-        let a = run(&cfg, ConservativeTwoLevel::new(2.0, 0.8), 1);
-        let b = run(&cfg, ConservativeTwoLevel::new(2.0, 0.8), 4);
+        let a = run(&cfg, ConservativeTwoLevel::new(2.0, 0.8));
+        let b = run(&cfg, ConservativeTwoLevel::new(2.0, 0.8));
         assert_eq!(a, b);
         assert!(a.is_steady(), "conservative policy tripped: {a:?}");
     }
@@ -1000,6 +974,6 @@ mod tests {
     #[should_panic(expected = "need a positive reallocation epoch")]
     fn zero_epoch_fails_fast_in_the_driver() {
         let cfg = config(0.5, 4, ShardRouting::RoundRobin, 0);
-        let _ = run(&cfg, StaticEqui, 1);
+        let _ = run(&cfg, StaticEqui);
     }
 }

@@ -9,8 +9,8 @@
 //! every partition of the machine respects.
 
 use crate::{
-    run_open_hierarchical_detailed, run_open_hierarchical_with_threads, run_open_system,
-    HierOpenConfig, OpenConfig, OpenOutcome, SaturationConfig, ShardRouting,
+    run_open_hierarchical, run_open_hierarchical_detailed, run_open_system, HierOpenConfig,
+    OpenConfig, OpenOutcome, SaturationConfig, ShardRouting,
 };
 use abg_alloc::DynamicEquiPartition;
 use abg_control::{AControl, Controller, DesireProportional, GroupAllocator, StaticEqui};
@@ -99,7 +99,6 @@ fn check_hierarchical<G: GroupAllocator>(cfg: &OpenConfig, groups: u32, policy: 
         make_executor,
         make_controller,
         policy,
-        2,
     );
     assert_outcome_invariants(cfg, &outcome, &label);
     assert_eq!(summaries.len(), groups as usize, "{label}");
@@ -148,13 +147,12 @@ proptest! {
                 realloc_epoch: u64::MAX,
                 group_floor: 1,
             };
-            let outcome = run_open_hierarchical_with_threads(
+            let outcome = run_open_hierarchical(
                 &fixed,
                 DynamicEquiPartition::new,
                 make_executor,
                 make_controller,
                 StaticEqui,
-                2,
             );
             assert_outcome_invariants(&cfg, &outcome, &format!("fixed groups={groups}"));
         }

@@ -22,14 +22,14 @@
 //!   test that aborts never-steady runs (ρ ≥ 1) instead of hanging;
 //! * [`shard`] — deterministic arrival routing over processor groups
 //!   ([`ShardRouting`]) and the stable-order merge of per-group
-//!   reports, so the outcome never depends on thread count or schedule;
-//! * [`hier`] — [`run_open_hierarchical_with_threads`]: the machine
-//!   split into `G` processor groups under a top-level
-//!   [`abg_control::GroupAllocator`] that repartitions it at fixed
-//!   reallocation epochs from per-group desire reports. A fixed
-//!   partition is the [`abg_control::StaticEqui`] policy. The module
-//!   also holds the crate's one event loop and its worker pool (sized
-//!   by the caller);
+//!   reports into one outcome;
+//! * [`hier`] — [`run_open_hierarchical`]: the machine split into `G`
+//!   processor groups under a top-level [`abg_control::GroupAllocator`]
+//!   that repartitions it at fixed reallocation epochs from per-group
+//!   desire reports. A fixed partition is the
+//!   [`abg_control::StaticEqui`] policy. The module also holds the
+//!   crate's one event loop; every entry point runs on the calling
+//!   thread;
 //! * `reference` (tests only) — the legacy quantum-by-quantum loop,
 //!   kept as the differential-testing ground truth for the event-driven
 //!   driver.
@@ -42,7 +42,7 @@
 //! observables. The two entry points differ only in how many processor
 //! groups they build and whether a top-level policy runs between
 //! epochs. [`run_open_system`] is one group.
-//! [`run_open_hierarchical_with_threads`] is `G` groups described by
+//! [`run_open_hierarchical`] is `G` groups described by
 //! one [`HierOpenConfig`]: under the never-resizing
 //! [`abg_control::StaticEqui`] (best with `realloc_epoch = u64::MAX`,
 //! one unbounded epoch) that is a fixed partition, under a feedback
@@ -111,8 +111,8 @@ pub use driver::{
     UnstableReport,
 };
 pub use hier::{
-    run_open_hierarchical_detailed, run_open_hierarchical_with_threads, GroupSummary,
-    HierOpenConfig,
+    run_open_hierarchical, run_open_hierarchical_detailed, run_open_hierarchical_with_threads,
+    GroupSummary, HierOpenConfig,
 };
 pub use saturation::{SaturationConfig, SaturationDetector, SaturationReason};
 pub use shard::ShardRouting;

@@ -18,8 +18,8 @@
 
 use crate::reference::ReferenceOpenDriver;
 use crate::{
-    run_open_hierarchical_with_threads, run_open_system_probed, HierOpenConfig, OpenConfig,
-    OpenOutcome, SaturationConfig, ShardRouting,
+    run_open_hierarchical, run_open_system_probed, HierOpenConfig, OpenConfig, OpenOutcome,
+    SaturationConfig, ShardRouting,
 };
 use abg_alloc::{Allocator, DynamicEquiPartition, Proportional};
 use abg_control::{AControl, AGreedy, Controller, DesireProportional, StaticEqui};
@@ -171,32 +171,29 @@ where
         realloc_epoch: u64::MAX,
         group_floor: 1,
     };
-    let fixed = run_open_hierarchical_with_threads(
+    let fixed = run_open_hierarchical(
         &hier,
         |_| alloc(),
         exec,
         || make_controller(abg),
         StaticEqui,
-        2,
     );
     assert_outcome_bits_eq(&reference, &fixed);
     hier.realloc_epoch = 5;
-    let hier_static = run_open_hierarchical_with_threads(
+    let hier_static = run_open_hierarchical(
         &hier,
         |_| alloc(),
         exec,
         || make_controller(abg),
         StaticEqui,
-        2,
     );
     assert_outcome_bits_eq(&reference, &hier_static);
-    let hier_desire = run_open_hierarchical_with_threads(
+    let hier_desire = run_open_hierarchical(
         &hier,
         |_| alloc(),
         exec,
         || make_controller(abg),
         DesireProportional::new(),
-        2,
     );
     assert_outcome_bits_eq(&reference, &hier_desire);
 

@@ -5,8 +5,8 @@
 //! * **routing** — every group replays the *same* aggregate arrival
 //!   path (all groups seed the router RNG identically from the run
 //!   seed via SplitMix64) and keeps the arrivals a deterministic
-//!   [`ShardRouting`] policy assigns to it, so the split never depends
-//!   on thread count or schedule;
+//!   [`ShardRouting`] policy assigns to it, so the split is a function
+//!   of the run seed alone;
 //! * **job identity** — the job structure of global arrival `g` is
 //!   sampled from its own SplitMix64-derived RNG, so the simulated job
 //!   population is a function of the run seed alone: identical across
@@ -15,8 +15,8 @@
 //!   measurement slot, and the merge recombines them in slot order
 //!   (aggregate arrival order) through the pure helpers in
 //!   [`stats`](crate::stats), in stable group-index order for every
-//!   summed diagnostic. The result is one [`OpenOutcome`] whatever the
-//!   pool's schedule was.
+//!   summed diagnostic. The result is one [`OpenOutcome`], a function
+//!   of the configuration alone.
 //!
 //! A fixed partition of the machine is a [`HierOpenConfig`] run under
 //! [`StaticEqui`](abg_control::StaticEqui): group `k` keeps its
@@ -28,9 +28,10 @@
 //!
 //! Why this scales: the per-event cost of the quantum core grows with
 //! the live population, so `G` groups each carrying `~N/G` jobs commit
-//! simulated time cheaper than one core carrying `N` — on top of the
-//! wall-clock parallelism of the worker pool (the caller picks its
-//! size; the experiment harness passes its `ABG_THREADS` count).
+//! simulated time cheaper than one core carrying `N`. The groups run
+//! one after another on the calling thread; wall-clock parallelism
+//! comes from the experiment harness, which runs whole sweep cells on
+//! its `ABG_THREADS` worker pool.
 
 use crate::driver::{OpenConfig, OpenOutcome, SteadyStats, UnstableReport};
 use crate::hier::HierOpenConfig;
@@ -42,7 +43,7 @@ use rand::SeedableRng;
 
 /// How arrivals are assigned to processor groups. Every policy is a
 /// pure function of the run seed and the global arrival index, so the
-/// split is reproducible whatever the pool does.
+/// split is reproducible run to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardRouting {
     /// Global arrival `g` goes to group `g mod G` — a perfectly even
@@ -231,7 +232,7 @@ pub(crate) fn merge_reports(open: &OpenConfig, reports: &[ShardReport]) -> OpenO
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hier::run_open_hierarchical_with_threads;
+    use crate::hier::run_open_hierarchical;
     use crate::lockstep::assert_outcome_bits_eq;
     use crate::reference::ReferenceOpenDriver;
     use crate::saturation::SaturationConfig;
@@ -266,14 +267,13 @@ mod tests {
         }
     }
 
-    fn run(cfg: &HierOpenConfig, threads: usize) -> OpenOutcome {
-        run_open_hierarchical_with_threads(
+    fn run(cfg: &HierOpenConfig) -> OpenOutcome {
+        run_open_hierarchical(
             cfg,
             DynamicEquiPartition::new,
             |_rng, _recycled| Box::new(PipelinedExecutor::new(PhasedJob::constant(2, 40))),
             || Box::new(AControl::new(0.2)),
             StaticEqui,
-            threads,
         )
     }
 
@@ -289,6 +289,7 @@ mod tests {
                     "{routing:?}: group {k} starved"
                 );
             }
+            assert!(run(&cfg).is_steady(), "{routing:?}");
         }
         // Round-robin is an exact split of the measured window.
         let cfg = config(0.5, 4, ShardRouting::RoundRobin);
@@ -331,31 +332,13 @@ mod tests {
             || Box::new(AControl::new(0.2)),
         );
         assert!(reference.is_steady());
-        for threads in [1, 4] {
-            assert_outcome_bits_eq(&reference, &run(&cfg, threads));
-        }
-    }
-
-    #[test]
-    fn outcome_is_independent_of_thread_count_and_schedule() {
-        for routing in [ShardRouting::RoundRobin, ShardRouting::Skewed { hot: 2 }] {
-            let cfg = config(0.5, 4, routing);
-            let baseline = run(&cfg, 1);
-            assert!(baseline.is_steady(), "{routing:?}");
-            for threads in 2..=8 {
-                assert_eq!(
-                    run(&cfg, threads),
-                    baseline,
-                    "{routing:?} threads={threads}"
-                );
-            }
-        }
+        assert_outcome_bits_eq(&reference, &run(&cfg));
     }
 
     #[test]
     fn sharded_steady_statistics_are_sane() {
         let cfg = config(0.4, 4, ShardRouting::RoundRobin);
-        let out = run(&cfg, 2);
+        let out = run(&cfg);
         let stats = out.steady().expect("rho = 0.4 must be stable");
         assert_eq!(stats.completed, 160);
         assert!(stats.response.mean.is_finite() && stats.response.mean >= 40.0);
@@ -369,7 +352,7 @@ mod tests {
     #[test]
     fn sharded_overload_is_flagged_unstable() {
         let cfg = config(1.5, 4, ShardRouting::RoundRobin);
-        match run(&cfg, 2) {
+        match run(&cfg) {
             OpenOutcome::Unstable(report) => {
                 assert!(matches!(
                     report.reason,
@@ -387,8 +370,8 @@ mod tests {
         // the same job structure (it is keyed by the global index), so
         // both runs measure the same population — the split, not the
         // jobs, is what changes.
-        let rr = run(&config(0.4, 4, ShardRouting::RoundRobin), 2);
-        let skewed = run(&config(0.4, 4, ShardRouting::Skewed { hot: 2 }), 2);
+        let rr = run(&config(0.4, 4, ShardRouting::RoundRobin));
+        let skewed = run(&config(0.4, 4, ShardRouting::Skewed { hot: 2 }));
         let (rr, skewed) = (rr.steady().unwrap(), skewed.steady().unwrap());
         // Constant jobs here, so responses differ only through queueing;
         // both must be steady with the full measured count.

@@ -16,14 +16,13 @@
 //! * each group's event loop prices a population `G`× smaller, so those
 //!   horizons are also cheaper to commit.
 //!
-//! The pool here is pinned to one worker so the table isolates the
-//! algorithmic win; on a multi-core machine a larger `threads` argument
-//! spreads the groups over more workers on top of it. This example
-//! regenerates EXPERIMENTS.md's fixed-partition scaling table; the
-//! aggregate steps column is deterministic, the timings are not.
+//! The driver steps every group on the calling thread, so the table
+//! shows the algorithmic win alone. This example regenerates
+//! EXPERIMENTS.md's fixed-partition scaling table; the aggregate steps
+//! column is deterministic, the timings are not.
 
 use abg::queue::{
-    run_open_hierarchical_with_threads, HierOpenConfig, OpenConfig, SaturationConfig, ShardRouting,
+    run_open_hierarchical, HierOpenConfig, OpenConfig, SaturationConfig, ShardRouting,
 };
 use abg_alloc::DynamicEquiPartition;
 use abg_control::{AControl, Controller, StaticEqui};
@@ -81,7 +80,7 @@ fn main() {
             group_floor: 1,
         };
         let start = Instant::now();
-        let out = run_open_hierarchical_with_threads(
+        let out = run_open_hierarchical(
             &cfg,
             DynamicEquiPartition::new,
             |_rng, recycled: Option<Box<dyn JobExecutor + Send>>| {
@@ -94,7 +93,6 @@ fn main() {
             },
             || -> Box<dyn Controller + Send> { Box::new(AControl::new(0.2)) },
             StaticEqui,
-            1,
         );
         let wall = start.elapsed().as_secs_f64();
         let stats = out.steady().expect("rho = 0.85 is stable");

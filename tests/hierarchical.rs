@@ -1,30 +1,34 @@
 //! Hierarchical two-level scheduling acceptance: the static top level
 //! is invisible — bit-identical at every epoch length to the fixed
 //! partition's one unbounded epoch (and, at one group, to the
-//! unsharded driver pinned by `tests/open_system.rs`) — outcomes are
-//! thread-count invariant, and the desire feedback beats the fixed
-//! partition under skewed arrivals.
+//! unsharded driver pinned by `tests/open_system.rs`) — sweeps are
+//! invariant under the harness's `ABG_THREADS`, the driver runs
+//! non-`Sync` factories on the calling thread, and the desire feedback
+//! beats the fixed partition under skewed arrivals.
 //!
-//! The golden below was recorded from
-//! `abg-cli open --smoke --groups 4 --json` (the JSON carries the same
-//! fingerprint). If an *intentional* change to the driver, the arrival
-//! stream or the job generator moves it, re-record with that command
-//! and say so in the commit message.
+//! The goldens below were recorded from
+//! `abg-cli open --smoke --groups 4 --group-alloc POLICY --json` (the
+//! JSON carries the same fingerprint). If an *intentional* change to
+//! the driver, the arrival stream or the job generator moves one,
+//! re-record with that command and say so in the commit message.
 
 use abg::experiments::{
     hierarchical_skew_sweep, open_fingerprint, open_system_sweep, HierarchicalConfig,
     OpenSystemConfig, OpenWorkload,
 };
 use abg::queue::{
-    run_open_hierarchical_with_threads, HierOpenConfig, OpenConfig, OpenOutcome, SaturationConfig,
-    ShardRouting,
+    run_open_hierarchical, run_open_hierarchical_detailed, HierOpenConfig, OpenConfig, OpenOutcome,
+    SaturationConfig, ShardRouting,
 };
 use abg_alloc::DynamicEquiPartition;
 use abg_control::{AControl, Controller, GroupPolicy, StaticEqui};
 use abg_dag::PhasedJob;
 use abg_sched::{JobExecutor, PipelinedExecutor};
 use abg_workload::{mean_gap_for_utilization, parse_dag, write_dag, ArrivalProcess, WorkflowKind};
+use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// `open_system_sweep(OpenSystemConfig::smoke())` — the unsharded
@@ -35,6 +39,14 @@ const OPEN_SMOKE: u64 = 0x32ed9525adb1b404;
 /// `open_system_sweep` of the smoke config at `groups = 4` with the
 /// static top level: the fixed partition, pinned against silent drift.
 const OPEN_SMOKE_HIER_STATIC_G4: u64 = 0x53e9b7f79ac798f2;
+
+/// The same sweep under the desire-proportional top level
+/// (`abg-cli open --smoke --groups 4 --group-alloc desire --json`).
+const OPEN_SMOKE_HIER_DESIRE_G4: u64 = 0xc7703a234f44739c;
+
+/// The same sweep under the conservative top level
+/// (`abg-cli open --smoke --groups 4 --group-alloc conservative --json`).
+const OPEN_SMOKE_HIER_CONSERVATIVE_G4: u64 = 0x3dc3f1a59e32696e;
 
 fn smoke_with_groups(groups: u32, policy: GroupPolicy) -> OpenSystemConfig {
     let mut cfg = OpenSystemConfig::smoke();
@@ -60,6 +72,17 @@ fn static_four_group_sweep_matches_golden() {
     assert_eq!(open_fingerprint(&rows), OPEN_SMOKE_HIER_STATIC_G4);
 }
 
+#[test]
+fn feedback_four_group_sweeps_match_golden() {
+    for (policy, golden) in [
+        (GroupPolicy::Desire, OPEN_SMOKE_HIER_DESIRE_G4),
+        (GroupPolicy::Conservative, OPEN_SMOKE_HIER_CONSERVATIVE_G4),
+    ] {
+        let rows = open_system_sweep(&smoke_with_groups(4, policy));
+        assert_eq!(open_fingerprint(&rows), golden, "{policy:?}");
+    }
+}
+
 /// A four-group desire sweep replaying one seeded Montage dag through
 /// a dag-file round trip (`OpenWorkload::Trace`): every arrival runs a
 /// recycled weighted executor.
@@ -67,7 +90,7 @@ const HIER_TRACE_MONTAGE_G4: u64 = 0xf65ad691edf6662d;
 
 #[test]
 fn hierarchical_trace_replay_matches_golden() {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x7ACE);
+    let mut rng = StdRng::seed_from_u64(0x7ACE);
     let text = write_dag(&WorkflowKind::Montage.generate(6, &mut rng));
     let dag = parse_dag(&text).expect("written dags parse");
     assert!(!dag.is_unit_weight());
@@ -97,7 +120,7 @@ fn open_config(rho: f64) -> OpenConfig {
 }
 
 fn make_executor(
-    _rng: &mut rand::rngs::StdRng,
+    _rng: &mut StdRng,
     recycled: Option<Box<dyn JobExecutor + Send>>,
 ) -> Box<dyn JobExecutor + Send> {
     if let Some(mut ex) = recycled {
@@ -114,9 +137,8 @@ fn run_hier(
     routing: ShardRouting,
     realloc_epoch: u64,
     policy: GroupPolicy,
-    threads: usize,
 ) -> OpenOutcome {
-    run_open_hierarchical_with_threads(
+    run_open_hierarchical(
         &HierOpenConfig {
             open: cfg.clone(),
             groups,
@@ -128,7 +150,6 @@ fn run_hier(
         make_executor,
         || -> Box<dyn Controller + Send> { Box::new(AControl::new(0.2)) },
         policy.build(),
-        threads,
     )
 }
 
@@ -138,8 +159,8 @@ fn static_top_level_is_invisible() {
     // never resizes anyone must be invisible — every group's loop is
     // sliced at epoch boundaries but replays the identical schedule,
     // so the merged outcome equals the one-unbounded-epoch run the
-    // sweep picks for a fixed partition, for every group count,
-    // thread count and epoch length.
+    // sweep picks for a fixed partition, for every group count and
+    // epoch length.
     let cfg = open_config(0.5);
     for groups in [1u32, 2, 4, 8] {
         let baseline = run_hier(
@@ -148,24 +169,20 @@ fn static_top_level_is_invisible() {
             ShardRouting::RoundRobin,
             u64::MAX,
             GroupPolicy::Static,
-            1,
         );
         assert!(baseline.is_steady(), "rho = 0.5 with {groups} groups");
-        for threads in 1..=8 {
-            for epoch in [1u64, 32, 500] {
-                assert_eq!(
-                    run_hier(
-                        &cfg,
-                        groups,
-                        ShardRouting::RoundRobin,
-                        epoch,
-                        GroupPolicy::Static,
-                        threads,
-                    ),
-                    baseline,
-                    "groups = {groups} drifted at {threads} threads, epoch {epoch}"
-                );
-            }
+        for epoch in [1u64, 32, 500] {
+            assert_eq!(
+                run_hier(
+                    &cfg,
+                    groups,
+                    ShardRouting::RoundRobin,
+                    epoch,
+                    GroupPolicy::Static,
+                ),
+                baseline,
+                "groups = {groups} drifted at epoch {epoch}"
+            );
         }
     }
 }
@@ -176,15 +193,8 @@ fn static_equi_struct_and_policy_agree() {
     // driver identically (the policy enum is the CLI/config surface,
     // the struct the library one).
     let cfg = open_config(0.5);
-    let via_policy = run_hier(
-        &cfg,
-        4,
-        ShardRouting::RoundRobin,
-        32,
-        GroupPolicy::Static,
-        2,
-    );
-    let via_struct = run_open_hierarchical_with_threads(
+    let via_policy = run_hier(&cfg, 4, ShardRouting::RoundRobin, 32, GroupPolicy::Static);
+    let via_struct = run_open_hierarchical(
         &HierOpenConfig {
             open: cfg.clone(),
             groups: 4,
@@ -196,31 +206,59 @@ fn static_equi_struct_and_policy_agree() {
         make_executor,
         || -> Box<dyn Controller + Send> { Box::new(AControl::new(0.2)) },
         StaticEqui,
-        2,
     );
     assert_eq!(via_policy, via_struct);
 }
 
 #[test]
-fn feedback_outcome_is_identical_for_every_thread_count() {
-    let cfg = open_config(0.35);
+fn factories_run_on_the_calling_thread() {
+    // The driver steps every group on the calling thread, so none of
+    // its factories has to be `Sync` (or `Send`): these count their
+    // calls through shared `Rc<Cell<_>>`s. Every admission builds (or
+    // recycles) exactly one executor and one controller.
+    let cfg = HierOpenConfig {
+        open: open_config(0.35),
+        groups: 4,
+        routing: ShardRouting::Skewed { hot: 4 },
+        realloc_epoch: 16,
+        group_floor: 1,
+    };
     for policy in [GroupPolicy::Desire, GroupPolicy::Conservative] {
-        let baseline = run_hier(&cfg, 4, ShardRouting::Skewed { hot: 4 }, 16, policy, 1);
-        assert!(baseline.is_steady(), "{policy:?} at rho = 0.35");
-        for threads in 2..=8 {
-            assert_eq!(
-                run_hier(
-                    &cfg,
-                    4,
-                    ShardRouting::Skewed { hot: 4 },
-                    16,
-                    policy,
-                    threads,
-                ),
-                baseline,
-                "{policy:?} drifted at {threads} threads"
-            );
-        }
+        let allocators = Rc::new(Cell::new(0u64));
+        let executors = Rc::new(Cell::new(0u64));
+        let controllers = Rc::new(Cell::new(0u64));
+        let (outcome, groups) = run_open_hierarchical_detailed(
+            &cfg,
+            {
+                let allocators = Rc::clone(&allocators);
+                move |processors| {
+                    allocators.set(allocators.get() + 1);
+                    DynamicEquiPartition::new(processors)
+                }
+            },
+            {
+                let executors = Rc::clone(&executors);
+                move |rng: &mut StdRng, recycled| {
+                    executors.set(executors.get() + 1);
+                    make_executor(rng, recycled)
+                }
+            },
+            {
+                let controllers = Rc::clone(&controllers);
+                move || -> Box<dyn Controller + Send> {
+                    controllers.set(controllers.get() + 1);
+                    Box::new(AControl::new(0.2))
+                }
+            },
+            policy.build(),
+        );
+        assert!(outcome.is_steady(), "{policy:?} at rho = 0.35");
+        assert_eq!(groups.len(), 4, "{policy:?}");
+        let arrivals: u64 = groups.iter().map(|g| g.arrivals).sum();
+        assert_eq!(executors.get(), arrivals, "{policy:?}");
+        assert_eq!(controllers.get(), arrivals, "{policy:?}");
+        // One allocator per group at the start, one per resize after.
+        assert!(allocators.get() >= 4, "{policy:?}");
     }
 }
 
@@ -257,13 +295,11 @@ fn hier_sweep_is_abg_threads_invariant() {
     // Safe to mutate concurrently with sibling tests for the same
     // reason as in sweep_equivalence.rs: results never depend on it.
     let cfg = smoke_with_groups(4, GroupPolicy::Desire);
-    std::env::set_var("ABG_THREADS", "1");
-    let baseline = open_fingerprint(&open_system_sweep(&cfg));
-    for threads in ["2", "8"] {
+    for threads in ["1", "2", "8"] {
         std::env::set_var("ABG_THREADS", threads);
         assert_eq!(
             open_fingerprint(&open_system_sweep(&cfg)),
-            baseline,
+            OPEN_SMOKE_HIER_DESIRE_G4,
             "hier sweep drifted at ABG_THREADS={threads}"
         );
     }

@@ -9,7 +9,7 @@
 
 use abg::experiments::{open_fingerprint, open_system_sweep, OpenSystemConfig, OpenWorkload};
 use abg::queue::{
-    run_open_hierarchical_with_threads, run_open_system, HierOpenConfig, OpenConfig, OpenOutcome,
+    run_open_hierarchical, run_open_system, HierOpenConfig, OpenConfig, OpenOutcome,
     SaturationConfig, ShardRouting,
 };
 use abg_alloc::DynamicEquiPartition;
@@ -118,13 +118,13 @@ fn run_with(cfg: &OpenConfig, abg_controller: bool) -> OpenOutcome {
     )
 }
 
-/// A fixed partition into `groups` groups: the static top level with
-/// one unbounded epoch.
-fn run_fixed(cfg: &OpenConfig, groups: u32, threads: usize) -> OpenOutcome {
-    run_open_hierarchical_with_threads(
+/// One group of the multi-group driver: the static top level with one
+/// unbounded epoch.
+fn run_one_group(cfg: &OpenConfig) -> OpenOutcome {
+    run_open_hierarchical(
         &HierOpenConfig {
             open: cfg.clone(),
-            groups,
+            groups: 1,
             routing: ShardRouting::RoundRobin,
             realloc_epoch: u64::MAX,
             group_floor: 1,
@@ -140,36 +140,14 @@ fn run_fixed(cfg: &OpenConfig, groups: u32, threads: usize) -> OpenOutcome {
         },
         || -> Box<dyn Controller + Send> { Box::new(AControl::new(0.2)) },
         StaticEqui,
-        threads,
     )
-}
-
-#[test]
-fn sharded_outcome_is_identical_for_every_thread_count() {
-    // The acceptance property of a fixed partition: at a fixed group
-    // count the merged outcome is a pure function of the configuration
-    // — the worker pool's size and schedule must never show through.
-    let cfg = driver_config(0.5);
-    for groups in [2u32, 4, 8] {
-        let baseline = run_fixed(&cfg, groups, 1);
-        assert!(baseline.is_steady(), "rho = 0.5 with {groups} groups");
-        for threads in 2..=8 {
-            assert_eq!(
-                run_fixed(&cfg, groups, threads),
-                baseline,
-                "groups = {groups} drifted at {threads} threads"
-            );
-        }
-    }
 }
 
 #[test]
 fn single_shard_engine_matches_the_event_driver_bit_for_bit() {
     // One group of the multi-group driver is the unsharded driver.
     let cfg = driver_config(0.5);
-    for threads in [1usize, 4] {
-        assert_eq!(run_fixed(&cfg, 1, threads), run_with(&cfg, true));
-    }
+    assert_eq!(run_one_group(&cfg), run_with(&cfg, true));
 }
 
 #[test]
