@@ -45,7 +45,7 @@ const CLOSED: [Command; 16] = [
 /// The commands `all` does not run.
 #[rustfmt::skip]
 const OTHERS: [Command; 3] = [
-    ("bench [smoke]", "kernel benchmark suite (smoke = CI-sized run)", bench),
+    ("bench", "kernel benchmark suite (wall-clock throughput)", bench),
     ("open", "open-system rho sweep: steady-state response time\n\
               and slowdown under sustained Poisson arrivals", open),
     ("all", "every closed experiment, fig1 through overhead", all),
@@ -71,8 +71,8 @@ pub fn usage() -> String {
     s
 }
 
-/// Dispatches a command. Only `ablate` and `bench` take an argument
-/// (one each); any other positional is an error, not silently ignored.
+/// Dispatches a command. Only `ablate` takes an argument (one); any
+/// other positional is an error, not silently ignored.
 pub fn run(command: &str, opts: &Options) -> Outcome {
     let &(usage, _, body) = commands()
         .find(|c| c.0.split(' ').next() == Some(command))
@@ -596,10 +596,13 @@ fn overhead(opts: &Options) -> Outcome {
     )
 }
 
+/// The schema of the kernel suite's JSON document: what `bench --json`
+/// writes and the only one `bench --check` reads.
+const BENCH_SCHEMA: &str = "abg-bench-kernels/v4";
+
 /// Renders the kernel suite as a JSON document (hand-rolled: the
 /// workspace deliberately has no JSON dependency).
 fn bench_json(
-    mode: &str,
     cfg: &experiments::KernelBenchConfig,
     results: &[experiments::KernelResult],
 ) -> String {
@@ -612,8 +615,7 @@ fn bench_json(
     };
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"abg-bench-kernels/v3\",\n");
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
+    s.push_str(&format!("  \"schema\": \"{BENCH_SCHEMA}\",\n"));
     s.push_str(&format!("  \"seed\": {},\n", cfg.seed));
     s.push_str(&format!("  \"min_wall_ms\": {},\n", cfg.min_wall_ms));
     s.push_str("  \"kernels\": [\n");
@@ -639,8 +641,8 @@ fn bench_json(
 }
 
 /// Extracts the named kernel's `steps_per_sec` from a baseline JSON
-/// document produced by [`bench_json`], schema v2 or v3 (hand-rolled
-/// scan; the workspace deliberately has no JSON dependency).
+/// document produced by [`bench_json`] (hand-rolled scan; the workspace
+/// deliberately has no JSON dependency).
 fn baseline_steps_per_sec(json: &str, kernel: &str) -> Option<f64> {
     let marker = format!("\"kernel\": \"{kernel}\"");
     let rest = &json[json.find(&marker)?..];
@@ -652,13 +654,24 @@ fn baseline_steps_per_sec(json: &str, kernel: &str) -> Option<f64> {
     val.split(',').next()?.trim().parse().ok()
 }
 
-/// The `--check` regression gate: every kernel of the suite must have
+/// The `--check` regression gate: the baseline must be a
+/// [`BENCH_SCHEMA`] document, and every kernel of the suite must have
 /// run and must stay above 70% of its committed baseline steps/s. Every
 /// kernel's verdict goes to stderr, so `--json` stdout stays one
 /// document, and the error names every kernel below its floor.
 fn bench_check(path: &str, results: &[experiments::KernelResult]) -> Result<(), String> {
     let baseline =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
+    let key = "\"schema\": \"";
+    let schema = baseline
+        .find(key)
+        .and_then(|at| baseline[at + key.len()..].split('"').next())
+        .unwrap_or("none");
+    if schema != BENCH_SCHEMA {
+        return Err(format!(
+            "baseline {path} is schema {schema}, but bench writes {BENCH_SCHEMA} (re-record it with bench --json)"
+        ));
+    }
     let mut below = Vec::new();
     for kernel in experiments::kernel_names() {
         let cur = results
@@ -690,31 +703,13 @@ fn bench_check(path: &str, results: &[experiments::KernelResult]) -> Result<(), 
 }
 
 fn bench(opts: &Options) -> Outcome {
-    let mode = match opts.positional.first().map(String::as_str) {
-        None => "full",
-        Some("smoke") => "smoke",
-        Some(other) => {
-            return Err(format!("unknown bench size '{other}' (expected 'smoke')").into())
-        }
-    };
-    let mut cfg = if mode == "smoke" {
-        experiments::KernelBenchConfig::smoke()
-    } else {
-        experiments::KernelBenchConfig::full()
-    };
+    let mut cfg = experiments::KernelBenchConfig::default();
     if let Some(seed) = opts.seed {
         cfg.seed = seed;
     }
-    if opts.check.is_some() {
-        // The smoke suite's few-ms windows are fine for "does every
-        // kernel run" but far too jittery to gate on: back-to-back
-        // 2 ms chain_macro samples vary by 4× on a shared machine.
-        // Gated runs measure long enough to amortize scheduler noise.
-        cfg.min_wall_ms = cfg.min_wall_ms.max(100);
-    }
     let results = experiments::run_kernel_suite(&cfg);
     if opts.json {
-        write!(io::stdout().lock(), "{}", bench_json(mode, &cfg, &results))?;
+        write!(io::stdout().lock(), "{}", bench_json(&cfg, &results))?;
     } else {
         let mut t = Table::new(&[
             "kernel",
@@ -955,30 +950,41 @@ mod tests {
 
     #[test]
     fn baseline_parser_round_trips_bench_json() {
-        let cfg = abg::experiments::KernelBenchConfig::smoke();
+        let cfg = abg::experiments::KernelBenchConfig::default();
         let results = vec![
             fake_result("chain_macro", 123456.789),
             fake_result("open_churn", 500.0),
         ];
-        let json = bench_json("smoke", &cfg, &results);
+        let json = bench_json(&cfg, &results);
         assert!(
-            json.contains("\"schema\": \"abg-bench-kernels/v3\""),
+            json.contains("\"schema\": \"abg-bench-kernels/v4\""),
             "{json}"
         );
+        assert!(!json.contains("\"mode\""), "{json}");
         let got = baseline_steps_per_sec(&json, "chain_macro").unwrap();
         assert!((got - 123456.789).abs() < 1e-2);
         assert!(baseline_steps_per_sec(&json, "no_such_kernel").is_none());
     }
 
-    /// The committed baseline is schema v2 (it still carries rows of
-    /// kernels the suite no longer runs, and a `derived` member); the
-    /// reader finds every suite kernel's row in it.
+    /// The committed baseline is the schema `bench --json` writes, and
+    /// its rows are exactly the suite's kernels, in suite order: a stale
+    /// row or a missing one fails here, not in CI.
     #[test]
-    fn committed_v2_baseline_covers_every_kernel() {
+    fn committed_baseline_rows_are_the_suite() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
         let json = std::fs::read_to_string(path).unwrap();
-        assert!(json.contains("\"schema\": \"abg-bench-kernels/v2\""));
-        for kernel in abg::experiments::kernel_names() {
+        assert!(json.contains(&format!("\"schema\": \"{BENCH_SCHEMA}\"")));
+        let key = "\"kernel\": \"";
+        let rows: Vec<&str> = json
+            .split(key)
+            .skip(1)
+            .map(|row| row.split('"').next().unwrap())
+            .collect();
+        assert!(
+            rows.iter().copied().eq(abg::experiments::kernel_names()),
+            "{rows:?}"
+        );
+        for kernel in rows {
             let base = baseline_steps_per_sec(&json, kernel);
             assert!(base.is_some_and(|b| b > 0.0), "{kernel}: {base:?}");
         }
@@ -1001,12 +1007,12 @@ mod tests {
 
     #[test]
     fn bench_check_trips_only_below_the_floor() {
-        let cfg = abg::experiments::KernelBenchConfig::smoke();
+        let cfg = abg::experiments::KernelBenchConfig::default();
         let baseline = suite_results(1.0, None);
         let dir = std::env::temp_dir().join("abg_bench_check_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("baseline.json");
-        std::fs::write(&path, bench_json("smoke", &cfg, &baseline)).unwrap();
+        std::fs::write(&path, bench_json(&cfg, &baseline)).unwrap();
         let path = path.to_str().unwrap();
 
         // At 71% of baseline: passes. At 69%: trips.
@@ -1042,13 +1048,27 @@ mod tests {
         let mut partial = baseline.clone();
         partial.retain(|r| r.kernel != "unified_engine");
         let partial_path = dir.join("partial.json");
-        std::fs::write(&partial_path, bench_json("smoke", &cfg, &partial)).unwrap();
+        std::fs::write(&partial_path, bench_json(&cfg, &partial)).unwrap();
         let err = bench_check(partial_path.to_str().unwrap(), &baseline).unwrap_err();
         assert!(err.contains("no unified_engine steps_per_sec"), "{err}");
         let mut missing = suite_results(1.0, None);
         missing.retain(|r| r.kernel != "open_system");
         let err = bench_check(path, &missing).unwrap_err();
         assert!(err.contains("did not run open_system"), "{err}");
+        // A baseline of another schema is refused before any row is
+        // read, with both schemas named.
+        let v2_path = dir.join("v2.json");
+        let v2 = bench_json(&cfg, &baseline).replace(BENCH_SCHEMA, "abg-bench-kernels/v2");
+        std::fs::write(&v2_path, v2).unwrap();
+        let v2_path = v2_path.to_str().unwrap();
+        let err = bench_check(v2_path, &baseline).unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "baseline {v2_path} is schema abg-bench-kernels/v2, but bench writes \
+                 abg-bench-kernels/v4 (re-record it with bench --json)"
+            )
+        );
     }
 
     /// Runs `opts.command`, which must fail, and returns its message.
@@ -1059,7 +1079,8 @@ mod tests {
 
     /// A positional argument that no command reads is an error before
     /// anything runs, for `all` as for every single command; only
-    /// `ablate` and `bench` take one, and a second one is rejected.
+    /// `ablate` takes one, and a second one is rejected. `bench` has one
+    /// size, so `bench smoke` is a stray argument too.
     #[test]
     fn stray_positional_arguments_are_rejected() {
         let with = |command: &str, positional: &[&str]| Options {
@@ -1073,8 +1094,8 @@ mod tests {
         }
         let err = fail(&with("ablate", &["rate", "extra"]));
         assert_eq!(err, "unexpected argument 'extra' (try --help)");
-        let err = fail(&with("bench", &["smoke", "extra"]));
-        assert_eq!(err, "unexpected argument 'extra' (try --help)");
+        let err = fail(&with("bench", &["smoke"]));
+        assert_eq!(err, "unexpected argument 'smoke' (try --help)");
         let err = fail(&with("ablate", &["bogus"]));
         assert!(err.starts_with("unknown ablation 'bogus'"), "{err}");
     }

@@ -203,15 +203,15 @@ mod tests {
 
     #[test]
     fn parses_json_flag() {
-        let o = parse(&["bench", "smoke", "--json"]).unwrap();
+        let o = parse(&["bench", "--json"]).unwrap();
         assert_eq!(o.command.as_deref(), Some("bench"));
-        assert_eq!(o.positional, vec!["smoke"]);
+        assert!(o.positional.is_empty());
         assert!(o.json);
     }
 
     #[test]
     fn parses_check_flag() {
-        let o = parse(&["bench", "smoke", "--check", "BENCH_kernels.json"]).unwrap();
+        let o = parse(&["bench", "--check", "BENCH_kernels.json"]).unwrap();
         assert_eq!(o.check.as_deref(), Some("BENCH_kernels.json"));
         assert!(parse(&["bench", "--check"]).is_err());
     }

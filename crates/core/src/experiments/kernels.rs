@@ -1,6 +1,6 @@
 //! The kernel benchmark trajectory suite: wall-clock throughput of the
-//! hot simulation loops, measured the same way from the CLI (`abg-cli
-//! bench`) and CI smoke runs.
+//! hot simulation loops at one fixed size, the size the committed
+//! baseline records (`abg-cli bench`).
 //!
 //! Each kernel drives one hot path end to end and reports *operations*
 //! (tasks executed, or jobs simulated for the composite kernels) and
@@ -32,107 +32,62 @@ const BUNDLE_WIDTH: u32 = 8;
 /// the per-event cost scales with the per-group population.
 const OPEN_GROUPS: u32 = 4;
 
-/// Configuration of the kernel suite.
-///
-/// [`KernelBenchConfig::full`] is the recorded-baseline size;
-/// [`KernelBenchConfig::smoke`] shrinks every kernel so the whole suite
-/// finishes in well under a second (CI and tests).
+/// Tasks in the serial-chain kernel (long `T∞`, width 1).
+const CHAIN_LEN: u32 = 100_000;
+/// Levels per chain in the chain-bundle kernel.
+const BUNDLE_LEVELS: u32 = 25_000;
+/// Depth of the binary fork-tree kernel (`2^depth − 1` tasks).
+const TREE_DEPTH: u32 = 16;
+/// Levels per chain of the `weighted_frontier` kernel's bundle
+/// (heterogeneous half-integer task weights): the residual-work
+/// executor kernel priced on a sustained wide frontier.
+const WEIGHTED_LEVELS: u32 = 25_000;
+/// Fan-out of the `workflow_open` kernel's Montage-like arrivals.
+const WORKFLOW_SCALE: u32 = 32;
+/// Measured completions per repetition of the `workflow_open` kernel.
+const WORKFLOW_JOBS: u64 = 1_000;
+/// Machine size for the composite kernels.
+const PROCESSORS: u32 = 128;
+/// Measured completions per repetition of the open-system kernel.
+const OPEN_JOBS: u64 = 400;
+/// Offered utilization of the open-system kernel (must be stable).
+const OPEN_RHO: f64 = 0.6;
+/// Levels per job in the open kernels (width-8 phases, so `T1 =
+/// 8 · OPEN_LEVELS`). Long jobs put the drivers in the event-sparse
+/// regime the frozen-quantum machinery targets: thousands of quanta
+/// between arrivals and completions, nearly all of them frozen.
+const OPEN_LEVELS: u64 = 100_000;
+/// Offered utilization of the `open_event`, `open_sharded` and
+/// `open_hier` kernels — high enough that a double-digit population is
+/// live in every window, while staying in DEQ's satisfied regime where
+/// windows can freeze.
+const OPEN_EVENT_RHO: f64 = 0.85;
+/// Jobs pushed through the `open_churn` kernel — short jobs on a dense
+/// deterministic arrival grid, every one admitted up front with a
+/// future release step. Completions land in nearly every quantum, so
+/// the kernel prices the core's storage layer: slot scan/reclamation
+/// under churn, with the live set a small fraction of the in-system
+/// population.
+const CHURN_JOBS: u64 = 10_000;
+
+/// Configuration of the kernel suite. The kernel sizes are fixed — the
+/// size the committed baseline records — so only the measurement window
+/// and the seed vary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelBenchConfig {
     /// Minimum wall-clock per kernel in milliseconds: each kernel body
-    /// repeats until at least this much time has elapsed.
+    /// repeats until at least this much time has elapsed (0 runs every
+    /// body once).
     pub min_wall_ms: u64,
-    /// Tasks in the serial-chain kernel (long `T∞`, width 1).
-    pub chain_len: u32,
-    /// Levels per chain in the chain-bundle kernel.
-    pub bundle_levels: u32,
-    /// Depth of the binary fork-tree kernel (`2^depth − 1` tasks).
-    pub tree_depth: u32,
-    /// Levels per chain of the `weighted_frontier` kernel's bundle
-    /// (heterogeneous half-integer task weights): the residual-work
-    /// executor kernel priced on a sustained wide frontier.
-    pub weighted_levels: u32,
-    /// Fan-out of the `workflow_open` kernel's Montage-like arrivals.
-    pub workflow_scale: u32,
-    /// Measured completions per repetition of the `workflow_open`
-    /// kernel.
-    pub workflow_jobs: u64,
-    /// Machine size for the composite kernels.
-    pub processors: u32,
-    /// Measured completions per repetition of the open-system kernel.
-    pub open_jobs: u64,
-    /// Offered utilization of the open-system kernel (must be stable).
-    pub open_rho: f64,
-    /// Levels per job in the open kernels (width-8 phases, so `T1 =
-    /// 8 · open_levels`). Long jobs put the drivers in the event-sparse
-    /// regime the frozen-quantum machinery targets: thousands of quanta
-    /// between arrivals and completions, nearly all of them frozen.
-    pub open_levels: u64,
-    /// Offered utilization of the `open_event`, `open_sharded` and
-    /// `open_hier` kernels — high enough that a double-digit population
-    /// is live in every window, while staying in DEQ's satisfied regime
-    /// where windows can freeze.
-    pub open_event_rho: f64,
-    /// Jobs pushed through the `open_churn` kernel — short jobs on a
-    /// dense deterministic arrival grid, every one admitted up front
-    /// with a future release step. Completions land in nearly every
-    /// quantum, so the kernel prices the core's storage layer: slot
-    /// scan/reclamation under churn, with the live set a small fraction
-    /// of the in-system population.
-    pub churn_jobs: u64,
     /// Suite seed (job generation only; timings are machine-dependent).
     pub seed: u64,
 }
 
-impl KernelBenchConfig {
-    /// The recorded-baseline size (sub-minute on a laptop core).
-    pub fn full() -> Self {
+impl Default for KernelBenchConfig {
+    /// The recorded-baseline window (200 ms per kernel) and seed.
+    fn default() -> Self {
         Self {
             min_wall_ms: 200,
-            chain_len: 100_000,
-            bundle_levels: 25_000,
-            tree_depth: 16,
-            weighted_levels: 25_000,
-            workflow_scale: 32,
-            workflow_jobs: 1_000,
-            processors: 128,
-            open_jobs: 400,
-            open_rho: 0.6,
-            open_levels: 100_000,
-            open_event_rho: 0.85,
-            churn_jobs: 10_000,
-            seed: 0xB16C_2008,
-        }
-    }
-
-    /// A CI/test smoke size: every kernel shrunk to finish the whole
-    /// suite in well under a second.
-    pub fn smoke() -> Self {
-        Self {
-            min_wall_ms: 2,
-            chain_len: 4_000,
-            bundle_levels: 500,
-            // Deep enough that the saturated wide-frontier regime
-            // dominates, as it does at the full size — a shallower tree
-            // is straddle-heavy and systematically undershoots the
-            // committed full-size baseline the --check gate compares
-            // against.
-            tree_depth: 13,
-            weighted_levels: 500,
-            workflow_scale: 8,
-            workflow_jobs: 80,
-            processors: 32,
-            open_jobs: 60,
-            open_rho: 0.5,
-            open_levels: 4_000,
-            // The full size runs 0.85 on 128 processors (16 effective
-            // servers); at the smoke scale (4 effective servers) the
-            // same rho is burstier and spends far more time in DEQ's
-            // deprived regime where windows cannot freeze, so the smoke
-            // point backs off to keep the kernel in the macro-stepping
-            // regime the full-size baseline prices.
-            open_event_rho: 0.7,
-            churn_jobs: 1_500,
             seed: 0xB16C_2008,
         }
     }
@@ -257,19 +212,19 @@ fn dag_kernel(
 
 /// Serial chain, short quanta: the macro-stepping fast path.
 fn chain_macro(cfg: &KernelBenchConfig) -> KernelResult {
-    dag_kernel(cfg, &generate::chain(cfg.chain_len), 1, CHAIN_QUANTUM)
+    dag_kernel(cfg, &generate::chain(CHAIN_LEN), 1, CHAIN_QUANTUM)
 }
 
 /// Pipelined fork-join bundle: wide, constant parallelism.
 fn forkjoin_bundle(cfg: &KernelBenchConfig) -> KernelResult {
-    let bundle = generate::chain_bundle(BUNDLE_WIDTH, cfg.bundle_levels);
+    let bundle = generate::chain_bundle(BUNDLE_WIDTH, BUNDLE_LEVELS);
     dag_kernel(cfg, &bundle, BUNDLE_WIDTH, 100)
 }
 
 /// Binary fork tree: parallelism doubling every level, successor
 /// relaxation dominated — the wide-frontier bulk path's home turf.
 fn forkjoin_tree(cfg: &KernelBenchConfig) -> KernelResult {
-    dag_kernel(cfg, &generate::binary_fork_tree(cfg.tree_depth), 32, 100)
+    dag_kernel(cfg, &generate::binary_fork_tree(TREE_DEPTH), 32, 100)
 }
 
 /// Weighted wide frontier: the `forkjoin_bundle` shape with every task
@@ -279,7 +234,7 @@ fn forkjoin_tree(cfg: &KernelBenchConfig) -> KernelResult {
 /// processor-step units (Σ ceil(wᵢ)), not tasks.
 fn weighted_frontier(cfg: &KernelBenchConfig) -> KernelResult {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let base = generate::chain_bundle(BUNDLE_WIDTH, cfg.weighted_levels);
+    let base = generate::chain_bundle(BUNDLE_WIDTH, WEIGHTED_LEVELS);
     let weights: Vec<f64> = (0..base.num_tasks())
         .map(|_| rng.random_range(1..=7u64) as f64 * 0.5)
         .collect();
@@ -290,17 +245,17 @@ fn weighted_frontier(cfg: &KernelBenchConfig) -> KernelResult {
 }
 
 /// The open driver at offered utilization `rho` for jobs of expected
-/// work `t1`, measuring `open_jobs` completions after a quarter as many
+/// work `t1`, measuring [`OPEN_JOBS`] completions after a quarter as many
 /// warm-up ones.
 fn open_config(cfg: &KernelBenchConfig, rho: f64, t1: f64) -> OpenConfig {
     OpenConfig {
-        processors: cfg.processors,
+        processors: PROCESSORS,
         quantum_len: 100,
         arrivals: ArrivalProcess::Poisson {
-            mean_gap: mean_gap_for_utilization(rho, cfg.processors, t1),
+            mean_gap: mean_gap_for_utilization(rho, PROCESSORS, t1),
         },
-        warmup_jobs: cfg.open_jobs / 4,
-        measured_jobs: cfg.open_jobs,
+        warmup_jobs: OPEN_JOBS / 4,
+        measured_jobs: OPEN_JOBS,
         batches: 8,
         // Unbounded in practice: the largest budget whose step horizon
         // fits in u64.
@@ -361,16 +316,16 @@ fn open_kernel(
 }
 
 /// The one-group open driver at offered utilization `rho`, every
-/// arrival running a width-8 job of `open_levels` levels. Steps are the
+/// arrival running a width-8 job of [`OPEN_LEVELS`] levels. Steps are the
 /// simulated horizon.
 fn one_group_kernel(cfg: &KernelBenchConfig, rho: f64) -> KernelResult {
-    let job = PhasedJob::constant(8, cfg.open_levels);
+    let job = PhasedJob::constant(8, OPEN_LEVELS);
     let open = open_config(cfg, rho, job.work() as f64);
     let make = recycle_or_build(job);
     open_kernel(
         cfg,
         |s| s.horizon,
-        || abg_queue::run_open_system(&open, DynamicEquiPartition::new(cfg.processors), &make, abg),
+        || abg_queue::run_open_system(&open, DynamicEquiPartition::new(PROCESSORS), &make, abg),
     )
 }
 
@@ -380,7 +335,7 @@ fn one_group_kernel(cfg: &KernelBenchConfig, rho: f64) -> KernelResult {
 /// run in the event-sparse regime: thousands of quanta separate
 /// consecutive events and nearly all of them are macro-stepped.
 fn open_system(cfg: &KernelBenchConfig) -> KernelResult {
-    one_group_kernel(cfg, cfg.open_rho)
+    one_group_kernel(cfg, OPEN_RHO)
 }
 
 /// The same driver at high offered load — the macro-stepping stress
@@ -388,7 +343,7 @@ fn open_system(cfg: &KernelBenchConfig) -> KernelResult {
 /// the window bookkeeping (stability checks, per-job lookahead, bulk
 /// catch-up) is priced per job rather than hidden behind idle skipping.
 fn open_event(cfg: &KernelBenchConfig) -> KernelResult {
-    one_group_kernel(cfg, cfg.open_event_rho)
+    one_group_kernel(cfg, OPEN_EVENT_RHO)
 }
 
 /// The `open_event` load split into [`OPEN_GROUPS`] processor groups,
@@ -404,9 +359,9 @@ fn group_kernel<G: abg_control::GroupAllocator>(
     realloc_epoch: u64,
     top: fn() -> G,
 ) -> KernelResult {
-    let job = PhasedJob::constant(2, 4 * cfg.open_levels);
+    let job = PhasedJob::constant(2, 4 * OPEN_LEVELS);
     let hier = HierOpenConfig {
-        open: open_config(cfg, cfg.open_event_rho, job.work() as f64),
+        open: open_config(cfg, OPEN_EVENT_RHO, job.work() as f64),
         groups: OPEN_GROUPS,
         routing: abg_queue::ShardRouting::RoundRobin,
         realloc_epoch,
@@ -451,14 +406,14 @@ fn open_hier(cfg: &KernelBenchConfig) -> KernelResult {
 /// build — deliberately part of the price.
 fn workflow_open(cfg: &KernelBenchConfig) -> KernelResult {
     let kind = WorkflowKind::Montage;
-    let scale = cfg.workflow_scale;
+    let scale = WORKFLOW_SCALE;
     let t1 = abg_workload::expected_work_of(256, &mut StdRng::seed_from_u64(cfg.seed), |rng| {
         kind.generate(scale, rng).work() as f64
     });
     let open = OpenConfig {
-        warmup_jobs: cfg.workflow_jobs / 4,
-        measured_jobs: cfg.workflow_jobs,
-        ..open_config(cfg, cfg.open_rho, t1)
+        warmup_jobs: WORKFLOW_JOBS / 4,
+        measured_jobs: WORKFLOW_JOBS,
+        ..open_config(cfg, OPEN_RHO, t1)
     };
     open_kernel(
         cfg,
@@ -466,7 +421,7 @@ fn workflow_open(cfg: &KernelBenchConfig) -> KernelResult {
         || {
             abg_queue::run_open_system(
                 &open,
-                DynamicEquiPartition::new(cfg.processors),
+                DynamicEquiPartition::new(PROCESSORS),
                 |rng, _recycled| Box::new(OwnedBGreedyExecutor::new(kind.generate(scale, rng))),
                 abg,
             )
@@ -530,10 +485,10 @@ fn open_churn(cfg: &KernelBenchConfig) -> KernelResult {
     let mut pool = Vec::new();
     let mut done = Vec::new();
     let res = measure(cfg.min_wall_ms, || {
-        churn_body(cfg.processors, cfg.churn_jobs, &job, &mut pool, &mut done)
+        churn_body(PROCESSORS, CHURN_JOBS, &job, &mut pool, &mut done)
     });
     KernelResult {
-        peak_jobs_in_system: cfg.churn_jobs,
+        peak_jobs_in_system: CHURN_JOBS,
         bytes_per_live_job: live_job_footprint::<PipelinedExecutor<&PhasedJob>, ConstantRequest>()
             as u64,
         ..res
@@ -549,10 +504,10 @@ fn open_churn(cfg: &KernelBenchConfig) -> KernelResult {
 /// this kernel prices.
 fn unified_engine(cfg: &KernelBenchConfig) -> KernelResult {
     let job = Arc::new(PhasedJob::constant(8, 200)); // T1 = 1600
-    let batch = (cfg.processors as u64 / 8).max(2);
+    let batch = (PROCESSORS as u64 / 8).max(2);
     let gap = 400; // four quanta between staggered releases
     measure(cfg.min_wall_ms, || {
-        let mut core = QuantumCore::new(DynamicEquiPartition::new(cfg.processors), 100, NullProbe);
+        let mut core = QuantumCore::new(DynamicEquiPartition::new(PROCESSORS), 100, NullProbe);
         for _ in 0..batch {
             core.admit(
                 PipelinedExecutor::new(Arc::clone(&job)),
@@ -589,7 +544,10 @@ mod tests {
 
     #[test]
     fn smoke_suite_runs_every_kernel() {
-        let results = run_kernel_suite(&KernelBenchConfig::smoke());
+        let results = run_kernel_suite(&KernelBenchConfig {
+            min_wall_ms: 0,
+            ..KernelBenchConfig::default()
+        });
         let names: Vec<&str> = results.iter().map(|r| r.kernel.as_str()).collect();
         assert_eq!(
             names,
@@ -624,21 +582,20 @@ mod tests {
         }
     }
 
-    /// Full-size churn measurement on its own, without the rest of the
-    /// suite, at the gated size and at a 1.5×10⁵-job population — the
+    /// Churn measurement on its own, without the rest of the suite, at
+    /// the gated size and at a 1.5×10⁵-job population — the
     /// before/after probe of the live-set storage layer:
     /// `cargo test --release -p abg churn_probe -- --ignored --nocapture`.
     #[test]
     #[ignore = "measurement probe, not a correctness test"]
     fn churn_probe() {
         const LARGE_JOBS: u64 = 150_000;
-        let cfg = KernelBenchConfig::full();
         let job = PhasedJob::constant(4, 200);
         let mut pool = Vec::new();
         let mut done = Vec::new();
-        for jobs in [cfg.churn_jobs, LARGE_JOBS] {
+        for jobs in [CHURN_JOBS, LARGE_JOBS] {
             let r = measure(2_000, || {
-                churn_body(cfg.processors, jobs, &job, &mut pool, &mut done)
+                churn_body(PROCESSORS, jobs, &job, &mut pool, &mut done)
             });
             println!(
                 "churn {jobs} jobs: iters={} steps/s={:.0} ops/s={:.0}",
@@ -816,7 +773,7 @@ mod tests {
         let quanta: u64 = sets
             .iter()
             .map(|set| {
-                let deq = Timed(DynamicEquiPartition::new(cfg.processors));
+                let deq = Timed(DynamicEquiPartition::new(PROCESSORS));
                 set.run(deq, cfg.quantum_len, &executor, &controller).quanta
             })
             .sum();

@@ -4,14 +4,14 @@
 //! Every experiment is deterministic in its seed and returns plain data
 //! rows. The sweeps take a `*Config` whose presets are the sizes
 //! something runs: Figs. 5 and 6 have only the paper's (`paper()`), the
-//! open system has `paper()` and `smoke()`, the kernel suite `full()`
-//! and `smoke()`, and the hierarchical skew sweep only the `smoke()`
-//! its tests pin. Each closed extension experiment — the ablations,
-//! work stealing, the adaptive quantum, robustness, allocator policies
-//! and reallocation overhead — is one preset: its sizes and axes are
-//! private constants of its module, and it takes only
-//! `seed: Option<u64>` (`None` is the recorded seed), so the CLI and
-//! the goldens run the same function.
+//! open system has `paper()` and `smoke()`, and the hierarchical skew
+//! sweep only the `smoke()` its tests pin. The kernel suite has one
+//! size, the one its baseline records. Each closed extension
+//! experiment — the ablations, work stealing, the adaptive quantum,
+//! robustness, allocator policies and reallocation overhead — is one
+//! preset: its sizes and axes are private constants of its module, and
+//! it takes only `seed: Option<u64>` (`None` is the recorded seed), so
+//! the CLI and the goldens run the same function.
 //! Figs. 1 and 4 ([`transient_comparison`]) take only the number of
 //! quanta to report.
 

@@ -44,5 +44,5 @@ pub use multi::{JobOutcome, MultiJobOutcome, MultiJobSim};
 pub use probe::{NullProbe, Probe, TraceProbe};
 pub use quantum_core::{live_job_footprint, CompletedJob, QuantumCore};
 pub use single::{run_single_job, SingleJobConfig, SingleJobRun};
-pub use trace::{trace_to_csv, QuantumRecord};
+pub use trace::QuantumRecord;
 pub use trim::{mean_availability, trimmed_availability};
