@@ -1,12 +1,14 @@
 //! Subcommand implementations: each regenerates one figure or analysis
-//! and prints it through [`abg::report::Table`].
+//! and prints it through [`abg::report::Table`], whose columns it
+//! describes once as a list of (header, cell) pairs over its rows.
 
+use crate::json::{self, Json};
 use crate::options::Options;
 use abg::experiments::{
-    self, MultiprogrammedConfig, OpenSystemConfig, OpenSystemRow, OpenWorkload, SchedulerOpenPoint,
-    SingleJobSweepConfig,
+    self, KernelBenchConfig, KernelResult, MultiprogrammedConfig, OpenSystemConfig, OpenSystemRow,
+    OpenWorkload, SchedulerOpenPoint, SingleJobSweepConfig,
 };
-use abg::report::{f3, mark, Chart, Table};
+use abg::report::{f3, mark, Chart, Column, Table};
 use abg_control::GroupPolicy;
 use abg_sched::JobExecutor as _;
 use std::error::Error;
@@ -17,38 +19,46 @@ use std::io::{self, Write};
 /// quietly).
 pub type Outcome = Result<(), Box<dyn Error>>;
 
-/// One command: its usage (the name, then the one optional positional
-/// it takes, if any), its help text and its body.
-type Command = (&'static str, &'static str, fn(&Options) -> Outcome);
+/// What runs a command or one ablation.
+type Body = fn(&Options) -> Outcome;
 
-/// The closed experiments, in the order `all` runs them.
+/// One command: its usage (the name, then the one optional positional
+/// it takes, if any), its help text, its body, and the command-scoped
+/// flags (see [`Options::scoped_flags`]) it reads.
+type Command = (&'static str, &'static str, Body, &'static [&'static str]);
+
+/// The closed experiments, in the order `all` runs them. They read only
+/// the flags every command takes, which `all` forwards to each.
 #[rustfmt::skip]
 const CLOSED: [Command; 16] = [
-    ("fig1", "A-Greedy request instability (Figure 1)", fig1),
-    ("fig2", "B-Greedy fractional quantum statistics (Figure 2)", fig2),
-    ("fig4", "ABG vs A-Greedy transient trajectories (Figure 4)", fig4),
-    ("fig5", "single-job sweep over transition factors (Figure 5)", fig5),
-    ("fig6", "multiprogrammed load sweep (Figure 6)", fig6),
-    ("thm1", "control-theoretic metrics grid (Theorem 1)", thm1),
-    ("lemma2", "request/parallelism envelope check (Lemma 2)", lemma2),
-    ("thm3", "time bound under adversarial availability (Theorem 3)", thm3),
-    ("thm4", "waste bound check (Theorem 4)", thm4),
-    ("thm5", "makespan / response-time bound check (Theorem 5)", thm5),
-    ("ablate <which>", "rate | quantum | agreedy | scheduler | semantics | all", ablate),
-    ("steal", "ABG vs A-Steal vs ABP (work-stealing substrate)", steal),
-    ("adaptive", "adaptive quantum length (paper future work)", adaptive),
-    ("robustness", "irregular parallelism profiles", robustness),
-    ("allocators", "DEQ vs round-robin vs proportional share", allocators),
-    ("overhead", "reallocation-overhead sensitivity sweep", overhead),
+    ("fig1", "A-Greedy request instability (Figure 1)", fig1, &[]),
+    ("fig2", "B-Greedy fractional quantum statistics (Figure 2)", fig2, &[]),
+    ("fig4", "ABG vs A-Greedy transient trajectories (Figure 4)", fig4, &[]),
+    ("fig5", "single-job sweep over transition factors (Figure 5)", fig5, &[]),
+    ("fig6", "multiprogrammed load sweep (Figure 6)", fig6, &[]),
+    ("thm1", "control-theoretic metrics grid (Theorem 1)", thm1, &[]),
+    ("lemma2", "request/parallelism envelope check (Lemma 2)", lemma2, &[]),
+    ("thm3", "time bound under adversarial availability (Theorem 3)", thm3, &[]),
+    ("thm4", "waste bound check (Theorem 4)", thm4, &[]),
+    ("thm5", "makespan / response-time bound check (Theorem 5)", thm5, &[]),
+    // `usage` lists the ablation names as the help of `<which>`.
+    ("ablate <which>", "<which>", ablate, &[]),
+    ("steal", "ABG vs A-Steal vs ABP (work-stealing substrate)", steal, &[]),
+    ("adaptive", "adaptive quantum length (paper future work)", adaptive, &[]),
+    ("robustness", "irregular parallelism profiles", robustness, &[]),
+    ("allocators", "DEQ vs round-robin vs proportional share", allocators, &[]),
+    ("overhead", "reallocation-overhead sensitivity sweep", overhead, &[]),
 ];
 
 /// The commands `all` does not run.
 #[rustfmt::skip]
 const OTHERS: [Command; 3] = [
-    ("bench", "kernel benchmark suite (wall-clock throughput)", bench),
+    ("bench", "kernel benchmark suite (wall-clock throughput)", bench, &["--json", "--check"]),
     ("open", "open-system rho sweep: steady-state response time\n\
-              and slowdown under sustained Poisson arrivals", open),
-    ("all", "every closed experiment, fig1 through overhead", all),
+              and slowdown under sustained Poisson arrivals", open,
+     &["--smoke", "--json", "--rho", "--groups", "--group-alloc", "--realloc-epoch",
+       "--workflow", "--dag-file"]),
+    ("all", "every closed experiment, fig1 through overhead", all, &[]),
 ];
 
 fn commands() -> impl Iterator<Item = &'static Command> {
@@ -60,7 +70,8 @@ fn commands() -> impl Iterator<Item = &'static Command> {
 pub fn usage() -> String {
     let mut s = String::from("usage: abg-cli <command> [args] [--csv] [--seed N]\n\n");
     s.push_str("commands:\n");
-    for &(usage, help, _) in commands() {
+    for &(usage, help, _, _) in commands() {
+        let help = help.replace("<which>", &ablation_names(" | "));
         for (i, line) in help.lines().enumerate() {
             let head = if i == 0 { usage } else { "" };
             s.push_str(&format!("  {head:<21}{line}\n"));
@@ -72,22 +83,27 @@ pub fn usage() -> String {
 }
 
 /// Dispatches a command. Only `ablate` takes an argument (one); any
-/// other positional is an error, not silently ignored.
+/// other positional, and any command-scoped flag the command does not
+/// read, is an error before the command runs, not silently ignored.
 pub fn run(command: &str, opts: &Options) -> Outcome {
-    let &(usage, _, body) = commands()
+    let &(usage, _, body, reads) = commands()
         .find(|c| c.0.split(' ').next() == Some(command))
         .ok_or_else(|| format!("unknown command '{command}' (try --help)"))?;
     let arity = usage.split(' ').count() - 1;
     if let Some(stray) = opts.positional.get(arity) {
         return Err(format!("unexpected argument '{stray}' (try --help)").into());
     }
+    if let Some(flag) = opts.scoped_flags().find(|flag| !reads.contains(flag)) {
+        return Err(format!("flag '{flag}' does not apply to '{command}' (try --help)").into());
+    }
     body(opts)
 }
 
-/// Writes one table to stdout: CSV under `--csv`, headed by a
-/// `# <title>` line when `all` prints it among the others, or titled
-/// and aligned.
-fn emit(title: &str, table: &Table, opts: &Options) -> Outcome {
+/// Writes the table of `rows` under `columns` to stdout: CSV under
+/// `--csv`, headed by a `# <title>` line when `all` prints it among the
+/// others, or titled and aligned.
+fn emit<R>(title: &str, rows: &[R], columns: &[Column<R>], opts: &Options) -> Outcome {
+    let table = Table::new(rows, columns);
     let mut out = io::stdout().lock();
     if opts.csv {
         if opts.command.as_deref() == Some("all") {
@@ -103,17 +119,15 @@ fn emit(title: &str, table: &Table, opts: &Options) -> Outcome {
 fn fig1(opts: &Options) -> Outcome {
     // 16 quanta: the figure shows the sustained oscillation.
     let res = experiments::transient_comparison(16);
-    let mut t = Table::new(&["quantum", "agreedy_request", "parallelism"]);
-    for p in &res.agreedy {
-        t.row_owned(vec![
-            p.quantum.to_string(),
-            f3(p.request),
-            res.parallelism.to_string(),
-        ]);
-    }
+    let rows: Vec<_> = res.agreedy.iter().map(|&g| (g, res.parallelism)).collect();
     emit(
         "Figure 1: request instability of A-Greedy (constant parallelism)",
-        &t,
+        &rows,
+        &[
+            ("quantum", |(g, _)| g.quantum.to_string()),
+            ("agreedy_request", |(g, _)| f3(g.request)),
+            ("parallelism", |(_, a)| a.to_string()),
+        ],
         opts,
     )
 }
@@ -123,36 +137,45 @@ fn fig2(opts: &Options) -> Outcome {
     // source forks into 5 chains of 3 tasks (levels [1, 5, 5, 5]).
     let dag = abg_dag::generate::figure2_job();
     let mut ex = abg_sched::BGreedyExecutor::new(&dag);
-    let mut t = Table::new(&["quantum", "allotment", "steps", "T1(q)", "T∞(q)", "A(q)"]);
+    let mut rows = Vec::new();
     for (name, a, steps) in [("warm-up", 1, 2), ("measured", 4, 3)] {
         let q = ex.run_quantum(a, steps);
-        t.row_owned(vec![
-            name.into(),
-            a.to_string(),
-            steps.to_string(),
-            q.work.to_string(),
-            f3(q.span),
-            f3(q.average_parallelism().expect("work was done")),
-        ]);
+        let parallelism = q.average_parallelism().expect("work was done");
+        rows.push((name, a, steps, q.work, q.span, parallelism));
     }
-    t.row(&["paper", "4", "3", "12", "2.400", "5.000"]);
-    emit("Figure 2: B-Greedy fractional quantum statistics", &t, opts)
+    rows.push(("paper", 4, 3, 12, 2.4, 5.0));
+    emit(
+        "Figure 2: B-Greedy fractional quantum statistics",
+        &rows,
+        &[
+            ("quantum", |r| r.0.to_string()),
+            ("allotment", |r| r.1.to_string()),
+            ("steps", |r| r.2.to_string()),
+            ("T1(q)", |r| r.3.to_string()),
+            ("T∞(q)", |r| f3(r.4)),
+            ("A(q)", |r| f3(r.5)),
+        ],
+        opts,
+    )
 }
 
 fn fig4(opts: &Options) -> Outcome {
     let res = experiments::transient_comparison(8);
-    let mut t = Table::new(&["quantum", "abg_request", "agreedy_request", "parallelism"]);
-    for (a, g) in res.abg.iter().zip(&res.agreedy) {
-        t.row_owned(vec![
-            a.quantum.to_string(),
-            f3(a.request),
-            f3(g.request),
-            res.parallelism.to_string(),
-        ]);
-    }
+    let rows: Vec<_> = res
+        .abg
+        .iter()
+        .zip(&res.agreedy)
+        .map(|(&a, &g)| (a, g, res.parallelism))
+        .collect();
     emit(
         "Figure 4: transient and steady-state behaviour (r = 0.2, ρ = 2)",
-        &t,
+        &rows,
+        &[
+            ("quantum", |(a, _, _)| a.quantum.to_string()),
+            ("abg_request", |(a, _, _)| f3(a.request)),
+            ("agreedy_request", |(_, g, _)| f3(g.request)),
+            ("parallelism", |(_, _, p)| p.to_string()),
+        ],
         opts,
     )?;
     if opts.plot && !opts.csv {
@@ -174,31 +197,19 @@ fn fig5(opts: &Options) -> Outcome {
         cfg.seed = seed;
     }
     let points = experiments::single_job_sweep(&cfg);
-    let mut t = Table::new(&[
-        "factor",
-        "measured_cl",
-        "abg_t/tinf",
-        "agreedy_t/tinf",
-        "abg_w/t1",
-        "agreedy_w/t1",
-        "time_ratio",
-        "waste_ratio",
-    ]);
-    for p in &points {
-        t.row_owned(vec![
-            p.factor.to_string(),
-            f3(p.measured_factor),
-            f3(p.abg_time_norm),
-            f3(p.agreedy_time_norm),
-            f3(p.abg_waste_norm),
-            f3(p.agreedy_waste_norm),
-            f3(p.time_ratio),
-            f3(p.waste_ratio),
-        ]);
-    }
     emit(
         "Figure 5: single-job running time and waste vs transition factor",
-        &t,
+        &points,
+        &[
+            ("factor", |p| p.factor.to_string()),
+            ("measured_cl", |p| f3(p.measured_factor)),
+            ("abg_t/tinf", |p| f3(p.abg_time_norm)),
+            ("agreedy_t/tinf", |p| f3(p.agreedy_time_norm)),
+            ("abg_w/t1", |p| f3(p.abg_waste_norm)),
+            ("agreedy_w/t1", |p| f3(p.agreedy_waste_norm)),
+            ("time_ratio", |p| f3(p.time_ratio)),
+            ("waste_ratio", |p| f3(p.waste_ratio)),
+        ],
         opts,
     )?;
     let n = points.len() as f64;
@@ -232,31 +243,19 @@ fn fig6(opts: &Options) -> Outcome {
         cfg.seed = seed;
     }
     let points = experiments::multiprogrammed_sweep(&cfg);
-    let mut t = Table::new(&[
-        "load",
-        "jobs",
-        "abg_m/m*",
-        "agreedy_m/m*",
-        "abg_r/r*",
-        "agreedy_r/r*",
-        "makespan_ratio",
-        "response_ratio",
-    ]);
-    for p in &points {
-        t.row_owned(vec![
-            f3(p.measured_load),
-            f3(p.mean_jobs),
-            f3(p.abg_makespan_norm),
-            f3(p.agreedy_makespan_norm),
-            f3(p.abg_response_norm),
-            f3(p.agreedy_response_norm),
-            f3(p.makespan_ratio),
-            f3(p.response_ratio),
-        ]);
-    }
     emit(
         "Figure 6: multiprogrammed makespan and mean response time vs load",
-        &t,
+        &points,
+        &[
+            ("load", |p| f3(p.measured_load)),
+            ("jobs", |p| f3(p.mean_jobs)),
+            ("abg_m/m*", |p| f3(p.abg_makespan_norm)),
+            ("agreedy_m/m*", |p| f3(p.agreedy_makespan_norm)),
+            ("abg_r/r*", |p| f3(p.abg_response_norm)),
+            ("agreedy_r/r*", |p| f3(p.agreedy_response_norm)),
+            ("makespan_ratio", |p| f3(p.makespan_ratio)),
+            ("response_ratio", |p| f3(p.response_ratio)),
+        ],
         opts,
     )
 }
@@ -264,29 +263,18 @@ fn fig6(opts: &Options) -> Outcome {
 fn thm1(opts: &Options) -> Outcome {
     let rows =
         experiments::theorem1_grid(&[2.0, 10.0, 32.0, 128.0], &[0.0, 0.2, 0.4, 0.6, 0.8], 64);
-    let mut t = Table::new(&[
-        "parallelism",
-        "rate",
-        "pole",
-        "bibo",
-        "sse",
-        "overshoot",
-        "measured_rate",
-    ]);
-    for r in &rows {
-        t.row_owned(vec![
-            f3(r.parallelism),
-            f3(r.rate),
-            f3(r.pole),
-            mark(r.bibo_stable).to_string(),
-            format!("{:.2e}", r.steady_state_error),
-            format!("{:.2e}", r.max_overshoot),
-            f3(r.measured_rate),
-        ]);
-    }
     emit(
         "Theorem 1: BIBO stability, zero SSE, zero overshoot, convergence rate r",
-        &t,
+        &rows,
+        &[
+            ("parallelism", |r| f3(r.parallelism)),
+            ("rate", |r| f3(r.rate)),
+            ("pole", |r| f3(r.pole)),
+            ("bibo", |r| mark(r.bibo_stable).into()),
+            ("sse", |r| format!("{:.2e}", r.steady_state_error)),
+            ("overshoot", |r| format!("{:.2e}", r.max_overshoot)),
+            ("measured_rate", |r| f3(r.measured_rate)),
+        ],
         opts,
     )
 }
@@ -296,302 +284,287 @@ fn seed_of(opts: &Options) -> u64 {
 }
 
 fn lemma2(opts: &Options) -> Outcome {
-    let mut t = Table::new(&["factor", "rate", "check", "measured", "bound", "holds"]);
+    let mut rows = Vec::new();
     for &factor in &[2u64, 4, 8, 16] {
         for &rate in &[0.05, 0.2] {
             for c in experiments::lemma2_check(factor, rate, 200, 3, 128, seed_of(opts)) {
-                t.row_owned(vec![
-                    factor.to_string(),
-                    f3(rate),
-                    c.quantity.to_string(),
-                    f3(c.measured),
-                    f3(c.bound),
-                    mark(c.holds).to_string(),
-                ]);
+                rows.push((factor, rate, c));
             }
         }
     }
-    emit("Lemma 2: request / parallelism envelope", &t, opts)
+    emit(
+        "Lemma 2: request / parallelism envelope",
+        &rows,
+        &[
+            ("factor", |r| r.0.to_string()),
+            ("rate", |r| f3(r.1)),
+            ("check", |r| r.2.quantity.into()),
+            ("measured", |r| f3(r.2.measured)),
+            ("bound", |r| f3(r.2.bound)),
+            ("holds", |r| mark(r.2.holds).into()),
+        ],
+        opts,
+    )
 }
 
 fn thm3(opts: &Options) -> Outcome {
-    let mut t = Table::new(&["factor", "rate", "measured_T", "bound", "holds"]);
+    let mut rows = Vec::new();
     for &factor in &[2u64, 5, 10, 20, 50] {
         for &rate in &[0.0, 0.2, 0.5] {
             let c = experiments::theorem3_check(factor, rate, 200, 3, 64, seed_of(opts));
-            t.row_owned(vec![
-                factor.to_string(),
-                f3(rate),
-                f3(c.measured),
-                f3(c.bound),
-                mark(c.holds).to_string(),
-            ]);
+            rows.push((factor, rate, c));
         }
     }
     emit(
         "Theorem 3: running time under adversarial availability (trim analysis)",
-        &t,
+        &rows,
+        &[
+            ("factor", |r| r.0.to_string()),
+            ("rate", |r| f3(r.1)),
+            ("measured_T", |r| f3(r.2.measured)),
+            ("bound", |r| f3(r.2.bound)),
+            ("holds", |r| mark(r.2.holds).into()),
+        ],
         opts,
     )
 }
 
 fn thm4(opts: &Options) -> Outcome {
-    let mut t = Table::new(&["factor", "rate", "measured_W", "bound", "holds"]);
+    // A `None` check: the measured factor breaks `r < 1/C_L`, so the
+    // bound does not apply.
+    let mut rows = Vec::new();
     for &factor in &[2u64, 3, 4, 8, 16] {
         for &rate in &[0.05, 0.2] {
-            match experiments::theorem4_check(factor, rate, 200, 3, 128, seed_of(opts)) {
-                Some(c) => {
-                    t.row_owned(vec![
-                        factor.to_string(),
-                        f3(rate),
-                        f3(c.measured),
-                        f3(c.bound),
-                        mark(c.holds).to_string(),
-                    ]);
-                }
-                None => {
-                    t.row_owned(vec![
-                        factor.to_string(),
-                        f3(rate),
-                        "-".into(),
-                        "-".into(),
-                        "n/a (r ≥ 1/C_L)".into(),
-                    ]);
-                }
-            }
-        }
-    }
-    emit("Theorem 4: processor waste bound", &t, opts)
-}
-
-fn thm5(opts: &Options) -> Outcome {
-    let mut t = Table::new(&["load", "check", "measured", "bound", "holds"]);
-    for &load in &[0.5, 1.0, 2.0] {
-        match experiments::theorem5_check(load, 4, 0.2, 100, 2, 64, seed_of(opts)) {
-            Some(checks) => {
-                for c in checks {
-                    t.row_owned(vec![
-                        f3(load),
-                        c.quantity.to_string(),
-                        f3(c.measured),
-                        f3(c.bound),
-                        mark(c.holds).to_string(),
-                    ]);
-                }
-            }
-            None => {
-                t.row_owned(vec![
-                    f3(load),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "n/a".into(),
-                ]);
-            }
+            let c = experiments::theorem4_check(factor, rate, 200, 3, 128, seed_of(opts));
+            rows.push((factor, rate, c));
         }
     }
     emit(
-        "Theorem 5: makespan and mean response time bounds (ABG + DEQ)",
-        &t,
+        "Theorem 4: processor waste bound",
+        &rows,
+        &[
+            ("factor", |r| r.0.to_string()),
+            ("rate", |r| f3(r.1)),
+            ("measured_W", |r| r.2.map_or("-".into(), |c| f3(c.measured))),
+            ("bound", |r| r.2.map_or("-".into(), |c| f3(c.bound))),
+            ("holds", |r| {
+                r.2.map_or("n/a (r ≥ 1/C_L)", |c| mark(c.holds)).into()
+            }),
+        ],
         opts,
     )
 }
 
-fn ablate(opts: &Options) -> Outcome {
-    let which = opts.positional.first().map(String::as_str).unwrap_or("all");
-    let run_rate = |opts: &Options| {
-        let rows = experiments::rate_ablation(opts.seed);
-        let mut t = Table::new(&["rate", "time/tinf", "waste/t1"]);
-        for r in &rows {
-            t.row_owned(vec![
-                f3(r.rate),
-                f3(r.quality.time_norm),
-                f3(r.quality.waste_norm),
-            ]);
+fn thm5(opts: &Options) -> Outcome {
+    // One row per check of each load, or one `None` row for a load
+    // whose job set breaks `r < 1/C_L`.
+    let mut rows = Vec::new();
+    for &load in &[0.5, 1.0, 2.0] {
+        match experiments::theorem5_check(load, 4, 0.2, 100, 2, 64, seed_of(opts)) {
+            Some(checks) => rows.extend(checks.into_iter().map(|c| (load, Some(c)))),
+            None => rows.push((load, None)),
         }
-        let governed = experiments::governed_rate_quality(opts.seed);
-        t.row_owned(vec![
-            "governed (r ≤ 0.9/Ĉ_L)".into(),
-            f3(governed.time_norm),
-            f3(governed.waste_norm),
-        ]);
-        emit("Ablation: ABG convergence rate r", &t, opts)
-    };
-    let run_quantum = |opts: &Options| {
-        let rows = experiments::quantum_ablation(opts.seed);
-        let mut t = Table::new(&["L", "abg_t", "abg_w", "agreedy_t", "agreedy_w"]);
-        for r in &rows {
-            t.row_owned(vec![
-                r.quantum_len.to_string(),
-                f3(r.abg.time_norm),
-                f3(r.abg.waste_norm),
-                f3(r.agreedy.time_norm),
-                f3(r.agreedy.waste_norm),
-            ]);
-        }
-        emit("Ablation: quantum length L", &t, opts)
-    };
-    let run_agreedy = |opts: &Options| {
-        let rows = experiments::agreedy_ablation(opts.seed);
-        let mut t = Table::new(&["rho", "delta", "time/tinf", "waste/t1"]);
-        for r in &rows {
-            t.row_owned(vec![
-                f3(r.responsiveness),
-                f3(r.utilization),
-                f3(r.quality.time_norm),
-                f3(r.quality.waste_norm),
-            ]);
-        }
-        emit("Ablation: A-Greedy ρ × δ", &t, opts)
-    };
-    let run_scheduler = |opts: &Options| {
-        let rows = experiments::scheduler_ablation(opts.seed);
-        let mut t = Table::new(&["scheduler", "time/tinf", "waste/t1"]);
-        for r in &rows {
-            t.row_owned(vec![
-                r.scheduler.clone(),
-                f3(r.quality.time_norm),
-                f3(r.quality.waste_norm),
-            ]);
-        }
-        emit("Ablation: task-scheduler priority rule", &t, opts)
-    };
-    let run_semantics = |opts: &Options| {
-        let rows = experiments::semantics_ablation(opts.seed);
-        let mut t = Table::new(&["model", "scheduler", "time/tinf", "waste/t1"]);
-        for r in &rows {
-            t.row_owned(vec![
-                r.model.clone(),
-                r.scheduler.clone(),
-                f3(r.quality.time_norm),
-                f3(r.quality.waste_norm),
-            ]);
-        }
-        emit("Ablation: pipelined vs barrier phase semantics", &t, opts)
-    };
-    match which {
-        "rate" => run_rate(opts),
-        "quantum" => run_quantum(opts),
-        "agreedy" => run_agreedy(opts),
-        "scheduler" => run_scheduler(opts),
-        "semantics" => run_semantics(opts),
-        "all" => {
-            run_rate(opts)?;
-            run_quantum(opts)?;
-            run_agreedy(opts)?;
-            run_scheduler(opts)?;
-            run_semantics(opts)
-        }
-        other => Err(format!(
-            "unknown ablation '{other}' (rate|quantum|agreedy|scheduler|semantics|all)"
-        )
-        .into()),
     }
+    emit(
+        "Theorem 5: makespan and mean response time bounds (ABG + DEQ)",
+        &rows,
+        &[
+            ("load", |r| f3(r.0)),
+            ("check", |r| r.1.map_or("-", |c| c.quantity).into()),
+            ("measured", |r| r.1.map_or("-".into(), |c| f3(c.measured))),
+            ("bound", |r| r.1.map_or("-".into(), |c| f3(c.bound))),
+            ("holds", |r| r.1.map_or("n/a", |c| mark(c.holds)).into()),
+        ],
+        opts,
+    )
+}
+
+/// The ablations, in the order `ablate all` runs them.
+const ABLATIONS: [(&str, Body); 5] = [
+    ("rate", ablate_rate),
+    ("quantum", ablate_quantum),
+    ("agreedy", ablate_agreedy),
+    ("scheduler", ablate_scheduler),
+    ("semantics", ablate_semantics),
+];
+
+/// The names `ablate` takes, `all` last, joined by `sep`.
+fn ablation_names(sep: &str) -> String {
+    let names: Vec<&str> = ABLATIONS.iter().map(|a| a.0).chain(["all"]).collect();
+    names.join(sep)
+}
+
+fn ablate(opts: &Options) -> Outcome {
+    let which = opts.positional.first().map_or("all", String::as_str);
+    let chosen: Vec<_> = ABLATIONS
+        .iter()
+        .filter(|a| which == "all" || a.0 == which)
+        .collect();
+    if chosen.is_empty() {
+        let names = ablation_names("|");
+        return Err(format!("unknown ablation '{which}' ({names})").into());
+    }
+    chosen.into_iter().try_for_each(|a| (a.1)(opts))
+}
+
+fn ablate_rate(opts: &Options) -> Outcome {
+    let mut rows: Vec<_> = experiments::rate_ablation(opts.seed)
+        .into_iter()
+        .map(|r| (f3(r.rate), r.quality))
+        .collect();
+    let governed = experiments::governed_rate_quality(opts.seed);
+    rows.push(("governed (r ≤ 0.9/Ĉ_L)".into(), governed));
+    emit(
+        "Ablation: ABG convergence rate r",
+        &rows,
+        &[
+            ("rate", |r| r.0.clone()),
+            ("time/tinf", |r| f3(r.1.time_norm)),
+            ("waste/t1", |r| f3(r.1.waste_norm)),
+        ],
+        opts,
+    )
+}
+
+fn ablate_quantum(opts: &Options) -> Outcome {
+    let rows = experiments::quantum_ablation(opts.seed);
+    emit(
+        "Ablation: quantum length L",
+        &rows,
+        &[
+            ("L", |r| r.quantum_len.to_string()),
+            ("abg_t", |r| f3(r.abg.time_norm)),
+            ("abg_w", |r| f3(r.abg.waste_norm)),
+            ("agreedy_t", |r| f3(r.agreedy.time_norm)),
+            ("agreedy_w", |r| f3(r.agreedy.waste_norm)),
+        ],
+        opts,
+    )
+}
+
+fn ablate_agreedy(opts: &Options) -> Outcome {
+    let rows = experiments::agreedy_ablation(opts.seed);
+    emit(
+        "Ablation: A-Greedy ρ × δ",
+        &rows,
+        &[
+            ("rho", |r| f3(r.responsiveness)),
+            ("delta", |r| f3(r.utilization)),
+            ("time/tinf", |r| f3(r.quality.time_norm)),
+            ("waste/t1", |r| f3(r.quality.waste_norm)),
+        ],
+        opts,
+    )
+}
+
+fn ablate_scheduler(opts: &Options) -> Outcome {
+    let rows = experiments::scheduler_ablation(opts.seed);
+    emit(
+        "Ablation: task-scheduler priority rule",
+        &rows,
+        &[
+            ("scheduler", |r| r.scheduler.clone()),
+            ("time/tinf", |r| f3(r.quality.time_norm)),
+            ("waste/t1", |r| f3(r.quality.waste_norm)),
+        ],
+        opts,
+    )
+}
+
+fn ablate_semantics(opts: &Options) -> Outcome {
+    let rows = experiments::semantics_ablation(opts.seed);
+    emit(
+        "Ablation: pipelined vs barrier phase semantics",
+        &rows,
+        &[
+            ("model", |r| r.model.clone()),
+            ("scheduler", |r| r.scheduler.clone()),
+            ("time/tinf", |r| f3(r.quality.time_norm)),
+            ("waste/t1", |r| f3(r.quality.waste_norm)),
+        ],
+        opts,
+    )
 }
 
 fn steal(opts: &Options) -> Outcome {
     let rows = experiments::stealing_comparison(opts.seed);
-    let mut t = Table::new(&["scheduler", "time/tinf", "waste/t1"]);
-    for r in &rows {
-        t.row_owned(vec![r.scheduler.clone(), f3(r.time_norm), f3(r.waste_norm)]);
-    }
     emit(
         "Work stealing: ABG vs A-Steal vs ABP vs A-Control-over-stealing",
-        &t,
+        &rows,
+        &[
+            ("scheduler", |r| r.scheduler.clone()),
+            ("time/tinf", |r| f3(r.time_norm)),
+            ("waste/t1", |r| f3(r.waste_norm)),
+        ],
         opts,
     )
 }
 
 fn adaptive(opts: &Options) -> Outcome {
     let rows = experiments::adaptive_quantum_comparison(opts.seed);
-    let mut t = Table::new(&["policy", "time/tinf", "waste/t1", "quanta", "reallocations"]);
-    for r in &rows {
-        t.row_owned(vec![
-            r.policy.clone(),
-            f3(r.time_norm),
-            f3(r.waste_norm),
-            f3(r.mean_quanta),
-            f3(r.mean_reallocations),
-        ]);
-    }
-    emit("Future work: adaptive quantum length under ABG", &t, opts)
+    emit(
+        "Future work: adaptive quantum length under ABG",
+        &rows,
+        &[
+            ("policy", |r| r.policy.clone()),
+            ("time/tinf", |r| f3(r.time_norm)),
+            ("waste/t1", |r| f3(r.waste_norm)),
+            ("quanta", |r| f3(r.mean_quanta)),
+            ("reallocations", |r| f3(r.mean_reallocations)),
+        ],
+        opts,
+    )
 }
 
 fn robustness(opts: &Options) -> Outcome {
     let rows = experiments::robustness_comparison(opts.seed);
-    let mut t = Table::new(&[
-        "profile",
-        "c_l",
-        "cv",
-        "changes/klvl",
-        "abg_t",
-        "agreedy_t",
-        "abg_w",
-        "agreedy_w",
-    ]);
-    for r in &rows {
-        t.row_owned(vec![
-            r.class.clone(),
-            f3(r.transition_factor),
-            f3(r.coefficient_of_variation),
-            f3(r.changes_per_kilolevel),
-            f3(r.abg_time_norm),
-            f3(r.agreedy_time_norm),
-            f3(r.abg_waste_norm),
-            f3(r.agreedy_waste_norm),
-        ]);
-    }
     emit(
         "Robustness: irregular parallelism profiles and alternative job characteristics",
-        &t,
+        &rows,
+        &[
+            ("profile", |r| r.class.clone()),
+            ("c_l", |r| f3(r.transition_factor)),
+            ("cv", |r| f3(r.coefficient_of_variation)),
+            ("changes/klvl", |r| f3(r.changes_per_kilolevel)),
+            ("abg_t", |r| f3(r.abg_time_norm)),
+            ("agreedy_t", |r| f3(r.agreedy_time_norm)),
+            ("abg_w", |r| f3(r.abg_waste_norm)),
+            ("agreedy_w", |r| f3(r.agreedy_waste_norm)),
+        ],
         opts,
     )
 }
 
 fn allocators(opts: &Options) -> Outcome {
     let rows = experiments::allocator_policy_comparison(opts.seed);
-    let mut t = Table::new(&["policy", "load", "m/m*", "r/r*", "waste/work"]);
-    for r in &rows {
-        t.row_owned(vec![
-            r.policy.clone(),
-            f3(r.load),
-            f3(r.makespan_norm),
-            f3(r.response_norm),
-            f3(r.waste_norm),
-        ]);
-    }
     emit(
         "OS allocator policies: DEQ vs round-robin vs proportional (ABG jobs)",
-        &t,
+        &rows,
+        &[
+            ("policy", |r| r.policy.clone()),
+            ("load", |r| f3(r.load)),
+            ("m/m*", |r| f3(r.makespan_norm)),
+            ("r/r*", |r| f3(r.response_norm)),
+            ("waste/work", |r| f3(r.waste_norm)),
+        ],
         opts,
     )
 }
 
 fn overhead(opts: &Options) -> Outcome {
     let rows = experiments::overhead_sweep(opts.seed);
-    let mut t = Table::new(&[
-        "overhead/L",
-        "abg_t",
-        "agreedy_t",
-        "abg_w",
-        "agreedy_w",
-        "abg_reallocs",
-        "agreedy_reallocs",
-    ]);
-    for r in &rows {
-        t.row_owned(vec![
-            f3(r.overhead_fraction),
-            f3(r.abg_time_norm),
-            f3(r.agreedy_time_norm),
-            f3(r.abg_waste_norm),
-            f3(r.agreedy_waste_norm),
-            f3(r.abg_reallocations),
-            f3(r.agreedy_reallocations),
-        ]);
-    }
     emit(
         "Reallocation overhead: pricing request instability",
-        &t,
+        &rows,
+        &[
+            ("overhead/L", |r| f3(r.overhead_fraction)),
+            ("abg_t", |r| f3(r.abg_time_norm)),
+            ("agreedy_t", |r| f3(r.agreedy_time_norm)),
+            ("abg_w", |r| f3(r.abg_waste_norm)),
+            ("agreedy_w", |r| f3(r.agreedy_waste_norm)),
+            ("abg_reallocs", |r| f3(r.abg_reallocations)),
+            ("agreedy_reallocs", |r| f3(r.agreedy_reallocations)),
+        ],
         opts,
     )
 }
@@ -600,44 +573,30 @@ fn overhead(opts: &Options) -> Outcome {
 /// writes and the only one `bench --check` reads.
 const BENCH_SCHEMA: &str = "abg-bench-kernels/v4";
 
-/// Renders the kernel suite as a JSON document (hand-rolled: the
-/// workspace deliberately has no JSON dependency).
-fn bench_json(
-    cfg: &experiments::KernelBenchConfig,
-    results: &[experiments::KernelResult],
-) -> String {
-    let num = |x: f64| {
-        if x.is_finite() {
-            format!("{x:.3}")
-        } else {
-            "null".to_string()
-        }
+/// Renders the kernel suite as a JSON document.
+fn bench_json(cfg: &KernelBenchConfig, results: &[KernelResult]) -> String {
+    let kernel = |r: &KernelResult| {
+        Json::Obj(vec![
+            ("kernel", Json::Str(r.kernel.clone())),
+            ("iters", Json::Int(r.iters)),
+            ("ops", Json::Int(r.ops)),
+            ("steps", Json::Int(r.steps)),
+            ("wall_ms", Json::Num(r.wall_ms)),
+            ("ops_per_sec", Json::Num(r.ops_per_sec)),
+            ("steps_per_sec", Json::Num(r.steps_per_sec)),
+            ("peak_jobs_in_system", Json::Int(r.peak_jobs_in_system)),
+            ("bytes_per_live_job", Json::Int(r.bytes_per_live_job)),
+        ])
     };
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema\": \"{BENCH_SCHEMA}\",\n"));
-    s.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    s.push_str(&format!("  \"min_wall_ms\": {},\n", cfg.min_wall_ms));
-    s.push_str("  \"kernels\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"iters\": {}, \"ops\": {}, \"steps\": {}, \
-             \"wall_ms\": {}, \"ops_per_sec\": {}, \"steps_per_sec\": {}, \
-             \"peak_jobs_in_system\": {}, \"bytes_per_live_job\": {}}}{}\n",
-            r.kernel,
-            r.iters,
-            r.ops,
-            r.steps,
-            num(r.wall_ms),
-            num(r.ops_per_sec),
-            num(r.steps_per_sec),
-            r.peak_jobs_in_system,
-            r.bytes_per_live_job,
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    json::document(
+        &[
+            ("schema", Json::Str(BENCH_SCHEMA.into())),
+            ("seed", Json::Int(cfg.seed)),
+            ("min_wall_ms", Json::Int(cfg.min_wall_ms)),
+            ("kernels", Json::Arr(results.iter().map(kernel).collect())),
+        ],
+        3,
+    )
 }
 
 /// Extracts the named kernel's `steps_per_sec` from a baseline JSON
@@ -654,12 +613,10 @@ fn baseline_steps_per_sec(json: &str, kernel: &str) -> Option<f64> {
     val.split(',').next()?.trim().parse().ok()
 }
 
-/// The `--check` regression gate: the baseline must be a
-/// [`BENCH_SCHEMA`] document, and every kernel of the suite must have
-/// run and must stay above 70% of its committed baseline steps/s. Every
-/// kernel's verdict goes to stderr, so `--json` stdout stays one
-/// document, and the error names every kernel below its floor.
-fn bench_check(path: &str, results: &[experiments::KernelResult]) -> Result<(), String> {
+/// Reads the `--check` baseline at `path`, which must be a
+/// [`BENCH_SCHEMA`] document; `bench` calls it before the suite runs,
+/// so a missing or stale baseline fails at once.
+fn read_baseline(path: &str) -> Result<String, String> {
     let baseline =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
     let key = "\"schema\": \"";
@@ -672,6 +629,15 @@ fn bench_check(path: &str, results: &[experiments::KernelResult]) -> Result<(), 
             "baseline {path} is schema {schema}, but bench writes {BENCH_SCHEMA} (re-record it with bench --json)"
         ));
     }
+    Ok(baseline)
+}
+
+/// The `--check` regression gate: every kernel of the suite must have
+/// run and must stay above 70% of its steps/s in `baseline` (read from
+/// `path` by [`read_baseline`]). Every kernel's verdict goes to stderr,
+/// so `--json` stdout stays one document, and the error names every
+/// kernel below its floor.
+fn bench_check(path: &str, baseline: &str, results: &[KernelResult]) -> Result<(), String> {
     let mut below = Vec::new();
     for kernel in experiments::kernel_names() {
         let cur = results
@@ -679,7 +645,7 @@ fn bench_check(path: &str, results: &[experiments::KernelResult]) -> Result<(), 
             .find(|r| r.kernel == kernel)
             .map(|r| r.steps_per_sec)
             .ok_or_else(|| format!("suite did not run {kernel}"))?;
-        let base = baseline_steps_per_sec(&baseline, kernel)
+        let base = baseline_steps_per_sec(baseline, kernel)
             .ok_or_else(|| format!("no {kernel} steps_per_sec in {path}"))?;
         let floor = base * 0.7;
         let verdict = if cur < floor {
@@ -702,8 +668,21 @@ fn bench_check(path: &str, results: &[experiments::KernelResult]) -> Result<(), 
     }
 }
 
+/// A count, or a dash where the kernel reports none.
+fn dash_zero(v: u64) -> String {
+    if v == 0 {
+        "-".to_string()
+    } else {
+        v.to_string()
+    }
+}
+
 fn bench(opts: &Options) -> Outcome {
-    let mut cfg = experiments::KernelBenchConfig::default();
+    let baseline = match &opts.check {
+        Some(path) => Some((path, read_baseline(path)?)),
+        None => None,
+    };
+    let mut cfg = KernelBenchConfig::default();
     if let Some(seed) = opts.seed {
         cfg.seed = seed;
     }
@@ -711,127 +690,93 @@ fn bench(opts: &Options) -> Outcome {
     if opts.json {
         write!(io::stdout().lock(), "{}", bench_json(&cfg, &results))?;
     } else {
-        let mut t = Table::new(&[
-            "kernel",
-            "iters",
-            "ops",
-            "steps",
-            "wall_ms",
-            "ops/s",
-            "steps/s",
-            "peak_jobs",
-            "B/job",
-        ]);
-        let dash_zero = |v: u64| {
-            if v == 0 {
-                "-".to_string()
-            } else {
-                v.to_string()
-            }
-        };
-        for r in &results {
-            t.row_owned(vec![
-                r.kernel.clone(),
-                r.iters.to_string(),
-                r.ops.to_string(),
-                r.steps.to_string(),
-                format!("{:.2}", r.wall_ms),
-                format!("{:.0}", r.ops_per_sec),
-                format!("{:.0}", r.steps_per_sec),
-                dash_zero(r.peak_jobs_in_system),
-                dash_zero(r.bytes_per_live_job),
-            ]);
-        }
         emit(
             "Kernel benchmark suite (wall-clock; machine-dependent)",
-            &t,
+            &results,
+            &[
+                ("kernel", |r| r.kernel.clone()),
+                ("iters", |r| r.iters.to_string()),
+                ("ops", |r| r.ops.to_string()),
+                ("steps", |r| r.steps.to_string()),
+                ("wall_ms", |r| format!("{:.2}", r.wall_ms)),
+                ("ops/s", |r| format!("{:.0}", r.ops_per_sec)),
+                ("steps/s", |r| format!("{:.0}", r.steps_per_sec)),
+                ("peak_jobs", |r| dash_zero(r.peak_jobs_in_system)),
+                ("B/job", |r| dash_zero(r.bytes_per_live_job)),
+            ],
             opts,
         )?;
     }
-    match &opts.check {
-        Some(path) => Ok(bench_check(path, &results)?),
+    match baseline {
+        Some((path, baseline)) => Ok(bench_check(path, &baseline, &results)?),
         None => Ok(()),
     }
 }
 
-/// Renders one scheduler's fields of an open-system row for the table:
-/// statistics when stable, a dash otherwise.
-fn open_cells(p: &SchedulerOpenPoint) -> Vec<String> {
+/// One scheduler's mean response time with its confidence half width,
+/// or `unstable`.
+fn mrt_cell(p: &SchedulerOpenPoint) -> String {
     if p.stable {
-        vec![
-            format!("{:.1}±{:.1}", p.mean_response, p.response_half_width),
-            f3(p.slowdown_p50),
-            f3(p.slowdown_p95),
-            f3(p.slowdown_p99),
-        ]
+        format!("{:.1}±{:.1}", p.mean_response, p.response_half_width)
     } else {
-        vec!["unstable".into(), "-".into(), "-".into(), "-".into()]
+        "unstable".into()
     }
 }
 
-/// Renders the open-system sweep as a JSON document (hand-rolled: the
-/// workspace deliberately has no JSON dependency). `NaN` statistics of
-/// unstable points become `null`.
-fn open_json(mode: &str, cfg: &OpenSystemConfig, rows: &[OpenSystemRow]) -> String {
-    let num = |x: f64| {
-        if x.is_finite() {
-            format!("{x:.6}")
-        } else {
-            "null".to_string()
-        }
-    };
-    let point = |p: &SchedulerOpenPoint| {
-        format!(
-            "{{\"stable\": {}, \"mean_response\": {}, \"response_half_width\": {}, \
-             \"slowdown_p50\": {}, \"slowdown_p95\": {}, \"slowdown_p99\": {}, \
-             \"mean_jobs_in_system\": {}, \"measured_utilization\": {}, \
-             \"quanta\": {}, \"arrivals\": {}}}",
-            p.stable,
-            num(p.mean_response),
-            num(p.response_half_width),
-            num(p.slowdown_p50),
-            num(p.slowdown_p95),
-            num(p.slowdown_p99),
-            num(p.mean_jobs_in_system),
-            num(p.measured_utilization),
-            p.quanta,
-            p.arrivals,
-        )
-    };
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"abg-open-system/v2\",\n");
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    s.push_str(&format!(
-        "  \"processors\": {}, \"quantum_len\": {},\n",
-        cfg.processors, cfg.quantum_len
-    ));
-    s.push_str(&format!(
-        "  \"groups\": {}, \"group_alloc\": \"{}\", \"realloc_epoch\": {},\n",
-        cfg.groups,
-        cfg.group_alloc.name(),
-        cfg.realloc_epoch
-    ));
-    s.push_str(&format!(
-        "  \"fingerprint\": \"{:#018x}\",\n",
-        experiments::open_fingerprint(rows)
-    ));
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"rho\": {}, \"mean_gap\": {}, \"expected_work\": {}, \"abg\": {}, \
-             \"agreedy\": {}}}{}\n",
-            num(r.rho),
-            num(r.mean_gap),
-            num(r.expected_work),
-            point(&r.abg),
-            point(&r.agreedy),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
+/// One statistic `x` of scheduler point `p`, or a dash when `p` is
+/// unstable.
+fn stat_cell(p: &SchedulerOpenPoint, x: f64) -> String {
+    if p.stable {
+        f3(x)
+    } else {
+        "-".into()
     }
-    s.push_str("  ]\n}\n");
-    s
+}
+
+/// One scheduler's point of an open-system row, as a JSON object.
+fn point_json(p: &SchedulerOpenPoint) -> Json {
+    Json::Obj(vec![
+        ("stable", Json::Bool(p.stable)),
+        ("mean_response", Json::Num(p.mean_response)),
+        ("response_half_width", Json::Num(p.response_half_width)),
+        ("slowdown_p50", Json::Num(p.slowdown_p50)),
+        ("slowdown_p95", Json::Num(p.slowdown_p95)),
+        ("slowdown_p99", Json::Num(p.slowdown_p99)),
+        ("mean_jobs_in_system", Json::Num(p.mean_jobs_in_system)),
+        ("measured_utilization", Json::Num(p.measured_utilization)),
+        ("quanta", Json::Int(p.quanta)),
+        ("arrivals", Json::Int(p.arrivals)),
+    ])
+}
+
+/// Renders the open-system sweep as a JSON document. `NaN` statistics
+/// of unstable points become `null`.
+fn open_json(mode: &str, cfg: &OpenSystemConfig, rows: &[OpenSystemRow]) -> String {
+    let row = |r: &OpenSystemRow| {
+        Json::Obj(vec![
+            ("rho", Json::Num(r.rho)),
+            ("mean_gap", Json::Num(r.mean_gap)),
+            ("expected_work", Json::Num(r.expected_work)),
+            ("abg", point_json(&r.abg)),
+            ("agreedy", point_json(&r.agreedy)),
+        ])
+    };
+    let fingerprint = format!("{:#018x}", experiments::open_fingerprint(rows));
+    json::document(
+        &[
+            ("schema", Json::Str("abg-open-system/v2".into())),
+            ("mode", Json::Str(mode.into())),
+            ("seed", Json::Int(cfg.seed)),
+            ("processors", Json::Int(cfg.processors.into())),
+            ("quantum_len", Json::Int(cfg.quantum_len)),
+            ("groups", Json::Int(cfg.groups.into())),
+            ("group_alloc", Json::Str(cfg.group_alloc.name().into())),
+            ("realloc_epoch", Json::Int(cfg.realloc_epoch)),
+            ("fingerprint", Json::Str(fingerprint)),
+            ("rows", Json::Arr(rows.iter().map(row).collect())),
+        ],
+        6,
+    )
 }
 
 fn open(opts: &Options) -> Outcome {
@@ -879,26 +824,20 @@ fn open(opts: &Options) -> Outcome {
         write!(io::stdout().lock(), "{}", open_json(mode, &cfg, &rows))?;
         return Ok(());
     }
-    let mut t = Table::new(&[
-        "rho",
-        "abg_mrt",
-        "abg_sd50",
-        "abg_sd95",
-        "abg_sd99",
-        "agreedy_mrt",
-        "ag_sd50",
-        "ag_sd95",
-        "ag_sd99",
-    ]);
-    for r in &rows {
-        let mut cells = vec![f3(r.rho)];
-        cells.extend(open_cells(&r.abg));
-        cells.extend(open_cells(&r.agreedy));
-        t.row_owned(cells);
-    }
     emit(
         "Open system: steady-state response time and slowdown vs offered load (DEQ)",
-        &t,
+        &rows,
+        &[
+            ("rho", |r| f3(r.rho)),
+            ("abg_mrt", |r| mrt_cell(&r.abg)),
+            ("abg_sd50", |r| stat_cell(&r.abg, r.abg.slowdown_p50)),
+            ("abg_sd95", |r| stat_cell(&r.abg, r.abg.slowdown_p95)),
+            ("abg_sd99", |r| stat_cell(&r.abg, r.abg.slowdown_p99)),
+            ("agreedy_mrt", |r| mrt_cell(&r.agreedy)),
+            ("ag_sd50", |r| stat_cell(&r.agreedy, r.agreedy.slowdown_p50)),
+            ("ag_sd95", |r| stat_cell(&r.agreedy, r.agreedy.slowdown_p95)),
+            ("ag_sd99", |r| stat_cell(&r.agreedy, r.agreedy.slowdown_p99)),
+        ],
         opts,
     )?;
     if !opts.csv {
@@ -926,13 +865,12 @@ fn open(opts: &Options) -> Outcome {
 }
 
 fn all(opts: &Options) -> Outcome {
-    CLOSED.iter().try_for_each(|&(_, _, body)| body(opts))
+    CLOSED.iter().try_for_each(|&(_, _, body, _)| body(opts))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abg::experiments::KernelResult;
 
     fn fake_result(kernel: &str, steps_per_sec: f64) -> KernelResult {
         KernelResult {
@@ -961,6 +899,23 @@ mod tests {
             "{json}"
         );
         assert!(!json.contains("\"mode\""), "{json}");
+        let row = |kernel: &str, rate: &str| {
+            format!(
+                "    {{\"kernel\": \"{kernel}\", \"iters\": 1, \"ops\": 100, \"steps\": 100, \
+                 \"wall_ms\": 1.000, \"ops_per_sec\": {rate}, \"steps_per_sec\": {rate}, \
+                 \"peak_jobs_in_system\": 42, \"bytes_per_live_job\": 128}}"
+            )
+        };
+        assert_eq!(
+            json,
+            format!(
+                "{{\n  \"schema\": \"abg-bench-kernels/v4\",\n  \"seed\": {},\n  \
+                 \"min_wall_ms\": 200,\n  \"kernels\": [\n{},\n{}\n  ]\n}}\n",
+                cfg.seed,
+                row("chain_macro", "123456.789"),
+                row("open_churn", "500.000")
+            )
+        );
         let got = baseline_steps_per_sec(&json, "chain_macro").unwrap();
         assert!((got - 123456.789).abs() < 1e-2);
         assert!(baseline_steps_per_sec(&json, "no_such_kernel").is_none());
@@ -1005,6 +960,11 @@ mod tests {
             .collect()
     }
 
+    /// `bench --check path` once the suite has produced `results`.
+    fn check(path: &str, results: &[KernelResult]) -> Result<(), String> {
+        read_baseline(path).and_then(|baseline| bench_check(path, &baseline, results))
+    }
+
     #[test]
     fn bench_check_trips_only_below_the_floor() {
         let cfg = abg::experiments::KernelBenchConfig::default();
@@ -1016,13 +976,13 @@ mod tests {
         let path = path.to_str().unwrap();
 
         // At 71% of baseline: passes. At 69%: trips.
-        assert!(bench_check(path, &suite_results(0.71, None)).is_ok());
-        let err = bench_check(path, &suite_results(0.69, None)).unwrap_err();
+        assert!(check(path, &suite_results(0.71, None)).is_ok());
+        let err = check(path, &suite_results(0.69, None)).unwrap_err();
         assert!(err.contains("regression"), "{err}");
         // Every kernel trips the gate individually, even with the
         // others comfortably above the floor.
         for kernel in abg::experiments::kernel_names() {
-            let err = bench_check(path, &suite_results(1.0, Some((kernel, 0.69)))).unwrap_err();
+            let err = check(path, &suite_results(1.0, Some((kernel, 0.69)))).unwrap_err();
             assert!(
                 err.contains(kernel) && err.contains("regression"),
                 "{kernel}: {err}"
@@ -1034,7 +994,7 @@ mod tests {
         let last = two.len() - 1;
         two[0].steps_per_sec = 690.0;
         two[last].steps_per_sec = 350.0;
-        let err = bench_check(path, &two).unwrap_err();
+        let err = check(path, &two).unwrap_err();
         let expected = format!(
             "regression below 70% of baseline (from {path}): {} 690 steps/s (floor 700), \
              {} 350 steps/s (floor 700)",
@@ -1043,17 +1003,17 @@ mod tests {
         assert_eq!(err, expected);
         // Missing baseline file, baseline row or kernel is an error, not
         // a silent pass.
-        assert!(bench_check("/no/such/file.json", &baseline).is_err());
-        assert!(bench_check(path, &[fake_result("other", 1.0)]).is_err());
+        assert!(check("/no/such/file.json", &baseline).is_err());
+        assert!(check(path, &[fake_result("other", 1.0)]).is_err());
         let mut partial = baseline.clone();
         partial.retain(|r| r.kernel != "unified_engine");
         let partial_path = dir.join("partial.json");
         std::fs::write(&partial_path, bench_json(&cfg, &partial)).unwrap();
-        let err = bench_check(partial_path.to_str().unwrap(), &baseline).unwrap_err();
+        let err = check(partial_path.to_str().unwrap(), &baseline).unwrap_err();
         assert!(err.contains("no unified_engine steps_per_sec"), "{err}");
         let mut missing = suite_results(1.0, None);
         missing.retain(|r| r.kernel != "open_system");
-        let err = bench_check(path, &missing).unwrap_err();
+        let err = check(path, &missing).unwrap_err();
         assert!(err.contains("did not run open_system"), "{err}");
         // A baseline of another schema is refused before any row is
         // read, with both schemas named.
@@ -1061,7 +1021,7 @@ mod tests {
         let v2 = bench_json(&cfg, &baseline).replace(BENCH_SCHEMA, "abg-bench-kernels/v2");
         std::fs::write(&v2_path, v2).unwrap();
         let v2_path = v2_path.to_str().unwrap();
-        let err = bench_check(v2_path, &baseline).unwrap_err();
+        let err = check(v2_path, &baseline).unwrap_err();
         assert_eq!(
             err,
             format!(
@@ -1077,10 +1037,11 @@ mod tests {
         run(command, opts).unwrap_err().to_string()
     }
 
-    /// A positional argument that no command reads is an error before
-    /// anything runs, for `all` as for every single command; only
-    /// `ablate` takes one, and a second one is rejected. `bench` has one
-    /// size, so `bench smoke` is a stray argument too.
+    /// A positional argument or a flag that the command never reads is
+    /// an error before anything runs, for `all` as for every single
+    /// command; only `ablate` takes a positional, and a second one is
+    /// rejected. `bench` has one size, so `bench smoke` and `bench
+    /// --smoke` are stray too.
     #[test]
     fn stray_positional_arguments_are_rejected() {
         let with = |command: &str, positional: &[&str]| Options {
@@ -1097,7 +1058,46 @@ mod tests {
         let err = fail(&with("bench", &["smoke"]));
         assert_eq!(err, "unexpected argument 'smoke' (try --help)");
         let err = fail(&with("ablate", &["bogus"]));
-        assert!(err.starts_with("unknown ablation 'bogus'"), "{err}");
+        assert_eq!(
+            err,
+            "unknown ablation 'bogus' (rate|quantum|agreedy|scheduler|semantics|all)"
+        );
+        // A flag only other commands read is rejected the same way: the
+        // seven `open` flags, `--check` outside `bench`, and `--json`
+        // outside `open` and `bench`.
+        let cases: [&[&str]; 12] = [
+            &["fig5", "--rho", "0.5"],
+            &["bench", "--smoke"],
+            &["fig6", "--json"],
+            &["all", "--json"],
+            &["open", "--check", "base.json"],
+            &["ablate", "rate", "--check", "base.json"],
+            &["fig2", "--groups", "4"],
+            &["fig2", "--group-alloc", "desire"],
+            &["all", "--realloc-epoch", "25"],
+            &["thm3", "--workflow", "montage"],
+            &["bench", "--dag-file", "x.dag"],
+            &["bench", "--json", "--rho", "0.5"],
+        ];
+        for args in cases {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let opts = Options::parse(&args).unwrap();
+            let flag = args.iter().rev().find(|a| a.starts_with("--")).unwrap();
+            let err = fail(&opts);
+            assert_eq!(
+                err,
+                format!("flag '{flag}' does not apply to '{}' (try --help)", args[0]),
+                "{args:?}"
+            );
+        }
+    }
+
+    /// `--help` lists every ablation name, from the one ablation table.
+    #[test]
+    fn usage_lists_every_ablation() {
+        assert!(usage().contains(
+            "  ablate <which>       rate | quantum | agreedy | scheduler | semantics | all\n"
+        ));
     }
 
     /// `open` with impossible hierarchical knobs surfaces the typed

@@ -2,7 +2,8 @@
 //! paper as plain-text tables (or CSV).
 //!
 //! `abg-cli --help` lists the commands and flags; one command table
-//! in `commands.rs` drives dispatch, `all` and that help text.
+//! in `commands.rs` drives dispatch, `all`, the flags each command
+//! accepts and that help text.
 //!
 //! `fig5` and `fig6` run the paper's Section 7 set-up (well under a
 //! second each, thanks to the fast-forward executors). Every command
@@ -10,6 +11,7 @@
 //! pipe early (`| head`) ends the run quietly with exit status 0.
 
 mod commands;
+mod json;
 mod options;
 
 use options::Options;

@@ -39,7 +39,7 @@ pub struct Options {
     /// Append ASCII charts after the tables.
     pub plot: bool,
     /// Print machine-readable JSON instead of a table (the `bench` and
-    /// `open` subcommands).
+    /// `open` subcommands; every other command refuses it).
     pub json: bool,
     /// Compare bench results against a committed baseline JSON and fail
     /// on regression (the `bench` subcommand).
@@ -53,7 +53,8 @@ impl Options {
     /// The flag half of the usage text (the command half is the
     /// command table's, see `commands::usage`).
     pub const FLAGS: &'static str = "\
-flags:
+flags (one marked open: or bench: belongs to that command, and any
+other command refuses it):
   --smoke              open: CI-sized sweep instead of the full-scale one
   --csv                CSV output instead of aligned tables
   --plot               append ASCII charts after the tables
@@ -77,6 +78,25 @@ flags:
   --threads N          harness worker count (overrides ABG_THREADS; results
                        are identical for any count, only wall-clock changes)
   -h, --help           this text";
+
+    /// The command-scoped flags this command line sets, in [`Self::FLAGS`]
+    /// order. Only the commands that read such a flag accept it; every
+    /// other flag applies to every command.
+    pub fn scoped_flags(&self) -> impl Iterator<Item = &'static str> {
+        [
+            ("--smoke", self.smoke),
+            ("--json", self.json),
+            ("--check", self.check.is_some()),
+            ("--rho", self.rho.is_some()),
+            ("--groups", self.groups.is_some()),
+            ("--group-alloc", self.group_alloc.is_some()),
+            ("--realloc-epoch", self.realloc_epoch.is_some()),
+            ("--workflow", self.workflow.is_some()),
+            ("--dag-file", self.dag_file.is_some()),
+        ]
+        .into_iter()
+        .filter_map(|(flag, set)| set.then_some(flag))
+    }
 
     /// Parses raw arguments.
     pub fn parse(args: &[String]) -> Result<Self, String> {

@@ -2,18 +2,28 @@
 
 use std::fmt::Write as _;
 
-/// A simple fixed-width table builder used by the CLI and by
-/// EXPERIMENTS.md generation.
+/// One column of a [`Table`]: its header, and how a row renders into
+/// the column's cell.
+pub type Column<R> = (&'static str, fn(&R) -> String);
+
+/// A fixed-width table over an experiment's rows, each column described
+/// once by a [`Column`], rendered aligned or as CSV; used by the CLI.
 ///
 /// ```
 /// use abg::report::Table;
 ///
-/// let mut t = Table::new(&["factor", "ratio"]);
-/// t.row(&["2", "1.08"]);
-/// t.row(&["100", "1.31"]);
+/// let rows = [(2, 1.08), (100, 1.31)];
+/// let t = Table::new(
+///     &rows,
+///     &[
+///         ("factor", |r| r.0.to_string()),
+///         ("ratio", |r| r.1.to_string()),
+///     ],
+/// );
 /// let text = t.render();
 /// assert!(text.contains("factor"));
-/// assert!(text.lines().count() >= 4);
+/// assert_eq!(text.lines().count(), 4);
+/// assert_eq!(t.render_csv(), "factor,ratio\n2,1.08\n100,1.31\n");
 /// ```
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -22,67 +32,33 @@ pub struct Table {
 }
 
 impl Table {
-    /// Creates a table with the given column headers.
+    /// Renders each of `rows` into one cell per column.
     ///
     /// # Panics
     ///
-    /// Panics if `headers` is empty.
-    pub fn new(headers: &[&str]) -> Self {
-        assert!(!headers.is_empty(), "a table needs at least one column");
+    /// Panics if `columns` is empty.
+    pub fn new<R>(rows: &[R], columns: &[Column<R>]) -> Self {
+        assert!(!columns.is_empty(), "a table needs at least one column");
         Self {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
+            headers: columns.iter().map(|c| c.0.to_string()).collect(),
+            rows: rows
+                .iter()
+                .map(|r| columns.iter().map(|c| (c.1)(r)).collect())
+                .collect(),
         }
-    }
-
-    /// Appends a row; missing cells render empty, extra cells are
-    /// rejected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row has more cells than there are headers.
-    pub fn row(&mut self, cells: &[&str]) -> &mut Self {
-        assert!(
-            cells.len() <= self.headers.len(),
-            "row has {} cells but the table has {} columns",
-            cells.len(),
-            self.headers.len()
-        );
-        self.rows
-            .push(cells.iter().map(|s| s.to_string()).collect());
-        self
-    }
-
-    /// Appends a row of pre-formatted `String` cells.
-    pub fn row_owned(&mut self, cells: Vec<String>) -> &mut Self {
-        assert!(cells.len() <= self.headers.len());
-        self.rows.push(cells);
-        self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the table with aligned columns and a header separator.
     pub fn render(&self) -> String {
-        let cols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
+            for (w, cell) in widths.iter_mut().zip(row) {
+                *w = (*w).max(cell.len());
             }
         }
         let mut out = String::new();
         let write_row = |out: &mut String, cells: &[String]| {
-            for (i, w) in widths.iter().enumerate().take(cols) {
-                let cell = cells.get(i).map(String::as_str).unwrap_or("");
+            for (i, (w, cell)) in widths.iter().zip(cells).enumerate() {
                 if i > 0 {
                     out.push_str("  ");
                 }
@@ -227,40 +203,26 @@ pub fn mark(ok: bool) -> &'static str {
 mod tests {
     use super::*;
 
+    /// Two `u32`s, rendered as plain numbers.
+    const PAIR: [Column<(u32, u32)>; 2] = [
+        ("a", |r| r.0.to_string()),
+        ("long-header", |r| r.1.to_string()),
+    ];
+
     #[test]
     fn renders_aligned_columns() {
-        let mut t = Table::new(&["a", "long-header"]);
-        t.row(&["1", "2"]);
-        t.row(&["100", "3"]);
-        let s = t.render();
+        let s = Table::new(&[(1, 2), (100, 3)], &PAIR).render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
         // All lines equal width.
         assert!(lines.windows(2).all(|w| w[0].len() == w[1].len()));
+        assert_eq!(lines[2], "  1            2");
     }
 
     #[test]
     fn csv_roundtrip_shape() {
-        let mut t = Table::new(&["x", "y"]);
-        t.row(&["1", "2"]).row(&["3", "4"]);
-        let csv = t.render_csv();
-        assert_eq!(csv, "x,y\n1,2\n3,4\n");
-    }
-
-    #[test]
-    fn short_rows_pad() {
-        let mut t = Table::new(&["x", "y"]);
-        t.row(&["1"]);
-        assert!(t.render().contains('1'));
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "cells")]
-    fn long_rows_rejected() {
-        let mut t = Table::new(&["x"]);
-        t.row(&["1", "2"]);
+        let csv = Table::new(&[(1, 2), (3, 4)], &PAIR).render_csv();
+        assert_eq!(csv, "a,long-header\n1,2\n3,4\n");
     }
 
     #[test]
