@@ -24,41 +24,48 @@ type Body = fn(&Options) -> Outcome;
 
 /// One command: its usage (the name, then the one optional positional
 /// it takes, if any), its help text, its body, and the command-scoped
-/// flags (see [`Options::scoped_flags`]) it reads.
+/// flags (see [`Options::scoped_flags`]) it reads — the renderers it
+/// has among them.
 type Command = (&'static str, &'static str, Body, &'static [&'static str]);
 
-/// The closed experiments, in the order `all` runs them. They read only
-/// the flags every command takes, which `all` forwards to each.
+/// A command whose only output is tables.
+const TABLES: &[&str] = &["--csv"];
+/// A command that can also append charts to its tables.
+const CHARTS: &[&str] = &["--csv", "--plot"];
+
+/// The closed experiments, in the order `all` runs them. `all` forwards
+/// each renderer flag to the ones that read it.
 #[rustfmt::skip]
 const CLOSED: [Command; 16] = [
-    ("fig1", "A-Greedy request instability (Figure 1)", fig1, &[]),
-    ("fig2", "B-Greedy fractional quantum statistics (Figure 2)", fig2, &[]),
-    ("fig4", "ABG vs A-Greedy transient trajectories (Figure 4)", fig4, &[]),
-    ("fig5", "single-job sweep over transition factors (Figure 5)", fig5, &[]),
-    ("fig6", "multiprogrammed load sweep (Figure 6)", fig6, &[]),
-    ("thm1", "control-theoretic metrics grid (Theorem 1)", thm1, &[]),
-    ("lemma2", "request/parallelism envelope check (Lemma 2)", lemma2, &[]),
-    ("thm3", "time bound under adversarial availability (Theorem 3)", thm3, &[]),
-    ("thm4", "waste bound check (Theorem 4)", thm4, &[]),
-    ("thm5", "makespan / response-time bound check (Theorem 5)", thm5, &[]),
+    ("fig1", "A-Greedy request instability (Figure 1)", fig1, TABLES),
+    ("fig2", "B-Greedy fractional quantum statistics (Figure 2)", fig2, TABLES),
+    ("fig4", "ABG vs A-Greedy transient trajectories (Figure 4)", fig4, CHARTS),
+    ("fig5", "single-job sweep over transition factors (Figure 5)", fig5, CHARTS),
+    ("fig6", "multiprogrammed load sweep (Figure 6)", fig6, TABLES),
+    ("thm1", "control-theoretic metrics grid (Theorem 1)", thm1, TABLES),
+    ("lemma2", "request/parallelism envelope check (Lemma 2)", lemma2, TABLES),
+    ("thm3", "time bound under adversarial availability (Theorem 3)", thm3, TABLES),
+    ("thm4", "waste bound check (Theorem 4)", thm4, TABLES),
+    ("thm5", "makespan / response-time bound check (Theorem 5)", thm5, TABLES),
     // `usage` lists the ablation names as the help of `<which>`.
-    ("ablate <which>", "<which>", ablate, &[]),
-    ("steal", "ABG vs A-Steal vs ABP (work-stealing substrate)", steal, &[]),
-    ("adaptive", "adaptive quantum length (paper future work)", adaptive, &[]),
-    ("robustness", "irregular parallelism profiles", robustness, &[]),
-    ("allocators", "DEQ vs round-robin vs proportional share", allocators, &[]),
-    ("overhead", "reallocation-overhead sensitivity sweep", overhead, &[]),
+    ("ablate <which>", "<which>", ablate, TABLES),
+    ("steal", "ABG vs A-Steal vs ABP (work-stealing substrate)", steal, TABLES),
+    ("adaptive", "adaptive quantum length (paper future work)", adaptive, TABLES),
+    ("robustness", "irregular parallelism profiles", robustness, TABLES),
+    ("allocators", "DEQ vs round-robin vs proportional share", allocators, TABLES),
+    ("overhead", "reallocation-overhead sensitivity sweep", overhead, TABLES),
 ];
 
 /// The commands `all` does not run.
 #[rustfmt::skip]
 const OTHERS: [Command; 3] = [
-    ("bench", "kernel benchmark suite (wall-clock throughput)", bench, &["--json", "--check"]),
+    ("bench", "kernel benchmark suite (wall-clock throughput)", bench,
+     &["--csv", "--json", "--check"]),
     ("open", "open-system rho sweep: steady-state response time\n\
               and slowdown under sustained Poisson arrivals", open,
-     &["--smoke", "--json", "--rho", "--groups", "--group-alloc", "--realloc-epoch",
+     &["--smoke", "--csv", "--json", "--rho", "--groups", "--group-alloc", "--realloc-epoch",
        "--workflow", "--dag-file"]),
-    ("all", "every closed experiment, fig1 through overhead", all, &[]),
+    ("all", "every closed experiment, fig1 through overhead", all, CHARTS),
 ];
 
 fn commands() -> impl Iterator<Item = &'static Command> {
@@ -84,7 +91,9 @@ pub fn usage() -> String {
 
 /// Dispatches a command. Only `ablate` takes an argument (one); any
 /// other positional, and any command-scoped flag the command does not
-/// read, is an error before the command runs, not silently ignored.
+/// read, is an error before the command runs, not silently ignored. So
+/// is a renderer flag the chosen renderer does not read: a JSON
+/// document has no CSV form and no charts, and CSV has no charts.
 pub fn run(command: &str, opts: &Options) -> Outcome {
     let &(usage, _, body, reads) = commands()
         .find(|c| c.0.split(' ').next() == Some(command))
@@ -95,6 +104,18 @@ pub fn run(command: &str, opts: &Options) -> Outcome {
     }
     if let Some(flag) = opts.scoped_flags().find(|flag| !reads.contains(flag)) {
         return Err(format!("flag '{flag}' does not apply to '{command}' (try --help)").into());
+    }
+    let (renderer, unread): (&str, &[&str]) = if opts.json {
+        ("--json", CHARTS)
+    } else if opts.csv {
+        ("--csv", &["--plot"])
+    } else {
+        ("", &[])
+    };
+    if let Some(flag) = opts.scoped_flags().find(|flag| unread.contains(flag)) {
+        return Err(
+            format!("flag '{flag}' does not apply to '{command} {renderer}' (try --help)").into(),
+        );
     }
     body(opts)
 }
@@ -178,7 +199,7 @@ fn fig4(opts: &Options) -> Outcome {
         ],
         opts,
     )?;
-    if opts.plot && !opts.csv {
+    if opts.plot {
         let abg: Vec<f64> = res.abg.iter().map(|p| p.request).collect();
         let agreedy: Vec<f64> = res.agreedy.iter().map(|p| p.request).collect();
         let target = vec![res.parallelism as f64; abg.len()];
@@ -223,7 +244,7 @@ fn fig5(opts: &Options) -> Outcome {
             wr
         )?;
     }
-    if opts.plot && !opts.csv {
+    if opts.plot {
         let abg: Vec<f64> = points.iter().map(|p| p.abg_time_norm).collect();
         let agreedy: Vec<f64> = points.iter().map(|p| p.agreedy_time_norm).collect();
         let mut c = Chart::new(8);
@@ -814,9 +835,10 @@ fn open(opts: &Options) -> Outcome {
         let dag = abg_workload::load_dag(path).map_err(|e| e.to_string())?;
         cfg.workload = OpenWorkload::Trace(std::sync::Arc::new(dag));
     }
-    // Reject an inconsistent measurement setup with a message instead
-    // of letting the sweep panic mid-run.
-    cfg.validate()
+    // Reject an inconsistent measurement setup, or a load whose jobs
+    // would arrive more than once per step, with a message instead of
+    // letting the sweep panic mid-run.
+    cfg.validate_at(experiments::population_expected_work(&cfg))
         .map_err(|e| format!("invalid open-system configuration: {e}"))?;
     let rows = experiments::open_system_sweep(&cfg);
     if opts.json {
@@ -865,7 +887,13 @@ fn open(opts: &Options) -> Outcome {
 }
 
 fn all(opts: &Options) -> Outcome {
-    CLOSED.iter().try_for_each(|&(_, _, body, _)| body(opts))
+    CLOSED.iter().try_for_each(|&(_, _, body, reads)| {
+        body(&Options {
+            csv: opts.csv && reads.contains(&"--csv"),
+            plot: opts.plot && reads.contains(&"--plot"),
+            ..opts.clone()
+        })
+    })
 }
 
 #[cfg(test)]
@@ -1063,9 +1091,12 @@ mod tests {
             "unknown ablation 'bogus' (rate|quantum|agreedy|scheduler|semantics|all)"
         );
         // A flag only other commands read is rejected the same way: the
-        // seven `open` flags, `--check` outside `bench`, and `--json`
-        // outside `open` and `bench`.
-        let cases: [&[&str]; 12] = [
+        // seven `open` flags, `--check` outside `bench`, `--json`
+        // outside `open` and `bench`, and `--plot` outside `fig4`,
+        // `fig5` and `all`.
+        let cases: [&[&str]; 14] = [
+            &["fig2", "--plot"],
+            &["open", "--smoke", "--plot"],
             &["fig5", "--rho", "0.5"],
             &["bench", "--smoke"],
             &["fig6", "--json"],
@@ -1146,6 +1177,24 @@ mod tests {
         assert_eq!(
             err,
             "unknown group allocator 'greedy' (expected static, desire or conservative)"
+        );
+    }
+
+    /// A load whose jobs would arrive more than once per step is the
+    /// typed `ArrivalsTooDense` error, not a panic in the arrival
+    /// stream or a run that exhausts memory.
+    #[test]
+    fn open_rejects_an_impossible_rate_with_the_typed_message() {
+        let err = fail(&Options {
+            command: Some("open".into()),
+            smoke: true,
+            rho: Some(1e10),
+            ..Options::default()
+        });
+        assert_eq!(
+            err,
+            "invalid open-system configuration: arrivals too dense: the mean inter-arrival \
+             gap must be finite and at least one step (got 6.210e-9 steps)"
         );
     }
 

@@ -10,7 +10,7 @@ pub struct Options {
     pub positional: Vec<String>,
     /// Run at CI smoke scale (the `open` subcommand).
     pub smoke: bool,
-    /// Emit CSV instead of an aligned table.
+    /// Emit CSV instead of an aligned table (refused under `--json`).
     pub csv: bool,
     /// Override the experiment seed.
     pub seed: Option<u64>,
@@ -36,7 +36,8 @@ pub struct Options {
     /// Dag-file path whose dag every open-system arrival replays (the
     /// `open` subcommand); mutually exclusive with `--workflow`.
     pub dag_file: Option<String>,
-    /// Append ASCII charts after the tables.
+    /// Append ASCII charts after the tables (`fig4`, `fig5` and `all`,
+    /// not under `--csv`).
     pub plot: bool,
     /// Print machine-readable JSON instead of a table (the `bench` and
     /// `open` subcommands; every other command refuses it).
@@ -53,11 +54,12 @@ impl Options {
     /// The flag half of the usage text (the command half is the
     /// command table's, see `commands::usage`).
     pub const FLAGS: &'static str = "\
-flags (one marked open: or bench: belongs to that command, and any
-other command refuses it):
+flags (one marked with commands belongs to those, and any other command
+refuses it):
   --smoke              open: CI-sized sweep instead of the full-scale one
-  --csv                CSV output instead of aligned tables
-  --plot               append ASCII charts after the tables
+  --csv                CSV output instead of aligned tables (not with --json)
+  --plot               fig4, fig5, all: append ASCII charts after the tables
+                       (not with --csv; all draws the charts of fig4 and fig5)
   --json               bench: print the suite as JSON instead of the table
                        open: print the sweep as JSON (with its fingerprint)
   --check PATH         bench: fail if any kernel's throughput regresses
@@ -85,6 +87,8 @@ other command refuses it):
     pub fn scoped_flags(&self) -> impl Iterator<Item = &'static str> {
         [
             ("--smoke", self.smoke),
+            ("--csv", self.csv),
+            ("--plot", self.plot),
             ("--json", self.json),
             ("--check", self.check.is_some()),
             ("--rho", self.rho.is_some()),

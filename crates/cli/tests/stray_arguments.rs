@@ -49,6 +49,31 @@ fn a_flag_the_command_never_reads_fails_before_printing() {
     }
 }
 
+/// A renderer the command does not have used to be ignored: `fig2
+/// --plot` printed plain `fig2`, `open --smoke --json --csv` printed the
+/// JSON, and `fig5 --csv --plot` dropped the chart. Each command now
+/// declares its renderers, and a JSON or CSV run refuses the renderers
+/// it cannot combine with.
+#[test]
+fn a_renderer_the_command_lacks_fails_before_printing() {
+    for (args, flag, to) in [
+        (&["fig2", "--plot"][..], "--plot", "fig2"),
+        (&["open", "--smoke", "--plot"], "--plot", "open"),
+        (
+            &["open", "--smoke", "--json", "--csv"],
+            "--csv",
+            "open --json",
+        ),
+        (&["fig5", "--csv", "--plot"], "--plot", "fig5 --csv"),
+        (&["bench", "--json", "--csv"], "--csv", "bench --json"),
+        (&["all", "--csv", "--plot"], "--plot", "all --csv"),
+    ] {
+        let stderr = refused(args);
+        let expected = format!("flag '{flag}' does not apply to '{to}' (try --help)");
+        assert!(stderr.contains(&expected), "{args:?}: {stderr}");
+    }
+}
+
 /// `bench --check` reads its baseline before the kernel suite runs, so
 /// a missing file fails at once, with no kernel table on stdout.
 #[test]

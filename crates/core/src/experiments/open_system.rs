@@ -163,9 +163,10 @@ impl OpenSystemConfig {
     }
 
     /// The per-point engine configuration, with the knobs exactly as
-    /// given. The arrival gap and seed vary per point but play no part
-    /// in config validity, so [`validate`](Self::validate) passes
-    /// placeholders.
+    /// given. The arrival gap and seed vary per point; the seed plays no
+    /// part in config validity, and [`validate`](Self::validate) passes
+    /// a placeholder gap that [`validate_at`](Self::validate_at) replaces
+    /// with each point's own.
     fn hier_config(&self, mean_gap: f64, seed: u64) -> HierOpenConfig {
         HierOpenConfig {
             open: OpenConfig {
@@ -194,6 +195,20 @@ impl OpenSystemConfig {
     /// partition does not consult.
     pub fn validate(&self) -> Result<(), abg_queue::ConfigError> {
         self.hier_config(1.0, self.seed).validate()
+    }
+
+    /// [`validate`](Self::validate), plus the arrival gap each ρ point
+    /// solves for at the population's expected work `expected_work`
+    /// (see [`population_expected_work`]): an offered load so high that
+    /// jobs would arrive more than once per step on average is
+    /// [`ArrivalsTooDense`](abg_queue::ConfigError::ArrivalsTooDense)
+    /// here, before any point runs.
+    pub fn validate_at(&self, expected_work: f64) -> Result<(), abg_queue::ConfigError> {
+        self.validate()?;
+        self.rhos.iter().try_for_each(|&rho| {
+            let gap = mean_gap_for_utilization(rho, self.processors, expected_work);
+            self.hier_config(gap, self.seed).validate()
+        })
     }
 }
 
@@ -625,6 +640,69 @@ mod tests {
         cfg.groups = 1;
         cfg.realloc_epoch = 0;
         assert_eq!(cfg.validate(), Err(abg_queue::ConfigError::BadReallocEpoch));
+    }
+
+    /// The configuration `abg-cli open --smoke --rho <rho>` builds.
+    fn smoke_at(rho: f64) -> OpenSystemConfig {
+        OpenSystemConfig {
+            rhos: vec![rho],
+            ..OpenSystemConfig::smoke()
+        }
+    }
+
+    #[test]
+    fn rates_past_one_arrival_per_step_fail_validation() {
+        // 1e308 used to panic in the arrival stream's assert, 1e10 was
+        // killed by the host (exit 137) and 1e20 still ran after 60 s;
+        // none is simulated here.
+        for rho in [1e308, 1e10, 1e20] {
+            let cfg = smoke_at(rho);
+            assert_eq!(cfg.validate(), Ok(()), "the knobs alone are fine");
+            let err = cfg
+                .validate_at(population_expected_work(&cfg))
+                .expect_err("a sub-step mean gap must not validate");
+            assert!(
+                matches!(err, abg_queue::ConfigError::ArrivalsTooDense { mean_gap } if mean_gap < 1e-6),
+                "rho {rho}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_preset_validates_at_its_own_work() {
+        let mut presets = Vec::new();
+        for (base, scale) in [
+            (OpenSystemConfig::smoke(), 8),
+            (OpenSystemConfig::paper(), 16),
+        ] {
+            presets.push(base.clone());
+            for kind in WorkflowKind::ALL {
+                presets.push(OpenSystemConfig {
+                    workload: OpenWorkload::Workflow { kind, scale },
+                    ..base.clone()
+                });
+            }
+        }
+        for cfg in &presets {
+            assert_eq!(
+                cfg.validate_at(population_expected_work(cfg)),
+                Ok(()),
+                "{:?}",
+                cfg.workload
+            );
+        }
+        // The tightest shipped point is the paper preset's overloaded ρ =
+        // 1.2 under Diamond arrivals: about 1.05 steps between arrivals
+        // (Montage: 2.08).
+        let diamond = OpenSystemConfig {
+            workload: OpenWorkload::Workflow {
+                kind: WorkflowKind::Diamond,
+                scale: 16,
+            },
+            ..OpenSystemConfig::paper()
+        };
+        let gap = mean_gap_for_utilization(1.2, 64, population_expected_work(&diamond));
+        assert!((1.0..1.1).contains(&gap), "gap {gap}");
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub struct OpenConfig {
 /// Returned by [`OpenConfig::validate`] so front ends (the CLI `open`
 /// subcommand) can report the problem instead of aborting the process;
 /// the drivers still fail fast via [`OpenConfig::assert_valid`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
     /// `processors == 0`: the machine has nothing to allocate.
     NoProcessors,
@@ -118,6 +118,13 @@ pub enum ConfigError {
         /// The configured group count.
         groups: u32,
     },
+    /// The arrivals are denser than one per step on average: a Poisson
+    /// mean gap that is not finite or is below one step, or a trace
+    /// with no positive gap, whose clock would never advance.
+    ArrivalsTooDense {
+        /// The process's mean inter-arrival gap in steps.
+        mean_gap: f64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -155,6 +162,11 @@ impl std::fmt::Display for ConfigError {
                 "per-group floor must be between 1 and P/G \
                  ({floor} with {processors} processors over {groups} groups)"
             ),
+            ConfigError::ArrivalsTooDense { mean_gap } => write!(
+                f,
+                "arrivals too dense: the mean inter-arrival gap must be finite and at \
+                 least one step (got {mean_gap:.3e} steps)"
+            ),
         }
     }
 }
@@ -190,6 +202,15 @@ impl OpenConfig {
             return Err(ConfigError::HorizonOverflow {
                 max_quanta: self.max_quanta,
                 quantum_len: self.quantum_len,
+            });
+        }
+        let too_dense = match &self.arrivals {
+            ArrivalProcess::Poisson { mean_gap } => !(*mean_gap >= 1.0 && mean_gap.is_finite()),
+            ArrivalProcess::Trace { gaps } => gaps.iter().all(|&g| g == 0),
+        };
+        if too_dense {
+            return Err(ConfigError::ArrivalsTooDense {
+                mean_gap: self.arrivals.mean_gap(),
             });
         }
         Ok(())
@@ -629,6 +650,40 @@ mod tests {
             // with the exact messages the old asserts produced.
             assert_eq!(err.to_string(), message);
         }
+    }
+
+    #[test]
+    fn arrivals_denser_than_one_per_step_are_rejected() {
+        let dense = |arrivals: ArrivalProcess| {
+            let mut cfg = config(0.3);
+            cfg.arrivals = arrivals;
+            cfg.validate()
+        };
+        let poisson = |mean_gap| dense(ArrivalProcess::Poisson { mean_gap });
+        for gap in [0.999, 0.0, -1.0, f64::NAN, f64::INFINITY, 1e-306] {
+            assert!(
+                matches!(poisson(gap), Err(ConfigError::ArrivalsTooDense { .. })),
+                "gap {gap}"
+            );
+        }
+        assert_eq!(poisson(1.0), Ok(()));
+        assert_eq!(poisson(1e30), Ok(()));
+        assert_eq!(
+            poisson(0.5).unwrap_err().to_string(),
+            "arrivals too dense: the mean inter-arrival gap must be finite and at least one \
+             step (got 5.000e-1 steps)"
+        );
+        let trace = |gaps: Vec<u64>| dense(ArrivalProcess::Trace { gaps });
+        assert_eq!(
+            trace(vec![0, 0]),
+            Err(ConfigError::ArrivalsTooDense { mean_gap: 0.0 })
+        );
+        assert!(matches!(
+            trace(vec![]),
+            Err(ConfigError::ArrivalsTooDense { .. })
+        ));
+        // A trace only needs one positive gap for its clock to advance.
+        assert_eq!(trace(vec![0, 0, 1]), Ok(()));
     }
 
     #[test]

@@ -36,15 +36,14 @@ pub struct DagExecutor<D: Borrow<ExplicitDag>, Q: ReadyQueue> {
     dag: D,
     remaining_preds: Vec<u32>,
     ready: Q,
-    /// Tasks completed per level since job start (for fractional T∞(q)).
-    completed_per_level: Vec<u64>,
     /// Tasks fully completed since job start.
     completed: u64,
     /// Processor-step units executed since job start (== `completed` on
     /// unit dags; counts partial progress on weighted ones).
     worked: u64,
     elapsed: u64,
-    /// Scratch buffer of tasks selected in the current step.
+    /// Scratch buffer of tasks selected in the current step (unit dags)
+    /// or finished in the current completion sweep (weighted dags).
     batch: Vec<TaskId>,
     /// Weighted dags only: started-but-unfinished tasks with their
     /// residual cost, in start order (the front `min(a, len)` entries
@@ -70,17 +69,13 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> DagExecutor<D, Q> {
     /// Creates an executor at the start of the job: all sources ready.
     pub fn new(dag_handle: D) -> Self {
         let dag = dag_handle.borrow();
-        let mut ready = Q::default();
-        for &t in dag.source_tasks() {
-            ready.push(t, dag.level(t));
-        }
+        let mut ready = Q::for_dag(dag);
+        ready.push_sources(dag.source_tasks());
         let remaining_preds = dag.in_degrees().to_vec();
-        let completed_per_level = vec![0; dag.span() as usize];
         Self {
             dag: dag_handle,
             remaining_preds,
             ready,
-            completed_per_level,
             completed: 0,
             worked: 0,
             elapsed: 0,
@@ -90,35 +85,27 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> DagExecutor<D, Q> {
     }
 
     /// Rewinds the executor to the start of the job in place: one memcpy
-    /// of the dag's cached in-degree table into `remaining_preds`, a
-    /// zero-fill of the per-level counters, and a refill of the (cleared,
-    /// storage-retaining) ready queue from the cached source list.
+    /// of the dag's cached in-degree table into `remaining_preds`, and a
+    /// refill of the (cleared, storage-retaining) ready queue from the
+    /// cached source list.
     /// Repeated runs of the same dag through a reset executor therefore
     /// allocate nothing, and behave bit-identically to runs through a
     /// freshly constructed executor (enforced by the equivalence suite).
     pub fn reset(&mut self) {
         let dag = self.dag.borrow();
         self.remaining_preds.copy_from_slice(dag.in_degrees());
-        self.completed_per_level.fill(0);
         self.completed = 0;
         self.worked = 0;
         self.elapsed = 0;
         self.batch.clear();
         self.in_progress.clear();
         self.ready.clear();
-        for &t in dag.source_tasks() {
-            self.ready.push(t, dag.level(t));
-        }
+        self.ready.push_sources(dag.source_tasks());
     }
 
     /// The dag being executed.
     pub fn dag(&self) -> &ExplicitDag {
         self.dag.borrow()
-    }
-
-    /// Tasks completed at each level since the job started.
-    pub fn completed_per_level(&self) -> &[u64] {
-        &self.completed_per_level
     }
 
     /// Started-but-unfinished tasks with their residual cost (weighted
@@ -159,11 +146,10 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> DagExecutor<D, Q> {
             dag,
             remaining_preds,
             ready,
-            completed_per_level,
             completed,
             worked,
             elapsed,
-            batch: _,
+            batch,
             in_progress,
         } = self;
         let dag: &ExplicitDag = (*dag).borrow();
@@ -199,31 +185,42 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> DagExecutor<D, Q> {
             if now < next {
                 break;
             }
-            // Sweep the running prefix in slot order, compacting the
-            // survivors in place (their relative order is the
-            // pause/resume fairness order).
+            // Sweep the running prefix in slot order without a
+            // data-dependent branch: every slot is written back at the
+            // survivor cursor and at the finished cursor, and only the
+            // cursor its outcome selects moves on. The survivors keep
+            // their relative order (the pause/resume fairness order).
+            if batch.len() < run {
+                batch.resize(run, TaskId(0));
+            }
             next = u64::MAX;
             let mut kept = 0usize;
+            let mut done = 0usize;
             for i in 0..run {
                 let (t, f) = in_progress[i];
-                if f == now {
-                    let l = dag.level(t) as usize;
-                    completed_per_level[l] += 1;
-                    span += wp.span_contribution(wp.cost(t), l);
-                    *completed += 1;
-                    for &s in dag.successors(t) {
-                        let r = &mut remaining_preds[s.index()];
-                        *r -= 1;
-                        if *r == 0 {
-                            ready.push(s, dag.level(s));
-                        }
+                let finished = f == now;
+                in_progress[kept] = (t, f);
+                batch[done] = t;
+                kept += usize::from(!finished);
+                done += usize::from(finished);
+                // A finished slot contributes `u64::MAX` to the minimum.
+                next = next.min(f | u64::from(finished).wrapping_neg());
+            }
+            // Release the finished tasks in slot order, the reference
+            // kernel's order of span additions and pushes, so results
+            // stay bit-identical.
+            for &t in &batch[..done] {
+                let l = dag.level(t) as usize;
+                span += wp.span_contribution(wp.cost(t), l);
+                for &s in dag.successors(t) {
+                    let r = &mut remaining_preds[s.index()];
+                    *r -= 1;
+                    if *r == 0 {
+                        ready.push(s, dag.level(s));
                     }
-                } else {
-                    in_progress[kept] = (t, f);
-                    kept += 1;
-                    next = next.min(f);
                 }
             }
+            *completed += done as u64;
             let len = in_progress.len();
             if run < len {
                 // Close the gap over the paused tail; the paused slots
@@ -272,10 +269,9 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> JobExecutor for DagExecutor<D, Q> {
     ///   ready level holds at least `allotment` pending tasks, the
     ///   frontier is frozen: every push during its drain targets a
     ///   strictly higher level, so `s = min(pending / a, remaining)`
-    ///   whole steps are advanced at once — one bulk slice copy out of
-    ///   the level bucket, one `completed_per_level[l] += s·a` update,
-    ///   and successor decrements walked straight over the CSR successor
-    ///   slices. A partial level (fewer pending tasks than the allotment)
+    ///   whole steps are advanced at once — one pass over the level's
+    ///   queue segment in place, and successor decrements walked straight
+    ///   over the CSR successor slices. A partial level (fewer pending tasks than the allotment)
     ///   falls back to a single straddling step whose batch is gathered
     ///   across consecutive level slices before any successor is
     ///   released, exactly like the per-task step. FIFO/LIFO queues have
@@ -306,7 +302,6 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> JobExecutor for DagExecutor<D, Q> {
                 dag,
                 remaining_preds,
                 ready,
-                completed_per_level,
                 completed,
                 elapsed,
                 batch,
@@ -327,9 +322,7 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> JobExecutor for DagExecutor<D, Q> {
                     // no-op on every queue discipline.
                     let mut t = ready.pop().expect("length checked");
                     loop {
-                        let l = dag.level(t) as usize;
-                        completed_per_level[l] += 1;
-                        span += recips[l];
+                        span += recips[dag.level(t) as usize];
                         *completed += 1;
                         work += 1;
                         steps_worked += 1;
@@ -362,15 +355,16 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> JobExecutor for DagExecutor<D, Q> {
                     if avail >= a {
                         // Saturated macro-step: the next `s` steps each
                         // pop exactly `a` tasks from level `l` (lower
-                        // buckets are empty and enabled successors land
+                        // levels are empty and enabled successors land
                         // strictly above `l`), so they collapse into one
-                        // bulk pass straight over the bucket slice — no
-                        // copy, and successor insertions go through a
+                        // bulk pass straight over the level's segment —
+                        // no copy, and successor insertions go through a
                         // split-borrow pusher that skips the queue's
                         // per-push bookkeeping.
                         let s = ((avail / a) as u64).min(remaining);
                         let n = s as usize * a;
                         let r = recips[l];
+                        let (slice, mut pusher) = bf.bulk_level(l, n);
                         if dag.is_forest() && dag.has_unit_edges() {
                             // Structural fast path: with at most one
                             // predecessor per task, a completed task
@@ -379,14 +373,12 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> JobExecutor for DagExecutor<D, Q> {
                             // pending), and with unit edges they all land
                             // on level l + 1 — so the relaxation collapses
                             // to appending each CSR successor row into the
-                            // next bucket. Skipped decrements leave stale
+                            // next level's segment. Skipped decrements leave stale
                             // remaining-predecessor entries, but in a
                             // forest each entry is only ever touched by
                             // its task's sole predecessor, which has now
                             // completed: the entry is never read again.
-                            bf.ensure_levels(dag.span() as usize + 1);
-                            let (slice, next) = bf.bulk_level_unit(l, n);
-                            let before = next.len();
+                            let up = l as u32 + 1;
                             // Span accumulation doubles as the id-run
                             // scan: the additions are the same serial
                             // IEEE sequence as per-task popping (`n × r`
@@ -405,19 +397,13 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> JobExecutor for DagExecutor<D, Q> {
                                 // One ascending id run: its CSR rows are
                                 // one flat range, appended in exactly the
                                 // order the per-task walk would push.
-                                next.extend_from_slice(
-                                    dag.successors_block(slice[0], slice[n - 1]),
-                                );
+                                pusher.extend(up, dag.successors_block(slice[0], slice[n - 1]));
                             } else {
                                 for &t in slice {
-                                    next.extend_from_slice(dag.successors(t));
+                                    pusher.extend(up, dag.successors(t));
                                 }
                             }
-                            let pushed = next.len() - before;
-                            bf.finish_bulk(l, n, pushed);
                         } else {
-                            bf.ensure_levels(dag.span() as usize);
-                            let (slice, mut pusher) = bf.bulk_level(l, n);
                             for &t in slice {
                                 // Same addition sequence as per-task
                                 // popping: `n × r` would round
@@ -431,10 +417,9 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> JobExecutor for DagExecutor<D, Q> {
                                     }
                                 }
                             }
-                            let pushed = pusher.pushed();
-                            bf.finish_bulk(l, n, pushed);
                         }
-                        completed_per_level[l] += n as u64;
+                        let pushed = pusher.pushed();
+                        bf.finish_bulk(l, n, pushed);
                         *completed += n as u64;
                         work += n as u64;
                         steps_worked += s;
@@ -444,7 +429,7 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> JobExecutor for DagExecutor<D, Q> {
                         // Straddling step: the level is narrower than the
                         // allotment, so one step's batch spans several
                         // levels. Gather the whole batch from consecutive
-                        // bucket slices first — successors released by it
+                        // level slices first — successors released by it
                         // must not be runnable in the same step.
                         let k = a.min(bf.len());
                         batch.clear();
@@ -455,9 +440,7 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> JobExecutor for DagExecutor<D, Q> {
                             bf.consume(lv, take);
                         }
                         for &t in batch.iter() {
-                            let lv = dag.level(t) as usize;
-                            completed_per_level[lv] += 1;
-                            span += recips[lv];
+                            span += recips[dag.level(t) as usize];
                             for &s in dag.successors(t) {
                                 let rp = &mut remaining_preds[s.index()];
                                 *rp -= 1;
@@ -485,9 +468,7 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> JobExecutor for DagExecutor<D, Q> {
                     batch.push(t);
                 }
                 for &t in batch.iter() {
-                    let l = dag.level(t) as usize;
-                    completed_per_level[l] += 1;
-                    span += recips[l];
+                    span += recips[dag.level(t) as usize];
                     for &s in dag.successors(t) {
                         let r = &mut remaining_preds[s.index()];
                         *r -= 1;
@@ -678,10 +659,10 @@ mod tests {
 
     #[test]
     fn scrambled_forest_takes_per_row_fallback_exactly() {
-        // A unit-edge forest whose level-1 bucket fills in non-ascending
+        // A unit-edge forest whose level-1 segment fills in non-ascending
         // id order (0 -> 3, 1 -> 2): the saturated bulk step must detect
         // the broken id run and fall back to per-row appends — and the
-        // level-2 bucket it produces ([4, 5]) is ascending again, so the
+        // level-2 segment it produces ([4, 5]) is ascending again, so the
         // next drain re-enters the single-range copy. Both paths must
         // stay bit-identical to the per-step reference.
         let mut b = DagBuilder::new();

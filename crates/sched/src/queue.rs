@@ -5,13 +5,26 @@
 //! [`ReadyQueue`] trait captures that choice; the generic executor in
 //! [`crate::executor`] is parameterised over it.
 
-use abg_dag::{Level, TaskId};
+use abg_dag::{ExplicitDag, Level, TaskId};
 use std::collections::VecDeque;
 
 /// A container of ready tasks with a scheduler-specific pop order.
-pub trait ReadyQueue: Default {
+pub trait ReadyQueue {
+    /// An empty queue with room for one run of `dag`: every task of a
+    /// run enters the ready queue exactly once, so the queue never grows
+    /// while the run lasts.
+    fn for_dag(dag: &ExplicitDag) -> Self;
+
     /// Inserts a task that just became ready, along with its level.
     fn push(&mut self, task: TaskId, level: Level);
+
+    /// Makes a dag's sources (its level-0 tasks, in id order) ready;
+    /// the same as pushing each at level 0.
+    fn push_sources(&mut self, sources: &[TaskId]) {
+        for &t in sources {
+            self.push(t, 0);
+        }
+    }
 
     /// Removes and returns the next task to execute, or `None` if empty.
     fn pop(&mut self) -> Option<TaskId>;
@@ -28,7 +41,7 @@ pub trait ReadyQueue: Default {
     /// executor can refill the queue without reallocating.
     fn clear(&mut self);
 
-    /// Bulk-access hook: a queue that maintains per-level buckets returns
+    /// Bulk-access hook: a queue that maintains per-level segments returns
     /// itself here, which lets the executor drain whole frontier levels
     /// as contiguous slices instead of per-task `pop` calls. Queues
     /// without level structure return `None` (the default), keeping the
@@ -43,66 +56,99 @@ pub trait ReadyQueue: Default {
 /// level** (the B-Greedy rule, Section 2). Ties within a level break in
 /// FIFO order.
 ///
-/// Each level is a `Vec` bucket with a consumed-prefix head index
-/// (instead of a `VecDeque`), so the pending tasks of a level are one
-/// contiguous slice — the representation behind the executor's bulk
-/// level stepping. A fully consumed bucket is cleared and its head
-/// rewound, so the backing storage is reused when later pushes land on
-/// the same level (which only happens after a `clear`/reset on
-/// well-formed dags).
-#[derive(Debug, Default, Clone)]
+/// The queue is one flat `Vec<TaskId>` cut into one segment per level,
+/// each as long as its level has tasks ([`ExplicitDag::level_sizes`]),
+/// plus an empty sentinel segment after the last level. Every task
+/// enters the ready queue once per run, so a segment never overflows: a
+/// push is one store and a tail bump, and the pending tasks of a level
+/// are one contiguous slice — the representation behind the executor's
+/// bulk level stepping. A push past a segment's end would overwrite the
+/// next level, so it panics instead.
+#[derive(Debug, Clone)]
 pub struct BreadthFirstQueue {
-    buckets: Vec<Vec<TaskId>>,
-    /// Consumed prefix per bucket: `buckets[l][heads[l]..]` is pending.
-    heads: Vec<usize>,
-    /// Lower bound on the first non-empty bucket; monotonically advanced
-    /// by `pop`, reset by `push` when a lower level arrives (which cannot
-    /// happen on well-formed dags, but the structure stays correct).
+    slots: Vec<TaskId>,
+    /// One entry per level, then the sentinel; `slots[head..tail]` is a
+    /// level's pending run and `tail..end` its free room.
+    segments: Vec<Segment>,
+    /// Lower bound on the first non-empty level; advanced by
+    /// `current_level`, lowered by a push below it.
     cursor: usize,
     len: usize,
 }
 
+/// One level's window into [`BreadthFirstQueue::slots`]; it starts where
+/// the previous level's `end` is.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    head: usize,
+    tail: usize,
+    end: usize,
+}
+
+impl Segment {
+    /// Claims room for `n` tasks and returns their slot range.
+    #[inline]
+    fn claim(&mut self, n: usize) -> std::ops::Range<usize> {
+        let at = self.tail;
+        assert!(
+            n <= self.end - at,
+            "ready-queue level overflow: a level received more tasks than it holds"
+        );
+        self.tail = at + n;
+        at..at + n
+    }
+}
+
 impl BreadthFirstQueue {
+    /// An empty queue whose level `l` holds up to `level_sizes[l]` tasks
+    /// between two [`clear`](ReadyQueue::clear)s.
+    pub fn with_level_sizes(level_sizes: &[u64]) -> Self {
+        let mut segments = Vec::with_capacity(level_sizes.len() + 1);
+        let mut end = 0usize;
+        for &size in level_sizes.iter().chain([&0]) {
+            let start = end;
+            end += usize::try_from(size).expect("level size fits in usize");
+            segments.push(Segment {
+                head: start,
+                tail: start,
+                end,
+            });
+        }
+        Self {
+            slots: vec![TaskId(0); end],
+            segments,
+            cursor: 0,
+            len: 0,
+        }
+    }
+
     /// Advances the cursor to the lowest level with pending tasks and
     /// returns `(level, pending count)`; `None` when empty.
     pub fn current_level(&mut self) -> Option<(usize, usize)> {
         if self.len == 0 {
             return None;
         }
-        while self.heads[self.cursor] == self.buckets[self.cursor].len() {
+        let mut seg = self.segments[self.cursor];
+        while seg.head == seg.tail {
             self.cursor += 1;
+            seg = self.segments[self.cursor];
         }
-        Some((
-            self.cursor,
-            self.buckets[self.cursor].len() - self.heads[self.cursor],
-        ))
+        Some((self.cursor, seg.tail - seg.head))
     }
 
     /// The pending tasks of level `l` in FIFO order, as one slice.
     pub fn pending(&self, l: usize) -> &[TaskId] {
-        &self.buckets[l][self.heads[l]..]
+        let seg = self.segments[l];
+        &self.slots[seg.head..seg.tail]
     }
 
     /// Marks the first `n` pending tasks of level `l` consumed (they must
-    /// already have been copied out). A fully consumed bucket is cleared
-    /// in place so its storage is reused.
+    /// already have been copied out).
     pub fn consume(&mut self, l: usize, n: usize) {
-        debug_assert!(self.heads[l] + n <= self.buckets[l].len());
-        self.heads[l] += n;
+        let seg = &mut self.segments[l];
+        assert!(n <= seg.tail - seg.head, "consumed more than is pending");
+        seg.head += n;
         self.len -= n;
-        if self.heads[l] == self.buckets[l].len() {
-            self.buckets[l].clear();
-            self.heads[l] = 0;
-        }
-    }
-
-    /// Pre-sizes the bucket table to hold levels `0..levels`, so pushes
-    /// through a [`LevelPusher`] never need to grow it mid-drain.
-    pub(crate) fn ensure_levels(&mut self, levels: usize) {
-        if levels > self.buckets.len() {
-            self.buckets.resize_with(levels, Vec::new);
-            self.heads.resize(levels, 0);
-        }
     }
 
     /// Splits the queue into the first `n` pending tasks of level `l`
@@ -114,42 +160,28 @@ impl BreadthFirstQueue {
     ///
     /// Call [`finish_bulk`](Self::finish_bulk) afterwards with the
     /// pusher's final [`pushed`](LevelPusher::pushed) count to commit the
-    /// drain. Requires [`ensure_levels`](Self::ensure_levels) to cover
-    /// every level the pusher will see.
+    /// drain.
     ///
     /// # Panics
     ///
-    /// The pusher panics (index out of bounds) if a task is pushed at a
-    /// level `≤ l` or beyond the ensured table — both would break the
-    /// frozen-frontier invariant the bulk step relies on.
+    /// The pusher panics if a task is pushed at a level `≤ l` or past
+    /// its level's segment — either would break the frozen-frontier
+    /// invariant the bulk step relies on.
     pub(crate) fn bulk_level(&mut self, l: usize, n: usize) -> (&[TaskId], LevelPusher<'_>) {
-        let (low, high) = self.buckets.split_at_mut(l + 1);
-        let head = self.heads[l];
-        debug_assert!(head + n <= low[l].len());
+        let (low, high) = self.segments.split_at_mut(l + 1);
+        let seg = low[l];
+        assert!(n <= seg.tail - seg.head, "drained more than is pending");
+        let (drained, above) = self.slots.split_at_mut(seg.end);
         (
-            &low[l][head..head + n],
+            &drained[seg.head..seg.head + n],
             LevelPusher {
-                buckets: high,
+                slots: above,
+                offset: seg.end,
+                segments: high,
                 base: l + 1,
                 pushed: 0,
             },
         )
-    }
-
-    /// Specialisation of [`bulk_level`](Self::bulk_level) for dags whose
-    /// every edge drops exactly one level: all successors enabled while
-    /// level `l` drains land on level `l + 1`, so instead of a
-    /// [`LevelPusher`] the caller gets bucket `l + 1` itself and appends
-    /// straight into it (e.g. via `extend_from_slice`) with no per-task
-    /// level indexing at all. Commit with
-    /// [`finish_bulk`](Self::finish_bulk) passing the bucket's length
-    /// growth as `pushed`. Requires
-    /// [`ensure_levels`](Self::ensure_levels) to cover level `l + 1`.
-    pub(crate) fn bulk_level_unit(&mut self, l: usize, n: usize) -> (&[TaskId], &mut Vec<TaskId>) {
-        let (low, high) = self.buckets.split_at_mut(l + 1);
-        let head = self.heads[l];
-        debug_assert!(head + n <= low[l].len());
-        (&low[l][head..head + n], &mut high[0])
     }
 
     /// Commits a bulk drain opened by [`bulk_level`](Self::bulk_level):
@@ -163,23 +195,35 @@ impl BreadthFirstQueue {
 
 /// A push handle over the levels strictly above a draining frontier
 /// level, produced by [`BreadthFirstQueue::bulk_level`]. Insertions skip
-/// the queue's resize/cursor/length bookkeeping (the cursor sits at or
+/// the queue's cursor and length bookkeeping (the cursor sits at or
 /// below the draining level and the length is committed once by
-/// [`BreadthFirstQueue::finish_bulk`]), leaving one bounds-checked
-/// bucket append per enabled task.
+/// [`BreadthFirstQueue::finish_bulk`]), leaving one checked store per
+/// enabled task.
 #[derive(Debug)]
 pub(crate) struct LevelPusher<'a> {
-    buckets: &'a mut [Vec<TaskId>],
+    /// The slots from the first level above the drain onwards; slot `i`
+    /// of the queue is `slots[i - offset]`.
+    slots: &'a mut [TaskId],
+    offset: usize,
+    /// The segments of levels `base..`.
+    segments: &'a mut [Segment],
     base: usize,
     pushed: usize,
 }
 
 impl LevelPusher<'_> {
-    /// Appends a task to its level bucket (FIFO position preserved).
+    /// Appends a task to its level (FIFO position preserved).
     #[inline]
     pub(crate) fn push(&mut self, task: TaskId, level: Level) {
-        self.buckets[level as usize - self.base].push(task);
-        self.pushed += 1;
+        self.extend(level, std::slice::from_ref(&task));
+    }
+
+    /// Appends `tasks`, in order, to one level.
+    #[inline]
+    pub(crate) fn extend(&mut self, level: Level, tasks: &[TaskId]) {
+        let room = self.segments[level as usize - self.base].claim(tasks.len());
+        self.slots[room.start - self.offset..room.end - self.offset].copy_from_slice(tasks);
+        self.pushed += tasks.len();
     }
 
     /// Tasks pushed through this handle so far — pass the final value to
@@ -190,20 +234,29 @@ impl LevelPusher<'_> {
 }
 
 impl ReadyQueue for BreadthFirstQueue {
+    fn for_dag(dag: &ExplicitDag) -> Self {
+        Self::with_level_sizes(dag.level_sizes())
+    }
+
+    #[inline]
     fn push(&mut self, task: TaskId, level: Level) {
         let l = level as usize;
-        if l >= self.buckets.len() {
-            self.buckets.resize_with(l + 1, Vec::new);
-            self.heads.resize(l + 1, 0);
-        }
-        self.buckets[l].push(task);
+        let at = self.segments[l].claim(1).start;
+        self.slots[at] = task;
         self.cursor = self.cursor.min(l);
         self.len += 1;
     }
 
+    fn push_sources(&mut self, sources: &[TaskId]) {
+        let room = self.segments[0].claim(sources.len());
+        self.slots[room].copy_from_slice(sources);
+        self.cursor = 0;
+        self.len += sources.len();
+    }
+
     fn pop(&mut self) -> Option<TaskId> {
         let (l, _) = self.current_level()?;
-        let t = self.buckets[l][self.heads[l]];
+        let t = self.slots[self.segments[l].head];
         self.consume(l, 1);
         Some(t)
     }
@@ -213,10 +266,12 @@ impl ReadyQueue for BreadthFirstQueue {
     }
 
     fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
+        let mut start = 0;
+        for seg in &mut self.segments {
+            seg.head = start;
+            seg.tail = start;
+            start = seg.end;
         }
-        self.heads.fill(0);
         self.cursor = 0;
         self.len = 0;
     }
@@ -235,6 +290,12 @@ pub struct FifoQueue {
 }
 
 impl ReadyQueue for FifoQueue {
+    fn for_dag(dag: &ExplicitDag) -> Self {
+        Self {
+            queue: VecDeque::with_capacity(dag.num_tasks()),
+        }
+    }
+
     fn push(&mut self, task: TaskId, _level: Level) {
         self.queue.push_back(task);
     }
@@ -261,6 +322,12 @@ pub struct LifoQueue {
 }
 
 impl ReadyQueue for LifoQueue {
+    fn for_dag(dag: &ExplicitDag) -> Self {
+        Self {
+            stack: Vec::with_capacity(dag.num_tasks()),
+        }
+    }
+
     fn push(&mut self, task: TaskId, _level: Level) {
         self.stack.push(task);
     }
@@ -281,14 +348,20 @@ impl ReadyQueue for LifoQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abg_dag::generate::figure2_job;
 
     fn t(i: u32) -> TaskId {
         TaskId(i)
     }
 
+    /// A queue whose level `l` holds `sizes[l]` tasks.
+    fn sized(sizes: &[u64]) -> BreadthFirstQueue {
+        BreadthFirstQueue::with_level_sizes(sizes)
+    }
+
     #[test]
     fn breadth_first_pops_lowest_level() {
-        let mut q = BreadthFirstQueue::default();
+        let mut q = sized(&[2, 1, 1]);
         q.push(t(0), 2);
         q.push(t(1), 0);
         q.push(t(2), 1);
@@ -304,7 +377,7 @@ mod tests {
 
     #[test]
     fn breadth_first_interleaved_push_pop() {
-        let mut q = BreadthFirstQueue::default();
+        let mut q = sized(&[1, 1, 0, 1]);
         q.push(t(0), 1);
         assert_eq!(q.pop(), Some(t(0)));
         // Cursor has advanced past level 0; a later push at level 0 must
@@ -317,7 +390,7 @@ mod tests {
 
     #[test]
     fn breadth_first_bulk_slices_match_pop_order() {
-        let mut q = BreadthFirstQueue::default();
+        let mut q = sized(&[0, 2, 1]);
         q.push(t(4), 1);
         q.push(t(5), 1);
         q.push(t(6), 2);
@@ -334,14 +407,15 @@ mod tests {
 
     #[test]
     fn breadth_first_partial_consume_keeps_fifo_tail() {
-        let mut q = BreadthFirstQueue::default();
+        let mut q = sized(&[6]);
         for i in 0..5 {
             q.push(t(i), 0);
         }
         q.consume(0, 2);
         assert_eq!(q.pending(0), &[t(2), t(3), t(4)]);
         assert_eq!(q.pop(), Some(t(2)));
-        // Bucket fully consumed → storage rewound; a later push reuses it.
+        // A consumed slot is not reused before a clear: the next push
+        // takes the level's last free slot.
         q.consume(0, 2);
         assert_eq!(q.len(), 0);
         q.push(t(9), 0);
@@ -350,7 +424,7 @@ mod tests {
 
     #[test]
     fn clear_empties_and_queue_stays_usable() {
-        let mut q = BreadthFirstQueue::default();
+        let mut q = sized(&[0, 1, 1, 1]);
         q.push(t(0), 3);
         q.push(t(1), 1);
         q.pop();
@@ -359,6 +433,9 @@ mod tests {
         assert_eq!(q.pop(), None);
         q.push(t(2), 2);
         assert_eq!(q.pop(), Some(t(2)));
+        // The rewind gives every level its full room again.
+        q.push(t(3), 3);
+        assert_eq!(q.pop(), Some(t(3)));
 
         let mut f = FifoQueue::default();
         f.push(t(0), 0);
@@ -372,9 +449,68 @@ mod tests {
 
     #[test]
     fn only_breadth_first_exposes_level_buckets() {
-        assert!(BreadthFirstQueue::default().as_level_buckets().is_some());
-        assert!(FifoQueue::default().as_level_buckets().is_none());
-        assert!(LifoQueue::default().as_level_buckets().is_none());
+        let d = figure2_job();
+        assert!(BreadthFirstQueue::for_dag(&d).as_level_buckets().is_some());
+        assert!(FifoQueue::for_dag(&d).as_level_buckets().is_none());
+        assert!(LifoQueue::for_dag(&d).as_level_buckets().is_none());
+    }
+
+    #[test]
+    fn sources_fill_level_zero_in_one_copy() {
+        let d = figure2_job();
+        let mut bf = BreadthFirstQueue::for_dag(&d);
+        let mut fifo = FifoQueue::for_dag(&d);
+        bf.push_sources(d.source_tasks());
+        fifo.push_sources(d.source_tasks());
+        assert_eq!(bf.pending(0), d.source_tasks());
+        assert_eq!(bf.len(), fifo.len());
+        assert_eq!(bf.pop(), fifo.pop());
+    }
+
+    #[test]
+    fn bulk_pusher_fills_levels_above_the_drain() {
+        let mut q = sized(&[2, 3, 1]);
+        q.push(t(0), 0);
+        q.push(t(1), 0);
+        let (slice, mut pusher) = q.bulk_level(0, 2);
+        assert_eq!(slice, &[t(0), t(1)]);
+        pusher.extend(1, &[t(2), t(3)]);
+        pusher.push(t(4), 2);
+        pusher.push(t(5), 1);
+        let pushed = pusher.pushed();
+        q.finish_bulk(0, 2, pushed);
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.current_level(), Some((1, 3)));
+        assert_eq!(q.pending(1), &[t(2), t(3), t(5)]);
+        assert_eq!(q.pending(2), &[t(4)]);
+    }
+
+    #[test]
+    fn last_level_drains_into_the_empty_sentinel() {
+        let mut q = sized(&[1]);
+        q.push(t(0), 0);
+        let (_, mut pusher) = q.bulk_level(0, 1);
+        pusher.extend(1, &[]);
+        let pushed = pusher.pushed();
+        q.finish_bulk(0, 1, pushed);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "ready-queue level overflow")]
+    fn push_past_a_level_segment_panics() {
+        let mut q = sized(&[1, 1]);
+        q.push(t(0), 0);
+        q.push(t(1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ready-queue level overflow")]
+    fn bulk_push_past_a_level_segment_panics() {
+        let mut q = sized(&[1, 1, 1]);
+        q.push(t(0), 0);
+        let (_, mut pusher) = q.bulk_level(0, 1);
+        pusher.extend(1, &[t(1), t(2)]);
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> ReferenceExecutor<D, Q> {
     /// Creates an executor at the start of the job: all sources ready.
     pub fn new(dag_handle: D) -> Self {
         let dag = dag_handle.borrow();
-        let mut ready = Q::default();
+        let mut ready = Q::for_dag(dag);
         for t in dag.sources() {
             ready.push(t, dag.level(t));
         }

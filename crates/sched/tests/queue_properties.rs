@@ -3,6 +3,7 @@
 use abg_dag::TaskId;
 use abg_sched::queue::{BreadthFirstQueue, FifoQueue, LifoQueue, ReadyQueue};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 /// An interleaved push/pop script: `Some((id, level))` pushes, `None`
 /// pops.
@@ -62,6 +63,20 @@ fn oracle(script: &[Option<(u32, u32)>], d: Discipline) -> Vec<u32> {
     popped
 }
 
+/// A breadth-first queue with room for every push in `script`: each
+/// level holds as many tasks as the script pushes there.
+fn sized_for(script: &[Option<(u32, u32)>]) -> BreadthFirstQueue {
+    let mut sizes = Vec::new();
+    for &(_, level) in script.iter().flatten() {
+        let l = level as usize;
+        if sizes.len() <= l {
+            sizes.resize(l + 1, 0);
+        }
+        sizes[l] += 1;
+    }
+    BreadthFirstQueue::with_level_sizes(&sizes)
+}
+
 fn run_script<Q: ReadyQueue>(queue: &mut Q, script: &[Option<(u32, u32)>]) -> Vec<u32> {
     let mut popped = Vec::new();
     for step in script {
@@ -77,14 +92,124 @@ fn run_script<Q: ReadyQueue>(queue: &mut Q, script: &[Option<(u32, u32)>]) -> Ve
     popped
 }
 
+/// One step of a [`segment_oracle`] script. Push levels and consume
+/// counts are reduced modulo what the queue can take at that moment, so
+/// every generated step is valid.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Push a fresh task at the level `k % levels` (or the next level up,
+    /// cyclically, that still has room).
+    Push(usize),
+    /// Push up to `k` fresh tasks at level 0 through `push_sources`.
+    PushSources(usize),
+    Pop,
+    CurrentLevel,
+    /// Compare `pending(k % levels)`.
+    Pending(usize),
+    /// Consume `n % (pending + 1)` tasks of level `k % levels`.
+    Consume(usize, usize),
+    Clear,
+}
+
+fn ops() -> impl Strategy<Value = Vec<Op>> {
+    let op = (0u32..16, 0usize..64, 0usize..64).prop_map(|(kind, k, n)| match kind {
+        0..=6 => Op::Push(k),
+        7 => Op::PushSources(k % 4),
+        8 | 9 => Op::Pop,
+        10 => Op::CurrentLevel,
+        11 => Op::Pending(k),
+        12 | 13 => Op::Consume(k, n),
+        _ => Op::Clear,
+    });
+    prop::collection::vec(op, 0..300)
+}
+
+/// Replays `ops` against the flat queue and a `Vec<VecDeque>` model of
+/// the breadth-first rule (one FIFO per level, lowest non-empty level
+/// first), comparing every observation and the length after every step.
+fn segment_oracle(sizes: &[u64], ops: &[Op]) {
+    let levels = sizes.len();
+    let mut queue = BreadthFirstQueue::with_level_sizes(sizes);
+    let mut model: Vec<VecDeque<TaskId>> = vec![VecDeque::new(); levels];
+    // Pushes each level can still take before the next clear.
+    let mut room: Vec<u64> = sizes.to_vec();
+    let mut next_id = 0u32;
+    let mut fresh = || {
+        next_id += 1;
+        TaskId(next_id)
+    };
+    for (step, &op) in ops.iter().enumerate() {
+        match op {
+            Op::Push(k) => {
+                if let Some(l) = (0..levels).map(|i| (k + i) % levels).find(|&l| room[l] > 0) {
+                    let t = fresh();
+                    room[l] -= 1;
+                    model[l].push_back(t);
+                    queue.push(t, l as u32);
+                }
+            }
+            Op::PushSources(k) => {
+                let k = k.min(room[0] as usize);
+                let sources: Vec<TaskId> = (0..k).map(|_| fresh()).collect();
+                room[0] -= k as u64;
+                model[0].extend(sources.iter().copied());
+                queue.push_sources(&sources);
+            }
+            Op::Pop => {
+                let want = model.iter_mut().find_map(|lv| lv.pop_front());
+                assert_eq!(queue.pop(), want, "pop at step {step}");
+            }
+            Op::CurrentLevel => {
+                let want = model
+                    .iter()
+                    .position(|lv| !lv.is_empty())
+                    .map(|l| (l, model[l].len()));
+                assert_eq!(queue.current_level(), want, "current_level at step {step}");
+            }
+            Op::Pending(k) => {
+                let l = k % levels;
+                let want: Vec<TaskId> = model[l].iter().copied().collect();
+                assert_eq!(queue.pending(l), &want[..], "pending({l}) at step {step}");
+            }
+            Op::Consume(k, n) => {
+                let l = k % levels;
+                let n = n % (model[l].len() + 1);
+                model[l].drain(..n);
+                queue.consume(l, n);
+            }
+            Op::Clear => {
+                model.iter_mut().for_each(VecDeque::clear);
+                room.copy_from_slice(sizes);
+                queue.clear();
+            }
+        }
+        let len: usize = model.iter().map(VecDeque::len).sum();
+        assert_eq!(queue.len(), len, "len after step {step}");
+        assert_eq!(queue.is_empty(), len == 0);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The flat, segment-per-level breadth-first queue against a
+    /// `Vec<VecDeque>` model: random level sizes (empty levels
+    /// included), and random pushes at levels above and below the
+    /// cursor, source fills, pops, `current_level`, `pending`,
+    /// `consume` and `clear`, all within each level's room.
+    #[test]
+    fn flat_queue_matches_per_level_fifo_model(
+        sizes in prop::collection::vec(0u64..8, 1..12),
+        ops in ops(),
+    ) {
+        segment_oracle(&sizes, &ops);
+    }
 
     /// The breadth-first queue always pops a task of the minimum level
     /// currently present, regardless of interleaving.
     #[test]
     fn breadth_first_always_pops_minimum_level(script in scripts()) {
-        let mut queue = BreadthFirstQueue::default();
+        let mut queue = sized_for(&script);
         // Shadow model: multiset of (level, id) currently enqueued.
         let mut model: Vec<(u32, u32)> = Vec::new();
         for step in &script {
@@ -128,7 +253,7 @@ proptest! {
             popped.sort_unstable();
             assert_eq!(pushed, popped, "queue lost or duplicated tasks");
         }
-        check(BreadthFirstQueue::default(), &script);
+        check(sized_for(&script), &script);
         check(FifoQueue::default(), &script);
         check(LifoQueue::default(), &script);
     }
@@ -141,7 +266,7 @@ proptest! {
     /// rewind path is exercised, not just monotone level streams.
     #[test]
     fn pop_sequences_match_sorted_model(script in scripts()) {
-        let bf = run_script(&mut BreadthFirstQueue::default(), &script);
+        let bf = run_script(&mut sized_for(&script), &script);
         let fifo = run_script(&mut FifoQueue::default(), &script);
         let lifo = run_script(&mut LifoQueue::default(), &script);
         prop_assert_eq!(bf, oracle(&script, Discipline::BreadthFirst));
@@ -164,7 +289,7 @@ proptest! {
         // Now everything arrives below the cursor.
         script.extend(low_ids.iter().map(|&(id, l)| Some((id, l))));
         script.extend((0..low_ids.len()).map(|_| None));
-        let got = run_script(&mut BreadthFirstQueue::default(), &script);
+        let got = run_script(&mut sized_for(&script), &script);
         prop_assert_eq!(got, oracle(&script, Discipline::BreadthFirst));
     }
 
@@ -184,4 +309,16 @@ proptest! {
         let reversed: Vec<u32> = ids.iter().rev().copied().collect();
         prop_assert_eq!(&lifo_out, &reversed);
     }
+}
+
+/// A push past a level's segment would overwrite the next level's first
+/// task; it must panic instead, in release builds too.
+#[test]
+#[should_panic(expected = "ready-queue level overflow")]
+fn push_past_a_level_segment_panics() {
+    let mut queue = BreadthFirstQueue::with_level_sizes(&[2, 1]);
+    queue.push(TaskId(0), 1);
+    queue.push(TaskId(1), 0);
+    queue.push(TaskId(2), 0);
+    queue.push(TaskId(3), 0);
 }
