@@ -77,8 +77,9 @@ refuses it):
                        montage or epigenomics (default: mixed-factor jobs)
   --dag-file PATH      open: every arrival replays the dag loaded from the
                        text dag file at PATH (excludes --workflow)
-  --threads N          harness worker count (overrides ABG_THREADS; results
-                       are identical for any count, only wall-clock changes)
+  --threads N          harness worker count (overrides ABG_THREADS; capped at
+                       4 per hardware thread; results are identical for
+                       any count, only wall-clock changes)
   -h, --help           this text";
 
     /// The command-scoped flags this command line sets, in [`Self::FLAGS`]

@@ -207,22 +207,25 @@ impl QualityPoint {
 }
 
 /// Worker count of the sweep harness's [`parallel_map`], the crate's
-/// one worker pool: the `ABG_THREADS` environment variable when set to
-/// a positive integer, the machine's available parallelism otherwise.
-/// Results never depend on this — only wall-clock does — so pinning it
-/// (CI does, and `abg-cli --threads N` does per invocation) is purely
-/// about reproducible timing.
+/// one worker pool, from the `ABG_THREADS` environment variable (see
+/// [`threads_from`]). Results never depend on this — only wall-clock
+/// does — so pinning it (CI does, and `abg-cli --threads N` does per
+/// invocation) is purely about reproducible timing.
 fn configured_threads() -> usize {
-    if let Ok(s) = std::env::var("ABG_THREADS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
+    let available = std::thread::available_parallelism().map_or(1, |p| p.get());
+    threads_from(std::env::var("ABG_THREADS").ok().as_deref(), available)
+}
+
+/// The worker count an `ABG_THREADS` value asks for on a machine with
+/// `available` hardware threads: a positive integer, capped at four
+/// workers per hardware thread so that no value can start thousands of
+/// OS threads; anything else (unset, zero, not a number) falls back to
+/// `available`.
+fn threads_from(var: Option<&str>, available: usize) -> usize {
+    match var.and_then(|s| s.trim().parse::<usize>().ok()) {
+        Some(n) if n >= 1 => n.min(4 * available),
+        _ => available,
     }
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
 }
 
 /// Order-preserving parallel map over work items using scoped threads.
@@ -348,6 +351,16 @@ mod tests {
     fn parallel_map_handles_items_fewer_than_threads() {
         let got = parallel_map_with_threads(vec![1u32, 2, 3], |&x| x + 1, 64);
         assert_eq!(got, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn abg_threads_values_parse_and_cap_at_four_per_hardware_thread() {
+        assert_eq!(threads_from(None, 2), 2);
+        assert_eq!(threads_from(Some("0"), 2), 2);
+        assert_eq!(threads_from(Some("junk"), 2), 2);
+        assert_eq!(threads_from(Some("3"), 2), 3);
+        assert_eq!(threads_from(Some(" 3 "), 2), 3);
+        assert_eq!(threads_from(Some("100000"), 2), 8);
     }
 
     #[test]

@@ -34,6 +34,12 @@
 //! steps off the front (held cycles count as waste). Each quantum runs
 //! at the *minimum* length any live controller asks for, so paced and
 //! fixed-quantum jobs can share a machine.
+//!
+//! The live set is one admission-ordered `Vec` of slab indices: each
+//! quantum's requests reach the allocator in that order, which DEQ's
+//! rotating tie-break depends on, and the last quantum's grant picture
+//! is kept in arrays parallel to it for [frozen
+//! windows](QuantumCore::advance_frozen).
 
 use crate::trace::QuantumRecord;
 use abg_alloc::{ceil_request, AllocationStability, Allocator};
@@ -42,17 +48,11 @@ use abg_sched::{JobExecutor, QuantumStats};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Sentinel for "no slot" in the intrusive live list.
-const NIL: usize = usize::MAX;
-
 /// One admitted job inside the core.
 ///
 /// Slots live in a slab: once admitted a job keeps its index until it
-/// completes, so per-quantum bookkeeping never moves slots and
-/// reclamation frees exactly the finished ones. `prev`/`next` chain the
-/// *live* jobs (released, not completed) in admission order — the
-/// iteration order every allocation sees, which DEQ's rotating
-/// tie-break depends on.
+/// completes, so the live set and the finished list move only indices
+/// and reclamation frees exactly the finished slots.
 struct Slot<E, C> {
     id: u64,
     executor: E,
@@ -60,13 +60,10 @@ struct Slot<E, C> {
     release_step: u64,
     request: f64,
     next_len: u64,
-    completion: Option<u64>,
     waste: u64,
     quanta: u64,
     reallocations: u64,
     prev_allotment: Option<u32>,
-    prev: usize,
-    next: usize,
 }
 
 /// A job drained from the core after completing, with everything a
@@ -102,21 +99,21 @@ impl CompletedJob {
 }
 
 /// Estimated core-side bytes per in-system job for a core over executor
-/// type `E` and controller type `C`: the job's slot plus its share of
-/// the per-live scratch arrays (live indices, requests, allotments,
-/// availabilities, cached stats, steadiness flags, frozen ceilings).
-/// Heap state owned by the executor or controller themselves (job
-/// structure, phase lists) is *not* counted — for boxed jobs this is
-/// the footprint of the core's bookkeeping, not of the job. The bench
-/// harness reports this next to the peak in-system population as the
-/// memory-scale figure of the open kernels.
+/// type `E` and controller type `C`: the job's slot, its pending-heap
+/// entry and live index, plus its share of the per-live arrays of the
+/// last quantum (requests, allotments, availabilities, stats, steadiness
+/// flags, frozen ceilings). Heap state owned by the executor or
+/// controller themselves (job structure, phase lists) is *not* counted —
+/// for boxed jobs this is the footprint of the core's bookkeeping, not
+/// of the job. The bench harness reports this next to the peak in-system
+/// population as the memory-scale figure of the open kernels.
 pub fn live_job_footprint<E, C>() -> usize {
     use std::mem::size_of;
     size_of::<Option<Slot<E, C>>>()      // slab slot
         + size_of::<(u64, u64, usize)>() // pending-release heap entry
-        + size_of::<usize>()             // live index scratch
-        + size_of::<f64>()               // request scratch
-        + size_of::<u32>() * 2           // allotment + availability scratch
+        + size_of::<usize>()             // live index
+        + size_of::<f64>()               // request
+        + size_of::<u32>() * 2           // allotment + availability
         + size_of::<QuantumStats>()      // cached last-quantum stats
         + size_of::<bool>()              // steadiness flag
         + size_of::<u32>() // frozen ceiling
@@ -131,14 +128,16 @@ pub fn live_job_footprint<E, C>() -> usize {
 /// quantum; completed jobs are moved out into the caller's buffer, so
 /// the core only ever holds the jobs currently in the system.
 ///
-/// In-system jobs sit in a slab: slots never move, freed indices go on
-/// a free list for the next admission, released-but-unfinished jobs
-/// are chained through an intrusive admission-ordered live list, and
-/// admitted-but-not-yet-released jobs wait in a release-ordered heap.
-/// A quantum therefore costs `O(live jobs)` and reclamation
-/// `O(completions)`, independent of how many pending jobs the system
-/// holds — the regime where the whole arrival calendar is admitted up
-/// front stays cheap.
+/// In-system jobs sit in a slab: slots never move and freed indices go
+/// on a free list for the next admission. The live set —
+/// released-but-unfinished jobs — is one `Vec` of slab indices in
+/// admission order, the order every allocation sees; a release inserts
+/// at its admission-order position (almost always the end) and a
+/// quantum with completions runs one `retain` over it.
+/// Admitted-but-not-yet-released jobs wait in a release-ordered heap. A
+/// quantum therefore costs `O(live jobs)`, independent of how many
+/// pending jobs the system holds — the regime where the whole arrival
+/// calendar is admitted up front stays cheap.
 pub struct QuantumCore<E, C, A, P> {
     allocator: A,
     probe: P,
@@ -150,27 +149,24 @@ pub struct QuantumCore<E, C, A, P> {
     // Slab storage: `slots[i]` is `None` while `i` is on the free list.
     slots: Vec<Option<Slot<E, C>>>,
     free: Vec<usize>,
-    // Intrusive live list (admission order) and the pending-release
-    // min-heap keyed on `(release_step, id)`; `in_system` counts both.
-    live_head: usize,
-    live_tail: usize,
-    pending: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    in_system: usize,
-    // Scratch buffers reused across quanta: the steady-state loop does
-    // no heap allocation beyond executor internals.
+    // The live set in admission (id) order, and the pending-release
+    // min-heap keyed on `(release_step, id)`.
     live: Vec<usize>,
+    pending: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    // The last quantum's per-live arrays, parallel to `live` until it
+    // changes, reused across quanta: the steady-state loop does no heap
+    // allocation beyond executor internals.
     requests: Vec<f64>,
     allotments: Vec<u32>,
     availabilities: Vec<u32>,
-    finished_idx: Vec<usize>,
-    // Frozen-quantum cache: the full grant picture of the last real
-    // quantum (`live`/`allotments`/`availabilities` above stay intact
-    // between steps and complete it). Valid only while replaying that
-    // quantum verbatim would be correct — see `advance_frozen`.
     last_stats: Vec<QuantumStats>,
-    last_len: u64,
+    // Jobs that finished this quantum, with their completion steps.
+    finished: Vec<(usize, u64)>,
+    // Frozen-quantum cache: the last real quantum's length while
+    // replaying that quantum verbatim would be correct — see
+    // `advance_frozen`. Anything that changes `live` clears it.
+    frozen_len: Option<u64>,
     last_have_avail: bool,
-    frozen_valid: bool,
     // advance_frozen scratch.
     steady: Vec<bool>,
     frozen_ceils: Vec<u32>,
@@ -203,19 +199,15 @@ where
             next_id: 0,
             slots: Vec::new(),
             free: Vec::new(),
-            live_head: NIL,
-            live_tail: NIL,
-            pending: BinaryHeap::new(),
-            in_system: 0,
             live: Vec::new(),
+            pending: BinaryHeap::new(),
             requests: Vec::new(),
             allotments: Vec::new(),
             availabilities: Vec::new(),
-            finished_idx: Vec::new(),
             last_stats: Vec::new(),
-            last_len: 0,
+            finished: Vec::new(),
+            frozen_len: None,
             last_have_avail: false,
-            frozen_valid: false,
             steady: Vec::new(),
             frozen_ceils: Vec::new(),
         }
@@ -235,8 +227,8 @@ where
     pub fn admit(&mut self, executor: E, controller: C, release_step: u64) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        // The cached quantum no longer describes the full live set.
-        self.frozen_valid = false;
+        // The cached quantum no longer describes the full job set.
+        self.frozen_len = None;
         let request = controller.initial_request();
         let next_len = controller.initial_quantum_len(self.default_len);
         let slot = Slot {
@@ -246,13 +238,10 @@ where
             release_step,
             request,
             next_len,
-            completion: None,
             waste: 0,
             quanta: 0,
             reallocations: 0,
             prev_allotment: None,
-            prev: NIL,
-            next: NIL,
         };
         let idx = match self.free.pop() {
             Some(i) => {
@@ -264,9 +253,8 @@ where
                 self.slots.len() - 1
             }
         };
-        self.in_system += 1;
         if release_step <= self.now {
-            self.link_live(idx);
+            self.insert_live(idx);
         } else {
             self.pending.push(Reverse((release_step, id, idx)));
         }
@@ -277,75 +265,27 @@ where
         self.slots[idx].as_ref().expect("freed slab slot")
     }
 
-    fn slot_mut(&mut self, idx: usize) -> &mut Slot<E, C> {
-        self.slots[idx].as_mut().expect("freed slab slot")
-    }
-
-    /// Links `idx` into the live list at its admission-order position —
-    /// a backward walk from the tail, since a job released now is
-    /// almost always the youngest live one.
-    fn link_live(&mut self, idx: usize) {
+    /// Inserts `idx` into the live set at its admission-order position —
+    /// almost always the end, since a job released now is usually the
+    /// youngest live one. The live set keys the frozen-quantum cache, so
+    /// the cache goes.
+    fn insert_live(&mut self, idx: usize) {
         let id = self.slot(idx).id;
-        let mut after = self.live_tail;
-        while after != NIL && self.slot(after).id > id {
-            after = self.slot(after).prev;
-        }
-        let before = if after == NIL {
-            self.live_head
-        } else {
-            self.slot(after).next
-        };
-        {
-            let s = self.slot_mut(idx);
-            s.prev = after;
-            s.next = before;
-        }
-        if after == NIL {
-            self.live_head = idx;
-        } else {
-            self.slot_mut(after).next = idx;
-        }
-        if before == NIL {
-            self.live_tail = idx;
-        } else {
-            self.slot_mut(before).prev = idx;
-        }
+        let at = self.live.partition_point(|&j| self.slot(j).id < id);
+        self.live.insert(at, idx);
+        self.frozen_len = None;
     }
 
-    fn unlink_live(&mut self, idx: usize) {
-        let (prev, next) = {
-            let s = self.slot(idx);
-            (s.prev, s.next)
-        };
-        if prev == NIL {
-            self.live_head = next;
-        } else {
-            self.slot_mut(prev).next = next;
-        }
-        if next == NIL {
-            self.live_tail = prev;
-        } else {
-            self.slot_mut(next).prev = prev;
-        }
-        let s = self.slot_mut(idx);
-        s.prev = NIL;
-        s.next = NIL;
-    }
-
-    /// Moves every pending job whose release step has been reached onto
-    /// the live list — called whenever the clock advances, so the live
-    /// list always holds exactly the jobs live at the current boundary.
-    /// The frozen-quantum cache is left alone: releases landing inside
-    /// a frozen window were never part of its cached grant picture (the
-    /// window's live snapshot predates them), exactly as the compacting
-    /// core behaved.
+    /// Moves every pending job whose release step has been reached into
+    /// the live set — called whenever the clock advances, so the live
+    /// set always holds exactly the jobs live at the current boundary.
     fn process_releases(&mut self) {
         while let Some(&Reverse((release, _, idx))) = self.pending.peek() {
             if release > self.now {
                 break;
             }
             self.pending.pop();
-            self.link_live(idx);
+            self.insert_live(idx);
         }
     }
 
@@ -366,25 +306,25 @@ where
 
     /// Jobs currently in the system (released or pending release).
     pub fn jobs_in_system(&self) -> usize {
-        self.in_system
+        self.live.len() + self.pending.len()
     }
 
     /// The length the next quantum would run at if it can be frozen —
     /// i.e. the length of the last executed quantum while the
     /// frozen-window cache is valid. `None` when the cache was
-    /// invalidated (completion, admission, idle skip, or reallocation
-    /// overhead), in which case [`advance_frozen`] would decline
-    /// anyway. Event-driven drivers use this to convert time horizons
-    /// (the next arrival) into quantum counts.
+    /// invalidated (completion, admission, release, idle skip, allocator
+    /// swap or reallocation overhead), in which case [`advance_frozen`]
+    /// would decline anyway. Event-driven drivers use this to convert
+    /// time horizons (the next arrival) into quantum counts.
     ///
     /// [`advance_frozen`]: QuantumCore::advance_frozen
     pub fn frozen_quantum_len(&self) -> Option<u64> {
-        self.frozen_valid.then_some(self.last_len)
+        self.frozen_len
     }
 
     /// Whether any in-system job is live at the current boundary.
     pub fn any_live(&self) -> bool {
-        self.live_head != NIL
+        !self.live.is_empty()
     }
 
     /// Sum of the standing requests `d(q)` of the jobs live at the
@@ -392,14 +332,11 @@ where
     /// would report to a higher-level allocator. Pending (not yet
     /// released) jobs do not count.
     pub fn live_request_sum(&self) -> f64 {
-        let mut sum = 0.0;
-        let mut i = self.live_head;
-        while i != NIL {
-            let s = self.slot(i);
-            sum += s.request;
-            i = s.next;
-        }
-        sum
+        // An explicit +0.0 seed: an empty `Iterator::sum::<f64>()` is
+        // -0.0, and idle groups report their desire through this sum.
+        self.live
+            .iter()
+            .fold(0.0, |sum, &i| sum + self.slot(i).request)
     }
 
     /// Replaces the machine-wide allocator mid-run — the mechanism a
@@ -409,21 +346,18 @@ where
     /// picture was computed against the old machine.
     pub fn set_allocator(&mut self, allocator: A) {
         self.allocator = allocator;
-        self.frozen_valid = false;
+        self.frozen_len = None;
     }
 
-    /// Earliest release step among in-system jobs, if any — pending
-    /// jobs from the heap peek, live jobs (whose releases are in the
-    /// past) from a walk of the live list.
+    /// Earliest release step among in-system jobs, if any — live jobs
+    /// (whose releases are in the past) and pending ones alike.
     pub fn next_release(&self) -> Option<u64> {
-        let mut min = self.pending.peek().map(|&Reverse((r, _, _))| r);
-        let mut i = self.live_head;
-        while i != NIL {
-            let s = self.slot(i);
-            min = Some(min.map_or(s.release_step, |m| m.min(s.release_step)));
-            i = s.next;
-        }
-        min
+        let pending = self.pending.peek().map(|&Reverse((r, _, _))| r);
+        self.live
+            .iter()
+            .map(|&i| self.slot(i).release_step)
+            .chain(pending)
+            .min()
     }
 
     /// Shared view of the probe.
@@ -467,7 +401,7 @@ where
         else {
             return false;
         };
-        self.frozen_valid = false;
+        self.frozen_len = None;
         self.now = boundary;
         self.process_releases();
         true
@@ -508,14 +442,6 @@ where
         mut reclaimed: Option<&mut Vec<E>>,
     ) {
         let now = self.now;
-        // The live scratch mirrors the intrusive list — admission order,
-        // the order the frozen-window cache keys its parallel arrays on.
-        self.live.clear();
-        let mut walk = self.live_head;
-        while walk != NIL {
-            self.live.push(walk);
-            walk = self.slots[walk].as_ref().expect("freed slab slot").next;
-        }
         assert!(
             !self.live.is_empty(),
             "step_quantum with no live jobs (use skip_idle_until)"
@@ -525,8 +451,8 @@ where
         // so homogeneous sets step on the configured grid.
         let mut len = u64::MAX;
         self.requests.clear();
-        for k in 0..self.live.len() {
-            let slot = self.slots[self.live[k]].as_ref().expect("freed slab slot");
+        for &i in &self.live {
+            let slot = self.slots[i].as_ref().expect("freed slab slot");
             len = len.min(slot.next_len);
             self.requests.push(slot.request);
         }
@@ -541,9 +467,8 @@ where
         debug_assert_eq!(self.allotments.len(), self.live.len());
         let mut had_overhead = false;
         self.last_stats.clear();
-        self.finished_idx.clear();
-        for k in 0..self.live.len() {
-            let i = self.live[k];
+        self.finished.clear();
+        for (k, &i) in self.live.iter().enumerate() {
             let allotment = self.allotments[k];
             let availability = if have_avail {
                 Some(self.availabilities[k])
@@ -568,8 +493,7 @@ where
             // Held cycles cover the whole quantum, overhead included.
             job.waste += stats.waste() + allotment as u64 * overhead;
             if stats.completed {
-                job.completion = Some(now + overhead + stats.steps_worked);
-                self.finished_idx.push(i);
+                self.finished.push((i, now + overhead + stats.steps_worked));
             }
             let record = QuantumRecord {
                 index: job.quanta as u32,
@@ -584,19 +508,15 @@ where
             job.next_len = job.controller.next_quantum_len(self.default_len);
             self.last_stats.push(stats);
         }
-        // Drain the finished slots only — collected in live-list order,
-        // i.e. admission order (allocation order, and with it DEQ's
-        // rotating tie-break state, must not depend on who finished).
-        // Unfinished jobs are untouched: reclamation is O(completions).
-        let finished = self.finished_idx.len();
-        let mut finished_idx = std::mem::take(&mut self.finished_idx);
-        for &i in &finished_idx {
-            self.unlink_live(i);
+        // Drain the finished slots in live-set order, i.e. admission
+        // order (allocation order, and with it DEQ's rotating tie-break
+        // state, must not depend on who finished).
+        for &(i, completion) in &self.finished {
             let slot = self.slots[i].take().expect("freed slab slot");
             let mut done = CompletedJob {
                 id: slot.id,
                 release: slot.release_step,
-                completion: slot.completion.expect("finished job has a completion"),
+                completion,
                 work: slot.executor.total_work(),
                 span: slot.executor.total_span(),
                 waste: slot.waste,
@@ -610,18 +530,17 @@ where
                 pool.push(slot.executor);
             }
             self.free.push(i);
-            self.in_system -= 1;
         }
-        finished_idx.clear();
-        self.finished_idx = finished_idx;
+        if !self.finished.is_empty() {
+            self.live.retain(|&i| self.slots[i].is_some());
+        }
         self.now = now + len;
         self.quanta += 1;
         // The cached quantum can only be replayed if the live set is
         // unchanged (no completions) and the quantum ran full-length for
         // everyone (no reallocation overhead, which a frozen repeat
         // would not burn).
-        self.frozen_valid = finished == 0 && !had_overhead;
-        self.last_len = len;
+        self.frozen_len = (self.finished.is_empty() && !had_overhead).then_some(len);
         self.last_have_avail = have_avail;
         self.process_releases();
     }
@@ -631,9 +550,7 @@ where
     /// returns how many were advanced (possibly 0).
     ///
     /// A quantum is frozen when replaying it changes nothing the next
-    /// allocation could see: the live set is unchanged (the caller
-    /// guarantees no arrival is due within the window; completions are
-    /// excluded by the executors' own lookahead), every executor
+    /// allocation could see: the live set is unchanged, every executor
     /// certifies via [`JobExecutor::steady_quanta`] that it would
     /// reproduce its statistics, the allocator certifies via
     /// [`Allocator::allocation_stability`] that re-running it would
@@ -644,6 +561,13 @@ where
     /// early if a drift would change an integerized request or a quantum
     /// length; fully steady windows skip even that loop and cost `O(live
     /// jobs)` regardless of length.
+    ///
+    /// The live set stays unchanged because the window never crosses an
+    /// event the core knows of: completions are excluded by the
+    /// executors' own lookahead, and the window ends at the first
+    /// boundary at or after the next pending release, where stepping
+    /// would have released that job. Arrivals the caller has not yet
+    /// admitted remain the caller's to bound through `max_quanta`.
     ///
     /// Probes observe the window according to
     /// [`Probe::wants_frozen_replay`](crate::Probe::wants_frozen_replay):
@@ -657,20 +581,15 @@ where
     /// [`step_quantum`](QuantumCore::step_quantum) would have advanced
     /// them; fingerprint suites pin the equivalence.
     pub fn advance_frozen(&mut self, max_quanta: u64) -> u64 {
-        if !self.frozen_valid || max_quanta == 0 || self.live.is_empty() {
+        let Some(len) = self.frozen_len else {
             return 0;
-        }
+        };
         let stability = self.allocator.allocation_stability();
-        if stability == AllocationStability::Unstable {
+        if max_quanta == 0 || stability == AllocationStability::Unstable {
             return 0;
         }
-        let len = self.last_len;
         // The next quantum must run at the cached length.
-        let mut next_len = u64::MAX;
-        for &i in &self.live {
-            next_len = next_len.min(self.slot(i).next_len);
-        }
-        if next_len != len {
+        if self.live.iter().map(|&i| self.slot(i).next_len).min() != Some(len) {
             return 0;
         }
         // Every controller must opt in; record which are already at a
@@ -711,9 +630,13 @@ where
                 return 0;
             }
         }
-        // The executors bound the window: none may leave its steady
-        // regime (phase boundary / completion) inside it.
+        // The next pending release and the executors bound the window:
+        // no job may join the live set, and no executor leave its steady
+        // regime (phase boundary / completion), inside it.
         let mut k_max = max_quanta;
+        if let Some(&Reverse((release, _, _))) = self.pending.peek() {
+            k_max = k_max.min((release - self.now).div_ceil(len));
+        }
         for (idx, &i) in self.live.iter().enumerate() {
             let slot = self.slots[i].as_ref().expect("freed slab slot");
             let m = slot
@@ -785,7 +708,7 @@ where
             if stop_after {
                 // The quantum after this window differs; force the
                 // caller back through a real step.
-                self.frozen_valid = false;
+                self.frozen_len = None;
             }
             k
         };
@@ -1011,6 +934,37 @@ mod tests {
     }
 
     #[test]
+    fn frozen_window_stops_at_the_next_pending_release() {
+        // The second job is admitted ahead of its release at 50. The
+        // window may not run past the boundary where stepping would
+        // release it: it stops at 50, and the release thaws the cache.
+        let mut core = QuantumCore::new(DynamicEquiPartition::new(8), 10, NullProbe);
+        core.admit(
+            PipelinedExecutor::new(PhasedJob::constant(3, 200)),
+            ConstantRequest::new(3.0),
+            0,
+        );
+        core.admit(
+            PipelinedExecutor::new(PhasedJob::constant(2, 100)),
+            ConstantRequest::new(2.0),
+            50,
+        );
+        let mut done = Vec::new();
+        core.step_quantum(&mut done);
+        assert_eq!(core.advance_frozen(u64::MAX / 1024), 4);
+        assert_eq!(core.now(), 50);
+        assert!(core.any_live());
+        assert_eq!(core.jobs_in_system(), 2, "second job live, none done");
+        assert_eq!(core.frozen_quantum_len(), None, "the release thaws");
+        while core.jobs_in_system() > 0 {
+            core.step_quantum(&mut done);
+        }
+        done.sort_by_key(|c| c.id);
+        assert_eq!(done[0].completion, 200);
+        assert_eq!(done[1].completion, 150, "as pure stepping");
+    }
+
+    #[test]
     fn live_request_sum_counts_only_released_jobs() {
         let mut core = QuantumCore::new(DynamicEquiPartition::new(8), 10, NullProbe);
         assert_eq!(core.live_request_sum(), 0.0);
@@ -1079,7 +1033,7 @@ mod tests {
     #[test]
     fn pending_releases_surface_as_jobs_become_live() {
         // Pre-admitted future releases: the pending heap feeds the live
-        // list as the clock crosses each release, including across an
+        // set as the clock crosses each release, including across an
         // idle skip, and `next_release` sees live and pending jobs.
         let mut core = QuantumCore::new(DynamicEquiPartition::new(8), 10, NullProbe);
         core.admit(job(2, 20), ConstantRequest::new(2.0), 0);

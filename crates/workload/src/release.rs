@@ -46,20 +46,8 @@ impl ReleaseSchedule {
                 (0..n).map(|_| rng.random_range(0..=horizon)).collect()
             }
             ReleaseSchedule::Poisson { mean_gap } => {
-                assert!(
-                    mean_gap.is_finite() && mean_gap > 0.0,
-                    "mean inter-arrival gap must be positive, got {mean_gap}"
-                );
-                let mut t = 0.0f64;
-                (0..n)
-                    .map(|_| {
-                        // Inverse-CDF exponential sampling; the `1 - u`
-                        // guard keeps ln() finite.
-                        let u: f64 = rng.random();
-                        t += -mean_gap * (1.0 - u).ln();
-                        t as u64
-                    })
-                    .collect()
+                let mut stream = ArrivalProcess::Poisson { mean_gap }.stream();
+                (0..n).map(|_| stream.next_arrival(rng)).collect()
             }
         }
     }
@@ -143,7 +131,7 @@ impl ArrivalStream {
         match &self.process {
             ArrivalProcess::Poisson { mean_gap } => {
                 // Inverse-CDF exponential sampling; the `1 - u` guard
-                // keeps ln() finite (same recipe as ReleaseSchedule).
+                // keeps ln() finite.
                 let u: f64 = rng.random();
                 self.clock += -mean_gap * (1.0 - u).ln();
                 self.clock as u64

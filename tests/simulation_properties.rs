@@ -1,12 +1,17 @@
 //! Property tests over whole simulated runs: conservation laws of the
-//! single-job engine, determinism, multi-job accounting, and the
-//! monomorphized multi-job simulator in lockstep with the boxed one.
+//! single-job engine, determinism, multi-job accounting, the
+//! monomorphized multi-job simulator in lockstep with the boxed one, and
+//! frozen windows over jobs admitted ahead of their release in lockstep
+//! with pure stepping.
 
 use abg_alloc::{DynamicEquiPartition, Scripted};
 use abg_control::{AControl, AGreedy, ConstantRequest, Controller};
 use abg_dag::{Phase, PhasedJob};
 use abg_sched::{JobExecutor, PipelinedExecutor};
-use abg_sim::{run_single_job, MultiJobOutcome, MultiJobSim, SingleJobConfig};
+use abg_sim::{
+    run_single_job, CompletedJob, MultiJobOutcome, MultiJobSim, NullProbe, QuantumCore,
+    SingleJobConfig,
+};
 use proptest::prelude::*;
 
 fn phases() -> impl Strategy<Value = Vec<Phase>> {
@@ -87,6 +92,66 @@ fn assert_lockstep<C: Controller + Clone + Send + 'static>(set: &Set, p: u32, l:
         "untraced: one empty trace per job"
     );
     assert_eq!(run_mono(set, p, l, &ctl, true), boxed);
+}
+
+/// A drained job's `(id, release, completion, waste, quanta,
+/// reallocations)`.
+type JobRow = (u64, u64, u64, u64, u64, u64);
+
+/// Runs `set` on a bare `QuantumCore` (DEQ(16), L = 10) with every job
+/// admitted up front, ahead of its release, under calculator `which`:
+/// stepping each quantum, and after each real quantum advancing a frozen
+/// window too when `frozen`. Returns the drained jobs in id order, the
+/// final clock and the quanta executed.
+fn run_preadmitted(set: &Set, which: u8, frozen: bool) -> (Vec<JobRow>, u64, u64) {
+    let mut core: QuantumCore<Box<dyn JobExecutor + Send>, Box<dyn Controller + Send>, _, _> =
+        QuantumCore::new(DynamicEquiPartition::new(16), 10, NullProbe);
+    for (ph, release) in set {
+        let executor = Box::new(PipelinedExecutor::new(PhasedJob::new(ph.clone())));
+        core.admit(executor, calculator(which), *release);
+    }
+    let mut done: Vec<CompletedJob> = Vec::new();
+    while core.jobs_in_system() > 0 {
+        if !core.any_live() {
+            let next = core.next_release().expect("jobs pending");
+            assert!(core.skip_idle_until(next), "release within the clock");
+            continue;
+        }
+        core.step_quantum(&mut done);
+        if frozen {
+            core.advance_frozen(u64::MAX / 1024);
+        }
+    }
+    done.sort_by_key(|c| c.id);
+    let jobs = done
+        .iter()
+        .map(|c| {
+            (
+                c.id,
+                c.release,
+                c.completion,
+                c.waste,
+                c.quanta,
+                c.reallocations,
+            )
+        })
+        .collect();
+    (jobs, core.now(), core.quanta())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Frozen windows over pre-admitted jobs: releases mid-quantum and
+    /// out of id order (so a release can land mid-live-set) must surface
+    /// exactly where pure stepping surfaces them.
+    #[test]
+    fn frozen_windows_match_stepping_with_preadmitted_releases(
+        set in prop::collection::vec((phases(), 0u64..400), 1..6),
+        which in 0u8..3,
+    ) {
+        prop_assert_eq!(run_preadmitted(&set, which, true), run_preadmitted(&set, which, false));
+    }
 }
 
 proptest! {
