@@ -835,12 +835,11 @@ fn open(opts: &Options) -> Outcome {
         let dag = abg_workload::load_dag(path).map_err(|e| e.to_string())?;
         cfg.workload = OpenWorkload::Trace(std::sync::Arc::new(dag));
     }
-    // Reject an inconsistent measurement setup, or a load whose jobs
-    // would arrive more than once per step, with a message instead of
-    // letting the sweep panic mid-run.
-    cfg.validate_at(experiments::population_expected_work(&cfg))
+    // The sweep refuses an inconsistent measurement setup, or a load
+    // whose jobs would arrive more than once per step, before any point
+    // runs.
+    let rows = experiments::try_open_system_sweep(&cfg)
         .map_err(|e| format!("invalid open-system configuration: {e}"))?;
-    let rows = experiments::open_system_sweep(&cfg);
     if opts.json {
         let mode = if opts.smoke { "smoke" } else { "paper" };
         write!(io::stdout().lock(), "{}", open_json(mode, &cfg, &rows))?;

@@ -30,16 +30,13 @@ fn main() -> ExitCode {
     };
     let outcome = match opts.command.as_deref() {
         None => writeln!(io::stdout().lock(), "{}", commands::usage()).map_err(Into::into),
-        Some(command) => {
-            if let Some(n) = opts.threads {
-                // The sweep harness sizes its worker pool from
-                // ABG_THREADS; the flag is a per-run override of that
-                // variable. Results are thread-count independent — this
-                // pins wall-clock behaviour only.
-                std::env::set_var("ABG_THREADS", n.to_string());
-            }
-            commands::run(command, &opts)
-        }
+        // `--threads` sizes the sweep harness's worker pool for this
+        // run; without it the harness reads ABG_THREADS. Results are
+        // thread-count independent, so this pins wall-clock only.
+        Some(command) => match opts.threads {
+            Some(n) => abg::experiments::with_workers(n, || commands::run(command, &opts)),
+            None => commands::run(command, &opts),
+        },
     };
     let Err(err) = outcome else {
         return ExitCode::SUCCESS;

@@ -45,8 +45,8 @@ pub struct Options {
     /// Compare bench results against a committed baseline JSON and fail
     /// on regression (the `bench` subcommand).
     pub check: Option<String>,
-    /// Override the harness worker count (mirrors the `ABG_THREADS`
-    /// environment variable; the flag wins when both are set).
+    /// The harness worker count for this run (`ABG_THREADS` when
+    /// absent; the flag wins when both are set).
     pub threads: Option<usize>,
 }
 
@@ -77,9 +77,10 @@ refuses it):
                        montage or epigenomics (default: mixed-factor jobs)
   --dag-file PATH      open: every arrival replays the dag loaded from the
                        text dag file at PATH (excludes --workflow)
-  --threads N          harness worker count (overrides ABG_THREADS; capped at
-                       4 per hardware thread; results are identical for
-                       any count, only wall-clock changes)
+  --threads N          harness worker count for this run (default: the
+                       ABG_THREADS variable, else one per hardware thread;
+                       capped at 4 per hardware thread; results are
+                       identical for any count, only wall-clock changes)
   -h, --help           this text";
 
     /// The command-scoped flags this command line sets, in [`Self::FLAGS`]

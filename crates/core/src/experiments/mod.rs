@@ -39,7 +39,8 @@ use abg_sim::{MultiJobOutcome, MultiJobSim, SingleJobRun};
 use abg_workload::{paper_job, splitmix_seed, JobSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::cell::Cell;
+use std::sync::{Arc, OnceLock};
 
 pub use ablation::{
     agreedy_ablation, governed_rate_quality, quantum_ablation, rate_ablation, scheduler_ablation,
@@ -52,8 +53,8 @@ pub use hierarchical::{hierarchical_skew_sweep, HierarchicalConfig, Hierarchical
 pub use kernels::{kernel_names, run_kernel_suite, KernelBenchConfig, KernelResult};
 pub use multiprogrammed::{multiprogrammed_sweep, LoadPoint, MultiprogrammedConfig};
 pub use open_system::{
-    open_system_sweep, population_expected_work, OpenSystemConfig, OpenSystemRow, OpenWorkload,
-    SchedulerOpenPoint,
+    open_system_sweep, population_expected_work, try_open_system_sweep, OpenSystemConfig,
+    OpenSystemRow, OpenWorkload, SchedulerOpenPoint,
 };
 pub use overhead::{overhead_sweep, OverheadRow};
 pub use robustness::{robustness_comparison, RobustnessRow};
@@ -66,9 +67,9 @@ pub use theory::{
 pub use transient::{transient_comparison, TrajectoryPoint, TransientResult};
 
 /// Runs `f(key, index)` for every `index < per_key` of every key, spread
-/// over [`parallel_map`], and returns one cell per key: that key's
-/// results in index order. This is the whole sweep plumbing of the
-/// closed experiments; each folds its cells with [`mean`] (or
+/// over [`parallel_map`] at [`workers`], and returns one cell per key:
+/// that key's results in index order. This is the whole sweep plumbing
+/// of the closed experiments; each folds its cells with [`mean`] (or
 /// [`QualityPoint::of`]) in index order, so every sum is taken in the
 /// same order on every run and for every thread count.
 pub(crate) fn per_cell<K, U, F>(keys: &[K], per_key: u32, f: F) -> Cells<U>
@@ -82,7 +83,7 @@ where
         .flat_map(|&key| (0..per_key as u64).map(move |index| (key, index)))
         .collect();
     Cells {
-        results: parallel_map(units, |&(key, index)| f(key, index)),
+        results: parallel_map(units, |&(key, index)| f(key, index), workers()),
         keys: keys.len(),
     }
 }
@@ -206,33 +207,72 @@ impl QualityPoint {
     }
 }
 
-/// Worker count of the sweep harness's [`parallel_map`], the crate's
-/// one worker pool, from the `ABG_THREADS` environment variable (see
-/// [`threads_from`]). Results never depend on this — only wall-clock
-/// does — so pinning it (CI does, and `abg-cli --threads N` does per
-/// invocation) is purely about reproducible timing.
-fn configured_threads() -> usize {
-    let available = std::thread::available_parallelism().map_or(1, |p| p.get());
-    threads_from(std::env::var("ABG_THREADS").ok().as_deref(), available)
+/// Hardware threads this process may use (one if the OS cannot say).
+fn hardware_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
+/// `n` workers, at least one and at most four per each of `available`
+/// hardware threads, so that no count can start thousands of OS threads.
+fn capped(n: usize, available: usize) -> usize {
+    n.clamp(1, 4 * available)
 }
 
 /// The worker count an `ABG_THREADS` value asks for on a machine with
-/// `available` hardware threads: a positive integer, capped at four
-/// workers per hardware thread so that no value can start thousands of
-/// OS threads; anything else (unset, zero, not a number) falls back to
-/// `available`.
+/// `available` hardware threads: a positive integer, [`capped`];
+/// anything else (unset, zero, not a number) falls back to `available`.
 fn threads_from(var: Option<&str>, available: usize) -> usize {
     match var.and_then(|s| s.trim().parse::<usize>().ok()) {
-        Some(n) if n >= 1 => n.min(4 * available),
+        Some(n) if n >= 1 => capped(n, available),
         _ => available,
     }
 }
 
-/// Order-preserving parallel map over work items using scoped threads.
+thread_local! {
+    /// The count [`with_workers`] set for the sweeps this thread runs.
+    static SCOPED_WORKERS: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// The worker count of the sweep harness's [`parallel_map`], the
+/// crate's one worker pool: the innermost [`with_workers`] count on
+/// this thread, else the process default, `ABG_THREADS` as read once
+/// (see [`threads_from`]). Results never depend on it; only wall-clock
+/// does.
+fn workers() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    SCOPED_WORKERS.with(Cell::get).unwrap_or_else(|| {
+        *DEFAULT.get_or_init(|| {
+            threads_from(
+                std::env::var("ABG_THREADS").ok().as_deref(),
+                hardware_threads(),
+            )
+        })
+    })
+}
+
+/// Runs `f` with every sweep it starts on this thread spread over
+/// `workers` workers, at least one and at most four per hardware
+/// thread; the previous count is back when `f` returns or unwinds.
+/// Every sweep is a set of independently seeded units, so the count
+/// moves wall-clock time only, never a result.
+pub fn with_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPED_WORKERS.with(|c| c.set(self.0));
+        }
+    }
+    let n = capped(workers, hardware_threads());
+    let _restore = Restore(SCOPED_WORKERS.with(|c| c.replace(Some(n))));
+    f()
+}
+
+/// Order-preserving parallel map of `f` over `items` on `threads`
+/// scoped worker threads (fewer when there are fewer items).
 ///
 /// Each item is independent; results come back in input order. Used by
 /// the sweep experiments to spread (factor, job) work units across
-/// cores. Honors the `ABG_THREADS` override (see [`configured_threads`]).
+/// cores.
 ///
 /// Work distribution is contention-free sharding: workers claim
 /// contiguous index ranges by bumping a single atomic cursor and collect
@@ -241,19 +281,7 @@ fn threads_from(var: Option<&str>, available: usize) -> usize {
 /// old design serialized every item on a shared work-queue lock and
 /// every result on a shared output lock, which flattened scaling once
 /// per-item work got small.
-fn parallel_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    parallel_map_with_threads(items, f, configured_threads())
-}
-
-/// [`parallel_map`] with an explicit worker count (tests drive this
-/// directly to check determinism across thread counts without racing on
-/// the process environment).
-fn parallel_map_with_threads<T, U, F>(items: Vec<T>, f: F, threads: usize) -> Vec<U>
+fn parallel_map<T, U, F>(items: Vec<T>, f: F, threads: usize) -> Vec<U>
 where
     T: Sync,
     U: Send,
@@ -312,13 +340,13 @@ mod tests {
 
     #[test]
     fn parallel_map_preserves_order() {
-        let out = parallel_map((0..1000).collect::<Vec<i64>>(), |x| x * 2);
+        let out = parallel_map((0..1000).collect::<Vec<i64>>(), |x| x * 2, 3);
         assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<i64>>());
     }
 
     #[test]
     fn parallel_map_empty() {
-        let out: Vec<i32> = parallel_map(Vec::<i32>::new(), |&x| x);
+        let out: Vec<i32> = parallel_map(Vec::<i32>::new(), |&x| x, 3);
         assert!(out.is_empty());
     }
 
@@ -327,8 +355,7 @@ mod tests {
         let items: Vec<u64> = (0..317).collect();
         let expect: Vec<u64> = items.iter().map(|x| splitmix_seed(7, *x, x * 3)).collect();
         for threads in 1..=8 {
-            let got =
-                parallel_map_with_threads(items.clone(), |&x| splitmix_seed(7, x, x * 3), threads);
+            let got = parallel_map(items.clone(), |&x| splitmix_seed(7, x, x * 3), threads);
             assert_eq!(got, expect, "threads={threads}");
         }
     }
@@ -349,7 +376,7 @@ mod tests {
 
     #[test]
     fn parallel_map_handles_items_fewer_than_threads() {
-        let got = parallel_map_with_threads(vec![1u32, 2, 3], |&x| x + 1, 64);
+        let got = parallel_map(vec![1u32, 2, 3], |&x| x + 1, 64);
         assert_eq!(got, vec![2, 3, 4]);
     }
 
@@ -365,14 +392,26 @@ mod tests {
 
     #[test]
     fn abg_threads_env_overrides_worker_count() {
-        // Other tests may run parallel_map concurrently; that is safe
-        // because results are thread-count independent by construction.
-        std::env::set_var("ABG_THREADS", "3");
-        assert_eq!(configured_threads(), 3);
-        let out = parallel_map((0..100).collect::<Vec<i64>>(), |&x| x * x);
-        assert_eq!(out, (0..100).map(|x| x * x).collect::<Vec<i64>>());
-        std::env::set_var("ABG_THREADS", "not-a-number");
-        assert!(configured_threads() >= 1);
-        std::env::remove_var("ABG_THREADS");
+        // Outside any scope the count is the process default: the
+        // variable as this process saw it, resolved as above.
+        let var = std::env::var("ABG_THREADS").ok();
+        assert_eq!(workers(), threads_from(var.as_deref(), hardware_threads()));
+    }
+
+    #[test]
+    fn with_workers_scopes_and_caps_the_count_without_starting_a_pool() {
+        let outside = workers();
+        assert_eq!(with_workers(100_000, workers), 4 * hardware_threads());
+        assert_eq!(with_workers(0, workers), 1);
+        let scoped = outside % 2 + 1; // differs from `outside`
+        with_workers(scoped, || {
+            assert_eq!(with_workers(3, workers), 3);
+            assert_eq!(workers(), scoped, "restored on return");
+            let elsewhere = std::thread::spawn(workers).join().unwrap();
+            assert_eq!(elsewhere, outside, "seen on another thread");
+        });
+        let unwound = std::panic::catch_unwind(|| with_workers(3, || panic!("inside the scope")));
+        assert!(unwound.is_err());
+        assert_eq!(workers(), outside, "restored on unwind");
     }
 }

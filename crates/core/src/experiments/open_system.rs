@@ -203,7 +203,7 @@ impl OpenSystemConfig {
     /// jobs would arrive more than once per step on average is
     /// [`ArrivalsTooDense`](abg_queue::ConfigError::ArrivalsTooDense)
     /// here, before any point runs.
-    pub fn validate_at(&self, expected_work: f64) -> Result<(), abg_queue::ConfigError> {
+    fn validate_at(&self, expected_work: f64) -> Result<(), abg_queue::ConfigError> {
         self.validate()?;
         self.rhos.iter().try_for_each(|&rho| {
             let gap = mean_gap_for_utilization(rho, self.processors, expected_work);
@@ -414,11 +414,26 @@ pub fn population_expected_work(cfg: &OpenSystemConfig) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if the config has no ρ values or an inconsistent measurement
-/// setup (see [`OpenConfig`]).
+/// Panics if the config has no ρ values, or where
+/// [`try_open_system_sweep`] returns an error.
 pub fn open_system_sweep(cfg: &OpenSystemConfig) -> Vec<OpenSystemRow> {
+    try_open_system_sweep(cfg).unwrap_or_else(|e| panic!("invalid open-system configuration: {e}"))
+}
+
+/// [`open_system_sweep`], with a typed error before any point runs for
+/// a config that fails [`validate`](OpenSystemConfig::validate) or a ρ
+/// point whose jobs would arrive more than once per step, checked
+/// against the one estimate of `E[T₁]` the sweep takes.
+///
+/// # Panics
+///
+/// Panics if the config has no ρ values.
+pub fn try_open_system_sweep(
+    cfg: &OpenSystemConfig,
+) -> Result<Vec<OpenSystemRow>, abg_queue::ConfigError> {
     assert!(!cfg.rhos.is_empty(), "sweep needs at least one rho");
     let work = population_expected_work(cfg);
+    cfg.validate_at(work)?;
     let schedulers = [Scheduler::Abg, Scheduler::AGreedy];
     let points: Vec<u64> = (0..cfg.rhos.len() as u64).collect();
     let cells = per_cell(&points, schedulers.len() as u32, |index, which| {
@@ -427,7 +442,8 @@ pub fn open_system_sweep(cfg: &OpenSystemConfig) -> Vec<OpenSystemRow> {
         let which = schedulers[which as usize];
         SchedulerOpenPoint::from_outcome(&run_point(cfg, gap, index, which))
     });
-    cfg.rhos
+    Ok(cfg
+        .rhos
         .iter()
         .zip(cells.iter())
         .map(|(&rho, cell)| OpenSystemRow {
@@ -437,7 +453,7 @@ pub fn open_system_sweep(cfg: &OpenSystemConfig) -> Vec<OpenSystemRow> {
             abg: cell[0],
             agreedy: cell[1],
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -658,9 +674,8 @@ mod tests {
         for rho in [1e308, 1e10, 1e20] {
             let cfg = smoke_at(rho);
             assert_eq!(cfg.validate(), Ok(()), "the knobs alone are fine");
-            let err = cfg
-                .validate_at(population_expected_work(&cfg))
-                .expect_err("a sub-step mean gap must not validate");
+            let err =
+                try_open_system_sweep(&cfg).expect_err("a sub-step mean gap must not validate");
             assert!(
                 matches!(err, abg_queue::ConfigError::ArrivalsTooDense { mean_gap } if mean_gap < 1e-6),
                 "rho {rho}: {err:?}"

@@ -31,7 +31,7 @@
 //! simulated time cheaper than one core carrying `N`. The groups run
 //! one after another on the calling thread; wall-clock parallelism
 //! comes from the experiment harness, which runs whole sweep cells on
-//! its `ABG_THREADS` worker pool.
+//! its worker pool.
 
 use crate::driver::{OpenConfig, OpenOutcome, SteadyStats, UnstableReport};
 use crate::hier::HierOpenConfig;

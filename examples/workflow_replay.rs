@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use abg::experiments::{open_system_sweep, OpenSystemConfig, OpenWorkload};
+use abg::experiments::{try_open_system_sweep, OpenSystemConfig, OpenWorkload};
 use abg_sched::{BGreedyExecutor, JobExecutor as _};
 use abg_workload::{load_dag, save_dag, WorkflowKind};
 use rand::rngs::StdRng;
@@ -74,8 +74,7 @@ fn main() {
     cfg.groups = 4;
     cfg.group_alloc = "desire".parse().expect("a valid policy name");
     cfg.workload = OpenWorkload::Trace(Arc::new(reloaded));
-    cfg.validate().expect("a consistent configuration");
-    let rows = open_system_sweep(&cfg);
+    let rows = try_open_system_sweep(&cfg).expect("a consistent configuration");
     println!(
         "open replay on P = {} over {} groups ({} reallocation every {} quanta):",
         cfg.processors,

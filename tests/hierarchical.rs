@@ -2,7 +2,7 @@
 //! is invisible — bit-identical at every epoch length to the fixed
 //! partition's one unbounded epoch (and, at one group, to the
 //! unsharded driver pinned by `tests/open_system.rs`) — sweeps are
-//! invariant under the harness's `ABG_THREADS`, the driver runs
+//! invariant under the harness's worker count, the driver runs
 //! non-`Sync` factories on the calling thread, and the desire feedback
 //! beats the fixed partition under skewed arrivals.
 //!
@@ -12,19 +12,17 @@
 //! the driver, the arrival stream or the job generator moves one,
 //! re-record with that command and say so in the commit message.
 
+mod common;
+
 use abg::experiments::{
     hierarchical_skew_sweep, open_fingerprint, open_system_sweep, HierarchicalConfig,
     OpenSystemConfig, OpenWorkload,
 };
-use abg::queue::{
-    run_open_hierarchical, run_open_hierarchical_detailed, HierOpenConfig, OpenConfig, OpenOutcome,
-    SaturationConfig, ShardRouting,
-};
+use abg::queue::{run_open_hierarchical_detailed, HierOpenConfig, ShardRouting};
 use abg_alloc::DynamicEquiPartition;
 use abg_control::{AControl, Controller, GroupPolicy, StaticEqui};
-use abg_dag::PhasedJob;
-use abg_sched::{JobExecutor, PipelinedExecutor};
-use abg_workload::{mean_gap_for_utilization, parse_dag, write_dag, ArrivalProcess, WorkflowKind};
+use abg_workload::{parse_dag, write_dag, WorkflowKind};
+use common::{at_each_worker_count, constant_job, constant_job_config, run_hier};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::Cell;
@@ -102,57 +100,6 @@ fn hierarchical_trace_replay_matches_golden() {
     assert_eq!(open_fingerprint(&rows), HIER_TRACE_MONTAGE_G4);
 }
 
-fn open_config(rho: f64) -> OpenConfig {
-    OpenConfig {
-        processors: 16,
-        quantum_len: 20,
-        arrivals: ArrivalProcess::Poisson {
-            // Constant 4-wide, 50-level jobs below: T1 = 200 steps.
-            mean_gap: mean_gap_for_utilization(rho, 16, 200.0),
-        },
-        warmup_jobs: 30,
-        measured_jobs: 120,
-        batches: 8,
-        max_quanta: 1_000_000,
-        saturation: SaturationConfig::default(),
-        seed: 0xD01,
-    }
-}
-
-fn make_executor(
-    _rng: &mut StdRng,
-    recycled: Option<Box<dyn JobExecutor + Send>>,
-) -> Box<dyn JobExecutor + Send> {
-    if let Some(mut ex) = recycled {
-        if ex.try_reset() {
-            return ex;
-        }
-    }
-    Box::new(PipelinedExecutor::new(PhasedJob::constant(4, 50)))
-}
-
-fn run_hier(
-    cfg: &OpenConfig,
-    groups: u32,
-    routing: ShardRouting,
-    realloc_epoch: u64,
-    policy: GroupPolicy,
-) -> OpenOutcome {
-    run_open_hierarchical(
-        &HierOpenConfig {
-            open: cfg.clone(),
-            groups,
-            routing,
-            realloc_epoch,
-            group_floor: 1,
-        },
-        DynamicEquiPartition::new,
-        make_executor,
-        || -> Box<dyn Controller + Send> { Box::new(AControl::new(0.2)) },
-        policy.build(),
-    )
-}
-
 #[test]
 fn static_top_level_is_invisible() {
     // The acceptance anchor at the driver level: a top level that
@@ -161,25 +108,13 @@ fn static_top_level_is_invisible() {
     // so the merged outcome equals the one-unbounded-epoch run the
     // sweep picks for a fixed partition, for every group count and
     // epoch length.
-    let cfg = open_config(0.5);
+    let cfg = constant_job_config(0.5);
     for groups in [1u32, 2, 4, 8] {
-        let baseline = run_hier(
-            &cfg,
-            groups,
-            ShardRouting::RoundRobin,
-            u64::MAX,
-            GroupPolicy::Static,
-        );
+        let baseline = run_hier(&cfg, groups, u64::MAX, StaticEqui);
         assert!(baseline.is_steady(), "rho = 0.5 with {groups} groups");
         for epoch in [1u64, 32, 500] {
             assert_eq!(
-                run_hier(
-                    &cfg,
-                    groups,
-                    ShardRouting::RoundRobin,
-                    epoch,
-                    GroupPolicy::Static,
-                ),
+                run_hier(&cfg, groups, epoch, StaticEqui),
                 baseline,
                 "groups = {groups} drifted at epoch {epoch}"
             );
@@ -192,21 +127,9 @@ fn static_equi_struct_and_policy_agree() {
     // `GroupPolicy::Static.build()` and the unit struct drive the
     // driver identically (the policy enum is the CLI/config surface,
     // the struct the library one).
-    let cfg = open_config(0.5);
-    let via_policy = run_hier(&cfg, 4, ShardRouting::RoundRobin, 32, GroupPolicy::Static);
-    let via_struct = run_open_hierarchical(
-        &HierOpenConfig {
-            open: cfg.clone(),
-            groups: 4,
-            routing: ShardRouting::RoundRobin,
-            realloc_epoch: 32,
-            group_floor: 1,
-        },
-        DynamicEquiPartition::new,
-        make_executor,
-        || -> Box<dyn Controller + Send> { Box::new(AControl::new(0.2)) },
-        StaticEqui,
-    );
+    let cfg = constant_job_config(0.5);
+    let via_policy = run_hier(&cfg, 4, 32, GroupPolicy::Static.build());
+    let via_struct = run_hier(&cfg, 4, 32, StaticEqui);
     assert_eq!(via_policy, via_struct);
 }
 
@@ -217,7 +140,7 @@ fn factories_run_on_the_calling_thread() {
     // calls through shared `Rc<Cell<_>>`s. Every admission builds (or
     // recycles) exactly one executor and one controller.
     let cfg = HierOpenConfig {
-        open: open_config(0.35),
+        open: constant_job_config(0.35),
         groups: 4,
         routing: ShardRouting::Skewed { hot: 4 },
         realloc_epoch: 16,
@@ -240,7 +163,7 @@ fn factories_run_on_the_calling_thread() {
                 let executors = Rc::clone(&executors);
                 move |rng: &mut StdRng, recycled| {
                     executors.set(executors.get() + 1);
-                    make_executor(rng, recycled)
+                    constant_job(rng, recycled)
                 }
             },
             {
@@ -292,16 +215,7 @@ fn skew_sweep_shows_desire_beating_the_static_partition() {
 
 #[test]
 fn hier_sweep_is_abg_threads_invariant() {
-    // Safe to mutate concurrently with sibling tests for the same
-    // reason as in sweep_equivalence.rs: results never depend on it.
     let cfg = smoke_with_groups(4, GroupPolicy::Desire);
-    for threads in ["1", "2", "8"] {
-        std::env::set_var("ABG_THREADS", threads);
-        assert_eq!(
-            open_fingerprint(&open_system_sweep(&cfg)),
-            OPEN_SMOKE_HIER_DESIRE_G4,
-            "hier sweep drifted at ABG_THREADS={threads}"
-        );
-    }
-    std::env::remove_var("ABG_THREADS");
+    let sweep = || open_fingerprint(&open_system_sweep(&cfg));
+    assert_eq!(at_each_worker_count(sweep), OPEN_SMOKE_HIER_DESIRE_G4);
 }

@@ -7,16 +7,14 @@
 //! to the driver, the arrival stream or the job generator moves it,
 //! re-record with that command and say so in the commit message.
 
+mod common;
+
 use abg::experiments::{open_fingerprint, open_system_sweep, OpenSystemConfig, OpenWorkload};
-use abg::queue::{
-    run_open_hierarchical, run_open_system, HierOpenConfig, OpenConfig, OpenOutcome,
-    SaturationConfig, ShardRouting,
-};
+use abg::queue::{run_open_system, OpenConfig, OpenOutcome};
 use abg_alloc::DynamicEquiPartition;
 use abg_control::{AControl, AGreedy, Controller, StaticEqui};
-use abg_dag::PhasedJob;
-use abg_sched::{JobExecutor, PipelinedExecutor};
-use abg_workload::{mean_gap_for_utilization, ArrivalProcess, WorkflowKind};
+use abg_workload::WorkflowKind;
+use common::{at_each_worker_count, constant_job, constant_job_config, run_hier};
 
 /// `open_system_sweep(OpenSystemConfig::smoke())`.
 const OPEN_SMOKE: u64 = 0x32ed9525adb1b404;
@@ -62,52 +60,15 @@ fn paper_open_sweep_matches_golden() {
 
 #[test]
 fn smoke_open_sweep_is_thread_count_invariant() {
-    // Safe to mutate concurrently with sibling tests for the same
-    // reason as in sweep_equivalence.rs: results never depend on it.
-    for threads in ["1", "2", "8"] {
-        std::env::set_var("ABG_THREADS", threads);
-        let rows = open_system_sweep(&OpenSystemConfig::smoke());
-        assert_eq!(
-            open_fingerprint(&rows),
-            OPEN_SMOKE,
-            "open sweep drifted at ABG_THREADS={threads}"
-        );
-    }
-    std::env::remove_var("ABG_THREADS");
-}
-
-fn driver_config(rho: f64) -> OpenConfig {
-    OpenConfig {
-        processors: 16,
-        quantum_len: 20,
-        arrivals: ArrivalProcess::Poisson {
-            // Constant 4-wide, 50-level jobs below: T1 = 200 steps.
-            mean_gap: mean_gap_for_utilization(rho, 16, 200.0),
-        },
-        warmup_jobs: 30,
-        measured_jobs: 120,
-        batches: 8,
-        max_quanta: 1_000_000,
-        saturation: SaturationConfig::default(),
-        seed: 0xD01,
-    }
+    let sweep = || open_fingerprint(&open_system_sweep(&OpenSystemConfig::smoke()));
+    assert_eq!(at_each_worker_count(sweep), OPEN_SMOKE);
 }
 
 fn run_with(cfg: &OpenConfig, abg_controller: bool) -> OpenOutcome {
     run_open_system(
         cfg,
         DynamicEquiPartition::new(cfg.processors),
-        |_rng, recycled| -> Box<dyn JobExecutor + Send> {
-            // Homogeneous constant jobs: recycle drained executors; the
-            // reset path must leave every statistic untouched (the smoke
-            // fingerprint above pins the heterogeneous fresh-build path).
-            if let Some(mut ex) = recycled {
-                if ex.try_reset() {
-                    return ex;
-                }
-            }
-            Box::new(PipelinedExecutor::new(PhasedJob::constant(4, 50)))
-        },
+        constant_job,
         move || -> Box<dyn Controller + Send> {
             if abg_controller {
                 Box::new(AControl::new(0.2))
@@ -118,41 +79,18 @@ fn run_with(cfg: &OpenConfig, abg_controller: bool) -> OpenOutcome {
     )
 }
 
-/// One group of the multi-group driver: the static top level with one
-/// unbounded epoch.
-fn run_one_group(cfg: &OpenConfig) -> OpenOutcome {
-    run_open_hierarchical(
-        &HierOpenConfig {
-            open: cfg.clone(),
-            groups: 1,
-            routing: ShardRouting::RoundRobin,
-            realloc_epoch: u64::MAX,
-            group_floor: 1,
-        },
-        DynamicEquiPartition::new,
-        |_rng, recycled: Option<Box<dyn JobExecutor + Send>>| {
-            if let Some(mut ex) = recycled {
-                if ex.try_reset() {
-                    return ex;
-                }
-            }
-            Box::new(PipelinedExecutor::new(PhasedJob::constant(4, 50)))
-        },
-        || -> Box<dyn Controller + Send> { Box::new(AControl::new(0.2)) },
-        StaticEqui,
-    )
-}
-
 #[test]
 fn single_shard_engine_matches_the_event_driver_bit_for_bit() {
-    // One group of the multi-group driver is the unsharded driver.
-    let cfg = driver_config(0.5);
-    assert_eq!(run_one_group(&cfg), run_with(&cfg, true));
+    // One group of the multi-group driver, the static top level with
+    // one unbounded epoch, is the unsharded driver.
+    let cfg = constant_job_config(0.5);
+    let one_group = run_hier(&cfg, 1, u64::MAX, StaticEqui);
+    assert_eq!(one_group, run_with(&cfg, true));
 }
 
 #[test]
 fn low_rho_mean_response_is_finite_for_both_schedulers() {
-    let cfg = driver_config(0.25);
+    let cfg = constant_job_config(0.25);
     for abg_controller in [true, false] {
         let out = run_with(&cfg, abg_controller);
         let stats = out
@@ -176,7 +114,7 @@ fn overload_is_flagged_unstable_rather_than_hanging() {
     // measurement target no finite stable system of this size would
     // need — the detector must still cut the run short.
     for rho in [1.0, 1.5, 3.0] {
-        let mut cfg = driver_config(rho);
+        let mut cfg = constant_job_config(rho);
         cfg.measured_jobs = 100_000;
         match run_with(&cfg, true) {
             OpenOutcome::Unstable(report) => {

@@ -8,6 +8,8 @@
 //! simulation behavior identical down to the last ulp. If an *intentional* behavior change moves these values,
 //! re-record them with the example and say so in the commit message.
 
+mod common;
+
 use abg::experiments::{
     adaptive_quantum_comparison, agreedy_ablation, allocator_policy_comparison,
     governed_rate_quality, hierarchical_skew_sweep, load_fingerprint, multiprogrammed_sweep,
@@ -16,6 +18,7 @@ use abg::experiments::{
     BoundCheck, Fingerprint, HierarchicalConfig, MultiprogrammedConfig, QualityPoint,
     SingleJobSweepConfig,
 };
+use common::at_each_worker_count;
 
 /// `single_job_sweep(SingleJobSweepConfig::paper())`.
 const FIG5_PAPER: u64 = 0xbd4b009a3e6290c5;
@@ -62,46 +65,17 @@ fn paper_multiprogrammed_sweep_matches_golden() {
 
 #[test]
 fn sweeps_are_thread_count_invariant() {
-    // The goldens above run under whatever ABG_THREADS the environment
-    // sets; this test walks the worker count explicitly. Mutating the
-    // variable while sibling tests run concurrently is safe precisely
-    // because of the property under test: results never depend on it.
-    // Paper Fig. 5 is checked against its golden once, on the serial
-    // one-worker path. Small local Fig. 5 and Fig. 6 configs then walk
-    // 1, 2, 3 and 8 workers against their own one-worker results, so
-    // every count goes through the multi-worker path in milliseconds.
-    std::env::set_var("ABG_THREADS", "1");
-    let fig5 = single_job_sweep(&SingleJobSweepConfig::paper());
-    assert_eq!(
-        sweep_fingerprint(&fig5),
-        FIG5_PAPER,
-        "fig5 drifted at ABG_THREADS=1"
-    );
-    let fig5_cfg = SingleJobSweepConfig {
-        factors: vec![5, 40],
-        jobs_per_factor: 4,
-        quantum_len: 200,
-        pairs: 3,
-        ..SingleJobSweepConfig::paper()
-    };
+    // Paper Fig. 5 holds its golden at each count; a small local Fig. 6
+    // config agrees with itself at each count in milliseconds.
+    let fig5 = || sweep_fingerprint(&single_job_sweep(&SingleJobSweepConfig::paper()));
+    assert_eq!(at_each_worker_count(fig5), FIG5_PAPER);
     let fig6_cfg = MultiprogrammedConfig {
         loads: vec![0.5, 4.0],
         sets_per_load: 4,
         quantum_len: 200,
         ..MultiprogrammedConfig::paper()
     };
-    let mut one_thread = None;
-    for threads in ["1", "2", "3", "8"] {
-        std::env::set_var("ABG_THREADS", threads);
-        let fig5 = sweep_fingerprint(&single_job_sweep(&fig5_cfg));
-        let fig6 = load_fingerprint(&multiprogrammed_sweep(&fig6_cfg));
-        assert_eq!(
-            (fig5, fig6),
-            *one_thread.get_or_insert((fig5, fig6)),
-            "fig5/fig6 drifted at ABG_THREADS={threads}"
-        );
-    }
-    std::env::remove_var("ABG_THREADS");
+    at_each_worker_count(|| load_fingerprint(&multiprogrammed_sweep(&fig6_cfg)));
 }
 
 // Goldens of the remaining closed outputs, each the preset `abg-cli all`
