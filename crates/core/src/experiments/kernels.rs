@@ -231,7 +231,10 @@ fn forkjoin_tree(cfg: &KernelBenchConfig) -> KernelResult {
 /// carrying a heterogeneous half-integer weight, so each step advances
 /// residual costs and the completion sweep compacts in place — the
 /// weighted executor kernel's sustained regime. Ops count
-/// processor-step units (Σ ceil(wᵢ)), not tasks.
+/// processor-step units (Σ ceil(wᵢ)), not tasks. The executor is reset
+/// before every repetition, so the dag counts as replayed and the kernel
+/// prices the span-share table path; `workflow_open` prices the path
+/// that computes each share.
 fn weighted_frontier(cfg: &KernelBenchConfig) -> KernelResult {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let base = generate::chain_bundle(BUNDLE_WIDTH, WEIGHTED_LEVELS);
@@ -403,7 +406,9 @@ fn open_hier(cfg: &KernelBenchConfig) -> KernelResult {
 /// realistic heterogeneous jobs add: per-arrival dag construction and
 /// the residual-work stepping that the homogeneous phased population
 /// never touches. Recycling is declined, so every arrival pays its own
-/// build — deliberately part of the price.
+/// build — deliberately part of the price — and no dag is replayed, so
+/// each completed task's span share is computed, never read from a
+/// table.
 fn workflow_open(cfg: &KernelBenchConfig) -> KernelResult {
     let kind = WorkflowKind::Montage;
     let scale = WORKFLOW_SCALE;

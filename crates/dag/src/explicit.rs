@@ -20,6 +20,7 @@
 use crate::{Level, TaskId};
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 
 /// Errors detected while building or validating a dag.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,6 +49,9 @@ pub enum DagError {
     /// A task weight is not a finite positive number (NaN, infinite,
     /// zero or negative weights would poison the span accounting).
     InvalidWeight(TaskId),
+    /// A task's cost `ceil(weight)`, or the running total cost of the
+    /// dag up to and including that task, does not fit in `u64`.
+    CostOverflow(TaskId),
 }
 
 impl std::fmt::Display for DagError {
@@ -70,6 +74,12 @@ impl std::fmt::Display for DagError {
                 write!(
                     f,
                     "invalid weight for task {t}: must be finite and positive"
+                )
+            }
+            DagError::CostOverflow(t) => {
+                write!(
+                    f,
+                    "cost overflow at task {t}: task costs and the total cost must fit in u64"
                 )
             }
         }
@@ -129,14 +139,16 @@ fn validate_weight(t: TaskId, w: f64) -> Result<(), DagError> {
 ///
 /// A task of weight `w` consumes `ceil(w)` whole processor-steps (the
 /// simulation advances in unit steps, so fractional weights round up to
-/// the next step; `cost ≥ 1` always). The profile precomputes everything
-/// the weighted executors touch on their hot path:
+/// the next step; `cost ≥ 1` always). Every cost and the total `T1` fit
+/// in `u64` ([`DagError::CostOverflow`] otherwise), which bounds every
+/// in-quantum finish time `now + cost` by `T1`. The profile precomputes
+/// everything the weighted executors touch on their hot path:
 ///
 /// * `cost(t)` — integer processor-steps of task `t`;
-/// * `level_cost(l)` — total cost of level `l`, stored with its
-///   reciprocal so a completed task charges its fractional share of the
-///   level without a division;
-/// * `level_max_cost(l)` — the heaviest task of level `l`, which is the
+/// * one record per level `l`: `level_cost(l)`, the level's total cost,
+///   stored with its reciprocal so a completed task charges its
+///   fractional share of the level without a division, and
+///   `level_max_cost(l)`, the heaviest task of the level, which is the
 ///   level's contribution to the *weighted* critical path: a completed
 ///   task at level `l` contributes `cost · recip · max` span, so a fully
 ///   completed level contributes exactly `level_max_cost(l)` and the
@@ -148,46 +160,94 @@ fn validate_weight(t: TaskId, w: f64) -> Result<(), DagError> {
 ///   level-by-level execution, and the value every executor's
 ///   accumulated quantum spans sum to), read through
 ///   [`ExplicitDag::work`] and [`ExplicitDag::weighted_span`].
+///
+/// A dag that is replayed also gets a per-task table of those span
+/// shares, [`span_shares`](Self::span_shares), built once by
+/// [`ExplicitDag::build_span_shares`] the first time an executor is
+/// reset over it and shared by every executor over the same dag. It is
+/// a cache, not part of the dag's value: `PartialEq` and `Debug` ignore
+/// it. It is not built eagerly here, because dags generated fresh for
+/// each arrival would pay for a table that no replay reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightProfile {
     weights: Vec<f64>,
     costs: Vec<u64>,
-    level_cost: Vec<u64>,
-    level_cost_recip: Vec<f64>,
-    level_max_cost: Vec<u64>,
+    levels: Vec<LevelCost>,
     total_cost: u64,
     span_cost: u64,
+    shares: SpanShares,
+}
+
+/// `span_contribution(cost(t), level(t))` per task, once built. Every
+/// two caches compare equal and print alike, so a profile's equality
+/// and `Debug` output do not depend on whether its table was built.
+#[derive(Clone, Default)]
+struct SpanShares(OnceLock<Box<[f64]>>);
+
+impl PartialEq for SpanShares {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for SpanShares {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SpanShares").finish_non_exhaustive()
+    }
+}
+
+/// One level's cost record: the three operands of a completed task's
+/// span share, packed so a share reads one record.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct LevelCost {
+    /// Total cost of the level's tasks.
+    cost: u64,
+    /// `1.0 / cost`.
+    recip: f64,
+    /// Cost of the level's heaviest task.
+    max: u64,
 }
 
 impl WeightProfile {
     /// Computes the profile for `weights` over tasks whose levels are
     /// given by `level` (with `num_levels` levels total). Every weight
-    /// must be finite and strictly positive.
+    /// must be finite and strictly positive, and every cost and the
+    /// total cost must fit in `u64`.
     fn new(weights: Vec<f64>, level: &[Level], num_levels: usize) -> Result<Self, DagError> {
         debug_assert_eq!(weights.len(), level.len());
         let mut costs = Vec::with_capacity(weights.len());
+        let mut total_cost = 0u64;
         for (i, &w) in weights.iter().enumerate() {
-            validate_weight(TaskId(i as u32), w)?;
-            costs.push(w.ceil() as u64);
+            let t = TaskId(i as u32);
+            validate_weight(t, w)?;
+            // `u64::MAX as f64` rounds up to 2⁶⁴, the first ceiling that
+            // `as u64` would saturate.
+            let c = w.ceil();
+            if c >= u64::MAX as f64 {
+                return Err(DagError::CostOverflow(t));
+            }
+            let c = c as u64;
+            total_cost = total_cost.checked_add(c).ok_or(DagError::CostOverflow(t))?;
+            costs.push(c);
         }
-        let mut level_cost = vec![0u64; num_levels];
-        let mut level_max_cost = vec![0u64; num_levels];
-        for (i, &c) in costs.iter().enumerate() {
-            let l = level[i] as usize;
-            level_cost[l] += c;
-            level_max_cost[l] = level_max_cost[l].max(c);
+        let mut levels = vec![LevelCost::default(); num_levels];
+        for (&c, &l) in costs.iter().zip(level) {
+            // A level's cost is a partial sum of the checked total.
+            let lv = &mut levels[l as usize];
+            lv.cost += c;
+            lv.max = lv.max.max(c);
         }
-        let level_cost_recip = level_cost.iter().map(|&s| 1.0 / s as f64).collect();
-        let total_cost = costs.iter().sum();
-        let span_cost = level_max_cost.iter().sum();
+        for lv in &mut levels {
+            lv.recip = 1.0 / lv.cost as f64;
+        }
+        let span_cost = levels.iter().map(|lv| lv.max).sum();
         Ok(WeightProfile {
             weights,
             costs,
-            level_cost,
-            level_cost_recip,
-            level_max_cost,
+            levels,
             total_cost,
             span_cost,
+            shares: SpanShares::default(),
         })
     }
 
@@ -212,14 +272,14 @@ impl WeightProfile {
     /// Total cost of all tasks at level `l`.
     #[inline]
     pub fn level_cost(&self, l: usize) -> u64 {
-        self.level_cost[l]
+        self.levels[l].cost
     }
 
     /// Cost of the heaviest task at level `l` — the level's contribution
     /// to the weighted span.
     #[inline]
     pub fn level_max_cost(&self, l: usize) -> u64 {
-        self.level_max_cost[l]
+        self.levels[l].max
     }
 
     /// Fractional span a completed task at level `l` with cost `c`
@@ -228,7 +288,16 @@ impl WeightProfile {
     /// optimised and reference weighted kernels.
     #[inline]
     pub fn span_contribution(&self, c: u64, l: usize) -> f64 {
-        c as f64 * self.level_cost_recip[l] * self.level_max_cost[l] as f64
+        let lv = &self.levels[l];
+        c as f64 * lv.recip * lv.max as f64
+    }
+
+    /// The per-task span shares, `span_contribution(cost(t), level(t))`
+    /// bit for bit in id order, once [`ExplicitDag::build_span_shares`]
+    /// has built them; `None` before.
+    #[inline]
+    pub fn span_shares(&self) -> Option<&[f64]> {
+        self.shares.0.get().map(|s| &s[..])
     }
 }
 
@@ -560,6 +629,27 @@ impl ExplicitDag {
         self.weights.as_deref()
     }
 
+    /// Builds the per-task span-share table of a weighted dag, once, and
+    /// returns it ([`WeightProfile::span_shares`]); later calls, from any
+    /// thread or executor sharing this dag, return the same table. `None`
+    /// for unit dags, whose executors never read it. Executors call this
+    /// when they are reset for a replay, so dags that are run only once
+    /// never pay for the table.
+    pub fn build_span_shares(&self) -> Option<&[f64]> {
+        if self.unit_weight {
+            return None;
+        }
+        let wp = self.weights.as_deref()?;
+        let shares = wp.shares.0.get_or_init(|| {
+            wp.costs
+                .iter()
+                .zip(&self.level)
+                .map(|(&c, &l)| wp.span_contribution(c, l as usize))
+                .collect()
+        });
+        Some(shares)
+    }
+
     /// The raw weight of task `t` (`1.0` without a weight table).
     #[inline]
     pub fn weight(&self, t: TaskId) -> f64 {
@@ -582,8 +672,9 @@ impl ExplicitDag {
     /// Returns this dag with the given per-task weight table attached
     /// (replacing any existing one). The structure is untouched; only
     /// the cost tables and the unit-weight flag are recomputed. Rejects
-    /// tables of the wrong length ([`DagError::WeightTableLength`]) or
-    /// with non-finite / non-positive entries ([`DagError::InvalidWeight`]).
+    /// tables of the wrong length ([`DagError::WeightTableLength`]), with
+    /// non-finite / non-positive entries ([`DagError::InvalidWeight`]), or
+    /// whose costs or total cost overflow `u64` ([`DagError::CostOverflow`]).
     pub fn with_weights(mut self, weights: Vec<f64>) -> Result<Self, DagError> {
         if weights.len() != self.num_tasks() {
             return Err(DagError::WeightTableLength {
@@ -1040,7 +1131,7 @@ mod tests {
         let wp = d.weight_profile().unwrap();
         assert_eq!(wp.level_cost(1), 6);
         assert_eq!(wp.level_max_cost(1), 4);
-        assert_eq!(wp.level_cost_recip[1], 1.0 / 6.0);
+        assert_eq!(wp.levels[1].recip, 1.0 / 6.0);
         assert_eq!(d.work(), 8);
         assert_eq!(d.weighted_span(), 1 + 4 + 1);
         // A completed level contributes its max cost to the span:
@@ -1097,6 +1188,46 @@ mod tests {
             d.with_weights(vec![1.0, -3.0, 1.0]),
             Err(DagError::InvalidWeight(TaskId(1)))
         );
+    }
+
+    #[test]
+    fn costs_past_u64_are_refused_with_the_typed_error() {
+        // 2⁶⁴ is the first ceiling that `as u64` would saturate.
+        let two_pow_64 = 18_446_744_073_709_551_616.0;
+        let err = chain(3)
+            .with_weights(vec![1.0, two_pow_64, 1.0])
+            .unwrap_err();
+        assert_eq!(err, DagError::CostOverflow(TaskId(1)));
+        assert_eq!(
+            err.to_string(),
+            "cost overflow at task t1: task costs and the total cost must fit in u64"
+        );
+        // The largest f64 below 2⁶⁴ (2⁶⁴ − 2¹¹) is still a valid cost.
+        let below = chain(1)
+            .with_weights(vec![18_446_744_073_709_549_568.0])
+            .unwrap();
+        assert_eq!(below.work(), 18_446_744_073_709_549_568);
+        // Two costs of 2⁶³ sum to 2⁶⁴, one past `u64::MAX`.
+        let half = 9_223_372_036_854_775_808.0;
+        assert_eq!(
+            chain(2).with_weights(vec![half, half]),
+            Err(DagError::CostOverflow(TaskId(1)))
+        );
+        // The builder refuses the same tables at build time.
+        let mut b = DagBuilder::new();
+        let t0 = b.add_weighted_task(1e30).unwrap();
+        b.add_task();
+        assert_eq!(b.build().unwrap_err(), DagError::CostOverflow(t0));
+    }
+
+    #[test]
+    fn unit_dags_never_build_span_shares() {
+        let bare = chain(4);
+        assert_eq!(bare.build_span_shares(), None);
+        let tabled = bare.with_weights(vec![1.0; 4]).unwrap();
+        assert_eq!(tabled.build_span_shares(), None);
+        let wp = tabled.weight_profile().unwrap();
+        assert_eq!(wp.span_shares(), None, "an all-1.0 table stays unbuilt");
     }
 
     #[test]

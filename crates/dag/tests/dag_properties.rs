@@ -56,6 +56,36 @@ proptest! {
         prop_assert_eq!(dag.span(), u64::from(*expected.iter().max().unwrap()) + 1);
     }
 
+    /// A weighted dag's span-share table holds, for every task, exactly
+    /// what `span_contribution(cost(t), level(t))` computes, bit for bit.
+    /// It is built only on request, once, and leaves the dag's value
+    /// (equality and `Debug`) unchanged.
+    #[test]
+    fn span_shares_equal_span_contribution_bit_for_bit(
+        seed in 0u64..500,
+        weights in prop::collection::vec(0.01f64..40.0, 1..64),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let base = random_layered(&mut rng, 6, 1..=5, 0.3);
+        let table = (0..base.num_tasks()).map(|i| weights[i % weights.len()]).collect();
+        let dag = base.with_weights(table).expect("finite positive weights");
+        prop_assume!(!dag.is_unit_weight());
+        let unbuilt = dag.clone();
+        let debug = format!("{dag:?}");
+        let wp = dag.weight_profile().expect("weighted");
+        prop_assert!(wp.span_shares().is_none(), "built before any request");
+        let shares = dag.build_span_shares().expect("weighted dags build a table");
+        prop_assert_eq!(shares.len(), dag.num_tasks());
+        for t in dag.tasks() {
+            let computed = wp.span_contribution(wp.cost(t), dag.level(t) as usize);
+            prop_assert_eq!(shares[t.index()].to_bits(), computed.to_bits(), "task {}", t);
+        }
+        let again = dag.build_span_shares().expect("weighted");
+        prop_assert!(std::ptr::eq(shares, again), "the table is built once");
+        prop_assert_eq!(&dag, &unbuilt);
+        prop_assert_eq!(format!("{dag:?}"), debug);
+    }
+
     /// Duplicate edges are rejected exactly when they repeat.
     #[test]
     fn duplicate_edges_rejected((n, mut edges) in forward_dags()) {

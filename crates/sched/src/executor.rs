@@ -91,8 +91,14 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> DagExecutor<D, Q> {
     /// Repeated runs of the same dag through a reset executor therefore
     /// allocate nothing, and behave bit-identically to runs through a
     /// freshly constructed executor (enforced by the equivalence suite).
+    ///
+    /// A reset marks the dag as replayed: on a weighted dag it builds the
+    /// per-task span-share table ([`ExplicitDag::build_span_shares`]) the
+    /// first time any executor over that dag is reset, and the weighted
+    /// kernel then reads each completed task's share from it.
     pub fn reset(&mut self) {
         let dag = self.dag.borrow();
+        dag.build_span_shares();
         self.remaining_preds.copy_from_slice(dag.in_degrees());
         self.completed = 0;
         self.worked = 0;
@@ -136,12 +142,24 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> DagExecutor<D, Q> {
     /// fractional span (so a fully completed level contributes its max
     /// cost, the level's weighted critical-path share), and releases its
     /// successors after the sweep position — never runnable in the same
-    /// step. Paused slots slide into the running prefix as earlier slots
+    /// step. On a replayed dag the share is one load from the dag's
+    /// span-share table
+    /// ([`span_shares`](abg_dag::WeightProfile::span_shares), built by
+    /// [`reset`](Self::reset)); otherwise it is computed through
+    /// [`span_contribution`](abg_dag::WeightProfile::span_contribution),
+    /// which the table holds bit for bit. The caller makes that choice
+    /// once per quantum through `TABLE` (true when the table is built),
+    /// so each of the two compiled kernels has a branch-free completion
+    /// loop. Paused slots slide into the running prefix as earlier slots
     /// complete, ahead of any fresh ready task. The arithmetic (operand
     /// order included) is bit-identical to the per-step weighted
     /// [`ReferenceExecutor`](crate::reference::ReferenceExecutor) path,
     /// which the `executor_equivalence` proptest suite enforces.
-    fn run_quantum_weighted(&mut self, allotment: u32, steps: u64) -> QuantumStats {
+    fn run_quantum_weighted<const TABLE: bool>(
+        &mut self,
+        allotment: u32,
+        steps: u64,
+    ) -> QuantumStats {
         let Self {
             dag,
             remaining_preds,
@@ -156,6 +174,7 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> DagExecutor<D, Q> {
         let wp = dag
             .weight_profile()
             .expect("weighted quantum requires a weight table");
+        let shares = wp.span_shares().unwrap_or_default();
         let total = dag.num_tasks() as u64;
         let a = allotment as usize;
         let mut work = 0u64;
@@ -210,8 +229,11 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> DagExecutor<D, Q> {
             // kernel's order of span additions and pushes, so results
             // stay bit-identical.
             for &t in &batch[..done] {
-                let l = dag.level(t) as usize;
-                span += wp.span_contribution(wp.cost(t), l);
+                span += if TABLE {
+                    shares[t.index()]
+                } else {
+                    wp.span_contribution(wp.cost(t), dag.level(t) as usize)
+                };
                 for &s in dag.successors(t) {
                     let r = &mut remaining_preds[s.index()];
                     *r -= 1;
@@ -285,12 +307,20 @@ impl<D: Borrow<ExplicitDag>, Q: ReadyQueue> JobExecutor for DagExecutor<D, Q> {
     /// equivalence is enforced by the `executor_equivalence` proptest
     /// suite.
     fn run_quantum(&mut self, allotment: u32, steps: u64) -> QuantumStats {
-        if allotment > 0 && !self.dag.borrow().is_unit_weight() && !self.is_complete() {
+        let dag = self.dag.borrow();
+        if allotment > 0 && !dag.is_unit_weight() && !self.is_complete() {
             // Weighted dags route to the event-driven kernel; the gate
             // keeps every unit-dag run on the bit-pinned fast paths
             // below (an all-1.0 weight table is flagged unit and stays
-            // here too).
-            return self.run_quantum_weighted(allotment, steps);
+            // here too). A replayed dag reads its span-share table.
+            let replayed = dag
+                .weight_profile()
+                .is_some_and(|wp| wp.span_shares().is_some());
+            return if replayed {
+                self.run_quantum_weighted::<true>(allotment, steps)
+            } else {
+                self.run_quantum_weighted::<false>(allotment, steps)
+            };
         }
         let mut work = 0u64;
         let mut steps_worked = 0u64;
@@ -787,6 +817,25 @@ mod tests {
         let first = run(&mut ex);
         assert!(ex.try_reset());
         assert_eq!(first, run(&mut ex), "weighted reset run diverged");
+    }
+
+    #[test]
+    fn only_a_reset_builds_the_span_share_table() {
+        // A fresh executor run to completion, as for a dag generated per
+        // arrival, leaves the table unbuilt.
+        let d = std::sync::Arc::new(weighted_chain());
+        let shares = || d.weight_profile().unwrap().span_shares();
+        let mut fresh = DagExecutor::<_, BreadthFirstQueue>::new(std::sync::Arc::clone(&d));
+        while !fresh.is_complete() {
+            fresh.run_quantum(2, 3);
+        }
+        assert!(shares().is_none(), "a run without a reset built the table");
+        // The first reset builds it, once, for every executor of the dag.
+        assert!(fresh.try_reset());
+        let built = shares().expect("a reset builds the table").as_ptr();
+        let mut other = DagExecutor::<_, BreadthFirstQueue>::new(std::sync::Arc::clone(&d));
+        other.reset();
+        assert_eq!(shares().unwrap().as_ptr(), built, "one table per dag");
     }
 
     #[test]

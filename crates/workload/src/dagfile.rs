@@ -268,6 +268,35 @@ mod tests {
     }
 
     #[test]
+    fn a_built_span_share_table_is_not_part_of_the_dag() {
+        let d = WorkflowKind::Montage.generate(6, &mut StdRng::seed_from_u64(11));
+        assert!(d.build_span_shares().is_some());
+        let reloaded = parse_dag(&write_dag(&d)).unwrap();
+        assert!(reloaded.weight_profile().unwrap().span_shares().is_none());
+        assert_eq!(d, reloaded);
+    }
+
+    #[test]
+    fn costs_past_u64_are_typed_dag_errors() {
+        let err = parse_dag("tasks 3\nweight 0 1e30\nedge 0 1\nedge 1 2\n").unwrap_err();
+        assert!(
+            matches!(err, DagFileError::Dag(DagError::CostOverflow(TaskId(0)))),
+            "{err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "dag file rejected: cost overflow at task t0: \
+             task costs and the total cost must fit in u64"
+        );
+        // Each cost fits; their sum, 2·10¹⁹ + 1, does not.
+        let err = parse_dag("tasks 3\nweight 0 1e19\nweight 1 1e19\n").unwrap_err();
+        assert!(
+            matches!(err, DagFileError::Dag(DagError::CostOverflow(TaskId(1)))),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn unit_dag_round_trips_without_a_weight_table() {
         let d = abg_dag::generate::fork_join_diamond(5);
         let reloaded = parse_dag(&write_dag(&d)).unwrap();

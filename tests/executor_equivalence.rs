@@ -216,10 +216,11 @@ proptest! {
     /// of at most 16 steps, so tasks routinely straddle quantum
     /// boundaries; each under the drawn schedule as is and under one
     /// where every quantum is followed by one at a quarter of its
-    /// allotment, so running tasks pause and later resume. The weight
-    /// tables always contain at least one non-unit entry, so both
-    /// executors take their weighted paths (the unit shortcut is pinned
-    /// separately below).
+    /// allotment, so running tasks pause and later resume. Every run is
+    /// then reset and replayed, so the replay reads the span-share table.
+    /// The weight tables always contain at least one non-unit entry, so
+    /// both executors take their weighted paths (the unit shortcut is
+    /// pinned separately below).
     #[test]
     fn weighted_kernel_bit_identical_to_reference(
         seed in 0u64..500,
@@ -231,11 +232,14 @@ proptest! {
             .flat_map(|&(a, l)| [(a, l), (1 + a / 4, l)])
             .collect();
         for max_half in [8, 48] {
-            let dag = weighted_layered(seed, wseed, max_half);
             for sched in [&sched, &paused] {
-                lockstep::<BreadthFirstQueue>(&dag, sched);
-                lockstep::<FifoQueue>(&dag, sched);
-                lockstep::<LifoQueue>(&dag, sched);
+                // A fresh dag per run, so that every first pass computes
+                // its shares and every second pass reads the table its
+                // reset built.
+                let dag = || weighted_layered(seed, wseed, max_half);
+                lockstep::<BreadthFirstQueue>(&dag(), sched);
+                lockstep::<FifoQueue>(&dag(), sched);
+                lockstep::<LifoQueue>(&dag(), sched);
             }
         }
     }
@@ -339,10 +343,31 @@ fn weighted_layered(seed: u64, wseed: u64, max_half: u64) -> ExplicitDag {
 /// Runs the optimised and reference kernels in lockstep over the same
 /// quantum schedule and asserts bit-identical [`abg_sched::QuantumStats`]
 /// plus matching executor-level counters and in-progress slot lists
-/// after every quantum.
+/// after every quantum. Both executors are then reset and run the
+/// schedule again: on a weighted dag the reset builds the span-share
+/// table, so the second pass checks the kernel's table path against the
+/// reference, which computes every share itself.
 fn lockstep<Q: ReadyQueue>(dag: &ExplicitDag, sched: &[(u32, u64)]) {
     let mut fast: DagExecutor<&ExplicitDag, Q> = DagExecutor::new(dag);
     let mut slow: ReferenceExecutor<&ExplicitDag, Q> = ReferenceExecutor::new(dag);
+    lockstep_pass(&mut fast, &mut slow, sched);
+    fast.reset();
+    slow.reset();
+    if !dag.is_unit_weight() {
+        assert!(
+            dag.weight_profile().unwrap().span_shares().is_some(),
+            "a reset leaves the span-share table unbuilt"
+        );
+    }
+    lockstep_pass(&mut fast, &mut slow, sched);
+}
+
+/// One pass of [`lockstep`] over `sched`.
+fn lockstep_pass<Q: ReadyQueue>(
+    fast: &mut DagExecutor<&ExplicitDag, Q>,
+    slow: &mut ReferenceExecutor<&ExplicitDag, Q>,
+    sched: &[(u32, u64)],
+) {
     for &(a, l) in sched {
         let f = fast.run_quantum(a, l);
         let s = slow.run_quantum(a, l);
