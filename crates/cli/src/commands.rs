@@ -145,7 +145,7 @@ fn fig1(opts: &Options) -> Outcome {
         "Figure 1: request instability of A-Greedy (constant parallelism)",
         &rows,
         &[
-            ("quantum", |(g, _)| g.quantum.to_string()),
+            ("quantum", |(g, _)| g.index.to_string()),
             ("agreedy_request", |(g, _)| f3(g.request)),
             ("parallelism", |(_, a)| a.to_string()),
         ],
@@ -192,7 +192,7 @@ fn fig4(opts: &Options) -> Outcome {
         "Figure 4: transient and steady-state behaviour (r = 0.2, ρ = 2)",
         &rows,
         &[
-            ("quantum", |(a, _, _)| a.quantum.to_string()),
+            ("quantum", |(a, _, _)| a.index.to_string()),
             ("abg_request", |(a, _, _)| f3(a.request)),
             ("agreedy_request", |(_, g, _)| f3(g.request)),
             ("parallelism", |(_, _, p)| p.to_string()),
@@ -308,7 +308,7 @@ fn lemma2(opts: &Options) -> Outcome {
     let mut rows = Vec::new();
     for &factor in &[2u64, 4, 8, 16] {
         for &rate in &[0.05, 0.2] {
-            for c in experiments::lemma2_check(factor, rate, 200, 3, 128, seed_of(opts)) {
+            for c in experiments::lemma2_check(factor, rate, 200, seed_of(opts)) {
                 rows.push((factor, rate, c));
             }
         }
@@ -332,7 +332,7 @@ fn thm3(opts: &Options) -> Outcome {
     let mut rows = Vec::new();
     for &factor in &[2u64, 5, 10, 20, 50] {
         for &rate in &[0.0, 0.2, 0.5] {
-            let c = experiments::theorem3_check(factor, rate, 200, 3, 64, seed_of(opts));
+            let c = experiments::theorem3_check(factor, rate, 200, seed_of(opts));
             rows.push((factor, rate, c));
         }
     }
@@ -356,7 +356,7 @@ fn thm4(opts: &Options) -> Outcome {
     let mut rows = Vec::new();
     for &factor in &[2u64, 3, 4, 8, 16] {
         for &rate in &[0.05, 0.2] {
-            let c = experiments::theorem4_check(factor, rate, 200, 3, 128, seed_of(opts));
+            let c = experiments::theorem4_check(factor, rate, 200, seed_of(opts));
             rows.push((factor, rate, c));
         }
     }
@@ -381,7 +381,7 @@ fn thm5(opts: &Options) -> Outcome {
     // whose job set breaks `r < 1/C_L`.
     let mut rows = Vec::new();
     for &load in &[0.5, 1.0, 2.0] {
-        match experiments::theorem5_check(load, 4, 0.2, 100, 2, 64, seed_of(opts)) {
+        match experiments::theorem5_check(load, 100, seed_of(opts)) {
             Some(checks) => rows.extend(checks.into_iter().map(|c| (load, Some(c)))),
             None => rows.push((load, None)),
         }

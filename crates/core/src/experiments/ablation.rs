@@ -9,7 +9,7 @@ use abg_dag::{ForkJoinSpec, PhasedJob};
 use abg_sched::{
     BGreedyExecutor, DepthFirstExecutor, GreedyExecutor, JobExecutor, PipelinedExecutor,
 };
-use abg_sim::{run_single_job, SingleJobConfig, SingleJobRun};
+use abg_sim::{run_single_job, CompletedJob, SingleJobConfig};
 use abg_workload::splitmix_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -160,7 +160,7 @@ pub struct SchedulerAblationRow {
 /// `A(q)` measurement faithful; the other rules feed the controller a
 /// distorted signal.
 pub fn scheduler_ablation(seed: Option<u64>) -> Vec<SchedulerAblationRow> {
-    fn run<E: JobExecutor>(executor: &mut E, sim_cfg: SingleJobConfig) -> SingleJobRun {
+    fn run<E: JobExecutor>(executor: &mut E, sim_cfg: SingleJobConfig) -> CompletedJob {
         run_single_job(
             executor,
             &mut AControl::paper_default(),

@@ -35,7 +35,7 @@ use abg_alloc::Allocator;
 use abg_control::Controller;
 use abg_dag::PhasedJob;
 use abg_sched::{JobExecutor, PipelinedExecutor};
-use abg_sim::{MultiJobOutcome, MultiJobSim, SingleJobRun};
+use abg_sim::{CompletedJob, MultiJobOutcome, MultiJobSim};
 use abg_workload::{paper_job, splitmix_seed, JobSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -64,7 +64,7 @@ pub use theory::{
     lemma2_check, theorem1_grid, theorem3_check, theorem4_check, theorem5_check, BoundCheck,
     Theorem1Row,
 };
-pub use transient::{transient_comparison, TrajectoryPoint, TransientResult};
+pub use transient::{transient_comparison, TransientResult};
 
 /// Runs `f(key, index)` for every `index < per_key` of every key, spread
 /// over [`parallel_map`] at [`workers`], and returns one cell per key:
@@ -199,10 +199,10 @@ pub struct QualityPoint {
 
 impl QualityPoint {
     /// The means of a run population.
-    pub fn of(runs: &[SingleJobRun]) -> Self {
+    pub fn of(runs: &[CompletedJob]) -> Self {
         Self {
-            time_norm: mean(runs, SingleJobRun::time_over_span),
-            waste_norm: mean(runs, SingleJobRun::waste_over_work),
+            time_norm: mean(runs, CompletedJob::time_over_span),
+            waste_norm: mean(runs, CompletedJob::waste_over_work),
         }
     }
 }

@@ -15,7 +15,7 @@ use super::{mean, per_cell, probe_job};
 use abg_alloc::Scripted;
 use abg_control::{AControl, AGreedy, Controller};
 use abg_sched::PipelinedExecutor;
-use abg_sim::{run_single_job, SingleJobConfig, SingleJobRun};
+use abg_sim::{run_single_job, CompletedJob, SingleJobConfig};
 
 /// Overhead values as fractions of the quantum length (x-axis): up to
 /// 20% of the quantum.
@@ -76,7 +76,7 @@ pub fn overhead_sweep(seed: Option<u64>) -> Vec<OverheadRow> {
                     run(&mut AGreedy::paper_default(), fraction),
                 ]
             })
-            .collect::<Vec<[SingleJobRun; 2]>>()
+            .collect::<Vec<[CompletedJob; 2]>>()
     });
 
     OVERHEAD_FRACTIONS
@@ -84,13 +84,13 @@ pub fn overhead_sweep(seed: Option<u64>) -> Vec<OverheadRow> {
         .enumerate()
         .map(|(oi, &fraction)| {
             let mean_of =
-                |s: usize, f: fn(&SingleJobRun) -> f64| mean(runs.flat(), |r| f(&r[oi][s]));
+                |s: usize, f: fn(&CompletedJob) -> f64| mean(runs.flat(), |r| f(&r[oi][s]));
             OverheadRow {
                 overhead_fraction: fraction,
-                abg_time_norm: mean_of(0, SingleJobRun::time_over_span),
-                agreedy_time_norm: mean_of(1, SingleJobRun::time_over_span),
-                abg_waste_norm: mean_of(0, SingleJobRun::waste_over_work),
-                agreedy_waste_norm: mean_of(1, SingleJobRun::waste_over_work),
+                abg_time_norm: mean_of(0, CompletedJob::time_over_span),
+                agreedy_time_norm: mean_of(1, CompletedJob::time_over_span),
+                abg_waste_norm: mean_of(0, CompletedJob::waste_over_work),
+                agreedy_waste_norm: mean_of(1, CompletedJob::waste_over_work),
                 abg_reallocations: mean_of(0, |r| r.reallocations as f64),
                 agreedy_reallocations: mean_of(1, |r| r.reallocations as f64),
             }

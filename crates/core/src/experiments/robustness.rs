@@ -8,7 +8,7 @@ use abg_alloc::Scripted;
 use abg_control::{AControl, AGreedy};
 use abg_dag::{JobStructure, PhasedJob};
 use abg_sched::PipelinedExecutor;
-use abg_sim::{run_single_job, SingleJobConfig, SingleJobRun};
+use abg_sim::{run_single_job, CompletedJob, SingleJobConfig};
 use abg_workload::profiles::{bursty_job, ramp_job, random_walk_job};
 use abg_workload::{paper_job, splitmix_seed};
 use rand::rngs::StdRng;
@@ -60,7 +60,7 @@ fn make_job(class: &str, rng: &mut StdRng) -> PhasedJob {
     }
 }
 
-fn pair(job: &PhasedJob) -> (SingleJobRun, SingleJobRun) {
+fn pair(job: &PhasedJob) -> (CompletedJob, CompletedJob) {
     let sim = SingleJobConfig::new(QUANTUM_LEN);
     let abg = run_single_job(
         &mut PipelinedExecutor::new(job),

@@ -12,7 +12,7 @@ use abg_alloc::Scripted;
 use abg_control::{AControl, AGreedy};
 use abg_dag::{JobStructure, PhasedJob};
 use abg_sched::PipelinedExecutor;
-use abg_sim::{run_single_job, SingleJobConfig, SingleJobRun};
+use abg_sim::{run_single_job, CompletedJob, SingleJobConfig};
 
 /// Configuration of the Figure-5 sweep. Both schedulers run with the
 /// paper's parameters ([`AControl::paper_default`],
@@ -75,8 +75,8 @@ pub struct SweepPoint {
 #[derive(Debug, Clone)]
 struct JobPair {
     job: PhasedJob,
-    abg: SingleJobRun,
-    agreedy: SingleJobRun,
+    abg: CompletedJob,
+    agreedy: CompletedJob,
 }
 
 fn run_pair(cfg: &SingleJobSweepConfig, factor: u64, index: u64) -> JobPair {
@@ -129,7 +129,7 @@ pub fn single_job_sweep(cfg: &SingleJobSweepConfig) -> Vec<SweepPoint> {
             abg_waste_norm: mean(runs, |p| p.abg.waste_over_work()),
             agreedy_waste_norm: mean(runs, |p| p.agreedy.waste_over_work()),
             time_ratio: mean(runs, |p| {
-                p.agreedy.running_time as f64 / p.abg.running_time as f64
+                p.agreedy.response_time() as f64 / p.abg.response_time() as f64
             }),
             waste_ratio: {
                 let agreedy: u64 = runs.iter().map(|p| p.agreedy.waste).sum();

@@ -9,10 +9,24 @@ use abg_alloc::{DynamicEquiPartition, Scripted};
 use abg_control::{analyze_step_response, AControl, ClosedLoop};
 use abg_dag::JobStructure;
 use abg_sched::PipelinedExecutor;
-use abg_sim::{run_single_job, SingleJobConfig, SingleJobRun};
+use abg_sim::{run_single_job, CompletedJob, SingleJobConfig};
 use abg_workload::{paper_job, splitmix_seed, JobSetSpec, ReleaseSchedule};
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
+
+/// Phase pairs of every job the single-job checks (Lemma 2, Theorems 3
+/// and 4) generate.
+const PAIRS: u64 = 3;
+/// Machine size of the unconstrained checks (Lemma 2, Theorem 4).
+const AMPLE_PROCESSORS: u32 = 128;
+/// Machine size of Theorem 3's adversarial availability script.
+const ADVERSARY_PROCESSORS: u32 = 64;
+/// Theorem 5's job set: the largest transition factor, ABG's rate,
+/// phase pairs per job and machine size.
+const SET_MAX_FACTOR: u64 = 4;
+const SET_RATE: f64 = 0.2;
+const SET_PAIRS: u64 = 2;
+const SET_PROCESSORS: u32 = 64;
 
 /// One cell of the Theorem-1 validation grid.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,7 +107,7 @@ impl BoundCheck {
 /// adjacent ratio of measured `A(q)` over full quanta, seeded with
 /// `A(0) = 1` (Section 5.2 applied to the actual schedule, which is
 /// exactly the quantity the proofs of Lemma 2 / Theorems 3–5 consume).
-fn traced_transition_factor(run: &SingleJobRun) -> f64 {
+fn traced_transition_factor(run: &CompletedJob) -> f64 {
     let mut prev = 1.0f64;
     let mut c = 1.0f64;
     for rec in &run.trace {
@@ -112,12 +126,11 @@ fn abg_traced_run(
     factor: u64,
     rate: f64,
     quantum_len: u64,
-    pairs: u64,
     allocator: &mut Scripted,
     seed: u64,
-) -> SingleJobRun {
+) -> CompletedJob {
     let mut rng = StdRng::seed_from_u64(seed);
-    let job = paper_job(factor, quantum_len, pairs, &mut rng);
+    let job = paper_job(factor, quantum_len, PAIRS, &mut rng);
     run_single_job(
         &mut PipelinedExecutor::new(job),
         &mut AControl::new(rate),
@@ -126,21 +139,15 @@ fn abg_traced_run(
     )
 }
 
-/// Validates Lemma 2 on a generated job: every full quantum's request
-/// must lie in `[(1−r)/(C_L−r)·A(q), C_L(1−r)/(1−C_L·r)·A(q)]` (the
-/// upper envelope only when `r < 1/C_L`).
+/// Validates Lemma 2 on a generated job run alone on 128 processors:
+/// every full quantum's request must lie in
+/// `[(1−r)/(C_L−r)·A(q), C_L(1−r)/(1−C_L·r)·A(q)]` (the upper envelope
+/// only when `r < 1/C_L`).
 ///
 /// Returns the lower-envelope check and, when applicable, the upper one.
-pub fn lemma2_check(
-    factor: u64,
-    rate: f64,
-    quantum_len: u64,
-    pairs: u64,
-    processors: u32,
-    seed: u64,
-) -> Vec<BoundCheck> {
-    let mut allocator = Scripted::ample(processors);
-    let run = abg_traced_run(factor, rate, quantum_len, pairs, &mut allocator, seed);
+pub fn lemma2_check(factor: u64, rate: f64, quantum_len: u64, seed: u64) -> Vec<BoundCheck> {
+    let mut allocator = Scripted::ample(AMPLE_PROCESSORS);
+    let run = abg_traced_run(factor, rate, quantum_len, &mut allocator, seed);
     let c_l = traced_transition_factor(&run);
     let coeff = bounds::lemma2_coefficients(c_l, rate);
 
@@ -170,32 +177,25 @@ pub fn lemma2_check(
     checks
 }
 
-/// Validates Theorem 3 under an adversarial availability script: the
-/// running time must respect
+/// Validates Theorem 3 under an adversarial availability script on 64
+/// processors: the running time must respect
 /// `T ≤ 2·T1/P̃ + (C_L + 1 − 2r)/(1 − r)·T∞ + L` with `P̃` the
 /// trimmed availability.
-pub fn theorem3_check(
-    factor: u64,
-    rate: f64,
-    quantum_len: u64,
-    pairs: u64,
-    processors: u32,
-    seed: u64,
-) -> BoundCheck {
+pub fn theorem3_check(factor: u64, rate: f64, quantum_len: u64, seed: u64) -> BoundCheck {
     // Adversarial availability: alternating austere and generous quanta
     // plus random spikes, cycling forever.
     let mut rng = StdRng::seed_from_u64(splitmix_seed(seed, factor, 3));
     let script: Vec<u32> = (0..64)
         .map(|i| {
             if i % 7 == 0 {
-                processors
+                ADVERSARY_PROCESSORS
             } else {
-                rng.random_range(1..=processors.max(2) / 2)
+                rng.random_range(1..=ADVERSARY_PROCESSORS / 2)
             }
         })
         .collect();
-    let mut allocator = Scripted::cycling(processors, script);
-    let run = abg_traced_run(factor, rate, quantum_len, pairs, &mut allocator, seed);
+    let mut allocator = Scripted::cycling(ADVERSARY_PROCESSORS, script);
+    let run = abg_traced_run(factor, rate, quantum_len, &mut allocator, seed);
     let c_l = traced_transition_factor(&run);
     let trim = bounds::theorem3_trim_steps(run.span, c_l, rate, quantum_len);
     let availabilities: Vec<u32> = run
@@ -208,47 +208,35 @@ pub fn theorem3_check(
         // 1 (the fair minimum) keeps the check meaningful instead.
         .unwrap_or(1.0);
     let bound = bounds::theorem3_time_bound(run.work, run.span, c_l, rate, p_trimmed, quantum_len);
-    BoundCheck::le("theorem3-time", run.running_time as f64, bound)
+    BoundCheck::le("theorem3-time", run.response_time() as f64, bound)
 }
 
-/// Validates Theorem 4 in the unconstrained environment: waste must
-/// respect `W ≤ C_L(1−r)/(1−C_L·r)·T1 + P·L`. Returns `None` when the
-/// measured factor violates `r < 1/C_L` (the bound does not apply).
-pub fn theorem4_check(
-    factor: u64,
-    rate: f64,
-    quantum_len: u64,
-    pairs: u64,
-    processors: u32,
-    seed: u64,
-) -> Option<BoundCheck> {
-    let mut allocator = Scripted::ample(processors);
-    let run = abg_traced_run(factor, rate, quantum_len, pairs, &mut allocator, seed);
+/// Validates Theorem 4 in the unconstrained environment (128
+/// processors): waste must respect `W ≤ C_L(1−r)/(1−C_L·r)·T1 + P·L`.
+/// Returns `None` when the measured factor violates `r < 1/C_L` (the
+/// bound does not apply).
+pub fn theorem4_check(factor: u64, rate: f64, quantum_len: u64, seed: u64) -> Option<BoundCheck> {
+    let mut allocator = Scripted::ample(AMPLE_PROCESSORS);
+    let run = abg_traced_run(factor, rate, quantum_len, &mut allocator, seed);
     let c_l = traced_transition_factor(&run);
-    bounds::theorem4_waste_bound(run.work, c_l, rate, processors, quantum_len)
+    bounds::theorem4_waste_bound(run.work, c_l, rate, AMPLE_PROCESSORS, quantum_len)
         .map(|bound| BoundCheck::le("theorem4-waste", run.waste as f64, bound))
 }
 
-/// Validates Theorem 5 on one batched job set scheduled by ABG + DEQ:
-/// makespan and mean response time against their competitive bounds.
-/// Returns `None` when `r < 1/C_L` fails for the set's maximum factor.
-pub fn theorem5_check(
-    load: f64,
-    max_factor: u64,
-    rate: f64,
-    quantum_len: u64,
-    pairs: u64,
-    processors: u32,
-    seed: u64,
-) -> Option<Vec<BoundCheck>> {
+/// Validates Theorem 5 on one batched job set (transition factors up to
+/// 4, two phase pairs per job) scheduled by ABG (`r = 0.2`) + DEQ on 64
+/// processors: makespan and mean response time against their
+/// competitive bounds. Returns `None` when `r < 1/C_L` fails for the
+/// set's maximum factor.
+pub fn theorem5_check(load: f64, quantum_len: u64, seed: u64) -> Option<Vec<BoundCheck>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let spec = JobSetSpec {
-        processors,
+        processors: SET_PROCESSORS,
         quantum_len,
         load,
-        max_factor,
-        pairs,
-        max_jobs: processors as usize,
+        max_factor: SET_MAX_FACTOR,
+        pairs: SET_PAIRS,
+        max_jobs: SET_PROCESSORS as usize,
         release: ReleaseSchedule::Batched,
     };
     let set = SharedSet::new(spec.generate(&mut rng));
@@ -259,18 +247,18 @@ pub fn theorem5_check(
         .map(|job| job.transition_factor(quantum_len))
         .fold(1.0f64, f64::max);
     let out = set.run(
-        DynamicEquiPartition::new(processors),
+        DynamicEquiPartition::new(SET_PROCESSORS),
         quantum_len,
         pipelined,
-        || AControl::new(rate),
+        || AControl::new(SET_RATE),
     );
 
     let sizes = set.sizes();
-    let m_star = makespan_lower_bound(&sizes, processors);
-    let r_star = response_lower_bound_batched(&sizes, processors);
+    let m_star = makespan_lower_bound(&sizes, SET_PROCESSORS);
+    let r_star = response_lower_bound_batched(&sizes, SET_PROCESSORS);
 
-    let m_bound = bounds::theorem5_makespan_bound(m_star, max_c_l, rate, quantum_len, set_len)?;
-    let r_bound = bounds::theorem5_response_bound(r_star, max_c_l, rate, quantum_len, set_len)?;
+    let m_bound = bounds::theorem5_makespan_bound(m_star, max_c_l, SET_RATE, quantum_len, set_len)?;
+    let r_bound = bounds::theorem5_response_bound(r_star, max_c_l, SET_RATE, quantum_len, set_len)?;
     Some(vec![
         BoundCheck::le("theorem5-makespan", out.makespan as f64, m_bound),
         BoundCheck::le("theorem5-response", out.mean_response_time(), r_bound),
@@ -297,7 +285,7 @@ mod tests {
     #[test]
     fn lemma2_holds_on_small_factor() {
         // factor 4 with r = 0.2 < 1/4: both envelopes must exist & hold.
-        let checks = lemma2_check(4, 0.2, 32, 3, 128, 7);
+        let checks = lemma2_check(4, 0.2, 32, 7);
         assert_eq!(checks.len(), 2, "upper envelope should apply");
         for c in checks {
             assert!(c.holds, "{c:?}");
@@ -307,7 +295,7 @@ mod tests {
     #[test]
     fn lemma2_lower_holds_on_large_factor() {
         // factor 20 with r = 0.2 ≥ 1/20: only the lower envelope applies.
-        let checks = lemma2_check(20, 0.2, 32, 3, 128, 7);
+        let checks = lemma2_check(20, 0.2, 32, 7);
         assert_eq!(checks.len(), 1);
         assert!(checks[0].holds, "{:?}", checks[0]);
     }
@@ -315,26 +303,25 @@ mod tests {
     #[test]
     fn theorem3_bound_holds_under_adversary() {
         for factor in [2u64, 8] {
-            let c = theorem3_check(factor, 0.2, 32, 3, 64, 11);
+            let c = theorem3_check(factor, 0.2, 32, 11);
             assert!(c.holds, "{c:?}");
         }
     }
 
     #[test]
     fn theorem4_bound_holds_when_applicable() {
-        let c = theorem4_check(4, 0.2, 32, 3, 128, 13).expect("0.2 < 1/4");
+        let c = theorem4_check(4, 0.2, 32, 13).expect("0.2 < 1/4");
         assert!(c.holds, "{c:?}");
     }
 
     #[test]
     fn theorem4_inapplicable_when_rate_too_fast() {
-        assert!(theorem4_check(50, 0.2, 32, 3, 128, 13).is_none());
+        assert!(theorem4_check(50, 0.2, 32, 13).is_none());
     }
 
     #[test]
     fn theorem5_bounds_hold_on_batched_set() {
-        let checks =
-            theorem5_check(1.0, 4, 0.2, 32, 2, 32, 17).expect("factor 4 with r = 0.2 applies");
+        let checks = theorem5_check(1.0, 32, 17).expect("factor 4 with r = 0.2 applies");
         assert_eq!(checks.len(), 2);
         for c in checks {
             assert!(c.holds, "{c:?}");

@@ -9,7 +9,7 @@ use abg_alloc::Scripted;
 use abg_control::{AControl, AGreedy, Controller};
 use abg_dag::PhasedJob;
 use abg_sched::PipelinedExecutor;
-use abg_sim::{run_single_job, SingleJobConfig};
+use abg_sim::{run_single_job, QuantumRecord, SingleJobConfig};
 
 /// The constant parallelism `A` of the synthetic job.
 const PARALLELISM: u64 = 10;
@@ -18,50 +18,34 @@ const QUANTUM_LEN: u64 = 1000;
 /// Machine size: every request up to it is granted.
 const PROCESSORS: u32 = 128;
 
-/// One quantum of a request trajectory.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrajectoryPoint {
-    /// Quantum index `q`, 1-based.
-    pub quantum: u32,
-    /// The request `d(q)`.
-    pub request: f64,
-    /// The allotment `a(q)` granted.
-    pub allotment: u32,
-}
-
 /// The two trajectories side by side.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransientResult {
     /// The constant parallelism of the job (the target line).
     pub parallelism: u64,
-    /// ABG's trajectory (Figure 4(a)).
-    pub abg: Vec<TrajectoryPoint>,
-    /// A-Greedy's trajectory (Figures 1 / 4(b)).
-    pub agreedy: Vec<TrajectoryPoint>,
+    /// ABG's first quanta (Figure 4(a)): request `d(q)`, allotment
+    /// `a(q)` and the rest of each quantum's record.
+    pub abg: Vec<QuantumRecord>,
+    /// A-Greedy's first quanta (Figures 1 / 4(b)).
+    pub agreedy: Vec<QuantumRecord>,
 }
 
-fn trajectory<C: Controller>(quanta: u32, mut calculator: C) -> Vec<TrajectoryPoint> {
+fn trajectory<C: Controller>(quanta: u32, mut calculator: C) -> Vec<QuantumRecord> {
     // Size the job so it cannot finish before `quanta` quanta even at
     // full allotment (one level per step once a ≥ A). Constant
     // parallelism means `A` ready tasks on every step, so any allotment
     // at or below it achieves full utilization (the regime of Figures
     // 1/4).
     let levels = QUANTUM_LEN * (u64::from(quanta) + 2);
-    let run = run_single_job(
+    let mut trace = run_single_job(
         &mut PipelinedExecutor::new(PhasedJob::constant(PARALLELISM, levels)),
         &mut calculator,
         &mut Scripted::ample(PROCESSORS),
         SingleJobConfig::new(QUANTUM_LEN).with_trace(),
-    );
-    run.trace
-        .iter()
-        .take(quanta as usize)
-        .map(|r| TrajectoryPoint {
-            quantum: r.index,
-            request: r.request,
-            allotment: r.allotment,
-        })
-        .collect()
+    )
+    .trace;
+    trace.truncate(quanta as usize);
+    trace
 }
 
 /// Runs the Figure-1/Figure-4 comparison over the first `quanta` quanta

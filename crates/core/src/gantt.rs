@@ -1,8 +1,9 @@
 //! Terminal Gantt rendering of multiprogrammed runs: one row per job,
 //! one column per quantum, glyph density showing the allotment.
 //!
-//! Built on the per-job traces of
-//! [`MultiJobSim::with_traces`](abg_sim::MultiJobSim::with_traces); the
+//! Built on the per-job traces that
+//! [`MultiJobSim::with_traces`](abg_sim::MultiJobSim::with_traces) leaves
+//! in each finished job's [`trace`](abg_sim::CompletedJob::trace); the
 //! picture makes DEQ's water-filling and the schedulers' request
 //! dynamics directly visible, e.g. A-Greedy's columns flicker while
 //! ABG's stay solid.
@@ -29,13 +30,14 @@ fn glyph(allotment: u32, processors: u32) -> char {
 
 /// Renders the allotment Gantt of a traced multiprogrammed run.
 ///
-/// Each row is a job; column `q` shows the allotment the job held in
-/// global quantum `q` (`.` = not live / zero). Runs longer than
-/// `max_columns` quanta are right-truncated with an ellipsis marker.
+/// Each row is a job of `outcome.jobs`, drawn from its own `trace`;
+/// column `q` shows the allotment the job held in global quantum `q`
+/// (`.` = not live / zero). Runs longer than `max_columns` quanta are
+/// right-truncated with an ellipsis marker.
 ///
 /// # Panics
 ///
-/// Panics if the outcome carries no traces (run the simulation with
+/// Panics if no job carries a trace (run the simulation with
 /// `with_traces`).
 pub fn render_gantt(
     outcome: &MultiJobOutcome,
@@ -44,13 +46,14 @@ pub fn render_gantt(
     max_columns: usize,
 ) -> String {
     assert!(
-        outcome.traces.iter().any(|t| !t.is_empty()),
+        outcome.jobs.iter().any(|j| !j.trace.is_empty()),
         "no traces recorded; build the simulator with with_traces()"
     );
     let total_quanta = outcome
-        .traces
+        .jobs
         .iter()
-        .flat_map(|t| t.iter().map(|r| (r.start_step / quantum_len) as usize + 1))
+        .flat_map(|j| j.trace.iter())
+        .map(|r| (r.start_step / quantum_len) as usize + 1)
         .max()
         .unwrap_or(0);
     let columns = total_quanta.min(max_columns);
@@ -60,9 +63,9 @@ pub fn render_gantt(
         "allotment per quantum (L = {quantum_len}, P = {processors}; \
          glyphs .=0 1 2 4 8 #=P/2+)\n"
     ));
-    for (i, trace) in outcome.traces.iter().enumerate() {
+    for (i, job) in outcome.jobs.iter().enumerate() {
         let mut row = vec!['.'; columns];
-        for r in trace {
+        for r in &job.trace {
             let q = (r.start_step / quantum_len) as usize;
             if q < columns {
                 row[q] = glyph(r.allotment, processors);
@@ -73,7 +76,7 @@ pub fn render_gantt(
             "job {i:>3} |{}|{} done @ {}\n",
             row.iter().collect::<String>(),
             truncated,
-            outcome.jobs[i].completion
+            job.completion
         ));
     }
     out

@@ -11,8 +11,8 @@ pub use abg_sched::{
     PipelinedExecutor, QuantumStats,
 };
 pub use abg_sim::{
-    run_single_job, CompletedJob, JobOutcome, MultiJobOutcome, MultiJobSim, NullProbe, Probe,
-    QuantumCore, QuantumRecord, SingleJobConfig, SingleJobRun, TraceProbe,
+    run_single_job, CompletedJob, MultiJobOutcome, MultiJobSim, NullProbe, Probe, QuantumCore,
+    QuantumRecord, SingleJobConfig, TraceProbe,
 };
 pub use abg_workload::{paper_job, JobSet, JobSetSpec, ReleaseSchedule};
 

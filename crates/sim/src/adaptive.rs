@@ -206,7 +206,7 @@ mod tests {
         let mut c2 = FixedQuantum(50).pace(AControl::new(0.2));
         let mut al2 = Scripted::ample(64);
         let adaptive = crate::run_single_job(&mut b, &mut c2, &mut al2, SingleJobConfig::new(50));
-        assert_eq!(fixed.running_time, adaptive.running_time);
+        assert_eq!(fixed.response_time(), adaptive.response_time());
         assert_eq!(fixed.waste, adaptive.waste);
         assert_eq!(fixed.quanta, adaptive.quanta);
     }
@@ -234,7 +234,7 @@ mod tests {
             fixed_run.quanta
         );
         // And it must not meaningfully slow the job down.
-        assert!(adaptive_run.running_time as f64 <= fixed_run.running_time as f64 * 1.2);
+        assert!(adaptive_run.response_time() as f64 <= fixed_run.response_time() as f64 * 1.2);
     }
 
     #[test]

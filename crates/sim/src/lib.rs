@@ -15,6 +15,10 @@
 //!   shared allocator such as DEQ (Figure 6), with release times and
 //!   global metrics (makespan, mean response time).
 //!
+//! Both hand back the core's [`CompletedJob`] per job — response time,
+//! waste, work, span and the optional [`QuantumRecord`] trace — so a job
+//! alone and a job in a set are measured by one record.
+//!
 //! Every driver is a thin configuration of one generic loop:
 //! [`quantum_core::QuantumCore`], parameterized over the executor,
 //! controller, allocator and a monomorphized [`probe::Probe`] observer
@@ -40,9 +44,9 @@ pub mod trace;
 pub mod trim;
 
 pub use adaptive::{AdaptiveQuantum, FixedQuantum, Paced};
-pub use multi::{JobOutcome, MultiJobOutcome, MultiJobSim};
+pub use multi::{MultiJobOutcome, MultiJobSim};
 pub use probe::{NullProbe, Probe, TraceProbe};
 pub use quantum_core::{live_job_footprint, CompletedJob, QuantumCore};
-pub use single::{run_single_job, SingleJobConfig, SingleJobRun};
+pub use single::{run_single_job, SingleJobConfig};
 pub use trace::QuantumRecord;
 pub use trim::{mean_availability, trimmed_availability};

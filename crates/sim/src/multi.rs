@@ -2,51 +2,23 @@
 
 use crate::probe::{NullProbe, Probe, TraceProbe};
 use crate::quantum_core::{CompletedJob, QuantumCore};
-use crate::trace::QuantumRecord;
 use abg_alloc::Allocator;
 use abg_control::Controller;
 use abg_sched::JobExecutor;
 
-/// Final per-job measurements of a multiprogrammed run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JobOutcome {
-    /// Release step of the job (as submitted; participation starts at
-    /// the first quantum boundary at or after it).
-    pub release: u64,
-    /// Absolute completion step.
-    pub completion: u64,
-    /// Work `T1` of the job.
-    pub work: u64,
-    /// Critical-path length `T∞` of the job.
-    pub span: u64,
-    /// Processor cycles wasted on this job.
-    pub waste: u64,
-    /// Quanta in which the job was live.
-    pub quanta: u64,
-}
-
-impl JobOutcome {
-    /// Response time: completion minus release.
-    pub fn response_time(&self) -> u64 {
-        self.completion - self.release
-    }
-}
-
 /// Global measurements of a multiprogrammed run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiJobOutcome {
-    /// Per-job outcomes in submission order.
-    pub jobs: Vec<JobOutcome>,
+    /// The finished jobs in submission order, each with its own trace
+    /// (empty unless the simulator was built with
+    /// [`MultiJobSim::with_traces`]).
+    pub jobs: Vec<CompletedJob>,
     /// Makespan: the step at which the last job completed.
     pub makespan: u64,
     /// Total processor cycles wasted across the set.
     pub total_waste: u64,
     /// Total quanta simulated.
     pub quanta: u64,
-    /// Per-job quantum traces, one per job (same indexing as `jobs`).
-    /// Every trace is empty unless the simulator was built with
-    /// [`MultiJobSim::with_traces`].
-    pub traces: Vec<Vec<QuantumRecord>>,
 }
 
 impl MultiJobOutcome {
@@ -156,9 +128,10 @@ impl<A: Allocator, E: JobExecutor, C: Controller> MultiJobSim<A, E, C> {
         }
     }
 
-    /// Records a [`QuantumRecord`] per job per quantum; the traces come
-    /// back in [`MultiJobOutcome::traces`]. Costs memory proportional
-    /// to jobs × quanta.
+    /// Records a [`QuantumRecord`](crate::QuantumRecord) per job per
+    /// quantum; each job's records come back in its
+    /// [`CompletedJob::trace`]. Costs memory proportional to jobs ×
+    /// quanta.
     pub fn with_traces(self) -> MultiJobSim<A, E, C, TraceProbe> {
         MultiJobSim {
             allocator: self.allocator,
@@ -227,26 +200,13 @@ impl<A: Allocator, E: JobExecutor, C: Controller, P: Probe> MultiJobSim<A, E, C,
         // The core drains jobs in completion order; the outcome
         // promises submission order.
         done.sort_by_key(|c| c.id);
-        let jobs: Vec<JobOutcome> = done
-            .iter()
-            .map(|c| JobOutcome {
-                release: c.release,
-                completion: c.completion,
-                work: c.work,
-                span: c.span,
-                waste: c.waste,
-                quanta: c.quanta,
-            })
-            .collect();
-        let makespan = jobs.iter().map(|j| j.completion).max().unwrap_or(0);
-        let total_waste = jobs.iter().map(|j| j.waste).sum();
-        let traces = done.into_iter().map(|c| c.trace).collect();
+        let makespan = done.iter().map(|j| j.completion).max().unwrap_or(0);
+        let total_waste = done.iter().map(|j| j.waste).sum();
         MultiJobOutcome {
-            jobs,
+            jobs: done,
             makespan,
             total_waste,
             quanta,
-            traces,
         }
     }
 }
@@ -336,31 +296,29 @@ mod tests {
         assert!(out.jobs[0].completion > 0 && out.jobs[1].completion > 0);
     }
 
+    /// A one-quantum unit job, released at `release`, finished at
+    /// `completion`.
+    fn finished(id: u64, release: u64, completion: u64) -> CompletedJob {
+        CompletedJob {
+            id,
+            release,
+            completion,
+            work: 1,
+            span: 1,
+            waste: 0,
+            quanta: 1,
+            reallocations: 0,
+            trace: Vec::new(),
+        }
+    }
+
     #[test]
     fn mean_response_time_averages() {
         let out = MultiJobOutcome {
-            jobs: vec![
-                JobOutcome {
-                    release: 0,
-                    completion: 10,
-                    work: 1,
-                    span: 1,
-                    waste: 0,
-                    quanta: 1,
-                },
-                JobOutcome {
-                    release: 5,
-                    completion: 25,
-                    work: 1,
-                    span: 1,
-                    waste: 0,
-                    quanta: 1,
-                },
-            ],
+            jobs: vec![finished(0, 0, 10), finished(1, 5, 25)],
             makespan: 25,
             total_waste: 0,
             quanta: 3,
-            traces: Vec::new(),
         };
         assert_eq!(out.mean_response_time(), 15.0);
     }
@@ -372,7 +330,6 @@ mod tests {
             makespan: 0,
             total_waste: 0,
             quanta: 0,
-            traces: Vec::new(),
         };
         let mean = out.mean_response_time();
         assert_eq!(mean, 0.0, "empty set must not average to NaN");
@@ -385,14 +342,14 @@ mod tests {
         sim.add_job(boxed_job(2, 40), Box::new(AControl::new(0.2)), 0);
         sim.add_job(boxed_job(2, 40), Box::new(AControl::new(0.2)), 25);
         let out = sim.run();
-        assert_eq!(out.traces.len(), 2);
-        for (j, trace) in out.jobs.iter().zip(&out.traces) {
-            assert_eq!(trace.len() as u64, j.quanta);
-            let work: u64 = trace.iter().map(|r| r.stats.work).sum();
+        assert_eq!(out.jobs.len(), 2);
+        for j in &out.jobs {
+            assert_eq!(j.trace.len() as u64, j.quanta);
+            let work: u64 = j.trace.iter().map(|r| r.stats.work).sum();
             assert_eq!(work, j.work);
             // First record starts at the job's first boundary ≥ release.
-            assert!(trace[0].start_step >= j.release);
-            assert_eq!(trace[0].request, 1.0);
+            assert!(j.trace[0].start_step >= j.release);
+            assert_eq!(j.trace[0].request, 1.0);
         }
     }
 

@@ -67,24 +67,31 @@ struct Slot<E, C> {
 }
 
 /// A job drained from the core after completing, with everything a
-/// driver needs to account for it.
-#[derive(Debug)]
+/// driver needs to account for it: the one per-job result of every
+/// driver, alone on the machine or in a set.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompletedJob {
     /// Admission-order identifier (0-based, monotone across the run).
     pub id: u64,
     /// Release (arrival) step as submitted.
     pub release: u64,
-    /// Absolute completion step.
+    /// Absolute completion step: partway into the final quantum, every
+    /// earlier live quantum counting in full even at a zero allotment.
     pub completion: u64,
     /// Work `T1` of the job.
     pub work: u64,
     /// Critical-path length `T∞` of the job.
     pub span: u64,
-    /// Processor cycles wasted on this job.
+    /// Processor cycles wasted on this job, `Σ_q (a(q)·L − T1(q))`: the
+    /// job holds its allotment to each quantum boundary, so its final
+    /// quantum can waste up to `a·L` (the paper's `P·L` term).
     pub waste: u64,
-    /// Quanta in which the job was live.
+    /// Quanta in which the job was live (the last one counted even if
+    /// cut short).
     pub quanta: u64,
-    /// Quanta whose allotment differed from the job's previous one.
+    /// Quanta whose allotment differed from the job's previous one; each
+    /// costs the core's
+    /// [`reallocation_overhead`](QuantumCore::with_reallocation_overhead).
     pub reallocations: u64,
     /// Per-quantum trace (empty unless a trace-collecting probe filled
     /// it in, e.g. [`TraceProbe`](crate::TraceProbe)).
@@ -92,9 +99,27 @@ pub struct CompletedJob {
 }
 
 impl CompletedJob {
-    /// Response time: completion minus release.
+    /// Response time: completion minus release. For a job released at
+    /// step 0 this is the paper's running time `T`.
     pub fn response_time(&self) -> u64 {
         self.completion - self.release
+    }
+
+    /// Speedup `T1 / T`.
+    pub fn speedup(&self) -> f64 {
+        self.work as f64 / self.response_time() as f64
+    }
+
+    /// Response time over the span, `T / T∞` (the paper's Figure 5(a)
+    /// y-axis: in an unconstrained environment the critical path is the
+    /// optimal running time).
+    pub fn time_over_span(&self) -> f64 {
+        self.response_time() as f64 / self.span as f64
+    }
+
+    /// Waste over work, `W / T1` (the paper's Figure 5(c) y-axis).
+    pub fn waste_over_work(&self) -> f64 {
+        self.waste as f64 / self.work as f64
     }
 }
 
@@ -363,11 +388,6 @@ where
     /// Shared view of the probe.
     pub fn probe(&self) -> &P {
         &self.probe
-    }
-
-    /// Mutable view of the probe.
-    pub fn probe_mut(&mut self) -> &mut P {
-        &mut self.probe
     }
 
     /// Consumes the core, returning the probe with everything it

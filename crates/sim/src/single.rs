@@ -3,7 +3,6 @@
 
 use crate::probe::{NullProbe, Probe, TraceProbe};
 use crate::quantum_core::{CompletedJob, QuantumCore};
-use crate::trace::QuantumRecord;
 use abg_alloc::Allocator;
 use abg_control::Controller;
 use abg_sched::JobExecutor;
@@ -13,10 +12,11 @@ use abg_sched::JobExecutor;
 pub struct SingleJobConfig {
     /// Quantum length `L` in steps.
     pub quantum_len: u64,
-    /// Record a [`QuantumRecord`] per quantum, availability `p(q)`
-    /// included (needed for trajectory figures and trim analysis; costs
-    /// memory on long runs, and some allocators compute the
-    /// availability by re-running their policy).
+    /// Record a [`QuantumRecord`](crate::QuantumRecord) per quantum in
+    /// the run's `trace`, availability `p(q)` included (needed for
+    /// trajectory figures and trim analysis; costs memory on long runs,
+    /// and some allocators compute the availability by re-running their
+    /// policy).
     pub record_trace: bool,
     /// Steps lost at the start of every quantum whose allotment differs
     /// from the previous quantum's (processor migration, cache warm-up
@@ -58,49 +58,6 @@ impl SingleJobConfig {
     }
 }
 
-/// The outcome of a single-job run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SingleJobRun {
-    /// Running time `T` in steps: completion happens `steps_worked` into
-    /// the final quantum; earlier quanta each contribute `L` steps of
-    /// wall-clock even if the allotment was zero.
-    pub running_time: u64,
-    /// Total processor cycles wasted, `Σ_q (a(q)·L − T1(q))`: the job
-    /// holds its allotment until each quantum boundary (so the final
-    /// quantum can waste up to `a·L`, matching the paper's `P·L` term).
-    pub waste: u64,
-    /// Number of quanta used (the last one counted even if cut short).
-    pub quanta: u64,
-    /// Quanta whose allotment differed from the previous quantum's —
-    /// each one costs [`SingleJobConfig::reallocation_overhead`] steps.
-    pub reallocations: u64,
-    /// Work `T1` of the job (sanity echo from the executor).
-    pub work: u64,
-    /// Critical-path length `T∞` of the job.
-    pub span: u64,
-    /// Per-quantum trace, if requested.
-    pub trace: Vec<QuantumRecord>,
-}
-
-impl SingleJobRun {
-    /// Speedup `T1 / T` achieved by the run.
-    pub fn speedup(&self) -> f64 {
-        self.work as f64 / self.running_time as f64
-    }
-
-    /// Running time normalized by the optimal `T∞` (the paper's Figure
-    /// 5(a) y-axis: in an unconstrained environment the critical path is
-    /// the optimal running time).
-    pub fn time_over_span(&self) -> f64 {
-        self.running_time as f64 / self.span as f64
-    }
-
-    /// Waste normalized by total work (the paper's Figure 5(c) y-axis).
-    pub fn waste_over_work(&self) -> f64 {
-        self.waste as f64 / self.work as f64
-    }
-}
-
 /// Lends a `Clone` allocator to the quantum core while teaching it the
 /// clone-probing [`Allocator::availabilities`] — so single-job traces
 /// carry `p(q)` for *any* cloneable allocator, not just the policies
@@ -134,6 +91,10 @@ impl<A: Allocator + Clone> Allocator for CloneProbing<'_, A> {
 /// [`Paced`](crate::Paced)) may also vary the quantum length between
 /// `observe` calls; plain request calculators run on the configured `L`.
 ///
+/// The job is released at step 0, so the returned [`CompletedJob`]'s
+/// [`response_time`](CompletedJob::response_time) is the paper's running
+/// time `T`; its `trace` is empty unless the config asks for one.
+///
 /// This is a monomorphized single-slot configuration of
 /// [`QuantumCore`]: no boxing, with a [`TraceProbe`] collecting the
 /// per-quantum records when the config asks for them and a
@@ -147,7 +108,7 @@ pub fn run_single_job<E, C, A>(
     calculator: &mut C,
     allocator: &mut A,
     config: SingleJobConfig,
-) -> SingleJobRun
+) -> CompletedJob
 where
     E: JobExecutor,
     C: Controller,
@@ -156,18 +117,20 @@ where
     if executor.is_complete() {
         // Zero-work job: the loop below would panic on an empty live
         // set; the pre-core driver simply never entered its loop.
-        return SingleJobRun {
-            running_time: 0,
+        return CompletedJob {
+            id: 0,
+            release: 0,
+            completion: 0,
+            work: executor.total_work(),
+            span: executor.total_span(),
             waste: 0,
             quanta: 0,
             reallocations: 0,
-            work: executor.total_work(),
-            span: executor.total_span(),
             trace: Vec::new(),
         };
     }
     let allocator = CloneProbing(allocator);
-    let job = if config.record_trace {
+    if config.record_trace {
         drain(
             allocator,
             executor,
@@ -177,16 +140,6 @@ where
         )
     } else {
         drain(allocator, executor, calculator, config, NullProbe)
-    };
-    SingleJobRun {
-        // Release step 0: completion and running time coincide.
-        running_time: job.completion,
-        waste: job.waste,
-        quanta: job.quanta,
-        reallocations: job.reallocations,
-        work: job.work,
-        span: job.span,
-        trace: job.trace,
     }
 }
 
@@ -303,7 +256,7 @@ mod tests {
         let mut alloc = Scripted::new(128, vec![2]);
         let run = run_single_job(&mut ex, &mut ctl, &mut alloc, SingleJobConfig::new(16));
         // 8 wide on 2 processors: 4 steps per level → T = 4·64 = 256.
-        assert_eq!(run.running_time, 256);
+        assert_eq!(run.response_time(), 256);
         assert_eq!(run.waste, 0);
     }
 
@@ -314,7 +267,7 @@ mod tests {
         let mut alloc = Scripted::ample(64);
         let run = run_single_job(&mut ex, &mut ctl, &mut alloc, SingleJobConfig::new(10));
         assert_eq!(run.waste, 0);
-        assert_eq!(run.running_time, 60);
+        assert_eq!(run.response_time(), 60);
         assert_eq!(run.quanta, 6);
     }
 
@@ -325,7 +278,7 @@ mod tests {
         let mut ctl = ConstantRequest::new(1.0);
         let mut alloc = Scripted::ample(4);
         let run = run_single_job(&mut ex, &mut ctl, &mut alloc, SingleJobConfig::new(10));
-        assert_eq!(run.running_time, 25);
+        assert_eq!(run.response_time(), 25);
         assert_eq!(run.quanta, 3);
         // Final quantum holds 1 processor for 10 steps but works 5.
         assert_eq!(run.waste, 5);

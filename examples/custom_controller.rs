@@ -84,7 +84,7 @@ fn main() {
     }
     println!(
         "done in {} steps (T/T∞ = {:.2}), waste/work = {:.3}",
-        run.running_time,
+        run.response_time(),
         run.time_over_span(),
         run.waste_over_work()
     );

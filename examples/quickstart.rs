@@ -61,7 +61,7 @@ fn main() {
 
     println!(
         "\ncompleted in {} steps (critical path {}, so T/T∞ = {:.2})",
-        run.running_time,
+        run.response_time(),
         run.span,
         run.time_over_span()
     );

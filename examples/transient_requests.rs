@@ -30,7 +30,7 @@ fn main() {
     for p in &res.abg {
         println!(
             " q={:>2} d={:>6.2} |{:<width$}|",
-            p.quantum,
+            p.index,
             p.request,
             bar(p.request, max, width, '#')
         );
@@ -39,7 +39,7 @@ fn main() {
     for p in &res.agreedy {
         println!(
             " q={:>2} d={:>6.2} |{:<width$}|",
-            p.quantum,
+            p.index,
             p.request,
             bar(p.request, max, width, '*')
         );

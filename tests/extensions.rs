@@ -57,7 +57,7 @@ fn asteal_releases_processors_in_serial_phases() {
 
     // ABP holds 32 processors every quantum; A-Steal's mean allotment
     // must be well below that.
-    let mean_allot = |r: &SingleJobRun| {
+    let mean_allot = |r: &CompletedJob| {
         r.trace.iter().map(|q| q.allotment as f64).sum::<f64>() / r.trace.len() as f64
     };
     assert!(mean_allot(&abp) > 31.0);
@@ -100,10 +100,10 @@ fn adaptive_quantum_frontier() {
         short.quanta
     );
     assert!(
-        adaptive.running_time <= long.running_time,
+        adaptive.response_time() <= long.response_time(),
         "{} vs {}",
-        adaptive.running_time,
-        long.running_time
+        adaptive.response_time(),
+        long.response_time()
     );
 }
 

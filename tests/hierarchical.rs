@@ -189,8 +189,10 @@ fn factories_run_on_the_calling_thread() {
 fn skew_sweep_shows_desire_beating_the_static_partition() {
     // The headline acceptance: under 4:1 skewed arrivals the
     // desire-proportional top level delivers a lower mean response
-    // time than the fixed equi-partition (the numbers recorded in
-    // EXPERIMENTS.md come from this same smoke sweep).
+    // time than the fixed equi-partition. This is the smoke-scale
+    // version of the h = 4 point of EXPERIMENTS.md's skew table; that
+    // table's numbers come from the `hierarchical_skew` example's
+    // P = 32 sweep.
     let rows = hierarchical_skew_sweep(&HierarchicalConfig::smoke());
     let skewed = rows.last().expect("smoke sweep has a skewed point");
     assert_eq!(skewed.hot, 4);

@@ -51,7 +51,7 @@ fn figure4_transient_comparison() {
     // ABG: monotone, bounded by A, geometric error decay at rate r.
     let mut prev_err = a - 1.0;
     for p in &res.abg {
-        assert!(p.request <= a + 1e-9, "overshoot at q={}", p.quantum);
+        assert!(p.request <= a + 1e-9, "overshoot at q={}", p.index);
         let err = a - p.request;
         assert!(err <= prev_err + 1e-9, "error must shrink monotonically");
         prev_err = err;
@@ -67,7 +67,7 @@ fn figure4_transient_comparison() {
         assert!(
             (p.request - d).abs() < 1e-9,
             "q={}: {} vs {}",
-            p.quantum,
+            p.index,
             p.request,
             d
         );

@@ -1,8 +1,8 @@
 //! Property tests over whole simulated runs: conservation laws of the
-//! single-job engine, determinism, multi-job accounting, the
-//! monomorphized multi-job simulator in lockstep with the boxed one, and
-//! frozen windows over jobs admitted ahead of their release in lockstep
-//! with pure stepping.
+//! single-job engine, determinism, multi-job accounting, the single-job
+//! driver in lockstep with a one-job set, the monomorphized multi-job
+//! simulator in lockstep with the boxed one, and frozen windows over
+//! jobs admitted ahead of their release in lockstep with pure stepping.
 
 use abg_alloc::{DynamicEquiPartition, Scripted};
 use abg_control::{AControl, AGreedy, ConstantRequest, Controller};
@@ -76,20 +76,23 @@ fn run_boxed<C: Controller + Clone + Send + 'static>(
 }
 
 /// Holds the monomorphized runs of one set to the boxed traced run, bit
-/// for bit: every `JobOutcome` field, makespan, waste and quanta untraced;
-/// the whole outcome, traces included, traced.
+/// for bit: every `CompletedJob` with an empty trace, makespan, waste and
+/// quanta untraced; the whole outcome, traces included, traced.
 fn assert_lockstep<C: Controller + Clone + Send + 'static>(set: &Set, p: u32, l: u64, ctl: C) {
     let boxed = run_boxed(set, p, l, &ctl);
     let mono = run_mono(set, p, l, &ctl, false);
-    assert_eq!(mono.jobs, boxed.jobs);
+    let untraced: Vec<CompletedJob> = boxed
+        .jobs
+        .iter()
+        .map(|j| CompletedJob {
+            trace: Vec::new(),
+            ..j.clone()
+        })
+        .collect();
+    assert_eq!(mono.jobs, untraced, "untraced: an empty trace per job");
     assert_eq!(
         (mono.makespan, mono.total_waste, mono.quanta),
         (boxed.makespan, boxed.total_waste, boxed.quanta)
-    );
-    assert_eq!(
-        mono.traces,
-        vec![Vec::new(); set.len()],
-        "untraced: one empty trace per job"
     );
     assert_eq!(run_mono(set, p, l, &ctl, true), boxed);
 }
@@ -197,12 +200,32 @@ proptest! {
             .sum();
         prop_assert_eq!(run.waste, held - work);
 
-        prop_assert!(run.running_time >= span);
-        prop_assert!(run.running_time >= work.div_ceil(p as u64));
+        prop_assert!(run.response_time() >= span);
+        prop_assert!(run.response_time() >= work.div_ceil(p as u64));
         // Every quantum except the last is full.
         for r in &run.trace[..run.trace.len() - 1] {
             prop_assert!(r.stats.is_full(), "non-final quantum not full: {r:?}");
         }
+    }
+
+    /// Two drivers, one record: `run_single_job` and a one-job
+    /// `MultiJobSim` released at step 0, over the same executor type,
+    /// controller, allocator and `L`, untraced, return equal
+    /// `CompletedJob`s.
+    #[test]
+    fn single_job_matches_one_job_set(
+        ph in phases(), which in 0u8..3, p in 1u32..32, l in 1u64..20,
+    ) {
+        let job = PhasedJob::new(ph);
+        let single = run_single_job(
+            &mut PipelinedExecutor::new(job.clone()),
+            &mut calculator(which),
+            &mut DynamicEquiPartition::new(p),
+            SingleJobConfig::new(l),
+        );
+        let mut sim = MultiJobSim::homogeneous(DynamicEquiPartition::new(p), l);
+        sim.add_job(PipelinedExecutor::new(job), calculator(which), 0);
+        prop_assert_eq!(sim.run().jobs, vec![single]);
     }
 
     /// Determinism: identical inputs give identical runs.

@@ -216,7 +216,7 @@ fn transient_comparison_matches_golden() {
     let mut f = Fingerprint::new();
     f.word(res.parallelism);
     for p in res.abg.iter().chain(&res.agreedy) {
-        f.word(p.quantum as u64)
+        f.word(p.index as u64)
             .f64(p.request)
             .word(p.allotment as u64);
     }
@@ -228,7 +228,7 @@ fn theorem3_check_matches_golden() {
     let mut f = Fingerprint::new();
     for factor in [2u64, 5, 10, 20, 50] {
         for rate in [0.0, 0.2, 0.5] {
-            check(&mut f, &theorem3_check(factor, rate, 200, 3, 64, 2008));
+            check(&mut f, &theorem3_check(factor, rate, 200, 2008));
         }
     }
     assert_eq!(f.finish(), THEOREM3);

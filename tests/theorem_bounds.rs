@@ -35,7 +35,7 @@ fn lemma2_envelope_across_factors_and_rates() {
     for seed in [1u64, 7, 23] {
         for factor in [2u64, 3, 4, 6, 8, 12, 16] {
             for rate in [0.0, 0.05, 0.2, 0.4] {
-                for check in lemma2_check(factor, rate, 100, 3, 128, seed) {
+                for check in lemma2_check(factor, rate, 100, seed) {
                     assert!(
                         check.holds,
                         "factor {factor}, rate {rate}, seed {seed}: {check:?}"
@@ -51,7 +51,7 @@ fn theorem3_time_bound_under_adversaries() {
     for seed in [3u64, 11, 42] {
         for factor in [2u64, 5, 10, 20, 50] {
             for rate in [0.0, 0.2, 0.5, 0.8] {
-                let check = theorem3_check(factor, rate, 100, 3, 64, seed);
+                let check = theorem3_check(factor, rate, 100, seed);
                 assert!(
                     check.holds,
                     "factor {factor}, rate {rate}, seed {seed}: {check:?}"
@@ -67,7 +67,7 @@ fn theorem4_waste_bound_when_applicable() {
     for seed in [5u64, 13] {
         for factor in [2u64, 3, 4, 8, 16] {
             for rate in [0.0, 0.05, 0.2] {
-                if let Some(check) = theorem4_check(factor, rate, 100, 3, 128, seed) {
+                if let Some(check) = theorem4_check(factor, rate, 100, seed) {
                     applicable += 1;
                     assert!(
                         check.holds,
@@ -88,7 +88,7 @@ fn theorem5_global_bounds_hold() {
     let mut applicable = 0;
     for seed in [17u64, 29] {
         for load in [0.5, 1.0, 2.0, 4.0] {
-            if let Some(checks) = theorem5_check(load, 4, 0.2, 50, 2, 64, seed) {
+            if let Some(checks) = theorem5_check(load, 50, seed) {
                 applicable += 1;
                 for c in checks {
                     assert!(c.holds, "load {load}, seed {seed}: {c:?}");
@@ -105,5 +105,5 @@ fn theorem5_global_bounds_hold() {
 #[test]
 fn theorem4_correctly_reports_inapplicable() {
     // Factor 50 with r = 0.2 breaks r < 1/C_L by an order of magnitude.
-    assert!(theorem4_check(50, 0.2, 100, 3, 128, 1).is_none());
+    assert!(theorem4_check(50, 0.2, 100, 1).is_none());
 }
