@@ -9,7 +9,7 @@ use abg_dag::{ForkJoinSpec, PhasedJob};
 use abg_sched::{
     BGreedyExecutor, DepthFirstExecutor, GreedyExecutor, JobExecutor, PipelinedExecutor,
 };
-use abg_sim::{run_single_job, CompletedJob, SingleJobConfig};
+use abg_sim::{CompletedJob, MultiJobSim};
 use abg_workload::splitmix_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,11 +44,9 @@ where
     M: Fn() -> C + Sync,
 {
     let runs = per_cell(&FACTORS, JOBS_PER_FACTOR, |factor, index| {
-        run_single_job(
-            &mut PipelinedExecutor::new(probe_job(seed, factor, index, quantum_len, PAIRS)),
-            &mut make(),
-            &mut Scripted::ample(PROCESSORS),
-            SingleJobConfig::new(quantum_len),
+        MultiJobSim::homogeneous(Scripted::ample(PROCESSORS), quantum_len).run_job(
+            PipelinedExecutor::new(probe_job(seed, factor, index, quantum_len, PAIRS)),
+            make(),
         )
     });
     QualityPoint::of(runs.flat())
@@ -160,17 +158,12 @@ pub struct SchedulerAblationRow {
 /// `A(q)` measurement faithful; the other rules feed the controller a
 /// distorted signal.
 pub fn scheduler_ablation(seed: Option<u64>) -> Vec<SchedulerAblationRow> {
-    fn run<E: JobExecutor>(executor: &mut E, sim_cfg: SingleJobConfig) -> CompletedJob {
-        run_single_job(
-            executor,
-            &mut AControl::paper_default(),
-            &mut Scripted::ample(PROCESSORS),
-            sim_cfg,
-        )
+    fn run<E: JobExecutor>(executor: E, quantum_len: u64) -> CompletedJob {
+        MultiJobSim::homogeneous(Scripted::ample(PROCESSORS), quantum_len)
+            .run_job(executor, AControl::paper_default())
     }
     // Smaller jobs: the per-task executor materialises every task.
     let quantum_len = 100;
-    let sim_cfg = SingleJobConfig::new(quantum_len);
     let seed = seed.unwrap_or(SEED);
     // Each unit draws its dag and runs all three rules on it, so the
     // three passes share the worker pool.
@@ -180,9 +173,9 @@ pub fn scheduler_ablation(seed: Option<u64>) -> Vec<SchedulerAblationRow> {
             .generate(&mut rng)
             .to_explicit();
         [
-            run(&mut BGreedyExecutor::new(&dag), sim_cfg),
-            run(&mut GreedyExecutor::new(&dag), sim_cfg),
-            run(&mut DepthFirstExecutor::new(&dag), sim_cfg),
+            run(BGreedyExecutor::new(&dag), quantum_len),
+            run(GreedyExecutor::new(&dag), quantum_len),
+            run(DepthFirstExecutor::new(&dag), quantum_len),
         ]
     });
     [
@@ -236,24 +229,18 @@ pub fn semantics_ablation(seed: Option<u64>) -> Vec<SemanticsAblationRow> {
         let runs = per_cell(&FACTORS, JOBS_PER_FACTOR, |factor, index| {
             let mut rng = StdRng::seed_from_u64(splitmix_seed(seed, factor, index));
             let spec = ForkJoinSpec::with_transition_factor(factor, QUANTUM_LEN, PAIRS);
-            let mut calc: Box<dyn Controller + Send> = if sched == "abg" {
+            let calc: Box<dyn Controller + Send> = if sched == "abg" {
                 Box::new(AControl::paper_default())
             } else {
                 Box::new(AGreedy::paper_default())
             };
-            let mut alloc = Scripted::ample(PROCESSORS);
-            let sim_cfg = SingleJobConfig::new(QUANTUM_LEN);
             let job = if barrier {
                 PhasedJob::barrier(&spec.sample_phases(&mut rng))
             } else {
                 spec.generate(&mut rng)
             };
-            run_single_job(
-                &mut PipelinedExecutor::new(job),
-                &mut calc,
-                &mut alloc,
-                sim_cfg,
-            )
+            MultiJobSim::homogeneous(Scripted::ample(PROCESSORS), QUANTUM_LEN)
+                .run_job(PipelinedExecutor::new(job), calc)
         });
         rows.push(SemanticsAblationRow {
             model: if barrier { "barrier" } else { "pipelined" }.to_string(),

@@ -5,7 +5,7 @@ use super::{mean, per_cell, probe_job};
 use abg_alloc::Scripted;
 use abg_control::AControl;
 use abg_sched::PipelinedExecutor;
-use abg_sim::{run_single_job, AdaptiveQuantum, FixedQuantum, SingleJobConfig};
+use abg_sim::{AdaptiveQuantum, FixedQuantum, MultiJobSim};
 
 /// The probe jobs: transition factors, jobs per factor, phase pairs
 /// per job.
@@ -54,27 +54,21 @@ pub fn adaptive_quantum_comparison(seed: Option<u64>) -> Vec<AdaptiveQuantumRow>
         // policy sees phases spanning full quanta.
         let job = probe_job(seed, factor, index, LONG_QUANTUM, PAIRS);
         let mut ex = PipelinedExecutor::new(job);
-        let sim = SingleJobConfig::new(SHORT_QUANTUM);
-        let short = run_single_job(
+        let sim = || MultiJobSim::homogeneous(Scripted::ample(PROCESSORS), SHORT_QUANTUM);
+        let short = sim().run_job(
             &mut ex,
-            &mut FixedQuantum(SHORT_QUANTUM).pace(AControl::paper_default()),
-            &mut Scripted::ample(PROCESSORS),
-            sim,
+            FixedQuantum(SHORT_QUANTUM).pace(AControl::paper_default()),
         );
         ex.reset();
-        let long = run_single_job(
+        let long = sim().run_job(
             &mut ex,
-            &mut FixedQuantum(LONG_QUANTUM).pace(AControl::paper_default()),
-            &mut Scripted::ample(PROCESSORS),
-            sim,
+            FixedQuantum(LONG_QUANTUM).pace(AControl::paper_default()),
         );
         ex.reset();
-        let adaptive = run_single_job(
+        let adaptive = sim().run_job(
             &mut ex,
-            &mut AdaptiveQuantum::new(SHORT_QUANTUM, LONG_QUANTUM, STABILITY_BAND)
+            AdaptiveQuantum::new(SHORT_QUANTUM, LONG_QUANTUM, STABILITY_BAND)
                 .pace(AControl::paper_default()),
-            &mut Scripted::ample(PROCESSORS),
-            sim,
         );
         [short, long, adaptive]
     });

@@ -13,7 +13,7 @@ use abg_control::{AControl, ConstantRequest, Controller};
 use abg_dag::{generate, ExplicitDag, PhasedJob};
 use abg_queue::{HierOpenConfig, OpenConfig, OpenOutcome, SteadyStats};
 use abg_sched::{BGreedyExecutor, JobExecutor, OwnedBGreedyExecutor, PipelinedExecutor};
-use abg_sim::{live_job_footprint, CompletedJob, NullProbe, QuantumCore};
+use abg_sim::{live_job_footprint, CompletedJob, MultiJobSim, NullProbe, QuantumCore};
 use abg_workload::{mean_gap_for_utilization, ArrivalProcess, WorkflowKind};
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
@@ -500,43 +500,29 @@ fn open_churn(cfg: &KernelBenchConfig) -> KernelResult {
     }
 }
 
-/// The unified quantum core driven directly, fully monomorphized (no
-/// boxed executors or controllers, `NullProbe` instrumentation compiled
-/// away): a closed batch released together followed by a staggered open
-/// tail that exercises admission ordering and the idle fast-forward.
-/// Ops are jobs completed, steps the simulated horizon. The core is
-/// rebuilt every repetition — admission and teardown are part of what
-/// this kernel prices.
+/// The unified quantum core through the closed driver, fully
+/// monomorphized (no boxed executors or controllers, `NullProbe`
+/// instrumentation compiled away): a closed batch released together
+/// followed by a staggered open tail that exercises admission ordering
+/// and the idle fast-forward. Ops are jobs completed, steps the
+/// makespan. The simulator is rebuilt every repetition — admission and
+/// teardown are part of what this kernel prices.
 fn unified_engine(cfg: &KernelBenchConfig) -> KernelResult {
     let job = Arc::new(PhasedJob::constant(8, 200)); // T1 = 1600
     let batch = (PROCESSORS as u64 / 8).max(2);
     let gap = 400; // four quanta between staggered releases
     measure(cfg.min_wall_ms, || {
-        let mut core = QuantumCore::new(DynamicEquiPartition::new(PROCESSORS), 100, NullProbe);
-        for _ in 0..batch {
-            core.admit(
+        let mut sim = MultiJobSim::homogeneous(DynamicEquiPartition::new(PROCESSORS), 100);
+        let releases = (0..batch).map(|_| 0).chain((1..=batch).map(|i| i * gap));
+        for release in releases {
+            sim.add_job(
                 PipelinedExecutor::new(Arc::clone(&job)),
                 AControl::new(0.2),
-                0,
+                release,
             );
         }
-        for i in 0..batch {
-            core.admit(
-                PipelinedExecutor::new(Arc::clone(&job)),
-                AControl::new(0.2),
-                (i + 1) * gap,
-            );
-        }
-        let mut done = Vec::new();
-        while core.jobs_in_system() > 0 {
-            if !core.any_live() {
-                let next = core.next_release().expect("jobs pending");
-                assert!(core.skip_idle_until(next), "release within the clock");
-                continue;
-            }
-            core.step_quantum(&mut done);
-        }
-        (done.len() as u64, core.now())
+        let out = sim.run();
+        (out.jobs.len() as u64, out.makespan)
     })
 }
 

@@ -15,7 +15,7 @@ use super::{mean, per_cell, probe_job};
 use abg_alloc::Scripted;
 use abg_control::{AControl, AGreedy, Controller};
 use abg_sched::PipelinedExecutor;
-use abg_sim::{run_single_job, CompletedJob, SingleJobConfig};
+use abg_sim::{CompletedJob, MultiJobSim};
 
 /// Overhead values as fractions of the quantum length (x-axis): up to
 /// 20% of the quantum.
@@ -59,14 +59,11 @@ pub fn overhead_sweep(seed: Option<u64>) -> Vec<OverheadRow> {
     // Per probe job: one (ABG, A-Greedy) pair of runs per fraction.
     let runs = per_cell(&FACTORS, JOBS_PER_FACTOR, |factor, index| {
         let job = probe_job(seed, factor, index, QUANTUM_LEN, PAIRS);
-        let run = |mut calculator: &mut dyn Controller, fraction: f64| {
+        let run = |calculator: &mut dyn Controller, fraction: f64| {
             let overhead = (fraction * QUANTUM_LEN as f64).round() as u64;
-            run_single_job(
-                &mut PipelinedExecutor::new(&job),
-                &mut calculator,
-                &mut Scripted::ample(PROCESSORS),
-                SingleJobConfig::new(QUANTUM_LEN).with_reallocation_overhead(overhead),
-            )
+            MultiJobSim::homogeneous(Scripted::ample(PROCESSORS), QUANTUM_LEN)
+                .with_reallocation_overhead(overhead)
+                .run_job(PipelinedExecutor::new(&job), calculator)
         };
         OVERHEAD_FRACTIONS
             .iter()

@@ -8,7 +8,7 @@ use abg_alloc::Scripted;
 use abg_control::{AControl, AGreedy};
 use abg_dag::{JobStructure, PhasedJob};
 use abg_sched::PipelinedExecutor;
-use abg_sim::{run_single_job, CompletedJob, SingleJobConfig};
+use abg_sim::{CompletedJob, MultiJobSim};
 use abg_workload::profiles::{bursty_job, ramp_job, random_walk_job};
 use abg_workload::{paper_job, splitmix_seed};
 use rand::rngs::StdRng;
@@ -61,19 +61,10 @@ fn make_job(class: &str, rng: &mut StdRng) -> PhasedJob {
 }
 
 fn pair(job: &PhasedJob) -> (CompletedJob, CompletedJob) {
-    let sim = SingleJobConfig::new(QUANTUM_LEN);
-    let abg = run_single_job(
-        &mut PipelinedExecutor::new(job),
-        &mut AControl::paper_default(),
-        &mut Scripted::ample(PROCESSORS),
-        sim,
-    );
-    let agreedy = run_single_job(
-        &mut PipelinedExecutor::new(job),
-        &mut AGreedy::paper_default(),
-        &mut Scripted::ample(PROCESSORS),
-        sim,
-    );
+    let abg = MultiJobSim::homogeneous(Scripted::ample(PROCESSORS), QUANTUM_LEN)
+        .run_job(PipelinedExecutor::new(job), AControl::paper_default());
+    let agreedy = MultiJobSim::homogeneous(Scripted::ample(PROCESSORS), QUANTUM_LEN)
+        .run_job(PipelinedExecutor::new(job), AGreedy::paper_default());
     (abg, agreedy)
 }
 

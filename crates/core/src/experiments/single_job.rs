@@ -10,9 +10,9 @@
 use super::{mean, per_cell, probe_job};
 use abg_alloc::Scripted;
 use abg_control::{AControl, AGreedy};
-use abg_dag::{JobStructure, PhasedJob};
+use abg_dag::JobStructure;
 use abg_sched::PipelinedExecutor;
-use abg_sim::{run_single_job, CompletedJob, SingleJobConfig};
+use abg_sim::{CompletedJob, MultiJobSim};
 
 /// Configuration of the Figure-5 sweep. Both schedulers run with the
 /// paper's parameters ([`AControl::paper_default`],
@@ -71,34 +71,30 @@ pub struct SweepPoint {
     pub waste_ratio: f64,
 }
 
-/// The pair of runs for one generated job.
+/// The pair of runs for one generated job, with the job's measured
+/// transition factor (the job itself is dropped once both runs finish).
 #[derive(Debug, Clone)]
 struct JobPair {
-    job: PhasedJob,
+    measured_factor: f64,
     abg: CompletedJob,
     agreedy: CompletedJob,
 }
 
 fn run_pair(cfg: &SingleJobSweepConfig, factor: u64, index: u64) -> JobPair {
     let job = probe_job(cfg.seed, factor, index, cfg.quantum_len, cfg.pairs);
-    let sim_cfg = SingleJobConfig::new(cfg.quantum_len);
     // Both runs borrow the same job structure and share one executor,
     // rewound between them — nothing is cloned or re-allocated per run.
     let mut ex = PipelinedExecutor::new(&job);
-    let abg = run_single_job(
-        &mut ex,
-        &mut AControl::paper_default(),
-        &mut Scripted::ample(cfg.processors),
-        sim_cfg,
-    );
+    let abg = MultiJobSim::homogeneous(Scripted::ample(cfg.processors), cfg.quantum_len)
+        .run_job(&mut ex, AControl::paper_default());
     ex.reset();
-    let agreedy = run_single_job(
-        &mut ex,
-        &mut AGreedy::paper_default(),
-        &mut Scripted::ample(cfg.processors),
-        sim_cfg,
-    );
-    JobPair { job, abg, agreedy }
+    let agreedy = MultiJobSim::homogeneous(Scripted::ample(cfg.processors), cfg.quantum_len)
+        .run_job(&mut ex, AGreedy::paper_default());
+    JobPair {
+        measured_factor: job.transition_factor(cfg.quantum_len),
+        abg,
+        agreedy,
+    }
 }
 
 /// Runs the Figure-5 sweep; one [`SweepPoint`] per configured factor.
@@ -123,7 +119,7 @@ pub fn single_job_sweep(cfg: &SingleJobSweepConfig) -> Vec<SweepPoint> {
         .zip(cells.iter())
         .map(|(&factor, runs)| SweepPoint {
             factor,
-            measured_factor: mean(runs, |p| p.job.transition_factor(cfg.quantum_len)),
+            measured_factor: mean(runs, |p| p.measured_factor),
             abg_time_norm: mean(runs, |p| p.abg.time_over_span()),
             agreedy_time_norm: mean(runs, |p| p.agreedy.time_over_span()),
             abg_waste_norm: mean(runs, |p| p.abg.waste_over_work()),

@@ -12,7 +12,7 @@ use super::{mean, per_cell, probe_job};
 use abg_alloc::Scripted;
 use abg_control::{AControl, Controller};
 use abg_sched::PipelinedExecutor;
-use abg_sim::{run_single_job, SingleJobConfig};
+use abg_sim::MultiJobSim;
 use abg_steal::{abp_request, ASteal, StealExecutor};
 use abg_workload::splitmix_seed;
 
@@ -55,26 +55,17 @@ const SCHEDULERS: [&str; 4] = [
 /// ([`AControl::paper_default`]); `seed` overrides the recorded one.
 pub fn stealing_comparison(seed: Option<u64>) -> Vec<StealRow> {
     let seed = seed.unwrap_or(SEED);
-    let sim_cfg = SingleJobConfig::new(QUANTUM_LEN);
     let runs = per_cell(&FACTORS, JOBS_PER_FACTOR, |factor, index| {
         let job = probe_job(seed, factor, index, QUANTUM_LEN, PAIRS);
         let dag = job.to_explicit();
         let steal_seed = splitmix_seed(seed ^ 0x5EED, factor, index);
-        let steal = |mut request: &mut dyn Controller| {
-            run_single_job(
-                &mut StealExecutor::new(&dag, steal_seed),
-                &mut request,
-                &mut Scripted::ample(PROCESSORS),
-                sim_cfg,
-            )
+        let steal = |request: &mut dyn Controller| {
+            MultiJobSim::homogeneous(Scripted::ample(PROCESSORS), QUANTUM_LEN)
+                .run_job(StealExecutor::new(&dag, steal_seed), request)
         };
         [
-            run_single_job(
-                &mut PipelinedExecutor::new(job),
-                &mut AControl::paper_default(),
-                &mut Scripted::ample(PROCESSORS),
-                sim_cfg,
-            ),
+            MultiJobSim::homogeneous(Scripted::ample(PROCESSORS), QUANTUM_LEN)
+                .run_job(PipelinedExecutor::new(job), AControl::paper_default()),
             steal(&mut ASteal::paper_default()),
             steal(&mut abp_request(PROCESSORS)),
             steal(&mut AControl::paper_default()),

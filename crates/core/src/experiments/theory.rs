@@ -9,7 +9,7 @@ use abg_alloc::{DynamicEquiPartition, Scripted};
 use abg_control::{analyze_step_response, AControl, ClosedLoop};
 use abg_dag::JobStructure;
 use abg_sched::PipelinedExecutor;
-use abg_sim::{run_single_job, CompletedJob, SingleJobConfig};
+use abg_sim::{CompletedJob, MultiJobSim};
 use abg_workload::{paper_job, splitmix_seed, JobSetSpec, ReleaseSchedule};
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
@@ -131,12 +131,9 @@ fn abg_traced_run(
 ) -> CompletedJob {
     let mut rng = StdRng::seed_from_u64(seed);
     let job = paper_job(factor, quantum_len, PAIRS, &mut rng);
-    run_single_job(
-        &mut PipelinedExecutor::new(job),
-        &mut AControl::new(rate),
-        allocator,
-        SingleJobConfig::new(quantum_len).with_trace(),
-    )
+    MultiJobSim::homogeneous(allocator, quantum_len)
+        .with_traces()
+        .run_job(PipelinedExecutor::new(job), AControl::new(rate))
 }
 
 /// Validates Lemma 2 on a generated job run alone on 128 processors:

@@ -9,7 +9,7 @@ use abg_alloc::Scripted;
 use abg_control::{AControl, AGreedy, Controller};
 use abg_dag::PhasedJob;
 use abg_sched::PipelinedExecutor;
-use abg_sim::{run_single_job, QuantumRecord, SingleJobConfig};
+use abg_sim::{MultiJobSim, QuantumRecord};
 
 /// The constant parallelism `A` of the synthetic job.
 const PARALLELISM: u64 = 10;
@@ -30,20 +30,20 @@ pub struct TransientResult {
     pub agreedy: Vec<QuantumRecord>,
 }
 
-fn trajectory<C: Controller>(quanta: u32, mut calculator: C) -> Vec<QuantumRecord> {
+fn trajectory<C: Controller>(quanta: u32, calculator: C) -> Vec<QuantumRecord> {
     // Size the job so it cannot finish before `quanta` quanta even at
     // full allotment (one level per step once a ≥ A). Constant
     // parallelism means `A` ready tasks on every step, so any allotment
     // at or below it achieves full utilization (the regime of Figures
     // 1/4).
     let levels = QUANTUM_LEN * (u64::from(quanta) + 2);
-    let mut trace = run_single_job(
-        &mut PipelinedExecutor::new(PhasedJob::constant(PARALLELISM, levels)),
-        &mut calculator,
-        &mut Scripted::ample(PROCESSORS),
-        SingleJobConfig::new(QUANTUM_LEN).with_trace(),
-    )
-    .trace;
+    let mut trace = MultiJobSim::homogeneous(Scripted::ample(PROCESSORS), QUANTUM_LEN)
+        .with_traces()
+        .run_job(
+            PipelinedExecutor::new(PhasedJob::constant(PARALLELISM, levels)),
+            calculator,
+        )
+        .trace;
     trace.truncate(quanta as usize);
     trace
 }

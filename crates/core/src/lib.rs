@@ -31,16 +31,10 @@
 //!     Phase::new(1, 20),
 //! ]);
 //!
-//! // Schedule it with ABG (convergence rate 0.2) alone on 64 processors.
-//! let mut executor = PipelinedExecutor::new(job);
-//! let mut controller = AControl::new(0.2);
-//! let mut allocator = Scripted::ample(64);
-//! let run = run_single_job(
-//!     &mut executor,
-//!     &mut controller,
-//!     &mut allocator,
-//!     SingleJobConfig::new(10),
-//! );
+//! // Schedule it with ABG (convergence rate 0.2) alone on 64 processors,
+//! // quantum length 10.
+//! let run = MultiJobSim::homogeneous(Scripted::ample(64), 10)
+//!     .run_job(PipelinedExecutor::new(job), AControl::new(0.2));
 //! assert!(run.speedup() > 1.0);
 //! ```
 //!

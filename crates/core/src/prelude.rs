@@ -11,8 +11,8 @@ pub use abg_sched::{
     PipelinedExecutor, QuantumStats,
 };
 pub use abg_sim::{
-    run_single_job, CompletedJob, MultiJobOutcome, MultiJobSim, NullProbe, Probe, QuantumCore,
-    QuantumRecord, SingleJobConfig, TraceProbe,
+    CompletedJob, MultiJobOutcome, MultiJobSim, NullProbe, Probe, QuantumCore, QuantumRecord,
+    TraceProbe,
 };
 pub use abg_workload::{paper_job, JobSet, JobSetSpec, ReleaseSchedule};
 

@@ -16,7 +16,7 @@
 //! lengthen while the request is stable, shrink as soon as it moves —
 //! and [`FixedQuantum`] is the degenerate pacer that never moves.
 //! Run a paced controller through any driver, e.g.
-//! [`run_single_job`](crate::run_single_job); the run's
+//! [`MultiJobSim::run_job`](crate::MultiJobSim::run_job); the run's
 //! `reallocations` counts the quanta whose allotment changed.
 //!
 //! (The pre-unification `QuantumPolicy` trait, which duplicated the
@@ -178,7 +178,7 @@ impl<C: Controller> Controller for Paced<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SingleJobConfig;
+    use crate::MultiJobSim;
     use abg_alloc::Scripted;
     use abg_control::AControl;
     use abg_dag::{Phase, PhasedJob};
@@ -197,15 +197,12 @@ mod tests {
     #[test]
     fn fixed_pacer_reproduces_fixed_engine() {
         let job = forkjoin();
-        let mut a = PipelinedExecutor::new(&job);
-        let mut c = AControl::new(0.2);
-        let mut al = Scripted::ample(64);
-        let fixed = crate::run_single_job(&mut a, &mut c, &mut al, SingleJobConfig::new(50));
-
-        let mut b = PipelinedExecutor::new(&job);
-        let mut c2 = FixedQuantum(50).pace(AControl::new(0.2));
-        let mut al2 = Scripted::ample(64);
-        let adaptive = crate::run_single_job(&mut b, &mut c2, &mut al2, SingleJobConfig::new(50));
+        let fixed = MultiJobSim::homogeneous(Scripted::ample(64), 50)
+            .run_job(PipelinedExecutor::new(&job), AControl::new(0.2));
+        let adaptive = MultiJobSim::homogeneous(Scripted::ample(64), 50).run_job(
+            PipelinedExecutor::new(&job),
+            FixedQuantum(50).pace(AControl::new(0.2)),
+        );
         assert_eq!(fixed.response_time(), adaptive.response_time());
         assert_eq!(fixed.waste, adaptive.waste);
         assert_eq!(fixed.quanta, adaptive.quanta);
@@ -215,15 +212,13 @@ mod tests {
     fn adaptive_pacer_uses_fewer_quanta_on_stable_jobs() {
         let job = PhasedJob::constant(8, 4000);
         let run_with = |adaptive: bool| {
-            let mut ex = PipelinedExecutor::new(&job);
-            let mut al = Scripted::ample(64);
             let pacer = if adaptive {
                 AdaptiveQuantum::new(25, 400, 0.05)
             } else {
                 AdaptiveQuantum::from(FixedQuantum(25))
             };
-            let mut c = pacer.pace(AControl::new(0.2));
-            crate::run_single_job(&mut ex, &mut c, &mut al, SingleJobConfig::new(25))
+            MultiJobSim::homogeneous(Scripted::ample(64), 25)
+                .run_job(PipelinedExecutor::new(&job), pacer.pace(AControl::new(0.2)))
         };
         let fixed_run = run_with(false);
         let adaptive_run = run_with(true);
@@ -251,12 +246,11 @@ mod tests {
 
     #[test]
     fn reallocation_count_tracks_allotment_changes() {
-        let job = PhasedJob::constant(4, 200);
-        let mut ex = PipelinedExecutor::new(job);
         // Rate 0: one-step convergence, requests 1 then 4.
-        let mut c = FixedQuantum(20).pace(AControl::new(0.0));
-        let mut al = Scripted::ample(16);
-        let run = crate::run_single_job(&mut ex, &mut c, &mut al, SingleJobConfig::new(20));
+        let run = MultiJobSim::homogeneous(Scripted::ample(16), 20).run_job(
+            PipelinedExecutor::new(PhasedJob::constant(4, 200)),
+            FixedQuantum(20).pace(AControl::new(0.0)),
+        );
         assert_eq!(
             run.reallocations, 1,
             "only the 1 -> 4 jump changes the allotment"
@@ -269,7 +263,7 @@ mod tests {
         // a paced job shortens shared quanta (the engine runs at the
         // minimum any live controller asks for).
         use abg_alloc::DynamicEquiPartition;
-        let mut sim = crate::MultiJobSim::new(DynamicEquiPartition::new(32), 40);
+        let mut sim = MultiJobSim::new(DynamicEquiPartition::new(32), 40);
         sim.add_job(
             Box::new(PipelinedExecutor::new(forkjoin())),
             Box::new(AdaptiveQuantum::new(10, 160, 0.05).pace(AControl::new(0.2))),

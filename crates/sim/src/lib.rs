@@ -6,18 +6,15 @@
 //! the OS allocator, the allocator grants allotments `a(q)`, and each
 //! job's task scheduler runs the quantum and measures its statistics.
 //!
-//! Two entry points cover the paper's two simulation sets:
-//!
-//! * [`run_single_job`] — one job alone on the machine (Figures 1, 4, 5
-//!   and the trim-analysis experiments), with optional per-quantum
-//!   tracing;
-//! * [`MultiJobSim`] — a job set space-sharing the machine through a
-//!   shared allocator such as DEQ (Figure 6), with release times and
-//!   global metrics (makespan, mean response time).
-//!
-//! Both hand back the core's [`CompletedJob`] per job — response time,
-//! waste, work, span and the optional [`QuantumRecord`] trace — so a job
-//! alone and a job in a set are measured by one record.
+//! One closed driver covers the paper's two simulation sets:
+//! [`MultiJobSim`] runs a job set space-sharing the machine through a
+//! shared allocator such as DEQ (Figure 6), with release times and
+//! global metrics (makespan, mean response time), and
+//! [`MultiJobSim::run_job`] runs one job alone on the machine (Figures
+//! 1, 4, 5 and the trim-analysis experiments) as a one-job set. Either
+//! way each job comes back as the core's [`CompletedJob`] — response
+//! time, waste, work, span and the optional [`QuantumRecord`] trace — so
+//! a job alone and a job in a set are measured by one record.
 //!
 //! Every driver is a thin configuration of one generic loop:
 //! [`quantum_core::QuantumCore`], parameterized over the executor,
@@ -39,7 +36,6 @@ pub mod adaptive;
 pub mod multi;
 pub mod probe;
 pub mod quantum_core;
-pub mod single;
 pub mod trace;
 pub mod trim;
 
@@ -47,6 +43,5 @@ pub use adaptive::{AdaptiveQuantum, FixedQuantum, Paced};
 pub use multi::{MultiJobOutcome, MultiJobSim};
 pub use probe::{NullProbe, Probe, TraceProbe};
 pub use quantum_core::{live_job_footprint, CompletedJob, QuantumCore};
-pub use single::{run_single_job, SingleJobConfig};
 pub use trace::QuantumRecord;
 pub use trim::{mean_availability, trimmed_availability};

@@ -1,4 +1,4 @@
-//! Multi-job simulation: a job set space-sharing the machine.
+//! The closed-system driver: a job set, or one job alone, on the machine.
 
 use crate::probe::{NullProbe, Probe, TraceProbe};
 use crate::quantum_core::{CompletedJob, QuantumCore};
@@ -44,9 +44,15 @@ impl MultiJobOutcome {
     }
 }
 
-/// A two-level multiprogrammed simulation: jobs (each with its own task
-/// scheduler and request calculator) space-share a machine through one
-/// OS allocator.
+/// Livelock guard of every closed run unless
+/// [`with_max_quanta`](MultiJobSim::with_max_quanta) says otherwise:
+/// far beyond any real experiment, yet it stops a set that an allocator
+/// never grants a processor.
+const DEFAULT_MAX_QUANTA: u64 = 100_000_000;
+
+/// The closed-system driver: a job set — or one job alone — space-sharing
+/// a machine through one OS allocator, each job with its own task
+/// scheduler and request calculator.
 ///
 /// Time is quantum-synchronous: all jobs share quantum boundaries, a job
 /// released mid-quantum joins at the next boundary, and a job finishing
@@ -63,6 +69,12 @@ impl MultiJobOutcome {
 /// takes boxed trait objects for heterogeneous sets. Untraced runs use
 /// [`NullProbe`]; [`with_traces`](MultiJobSim::with_traces) switches the
 /// type to a [`TraceProbe`].
+///
+/// A lone job (the paper's Figures 1, 4 and 5 and the trim analysis) is
+/// a one-job set: [`run_job`](MultiJobSim::run_job) releases it at step
+/// 0, so its [`response_time`](CompletedJob::response_time) is the
+/// paper's running time `T`. Executors, controllers and allocators may
+/// be lent by `&mut`, so a caller can rewind one executor between runs.
 ///
 /// ```
 /// use abg_alloc::DynamicEquiPartition;
@@ -91,6 +103,7 @@ pub struct MultiJobSim<
 > {
     allocator: A,
     quantum_len: u64,
+    reallocation_overhead: u64,
     probe: P,
     /// Jobs in submission order: `(executor, controller, release)`.
     jobs: Vec<(E, C, u64)>,
@@ -122,21 +135,25 @@ impl<A: Allocator, E: JobExecutor, C: Controller> MultiJobSim<A, E, C> {
         Self {
             allocator,
             quantum_len,
+            reallocation_overhead: 0,
             probe: NullProbe,
             jobs: Vec::new(),
-            max_quanta: u64::MAX,
+            max_quanta: DEFAULT_MAX_QUANTA,
         }
     }
 
     /// Records a [`QuantumRecord`](crate::QuantumRecord) per job per
-    /// quantum; each job's records come back in its
+    /// quantum, availability `p(q)` included (trajectory figures and
+    /// trim analysis need it); each job's records come back in its
     /// [`CompletedJob::trace`]. Costs memory proportional to jobs ×
-    /// quanta.
+    /// quanta, and the allocator answers the availability by re-running
+    /// its policy.
     pub fn with_traces(self) -> MultiJobSim<A, E, C, TraceProbe> {
         MultiJobSim {
             allocator: self.allocator,
             quantum_len: self.quantum_len,
-            probe: TraceProbe::new(),
+            reallocation_overhead: self.reallocation_overhead,
+            probe: TraceProbe::new().with_availability(),
             jobs: self.jobs,
             max_quanta: self.max_quanta,
         }
@@ -145,20 +162,50 @@ impl<A: Allocator, E: JobExecutor, C: Controller> MultiJobSim<A, E, C> {
 
 impl<A: Allocator, E: JobExecutor, C: Controller, P: Probe> MultiJobSim<A, E, C, P> {
     /// Sets the livelock guard: `run` panics if the set is unfinished
-    /// after this many quanta.
+    /// after this many quanta (default 100 million; `u64::MAX` disables
+    /// it).
     pub fn with_max_quanta(mut self, max_quanta: u64) -> Self {
         self.max_quanta = max_quanta;
         self
     }
 
+    /// Sets the steps lost at the start of every quantum whose allotment
+    /// differs from the job's previous one (see
+    /// [`QuantumCore::with_reallocation_overhead`]).
+    pub fn with_reallocation_overhead(mut self, steps: u64) -> Self {
+        self.reallocation_overhead = steps;
+        self
+    }
+
     /// Adds a job released at `release_step`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the executor has already completed its job (an executor
+    /// that was not rewound).
     pub fn add_job(&mut self, executor: E, calculator: C, release_step: u64) {
+        assert!(
+            !executor.is_complete(),
+            "executor already complete (rewind it before reuse)"
+        );
         self.jobs.push((executor, calculator, release_step));
     }
 
     /// Number of jobs added.
     pub fn num_jobs(&self) -> usize {
         self.jobs.len()
+    }
+
+    /// Adds a job released at step 0, runs the set and returns that
+    /// job's record: on an otherwise empty simulator, the paper's lone
+    /// job, whose response time is its running time `T`.
+    ///
+    /// # Panics
+    ///
+    /// As [`add_job`](MultiJobSim::add_job) and [`run`](MultiJobSim::run).
+    pub fn run_job(mut self, executor: E, calculator: C) -> CompletedJob {
+        self.add_job(executor, calculator, 0);
+        self.run().jobs.pop().expect("the set holds the added job")
     }
 
     /// Runs the set to completion and returns the outcome.
@@ -170,7 +217,8 @@ impl<A: Allocator, E: JobExecutor, C: Controller, P: Probe> MultiJobSim<A, E, C,
     /// clock.
     pub fn run(self) -> MultiJobOutcome {
         assert!(!self.jobs.is_empty(), "no jobs to simulate");
-        let mut core = QuantumCore::new(self.allocator, self.quantum_len, self.probe);
+        let mut core = QuantumCore::new(self.allocator, self.quantum_len, self.probe)
+            .with_reallocation_overhead(self.reallocation_overhead);
         for (executor, calculator, release) in self.jobs {
             core.admit(executor, calculator, release);
         }
@@ -214,16 +262,130 @@ impl<A: Allocator, E: JobExecutor, C: Controller, P: Probe> MultiJobSim<A, E, C,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abg_alloc::DynamicEquiPartition;
+    use abg_alloc::{DynamicEquiPartition, Scripted};
     use abg_control::{AControl, AGreedy, ConstantRequest};
     use abg_dag::{Phase, PhasedJob};
     use abg_sched::PipelinedExecutor;
 
     /// A barrier job: `levels` levels of `width` tasks, a join between
     /// each pair.
+    fn constant_job(width: u64, levels: u64) -> PipelinedExecutor {
+        PipelinedExecutor::new(PhasedJob::barrier(&[Phase::new(width, levels)]))
+    }
+
+    /// [`constant_job`], boxed for heterogeneous sets.
     fn boxed_job(width: u64, levels: u64) -> Box<dyn JobExecutor + Send> {
-        let job = PhasedJob::barrier(&[Phase::new(width, levels)]);
-        Box::new(PipelinedExecutor::new(job))
+        Box::new(constant_job(width, levels))
+    }
+
+    #[test]
+    fn abg_converges_and_wastes_little_on_constant_job() {
+        let run = MultiJobSim::homogeneous(Scripted::ample(128), 20)
+            .run_job(constant_job(10, 400), AControl::new(0.2));
+        assert_eq!(run.work, 4000);
+        assert_eq!(run.span, 400);
+        // Requests converge to 10 quickly; waste is a small fraction of work.
+        assert!(
+            run.waste_over_work() < 0.2,
+            "waste/work = {}",
+            run.waste_over_work()
+        );
+        // Once converged, one quantum advances ~20 levels: near-optimal time.
+        assert!(
+            run.time_over_span() < 1.5,
+            "T/T∞ = {}",
+            run.time_over_span()
+        );
+    }
+
+    #[test]
+    fn trace_captures_request_trajectory() {
+        let run = MultiJobSim::homogeneous(Scripted::ample(128), 10)
+            .with_traces()
+            .run_job(constant_job(10, 100), AControl::new(0.2));
+        assert_eq!(run.trace.len() as u64, run.quanta);
+        assert_eq!(run.trace[0].request, 1.0);
+        // Monotone non-decreasing approach to 10 with no overshoot.
+        for w in run.trace.windows(2) {
+            assert!(w[1].request >= w[0].request - 1e-9);
+            assert!(w[1].request <= 10.0 + 1e-9);
+        }
+        assert_eq!(run.trace[0].availability, Some(128));
+    }
+
+    #[test]
+    fn agreedy_oscillates_in_trace() {
+        let run = MultiJobSim::homogeneous(Scripted::ample(128), 10)
+            .with_traces()
+            .run_job(constant_job(10, 2000), AGreedy::paper_default());
+        let requests: Vec<f64> = run.trace.iter().map(|r| r.request).collect();
+        let tail = &requests[requests.len() / 2..];
+        let min = tail.iter().cloned().fold(f64::INFINITY, f64::min);
+        let max = tail.iter().cloned().fold(0.0f64, f64::max);
+        assert!(max > min, "A-Greedy should not settle: {min}..{max}");
+    }
+
+    #[test]
+    fn constrained_availability_slows_the_job() {
+        // Only 2 processors ever available.
+        let run = MultiJobSim::homogeneous(Scripted::new(128, vec![2]), 16)
+            .run_job(constant_job(8, 64), ConstantRequest::new(8.0));
+        // 8 wide on 2 processors: 4 steps per level → T = 4·64 = 256.
+        assert_eq!(run.response_time(), 256);
+        assert_eq!(run.waste, 0);
+    }
+
+    #[test]
+    fn oracle_on_exact_width_has_zero_waste() {
+        let run = MultiJobSim::homogeneous(Scripted::ample(64), 10)
+            .run_job(constant_job(6, 60), ConstantRequest::new(6.0));
+        assert_eq!(run.waste, 0);
+        assert_eq!(run.response_time(), 60);
+        assert_eq!(run.quanta, 6);
+    }
+
+    #[test]
+    fn final_quantum_counts_partial_time_but_full_hold() {
+        // 25 levels, width 1, request 1, L = 10: 2 full quanta + 5 steps.
+        let run = MultiJobSim::homogeneous(Scripted::ample(4), 10)
+            .run_job(constant_job(1, 25), ConstantRequest::new(1.0));
+        assert_eq!(run.response_time(), 25);
+        assert_eq!(run.quanta, 3);
+        // Final quantum holds 1 processor for 10 steps but works 5.
+        assert_eq!(run.waste, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "livelock")]
+    fn livelock_guard_trips() {
+        let _ = MultiJobSim::homogeneous(Scripted::new(8, vec![0]), 10)
+            .with_max_quanta(100)
+            .run_job(constant_job(1, 10), ConstantRequest::new(1.0));
+    }
+
+    #[test]
+    fn closed_runs_default_to_a_finite_guard() {
+        let sim = MultiJobSim::new(Scripted::ample(1), 10);
+        assert_eq!(sim.max_quanta, 100_000_000);
+    }
+
+    #[test]
+    #[ignore = "steps 10^8 quanta: about 3 s in release, 45 s in a debug build"]
+    #[should_panic(expected = "livelock")]
+    fn default_guard_stops_a_set_never_granted_a_processor() {
+        let mut sim = MultiJobSim::homogeneous(Scripted::new(8, vec![0]), 10);
+        sim.add_job(constant_job(1, 10), ConstantRequest::new(1.0), 0);
+        let _ = sim.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "already complete")]
+    fn completed_executor_rejected() {
+        let mut ex = constant_job(1, 10);
+        let _ = MultiJobSim::homogeneous(Scripted::ample(4), 10)
+            .run_job(&mut ex, ConstantRequest::new(1.0));
+        let _ = MultiJobSim::homogeneous(Scripted::ample(4), 10)
+            .run_job(&mut ex, ConstantRequest::new(1.0));
     }
 
     #[test]
@@ -350,6 +512,11 @@ mod tests {
             // First record starts at the job's first boundary ≥ release.
             assert!(j.trace[0].start_step >= j.release);
             assert_eq!(j.trace[0].request, 1.0);
+            // Every record carries the availability bounding its grant.
+            for r in &j.trace {
+                let a = r.availability.expect("traced runs record p(q)");
+                assert!(r.allotment <= a, "a(q) = {} > p(q) = {a}", r.allotment);
+            }
         }
     }
 

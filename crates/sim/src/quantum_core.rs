@@ -19,11 +19,10 @@
 //!   [`NullProbe`](crate::NullProbe) compiles the instrumentation away
 //!   entirely.
 //!
-//! The three public drivers — [`run_single_job`](crate::run_single_job),
-//! [`MultiJobSim`](crate::MultiJobSim) and `abg_queue`'s
-//! `run_open_system` — are thin configurations of this core; the
-//! sweep/open fingerprint suites pin each of them bit-identical to the
-//! pre-unification loops.
+//! The two public drivers — the closed [`MultiJobSim`](crate::MultiJobSim)
+//! (a lone job is a one-job set) and `abg_queue`'s `run_open_system` —
+//! are thin configurations of this core; the sweep/open fingerprint
+//! suites pin each of them bit-identical to the pre-unification loops.
 //!
 //! Accounting rules (all preserved from the paper): time is
 //! quantum-synchronous; a job released mid-quantum joins at the next

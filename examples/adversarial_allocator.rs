@@ -27,16 +27,9 @@ fn main() {
     let script: Vec<u32> = (0..32)
         .map(|i| if i % 8 == 0 { 64 } else { 2 + (i % 3) })
         .collect();
-    let mut allocator = Scripted::cycling(64, script);
-
-    let mut executor = PipelinedExecutor::new(job.clone());
-    let mut controller = AControl::new(rate);
-    let run = run_single_job(
-        &mut executor,
-        &mut controller,
-        &mut allocator,
-        SingleJobConfig::new(quantum_len).with_trace(),
-    );
+    let run = MultiJobSim::homogeneous(Scripted::cycling(64, script), quantum_len)
+        .with_traces()
+        .run_job(PipelinedExecutor::new(job), AControl::new(rate));
 
     let availabilities: Vec<u32> = run
         .trace

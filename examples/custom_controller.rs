@@ -5,7 +5,7 @@
 //! ```
 //!
 //! The unified quantum core is generic over the [`Controller`] trait, so
-//! a user-defined request policy plugs into the closed single-job driver
+//! a user-defined request policy plugs into the closed driver
 //! and the open-system (sustained-arrival) driver without touching
 //! either. The controller here snaps its request to the nearest power of
 //! two and only moves when the measured parallelism drifts — the kind of
@@ -65,12 +65,9 @@ fn main() {
     ]);
 
     // ── Closed driver: the job alone on the machine. ────────────────
-    let run = run_single_job(
-        &mut PipelinedExecutor::new(job.clone()),
-        &mut PowerOfTwo::new(0.25),
-        &mut Scripted::ample(64),
-        SingleJobConfig::new(25).with_trace(),
-    );
+    let run = MultiJobSim::homogeneous(Scripted::ample(64), 25)
+        .with_traces()
+        .run_job(PipelinedExecutor::new(job), PowerOfTwo::new(0.25));
     println!("closed driver, one job under the custom controller:");
     println!(" q    d(q)  a(q)    A(q)");
     for r in &run.trace {

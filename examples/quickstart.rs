@@ -32,19 +32,12 @@ fn main() {
     // The two-level scheduler: the task scheduler executes and measures,
     // the `Controller` turns measurements into processor requests, the
     // OS allocator grants them (here: everything available, up to
-    // P = 64). Every driver — this one, the multi-job engine and the
-    // open-system driver — is the same unified quantum core under a
-    // different configuration.
-    let mut executor = PipelinedExecutor::new(job);
-    let mut controller = AControl::new(0.2); // convergence rate r = 0.2
-    let mut allocator = Scripted::ample(64);
-
-    let run = run_single_job(
-        &mut executor,
-        &mut controller,
-        &mut allocator,
-        SingleJobConfig::new(25).with_trace(), // quantum length L = 25
-    );
+    // P = 64). A lone job is a one-job set of the closed driver, and
+    // the closed and open-system drivers are the same unified quantum
+    // core under a different configuration.
+    let run = MultiJobSim::homogeneous(Scripted::ample(64), 25) // quantum length L = 25
+        .with_traces()
+        .run_job(PipelinedExecutor::new(job), AControl::new(0.2)); // convergence rate r = 0.2
 
     println!("\n q    d(q)  a(q)   T1(q)  T∞(q)    A(q)");
     for r in &run.trace {

@@ -10,7 +10,7 @@
 //! use; centralized ABG additionally avoids steal overhead entirely.
 //! All three request policies are ordinary [`Controller`]s
 //! (`abg_steal` implements the trait for its schedulers), so they drop
-//! into `run_single_job` unchanged.
+//! into the closed driver's `run_job` unchanged.
 
 use abg::prelude::*;
 use abg_steal::{abp_request, ASteal, StealExecutor};
@@ -34,32 +34,20 @@ fn main() {
     );
 
     // Centralized ABG (B-Greedy + A-Control) on the pipelined fast path.
-    let abg = run_single_job(
-        &mut PipelinedExecutor::new(job.clone()),
-        &mut AControl::new(0.2),
-        &mut Scripted::ample(processors),
-        SingleJobConfig::new(quantum),
-    );
+    let abg = MultiJobSim::homogeneous(Scripted::ample(processors), quantum)
+        .run_job(PipelinedExecutor::new(job.clone()), AControl::new(0.2));
 
     // The stealing schedulers need the explicit dag.
     let dag = job.to_explicit();
 
     let mut asteal_exec = StealExecutor::new(&dag, 0xA5);
-    let asteal = run_single_job(
-        &mut asteal_exec,
-        &mut ASteal::paper_default(),
-        &mut Scripted::ample(processors),
-        SingleJobConfig::new(quantum),
-    );
+    let asteal = MultiJobSim::homogeneous(Scripted::ample(processors), quantum)
+        .run_job(&mut asteal_exec, ASteal::paper_default());
     let asteal_steals = asteal_exec.steal_cycles();
 
     let mut abp_exec = StealExecutor::new(&dag, 0xA5);
-    let abp = run_single_job(
-        &mut abp_exec,
-        &mut abp_request(processors),
-        &mut Scripted::ample(processors),
-        SingleJobConfig::new(quantum),
-    );
+    let abp = MultiJobSim::homogeneous(Scripted::ample(processors), quantum)
+        .run_job(&mut abp_exec, abp_request(processors));
     let abp_steals = abp_exec.steal_cycles();
 
     println!("scheduler                      T/T∞    W/T1   steal-cycles");

@@ -7,3 +7,9 @@
 //! `abg-workload`).
 
 pub use abg::prelude;
+
+/// Compiles and runs the README's Rust blocks as doctests, so its
+/// library example cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

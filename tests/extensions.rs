@@ -42,15 +42,10 @@ fn asteal_releases_processors_in_serial_phases() {
     let job = forkjoin(16);
     let dag = job.to_explicit();
 
-    let run = |mut calc: Box<dyn Controller + Send>| {
-        let mut ex = StealExecutor::new(&dag, 23);
-        let mut alloc = Scripted::ample(32);
-        run_single_job(
-            &mut ex,
-            &mut calc,
-            &mut alloc,
-            SingleJobConfig::new(50).with_trace(),
-        )
+    let run = |calc: Box<dyn Controller + Send>| {
+        MultiJobSim::homogeneous(Scripted::ample(32), 50)
+            .with_traces()
+            .run_job(StealExecutor::new(&dag, 23), calc)
     };
     let asteal = run(Box::new(ASteal::paper_default()));
     let abp = run(Box::new(abp_request(32)));
@@ -82,12 +77,11 @@ fn asteal_releases_processors_in_serial_phases() {
 fn adaptive_quantum_frontier() {
     let job = forkjoin(12);
     let run = |pacer: AdaptiveQuantum| {
-        let mut ex = PipelinedExecutor::new(job.clone());
         // Boxed on purpose: the quantum-length hooks must survive
         // dynamic dispatch for heterogeneous engines.
-        let mut ctl: Box<dyn Controller + Send> = Box::new(pacer.pace(AControl::new(0.2)));
-        let mut alloc = Scripted::ample(64);
-        run_single_job(&mut ex, &mut ctl, &mut alloc, SingleJobConfig::new(25))
+        let ctl: Box<dyn Controller + Send> = Box::new(pacer.pace(AControl::new(0.2)));
+        MultiJobSim::homogeneous(Scripted::ample(64), 25)
+            .run_job(PipelinedExecutor::new(job.clone()), ctl)
     };
     let short = run(FixedQuantum(25).into());
     let long = run(FixedQuantum(400).into());
@@ -112,10 +106,9 @@ fn adaptive_quantum_frontier() {
 #[test]
 fn governed_rate_end_to_end() {
     let job = forkjoin(24);
-    let mut ex = PipelinedExecutor::new(job.clone());
     let mut ctl = AdaptiveRateControl::new(0.2, 0.9);
-    let mut alloc = Scripted::ample(64);
-    let run = run_single_job(&mut ex, &mut ctl, &mut alloc, SingleJobConfig::new(50));
+    let run = MultiJobSim::homogeneous(Scripted::ample(64), 50)
+        .run_job(PipelinedExecutor::new(job), &mut ctl);
     // Quanta blend the serial and parallel phases, so the measured
     // factor is well below the width-24 peak but still far above 1.
     assert!(
@@ -157,13 +150,12 @@ proptest! {
         let phases: Vec<Phase> = widths.iter().map(|&w| Phase::new(w, 20)).collect();
         let job = PhasedJob::new(phases);
         let total = job.work();
-        let mut ex = PipelinedExecutor::new(job);
-        let mut ctl = AdaptiveQuantum::new(min, max, 0.05).pace(AControl::new(0.2));
-        let mut alloc = Scripted::ample(32);
-        let run = run_single_job(
-            &mut ex, &mut ctl, &mut alloc,
-            SingleJobConfig::new(min).with_trace(),
-        );
+        let run = MultiJobSim::homogeneous(Scripted::ample(32), min)
+            .with_traces()
+            .run_job(
+                PipelinedExecutor::new(job),
+                AdaptiveQuantum::new(min, max, 0.05).pace(AControl::new(0.2)),
+            );
         prop_assert_eq!(run.work, total);
         for r in &run.trace {
             prop_assert!(r.stats.quantum_len >= min && r.stats.quantum_len <= max,

@@ -1,6 +1,5 @@
-//! Property tests over whole simulated runs: conservation laws of the
-//! single-job engine, determinism, multi-job accounting, the single-job
-//! driver in lockstep with a one-job set, the monomorphized multi-job
+//! Property tests over whole simulated runs: conservation laws of a lone
+//! job, determinism, multi-job accounting, the monomorphized multi-job
 //! simulator in lockstep with the boxed one, and frozen windows over
 //! jobs admitted ahead of their release in lockstep with pure stepping.
 
@@ -8,10 +7,7 @@ use abg_alloc::{DynamicEquiPartition, Scripted};
 use abg_control::{AControl, AGreedy, ConstantRequest, Controller};
 use abg_dag::{Phase, PhasedJob};
 use abg_sched::{JobExecutor, PipelinedExecutor};
-use abg_sim::{
-    run_single_job, CompletedJob, MultiJobOutcome, MultiJobSim, NullProbe, QuantumCore,
-    SingleJobConfig,
-};
+use abg_sim::{CompletedJob, MultiJobOutcome, MultiJobSim, NullProbe, QuantumCore};
 use proptest::prelude::*;
 
 fn phases() -> impl Strategy<Value = Vec<Phase>> {
@@ -182,11 +178,9 @@ proptest! {
     fn single_job_conservation(ph in phases(), which in 0u8..3, p in 1u32..32, l in 1u64..20) {
         let job = PhasedJob::new(ph);
         let (work, span) = (job.work(), job.span());
-        let mut ex = PipelinedExecutor::new(job);
-        let mut calc = calculator(which);
-        let mut alloc = Scripted::ample(p);
-        let run = run_single_job(&mut ex, &mut calc, &mut alloc,
-                                 SingleJobConfig::new(l).with_trace());
+        let run = MultiJobSim::homogeneous(Scripted::ample(p), l)
+            .with_traces()
+            .run_job(PipelinedExecutor::new(job), calculator(which));
 
         prop_assert_eq!(run.work, work);
         prop_assert_eq!(run.span, span);
@@ -208,36 +202,14 @@ proptest! {
         }
     }
 
-    /// Two drivers, one record: `run_single_job` and a one-job
-    /// `MultiJobSim` released at step 0, over the same executor type,
-    /// controller, allocator and `L`, untraced, return equal
-    /// `CompletedJob`s.
-    #[test]
-    fn single_job_matches_one_job_set(
-        ph in phases(), which in 0u8..3, p in 1u32..32, l in 1u64..20,
-    ) {
-        let job = PhasedJob::new(ph);
-        let single = run_single_job(
-            &mut PipelinedExecutor::new(job.clone()),
-            &mut calculator(which),
-            &mut DynamicEquiPartition::new(p),
-            SingleJobConfig::new(l),
-        );
-        let mut sim = MultiJobSim::homogeneous(DynamicEquiPartition::new(p), l);
-        sim.add_job(PipelinedExecutor::new(job), calculator(which), 0);
-        prop_assert_eq!(sim.run().jobs, vec![single]);
-    }
-
     /// Determinism: identical inputs give identical runs.
     #[test]
     fn single_job_deterministic(ph in phases(), which in 0u8..3) {
         let job = PhasedJob::new(ph);
         let run = |job: PhasedJob| {
-            let mut ex = PipelinedExecutor::new(job);
-            let mut calc = calculator(which);
-            let mut alloc = Scripted::ample(16);
-            run_single_job(&mut ex, &mut calc, &mut alloc,
-                           SingleJobConfig::new(10).with_trace())
+            MultiJobSim::homogeneous(Scripted::ample(16), 10)
+                .with_traces()
+                .run_job(PipelinedExecutor::new(job), calculator(which))
         };
         prop_assert_eq!(run(job.clone()), run(job));
     }
@@ -249,11 +221,9 @@ proptest! {
     fn abg_requests_bounded_by_peak(ph in phases(), l in 1u64..20) {
         let job = PhasedJob::new(ph);
         let peak = job.phases().iter().map(|p| p.width).max().unwrap() as f64;
-        let mut ex = PipelinedExecutor::new(job);
-        let mut calc = AControl::new(0.2);
-        let mut alloc = Scripted::ample(64);
-        let run = run_single_job(&mut ex, &mut calc, &mut alloc,
-                                 SingleJobConfig::new(l).with_trace());
+        let run = MultiJobSim::homogeneous(Scripted::ample(64), l)
+            .with_traces()
+            .run_job(PipelinedExecutor::new(job), AControl::new(0.2));
         for r in &run.trace {
             prop_assert!(r.request >= 1.0 - 1e-9, "request {} < 1", r.request);
             prop_assert!(r.request <= peak + 1e-9,
