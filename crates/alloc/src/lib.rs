@@ -69,7 +69,11 @@ pub fn ceil_request(d: f64) -> u32 {
     if d >= u32::MAX as f64 {
         u32::MAX
     } else {
-        d.ceil() as u32
+        // Truncate and round up by one compare: `f64::ceil` is a
+        // software routine on baseline x86-64, and every allocation and
+        // frozen-window check integerizes each live request.
+        let t = d as u32;
+        t + u32::from((t as f64) < d)
     }
 }
 
@@ -190,6 +194,37 @@ mod tests {
         assert_eq!(ceil_request(0.2), 1);
         assert_eq!(ceil_request(3.0), 3);
         assert_eq!(ceil_request(3.001), 4);
+    }
+
+    #[test]
+    fn ceil_request_matches_f64_ceil() {
+        let edges = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.0 - f64::EPSILON,
+            (1u64 << 31) as f64 + 0.5,
+            u32::MAX as f64 - 1.0,
+            u32::MAX as f64 - 0.5,
+        ];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let random = (0..100_000).map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) as f64 / (1u64 << 53) as f64 * 10f64.powi((x % 11) as i32)
+        });
+        for d in edges.into_iter().chain(random) {
+            assert_eq!(
+                ceil_request(d),
+                d.ceil().min(u32::MAX as f64) as u32,
+                "d = {d:e}"
+            );
+        }
     }
 
     #[test]

@@ -93,9 +93,13 @@ pub trait JobExecutor {
     /// returns `m`, then for any `k ≤ m` a single
     /// `run_quantum(allotment, k·steps)` call must leave the executor in
     /// the same state as `k` individual `run_quantum(allotment, steps)`
-    /// calls, each of which would have returned `stats`. The default of
-    /// `0` (no lookahead) is always correct and keeps the engine on the
-    /// quantum-by-quantum path for executors without an analysis.
+    /// calls, each of which would have returned `stats`. After `k ≤ m`
+    /// such quanta, run either way, the same query must return `m − k`
+    /// (`u64::MAX`, an unbounded lookahead, stays `u64::MAX`): the engine
+    /// caches the lookahead across a window instead of asking again. The
+    /// default of `0` (no lookahead) is always correct and keeps the
+    /// engine on the quantum-by-quantum path for executors without an
+    /// analysis.
     fn steady_quanta(&self, allotment: u32, steps: u64, stats: &QuantumStats) -> u64 {
         let _ = (allotment, steps, stats);
         0

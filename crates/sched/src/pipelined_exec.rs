@@ -336,8 +336,9 @@ mod tests {
     fn steady_quanta_predicts_bitwise_repeats_and_bulk_equivalence() {
         // Drive a long constant phase one quantum at a time; after each
         // quantum the steady_quanta prediction must hold bit-for-bit for
-        // every predicted repeat, and a single bulk call must land the
-        // executor in the same state as the repeats it replaces.
+        // every predicted repeat and shrink by exactly one, and a single
+        // bulk call must land the executor in the same state as the
+        // repeats it replaces, with the lookahead shrunk by as many.
         for (a, steps) in [(3u32, 7u64), (16, 5), (10, 4)] {
             let job = PhasedJob::constant(10, 100); // 1000 tasks
             let mut ex = PipelinedExecutor::new(&job);
@@ -351,6 +352,12 @@ mod tests {
                 assert_eq!(repeat.steps_worked, stats.steps_worked);
                 assert_eq!(repeat.span.to_bits(), stats.span.to_bits());
                 assert!(!repeat.completed);
+                assert_eq!(serial.steady_quanta(a, steps, &repeat), m - j - 1);
+            }
+            for k in 0..=m {
+                let mut bulk = ex.clone();
+                bulk.run_quantum(a, k * steps);
+                assert_eq!(bulk.steady_quanta(a, steps, &stats), m - k, "k={k} (a={a})");
             }
             // One past the prediction must differ (phase tail or completion).
             let past = serial.run_quantum(a, steps);
@@ -381,6 +388,12 @@ mod tests {
             ex.steady_quanta(0, 8, &zero),
             u64::MAX,
             "zero allotment repeats forever"
+        );
+        ex.run_quantum(0, 5 * 8);
+        assert_eq!(
+            ex.steady_quanta(0, 8, &zero),
+            u64::MAX,
+            "and stays unbounded"
         );
         // Drain the job: a complete executor never freezes.
         let last = ex.run_quantum(64, 1000);

@@ -126,11 +126,11 @@ impl CompletedJob {
 /// type `E` and controller type `C`: the job's slot, its pending-heap
 /// entry and live index, plus its share of the per-live arrays of the
 /// last quantum (requests, allotments, availabilities, stats, steadiness
-/// flags, frozen ceilings). Heap state owned by the executor or
-/// controller themselves (job structure, phase lists) is *not* counted —
-/// for boxed jobs this is the footprint of the core's bookkeeping, not
-/// of the job. The bench harness reports this next to the peak in-system
-/// population as the memory-scale figure of the open kernels.
+/// flags). Heap state owned by the executor or controller themselves
+/// (job structure, phase lists) is *not* counted — for boxed jobs this
+/// is the footprint of the core's bookkeeping, not of the job. The bench
+/// harness reports this next to the peak in-system population as the
+/// memory-scale figure of the open kernels.
 pub fn live_job_footprint<E, C>() -> usize {
     use std::mem::size_of;
     size_of::<Option<Slot<E, C>>>()      // slab slot
@@ -139,8 +139,7 @@ pub fn live_job_footprint<E, C>() -> usize {
         + size_of::<f64>()               // request
         + size_of::<u32>() * 2           // allotment + availability
         + size_of::<QuantumStats>()      // cached last-quantum stats
-        + size_of::<bool>()              // steadiness flag
-        + size_of::<u32>() // frozen ceiling
+        + size_of::<bool>() // steadiness flag
 }
 
 /// The generic quantum-synchronous stepping core: a machine-wide
@@ -186,14 +185,14 @@ pub struct QuantumCore<E, C, A, P> {
     last_stats: Vec<QuantumStats>,
     // Jobs that finished this quantum, with their completion steps.
     finished: Vec<(usize, u64)>,
-    // Frozen-quantum cache: the last real quantum's length while
-    // replaying that quantum verbatim would be correct — see
-    // `advance_frozen`. Anything that changes `live` clears it.
+    // The certified frozen window's length (see `advance_frozen`): set
+    // only by the certifying step, cleared by anything that changes
+    // `live`. With it: the executors' minimum lookahead and each
+    // controller's `is_steady` flag.
     frozen_len: Option<u64>,
+    frozen_lookahead: u64,
     last_have_avail: bool,
-    // advance_frozen scratch.
     steady: Vec<bool>,
-    frozen_ceils: Vec<u32>,
 }
 
 impl<E, C, A, P> QuantumCore<E, C, A, P>
@@ -231,9 +230,9 @@ where
             last_stats: Vec::new(),
             finished: Vec::new(),
             frozen_len: None,
+            frozen_lookahead: 0,
             last_have_avail: false,
             steady: Vec::new(),
-            frozen_ceils: Vec::new(),
         }
     }
 
@@ -333,15 +332,15 @@ where
         self.live.len() + self.pending.len()
     }
 
-    /// The length the next quantum would run at if it can be frozen —
-    /// i.e. the length of the last executed quantum while the
-    /// frozen-window cache is valid. `None` when the cache was
-    /// invalidated (completion, admission, release, idle skip, allocator
-    /// swap or reallocation overhead), in which case [`advance_frozen`]
-    /// would decline anyway. Event-driven drivers use this to convert
-    /// time horizons (the next arrival) into quantum counts.
-    ///
-    /// [`advance_frozen`]: QuantumCore::advance_frozen
+    /// The length of the certified frozen window, if one is open: the
+    /// last quantum was stepped by
+    /// [`step_quantum_reclaiming`](QuantumCore::step_quantum_reclaiming),
+    /// which certified that replaying it is bit-equivalent to stepping,
+    /// and nothing has thawed it since (admission, release, idle skip,
+    /// allocator swap, or a window that ran out). `None` means
+    /// [`advance_frozen`](QuantumCore::advance_frozen) would decline.
+    /// Event-driven drivers use this to convert time horizons (the next
+    /// arrival) into quantum counts.
     pub fn frozen_quantum_len(&self) -> Option<u64> {
         self.frozen_len
     }
@@ -436,26 +435,35 @@ where
     ///
     /// Panics if no job is live — callers decide how to skip idle time
     /// (see [`skip_idle_until`](QuantumCore::skip_idle_until)).
+    ///
+    /// It certifies no frozen window: after it,
+    /// [`advance_frozen`](QuantumCore::advance_frozen) declines.
     pub fn step_quantum(&mut self, completed: &mut Vec<CompletedJob>) {
-        self.step_quantum_inner(completed, None);
+        self.step_quantum_inner::<false>(completed, None);
     }
 
-    /// [`step_quantum`](QuantumCore::step_quantum), but hands the
-    /// executors of drained jobs back to the caller instead of dropping
-    /// them. An open-system driver over a homogeneous workload can
-    /// [`try_reset`](JobExecutor::try_reset) and re-admit them, so a
-    /// steady-state run recycles a bounded pool of executors instead of
-    /// allocating one per arrival. Purely an allocation-lifetime change:
-    /// the simulated schedule is identical to the dropping variant.
+    /// The open drivers' step: [`step_quantum`](QuantumCore::step_quantum),
+    /// but it hands the executors of drained jobs back to the caller
+    /// instead of dropping them, and certifies the frozen window that
+    /// [`advance_frozen`](QuantumCore::advance_frozen) may then take.
+    ///
+    /// An open-system driver over a homogeneous workload can
+    /// [`try_reset`](JobExecutor::try_reset) and re-admit the reclaimed
+    /// executors, so a steady-state run recycles a bounded pool of
+    /// executors instead of allocating one per arrival. Neither the
+    /// reclaiming nor the certification changes the simulated schedule.
     pub fn step_quantum_reclaiming(
         &mut self,
         completed: &mut Vec<CompletedJob>,
         reclaimed: &mut Vec<E>,
     ) {
-        self.step_quantum_inner(completed, Some(reclaimed));
+        self.step_quantum_inner::<true>(completed, Some(reclaimed));
     }
 
-    fn step_quantum_inner(
+    /// The one step body. With `CERTIFY` it certifies the quantum just
+    /// run as a frozen window, checking each job right after its
+    /// `observe` and stopping at the first that fails.
+    fn step_quantum_inner<const CERTIFY: bool>(
         &mut self,
         completed: &mut Vec<CompletedJob>,
         mut reclaimed: Option<&mut Vec<E>>,
@@ -484,7 +492,14 @@ where
         self.allocator
             .allocate_into(&self.requests, &mut self.allotments);
         debug_assert_eq!(self.allotments.len(), self.live.len());
-        let mut had_overhead = false;
+        // A window replays these allotments, so the allocator must
+        // certify that the next quantum's requests would reproduce them.
+        // Exact-request allocations, and recorded availabilities (whose
+        // probes see raw requests under any policy), tolerate no drift.
+        let stability = CERTIFY.then(|| self.allocator.allocation_stability());
+        let exact = stability == Some(AllocationStability::ByExactRequests) || want_avail;
+        let mut certifying = stability.is_some_and(|s| s != AllocationStability::Unstable);
+        let (mut lookahead, mut next_len) = (u64::MAX, u64::MAX);
         self.last_stats.clear();
         self.finished.clear();
         for (k, &i) in self.live.iter().enumerate() {
@@ -503,7 +518,6 @@ where
             } else {
                 0
             };
-            had_overhead |= overhead > 0;
             job.prev_allotment = Some(allotment);
             self.probe
                 .on_grant(job.id, job.request, allotment, availability);
@@ -525,7 +539,25 @@ where
             self.probe.on_quantum_end(job.id, &record);
             job.request = job.controller.observe(&stats);
             job.next_len = job.controller.next_quantum_len(self.default_len);
-            self.last_stats.push(stats);
+            if certifying {
+                // Cheapest first. A window replays the grants computed
+                // from the *pre-observe* request, so the post-observe one
+                // must reproduce them: the same ceiling, or the same bits
+                // when `exact`.
+                let (cur, prev) = (job.request, self.requests[k]);
+                certifying = !stats.completed
+                    && overhead == 0
+                    && ceil_request(cur) == ceil_request(prev)
+                    && (!exact || cur.to_bits() == prev.to_bits())
+                    && job.controller.supports_frozen_stepping();
+                if certifying {
+                    let m = job.executor.steady_quanta(allotment, len, &stats);
+                    certifying = m > 0;
+                    lookahead = lookahead.min(m);
+                    next_len = next_len.min(job.next_len);
+                    self.last_stats.push(stats);
+                }
+            }
         }
         // Drain the finished slots in live-set order, i.e. admission
         // order (allocation order, and with it DEQ's rotating tie-break
@@ -555,11 +587,23 @@ where
         }
         self.now = now + len;
         self.quanta += 1;
-        // The cached quantum can only be replayed if the live set is
-        // unchanged (no completions) and the quantum ran full-length for
-        // everyone (no reallocation overhead, which a frozen repeat
-        // would not burn).
-        self.frozen_len = (self.finished.is_empty() && !had_overhead).then_some(len);
+        // Every job passed, so the live set is unchanged (no
+        // completions), the quantum ran full-length for everyone (no
+        // reallocation overhead, which a frozen repeat would not burn),
+        // and the next quantum must still run at this length. Drifting
+        // controllers, replayed in the window, are checked last: only
+        // `exact` forbids them.
+        let mut certified = certifying && next_len == len;
+        if certified {
+            self.steady.clear();
+            for (&i, stats) in self.live.iter().zip(&self.last_stats) {
+                let job = self.slots[i].as_ref().expect("freed slab slot");
+                self.steady.push(job.controller.is_steady(stats));
+            }
+            certified = !exact || self.steady.iter().all(|&s| s);
+        }
+        self.frozen_len = certified.then_some(len);
+        self.frozen_lookahead = lookahead;
         self.last_have_avail = have_avail;
         self.process_releases();
     }
@@ -568,7 +612,9 @@ where
     /// would be bit-for-bit repeats of the last real quantum — and
     /// returns how many were advanced (possibly 0).
     ///
-    /// A quantum is frozen when replaying it changes nothing the next
+    /// It takes only a window the certifying step opened (see
+    /// [`frozen_quantum_len`](QuantumCore::frozen_quantum_len)). A
+    /// quantum is frozen when replaying it changes nothing the next
     /// allocation could see: the live set is unchanged, every executor
     /// certifies via [`JobExecutor::steady_quanta`] that it would
     /// reproduce its statistics, the allocator certifies via
@@ -586,7 +632,9 @@ where
     /// executors' own lookahead, and the window ends at the first
     /// boundary at or after the next pending release, where stepping
     /// would have released that job. Arrivals the caller has not yet
-    /// admitted remain the caller's to bound through `max_quanta`.
+    /// admitted remain the caller's to bound through `max_quanta`. A
+    /// window cut short by `max_quanta` stays certified for the rest of
+    /// the lookahead.
     ///
     /// Probes observe the window according to
     /// [`Probe::wants_frozen_replay`](crate::Probe::wants_frozen_replay):
@@ -603,71 +651,15 @@ where
         let Some(len) = self.frozen_len else {
             return 0;
         };
-        let stability = self.allocator.allocation_stability();
-        if max_quanta == 0 || stability == AllocationStability::Unstable {
-            return 0;
-        }
-        // The next quantum must run at the cached length.
-        if self.live.iter().map(|&i| self.slot(i).next_len).min() != Some(len) {
-            return 0;
-        }
-        // Every controller must opt in; record which are already at a
-        // bitwise fixed point.
-        self.steady.clear();
-        let mut all_steady = true;
-        for (idx, &i) in self.live.iter().enumerate() {
-            let slot = self.slots[i].as_ref().expect("freed slab slot");
-            if !slot.controller.supports_frozen_stepping() {
-                return 0;
-            }
-            let steady = slot.controller.is_steady(&self.last_stats[idx]);
-            all_steady &= steady;
-            self.steady.push(steady);
-        }
-        // Exact-request allocations (and recorded availabilities, whose
-        // probes see raw requests under any policy) tolerate no drift.
-        let want_avail = self.probe.wants_availability();
-        if !all_steady && (stability == AllocationStability::ByExactRequests || want_avail) {
-            return 0;
-        }
-        // The window replays the allotments the last real quantum
-        // computed from its *pre-observe* requests; the next quantum
-        // would allocate from the *post-observe* ones. They must still
-        // produce the same grants: same ceilings for ceiling-driven
-        // policies, bitwise-same requests for exact-request policies and
-        // for replaying cached availabilities.
-        for (idx, &i) in self.live.iter().enumerate() {
-            let cur = self.slot(i).request;
-            let prev = self.requests[idx];
-            let raw_equal = cur.to_bits() == prev.to_bits();
-            let stable = match stability {
-                AllocationStability::Unstable => unreachable!("filtered above"),
-                AllocationStability::ByCeilings => ceil_request(cur) == ceil_request(prev),
-                AllocationStability::ByExactRequests => raw_equal,
-            };
-            if !stable || (want_avail && !raw_equal) {
-                return 0;
-            }
-        }
-        // The next pending release and the executors bound the window:
-        // no job may join the live set, and no executor leave its steady
-        // regime (phase boundary / completion), inside it.
-        let mut k_max = max_quanta;
+        let mut k_max = max_quanta.min(self.frozen_lookahead);
         if let Some(&Reverse((release, _, _))) = self.pending.peek() {
             k_max = k_max.min((release - self.now).div_ceil(len));
-        }
-        for (idx, &i) in self.live.iter().enumerate() {
-            let slot = self.slots[i].as_ref().expect("freed slab slot");
-            let m = slot
-                .executor
-                .steady_quanta(self.allotments[idx], len, &self.last_stats[idx]);
-            k_max = k_max.min(m);
         }
         if k_max == 0 {
             return 0;
         }
         let replay = self.probe.wants_frozen_replay();
-        let k = if !replay && all_steady {
+        let k = if !replay && self.steady.iter().all(|&s| s) {
             // Fast path: nothing inside the window can change any state
             // the window itself consults, so its length is known now.
             k_max
@@ -676,11 +668,6 @@ where
             // controllers quantum by quantum, closing the window if a
             // drift would change an integerized request or quantum
             // length (the next allocation could then differ).
-            self.frozen_ceils.clear();
-            for k in 0..self.live.len() {
-                let req = self.slot(self.live[k]).request;
-                self.frozen_ceils.push(ceil_request(req));
-            }
             let mut k = 0;
             let mut stop_after = false;
             while k < k_max && !stop_after {
@@ -714,7 +701,7 @@ where
                         let prev_next_len = job.next_len;
                         job.request = job.controller.observe(&self.last_stats[idx]);
                         job.next_len = job.controller.next_quantum_len(self.default_len);
-                        if ceil_request(job.request) != self.frozen_ceils[idx]
+                        if ceil_request(job.request) != ceil_request(self.requests[idx])
                             || job.next_len != prev_next_len
                         {
                             stop_after = true;
@@ -733,12 +720,19 @@ where
         };
         // Catch every executor and counter up in one shot; the
         // steady_quanta contract makes the bulk call state-equivalent
-        // to `k` per-quantum calls.
+        // to `k` per-quantum calls, and leaves each executor's lookahead
+        // `k` shorter (an unbounded one stays unbounded).
         for (idx, &i) in self.live.iter().enumerate() {
             let job = self.slots[i].as_mut().expect("freed slab slot");
             job.executor.run_quantum(self.allotments[idx], k * len);
             job.quanta += k;
             job.waste += k * self.last_stats[idx].waste();
+        }
+        if self.frozen_lookahead != u64::MAX {
+            self.frozen_lookahead -= k;
+            if self.frozen_lookahead == 0 {
+                self.frozen_len = None;
+            }
         }
         self.now += k * len;
         self.quanta += k;
@@ -755,6 +749,8 @@ mod tests {
     use abg_control::ConstantRequest;
     use abg_dag::{Phase, PhasedJob};
     use abg_sched::PipelinedExecutor;
+    use proptest::strategy::Strategy;
+    use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
     /// A barrier job: `levels` levels of `width` tasks, a join between
     /// each pair.
@@ -896,7 +892,7 @@ mod tests {
         let mut done_frozen = Vec::new();
         let mut bulk_advanced = 0u64;
         while frozen.jobs_in_system() > 0 {
-            frozen.step_quantum(&mut done_frozen);
+            frozen.step_quantum_reclaiming(&mut done_frozen, &mut Vec::new());
             bulk_advanced += frozen.advance_frozen(u64::MAX / 1024);
         }
         assert!(bulk_advanced > 0, "the frozen path never engaged");
@@ -935,7 +931,8 @@ mod tests {
         // quanta the adaptive request stays inside one ceiling, so only
         // the controller opt-in stands between this run and a frozen
         // window, as the ConstantRequest run shows.
-        fn frozen_after_three_quanta<C: Controller>(controller: C) -> u64 {
+        // The closed driver's step certifies nothing.
+        fn frozen_after_three_quanta<C: Controller>(controller: C, certify: bool) -> u64 {
             let mut core = QuantumCore::new(DynamicEquiPartition::new(8), 10, NullProbe);
             core.admit(
                 PipelinedExecutor::new(PhasedJob::constant(2, 400)),
@@ -943,13 +940,21 @@ mod tests {
                 0,
             );
             for _ in 0..3 {
-                core.step_quantum(&mut Vec::new());
+                if certify {
+                    core.step_quantum_reclaiming(&mut Vec::new(), &mut Vec::new());
+                } else {
+                    core.step_quantum(&mut Vec::new());
+                }
             }
             core.advance_frozen(1000)
         }
         let adaptive = abg_control::AdaptiveRateControl::new(0.5, 0.1);
-        assert_eq!(frozen_after_three_quanta(adaptive), 0);
-        assert!(frozen_after_three_quanta(ConstantRequest::new(2.0)) > 0);
+        assert_eq!(frozen_after_three_quanta(adaptive, true), 0);
+        assert!(frozen_after_three_quanta(ConstantRequest::new(2.0), true) > 0);
+        assert_eq!(
+            frozen_after_three_quanta(ConstantRequest::new(2.0), false),
+            0
+        );
     }
 
     #[test]
@@ -969,7 +974,7 @@ mod tests {
             50,
         );
         let mut done = Vec::new();
-        core.step_quantum(&mut done);
+        core.step_quantum_reclaiming(&mut done, &mut Vec::new());
         assert_eq!(core.advance_frozen(u64::MAX / 1024), 4);
         assert_eq!(core.now(), 50);
         assert!(core.any_live());
@@ -981,6 +986,289 @@ mod tests {
         done.sort_by_key(|c| c.id);
         assert_eq!(done[0].completion, 200);
         assert_eq!(done[1].completion, 150, "as pure stepping");
+    }
+
+    /// The certification `advance_frozen` ran before the step loop took
+    /// it over: four validation passes over the live set after the
+    /// stepped quantum whose length and per-job statistics (in live
+    /// order) are `len` and `stats`. Returns the window's lookahead and
+    /// `all_steady` when a window is certified.
+    fn certification_oracle<E, C, A, P>(
+        core: &QuantumCore<E, C, A, P>,
+        len: u64,
+        stats: &[QuantumStats],
+    ) -> Option<(u64, bool)>
+    where
+        E: JobExecutor,
+        C: Controller,
+        A: Allocator,
+        P: Probe,
+    {
+        // The live set is the one that ran (no completion left, no
+        // release joined) and nobody paid reallocation overhead.
+        if stats.len() != core.live.len()
+            || stats.iter().any(|s| s.completed || s.quantum_len != len)
+        {
+            return None;
+        }
+        let stability = core.allocator.allocation_stability();
+        if stability == AllocationStability::Unstable {
+            return None;
+        }
+        if core.live.iter().map(|&i| core.slot(i).next_len).min() != Some(len) {
+            return None;
+        }
+        let mut all_steady = true;
+        for (idx, &i) in core.live.iter().enumerate() {
+            let slot = core.slot(i);
+            if !slot.controller.supports_frozen_stepping() {
+                return None;
+            }
+            all_steady &= slot.controller.is_steady(&stats[idx]);
+        }
+        let want_avail = core.probe.wants_availability();
+        if !all_steady && (stability == AllocationStability::ByExactRequests || want_avail) {
+            return None;
+        }
+        for (idx, &i) in core.live.iter().enumerate() {
+            let cur = core.slot(i).request;
+            let prev = core.requests[idx];
+            let raw_equal = cur.to_bits() == prev.to_bits();
+            let stable = match stability {
+                AllocationStability::Unstable => unreachable!("filtered above"),
+                AllocationStability::ByCeilings => ceil_request(cur) == ceil_request(prev),
+                AllocationStability::ByExactRequests => raw_equal,
+            };
+            if !stable || (want_avail && !raw_equal) {
+                return None;
+            }
+        }
+        let lookahead = core
+            .live
+            .iter()
+            .enumerate()
+            .map(|(idx, &i)| {
+                core.slot(i)
+                    .executor
+                    .steady_quanta(core.allotments[idx], len, &stats[idx])
+            })
+            .min()?;
+        (lookahead > 0).then_some((lookahead, all_steady))
+    }
+
+    /// Forwards every hook to `inner` and keeps the last quantum's length
+    /// and per-job statistics for [`certification_oracle`].
+    struct Recording<P> {
+        inner: P,
+        len: u64,
+        stats: Vec<QuantumStats>,
+    }
+
+    impl<P: Probe> Probe for Recording<P> {
+        fn on_quantum_start(&mut self, now: u64, len: u64, live: usize) {
+            self.len = len;
+            self.stats.clear();
+            self.inner.on_quantum_start(now, len, live);
+        }
+        fn on_grant(&mut self, id: u64, request: f64, allotment: u32, p: Option<u32>) {
+            self.inner.on_grant(id, request, allotment, p);
+        }
+        fn on_quantum_end(&mut self, id: u64, record: &QuantumRecord) {
+            self.stats.push(record.stats);
+            self.inner.on_quantum_end(id, record);
+        }
+        fn on_job_complete(&mut self, job: &mut CompletedJob) {
+            self.inner.on_job_complete(job);
+        }
+        fn wants_availability(&self) -> bool {
+            self.inner.wants_availability()
+        }
+        fn wants_frozen_replay(&self) -> bool {
+            self.inner.wants_frozen_replay()
+        }
+    }
+
+    /// A pipelined executor whose lookahead answers as if a completed
+    /// job could go on and as if a quantum cut short by reallocation
+    /// overhead had run in full: the certification must not lean on
+    /// executors to refuse a window at a completion or an overhead.
+    struct Lax(PipelinedExecutor);
+
+    impl JobExecutor for Lax {
+        fn run_quantum(&mut self, allotment: u32, steps: u64) -> QuantumStats {
+            self.0.run_quantum(allotment, steps)
+        }
+        fn is_complete(&self) -> bool {
+            self.0.is_complete()
+        }
+        fn total_work(&self) -> u64 {
+            self.0.total_work()
+        }
+        fn total_span(&self) -> u64 {
+            self.0.total_span()
+        }
+        fn completed_work(&self) -> u64 {
+            self.0.completed_work()
+        }
+        fn elapsed_steps(&self) -> u64 {
+            self.0.elapsed_steps()
+        }
+        fn steady_quanta(&self, allotment: u32, _steps: u64, stats: &QuantumStats) -> u64 {
+            if stats.completed {
+                u64::MAX
+            } else {
+                self.0.steady_quanta(allotment, stats.quantum_len, stats)
+            }
+        }
+    }
+
+    /// A constant request whose quantum length cycles through `L`, `L +
+    /// 1` and `L + 2`, one step per observation. It opts in to frozen
+    /// stepping but is never steady, so only the quantum-length and
+    /// steadiness checks stand between it and a wrong window.
+    struct Cycling(u64);
+
+    impl Controller for Cycling {
+        fn observe(&mut self, _stats: &QuantumStats) -> f64 {
+            self.0 = (self.0 + 1) % 3;
+            2.0
+        }
+        fn current_request(&self) -> f64 {
+            2.0
+        }
+        fn name(&self) -> &'static str {
+            "cycling"
+        }
+        fn next_quantum_len(&mut self, default_len: u64) -> u64 {
+            default_len + self.0
+        }
+        fn supports_frozen_stepping(&self) -> bool {
+            true
+        }
+    }
+
+    /// A random job: its phases `(width, levels)`, its release, which
+    /// controller runs it, and whether its executor is [`Lax`].
+    type OracleJob = (Vec<(u64, u64)>, u64, u8, bool);
+
+    /// Steps `jobs` through the certifying step on `allocator`, holding
+    /// the step loop's verdict (window length, lookahead, steadiness)
+    /// to [`certification_oracle`]'s after every stepped quantum, and
+    /// again after every window that leaves one certified. Windows are
+    /// cut at `max_window` quanta so the lookahead carries across them.
+    /// Returns the number of certified quanta.
+    fn check_certification<A: Allocator, P: Probe>(
+        jobs: &[OracleJob],
+        allocator: A,
+        probe: P,
+        overhead: u64,
+        max_window: u64,
+    ) -> u64 {
+        type Executor = Box<dyn JobExecutor + Send>;
+        type Calculator = Box<dyn Controller + Send>;
+        let probe = Recording {
+            inner: probe,
+            len: 0,
+            stats: Vec::new(),
+        };
+        let mut core: QuantumCore<Executor, Calculator, _, _> =
+            QuantumCore::new(allocator, 5, probe).with_reallocation_overhead(overhead);
+        for (phases, release, which, lax) in jobs {
+            let job = PhasedJob::new(phases.iter().map(|&(w, l)| Phase::new(w, l)).collect());
+            let pipelined = PipelinedExecutor::new(job);
+            let executor: Executor = if *lax {
+                Box::new(Lax(pipelined))
+            } else {
+                Box::new(pipelined)
+            };
+            let controller: Calculator = match which % 5 {
+                0 => Box::new(abg_control::AControl::new(0.2)),
+                1 => Box::new(abg_control::AGreedy::paper_default()),
+                2 => Box::new(ConstantRequest::new(3.0)),
+                3 => Box::new(abg_control::AdaptiveRateControl::paper_default()),
+                _ => Box::new(Cycling(0)),
+            };
+            core.admit(executor, controller, *release);
+        }
+        let verdict = |core: &QuantumCore<Executor, Calculator, A, Recording<P>>| {
+            core.frozen_len
+                .map(|len| (len, core.frozen_lookahead, core.steady.iter().all(|&s| s)))
+        };
+        let oracle = |core: &QuantumCore<Executor, Calculator, A, Recording<P>>| {
+            let len = core.probe.len;
+            certification_oracle(core, len, &core.probe.stats).map(|(m, s)| (len, m, s))
+        };
+        let (mut done, mut pool) = (Vec::new(), Vec::new());
+        let mut certified = 0;
+        while core.jobs_in_system() > 0 {
+            if !core.any_live() {
+                let next = core.next_release().expect("jobs pending");
+                assert!(core.skip_idle_until(next));
+                continue;
+            }
+            core.step_quantum_reclaiming(&mut done, &mut pool);
+            assert_eq!(verdict(&core), oracle(&core), "at step {}", core.now());
+            while core.frozen_quantum_len().is_some() {
+                certified += core.advance_frozen(max_window);
+                if verdict(&core).is_some() {
+                    assert_eq!(
+                        verdict(&core),
+                        oracle(&core),
+                        "after a window at {}",
+                        core.now()
+                    );
+                }
+            }
+        }
+        certified
+    }
+
+    const ORACLE_CASES: u32 = 128;
+    static ORACLE_SEEN: AtomicU32 = AtomicU32::new(0);
+    static ORACLE_CERTIFIED: AtomicU64 = AtomicU64::new(0);
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(ORACLE_CASES))]
+
+        /// The step loop certifies exactly the windows the validation
+        /// passes certify, with the same lookahead and steadiness, under
+        /// every request calculator (and a paced one that is never
+        /// steady), a ceiling-stable (DEQ) and an
+        /// exact-request (overloaded proportional) allocator, and with
+        /// and without recorded availabilities. Across its cases it must
+        /// certify some window, so it cannot pass vacuously.
+        #[test]
+        fn step_loop_certification_matches_the_validation_passes(
+            jobs in proptest::collection::vec(
+                (
+                    proptest::collection::vec((1u64..=6, 1u64..=60), 1..4),
+                    0u64..60,
+                    0u8..5,
+                    (0u8..4).prop_map(|x| x == 0),
+                ),
+                1..6,
+            ),
+            processors in 1u32..12,
+            overhead in 0u64..2,
+            max_window in 1u64..4,
+        ) {
+            use abg_alloc::Proportional;
+            let mut certified = 0;
+            for probe in [TraceProbe::new(), TraceProbe::new().with_availability()] {
+                let deq = DynamicEquiPartition::new(processors);
+                certified += check_certification(&jobs, deq, probe.clone(), overhead, max_window);
+                let prop = Proportional::new(processors);
+                certified += check_certification(&jobs, prop, probe, overhead, max_window);
+            }
+            let deq = DynamicEquiPartition::new(processors);
+            certified += check_certification(&jobs, deq, NullProbe, overhead, max_window);
+            let prop = Proportional::new(processors);
+            certified += check_certification(&jobs, prop, NullProbe, overhead, max_window);
+            let total = ORACLE_CERTIFIED.fetch_add(certified, Ordering::Relaxed) + certified;
+            if ORACLE_SEEN.fetch_add(1, Ordering::Relaxed) + 1 == ORACLE_CASES {
+                proptest::prop_assert!(total > 0, "no case certified a window");
+            }
+        }
     }
 
     #[test]
@@ -1002,14 +1290,19 @@ mod tests {
 
     #[test]
     fn set_allocator_resizes_the_machine_and_thaws_the_frozen_cache() {
-        // A width-4 job on 8 processors: after one real quantum the run
-        // is frozen. Swapping in a 2-processor machine must invalidate
-        // the cached grant picture and halve the allotment from the
-        // next quantum on (visible as one extra reallocation).
+        // A width-4 constant job on 8 processors: after one real
+        // quantum the run is frozen. Swapping in a 2-processor machine
+        // must invalidate the cached grant picture and halve the
+        // allotment from the next quantum on (visible as one extra
+        // reallocation).
         let mut core = QuantumCore::new(DynamicEquiPartition::new(8), 10, NullProbe);
-        core.admit(job(4, 400), ConstantRequest::new(4.0), 0);
+        core.admit(
+            PipelinedExecutor::new(PhasedJob::constant(4, 400)),
+            ConstantRequest::new(4.0),
+            0,
+        );
         let mut done = Vec::new();
-        core.step_quantum(&mut done);
+        core.step_quantum_reclaiming(&mut done, &mut Vec::new());
         assert!(core.frozen_quantum_len().is_some());
         core.set_allocator(DynamicEquiPartition::new(2));
         assert_eq!(core.frozen_quantum_len(), None, "cache must thaw");
@@ -1018,9 +1311,10 @@ mod tests {
             core.step_quantum(&mut done);
         }
         // Width 4 on 2 processors: each level costs 2 steps from the
-        // swap on, so the job finishes later than the 100-step ideal.
+        // swap on, so the remaining 1 560 tasks take 780 steps.
         assert_eq!(done[0].reallocations, 1, "the shrink, 4 -> 2");
         assert!(done[0].completion > 100);
+        assert_eq!(done[0].completion, 790);
     }
 
     #[test]

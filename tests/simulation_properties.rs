@@ -9,6 +9,7 @@ use abg_dag::{Phase, PhasedJob};
 use abg_sched::{JobExecutor, PipelinedExecutor};
 use abg_sim::{CompletedJob, MultiJobOutcome, MultiJobSim, NullProbe, QuantumCore};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 fn phases() -> impl Strategy<Value = Vec<Phase>> {
     prop::collection::vec((1u64..=12, 1u64..=8), 1..6)
@@ -99,10 +100,11 @@ type JobRow = (u64, u64, u64, u64, u64, u64);
 
 /// Runs `set` on a bare `QuantumCore` (DEQ(16), L = 10) with every job
 /// admitted up front, ahead of its release, under calculator `which`:
-/// stepping each quantum, and after each real quantum advancing a frozen
-/// window too when `frozen`. Returns the drained jobs in id order, the
-/// final clock and the quanta executed.
-fn run_preadmitted(set: &Set, which: u8, frozen: bool) -> (Vec<JobRow>, u64, u64) {
+/// stepping each quantum, or with `frozen` stepping through the
+/// certifying step and advancing each certified window. Returns the
+/// drained jobs in id order, the final clock, the quanta executed and
+/// how many of them were frozen.
+fn run_preadmitted(set: &Set, which: u8, frozen: bool) -> ((Vec<JobRow>, u64, u64), u64) {
     let mut core: QuantumCore<Box<dyn JobExecutor + Send>, Box<dyn Controller + Send>, _, _> =
         QuantumCore::new(DynamicEquiPartition::new(16), 10, NullProbe);
     for (ph, release) in set {
@@ -110,15 +112,18 @@ fn run_preadmitted(set: &Set, which: u8, frozen: bool) -> (Vec<JobRow>, u64, u64
         core.admit(executor, calculator(which), *release);
     }
     let mut done: Vec<CompletedJob> = Vec::new();
+    let mut frozen_quanta = 0;
     while core.jobs_in_system() > 0 {
         if !core.any_live() {
             let next = core.next_release().expect("jobs pending");
             assert!(core.skip_idle_until(next), "release within the clock");
             continue;
         }
-        core.step_quantum(&mut done);
         if frozen {
-            core.advance_frozen(u64::MAX / 1024);
+            core.step_quantum_reclaiming(&mut done, &mut Vec::new());
+            frozen_quanta += core.advance_frozen(u64::MAX / 1024);
+        } else {
+            core.step_quantum(&mut done);
         }
     }
     done.sort_by_key(|c| c.id);
@@ -135,21 +140,31 @@ fn run_preadmitted(set: &Set, which: u8, frozen: bool) -> (Vec<JobRow>, u64, u64
             )
         })
         .collect();
-    (jobs, core.now(), core.quanta())
+    ((jobs, core.now(), core.quanta()), frozen_quanta)
 }
 
+const PREADMITTED_CASES: u32 = 256;
+static PREADMITTED_SEEN: AtomicU32 = AtomicU32::new(0);
+static PREADMITTED_FROZEN: AtomicU64 = AtomicU64::new(0);
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(PREADMITTED_CASES))]
 
     /// Frozen windows over pre-admitted jobs: releases mid-quantum and
     /// out of id order (so a release can land mid-live-set) must surface
-    /// exactly where pure stepping surfaces them.
+    /// exactly where pure stepping surfaces them. Across its cases some
+    /// quanta must be frozen, so it cannot pass vacuously.
     #[test]
     fn frozen_windows_match_stepping_with_preadmitted_releases(
         set in prop::collection::vec((phases(), 0u64..400), 1..6),
         which in 0u8..3,
     ) {
-        prop_assert_eq!(run_preadmitted(&set, which, true), run_preadmitted(&set, which, false));
+        let (frozen, frozen_quanta) = run_preadmitted(&set, which, true);
+        prop_assert_eq!(frozen, run_preadmitted(&set, which, false).0);
+        let total = PREADMITTED_FROZEN.fetch_add(frozen_quanta, Ordering::Relaxed) + frozen_quanta;
+        if PREADMITTED_SEEN.fetch_add(1, Ordering::Relaxed) + 1 == PREADMITTED_CASES {
+            prop_assert!(total > 0, "no case froze a quantum");
+        }
     }
 }
 
