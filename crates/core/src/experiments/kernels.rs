@@ -413,7 +413,7 @@ fn workflow_open(cfg: &KernelBenchConfig) -> KernelResult {
     let kind = WorkflowKind::Montage;
     let scale = WORKFLOW_SCALE;
     let t1 = abg_workload::expected_work_of(256, &mut StdRng::seed_from_u64(cfg.seed), |rng| {
-        kind.generate(scale, rng).work() as f64
+        kind.sample_work(scale, rng) as f64
     });
     let open = OpenConfig {
         warmup_jobs: WORKFLOW_JOBS / 4,

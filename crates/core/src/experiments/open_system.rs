@@ -403,7 +403,7 @@ pub fn population_expected_work(cfg: &OpenSystemConfig) -> f64 {
         }),
         OpenWorkload::Workflow { kind, scale } => {
             expected_work_of(cfg.work_samples, &mut rng, |rng| {
-                kind.generate(*scale, rng).work() as f64
+                kind.sample_work(*scale, rng) as f64
             })
         }
         OpenWorkload::Trace(dag) => dag.work() as f64,
@@ -718,6 +718,32 @@ mod tests {
         };
         let gap = mean_gap_for_utilization(1.2, 64, population_expected_work(&diamond));
         assert!((1.0..1.1).contains(&gap), "gap {gap}");
+    }
+
+    /// The workflow estimate samples work without building dags; it must
+    /// equal, bit for bit, the estimate that built every sampled dag.
+    #[test]
+    fn workflow_work_estimate_equals_the_dag_built_one() {
+        for kind in WorkflowKind::ALL {
+            for (base, scale) in [
+                (OpenSystemConfig::smoke(), 8),
+                (OpenSystemConfig::paper(), 16),
+            ] {
+                let cfg = OpenSystemConfig {
+                    workload: OpenWorkload::Workflow { kind, scale },
+                    ..base
+                };
+                let mut rng = StdRng::seed_from_u64(splitmix_seed(cfg.seed, u64::MAX, 0));
+                let built = expected_work_of(cfg.work_samples, &mut rng, |r| {
+                    kind.generate(scale, r).work() as f64
+                });
+                assert_eq!(
+                    population_expected_work(&cfg).to_bits(),
+                    built.to_bits(),
+                    "{kind} scale {scale}"
+                );
+            }
+        }
     }
 
     #[test]

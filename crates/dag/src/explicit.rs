@@ -1,4 +1,4 @@
-//! Arbitrary precedence graphs over unit tasks.
+//! Arbitrary precedence graphs over unit or weighted tasks.
 //!
 //! An [`ExplicitDag`] stores the successor adjacency in CSR (compressed
 //! sparse row) form — one flat successor array plus an offset table —
@@ -16,11 +16,16 @@
 //! allocation: executors iterating `successors(t)` on the hot path read
 //! one offset pair and then walk a dense slice, instead of chasing a
 //! per-task heap pointer as the previous `Vec<Vec<TaskId>>` layout did.
+//!
+//! Those structural arrays sit behind one `Arc`, apart from the optional
+//! per-task weight table. A workflow generator that draws fresh weights
+//! over one kept structure for every arrival therefore allocates only
+//! the weight table per dag; the CSR is built once and shared.
 
 use crate::{Level, TaskId};
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Errors detected while building or validating a dag.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,6 +140,25 @@ fn validate_weight(t: TaskId, w: f64) -> Result<(), DagError> {
     }
 }
 
+/// Processor-steps consumed by task `t` of weight `w`: `ceil(w)`, the
+/// rule a [`WeightProfile`] applies to every entry of its table. Fails
+/// with [`DagError::InvalidWeight`] unless `w` is finite and positive,
+/// and with [`DagError::CostOverflow`] when the ceiling does not fit in
+/// `u64`.
+pub fn weight_cost(t: TaskId, w: f64) -> Result<u64, DagError> {
+    validate_weight(t, w)?;
+    // `u64::MAX as f64` rounds up to 2⁶⁴, the first ceiling that
+    // `as u64` would saturate; every f64 below it has a ceiling below it.
+    if w >= u64::MAX as f64 {
+        return Err(DagError::CostOverflow(t));
+    }
+    // `ceil` without a libm call: truncate, then round any fraction up.
+    // Below 2⁵³ the truncation is exact, and from there on every f64 is
+    // an integer, so the comparison never adds one to a whole weight.
+    let whole = w as u64;
+    Ok(whole + u64::from((whole as f64) < w))
+}
+
 /// Derived per-task and per-level cost tables of a weighted dag.
 ///
 /// A task of weight `w` consumes `ceil(w)` whole processor-steps (the
@@ -219,14 +243,7 @@ impl WeightProfile {
         let mut total_cost = 0u64;
         for (i, &w) in weights.iter().enumerate() {
             let t = TaskId(i as u32);
-            validate_weight(t, w)?;
-            // `u64::MAX as f64` rounds up to 2⁶⁴, the first ceiling that
-            // `as u64` would saturate.
-            let c = w.ceil();
-            if c >= u64::MAX as f64 {
-                return Err(DagError::CostOverflow(t));
-            }
-            let c = c as u64;
+            let c = weight_cost(t, w)?;
             total_cost = total_cost.checked_add(c).ok_or(DagError::CostOverflow(t))?;
             costs.push(c);
         }
@@ -526,29 +543,55 @@ impl DagBuilder {
             Some(w) => Some(Box::new(WeightProfile::new(w, &level, span as usize)?)),
         };
         Ok(ExplicitDag {
-            succ_off,
-            succ_flat,
-            in_degree: self.in_degree,
-            level,
-            level_sizes,
-            level_recip,
-            sources,
-            forest,
-            unit_edges,
+            topo: Arc::new(Topology {
+                succ_off,
+                succ_flat,
+                in_degree: self.in_degree,
+                level,
+                level_sizes,
+                level_recip,
+                sources,
+                forest,
+                unit_edges,
+            }),
             unit_weight,
             weights,
         })
     }
 }
 
-/// A validated, immutable precedence graph over unit tasks.
+/// A validated, immutable precedence graph over unit or weighted tasks.
 ///
 /// Tasks are identified by dense [`TaskId`]s. The successor adjacency is
 /// stored in CSR form — [`ExplicitDag::successors`] is a slice of one
 /// shared flat array — alongside the in-degree of each task (used by
-/// executors to track readiness) and each task's level.
+/// executors to track readiness) and each task's level. A dag may carry
+/// a per-task weight table ([`ExplicitDag::weight_profile`]); without one
+/// every task costs one processor-step.
+///
+/// The structure lives in one reference-counted block that clones and
+/// re-weightings share: [`Clone`] and
+/// [`with_weights`](ExplicitDag::with_weights) copy no CSR array, only
+/// the weight table. Equality still compares values, so a dag rebuilt
+/// from the same edges and weights equals one that shares its topology.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplicitDag {
+    /// The structure, shared by every clone and re-weighting.
+    topo: Arc<Topology>,
+    /// Whether every task costs exactly one processor-step (no weight
+    /// table, or a table of all-1.0 entries). Cached for
+    /// [`ExplicitDag::is_unit_weight`] — the gate of the unit-task
+    /// executor fast paths.
+    unit_weight: bool,
+    /// Derived cost tables when a weight table is present; boxed so the
+    /// (overwhelmingly common) unit dag pays one pointer of overhead.
+    weights: Option<Box<WeightProfile>>,
+}
+
+/// The weight-independent part of an [`ExplicitDag`]: adjacency, degrees,
+/// levels and the structural flags, all fixed by the edges.
+#[derive(Debug, PartialEq)]
+struct Topology {
     /// CSR offsets: successors of task `t` occupy
     /// `succ_flat[succ_off[t] .. succ_off[t + 1]]`; length `n + 1`.
     succ_off: Vec<u32>,
@@ -571,14 +614,6 @@ pub struct ExplicitDag {
     /// Whether every edge drops exactly one level. Cached for
     /// [`ExplicitDag::has_unit_edges`].
     unit_edges: bool,
-    /// Whether every task costs exactly one processor-step (no weight
-    /// table, or a table of all-1.0 entries). Cached for
-    /// [`ExplicitDag::is_unit_weight`] — the gate of the unit-task
-    /// executor fast paths.
-    unit_weight: bool,
-    /// Derived cost tables when a weight table is present; boxed so the
-    /// (overwhelmingly common) unit dag pays one pointer of overhead.
-    weights: Option<Box<WeightProfile>>,
 }
 
 impl ExplicitDag {
@@ -589,7 +624,7 @@ impl ExplicitDag {
     pub fn work(&self) -> u64 {
         match &self.weights {
             Some(wp) => wp.total_cost,
-            None => self.in_degree.len() as u64,
+            None => self.topo.in_degree.len() as u64,
         }
     }
 
@@ -599,7 +634,7 @@ impl ExplicitDag {
     /// [`ExplicitDag::weighted_span`].
     #[inline]
     pub fn span(&self) -> u64 {
-        self.level_sizes.len() as u64
+        self.topo.level_sizes.len() as u64
     }
 
     /// Critical-path length `T∞` in processor-steps: `Σ_l max-cost(l)`
@@ -643,7 +678,7 @@ impl ExplicitDag {
         let shares = wp.shares.0.get_or_init(|| {
             wp.costs
                 .iter()
-                .zip(&self.level)
+                .zip(&self.topo.level)
                 .map(|(&c, &l)| wp.span_contribution(c, l as usize))
                 .collect()
         });
@@ -670,8 +705,9 @@ impl ExplicitDag {
     }
 
     /// Returns this dag with the given per-task weight table attached
-    /// (replacing any existing one). The structure is untouched; only
-    /// the cost tables and the unit-weight flag are recomputed. Rejects
+    /// (replacing any existing one). The structure is untouched and
+    /// stays shared with every other dag built from it; only the cost
+    /// tables and the unit-weight flag are recomputed. Rejects
     /// tables of the wrong length ([`DagError::WeightTableLength`]), with
     /// non-finite / non-positive entries ([`DagError::InvalidWeight`]), or
     /// whose costs or total cost overflow `u64` ([`DagError::CostOverflow`]).
@@ -685,8 +721,8 @@ impl ExplicitDag {
         self.unit_weight = weights.iter().all(|&x| x == 1.0);
         self.weights = Some(Box::new(WeightProfile::new(
             weights,
-            &self.level,
-            self.level_sizes.len(),
+            &self.topo.level,
+            self.topo.level_sizes.len(),
         )?));
         Ok(self)
     }
@@ -702,19 +738,20 @@ impl ExplicitDag {
     /// Number of tasks (as a `usize`, for indexing).
     #[inline]
     pub fn num_tasks(&self) -> usize {
-        self.in_degree.len()
+        self.topo.in_degree.len()
     }
 
     /// Successors of `t`, in edge insertion order.
     #[inline]
     pub fn successors(&self, t: TaskId) -> &[TaskId] {
-        &self.succ_flat[self.succ_off[t.index()] as usize..self.succ_off[t.index() + 1] as usize]
+        let g = &*self.topo;
+        &g.succ_flat[g.succ_off[t.index()] as usize..g.succ_off[t.index() + 1] as usize]
     }
 
     /// In-degree (number of direct predecessors) of `t`.
     #[inline]
     pub fn in_degree(&self, t: TaskId) -> u32 {
-        self.in_degree[t.index()]
+        self.topo.in_degree[t.index()]
     }
 
     /// The full in-degree table, indexed by task id. Executors seed (and
@@ -722,7 +759,7 @@ impl ExplicitDag {
     /// instead of `num_tasks` individual `in_degree` calls.
     #[inline]
     pub fn in_degrees(&self) -> &[u32] {
-        &self.in_degree
+        &self.topo.in_degree
     }
 
     /// Successors of every task in the contiguous id block
@@ -732,26 +769,27 @@ impl ExplicitDag {
     /// walks with a single bulk append.
     #[inline]
     pub fn successors_block(&self, first: TaskId, last: TaskId) -> &[TaskId] {
-        &self.succ_flat
-            [self.succ_off[first.index()] as usize..self.succ_off[last.index() + 1] as usize]
+        let g = &*self.topo;
+        &g.succ_flat[g.succ_off[first.index()] as usize..g.succ_off[last.index() + 1] as usize]
     }
 
     /// Out-degree (number of direct successors) of `t`.
     #[inline]
     pub fn out_degree(&self, t: TaskId) -> u32 {
-        self.succ_off[t.index() + 1] - self.succ_off[t.index()]
+        let off = &self.topo.succ_off;
+        off[t.index() + 1] - off[t.index()]
     }
 
     /// Level of `t` (longest distance from a source; sources are level 0).
     #[inline]
     pub fn level(&self, t: TaskId) -> Level {
-        self.level[t.index()]
+        self.topo.level[t.index()]
     }
 
     /// Number of tasks at each level; `level_sizes().len() == span()`.
     #[inline]
     pub fn level_sizes(&self) -> &[u64] {
-        &self.level_sizes
+        &self.topo.level_sizes
     }
 
     /// Reciprocal level sizes, `level_recips()[l] == 1.0 / level_sizes()[l]`.
@@ -762,13 +800,13 @@ impl ExplicitDag {
     /// per-level counter vector at every quantum boundary.
     #[inline]
     pub fn level_recips(&self) -> &[f64] {
-        &self.level_recip
+        &self.topo.level_recip
     }
 
     /// Fractional span contributed by one task at level `l`.
     #[inline]
     pub fn level_recip(&self, l: Level) -> f64 {
-        self.level_recip[l as usize]
+        self.topo.level_recip[l as usize]
     }
 
     /// Whether every task has at most one predecessor, i.e. the
@@ -778,7 +816,7 @@ impl ExplicitDag {
     /// them without consulting its remaining-predecessor table.
     #[inline]
     pub fn is_forest(&self) -> bool {
-        self.forest
+        self.topo.forest
     }
 
     /// Whether every edge drops exactly one level
@@ -789,23 +827,23 @@ impl ExplicitDag {
     /// precondition of the wide-frontier kernel's structural fast path.
     #[inline]
     pub fn has_unit_edges(&self) -> bool {
-        self.unit_edges
+        self.topo.unit_edges
     }
 
     /// Iterator over all task ids in id order.
     pub fn tasks(&self) -> impl Iterator<Item = TaskId> + '_ {
-        (0..self.in_degree.len() as u32).map(TaskId)
+        (0..self.topo.in_degree.len() as u32).map(TaskId)
     }
 
     /// Tasks with no predecessors (ready at job start), in id order.
     pub fn sources(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.sources.iter().copied()
+        self.topo.sources.iter().copied()
     }
 
     /// The cached source list as a slice (see [`ExplicitDag::sources`]).
     #[inline]
     pub fn source_tasks(&self) -> &[TaskId] {
-        &self.sources
+        &self.topo.sources
     }
 
     /// Tasks with no successors.
@@ -815,7 +853,7 @@ impl ExplicitDag {
 
     /// Total number of edges.
     pub fn num_edges(&self) -> usize {
-        self.succ_flat.len()
+        self.topo.succ_flat.len()
     }
 
     /// Average parallelism `T1 / T∞` (in processor-steps, so weighted
@@ -853,10 +891,10 @@ impl ExplicitDag {
         let mut out = String::new();
         let _ = writeln!(out, "digraph {name} {{");
         let _ = writeln!(out, "  rankdir=TB; node [shape=circle];");
-        for l in 0..self.level_sizes.len() as u32 {
+        for l in 0..self.topo.level_sizes.len() as u32 {
             let ids: Vec<String> = self
                 .tasks()
-                .filter(|t| self.level[t.index()] == l)
+                .filter(|t| self.topo.level[t.index()] == l)
                 .map(|t| format!("{t}"))
                 .collect();
             let _ = writeln!(out, "  {{ rank=same; {} }}", ids.join("; "));
@@ -1220,6 +1258,48 @@ mod tests {
         assert_eq!(b.build().unwrap_err(), DagError::CostOverflow(t0));
     }
 
+    /// `weight_cost` rounds up without `f64::ceil`; it must agree with
+    /// it on every weight it accepts: fractions, subnormals, the 2⁵² and
+    /// 2⁵³ boundaries, the largest f64 below 2⁶⁴ and random bit patterns.
+    #[test]
+    fn weight_cost_is_the_ceiling_of_every_accepted_weight() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngExt, SeedableRng};
+        let two_pow_52 = 4_503_599_627_370_496.0;
+        let two_pow_53 = 9_007_199_254_740_992.0;
+        let boundaries = [
+            5e-324,
+            f64::MIN_POSITIVE,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.0 - f64::EPSILON,
+            two_pow_52 - 0.5,
+            two_pow_52,
+            two_pow_52 + 1.0,
+            two_pow_53 - 1.0,
+            two_pow_53,
+            two_pow_53 + 2.0,
+            9_223_372_036_854_775_808.0,
+            18_446_744_073_709_549_568.0,
+        ];
+        let mut rng = StdRng::seed_from_u64(64);
+        let random: Vec<f64> = (0..20_000)
+            .map(|i| {
+                if i % 2 == 0 {
+                    f64::from_bits(rng.next_u64() >> 1)
+                } else {
+                    rng.random::<f64>() * 1e6
+                }
+            })
+            .filter(|&w| w > 0.0 && w < 18_446_744_073_709_551_616.0)
+            .collect();
+        assert!(random.len() > 10_000);
+        for w in boundaries.into_iter().chain(random) {
+            assert_eq!(weight_cost(TaskId(0), w), Ok(w.ceil() as u64), "{w:e}");
+        }
+    }
+
     #[test]
     fn unit_dags_never_build_span_shares() {
         let bare = chain(4);
@@ -1228,6 +1308,28 @@ mod tests {
         assert_eq!(tabled.build_span_shares(), None);
         let wp = tabled.weight_profile().unwrap();
         assert_eq!(wp.span_shares(), None, "an all-1.0 table stays unbuilt");
+    }
+
+    #[test]
+    fn clones_and_reweightings_share_the_topology_and_compare_by_value() {
+        let d = chain(4).with_weights(vec![1.5, 2.0, 3.0, 1.0]).unwrap();
+        let reweighted = d.clone().with_weights(vec![2.0; 4]).unwrap();
+        assert!(Arc::ptr_eq(&d.topo, &d.clone().topo));
+        assert!(Arc::ptr_eq(&d.topo, &reweighted.topo));
+        assert_ne!(d, reweighted, "the weights still differ");
+        assert_eq!(reweighted.work(), 8);
+        // The same edges and weights built again share nothing, yet the
+        // dags are equal.
+        let mut b = DagBuilder::new();
+        for w in [1.5, 2.0, 3.0, 1.0] {
+            b.add_weighted_task(w).unwrap();
+        }
+        for i in 0..3 {
+            b.add_edge(TaskId(i), TaskId(i + 1)).unwrap();
+        }
+        let rebuilt = b.build().unwrap();
+        assert!(!Arc::ptr_eq(&d.topo, &rebuilt.topo));
+        assert_eq!(d, rebuilt);
     }
 
     #[test]

@@ -14,10 +14,12 @@
 //!
 //! This crate provides two concrete job representations:
 //!
-//! * [`ExplicitDag`] — an arbitrary precedence graph over unit tasks, built
-//!   with [`DagBuilder`] and validated (acyclic, in-bounds). This is the
-//!   fully general model used by the per-task simulator, unit tests and the
-//!   paper's Figure-2 example.
+//! * [`ExplicitDag`] — an arbitrary precedence graph, built with
+//!   [`DagBuilder`] and validated (acyclic, in-bounds). Its tasks are unit
+//!   unless the dag carries a per-task weight table, under which a task of
+//!   weight `w` costs `ceil(w)` processor-steps. This is the fully general
+//!   model used by the per-task simulator, the weighted workflow
+//!   families, unit tests and the paper's Figure-2 example.
 //! * [`PhasedJob`] — a fork-join job given by its phase list, with
 //!   *pipelined* chains inside each phase and a join between phases. This
 //!   is the default model for the paper's data-parallel workloads; it
@@ -55,7 +57,7 @@ pub mod phased;
 pub mod profile;
 pub mod stats;
 
-pub use explicit::{DagBuilder, DagError, ExplicitDag, WeightProfile};
+pub use explicit::{weight_cost, DagBuilder, DagError, ExplicitDag, WeightProfile};
 pub use generate::ForkJoinSpec;
 pub use phased::{Phase, PhasedJob};
 pub use profile::ParallelismProfile;

@@ -14,7 +14,7 @@
 //! ([`dagfile`](crate::dagfile)), and the derived integer costs
 //! (`ceil`) stay small and predictable.
 
-use abg_dag::{DagBuilder, ExplicitDag, TaskId};
+use abg_dag::{weight_cost, DagBuilder, ExplicitDag, TaskId};
 use rand::{Rng, RngExt as _};
 use std::cell::RefCell;
 use std::fmt;
@@ -68,17 +68,32 @@ impl WorkflowKind {
     /// The structure is a pure function of `(kind, scale)`; only the
     /// weights are drawn, one per task in task-id order. Once a thread
     /// asks for the same `(kind, scale)` twice in a row, it keeps that
-    /// validated structure and later calls only clone it and draw.
+    /// validated structure, and every dag generated from it shares its
+    /// topology: later calls only draw and build the weight table.
     pub fn generate<R: Rng + ?Sized>(&self, scale: u32, rng: &mut R) -> ExplicitDag {
         let shape = self.shape(scale.max(1) as usize);
-        let weights = shape
-            .ranges
-            .iter()
-            .map(|&(lo, hi)| half(rng, lo, hi))
-            .collect();
-        let dag = Rc::try_unwrap(shape).map_or_else(|kept| kept.dag.clone(), |fresh| fresh.dag);
-        dag.with_weights(weights)
+        let weights = draw(&shape.ranges, rng).collect();
+        shape
+            .dag
+            .clone()
+            .with_weights(weights)
             .expect("half-integer weights are finite and positive")
+    }
+
+    /// The work `T1` of the dag [`generate`](Self::generate) would
+    /// return from the same RNG state, without building it: the same
+    /// weights are drawn in the same order, so the RNG ends in the same
+    /// state, and their costs are summed by the table's own rule,
+    /// [`weight_cost`].
+    pub fn sample_work<R: Rng + ?Sized>(&self, scale: u32, rng: &mut R) -> u64 {
+        let shape = self.shape(scale.max(1) as usize);
+        draw(&shape.ranges, rng)
+            .enumerate()
+            .map(|(i, w)| {
+                weight_cost(TaskId(i as u32), w)
+                    .expect("half-integer weights are finite and positive")
+            })
+            .sum()
     }
 
     /// The shape at `scale`: the thread's kept copy when this is a
@@ -182,6 +197,15 @@ impl FromStr for WorkflowKind {
             )),
         }
     }
+}
+
+/// Draws one weight per range, in order: the one draw routine behind
+/// both [`WorkflowKind::generate`] and [`WorkflowKind::sample_work`].
+fn draw<'a, R: Rng + ?Sized>(
+    ranges: &'a [(u64, u64)],
+    rng: &'a mut R,
+) -> impl Iterator<Item = f64> + 'a {
+    ranges.iter().map(move |&(lo, hi)| half(rng, lo, hi))
 }
 
 /// Samples a half-integer weight in `[lo/2, hi/2]` — an exact binary
@@ -467,6 +491,70 @@ mod tests {
             assert_eq!(rng, fresh_rng, "call {i}: RNG state after {kind} {scale}");
         }
         assert!(!kept(MapReduce), "a one-off MapReduce request is not kept");
+    }
+
+    /// Whether two dags share one topology: every successor row, the
+    /// in-degree table and the level sizes are the same memory.
+    fn shares_topology(a: &ExplicitDag, b: &ExplicitDag) -> bool {
+        a.num_tasks() == b.num_tasks()
+            && a.tasks()
+                .all(|t| std::ptr::eq(a.successors(t), b.successors(t)))
+            && std::ptr::eq(a.in_degrees(), b.in_degrees())
+            && std::ptr::eq(a.level_sizes(), b.level_sizes())
+    }
+
+    /// Dags generated from a kept shape share its topology, so do their
+    /// re-weightings, and a dag rebuilt from the same edges and weights
+    /// shares nothing yet still compares equal.
+    #[test]
+    fn kept_shapes_share_one_topology() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for kind in WorkflowKind::ALL {
+            let _fresh = kind.generate(8, &mut rng);
+            let a = kind.generate(8, &mut rng);
+            let b = kind.generate(8, &mut rng);
+            assert!(kept(kind), "{kind}");
+            assert_ne!(a, b, "{kind}: fresh weights per call");
+            assert!(shares_topology(&a, &b), "{kind}");
+            let heavier = a
+                .weight_profile()
+                .unwrap()
+                .weights()
+                .iter()
+                .map(|w| w + 1.0);
+            let reweighted = a.clone().with_weights(heavier.collect()).unwrap();
+            assert!(shares_topology(&a, &reweighted), "{kind}");
+            let rebuilt = crate::dagfile::parse_dag(&write_dag(&a)).unwrap();
+            assert!(!shares_topology(&a, &rebuilt), "{kind}");
+            assert_eq!(a, rebuilt, "{kind}: equality compares values");
+        }
+    }
+
+    /// `sample_work` is bit-equal to building the dag and reading its
+    /// work, and leaves the RNG exactly where `generate` leaves it.
+    #[test]
+    fn sampled_work_equals_the_generated_dags_work() {
+        for kind in WorkflowKind::ALL {
+            for scale in [1u32, 2, 8, 33] {
+                for seed in [1u64, 7, 42] {
+                    let mut sampled = StdRng::seed_from_u64(seed);
+                    let mut built = StdRng::seed_from_u64(seed);
+                    // Twice, so the second pair runs on the kept shape.
+                    for _ in 0..2 {
+                        assert_eq!(
+                            kind.sample_work(scale, &mut sampled),
+                            kind.generate(scale, &mut built).work(),
+                            "{kind} scale {scale} seed {seed}"
+                        );
+                    }
+                    assert_eq!(
+                        sampled.next_u64(),
+                        built.next_u64(),
+                        "{kind} scale {scale} seed {seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
